@@ -120,7 +120,7 @@ class ChurnProcess:
         protects against a protocol whose ``node_ids`` went stale under
         a concurrent wrapper.
         """
-        live = self.protocol.node_ids()
+        live = self.protocol.members
         if len(live) <= self.min_population:
             return None
         victim = live[int(self.rng.integers(len(live)))]

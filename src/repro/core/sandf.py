@@ -28,7 +28,7 @@ can measure spatial independence (Property M4) against the
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.params import SFParams
 from repro.core.view import NodeId, View, ViewEntry
@@ -50,20 +50,15 @@ class SendForget(GossipProtocol):
     :mod:`repro.engine` or call :meth:`initiate`/:meth:`deliver` directly.
     """
 
+    _views: Dict[NodeId, View]
+
     def __init__(self, params: SFParams):
         super().__init__()
         self.params = params
-        self._views: Dict[NodeId, View] = {}
 
     # ------------------------------------------------------------------
     # Population management
     # ------------------------------------------------------------------
-
-    def node_ids(self) -> List[NodeId]:
-        return list(self._views)
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._views
 
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
         """Join with a bootstrap view.
@@ -73,8 +68,6 @@ class SendForget(GossipProtocol):
         length of at least ``dL``; ids may repeat (e.g. copied from another
         node's view) and must fit in the view.
         """
-        if node_id in self._views:
-            raise ValueError(f"node {node_id} already exists")
         ids = list(bootstrap_ids)
         if len(ids) % 2 != 0:
             raise ValueError(
@@ -91,18 +84,7 @@ class SendForget(GossipProtocol):
         view = View(self.params.view_size)
         for index, bootstrap_id in enumerate(ids):
             view.store_into(index, ViewEntry(bootstrap_id))
-        self._views[node_id] = view
-
-    def remove_node(self, node_id: NodeId) -> None:
-        """Leave/fail: simply stop participating (no explicit action, §5).
-
-        Other nodes' views still hold the id; every message sent to the
-        departed node is effectively lost, so the id drains out of the
-        system at the rate analyzed in section 6.5.2.
-        """
-        if node_id not in self._views:
-            raise KeyError(f"unknown node {node_id}")
-        del self._views[node_id]
+        self._admit(node_id, view)
 
     # ------------------------------------------------------------------
     # Protocol steps

@@ -99,6 +99,8 @@ class SendForgetVariant(GossipProtocol):
             (the analyzed protocol sends exactly 1, plus the sender id).
     """
 
+    _views: Dict[NodeId, _MarkedView]
+
     def __init__(
         self,
         params: SFParams,
@@ -120,21 +122,12 @@ class SendForgetVariant(GossipProtocol):
         self.mark_and_undelete = mark_and_undelete
         self.replace_on_full = replace_on_full
         self.ids_per_message = ids_per_message
-        self._views: Dict[NodeId, _MarkedView] = {}
 
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------
 
-    def node_ids(self) -> List[NodeId]:
-        return list(self._views)
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._views
-
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        if node_id in self._views:
-            raise ValueError(f"node {node_id} already exists")
         ids = list(bootstrap_ids)
         if len(ids) % 2 != 0:
             raise ValueError("bootstrap view must have even size")
@@ -143,10 +136,7 @@ class SendForgetVariant(GossipProtocol):
         wrapped = _MarkedView(self.params.view_size)
         for index, bootstrap_id in enumerate(ids):
             wrapped.view.store_into(index, ViewEntry(bootstrap_id))
-        self._views[node_id] = wrapped
-
-    def remove_node(self, node_id: NodeId) -> None:
-        del self._views[node_id]
+        self._admit(node_id, wrapped)
 
     # ------------------------------------------------------------------
     # Protocol steps

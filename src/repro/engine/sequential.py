@@ -151,11 +151,10 @@ class SequentialEngine:
         if self.kernel is not None:
             self.kernel.run_batch(1, self.rng, self.loss, self.stats)
             return
-        nodes = self.protocol.node_ids()
-        if not nodes:
+        members = self.protocol.members
+        if not members:
             raise RuntimeError("no live nodes to schedule")
-        initiator = nodes[int(self.rng.integers(len(nodes)))]
-        self.step_node(initiator)
+        self.step_node(members[int(self.rng.integers(len(members)))])
 
     def step_node(self, initiator: NodeId) -> None:
         """Run one complete action initiated by ``initiator``.
@@ -219,14 +218,9 @@ class SequentialEngine:
             for produced in self.protocol.handle(DeliverEvent(message), self.rng):
                 self._dispatch(produced)
 
-    def _population(self) -> int:
-        if self.kernel is not None:
-            return self.kernel.population
-        return len(self.protocol.node_ids())
-
     def _next_batch_size(self, remaining: int) -> int:
         """Largest batch that ends no later than the next hook boundary."""
-        population = max(self._population(), 1)
+        population = max(self.kernel.population, 1)
         limit = min(remaining, MAX_BATCH_ACTIONS)
         for hook in self._hooks:
             to_boundary = (hook.next_round - 1e-9 - self.rounds_completed) * population
@@ -299,8 +293,7 @@ class SequentialEngine:
         actions_before = self.stats.actions
         for _ in range(count):
             self.step()
-            population = max(len(self.protocol.node_ids()), 1)
-            self.rounds_completed += 1.0 / population
+            self.rounds_completed += 1.0 / max(self.protocol.population, 1)
             self._fire_hooks()
         if tel.active:
             self._record_engine_run(tel, wall0, cpu0, actions_before)
@@ -326,8 +319,7 @@ class SequentialEngine:
         actions_before = self.stats.actions
         while self.rounds_completed < target - 1e-12:
             self.step()
-            population = max(len(self.protocol.node_ids()), 1)
-            self.rounds_completed += 1.0 / population
+            self.rounds_completed += 1.0 / max(self.protocol.population, 1)
             self._fire_hooks()
         if tel.active:
             self._record_engine_run(tel, wall0, cpu0, actions_before)

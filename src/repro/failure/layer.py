@@ -172,6 +172,10 @@ class FailureDetectorLayer(GossipProtocol):
     def node_ids(self) -> List[NodeId]:
         return self.inner.node_ids()
 
+    @property
+    def members(self) -> Tuple[NodeId, ...]:
+        return self.inner.members
+
     def has_node(self, node_id: NodeId) -> bool:
         return self.inner.has_node(node_id)
 

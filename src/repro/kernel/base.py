@@ -181,6 +181,14 @@ class SimulationKernel(abc.ABC):
     def node_ids(self) -> List[NodeId]:
         """Live node ids in the canonical (insertion/swap-remove) order."""
 
+    @property
+    def members(self) -> Tuple[NodeId, ...]:
+        """``tuple(node_ids())``: the accessor churn processes read on
+        protocols and kernels alike.  Kernels schedule from their own
+        arrays, so nothing reads this per action and it is not cached.
+        """
+        return tuple(self.node_ids())
+
     @abc.abstractmethod
     def has_node(self, node_id: NodeId) -> bool: ...
 

@@ -31,7 +31,7 @@ import abc
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.model.membership_graph import MembershipGraph
 
@@ -158,32 +158,71 @@ class ProtocolStats:
 class GossipProtocol(abc.ABC):
     """Abstract membership protocol over a population of nodes.
 
-    Concrete protocols own all per-node state.  The engine drives them via
-    ``initiate``/``deliver`` and observes state via ``view_of`` and
-    ``export_graph``.
+    Concrete protocols own all per-node state, in one table keyed by node
+    id (``_views``) whose insertion order is the *canonical node order*:
+    the scheduler's ``r``-th node is the ``r``-th live id in it.  The
+    engine drives protocols via ``initiate``/``deliver`` and observes
+    state via ``view_of`` and ``export_graph``.  Wrappers (failure
+    detection, samplers) keep no table and delegate the population
+    accessors to the protocol they wrap.
     """
 
     def __init__(self) -> None:
         self.stats = ProtocolStats()
+        self._views: Dict[NodeId, Any] = {}
+        # ``members`` cache; None = stale since the last join or leave.
+        self._members: Optional[Tuple[NodeId, ...]] = None
 
     # -- population management ------------------------------------------------
 
-    @abc.abstractmethod
     def node_ids(self) -> List[NodeId]:
-        """All live node ids."""
+        """All live node ids, canonical order, as a fresh list."""
+        return list(self._views)
+
+    @property
+    def members(self) -> Tuple[NodeId, ...]:
+        """``tuple(node_ids())`` without the per-read copy.
+
+        The scheduler indexes this once per action (section 5's "a central
+        entity repeatedly selects a random node" is an O(1) pick), so it is
+        rebuilt lazily, only on the first read after a join or a leave.
+        """
+        members = self._members
+        if members is None:
+            members = self._members = tuple(self.node_ids())
+        return members
+
+    @property
+    def population(self) -> int:
+        """Number of live nodes."""
+        return len(self.members)
+
+    def has_node(self, node_id: NodeId) -> bool:
+        return node_id in self._views
 
     @abc.abstractmethod
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
         """Join ``node_id`` with the given bootstrap view contents."""
 
-    @abc.abstractmethod
+    def _admit(self, node_id: NodeId, view: Any) -> None:
+        """Enter ``node_id`` into the table with its freshly built ``view``."""
+        if node_id in self._views:
+            raise ValueError(f"node {node_id} already exists")
+        self._views[node_id] = view
+        self._members = None
+
     def remove_node(self, node_id: NodeId) -> None:
-        """Crash/leave: the node stops participating.
+        """Crash/leave: the node stops participating (no explicit action, §5).
 
         Its id may linger in other views (the engines keep delivering to it
         only if it exists, so messages to a removed node are dropped —
-        indistinguishable from loss, as in the paper's leave model).
+        indistinguishable from loss, as in the paper's leave model); it
+        drains out of the system at the rate analyzed in section 6.5.2.
         """
+        if node_id not in self._views:
+            raise KeyError(f"unknown node {node_id}")
+        del self._views[node_id]
+        self._members = None
 
     # -- protocol steps --------------------------------------------------------
 
@@ -232,9 +271,6 @@ class GossipProtocol(abc.ABC):
     @abc.abstractmethod
     def view_of(self, node_id: NodeId) -> Counter:
         """The multiset of ids in ``node_id``'s view."""
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in set(self.node_ids())
 
     def outdegree(self, node_id: NodeId) -> int:
         return sum(self.view_of(node_id).values())

@@ -36,6 +36,8 @@ class PushProtocol(GossipProtocol):
             the sender's own id).
     """
 
+    _views: Dict[NodeId, List[NodeId]]
+
     def __init__(self, view_size: int, gossip_length: int = 2):
         super().__init__()
         if view_size < 2:
@@ -46,25 +48,13 @@ class PushProtocol(GossipProtocol):
             )
         self.view_size = view_size
         self.gossip_length = gossip_length
-        self._views: Dict[NodeId, List[NodeId]] = {}
 
     # -- population ------------------------------------------------------
 
-    def node_ids(self) -> List[NodeId]:
-        return list(self._views)
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._views
-
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        if node_id in self._views:
-            raise ValueError(f"node {node_id} already exists")
         if len(bootstrap_ids) > self.view_size:
             raise ValueError("bootstrap view exceeds view size")
-        self._views[node_id] = list(bootstrap_ids)
-
-    def remove_node(self, node_id: NodeId) -> None:
-        del self._views[node_id]
+        self._admit(node_id, list(bootstrap_ids))
 
     # -- protocol steps ----------------------------------------------------
 

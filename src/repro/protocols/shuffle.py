@@ -34,6 +34,8 @@ class ShuffleProtocol(GossipProtocol):
             (including the initiator's own id in the request).
     """
 
+    _views: Dict[NodeId, List[NodeId]]
+
     def __init__(self, view_size: int, shuffle_length: int = 3):
         super().__init__()
         if view_size < 2:
@@ -44,25 +46,13 @@ class ShuffleProtocol(GossipProtocol):
             )
         self.view_size = view_size
         self.shuffle_length = shuffle_length
-        self._views: Dict[NodeId, List[NodeId]] = {}
 
     # -- population ------------------------------------------------------
 
-    def node_ids(self) -> List[NodeId]:
-        return list(self._views)
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._views
-
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        if node_id in self._views:
-            raise ValueError(f"node {node_id} already exists")
         if len(bootstrap_ids) > self.view_size:
             raise ValueError("bootstrap view exceeds view size")
-        self._views[node_id] = list(bootstrap_ids)
-
-    def remove_node(self, node_id: NodeId) -> None:
-        del self._views[node_id]
+        self._admit(node_id, list(bootstrap_ids))
 
     # -- protocol steps ----------------------------------------------------
 

@@ -20,7 +20,7 @@ generates.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import GossipProtocol, Message
 from repro.util.rng import SeedLike, make_rng
@@ -115,6 +115,10 @@ class SamplerLayer(GossipProtocol):
 
     def node_ids(self) -> List[NodeId]:
         return self.inner.node_ids()
+
+    @property
+    def members(self) -> Tuple[NodeId, ...]:
+        return self.inner.members
 
     def has_node(self, node_id: NodeId) -> bool:
         return self.inner.has_node(node_id)
