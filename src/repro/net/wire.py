@@ -30,7 +30,9 @@ Round-tripping is property-tested with Hypothesis in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.protocols.base import (
@@ -96,35 +98,63 @@ _TAG_JOIN = "join"
 _TAG_WELCOME = "wlcm"
 
 
-def _message_body(message: Message) -> Dict[str, Any]:
-    body = {
-        "s": int(message.sender),
-        "d": int(message.target),
-        "k": message.kind,
-        "p": [[int(node_id), 1 if dep else 0] for node_id, dep in message.payload],
-    }
+#: What a hostile-but-parseable datagram can raise while a record is
+#: rebuilt from it: missing keys, wrong shapes, ``int(1e999)`` (overflow),
+#: ``.items()`` on a non-object.  Decoding turns each into :class:`WireError`.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, AttributeError)
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+#: ``{"t":<tag>,"m":`` — how each message-bearing datagram starts.
+_MESSAGE_HEAD, _DELIVER_HEAD, _SEND_HEAD = (
+    '{"t":%s,"m":' % _quote(tag) for tag in (_TAG_MESSAGE, _TAG_DELIVER, _TAG_SEND)
+)
+
+
+def _open_object(obj: Dict[str, Any]) -> str:
+    """``obj`` as compact JSON text, minus the closing brace (see :func:`encode`)."""
+    return _dumps(obj)[:-1]
+
+
+def _format_message(message: Message) -> str:
+    """The message body as JSON text, written directly.
+
+    Byte for byte what ``json.dumps`` with compact separators emits for
+    ``{"s": int, "d": int, "k": str, "p": [[int, 0|1], ...]}`` — this is
+    the hot half of every datagram the cluster sends, and building that
+    dict for a reflective encoder cost more than the ``sendto``.  The
+    oracle dict lives in ``tests/test_net_wire.py``.
+    """
+    text = '{"s":%d,"d":%d,"k":%s,"p":[%s]' % (
+        message.sender,
+        message.target,
+        _quote(message.kind),
+        ",".join(
+            ["[%d,%d]" % (node_id, 1 if dep else 0) for node_id, dep in message.payload]
+        ),
+    )
     # The extension envelope is strictly additive: absent extensions
     # produce the exact pre-extension bytes, so extension-free peers and
     # replays stay bit-identical on the wire.  Each extension key maps to
     # a JSON object that carries its own version field (e.g. the failure
     # detector's liveness gossip, repro.failure.detector.FD_WIRE_VERSION).
     if message.ext:
-        body["x"] = {
-            str(key): dict(value) for key, value in message.ext.items()
-        }
-    return body
+        ext = {str(key): dict(value) for key, value in message.ext.items()}
+        return text + ',"x":' + _dumps(ext) + "}"
+    return text + "}"
 
 
 def _message_from_body(body: Any) -> Message:
     if not isinstance(body, dict):
-        raise WireError(f"malformed message body: {body!r}")
+        raise WireError("malformed message body: not an object")
     try:
         ext = body.get("x")
         if ext is not None:
             if not isinstance(ext, dict) or not all(
                 isinstance(value, dict) for value in ext.values()
             ):
-                raise WireError(f"malformed extension envelope: {ext!r}")
+                raise WireError("malformed extension envelope")
             ext = {str(key): dict(value) for key, value in ext.items()}
         return Message(
             sender=int(body["s"]),
@@ -133,8 +163,8 @@ def _message_from_body(body: Any) -> Message:
             kind=str(body["k"]),
             ext=ext,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed message body: {body!r}") from exc
+    except _MALFORMED as exc:
+        raise WireError("malformed message body") from exc
 
 
 def encode(record: WireRecord, timestamp: Optional[float] = None) -> bytes:
@@ -144,58 +174,77 @@ def encode(record: WireRecord, timestamp: Optional[float] = None) -> bytes:
     latency sampling; it is not part of the record and does not affect
     round-trip equality.
     """
-    obj: Dict[str, Any]
+    # Each branch leaves ``text`` one "}" short of a JSON object, so the
+    # envelope's ``v`` and ``ts`` are appended the same way for all six.
     if isinstance(record, Message):
-        obj = {"t": _TAG_MESSAGE, "m": _message_body(record)}
-    elif isinstance(record, InitiateEvent):
-        obj = {"t": _TAG_INITIATE, "n": int(record.node)}
+        text = _MESSAGE_HEAD + _format_message(record)
     elif isinstance(record, DeliverEvent):
-        obj = {"t": _TAG_DELIVER, "m": _message_body(record.message)}
+        text = _DELIVER_HEAD + _format_message(record.message)
     elif isinstance(record, SendEffect):
-        obj = {
-            "t": _TAG_SEND,
-            "m": _message_body(record.message),
-            "r": 1 if record.reply else 0,
-        }
+        text = '%s%s,"r":%d' % (
+            _SEND_HEAD,
+            _format_message(record.message),
+            1 if record.reply else 0,
+        )
+    elif isinstance(record, InitiateEvent):
+        text = _open_object({"t": _TAG_INITIATE, "n": int(record.node)})
     elif isinstance(record, JoinRequest):
-        obj = {"t": _TAG_JOIN, "n": int(record.node), "port": int(record.port)}
+        text = _open_object(
+            {"t": _TAG_JOIN, "n": int(record.node), "port": int(record.port)}
+        )
     elif isinstance(record, Welcome):
-        obj = {
-            "t": _TAG_WELCOME,
-            "n": int(record.node),
-            "b": [int(v) for v in record.bootstrap],
-            "a": {str(int(k)): int(p) for k, p in record.address_book.items()},
-        }
+        text = _open_object(
+            {
+                "t": _TAG_WELCOME,
+                "n": int(record.node),
+                "b": [int(v) for v in record.bootstrap],
+                "a": {str(int(k)): int(p) for k, p in record.address_book.items()},
+            }
+        )
     else:
         raise WireError(f"cannot encode record of type {type(record).__name__}")
-    obj["v"] = WIRE_SCHEMA_VERSION
+    text += ',"v":%d' % WIRE_SCHEMA_VERSION
     if timestamp is not None:
-        obj["ts"] = timestamp
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        # repr is what the JSON encoder emits for a finite float; it alone
+        # knows how to spell everything else (ints, NaN, Infinity).
+        finite = type(timestamp) is float and math.isfinite(timestamp)
+        text += ',"ts":' + (repr(timestamp) if finite else _dumps(timestamp))
+    data = (text + "}").encode("utf-8")
     if len(data) > MAX_DATAGRAM:
         raise WireError(f"record encodes to {len(data)} bytes > {MAX_DATAGRAM}")
     return data
 
 
 def decode_with_timestamp(data: bytes) -> Tuple[WireRecord, Optional[float]]:
-    """Decode one datagram; return ``(record, sender_timestamp_or_None)``."""
+    """Decode one datagram; return ``(record, sender_timestamp_or_None)``.
+
+    Fails closed: whatever the bytes are, the outcome is a record or a
+    :class:`WireError` — never another exception, so a receiver's cost for
+    a hostile datagram is one ``decode_errors`` increment.
+    """
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer literal beyond the
+        # interpreter's digit limit.  RecursionError: nesting too deep.
         raise WireError(f"undecodable datagram ({len(data)} bytes)") from exc
     if not isinstance(obj, dict):
-        raise WireError(f"datagram is not an object: {obj!r}")
+        raise WireError(f"datagram is not an object: {type(obj).__name__}")
     version = obj.get("v")
-    if version != WIRE_SCHEMA_VERSION:
+    # ``True == 1`` and ``1.0 == 1``: the version is an int or it is wrong.
+    if type(version) is not int or version != WIRE_SCHEMA_VERSION:
         raise WireError(
             f"wire schema version mismatch: got {version!r}, "
             f"speak {WIRE_SCHEMA_VERSION}"
         )
     tag = obj.get("t")
     timestamp = obj.get("ts")
-    if timestamp is not None and not isinstance(timestamp, (int, float)):
-        raise WireError(f"non-numeric ts field: {timestamp!r}")
     try:
+        # A NaN or infinite ts would poison the latency percentiles.
+        if timestamp is not None and not (
+            type(timestamp) in (int, float) and math.isfinite(timestamp)
+        ):
+            raise WireError("ts field is not a finite number")
         if tag == _TAG_MESSAGE:
             return _message_from_body(obj["m"]), timestamp
         if tag == _TAG_INITIATE:
@@ -218,7 +267,7 @@ def decode_with_timestamp(data: bytes) -> Tuple[WireRecord, Optional[float]]:
                 ),
                 timestamp,
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise WireError(f"malformed {tag!r} datagram") from exc
     raise WireError(f"unknown wire tag: {tag!r}")
 

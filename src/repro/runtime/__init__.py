@@ -1,14 +1,14 @@
 """Real-network runtime: S&F over actual (localhost) UDP sockets.
 
 The engines in :mod:`repro.engine` simulate the network; this package
-replaces it with the real thing.  Each node is an asyncio task owning a
+replaces it with the real thing.  Each node is a loop timer plus an
 :class:`~repro.net.transport.AsyncioUdpTransport` and a private
 :class:`~repro.core.sandf.SendForget` instance holding only its own view
 — the same protocol code the simulations run, driven through the same
 event/effect seam, with datagrams instead of queue entries in between.
 
-:mod:`repro.runtime.cluster` is the harness: it boots hundreds of node
-tasks on ephemeral ports, runs an introducer endpoint for joins, injects
+:mod:`repro.runtime.cluster` is the harness: it boots hundreds of nodes
+on ephemeral ports, runs an introducer endpoint for joins, injects
 receiver-side drop, and executes kill/restart and partition-and-heal
 scenarios while streaming counters into :mod:`repro.obs`.
 """

@@ -7,16 +7,17 @@ receiver-side (a datagram is read off the socket and discarded with
 probability ``drop_rate``), so the sender's code path is exactly the
 lossless one — the sender cannot detect loss, as section 4.1 requires.
 
-The harness runs every node as an asyncio task in one process.  That
-keeps a several-hundred-node cluster cheap (one socket + one timer per
-node) while the messages still traverse the real OS network stack: every
-send is a genuine ``sendto`` on 127.0.0.1 and every receive a datagram
-callback, with kernel scheduling deciding interleaving — the asynchrony
-the discrete-event engine only simulates.
+The harness runs every node on one asyncio loop in one process.  That
+keeps a several-hundred-node cluster cheap (one socket + one re-armed
+timer callback per node — no task, no future) while the messages still
+traverse the real OS network stack: every send is a genuine ``sendto``
+on 127.0.0.1 and every receive a datagram callback, with kernel
+scheduling deciding interleaving — the asynchrony the discrete-event
+engine only simulates.
 
 Scenario controls:
 
-* **kill/restart** — a node's task is cancelled and its socket closed
+* **kill/restart** — a node's timer is cancelled and its socket closed
   (its id lingers in other views and drains at the section 6.5.2 rate);
   a restarted node rejoins through the introducer like any newcomer.
 * **partition-and-heal** — nodes are assigned groups and every node's
@@ -32,9 +33,12 @@ final :class:`ClusterReport` carries the live outdegree distribution the
 from __future__ import annotations
 
 import asyncio
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
@@ -141,13 +145,14 @@ class ClusterNode:
             else None
         )
         self.transport: Optional[AsyncioUdpTransport] = None
-        self._task: Optional[asyncio.Task] = None
+        #: The armed initiate timer; ``None`` when the node is not running.
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._welcome: Optional[asyncio.Future] = None
         self._loop_ref: Optional[asyncio.AbstractEventLoop] = None
 
     @property
     def running(self) -> bool:
-        return self._task is not None and not self._task.done()
+        return self._timer is not None
 
     async def start(self, bootstrap_ids: Optional[List[NodeId]] = None) -> None:
         """Bind the socket, obtain a view (given or via introducer), go live."""
@@ -175,44 +180,41 @@ class ClusterNode:
         self.protocol.add_node(self.node_id, bootstrap_ids)
         if self.detector is not None:
             self.detector.seed_peers(bootstrap_ids, self._loop_ref.time())
-        self._task = asyncio.create_task(self._loop(), name=f"sandf-node-{self.node_id}")
+        self._arm()
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         """Crash the node: cancel its timer, close its socket.
 
         No goodbye message — the paper's leave model (section 5).  Other
         nodes keep our id until it drains out of their views.
         """
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._task = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         if self.transport is not None:
             self.transport.close()
         self.cluster.address_book.pop(self.node_id, None)
 
     # -- the node's two halves -----------------------------------------
 
-    async def _loop(self) -> None:
+    def _arm(self) -> None:
         """The initiate clock: exponential gaps, like the DES engine."""
-        cfg = self.cluster.config
+        gap = float(self.rng.exponential(1.0 / self.cluster.config.rate))
+        self._timer = self._loop_ref.call_later(gap, self._tick)
+
+    def _tick(self) -> None:
+        """One initiate action, then re-arm; an exception stops this node only."""
         try:
-            while True:
-                await asyncio.sleep(float(self.rng.exponential(1.0 / cfg.rate)))
-                if self.detector is not None:
-                    self.detector.beat(self._loop_ref.time())
-                for effect in self.protocol.handle(
-                    InitiateEvent(self.node_id), self.rng
-                ):
-                    if self._fd_outbound(effect):
-                        self.transport.send(effect, self.rng)
-        except asyncio.CancelledError:
-            raise
+            if self.detector is not None:
+                self.detector.beat(self._loop_ref.time())
+            for effect in self.protocol.handle(InitiateEvent(self.node_id), self.rng):
+                if self._fd_outbound(effect):
+                    self.transport.send(effect, self.rng)
         except Exception as exc:  # a node crash must not vanish silently
             self.cluster.errors.append(f"node {self.node_id} initiate: {exc!r}")
+            self._timer = None
+            return
+        self._arm()
 
     def _fd_outbound(self, effect: SendEffect) -> bool:
         """Suppress sends to FAILED peers; piggyback rumors on the rest.
@@ -314,6 +316,10 @@ class ClusterReport:
     errors: List[str]
     latency_p50_ms: float = 0.0
     latency_p99_ms: float = 0.0
+    #: Errors the OS reported on a node's socket (``error_received``): a
+    #: refused ``sendto``, a full buffer, an ICMP refusal where the
+    #: platform surfaces one on an unconnected socket (Linux does not).
+    socket_errors: int = 0
     #: Join-path robustness: retry timeouts absorbed by backoff, and
     #: joins that exhausted every retry (counted, not fatal — a node that
     #: cannot rejoin is a fact of the run, not a harness bug).
@@ -367,6 +373,7 @@ class ClusterReport:
             ["filtered (partition)", self.datagrams_filtered],
             ["decode errors", self.decode_errors],
             ["unroutable", self.unroutable],
+            ["socket errors", self.socket_errors],
             ["observed drop fraction", f"{self.observed_drop_fraction():.4f}"],
             ["restarts", self.restarts],
             ["latency p50 [ms]", f"{self.latency_p50_ms:.3f}"],
@@ -392,11 +399,28 @@ class ClusterReport:
         )
 
 
-def _percentile(samples: List[float], q: float) -> float:
-    if not samples:
+#: The transport ledger a report totals: report key -> transport attribute.
+_TRANSPORT_COUNTERS = {
+    "sent": "datagrams_sent",
+    "received": "datagrams_received",
+    "dropped": "dropped",
+    "filtered": "filtered",
+    "decode_errors": "decode_errors",
+    "unroutable": "unroutable",
+    "socket_errors": "socket_errors",
+}
+
+
+def _tally(totals: Counter, transport: AsyncioUdpTransport) -> None:
+    for key, attribute in _TRANSPORT_COUNTERS.items():
+        totals[key] += getattr(transport, attribute)
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """Nearest-rank percentile of an already sorted sample (0.0 if empty)."""
+    if ordered.size == 0:
         return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+    return float(ordered[min(ordered.size - 1, int(q * ordered.size))])
 
 
 class LocalCluster:
@@ -428,7 +452,7 @@ class LocalCluster:
         self._grave_actions = 0
         self._grave_suppressed = 0
         self._grave_transport = Counter()
-        self._grave_latency: List[float] = []
+        self._grave_latency = array("d")
 
     # -- shared lookups (the "DNS" of the cluster) ----------------------
 
@@ -475,8 +499,7 @@ class LocalCluster:
 
     async def shutdown(self) -> None:
         for node in self.nodes.values():
-            if node.running or node.transport is not None:
-                await node.stop()
+            node.stop()
         if self._introducer is not None:
             self._introducer.close()
 
@@ -508,7 +531,7 @@ class LocalCluster:
         # so a node that is never restarted cannot be double-counted.
         node = self.nodes.pop(node_id)
         self._bury(node)
-        await node.stop()
+        node.stop()
         self.killed.append(node_id)
 
     async def restart(self, node_id: NodeId) -> bool:
@@ -553,12 +576,7 @@ class LocalCluster:
         self._grave_suppressed += node.protocol.stats.extra.get("fd_suppressed", 0)
         transport = node.transport
         if transport is not None:
-            self._grave_transport["sent"] += transport.datagrams_sent
-            self._grave_transport["received"] += transport.datagrams_received
-            self._grave_transport["dropped"] += transport.dropped
-            self._grave_transport["filtered"] += transport.filtered
-            self._grave_transport["decode_errors"] += transport.decode_errors
-            self._grave_transport["unroutable"] += transport.unroutable
+            _tally(self._grave_transport, transport)
             self._grave_latency.extend(transport.latency_samples)
 
     # -- observation ----------------------------------------------------
@@ -623,18 +641,18 @@ class LocalCluster:
             total += node.protocol.stats.extra.get("fd_suppressed", 0)
         return total
 
-    def publish_metrics(self) -> None:
+    def publish_metrics(self, report: ClusterReport, latency_s: np.ndarray) -> None:
         """Stream run totals into the process telemetry (``cluster.*``)."""
         tel = get_telemetry()
         if not tel.metrics_on:
             return
-        report = self.report(publish=False)
         tel.inc("cluster.actions", report.actions)
         tel.inc("cluster.datagrams_sent", report.datagrams_sent)
         tel.inc("cluster.datagrams_received", report.datagrams_received)
         tel.inc("cluster.datagrams_dropped", report.datagrams_dropped)
         tel.inc("cluster.datagrams_filtered", report.datagrams_filtered)
         tel.inc("cluster.decode_errors", report.decode_errors)
+        tel.inc("cluster.socket_errors", report.socket_errors)
         tel.inc("cluster.restarts", report.restarts)
         tel.inc("cluster.join_retry_timeouts", report.join_retry_timeouts)
         tel.inc("cluster.join_failures", report.join_failures)
@@ -654,11 +672,11 @@ class LocalCluster:
             tel.set_gauge("cluster.outdegree_mean", mean)
             tel.set_gauge("cluster.outdegree_min", min(d for d, _ in degrees))
             tel.set_gauge("cluster.outdegree_max", max(d for d, _ in degrees))
-        for latency in self._all_latency_samples():
-            tel.observe("cluster.delivery_latency_s", latency)
+        for latency in latency_s:
+            tel.observe("cluster.delivery_latency_s", float(latency))
 
-    def _all_latency_samples(self) -> List[float]:
-        samples = list(self._grave_latency)
+    def _all_latency_samples(self) -> array:
+        samples = array("d", self._grave_latency)
         for node in self.nodes.values():
             if node.transport is not None:
                 samples.extend(node.transport.latency_samples)
@@ -669,16 +687,12 @@ class LocalCluster:
         actions = self._grave_actions
         for node in self.nodes.values():
             actions += node.protocol.stats.actions
-            transport = node.transport
-            if transport is None:
-                continue
-            totals["sent"] += transport.datagrams_sent
-            totals["received"] += transport.datagrams_received
-            totals["dropped"] += transport.dropped
-            totals["filtered"] += transport.filtered
-            totals["decode_errors"] += transport.decode_errors
-            totals["unroutable"] += transport.unroutable
-        latency = self._all_latency_samples()
+            if node.transport is not None:
+                _tally(totals, node.transport)
+        # One concatenation, sorted in place: every percentile and the
+        # published histogram read the same unboxed buffer.
+        latency = np.frombuffer(self._all_latency_samples(), dtype=np.float64)
+        latency.sort()
         fd_enabled = self.config.failure_detection
         if fd_enabled:
             detected, missed, false_positives = self.detection_verdict()
@@ -702,6 +716,7 @@ class LocalCluster:
             errors=list(self.errors),
             latency_p50_ms=_percentile(latency, 0.50) * 1e3,
             latency_p99_ms=_percentile(latency, 0.99) * 1e3,
+            socket_errors=totals["socket_errors"],
             join_retry_timeouts=self.join_retry_timeouts,
             join_failures=self.join_failures,
             fd_enabled=fd_enabled,
@@ -712,7 +727,7 @@ class LocalCluster:
             fd_suppressed=self._suppressed_sends(),
         )
         if publish:
-            self.publish_metrics()
+            self.publish_metrics(report, latency)
         return report
 
     # -- scripted run ---------------------------------------------------
@@ -756,7 +771,6 @@ def run_cluster(config: ClusterConfig) -> ClusterReport:
     """Synchronous entry point: boot, run the scenario, report, tear down.
 
     Used by the CLI (``repro cluster``), the ``live-degree`` experiment
-    cell, the CI smoke job, and the transport benchmark — none of which
-    want to own an event loop.
+    cell and the CI smoke job — none of which want to own an event loop.
     """
     return asyncio.run(LocalCluster(config).run())

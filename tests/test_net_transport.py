@@ -1,12 +1,15 @@
 """Tests for repro.net.transport (loopback and UDP transports)."""
 
 import asyncio
+import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.loss import UniformLoss
 from repro.net.transport import AsyncioUdpTransport, LoopbackTransport
-from repro.net.wire import JoinRequest
+from repro.net.wire import JoinRequest, encode
 from repro.protocols.base import Message, SendEffect
 from repro.util.rng import make_rng
 
@@ -46,6 +49,10 @@ class TestLoopback:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+#: A destination the OS refuses synchronously (EACCES), for socket_errors.
+REFUSED_ADDRESS = ("255.255.255.255", 9)
 
 
 class TestUdp:
@@ -160,3 +167,140 @@ class TestUdp:
             transport.send_record(JoinRequest(node=1, port=2), ("127.0.0.1", 1))
         with pytest.raises(RuntimeError, match="not bound"):
             transport.address
+
+    def test_send_to_a_closed_port_is_fire_and_forget(self):
+        """A crashed peer's port: the send neither raises nor blocks, and
+        whatever the OS reports back lands in ``socket_errors``.  (Linux
+        keeps ICMP port-unreachable from unconnected UDP sockets, so the
+        count it reports here is 0; the refused send below is the
+        deterministic way into the counter.)"""
+
+        async def scenario():
+            dead = await AsyncioUdpTransport.create(lambda *a: None)
+            closed_address = dead.address
+            dead.close()
+            await asyncio.sleep(0.01)  # let the loop really close the socket
+            sender = await AsyncioUdpTransport.create(lambda *a: None)
+            for _ in range(3):
+                sender.send_record(JoinRequest(node=1, port=9), closed_address)
+                await asyncio.sleep(0.01)
+            sender.close()
+            return sender
+
+        sender = run(scenario())
+        assert sender.datagrams_sent == 3
+
+    def test_refused_send_counts_a_socket_error(self):
+        async def scenario():
+            sender = await AsyncioUdpTransport.create(lambda *a: None)
+            # Broadcast without SO_BROADCAST: the OS refuses the sendto.
+            sender.send_record(JoinRequest(node=1, port=9), REFUSED_ADDRESS)
+            sender.send_record(JoinRequest(node=1, port=9), REFUSED_ADDRESS)
+            await asyncio.sleep(0.01)
+            sender.close()
+            return sender
+
+        sender = run(scenario())
+        assert sender.socket_errors == 2
+
+
+#: One datagram apiece that must cost exactly one ``decode_errors``.
+HOSTILE_DATAGRAMS = [
+    b"",
+    b"\xff garbage",
+    b"[" * 60_000,
+    b'{"v":1,"t":"msg","m":' + b'{"a":' * 10_000 + b"1" + b"}" * 10_001,
+    b'{"v":1,"t":"msg","m":{"s":1e999,"d":2,"k":"k","p":[]}}',
+    b'{"v":1,"t":"join","n":1e999,"port":1}',
+    b'{"v":1,"t":"init","n":' + b"7" * 5000 + b"}",
+    b'{"v":1,"t":"wlcm","n":1,"b":[1],"a":[1,2]}',
+    b'{"v":1,"t":"init","n":1,"ts":NaN}',
+    b'{"v":1,"t":"init","n":1,"ts":Infinity}',
+    b'{"v":1,"t":"init","n":1,"ts":1' + b"0" * 400 + b"}",
+    b'{"v":true,"t":"init","n":1}',
+    b'{"v":2,"t":"init","n":1}',
+]
+VALID_MESSAGE = encode(
+    Message(sender=1, target=2, payload=[(1, False)], kind="sandf"), timestamp=0.0
+)
+VALID_JOIN = encode(JoinRequest(node=1, port=9))  # refused by the filter below
+
+
+class TestLedger:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        plan=st.lists(
+            st.one_of(
+                st.just(VALID_MESSAGE),
+                st.just(VALID_JOIN),
+                st.sampled_from(HOSTILE_DATAGRAMS),
+                st.binary(max_size=64),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        drop_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_datagram_lands_in_exactly_one_column(self, plan, drop_rate, seed):
+        """received == delivered + dropped + filtered + decode_errors, over
+        a real socket, whatever mix of honest and hostile bytes arrives."""
+
+        async def scenario():
+            inbox = []
+            receiver = await AsyncioUdpTransport.create(
+                lambda record, ts, addr: inbox.append(record),
+                drop_rate=drop_rate,
+                rng=make_rng(seed),
+                inbound_filter=lambda record: not isinstance(record, JoinRequest),
+            )
+            raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                for datagram in plan:
+                    raw.sendto(datagram, receiver.address)
+                    await asyncio.sleep(0)  # drain as we go: no kernel-buffer loss
+                for _ in range(200):
+                    if receiver.datagrams_received == len(plan):
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                raw.close()
+                receiver.close()
+            return inbox, receiver
+
+        inbox, receiver = run(scenario())
+        assert receiver.datagrams_received == len(plan)
+        assert receiver.datagrams_received == (
+            receiver.delivered + receiver.dropped + receiver.filtered
+            + receiver.decode_errors
+        )
+        hostile = sum(datagram in HOSTILE_DATAGRAMS for datagram in plan)
+        assert receiver.decode_errors >= hostile  # random bytes add their own
+        assert len(inbox) == receiver.delivered
+        assert len(receiver.latency_samples) == receiver.delivered  # finite, all of them
+        if drop_rate == 0.0:
+            assert receiver.delivered == plan.count(VALID_MESSAGE)
+            assert receiver.filtered == plan.count(VALID_JOIN)
+        if drop_rate == 1.0:
+            assert receiver.delivered == receiver.filtered == 0
+
+    @pytest.mark.parametrize("index", range(len(HOSTILE_DATAGRAMS)))
+    def test_hostile_datagram_costs_one_decode_error(self, index):
+        async def scenario():
+            receiver = await AsyncioUdpTransport.create(lambda *a: None)
+            raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                raw.sendto(HOSTILE_DATAGRAMS[index], receiver.address)
+                raw.sendto(VALID_MESSAGE, receiver.address)  # and the node lives on
+                for _ in range(200):
+                    if receiver.datagrams_received == 2:
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                raw.close()
+                receiver.close()
+            return receiver
+
+        receiver = run(scenario())
+        assert (receiver.datagrams_received, receiver.decode_errors) == (2, 1)
+        assert receiver.delivered == 1

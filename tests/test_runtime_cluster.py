@@ -10,6 +10,8 @@ import asyncio
 import pytest
 
 from repro import obs
+from repro.core.sandf import SendForget
+from repro.net.wire import JoinRequest
 from repro.runtime.cluster import ClusterConfig, LocalCluster, run_cluster
 
 
@@ -246,3 +248,148 @@ class TestJoinBackoff:
         )
         assert report.restarts == 2
         assert report.join_failures == 0
+
+
+def armed_timers(node):
+    """Live (uncancelled) loop callbacks that belong to ``node``: timers
+    still in the heap plus those already due and queued to run."""
+    loop = asyncio.get_running_loop()
+    return [
+        handle
+        for handle in [*loop._scheduled, *loop._ready]
+        if not handle.cancelled()
+        and getattr(handle._callback, "__self__", None) is node
+    ]
+
+
+class TestInitiateClock:
+    """Each node's clock is one self-re-arming loop timer: ``running``
+    means a timer is armed, and stopping a node leaves nothing scheduled."""
+
+    def test_stop_and_kill_freeze_the_node(self):
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, rate=400.0))
+            await cluster.start()
+            await asyncio.sleep(0.1)
+            stopped, killed = cluster.nodes[1], cluster.nodes[2]
+            assert all(len(armed_timers(node)) == 1 for node in cluster.nodes.values())
+            stopped.stop()
+            await cluster.kill(2)
+            frozen = (stopped.protocol.stats.actions, killed.protocol.stats.actions)
+            assert frozen[0] > 0 and frozen[1] > 0
+            assert not stopped.running and not killed.running
+            assert armed_timers(stopped) == [] and armed_timers(killed) == []
+            others_before = cluster.nodes[0].protocol.stats.actions
+            await asyncio.sleep(0.1)
+            assert frozen == (
+                stopped.protocol.stats.actions, killed.protocol.stats.actions
+            )
+            assert cluster.nodes[0].protocol.stats.actions > others_before
+            stopped.stop()  # idempotent
+            await cluster.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_restart_ticks_under_the_new_incarnation(self):
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, rate=400.0))
+            await cluster.start()
+            await asyncio.sleep(0.05)
+            old = cluster.nodes[3]
+            await cluster.kill(3)
+            assert await cluster.restart(3)
+            new = cluster.nodes[3]
+            assert new is not old and new.running and not old.running
+            old_actions = old.protocol.stats.actions
+            await asyncio.sleep(0.1)
+            assert new.protocol.stats.actions > 0
+            assert old.protocol.stats.actions == old_actions
+            assert len(armed_timers(new)) == 1 and armed_timers(old) == []
+            report = cluster.report()
+            await cluster.shutdown()
+            return report
+
+        report = asyncio.run(scenario())
+        assert report.ok(), (report.degree_violations, report.errors)
+        assert report.live_nodes == 6
+
+    def test_a_raising_tick_stops_that_node_only(self, monkeypatch):
+        real = SendForget.initiate_effects
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, rate=400.0))
+            await cluster.start()
+            victim = cluster.nodes[4]
+
+            def faulty(self, node_id, rng):
+                if self is victim.protocol:
+                    raise RuntimeError("boom")
+                return real(self, node_id, rng)
+
+            monkeypatch.setattr(SendForget, "initiate_effects", faulty)
+            await asyncio.sleep(0.1)
+            assert not victim.running and armed_timers(victim) == []
+            before = {
+                u: node.protocol.stats.actions
+                for u, node in cluster.nodes.items() if u != 4
+            }
+            await asyncio.sleep(0.1)
+            grew = all(
+                cluster.nodes[u].protocol.stats.actions > count
+                for u, count in before.items()
+            )
+            report = cluster.report()
+            await cluster.shutdown()
+            return grew, report
+
+        grew, report = asyncio.run(scenario())
+        assert grew
+        assert len(report.errors) == 1
+        assert "node 4 initiate" in report.errors[0] and "boom" in report.errors[0]
+        assert report.live_nodes == 5 and not report.ok()
+
+    def test_saturated_shutdown_leaves_nothing_pending(self):
+        async def scenario():
+            cluster = LocalCluster(
+                tiny_config(n=20, view_size=12, d_low=4, drop_rate=0.05, rate=5000.0)
+            )
+            await cluster.start()
+            await asyncio.sleep(0.3)
+            report = cluster.report()
+            nodes = list(cluster.nodes.values())
+            await cluster.shutdown()
+            actions = [node.protocol.stats.actions for node in nodes]
+            await asyncio.sleep(0.05)
+            assert actions == [node.protocol.stats.actions for node in nodes]
+            assert not any(node.running or armed_timers(node) for node in nodes)
+            return report
+
+        report = asyncio.run(scenario())
+        assert report.ok(), (report.degree_violations, report.errors)
+        assert report.actions > 20 * 50  # really saturated, not idling
+
+
+class TestSocketErrors:
+    def test_socket_errors_reach_the_report_through_the_graveyard(self):
+        """Counts of a killed incarnation and of a live node both show up
+        in the report, its table and the ``cluster.*`` metrics."""
+        refused = ("255.255.255.255", 9)  # no SO_BROADCAST: the OS says EACCES
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6))
+            await cluster.start()
+            request = JoinRequest(node=0, port=1)
+            for _ in range(2):
+                cluster.nodes[1].transport.send_record(request, refused)
+            cluster.nodes[2].transport.send_record(request, refused)
+            await cluster.kill(1)
+            report = cluster.report()
+            await cluster.shutdown()
+            return report
+
+        registry = obs.Registry()
+        with obs.activated(obs.Telemetry(registry=registry)):
+            report = asyncio.run(scenario())
+        assert report.socket_errors == 3
+        assert "socket errors" in report.format()
+        assert registry.snapshot()["counters"]["cluster.socket_errors"] == 3
