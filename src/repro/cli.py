@@ -284,8 +284,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.metrics.graph_stats import graph_statistics
 
     params = SFParams(view_size=args.view_size, d_low=args.d_low)
-    boot = min(args.view_size - 2, max(args.d_low + 2, (3 * args.view_size // 4) & ~1))
-    if boot >= args.nodes:
+    if params.default_bootstrap_degree >= args.nodes:
         print("need more nodes than the bootstrap outdegree", file=sys.stderr)
         return 2
     telemetry = _configure_telemetry(args)

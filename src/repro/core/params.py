@@ -54,3 +54,24 @@ class SFParams:
             raise ValueError(
                 f"outdegree {outdegree} outside [{self.d_low}, {self.view_size}]"
             )
+
+    def validate_bootstrap(self, size: int) -> None:
+        """Raise unless a joiner may start with ``size`` ids: even
+        (Observation 5.1), at least ``dL`` (section 5), fitting the view."""
+        if size % 2 != 0:
+            raise ValueError(
+                f"bootstrap view must have even size (Observation 5.1), got {size}"
+            )
+        if size < self.d_low:
+            raise ValueError(
+                f"joiner needs at least d_low={self.d_low} ids, got {size}"
+            )
+        if size > self.view_size:
+            raise ValueError(f"bootstrap view exceeds view size {self.view_size}")
+
+    @property
+    def default_bootstrap_degree(self) -> int:
+        """Initial outdegree of the ring bootstrap: even, in ``[dL, s]``,
+        about three quarters of the view."""
+        s = self.view_size
+        return min(s - 2, max(self.d_low + 2, (3 * s // 4) & ~1))

@@ -28,12 +28,12 @@ can measure spatial independence (Property M4) against the
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.params import SFParams
 from repro.core.view import NodeId, View, ViewEntry
 from repro.model.membership_graph import MembershipGraph
-from repro.protocols.base import GossipProtocol, Message
+from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 #: Wire kind of an S&F ``[u, w]`` message.  S&F is fire-and-forget — there
 #: is no reply kind; the receive step never produces an effect.
@@ -47,7 +47,8 @@ class SendForget(GossipProtocol):
         params: the validated ``(s, dL)`` pair.
 
     Node state is owned here; drive the protocol with an engine from
-    :mod:`repro.engine` or call :meth:`initiate`/:meth:`deliver` directly.
+    :mod:`repro.engine` or call :meth:`initiate_effects` /
+    :meth:`deliver_effects` directly.
     """
 
     _views: Dict[NodeId, View]
@@ -69,18 +70,7 @@ class SendForget(GossipProtocol):
         node's view) and must fit in the view.
         """
         ids = list(bootstrap_ids)
-        if len(ids) % 2 != 0:
-            raise ValueError(
-                f"bootstrap view must have even size (Observation 5.1), got {len(ids)}"
-            )
-        if len(ids) < self.params.d_low:
-            raise ValueError(
-                f"joiner needs at least d_low={self.params.d_low} ids, got {len(ids)}"
-            )
-        if len(ids) > self.params.view_size:
-            raise ValueError(
-                f"bootstrap view exceeds view size {self.params.view_size}"
-            )
+        self.params.validate_bootstrap(len(ids))
         view = View(self.params.view_size)
         for index, bootstrap_id in enumerate(ids):
             view.store_into(index, ViewEntry(bootstrap_id))
@@ -90,18 +80,18 @@ class SendForget(GossipProtocol):
     # Protocol steps
     # ------------------------------------------------------------------
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
-        """``S&F-InitiateAction`` at ``node_id``.  Returns the message, if any."""
-        view = self._views[node_id]
-        i, j = view.sample_two_slots(rng)
-        return self.initiate_at(node_id, i, j)
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
+        """``S&F-InitiateAction`` at ``node_id``: at most one send."""
+        i, j = self._views[node_id].sample_two_slots(rng)
+        message = self.initiate_at(node_id, i, j)
+        return () if message is None else (SendEffect(message),)
 
     def initiate_at(self, node_id: NodeId, i: int, j: int) -> Optional[Message]:
         """The initiate action with the slot pair ``(i, j)`` already chosen.
 
         This is the deterministic core of ``S&F-InitiateAction`` (Fig 5.1
-        left, lines 3-7); :meth:`initiate` samples the slots and the kernel
-        layer supplies pre-drawn ones.
+        left, lines 3-7); :meth:`initiate_effects` samples the slots and the
+        kernel layer supplies pre-drawn ones.
         """
         view = self._views[node_id]
         self.stats.actions += 1
@@ -136,17 +126,14 @@ class SendForget(GossipProtocol):
             kind=KIND_SANDF,
         )
 
-    def deliver(self, message: Message, rng) -> Optional[Message]:
+    def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
         """``S&F-Receive`` at the message target.  Never produces a reply."""
         view = self._views.get(message.target)
-        if view is None:
-            # Target departed: indistinguishable from loss for the sender.
-            return None
-        if not self._accept(view, len(message.payload)):
-            return None
-        for node_id, dependent in message.payload:
-            view.store_random_empty(ViewEntry(node_id, dependent), rng)
-        return None
+        # A departed target is indistinguishable from loss for the sender.
+        if view is not None and self._accept(view, len(message.payload)):
+            for node_id, dependent in message.payload:
+                view.store_random_empty(ViewEntry(node_id, dependent), rng)
+        return ()
 
     def deliver_ranked(self, message: Message, ranks: Sequence[float]) -> None:
         """``S&F-Receive`` with pre-drawn empty-slot uniforms.
@@ -154,7 +141,7 @@ class SendForget(GossipProtocol):
         The kernel layer's canonical discipline: the ``k``-th received id
         goes into the ``rank_from_uniform(ranks[k], empties)``-th
         lowest-indexed empty slot.  Semantically identical to
-        :meth:`deliver`; only the source of randomness differs.
+        :meth:`deliver_effects`; only the source of randomness differs.
         """
         view = self._views.get(message.target)
         if view is None:

@@ -27,11 +27,11 @@ dependence.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import SFParams
 from repro.core.view import NodeId, View, ViewEntry
-from repro.protocols.base import GossipProtocol, Message
+from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 
 class _MarkedView:
@@ -142,7 +142,7 @@ class SendForgetVariant(GossipProtocol):
     # Protocol steps
     # ------------------------------------------------------------------
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         wrapped = self._views[node_id]
         view = wrapped.view
         self.stats.actions += 1
@@ -153,7 +153,7 @@ class SendForgetVariant(GossipProtocol):
         entries = [view.get(i) for i in slots]
         if any(entry is None for entry in entries):
             self.stats.self_loops += 1
-            return None
+            return ()
         self.stats.non_self_loop_actions += 1
         self.stats.messages_sent += 1
 
@@ -192,24 +192,25 @@ class SendForgetVariant(GossipProtocol):
         payload += [
             (entry.node_id, flag) for entry, flag in zip(payload_entries, flags)
         ]
-        return Message(
+        message = Message(
             sender=node_id,
             target=target_entry.node_id,
             payload=payload,
             kind="sandf-variant",
         )
+        return (SendEffect(message),)
 
-    def deliver(self, message: Message, rng) -> Optional[Message]:
+    def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
         wrapped = self._views.get(message.target)
         if wrapped is None:
-            return None
+            return ()
         view = wrapped.view
         self.stats.deliveries += 1
         incoming = list(message.payload)
         if view.empty_count < len(incoming):
             if not self.replace_on_full:
                 self.stats.deletions += 1
-                return None
+                return ()
             # Optimization 2: overwrite random existing entries.
             overflow = len(incoming) - view.empty_count
             occupied = [i for i, entry in enumerate(view) if entry is not None]
@@ -222,7 +223,7 @@ class SendForgetVariant(GossipProtocol):
             )
         for node_id, dependent in incoming:
             wrapped.store_random_empty(ViewEntry(node_id, dependent), rng)
-        return None
+        return ()
 
     @staticmethod
     def _sample_slots(view: View, count: int, rng) -> List[int]:

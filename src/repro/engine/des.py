@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.engine.sequential import EngineStats
 from repro.net.delay import ConstantDelay, DelayModel
@@ -83,6 +84,8 @@ class DiscreteEventEngine:
         self.max_in_flight = 0
         self._queue: List[_Event] = []
         self._sequence = itertools.count()
+        # Sequence number of each node's one live ``_INITIATE`` event.
+        self._armed: Dict[NodeId, int] = {}
         for node in protocol.node_ids():
             self._schedule_initiate(node)
 
@@ -91,10 +94,12 @@ class DiscreteEventEngine:
     # ------------------------------------------------------------------
 
     def _schedule_initiate(self, node: NodeId) -> None:
+        """Arm ``node``'s clock; any event armed for it earlier goes stale."""
         gap = float(self.rng.exponential(1.0 / self.rate))
+        sequence = next(self._sequence)
+        self._armed[node] = sequence
         heapq.heappush(
-            self._queue,
-            _Event(self.now + gap, next(self._sequence), _INITIATE, node=node),
+            self._queue, _Event(self.now + gap, sequence, _INITIATE, node=node)
         )
 
     def _schedule_delivery(self, effect: SendEffect) -> None:
@@ -128,58 +133,49 @@ class DiscreteEventEngine:
         With per-node rate 1, ``end_time`` is comparable to a number of
         rounds of the sequential engine.
         """
-        tel = get_telemetry()
-        wall0 = time.perf_counter() if tel.active else 0.0
-        cpu0 = time.process_time() if tel.active else 0.0
-        processed = 0
-        while self._queue and self._queue[0].time <= end_time:
-            event = heapq.heappop(self._queue)
-            self.now = event.time
-            if event.kind == _INITIATE:
-                self._handle_initiate(event.node)
-            else:
-                self._handle_delivery(event.message, event.reply)
-            processed += 1
-        self.now = max(self.now, end_time)
-        if tel.active:
-            self._record_run(tel, wall0, cpu0, processed)
+        self._run(end_time, math.inf)
 
     def run_events(self, count: int) -> None:
         """Process exactly ``count`` events (or until the queue drains)."""
+        self._run(math.inf, count)
+
+    def _run(self, end_time: float, max_events: float) -> None:
+        """Pop and handle events, up to ``max_events`` and no later than ``end_time``."""
         tel = get_telemetry()
         wall0 = time.perf_counter() if tel.active else 0.0
         cpu0 = time.process_time() if tel.active else 0.0
+        queue = self._queue
         processed = 0
-        for _ in range(count):
-            if not self._queue:
-                break
-            event = heapq.heappop(self._queue)
+        while processed < max_events and queue and queue[0].time <= end_time:
+            event = heapq.heappop(queue)
             self.now = event.time
-            if event.kind == _INITIATE:
-                self._handle_initiate(event.node)
-            else:
+            if event.kind == _DELIVER:
                 self._handle_delivery(event.message, event.reply)
+            elif self._armed.get(event.node) == event.sequence:
+                # Any other clock event is stale: its id left and rejoined,
+                # and runs on the clock armed at the rejoin (rate 1 per
+                # node, section 4.1).
+                self._handle_initiate(event.node)
             processed += 1
+        if end_time < math.inf:
+            self.now = max(self.now, end_time)
         if tel.active:
-            self._record_run(tel, wall0, cpu0, processed)
-
-    def _record_run(self, tel, wall0: float, cpu0: float, processed: int) -> None:
-        """Telemetry for one event-processing stretch."""
-        wall = time.perf_counter() - wall0
-        tel.observe_timer("phase.des_run", wall, time.process_time() - cpu0)
-        tel.inc("des.events", processed)
-        tel.set_gauge("des.max_in_flight", self.max_in_flight)
-        tel.event(
-            "des.run",
-            events=processed,
-            now=round(self.now, 6),
-            in_flight=self.messages_in_flight,
-            duration_s=round(wall, 6),
-        )
+            wall = time.perf_counter() - wall0
+            tel.observe_timer("phase.des_run", wall, time.process_time() - cpu0)
+            tel.inc("des.events", processed)
+            tel.set_gauge("des.max_in_flight", self.max_in_flight)
+            tel.event(
+                "des.run",
+                events=processed,
+                now=round(self.now, 6),
+                in_flight=self.messages_in_flight,
+                duration_s=round(wall, 6),
+            )
 
     def _handle_initiate(self, node: NodeId) -> None:
         if not self.protocol.has_node(node):
-            return  # departed node: its clock dies with it
+            self._armed.pop(node, None)  # departed node: its clock dies with it
+            return
         self.stats.actions += 1
         for effect in self.protocol.handle(InitiateEvent(node), self.rng):
             self._route(effect)
@@ -222,26 +218,6 @@ class DiscreteEventEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def actions(self) -> int:
-        """Initiate actions executed (alias of ``stats.actions``)."""
-        return self.stats.actions
-
-    @property
-    def messages_lost(self) -> int:
-        """Every send that never reached a receive step.
-
-        Historical aggregate (network loss plus departed targets, both
-        kinds); the split lives in :attr:`stats`, whose
-        ``check_conservation`` distinguishes loss from churn.
-        """
-        return (
-            self.stats.messages_lost
-            + self.stats.replies_lost
-            + self.stats.messages_to_departed
-            + self.stats.replies_to_departed
-        )
 
     def rounds_elapsed(self) -> float:
         """Simulated time × rate ≈ expected actions initiated per node."""

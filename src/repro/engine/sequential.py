@@ -10,11 +10,12 @@ A *round* (section 6.5) is the period during which each node is expected
 to initiate exactly one action, i.e. ``n`` scheduler picks.
 
 The engine drives either a :class:`repro.protocols.base.GossipProtocol`
-(one ``initiate``/``deliver`` exchange per step, any protocol) or a
+(one initiate step plus its receive steps per action, any protocol) or a
 :class:`repro.kernel.base.SimulationKernel` (S&F state mutation delegated
-to the kernel in batches, sized so that round hooks still fire at exactly
-the same action boundaries).  Rounds, hooks, and statistics behave the
-same either way.
+to the kernel a batch at a time).  Both run through one loop —
+:meth:`SequentialEngine.run_actions` cuts the work into batches that end
+on round-hook boundaries and :meth:`SequentialEngine._run_batch` executes
+one — so rounds, hooks, and statistics behave the same either way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.util.rng import SeedLike, make_rng
 NodeId = int
 SnapshotHook = Callable[["SequentialEngine", int], None]
 
-#: Upper bound on one kernel batch, so hook-free runs still draw their
+#: Upper bound on one batch, so hook-free kernel runs still draw their
 #: randomness in bounded blocks.
 MAX_BATCH_ACTIONS = 16384
 
@@ -148,13 +149,7 @@ class SequentialEngine:
 
     def step(self) -> None:
         """One scheduler pick: a uniformly random node initiates an action."""
-        if self.kernel is not None:
-            self.kernel.run_batch(1, self.rng, self.loss, self.stats)
-            return
-        members = self.protocol.members
-        if not members:
-            raise RuntimeError("no live nodes to schedule")
-        self.step_node(members[int(self.rng.integers(len(members)))])
+        self._run_batch(1)
 
     def step_node(self, initiator: NodeId) -> None:
         """Run one complete action initiated by ``initiator``.
@@ -218,40 +213,49 @@ class SequentialEngine:
             for produced in self.protocol.handle(DeliverEvent(message), self.rng):
                 self._dispatch(produced)
 
-    def _next_batch_size(self, remaining: int) -> int:
-        """Largest batch that ends no later than the next hook boundary."""
-        population = max(self.kernel.population, 1)
-        limit = min(remaining, MAX_BATCH_ACTIONS)
+    def _next_batch_size(self, limit: int) -> int:
+        """``limit`` actions, or fewer if a hook boundary comes first."""
+        population = max(self.protocol.population, 1)
         for hook in self._hooks:
             to_boundary = (hook.next_round - 1e-9 - self.rounds_completed) * population
             limit = min(limit, max(1, math.ceil(to_boundary)))
         return limit
 
-    def _run_kernel_actions(self, count: int) -> None:
+    def _run_batch(self, batch: int) -> None:
+        """Run ``batch`` scheduler picks and advance the round clock.
+
+        The only place the two backends differ: a kernel takes the whole
+        batch in one call; a protocol takes it one pick at a time.
+        """
         tel = get_telemetry()
-        remaining = count
-        while remaining > 0:
-            batch = self._next_batch_size(remaining)
-            if tel.active:
-                wall0 = time.perf_counter()
-                cpu0 = time.process_time()
-                self.kernel.run_batch(batch, self.rng, self.loss, self.stats)
-                wall = time.perf_counter() - wall0
-                tel.observe_timer(
-                    "phase.kernel_batch", wall, time.process_time() - cpu0
-                )
-                tel.inc("engine.actions", batch)
+        wall0 = time.perf_counter() if tel.active else 0.0
+        cpu0 = time.process_time() if tel.active else 0.0
+        if self.kernel is not None:
+            self.kernel.run_batch(batch, self.rng, self.loss, self.stats)
+            self.rounds_completed += batch / max(self.kernel.population, 1)
+        else:
+            protocol = self.protocol
+            rng = self.rng
+            for _ in range(batch):
+                members = protocol.members
+                if not members:
+                    raise RuntimeError("no live nodes to schedule")
+                self.step_node(members[int(rng.integers(len(members)))])
+                # Accumulated per action, not per batch: the float sum
+                # decides on which action a run_rounds segment ends.
+                self.rounds_completed += 1.0 / len(members)
+        if tel.active:
+            wall = time.perf_counter() - wall0
+            cpu = time.process_time() - cpu0
+            tel.inc("engine.actions", batch)
+            if self.kernel is not None:
+                tel.observe_timer("phase.kernel_batch", wall, cpu)
                 tel.inc("engine.batches")
                 tel.event(
                     "engine.batch", actions=batch, duration_s=round(wall, 6)
                 )
             else:
-                self.kernel.run_batch(batch, self.rng, self.loss, self.stats)
-            self.rounds_completed += batch / max(self.kernel.population, 1)
-            if tel.tracing_on:
-                self._emit_round_records(tel)
-            self._fire_hooks()
-            remaining -= batch
+                tel.observe_timer("phase.engine_run", wall, cpu)
 
     def _emit_round_records(self, tel) -> None:
         """One ``engine.round`` trace record per newly completed round."""
@@ -267,36 +271,19 @@ class SequentialEngine:
                 messages_lost=self.stats.messages_lost,
             )
 
-    def _record_engine_run(
-        self, tel, wall0: float, cpu0: float, actions_before: int
-    ) -> None:
-        """Telemetry for one per-action (non-kernel) execution stretch."""
-        tel.observe_timer(
-            "phase.engine_run",
-            time.perf_counter() - wall0,
-            time.process_time() - cpu0,
-        )
-        tel.inc("engine.actions", self.stats.actions - actions_before)
-        if tel.tracing_on:
-            self._emit_round_records(tel)
-
     def run_actions(self, count: int) -> None:
         """Run ``count`` scheduler picks, firing any registered hooks."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        if self.kernel is not None:
-            self._run_kernel_actions(count)
-            return
         tel = get_telemetry()
-        wall0 = time.perf_counter() if tel.active else 0.0
-        cpu0 = time.process_time() if tel.active else 0.0
-        actions_before = self.stats.actions
-        for _ in range(count):
-            self.step()
-            self.rounds_completed += 1.0 / max(self.protocol.population, 1)
+        remaining = count
+        while remaining > 0:
+            batch = self._next_batch_size(min(remaining, MAX_BATCH_ACTIONS))
+            self._run_batch(batch)
+            if tel.tracing_on:
+                self._emit_round_records(tel)
             self._fire_hooks()
-        if tel.active:
-            self._record_engine_run(tel, wall0, cpu0, actions_before)
+            remaining -= batch
 
     def run_rounds(self, rounds: float) -> None:
         """Run until ``rounds`` more rounds have elapsed.
@@ -307,22 +294,12 @@ class SequentialEngine:
         if rounds < 0:
             raise ValueError(f"rounds must be nonnegative, got {rounds}")
         target = self.rounds_completed + rounds
-        if self.kernel is not None:
-            while self.rounds_completed < target - 1e-12:
-                population = max(self.kernel.population, 1)
-                needed = math.ceil((target - 1e-12 - self.rounds_completed) * population)
-                self._run_kernel_actions(max(1, needed))
-            return
-        tel = get_telemetry()
-        wall0 = time.perf_counter() if tel.active else 0.0
-        cpu0 = time.process_time() if tel.active else 0.0
-        actions_before = self.stats.actions
         while self.rounds_completed < target - 1e-12:
-            self.step()
-            self.rounds_completed += 1.0 / max(self.protocol.population, 1)
-            self._fire_hooks()
-        if tel.active:
-            self._record_engine_run(tel, wall0, cpu0, actions_before)
+            population = max(self.protocol.population, 1)
+            needed = math.ceil((target - 1e-12 - self.rounds_completed) * population)
+            # Stop at the next hook: it may change the population, and with
+            # it the number of actions the rest of the rounds take.
+            self.run_actions(self._next_batch_size(max(1, needed)))
 
     # ------------------------------------------------------------------
     # Hooks

@@ -81,9 +81,8 @@ def build_sf_system(
     """
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
-    s = params.view_size
     if init_outdegree is None:
-        init_outdegree = min(s - 2, max(params.d_low + 2, (3 * s // 4) & ~1))
+        init_outdegree = params.default_bootstrap_degree
     if init_outdegree % 2 != 0:
         raise ValueError(f"init_outdegree must be even, got {init_outdegree}")
     if init_outdegree >= n:

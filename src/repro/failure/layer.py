@@ -46,14 +46,7 @@ from repro.failure.detector import (
     FailureDetector,
     PeerState,
 )
-from repro.protocols.base import (
-    DeliverEvent,
-    GossipProtocol,
-    InitiateEvent,
-    Message,
-    ProtocolEvent,
-    SendEffect,
-)
+from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 NodeId = int
 
@@ -195,36 +188,28 @@ class FailureDetectorLayer(GossipProtocol):
         if detector is not None:
             self.retired_incarnations[node_id] = detector.incarnation
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
-        return self.inner.initiate(node_id, rng)
-
-    def deliver(self, message: Message, rng) -> Optional[Message]:
-        return self.inner.deliver(message, rng)
-
     # ------------------------------------------------------------------
-    # The event/effect seam — where detection actually happens
+    # The protocol steps — where detection actually happens
     # ------------------------------------------------------------------
 
-    def handle(self, event: ProtocolEvent, rng) -> Tuple[SendEffect, ...]:
-        if isinstance(event, InitiateEvent):
-            detector = self.detectors.get(event.node)
-            if detector is not None:
-                # One beat of this node's local clock; time unit = its
-                # own beat count, so timeouts are phrased in periods.
-                detector.beat(float(detector.heartbeat + 1))
-            effects = self.inner.handle(event, rng)
-            return self._outbound(event.node, effects)
-        if isinstance(event, DeliverEvent):
-            message = event.message
-            detector = self.detectors.get(message.target)
-            if detector is not None:
-                now = float(detector.heartbeat)
-                detector.observe_direct(message.sender, now)
-                if message.ext:
-                    detector.absorb_extension(message.ext.get(FD_EXT_KEY), now)
-            effects = self.inner.handle(event, rng)
-            return self._outbound(message.target, effects)
-        return self.inner.handle(event, rng)
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
+        detector = self.detectors.get(node_id)
+        if detector is not None:
+            # One beat of this node's local clock; time unit = its
+            # own beat count, so timeouts are phrased in periods.
+            detector.beat(float(detector.heartbeat + 1))
+        effects = self.inner.initiate_effects(node_id, rng)
+        return self._outbound(node_id, effects)
+
+    def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
+        detector = self.detectors.get(message.target)
+        if detector is not None:
+            now = float(detector.heartbeat)
+            detector.observe_direct(message.sender, now)
+            if message.ext:
+                detector.absorb_extension(message.ext.get(FD_EXT_KEY), now)
+        effects = self.inner.deliver_effects(message, rng)
+        return self._outbound(message.target, effects)
 
     def _outbound(
         self, origin: NodeId, effects: Tuple[SendEffect, ...]

@@ -246,18 +246,7 @@ class ArrayKernel(SimulationKernel):
         ids = list(bootstrap_ids)
         if any(x < 0 for x in ids):
             raise ValueError("array kernel requires nonnegative bootstrap ids")
-        if len(ids) % 2 != 0:
-            raise ValueError(
-                f"bootstrap view must have even size (Observation 5.1), got {len(ids)}"
-            )
-        if len(ids) < self.params.d_low:
-            raise ValueError(
-                f"joiner needs at least d_low={self.params.d_low} ids, got {len(ids)}"
-            )
-        if len(ids) > self.params.view_size:
-            raise ValueError(
-                f"bootstrap view exceeds view size {self.params.view_size}"
-            )
+        self.params.validate_bootstrap(len(ids))
         if self._n == self._ids.shape[0]:
             self._grow()
         # The id index must cover every id any view can hold, so that a
@@ -296,18 +285,7 @@ class ArrayKernel(SimulationKernel):
         if boot.ndim != 2 or boot.shape[0] != m:
             raise ValueError("bootstrap_matrix must be (len(node_ids), k)")
         k = boot.shape[1]
-        if k % 2 != 0:
-            raise ValueError(
-                f"bootstrap view must have even size (Observation 5.1), got {k}"
-            )
-        if k < self.params.d_low:
-            raise ValueError(
-                f"joiner needs at least d_low={self.params.d_low} ids, got {k}"
-            )
-        if k > self.params.view_size:
-            raise ValueError(
-                f"bootstrap view exceeds view size {self.params.view_size}"
-            )
+        self.params.validate_bootstrap(k)
         if m == 0:
             return
         if node_ids.min() < 0 or boot.min() < 0:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, lil_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from repro.core.params import SFParams
@@ -170,14 +170,7 @@ class DegreeMarkovChain:
         conserved_sum_degree: restrict states to the line ``d + 2k = dm``
             (requires ``ℓ = 0`` and ``dL = 0``; Lemma 6.2's invariant).
         sum_degree_cap: cap on ``d + 2k`` (default ``3s``, as in the paper).
-        matrix_method: ``"vectorized"`` (default) rebuilds the rate matrix
-            from precomputed index/coefficient templates each fixed-point
-            iteration; ``"loop"`` is the original per-state scalar builder,
-            kept as the reference the vectorized path is tested against.
-            Both produce bit-identical matrices.
     """
-
-    MATRIX_METHODS = ("vectorized", "loop")
 
     def __init__(
         self,
@@ -185,14 +178,7 @@ class DegreeMarkovChain:
         loss_rate: float = 0.0,
         conserved_sum_degree: Optional[int] = None,
         sum_degree_cap: Optional[int] = None,
-        matrix_method: str = "vectorized",
     ):
-        if matrix_method not in self.MATRIX_METHODS:
-            raise ValueError(
-                f"matrix_method must be one of {self.MATRIX_METHODS}, "
-                f"got {matrix_method!r}"
-            )
-        self.matrix_method = matrix_method
         self._template: Optional[_TransitionTemplate] = None
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -320,31 +306,6 @@ class DegreeMarkovChain:
         p_full = (k_full_mass / k_mass) if k_mass > 0.0 else 0.0
         return _Environment(rate, p_dup, p_full)
 
-    def _build_matrix(self, env: _Environment) -> csr_matrix:
-        if self.matrix_method == "loop":
-            return self._build_matrix_loop(env)
-        return self._build_matrix_vectorized(env)
-
-    def _build_matrix_loop(self, env: _Environment) -> csr_matrix:
-        """Reference builder: per-state Python loops over ``_transitions``."""
-        n = len(self.states)
-        rates = lil_matrix((n, n))
-        outflow = np.zeros(n)
-        for i, state in enumerate(self.states):
-            for target, rate in self._transitions(state, env):
-                j = self._index[target]
-                if j == i:
-                    continue
-                rates[i, j] += rate
-                outflow[i] += rate
-        lam = float(outflow.max())
-        if lam <= 0.0:
-            raise RuntimeError("degenerate chain: no transitions anywhere")
-        transition = (rates.tocsr() / lam).tolil()
-        for i in range(n):
-            transition[i, i] = 1.0 - outflow[i] / lam
-        return transition.tocsr()
-
     def _build_template(self) -> _TransitionTemplate:
         """Enumerate potential transitions once, in scalar-builder order."""
         s, d_low = self.params.view_size, self.params.d_low
@@ -408,14 +369,16 @@ class DegreeMarkovChain:
             merged_cols=sorted_cols[group_starts],
         )
 
-    def _build_matrix_vectorized(self, env: _Environment) -> csr_matrix:
+    def _build_matrix(self, env: _Environment) -> csr_matrix:
         """Template builder: array scaling plus one coo→csr construction.
 
-        Bit-identical to :meth:`_build_matrix_loop`: each kind's factor is
-        applied with the scalar builder's operation order, duplicate
-        entries are summed in generation order, env-zeroed entries are
-        pruned (the scalar builder's ``rate > 0`` filter), and the
-        diagonal is always materialized (``lil`` stores assigned zeros).
+        Bit-identical to a per-state scalar builder that sums
+        :meth:`_transitions` into a ``lil`` matrix (the oracle in
+        ``tests/test_markov_degree_mc_vectorized.py``): each kind's factor
+        is applied with the scalar operation order, duplicate entries are
+        summed in generation order, env-zeroed entries are pruned (the
+        ``rate > 0`` filter of ``_transitions``), and the diagonal is
+        always materialized (``lil`` stores assigned zeros).
         """
         if self._template is None:
             self._template = self._build_template()
@@ -457,10 +420,10 @@ class DegreeMarkovChain:
         merged = np.add.reduceat(data[template.order], template.group_starts)
         keep = merged != 0.0
         # scipy's ``csr / lam`` multiplies by the reciprocal; do the same
-        # so off-diagonal probabilities match the loop builder bit for bit.
+        # so off-diagonal probabilities match the scalar builder bit for bit.
         off_diag = merged[keep] * (1.0 / lam)
         diagonal = 1.0 - outflow / lam
-        # ``lil`` assignment drops zeros, so the loop builder stores no
+        # ``lil`` assignment drops zeros, so the scalar builder stores no
         # zero entries anywhere — prune them here too (off-diagonal zeros
         # come from env-zeroed factors, diagonal zeros from max-outflow
         # rows) to keep the sparsity structure identical.
@@ -531,7 +494,6 @@ class DegreeMarkovChain:
                 max_iterations=max_iterations,
                 tolerance=tolerance,
                 damping=damping,
-                matrix_method=self.matrix_method,
             )
             hit = cache_obj.get(key)
             if hit is not None:

@@ -1,15 +1,16 @@
 """The common interface implemented by every membership protocol here.
 
-The split into :meth:`GossipProtocol.initiate` (the sender's step) and
-:meth:`GossipProtocol.deliver` (the receiver's step) mirrors the paper's
-notion of a *protocol step* — a transformation executable atomically at a
-single node (section 4.1).  The engine decides whether a message produced
-by ``initiate`` ever reaches ``deliver``; a lost message simply means the
-receive step never runs, exactly the paper's loss model.
+The split into :meth:`GossipProtocol.initiate_effects` (the sender's step)
+and :meth:`GossipProtocol.deliver_effects` (the receiver's step) mirrors the
+paper's notion of a *protocol step* — a transformation executable atomically
+at a single node (section 4.1).  The engine decides whether a message
+produced by the initiate step ever reaches a receive step; a lost message
+simply means the receive step never runs, exactly the paper's loss model.
 
-Pull-style protocols return a *reply* from ``deliver``; the engine subjects
-replies to the same loss model, so a push-pull action degrades gracefully
-into its constituent steps under loss instead of assuming atomicity.
+Pull-style protocols answer a receive step with a *reply* effect; the engine
+subjects replies to the same loss model, so a push-pull action degrades
+gracefully into its constituent steps under loss instead of assuming
+atomicity.
 
 **Execution-agnostic event/effect seam.**  A protocol step is driven by a
 typed *event* (:class:`InitiateEvent` or :class:`DeliverEvent`) and
@@ -109,9 +110,8 @@ class SendEffect:
     reply: bool = False
 
 
-#: Events a protocol consumes, and effects it produces.
+#: Events a protocol consumes.
 ProtocolEvent = Union[InitiateEvent, DeliverEvent]
-Effect = SendEffect
 
 
 @dataclass
@@ -161,10 +161,11 @@ class GossipProtocol(abc.ABC):
     Concrete protocols own all per-node state, in one table keyed by node
     id (``_views``) whose insertion order is the *canonical node order*:
     the scheduler's ``r``-th node is the ``r``-th live id in it.  The
-    engine drives protocols via ``initiate``/``deliver`` and observes
-    state via ``view_of`` and ``export_graph``.  Wrappers (failure
-    detection, samplers) keep no table and delegate the population
-    accessors to the protocol they wrap.
+    engine drives protocols via :meth:`handle` and observes state via
+    ``view_of`` and ``export_graph``.  Wrappers (failure detection,
+    samplers) keep no table or counters of their own and delegate the
+    population accessors, ``stats`` and ``params`` to the protocol they
+    wrap.
     """
 
     def __init__(self) -> None:
@@ -224,32 +225,15 @@ class GossipProtocol(abc.ABC):
         del self._views[node_id]
         self._members = None
 
-    # -- protocol steps --------------------------------------------------------
+    # -- protocol steps (the event/effect seam) ---------------------------------
 
     @abc.abstractmethod
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
-        """Run one initiate action at ``node_id``; maybe produce a message."""
-
-    @abc.abstractmethod
-    def deliver(self, message: Message, rng) -> Optional[Message]:
-        """Run the receive step for ``message``; maybe produce a reply."""
-
-    # -- event/effect seam -----------------------------------------------------
-
     def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
-        """The initiate step as typed effects (default: wrap ``initiate``)."""
-        message = self.initiate(node_id, rng)
-        return () if message is None else (SendEffect(message),)
+        """Run one initiate action at ``node_id``; return the sends it makes."""
 
+    @abc.abstractmethod
     def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
-        """The receive step as typed effects.
-
-        The default wraps :meth:`deliver` and labels any produced message
-        a reply; protocols with multi-step exchanges (push-pull, shuffle)
-        override this with their native effect-producing receive step.
-        """
-        reply = self.deliver(message, rng)
-        return () if reply is None else (SendEffect(reply, reply=True),)
+        """Run the receive step for ``message``; return any reply effects."""
 
     def handle(self, event: ProtocolEvent, rng) -> Tuple[SendEffect, ...]:
         """Execute one protocol step for ``event``; return its effects.

@@ -16,14 +16,13 @@ growing well beyond the i.i.d.-uniform level, in contrast to S&F's bounded
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.protocols.base import GossipProtocol, Message
+from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 NodeId = int
 
-#: Wire kind of a push message (the protocol's only message role, so the
-#: base class's default effect wrappers drive it on the event seam).
+#: Wire kind of a push message (the protocol's only message role).
 KIND_PUSH = "push"
 
 
@@ -58,12 +57,12 @@ class PushProtocol(GossipProtocol):
 
     # -- protocol steps ----------------------------------------------------
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         view = self._views[node_id]
         self.stats.actions += 1
         if not view:
             self.stats.self_loops += 1
-            return None
+            return ()
         self.stats.non_self_loop_actions += 1
         target = view[int(rng.integers(len(view)))]  # kept in the view
         payload: List[NodeId] = [node_id]  # reinforcement component
@@ -71,17 +70,18 @@ class PushProtocol(GossipProtocol):
         for _ in range(budget):  # mixing component (ids copied, not moved)
             payload.append(view[int(rng.integers(len(view)))])
         self.stats.messages_sent += 1
-        return Message(
+        message = Message(
             sender=node_id,
             target=target,
             payload=[(v, False) for v in payload],
             kind=KIND_PUSH,
         )
+        return (SendEffect(message),)
 
-    def deliver(self, message: Message, rng) -> Optional[Message]:
+    def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
         view = self._views.get(message.target)
         if view is None:
-            return None
+            return ()
         self.stats.deliveries += 1
         for value, _ in message.payload:
             if value == message.target:
@@ -92,7 +92,7 @@ class PushProtocol(GossipProtocol):
                 self.stats.deletions += 1
             else:
                 view.append(value)
-        return None
+        return ()
 
     # -- observation -------------------------------------------------------
 

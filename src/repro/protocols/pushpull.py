@@ -17,7 +17,7 @@ designed to avoid.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.protocols.base import GossipProtocol, Message, SendEffect
 
@@ -53,24 +53,25 @@ class PushPullProtocol(GossipProtocol):
 
     # -- protocol steps ----------------------------------------------------
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         view = self._views[node_id]
         self.stats.actions += 1
         if not view:
             self.stats.self_loops += 1
-            return None
+            return ()
         self.stats.non_self_loop_actions += 1
         target = view[int(rng.integers(len(view)))]
         self.stats.messages_sent += 1
-        return Message(
+        message = Message(
             sender=node_id,
             target=target,
             payload=[(node_id, False)],  # reinforcement: push own id
             kind=KIND_REQUEST,
         )
+        return (SendEffect(message),)
 
     def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
-        """The receive step, natively on the event/effect seam.
+        """The receive step.
 
         A request produces the pull half as a typed reply effect; whether
         that reply survives the network is the transport's business — the
@@ -101,11 +102,6 @@ class PushPullProtocol(GossipProtocol):
         for value, _ in message.payload:
             self._insert(message.target, value, rng)
         return ()
-
-    def deliver(self, message: Message, rng) -> Optional[Message]:
-        """Compatibility wrapper over :meth:`deliver_effects`."""
-        effects = self.deliver_effects(message, rng)
-        return effects[0].message if effects else None
 
     def _insert(self, node_id: NodeId, value: NodeId, rng) -> None:
         if value == node_id:

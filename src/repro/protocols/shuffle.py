@@ -14,7 +14,7 @@ this attrition against S&F's stable edge count.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.protocols.base import GossipProtocol, Message, SendEffect
 
@@ -56,12 +56,12 @@ class ShuffleProtocol(GossipProtocol):
 
     # -- protocol steps ----------------------------------------------------
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         view = self._views[node_id]
         self.stats.actions += 1
         if not view:
             self.stats.self_loops += 1
-            return None  # isolated: the attrition end-state under loss
+            return ()  # isolated: the attrition end-state under loss
         self.stats.non_self_loop_actions += 1
         target_index = int(rng.integers(len(view)))
         target = view.pop(target_index)
@@ -84,15 +84,16 @@ class ShuffleProtocol(GossipProtocol):
                 if cand == last:
                     candidates[c] = index
         self.stats.messages_sent += 1
-        return Message(
+        message = Message(
             sender=node_id,
             target=target,
             payload=[(v, False) for v in to_send],
             kind=KIND_REQUEST,
         )
+        return (SendEffect(message),)
 
     def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
-        """The receive step, natively on the event/effect seam.
+        """The receive step.
 
         A request produces the refill half as a typed reply effect; a
         lost reply is exactly the id-attrition channel §3.1 charges
@@ -105,7 +106,7 @@ class ShuffleProtocol(GossipProtocol):
         received = [v for v, _ in message.payload]
         if message.kind == KIND_REQUEST:
             # Sample the reply excluding pointers to the requester, which it
-            # would discard (see initiate for the symmetric exclusion).
+            # would discard (see initiate_effects for the symmetric exclusion).
             reply_ids: List[NodeId] = []
             candidates = [
                 i for i, value in enumerate(view) if value != message.sender
@@ -139,11 +140,6 @@ class ShuffleProtocol(GossipProtocol):
         # shuffle-reply
         self._absorb(message.target, received)
         return ()
-
-    def deliver(self, message: Message, rng) -> Optional[Message]:
-        """Compatibility wrapper over :meth:`deliver_effects`."""
-        effects = self.deliver_effects(message, rng)
-        return effects[0].message if effects else None
 
     def _absorb(self, node_id: NodeId, ids: List[NodeId]) -> None:
         view = self._views[node_id]

@@ -103,19 +103,17 @@ class ClusterConfig:
         return SFParams(view_size=self.view_size, d_low=self.d_low)
 
     def bootstrap_degree(self) -> int:
-        """Initial outdegree: even, in ``[d_low, s]`` (same rule as the
-        simulation experiments' ring bootstrap)."""
-        s = self.view_size
-        return min(s - 2, max(self.d_low + 2, (3 * s // 4) & ~1))
+        """Initial outdegree: the simulation experiments' ring bootstrap rule."""
+        return self.params().default_bootstrap_degree
 
 
 class ClusterNode:
     """One S&F node: a socket, a view, and an initiate timer.
 
     The node's :class:`SendForget` instance holds *only its own view* —
-    ``deliver`` looks up ``message.target`` and finds exactly the local
-    state, so the very same protocol class that simulates ``n`` nodes
-    in-process runs one node here, unchanged.
+    ``deliver_effects`` looks up ``message.target`` and finds exactly the
+    local state, so the very same protocol class that simulates ``n``
+    nodes in-process runs one node here, unchanged.
     """
 
     def __init__(

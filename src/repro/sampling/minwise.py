@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.protocols.base import GossipProtocol, Message
+from repro.protocols.base import GossipProtocol, Message, SendEffect
 from repro.util.rng import SeedLike, make_rng
 
 NodeId = int
@@ -103,7 +103,8 @@ class SamplerLayer(GossipProtocol):
     """
 
     def __init__(self, inner: GossipProtocol, slots: int = 8, seed: SeedLike = None):
-        super().__init__()
+        # Deliberately no super().__init__(): the inner protocol owns the
+        # ProtocolStats instance and this wrapper must not shadow it.
         self.inner = inner
         self.slots = slots
         self._rng = make_rng(seed)
@@ -112,6 +113,15 @@ class SamplerLayer(GossipProtocol):
         }
 
     # -- delegation -------------------------------------------------------
+
+    @property
+    def stats(self):
+        return self.inner.stats
+
+    @property
+    def params(self):
+        # Churn processes read protocol.params for bootstrap sizing.
+        return self.inner.params
 
     def node_ids(self) -> List[NodeId]:
         return self.inner.node_ids()
@@ -131,16 +141,16 @@ class SamplerLayer(GossipProtocol):
         self.inner.remove_node(node_id)
         self._banks.pop(node_id, None)
 
-    def initiate(self, node_id: NodeId, rng) -> Optional[Message]:
-        return self.inner.initiate(node_id, rng)
+    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
+        return self.inner.initiate_effects(node_id, rng)
 
-    def deliver(self, message: Message, rng) -> Optional[Message]:
+    def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
         bank = self._banks.get(message.target)
         if bank is not None and self.inner.has_node(message.target):
             for node_id, _ in message.payload:
                 if node_id != message.target:
                     bank.observe(node_id)
-        return self.inner.deliver(message, rng)
+        return self.inner.deliver_effects(message, rng)
 
     def view_of(self, node_id: NodeId) -> Counter:
         return self.inner.view_of(node_id)

@@ -57,9 +57,10 @@ class TestInitiate:
         protocol = make_protocol(d_low=0)
         protocol.add_node(0, [1, 2])
         rng = make_rng(0)
-        message = None
-        while message is None:
-            message = protocol.initiate(0, rng)
+        effects = ()
+        while not effects:
+            effects = protocol.initiate_effects(0, rng)
+        message = effects[0].message
         assert message.sender == 0
         assert message.kind == "sandf"
         assert len(message.payload) == 2
@@ -69,18 +70,19 @@ class TestInitiate:
         protocol = make_protocol(d_low=0)
         protocol.add_node(0, [1, 2])
         rng = make_rng(0)
-        message = None
-        while message is None:
-            message = protocol.initiate(0, rng)
+        effects = ()
+        while not effects:
+            effects = protocol.initiate_effects(0, rng)
         assert protocol.outdegree(0) == 0
 
     def test_duplicates_at_threshold(self):
         protocol = make_protocol(d_low=2)
         protocol.add_node(0, [1, 2])
         rng = make_rng(0)
-        message = None
-        while message is None:
-            message = protocol.initiate(0, rng)
+        effects = ()
+        while not effects:
+            effects = protocol.initiate_effects(0, rng)
+        message = effects[0].message
         assert protocol.outdegree(0) == 2
         assert protocol.stats.duplications == 1
         # Duplicated payload entries are flagged dependent in the message.
@@ -90,8 +92,8 @@ class TestInitiate:
         protocol = make_protocol(view_size=8, d_low=0)
         protocol.add_node(0, [1, 2])  # 2 of 8 slots filled
         rng = make_rng(1)
-        results = [protocol.initiate(0, rng) for _ in range(300)]
-        none_count = sum(1 for r in results if r is None)
+        results = [protocol.initiate_effects(0, rng) for _ in range(300)]
+        none_count = sum(1 for r in results if r == ())
         # q = 2*1/(8*7) = 1/28 acting probability; most actions self-loop...
         assert none_count > 200
         assert protocol.stats.self_loops == none_count
@@ -102,9 +104,9 @@ class TestInitiate:
         rng = make_rng(2)
         # Drain the two entries with one successful action.
         while protocol.outdegree(0) > 0:
-            protocol.initiate(0, rng)
+            protocol.initiate_effects(0, rng)
         for _ in range(50):
-            assert protocol.initiate(0, rng) is None
+            assert protocol.initiate_effects(0, rng) == ()
 
 
 class TestDeliver:
@@ -112,7 +114,7 @@ class TestDeliver:
         protocol = make_protocol(d_low=0)
         protocol.add_node(0, [1, 2])
         message = Message(sender=5, target=0, payload=[(5, False), (7, False)], kind="sandf")
-        protocol.deliver(message, make_rng(0))
+        protocol.deliver_effects(message, make_rng(0))
         ids = protocol.view_of(0)
         assert ids[5] == 1 and ids[7] == 1
         assert protocol.outdegree(0) == 4
@@ -121,20 +123,20 @@ class TestDeliver:
         protocol = make_protocol(view_size=6, d_low=0)
         protocol.add_node(0, [1, 2, 3, 4, 5, 1])
         message = Message(sender=5, target=0, payload=[(5, False), (7, False)], kind="sandf")
-        protocol.deliver(message, make_rng(0))
+        protocol.deliver_effects(message, make_rng(0))
         assert protocol.outdegree(0) == 6
         assert protocol.stats.deletions == 1
 
     def test_departed_target_ignored(self):
         protocol = make_protocol()
         message = Message(sender=5, target=99, payload=[(5, False), (7, False)], kind="sandf")
-        assert protocol.deliver(message, make_rng(0)) is None
+        assert protocol.deliver_effects(message, make_rng(0)) == ()
 
     def test_dependence_flags_stored(self):
         protocol = make_protocol(d_low=0)
         protocol.add_node(0, [1, 2])
         message = Message(sender=5, target=0, payload=[(5, True), (7, False)], kind="sandf")
-        protocol.deliver(message, make_rng(0))
+        protocol.deliver_effects(message, make_rng(0))
         view = protocol.raw_view(0)
         flags = {e.node_id: e.dependent for _, e in view.entries()}
         assert flags[5] is True
@@ -157,7 +159,7 @@ class TestDeliver:
         message = Message(
             sender=5, target=0, payload=[(98, False), (99, False)], kind="sandf"
         )
-        protocol.deliver(message, make_rng(0))
+        protocol.deliver_effects(message, make_rng(0))
         ids = protocol.view_of(0)
         assert 98 not in ids and 99 not in ids
         assert protocol.outdegree(0) == 5  # unchanged — nothing partial
@@ -171,7 +173,7 @@ class TestDeliver:
         message = Message(
             sender=5, target=0, payload=[(98, False), (99, False)], kind="sandf"
         )
-        protocol.deliver(message, make_rng(0))
+        protocol.deliver_effects(message, make_rng(0))
         assert protocol.outdegree(0) == 6
         assert protocol.stats.deletions == 0
         ids = protocol.view_of(0)
@@ -206,9 +208,9 @@ class TestInvariant:
         rng = make_rng(3)
         for step in range(3000):
             node = step % n
-            message = protocol.initiate(node, rng)
-            if message is not None and rng.random() > 0.1:  # 10% loss
-                protocol.deliver(message, rng)
+            for effect in protocol.initiate_effects(node, rng):
+                if rng.random() > 0.1:  # 10% loss
+                    protocol.deliver_effects(effect.message, rng)
         protocol.check_invariant()
 
     def test_outdegree_never_below_d_low(self):
@@ -218,9 +220,8 @@ class TestInvariant:
             protocol.add_node(u, [(u + k) % n for k in range(1, 5)])
         rng = make_rng(4)
         for step in range(2000):
-            message = protocol.initiate(step % n, rng)
-            if message is not None:
-                protocol.deliver(message, rng)
+            for effect in protocol.initiate_effects(step % n, rng):
+                protocol.deliver_effects(effect.message, rng)
             for u in range(n):
                 assert protocol.outdegree(u) >= 4
 

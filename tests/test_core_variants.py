@@ -49,14 +49,15 @@ class TestDefaultMatchesBase:
         rng_b = make_rng(99)
         for step in range(2000):
             node = step % n
-            message_a = base.initiate(node, rng_a)
-            message_b = variant.initiate(node, rng_b)
-            assert (message_a is None) == (message_b is None)
-            if message_a is not None:
+            effects_a = base.initiate_effects(node, rng_a)
+            effects_b = variant.initiate_effects(node, rng_b)
+            assert len(effects_a) == len(effects_b)
+            for effect_a, effect_b in zip(effects_a, effects_b):
+                message_a, message_b = effect_a.message, effect_b.message
                 assert message_a.target == message_b.target
                 assert message_a.payload == message_b.payload
-                base.deliver(message_a, rng_a)
-                variant.deliver(message_b, rng_b)
+                base.deliver_effects(message_a, rng_a)
+                variant.deliver_effects(message_b, rng_b)
         for u in range(n):
             assert base.view_of(u) == variant.view_of(u)
 
@@ -129,10 +130,10 @@ class TestWideMessages:
     def test_payload_width(self):
         wide, _ = build({"ids_per_message": 3}, seed=10)
         rng = make_rng(0)
-        message = None
-        while message is None:
-            message = wide.initiate(0, rng)
-        assert len(message.payload) == 4  # sender id + 3 payload ids
+        effects = ()
+        while not effects:
+            effects = wide.initiate_effects(0, rng)
+        assert len(effects[0].message.payload) == 4  # sender id + 3 payload ids
 
     def test_fewer_messages_per_id_moved(self):
         narrow, narrow_engine = build({}, loss=0.0, seed=11)

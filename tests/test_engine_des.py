@@ -1,10 +1,12 @@
 """Tests for repro.engine.des (asynchronous discrete-event engine)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
-from repro.engine.des import DiscreteEventEngine
+from repro.engine.des import _INITIATE, DiscreteEventEngine
 from repro.net.delay import ConstantDelay, DelayModel, ExponentialDelay, UniformDelay
 from repro.net.loss import UniformLoss
 from repro.protocols.pushpull import PushPullProtocol
@@ -15,6 +17,16 @@ def make_protocol(n=20, view_size=12, d_low=2):
     for u in range(n):
         protocol.add_node(u, [(u + k) % n for k in range(1, 7)])
     return protocol
+
+
+def never_received(stats):
+    """Sends lost in the network or addressed to a departed node, both kinds."""
+    return (
+        stats.messages_lost
+        + stats.replies_lost
+        + stats.messages_to_departed
+        + stats.replies_to_departed
+    )
 
 
 def make_pushpull(n=12, view_size=6):
@@ -38,13 +50,13 @@ class TestScheduling:
         engine = DiscreteEventEngine(make_protocol(n=30), rate=2.0, seed=1)
         engine.run_until(20.0)
         expected = 30 * 2.0 * 20.0
-        assert abs(engine.actions - expected) / expected < 0.15
+        assert abs(engine.stats.actions - expected) / expected < 0.15
 
     def test_run_events_exact_count(self):
         engine = DiscreteEventEngine(make_protocol(), seed=2)
         engine.run_events(50)
         # initiations + deliveries processed; queue never empties (clocks).
-        assert engine.actions > 0
+        assert engine.stats.actions > 0
 
     def test_deterministic_given_seed(self):
         protocol_a = make_protocol()
@@ -93,6 +105,38 @@ class TestChurnIntegration:
         assert protocol.stats.actions > before
         assert protocol.has_node(99)
 
+    def test_rejoined_id_runs_on_one_clock(self):
+        """An id that leaves and rejoins initiates at rate 1 like its peers
+        (section 4.1): the clock armed before it left must not keep firing
+        beside the one armed at the rejoin."""
+        n = 20
+        protocol = make_protocol(n=n)
+        engine = DiscreteEventEngine(protocol, seed=3)
+        initiations = Counter()
+        step = protocol.initiate_effects
+
+        def counted(node, rng):
+            initiations[node] += 1
+            return step(node, rng)
+
+        protocol.initiate_effects = counted
+        for _ in range(10):
+            protocol.remove_node(0)
+            engine.add_node(0, [1, 2, 3, 4, 5, 6])
+        engine.run_until(200.0)
+
+        armed = Counter(
+            event.node
+            for event in engine._queue
+            if event.kind == _INITIATE
+            and engine._armed.get(event.node) == event.sequence
+        )
+        assert armed == Counter(protocol.node_ids())  # one clock per live node
+        peers = [initiations[u] for u in range(1, n)]
+        mean = sum(peers) / len(peers)
+        assert 150 < mean < 250  # rate 1 for 200 time units
+        assert abs(initiations[0] - mean) < 5 * mean**0.5
+
     def test_rounds_elapsed(self):
         engine = DiscreteEventEngine(make_protocol(), rate=2.0, seed=7)
         engine.run_until(10.0)
@@ -105,7 +149,7 @@ class TestLoss:
         engine = DiscreteEventEngine(protocol, loss=UniformLoss(1.0), seed=8)
         engine.run_until(20.0)
         assert protocol.stats.deliveries == 0
-        assert engine.messages_lost > 0
+        assert engine.stats.messages_lost > 0
 
 
 class _ScriptedDelay(DelayModel):
@@ -158,9 +202,10 @@ class TestSeamInterleavings:
         assert engine.stats.replies_lost == 0  # churn, not network loss
         assert engine.stats.replies_delivered == 0
         engine.stats.check_conservation()
-        # The historical aggregate still counts it...
-        assert engine.messages_lost == 1
-        # ...but the network-loss fraction must not (the old double-count).
+        # It is the one send that never reached a receive step...
+        assert never_received(engine.stats) == 1
+        # ...but the network-loss fraction must not count it (the old
+        # double-count).
         assert engine.stats.loss_fraction() == 0.0
 
     def test_request_in_flight_across_target_departure(self):
@@ -234,12 +279,11 @@ class TestSeamInterleavings:
         engine.stats.check_conservation()
         assert engine.stats.replies_sent > 0
         assert engine.stats.replies_delivered > 0
-        # Compat aggregate equals the four-way split, exactly.
-        assert engine.messages_lost == (
-            engine.stats.messages_lost
-            + engine.stats.replies_lost
-            + engine.stats.messages_to_departed
-            + engine.stats.replies_to_departed
+        # Every send that never reached a receive step is in exactly one of
+        # the four bins.
+        stats = engine.stats
+        assert never_received(stats) == (stats.messages_sent + stats.replies_sent) - (
+            stats.messages_delivered + stats.replies_delivered
         )
 
     def test_loss_strikes_reply_after_request_survives(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
+from repro.experiments.common import build_sf_system
 
 from conftest import build_system
 
@@ -119,6 +120,54 @@ class TestHooks:
         _, engine = build_system(5, small_params)
         with pytest.raises(ValueError):
             engine.add_round_hook(0, lambda eng, r: None)
+
+
+class TestRoundBoundaries:
+    """Where a round ends, in actions — recorded on ``backend="reference"``
+    at the commit before the engine's two loops became one."""
+
+    PARAMS = SFParams(view_size=12, d_low=2)
+
+    @pytest.mark.parametrize("backend", ["reference", "reference-kernel", "array"])
+    @pytest.mark.parametrize(
+        "join,leave,expected",
+        [
+            (3, 1, [60, 122, 186, 252, 320, 390]),
+            # Shorter and shorter rounds, and six of them is all that runs
+            # (the kernel path used to spend the action count of six
+            # *initial* rounds: 360 actions, 6.6 rounds).
+            (0, 2, [60, 118, 174, 228, 280, 330]),
+        ],
+    )
+    def test_hook_changes_the_population(self, backend, join, leave, expected):
+        protocol, engine = build_sf_system(
+            60, self.PARAMS, loss_rate=0.05, seed=11, backend=backend
+        )
+        fired = []
+        fresh = iter(range(60, 1000))
+
+        def hook(eng, _round):
+            fired.append(eng.stats.actions)
+            for _ in range(join):
+                protocol.add_node(next(fresh), protocol.node_ids()[:4])
+            for _ in range(leave):
+                protocol.remove_node(protocol.node_ids()[0])
+
+        engine.add_round_hook(1, hook)
+        engine.run_rounds(6)
+        assert fired == expected
+        assert engine.stats.actions == expected[-1]
+
+    def test_round_clock_accumulates_per_action(self):
+        # 1/300 added 180 000 times falls short of 600 by more than the
+        # 1e-12 slack, so each segment takes one more action to end — the
+        # per-action float sum decides that, and must keep deciding it.
+        _, engine = build_sf_system(300, self.PARAMS, loss_rate=0.05, seed=11)
+        engine.run_rounds(600)
+        assert engine.stats.actions == 180_001
+        engine.run_rounds(600)
+        assert engine.stats.actions == 360_002
+        assert repr(engine.rounds_completed) == "1200.0066666656078"
 
 
 class TestDefaults:

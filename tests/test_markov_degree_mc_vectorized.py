@@ -12,9 +12,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, lil_matrix
 
 from repro.core.params import SFParams
-from repro.markov.degree_mc import DegreeMarkovChain
+from repro.markov.degree_mc import DegreeMarkovChain, _Environment
 
 # (view_size, d_low, loss_rate, conserved_sum_degree)
 CONFIGS = [
@@ -26,37 +27,51 @@ CONFIGS = [
 ]
 
 
-def _solve_both(s, d_low, loss, dm):
-    results = {}
-    for method in DegreeMarkovChain.MATRIX_METHODS:
-        chain = DegreeMarkovChain(
+class LoopChain(DegreeMarkovChain):
+    """The oracle: the rate matrix from per-state loops over ``_transitions``."""
+
+    def _build_matrix(self, env: _Environment) -> csr_matrix:
+        n = len(self.states)
+        rates = lil_matrix((n, n))
+        outflow = np.zeros(n)
+        for i, state in enumerate(self.states):
+            for target, rate in self._transitions(state, env):
+                j = self._index[target]
+                if j == i:
+                    continue
+                rates[i, j] += rate
+                outflow[i] += rate
+        lam = float(outflow.max())
+        if lam <= 0.0:
+            raise RuntimeError("degenerate chain: no transitions anywhere")
+        transition = (rates.tocsr() / lam).tolil()
+        for i in range(n):
+            transition[i, i] = 1.0 - outflow[i] / lam
+        return transition.tocsr()
+
+
+def _chain_pair(s, d_low, loss, dm):
+    """The same chain with the vectorized builder and with the oracle."""
+    return tuple(
+        chain_type(
             SFParams(view_size=s, d_low=d_low),
             loss_rate=loss,
             conserved_sum_degree=dm,
-            matrix_method=method,
         )
-        results[method] = chain.solve(cache=False)
-    return results["vectorized"], results["loop"]
+        for chain_type in (DegreeMarkovChain, LoopChain)
+    )
+
+
+def _solve_both(s, d_low, loss, dm):
+    vec, loop = _chain_pair(s, d_low, loss, dm)
+    return vec.solve(cache=False), loop.solve(cache=False)
 
 
 class TestMatrixEquivalence:
     @pytest.mark.parametrize("s,d_low,loss,dm", CONFIGS)
     def test_matrices_identical(self, s, d_low, loss, dm):
-        vec = DegreeMarkovChain(
-            SFParams(view_size=s, d_low=d_low),
-            loss_rate=loss,
-            conserved_sum_degree=dm,
-            matrix_method="vectorized",
-        )
-        loop = DegreeMarkovChain(
-            SFParams(view_size=s, d_low=d_low),
-            loss_rate=loss,
-            conserved_sum_degree=dm,
-            matrix_method="loop",
-        )
+        vec, loop = _chain_pair(s, d_low, loss, dm)
         # Probe both a generic and a degenerate environment.
-        from repro.markov.degree_mc import _Environment
-
         for env in (
             _Environment(rate_per_instance=0.5 / s, p_dup_holder=0.01, p_full=0.01),
             _Environment(rate_per_instance=0.02, p_dup_holder=0.0, p_full=0.0),
@@ -108,12 +123,15 @@ class TestSolveEquivalence:
 class TestMatrixMethodOption:
     def test_default_is_vectorized(self):
         chain = DegreeMarkovChain(SFParams(view_size=12, d_low=2), 0.05)
-        assert chain.matrix_method == "vectorized"
+        env = _Environment(rate_per_instance=0.04, p_dup_holder=0.01, p_full=0.01)
+        chain._build_matrix(env)
+        assert chain._template is not None  # the template builder ran
 
     def test_invalid_method_rejected(self):
-        with pytest.raises(ValueError, match="matrix_method"):
+        # The option is gone: the vectorized builder is the only one.
+        with pytest.raises(TypeError, match="matrix_method"):
             DegreeMarkovChain(
-                SFParams(view_size=12, d_low=2), 0.05, matrix_method="magic"
+                SFParams(view_size=12, d_low=2), 0.05, matrix_method="loop"
             )
 
 

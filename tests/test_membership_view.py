@@ -10,6 +10,11 @@ Two properties, neither measured with a clock:
   it, ``members`` equals ``tuple(node_ids())`` (dict insertion order),
   ``population`` its length, and ``has_node`` agrees — for every
   protocol class, bare and under each wrapper.
+
+The same state machines hold the wrappers to the rest of what "drop-in"
+means: a wrapper's ``stats`` *is* the wrapped protocol's (so ``warm_up``
+resets the counters that count), and its ``params`` are the wrapped
+protocol's (so a default-sized ``ChurnProcess`` join brings ``dL`` ids).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.core.sandf import SendForget
 from repro.core.variants import SendForgetVariant
 from repro.engine.des import DiscreteEventEngine
 from repro.engine.sequential import SequentialEngine
-from repro.experiments.common import build_sf_system
+from repro.experiments.common import build_sf_system, warm_up
 from repro.failure.layer import FailureDetectorLayer
 from repro.net.loss import UniformLoss
 from repro.protocols.push import PushProtocol
@@ -82,9 +87,12 @@ def test_churn_still_drives_a_kernel_backend():
 # Staleness
 # ----------------------------------------------------------------------
 
+# dL above ChurnProcess's fallback bootstrap size of 2, so a wrapper that
+# hides ``params`` from it cannot join anyone.
+JOIN_PARAMS = SFParams(view_size=12, d_low=6)
 PROTOCOLS = {
-    "sandf": lambda: SendForget(PARAMS),
-    "variant": lambda: SendForgetVariant(PARAMS, mark_and_undelete=True),
+    "sandf": lambda: SendForget(JOIN_PARAMS),
+    "variant": lambda: SendForgetVariant(JOIN_PARAMS, mark_and_undelete=True),
     "push": lambda: PushProtocol(view_size=6),
     "pushpull": lambda: PushPullProtocol(view_size=6),
     "shuffle": lambda: ShuffleProtocol(view_size=6),
@@ -116,9 +124,10 @@ class MembershipMachine(RuleBasedStateMachine):
         self.des = DiscreteEventEngine(self.protocol, UniformLoss(0.1), seed=2)
 
     def _join(self, through, node_id):
-        # Two ids (S&F needs an even bootstrap of at least d_low); they may
-        # point at departed nodes, which is just more traffic to nowhere.
-        through.add_node(node_id, [(node_id + 1) % SEED_NODES, (node_id + 2) % SEED_NODES])
+        # Six ids (S&F needs an even bootstrap of at least d_low); they may
+        # repeat or point at departed nodes, which is just more traffic to
+        # nowhere.
+        through.add_node(node_id, [(node_id + k) % SEED_NODES for k in range(1, 7)])
         self.model.append(node_id)
         self.next_id = max(self.next_id, node_id + 1)
 
@@ -144,9 +153,26 @@ class MembershipMachine(RuleBasedStateMachine):
         self.departed.append(node_id)
 
     @precondition(lambda self: self.model)
+    @rule(seed=st.integers(0, 3))
+    def churn_join(self, seed):
+        """A join sized by ``ChurnProcess`` itself, from ``params.d_low``."""
+        node_id = ChurnProcess(self.protocol, 0.0, 0.0, seed=seed).join_one()
+        if node_id in self.departed:
+            self.departed.remove(node_id)
+        self.model.append(node_id)
+        self.next_id = max(self.next_id, node_id + 1)
+
+    @precondition(lambda self: self.model)
     @rule()
     def step(self):
         self.engine.step()
+
+    @precondition(lambda self: self.model)
+    @rule()
+    def warm_up_resets_the_counters(self):
+        self.engine.step()
+        warm_up(self.engine, 0.5)
+        assert self.inner.stats.actions == 0
 
     @rule(count=st.integers(1, 5))
     def run_des_events(self, count):
@@ -161,6 +187,10 @@ class MembershipMachine(RuleBasedStateMachine):
             assert protocol.population == len(ids)
             for node_id in range(self.next_id):
                 assert protocol.has_node(node_id) == (node_id in ids)
+
+    @invariant()
+    def wrapper_shares_the_counters(self):
+        assert self.protocol.stats is self.inner.stats
 
     def teardown(self):
         self.engine.stats.check_conservation()

@@ -135,9 +135,9 @@ def test_sandf_invariant_under_adversarial_loss(seed, loss_pattern):
         protocol.add_node(u, [(u + 1) % n, (u + 2) % n, (u + 3) % n, (u + 4) % n])
     rng = make_rng(seed)
     for step, lose in enumerate(loss_pattern):
-        message = protocol.initiate(step % n, rng)
-        if message is not None and not lose:
-            protocol.deliver(message, rng)
+        for effect in protocol.initiate_effects(step % n, rng):
+            if not lose:
+                protocol.deliver_effects(effect.message, rng)
     protocol.check_invariant()
 
 
@@ -153,9 +153,8 @@ def test_sandf_lossless_conserves_edges(seed):
     rng = make_rng(seed)
     initial_edges = sum(protocol.outdegree(u) for u in range(n))
     for step in range(400):
-        message = protocol.initiate(step % n, rng)
-        if message is not None:
-            protocol.deliver(message, rng)
+        for effect in protocol.initiate_effects(step % n, rng):
+            protocol.deliver_effects(effect.message, rng)
     # Views are far from full (≤ 6 ids vs s=20), so no deletions occur and
     # dL=0 means... dL=0 still allows duplication only at d=0, where no
     # action fires.  Hence edges are conserved exactly.

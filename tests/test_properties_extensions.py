@@ -41,9 +41,9 @@ def test_variant_bounds_under_any_configuration(seed, mark, replace, width, loss
         protocol.add_node(u, [(u + 1) % n, (u + 2) % n, (u + 3) % n, (u + 4) % n])
     rng = make_rng(seed)
     for step, lose in enumerate(loss_pattern):
-        message = protocol.initiate(step % n, rng)
-        if message is not None and not lose:
-            protocol.deliver(message, rng)
+        for effect in protocol.initiate_effects(step % n, rng):
+            if not lose:
+                protocol.deliver_effects(effect.message, rng)
     protocol.check_invariant()
     for u in range(n):
         assert 0 <= protocol.outdegree(u) <= params.view_size
@@ -61,9 +61,8 @@ def test_replace_on_full_never_classically_deletes(seed, steps):
         protocol.add_node(u, [(u + 1) % n, (u + 2) % n, (u + 3) % n, (u + 4) % n])
     rng = make_rng(seed)
     for step in range(steps):
-        message = protocol.initiate(step % n, rng)
-        if message is not None:
-            protocol.deliver(message, rng)
+        for effect in protocol.initiate_effects(step % n, rng):
+            protocol.deliver_effects(effect.message, rng)
     assert protocol.stats.deletions == 0
 
 

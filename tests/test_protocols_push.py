@@ -32,29 +32,32 @@ class TestPush:
         protocol.add_node(0, [1, 2, 3])
         protocol.add_node(1, [0])
         before = protocol.outdegree(0)
-        protocol.initiate(0, make_rng(0))
+        protocol.initiate_effects(0, make_rng(0))
         assert protocol.outdegree(0) == before
 
     def test_payload_includes_own_id(self):
         protocol = PushProtocol(view_size=8, gossip_length=2)
         protocol.add_node(0, [1, 2])
-        message = protocol.initiate(0, make_rng(0))
+        (effect,) = protocol.initiate_effects(0, make_rng(0))
+        message = effect.message
         assert message.payload[0][0] == 0
 
     def test_receiver_absorbs(self):
         protocol = PushProtocol(view_size=8, gossip_length=0)
         protocol.add_node(0, [1])
         protocol.add_node(1, [2])
-        message = protocol.initiate(0, make_rng(0))
-        protocol.deliver(message, make_rng(1))
+        (effect,) = protocol.initiate_effects(0, make_rng(0))
+        message = effect.message
+        protocol.deliver_effects(message, make_rng(1))
         assert 0 in protocol.view_of(1)
 
     def test_full_view_evicts(self):
         protocol = PushProtocol(view_size=2, gossip_length=0)
         protocol.add_node(0, [1])
         protocol.add_node(1, [2, 3])
-        message = protocol.initiate(0, make_rng(0))
-        protocol.deliver(message, make_rng(1))
+        (effect,) = protocol.initiate_effects(0, make_rng(0))
+        message = effect.message
+        protocol.deliver_effects(message, make_rng(1))
         assert protocol.outdegree(1) == 2
         assert 0 in protocol.view_of(1)
         assert protocol.stats.deletions >= 1
@@ -68,7 +71,7 @@ class TestPush:
     def test_empty_view_is_self_loop(self):
         protocol = PushProtocol(view_size=4)
         protocol.add_node(0, [])
-        assert protocol.initiate(0, make_rng(0)) is None
+        assert protocol.initiate_effects(0, make_rng(0)) == ()
 
     def test_never_stores_self_pointer(self):
         protocol, engine = make_system(loss=0.0, seed=2)

@@ -27,7 +27,8 @@ class TestPushPull:
     def test_request_pushes_own_id(self):
         protocol = PushPullProtocol(view_size=8)
         protocol.add_node(0, [1, 2])
-        message = protocol.initiate(0, make_rng(0))
+        (effect,) = protocol.initiate_effects(0, make_rng(0))
+        message = effect.message
         assert message.kind == "pushpull-request"
         assert message.payload == [(0, False)]
 
@@ -35,9 +36,10 @@ class TestPushPull:
         protocol = PushPullProtocol(view_size=8)
         protocol.add_node(0, [1])
         protocol.add_node(1, [2, 3])
-        request = protocol.initiate(0, make_rng(0))
-        reply = protocol.deliver(request, make_rng(1))
-        assert reply is not None
+        (sent,) = protocol.initiate_effects(0, make_rng(0))
+        (answer,) = protocol.deliver_effects(sent.message, make_rng(1))
+        assert answer.reply
+        reply = answer.message
         assert reply.kind == "pushpull-reply"
         assert reply.target == 0
 
@@ -46,9 +48,9 @@ class TestPushPull:
         protocol.add_node(0, [1])
         protocol.add_node(1, [2])
         protocol.add_node(2, [0])
-        request = protocol.initiate(0, make_rng(0))
-        reply = protocol.deliver(request, make_rng(1))
-        protocol.deliver(reply, make_rng(2))
+        (sent,) = protocol.initiate_effects(0, make_rng(0))
+        (answer,) = protocol.deliver_effects(sent.message, make_rng(1))
+        protocol.deliver_effects(answer.message, make_rng(2))
         # 0 pulled some id from 1's view.
         assert protocol.outdegree(0) >= 1
 
@@ -56,15 +58,15 @@ class TestPushPull:
         protocol = PushPullProtocol(view_size=8)
         protocol.add_node(0, [1, 2])
         before = dict(protocol.view_of(0))
-        protocol.initiate(0, make_rng(0))
+        protocol.initiate_effects(0, make_rng(0))
         assert dict(protocol.view_of(0)) == before
 
     def test_full_view_replacement(self):
         protocol = PushPullProtocol(view_size=2)
         protocol.add_node(0, [1])
         protocol.add_node(1, [2, 3])
-        request = protocol.initiate(0, make_rng(0))
-        protocol.deliver(request, make_rng(1))
+        (sent,) = protocol.initiate_effects(0, make_rng(0))
+        protocol.deliver_effects(sent.message, make_rng(1))
         assert protocol.outdegree(1) == 2
         assert 0 in protocol.view_of(1)
 
@@ -72,7 +74,7 @@ class TestPushPull:
         protocol = PushPullProtocol(view_size=4)
         protocol.add_node(0, [1])
         message = Message(sender=0, target=0, payload=[(0, False)], kind="pushpull-reply")
-        protocol.deliver(message, make_rng(0))
+        protocol.deliver_effects(message, make_rng(0))
         assert 0 not in protocol.view_of(0)
 
     def test_loss_degrades_to_push_only(self):
@@ -85,4 +87,4 @@ class TestPushPull:
     def test_empty_view_is_self_loop(self):
         protocol = PushPullProtocol(view_size=4)
         protocol.add_node(0, [])
-        assert protocol.initiate(0, make_rng(0)) is None
+        assert protocol.initiate_effects(0, make_rng(0)) == ()

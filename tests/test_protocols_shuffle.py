@@ -44,8 +44,8 @@ class TestExchange:
         protocol = ShuffleProtocol(view_size=8, shuffle_length=3)
         protocol.add_node(0, [1, 2, 3, 4])
         protocol.add_node(1, [0, 2])
-        message = protocol.initiate(0, make_rng(0))
-        assert message is not None
+        (effect,) = protocol.initiate_effects(0, make_rng(0))
+        message = effect.message
         # Target plus (shuffle_length - 1) payload ids left the view.
         assert protocol.outdegree(0) == 4 - len(message.payload)
 
@@ -53,7 +53,8 @@ class TestExchange:
         protocol = ShuffleProtocol(view_size=8)
         protocol.add_node(0, [1, 2])
         protocol.add_node(1, [0])
-        message = protocol.initiate(0, make_rng(0))
+        (effect,) = protocol.initiate_effects(0, make_rng(0))
+        message = effect.message
         assert message.payload[0][0] == 0
 
     def test_reply_round_trip_conserves_ids_without_loss(self):
@@ -79,7 +80,7 @@ class TestExchange:
     def test_isolated_node_is_self_loop(self):
         protocol = ShuffleProtocol(view_size=4)
         protocol.add_node(0, [])
-        assert protocol.initiate(0, make_rng(0)) is None
+        assert protocol.initiate_effects(0, make_rng(0)) == ()
 
     def test_never_stores_self_pointer(self):
         protocol, engine = make_system(loss=0.05, seed=4)
