@@ -72,20 +72,12 @@ def _make_runner(args: argparse.Namespace):
     checkpoint = None
     if args.checkpoint_dir:
         checkpoint = CheckpointStore(args.checkpoint_dir)
-    if getattr(args, "coordinate", False) and checkpoint is None:
-        raise SystemExit("--coordinate requires --checkpoint-dir")
-    kwargs = {}
-    lease_ttl = getattr(args, "lease_ttl", None)
-    if lease_ttl is not None:
-        kwargs["lease_ttl"] = lease_ttl
     return SweepRunner(
         jobs=_resolve_jobs(args.jobs),
         on_error=args.on_error,
         cell_timeout=args.cell_timeout,
         checkpoint=checkpoint,
-        executor=getattr(args, "executor", None),
-        coordinate=getattr(args, "coordinate", False),
-        **kwargs,
+        executor=args.executor,
     )
 
 
@@ -158,10 +150,7 @@ def _telemetry_summary(registry, runner=None) -> str:
         f" cpu={cpu:.2f}s"
     )
     if runner is not None and runner.last_stats.backend:
-        line += (
-            f" backend={runner.last_stats.backend}"
-            f" stolen={runner.last_stats.stolen_cells}"
-        )
+        line += f" backend={runner.last_stats.backend}"
     return line
 
 
@@ -500,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for the experiment's cell grid (default 1 = "
-        "serial; 0 = one per CPU, capped at 8, or the REPRO_JOBS env "
-        "override when set); results are identical at any value",
+        "serial; 0 = one per CPU, capped at 8); results are identical at "
+        "any value",
     )
     on_error_kwargs = dict(
         choices=["raise", "retry", "skip"],
@@ -515,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget; an overdue cell counts as failed "
-        "(pool path only, i.e. --jobs > 1)",
+        "(process executor only)",
     )
     checkpoint_kwargs = dict(
         default=None,
@@ -539,11 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     executor_kwargs = dict(
         choices=["auto", "inline", "process", "thread"],
         default="auto",
-        help="dispatch backend for sweep cells: 'auto' (default; inline at "
-        "--jobs 1, a process pool otherwise), 'inline' (this process), "
-        "'process' (ProcessPoolExecutor with deadline enforcement and "
-        "crash recovery), or 'thread' (ThreadPoolExecutor); results are "
-        "bit-identical on every backend",
+        help="where sweep cells run: 'auto' (default; inline at --jobs 1, "
+        "a process pool otherwise), 'inline' (this process), 'process' "
+        "(ProcessPoolExecutor with deadline enforcement and crash "
+        "recovery), or 'thread' (ThreadPoolExecutor); results are "
+        "bit-identical on every executor",
     )
     metrics_port_kwargs = dict(
         type=int,
@@ -552,20 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve live OpenMetrics at http://127.0.0.1:PORT/metrics and "
         "sweep progress JSON at /progress while the command runs (0 = "
         "pick a free port, printed to stderr); implies metrics collection",
-    )
-    coordinate_kwargs = dict(
-        action="store_true",
-        help="partition the grid with other dispatchers sharing the same "
-        "--checkpoint-dir: cells are leased before execution, peer results "
-        "adopted, and expired leases stolen (requires --checkpoint-dir)",
-    )
-    lease_ttl_kwargs = dict(
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds before a --coordinate lease from a dead dispatcher "
-        "may be stolen (default 300); must exceed the worst-case wall "
-        "time of one cell",
     )
 
     run_parser = sub.add_parser("run", help="run one experiment")
@@ -579,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--on-error", **on_error_kwargs)
     run_parser.add_argument("--cell-timeout", **cell_timeout_kwargs)
     run_parser.add_argument("--checkpoint-dir", **checkpoint_kwargs)
-    run_parser.add_argument("--coordinate", **coordinate_kwargs)
-    run_parser.add_argument("--lease-ttl", **lease_ttl_kwargs)
     run_parser.add_argument("--metrics-port", **metrics_port_kwargs)
     run_parser.add_argument(
         "--artifacts-dir",
@@ -629,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--on-error", **on_error_kwargs)
     report_parser.add_argument("--cell-timeout", **cell_timeout_kwargs)
     report_parser.add_argument("--checkpoint-dir", **checkpoint_kwargs)
-    report_parser.add_argument("--coordinate", **coordinate_kwargs)
-    report_parser.add_argument("--lease-ttl", **lease_ttl_kwargs)
     report_parser.add_argument("--metrics-port", **metrics_port_kwargs)
     report_parser.add_argument("--trace", **trace_kwargs)
     report_parser.add_argument("--metrics-out", **metrics_out_kwargs)

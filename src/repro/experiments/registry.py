@@ -17,8 +17,8 @@ hand-written CLI shim per experiment, each experiment module declares an
 
 Execution always goes through :class:`repro.runner.SweepRunner`, so
 *every* experiment — the analytic one-cell ones included — inherits
-``--jobs``, ``--on-error``, ``--cell-timeout``, and ``--checkpoint-dir``
-for free.  Registration is one decorator::
+``--jobs``, ``--executor``, ``--on-error``, ``--cell-timeout``, and
+``--checkpoint-dir`` for free.  Registration is one decorator::
 
     @experiment(
         "fig-9.9",
@@ -341,15 +341,15 @@ def run_cells(
     backend: Optional[str] = None,
     runner: Optional[SweepRunner] = None,
     jobs: Optional[int] = None,
-    executor: Optional[str] = None,
+    executor: str = "auto",
 ) -> List[Any]:
     """Run ``points`` through the spec's cell via a :class:`SweepRunner`.
 
     The building block behind :func:`execute`; legacy ``module.run()``
     wrappers with partial entry points call it directly with custom
     points.  Returns records in grid order (``None`` for skipped cells).
-    ``executor`` selects the dispatch backend when no preconfigured
-    ``runner`` is given (see :func:`repro.runner.backends.resolve_backend`).
+    ``executor`` (``auto``/``inline``/``process``/``thread``) selects
+    where cells run when no preconfigured ``runner`` is given.
     """
     spec = name_or_spec if isinstance(name_or_spec, ExperimentSpec) else get(
         name_or_spec
@@ -379,7 +379,7 @@ def execute(
     backend: Optional[str] = None,
     runner: Optional[SweepRunner] = None,
     jobs: Optional[int] = None,
-    executor: Optional[str] = None,
+    executor: str = "auto",
     points: Optional[Sequence[Any]] = None,
 ) -> Any:
     """Run one experiment end to end: grid → cells → aggregate.
@@ -387,7 +387,7 @@ def execute(
     ``points`` overrides the spec's ``grid(fast)`` (how the legacy
     ``module.run()`` wrappers express their keyword arguments).  A
     preconfigured ``runner`` (jobs, retries, ``on_error``, timeout,
-    checkpoint, executor, coordinate) overrides ``jobs``/``executor``.
+    checkpoint, executor) overrides ``jobs``/``executor``.
     """
     spec = name_or_spec if isinstance(name_or_spec, ExperimentSpec) else get(
         name_or_spec

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, Union
 
 #: Bump whenever the record envelope or an existing record type's fields
 #: change shape; every record embeds it.
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 
 class Tracer:

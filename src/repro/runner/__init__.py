@@ -1,23 +1,17 @@
 """Fault-tolerant parallel sweep-execution subsystem.
 
 * :mod:`repro.runner.sweep` — :class:`SweepRunner`: deterministic
-  (point × replication) grids with position-derived seeds, ordered
-  result collection, per-cell retries with exponential backoff,
-  ``on_error`` policies (``raise`` / ``retry`` / ``skip`` +
-  :class:`FailureReport`), per-cell timeouts, and BrokenProcessPool
-  recovery.
-* :mod:`repro.runner.backends` — :class:`ExecutionBackend`: the dispatch
-  seam.  :class:`InlineBackend` runs cells in-process,
-  :class:`ProcessPoolBackend` fans out over a process pool with the full
-  fault-tolerance machinery, and :class:`FuturesBackend` adapts any
-  ``concurrent.futures``-compatible executor — all bit-identical for
-  pure workers.
+  (point × replication) grids with position-derived seeds, run by one
+  dispatch loop over a stdlib executor (``inline`` / ``process`` /
+  ``thread`` — bit-identical for pure workers) with ordered result
+  collection, per-cell retries with exponential backoff, ``on_error``
+  policies (``raise`` / ``retry`` / ``skip`` + :class:`FailureReport`),
+  and, on the process executor, per-cell timeouts and
+  BrokenProcessPool recovery.
 * :mod:`repro.runner.checkpoint` — :class:`CheckpointStore`: an opt-in
   atomic on-disk journal of completed cells, so interrupted sweeps
-  resume bit-identically; with ``coordinate=True`` it doubles as the
-  lease-based coordination fabric that lets several dispatcher
-  processes partition one grid (:func:`gc_store` prunes entries the
-  current code can no longer resume from).
+  resume bit-identically (:func:`gc_store` prunes entries the current
+  code can no longer resume from).
 * :mod:`repro.runner.chaos` — :class:`ChaosWorker` / :class:`FaultSpec`:
   deterministic injection of exceptions, hangs, and process kills for
   exercising every recovery path without flakiness.
@@ -27,16 +21,9 @@ executes its point grid through this layer — ``registry.execute`` is
 grid → :meth:`SweepRunner.run` → aggregate — so all of them accept a
 ``jobs``/``runner=`` argument and inherit the CLI's failure knobs
 (``--jobs``, ``--executor``, ``--on-error``, ``--cell-timeout``,
-``--checkpoint-dir``, ``--coordinate``).
+``--checkpoint-dir``).
 """
 
-from repro.runner.backends import (
-    ExecutionBackend,
-    FuturesBackend,
-    InlineBackend,
-    ProcessPoolBackend,
-    resolve_backend,
-)
 from repro.runner.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointStats,
@@ -61,7 +48,6 @@ from repro.runner.sweep import (
     SweepStats,
     default_jobs,
     derive_seeds,
-    run_sweep,
 )
 
 __all__ = [
@@ -72,22 +58,16 @@ __all__ = [
     "ChaosWorker",
     "CheckpointStats",
     "CheckpointStore",
-    "ExecutionBackend",
     "FailureReport",
     "FaultSpec",
-    "FuturesBackend",
     "GCReport",
     "GridCell",
-    "InlineBackend",
     "PoolCrashError",
-    "ProcessPoolBackend",
     "SweepError",
     "SweepRunner",
     "SweepStats",
     "default_jobs",
     "derive_seeds",
     "gc_store",
-    "resolve_backend",
-    "run_sweep",
     "worker_token",
 ]

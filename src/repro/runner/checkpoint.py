@@ -1,4 +1,4 @@
-"""Checkpoint/resume journal and coordination fabric for sweep grids.
+"""Checkpoint/resume journal for sweep grids.
 
 A long sweep that dies 90% of the way through should not repeat the 90%.
 :class:`CheckpointStore` journals each completed cell's result to disk as
@@ -26,21 +26,6 @@ Only *successful* cells are journaled.  Failed, skipped, and timed-out
 cells are retried by the next run — exactly the semantics a resumable
 sweep wants.
 
-Beyond resume, the store doubles as the **coordination fabric** for
-multi-dispatcher sweeps (``SweepRunner(coordinate=True)``): per-cell
-*leases* — small JSON files created with ``O_CREAT | O_EXCL`` — let
-several dispatcher processes sharing one directory partition a grid
-without duplicating work.  :meth:`CheckpointStore.claim` either creates
-the lease (the caller owns the cell), refreshes a lease the caller
-already owns, steals a lease whose TTL expired (the previous dispatcher
-died), or reports the cell as held by a live peer.  Stealing replaces
-the lease atomically and re-reads it to confirm ownership; in the
-pathological race where several dispatchers steal the *same* stale lease
-within one read-modify window, more than one may briefly believe it won
-— harmless, because workers are pure and the journal write is atomic and
-value-identical, so the cost is one duplicated computation on an
-already-abandoned cell, never a wrong result.
-
 A fault-injection wrapper that merely perturbs *execution* (not the
 computed value) can set a ``checkpoint_token`` attribute naming the
 worker it wraps; :func:`worker_token` honors it, which is what lets a
@@ -49,9 +34,9 @@ with the plain worker.
 
 Like the solve cache, a checkpoint directory stores pickles this library
 itself produced; it is a private scratch directory, not an interchange
-format — do not point it at untrusted data.  :func:`gc_store` (also
-exposed as ``repro checkpoint-gc`` and ``tools/checkpoint_gc.py``)
-prunes entries the current code can no longer resume from.
+format — do not point it at untrusted data.  :func:`gc_store` (the
+``repro checkpoint-gc`` command) prunes entries the current code can no
+longer resume from.
 """
 
 from __future__ import annotations
@@ -62,10 +47,9 @@ import logging
 import os
 import pickle
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.obs import get_telemetry
 
@@ -80,9 +64,6 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 #: Name of the subdirectory corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
-
-#: Default seconds before an unrefreshed lease may be stolen.
-DEFAULT_LEASE_TTL = 300.0
 
 
 def worker_token(worker: Any) -> str:
@@ -134,7 +115,8 @@ class CheckpointStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.stats = CheckpointStats()
-        self._quarantine_logged = False
+        # Kinds of trouble already reported at WARNING (see _log_once).
+        self._warned: Set[str] = set()
 
     def cell_key(self, worker: Any, cell: "GridCell", context: Any) -> str:
         """SHA-256 content address of one (worker, cell, context) triple."""
@@ -213,118 +195,16 @@ class CheckpointStore:
             except BaseException:
                 os.unlink(temp_name)
                 raise
-        except OSError:
-            LOGGER.debug("checkpoint write failed for %s; continuing", key)
+        except OSError as exc:
+            self._log_once(
+                "write",
+                "checkpoint write to %s failed (errno %s: %s); the sweep "
+                "continues but is NOT being journaled",
+                self.directory, exc.errno, exc.strerror,
+            )
             return
         self.stats.writes += 1
         get_telemetry().inc("checkpoint.writes")
-
-    # -- per-cell leases (multi-dispatcher coordination) ---------------
-
-    def _lease_path(self, key: str) -> Path:
-        return self.directory / f"{key}.lease"
-
-    @staticmethod
-    def _read_lease(path: Path) -> Optional[Dict[str, Any]]:
-        """The lease record at ``path``, or ``None`` if absent/corrupt."""
-        try:
-            record = json.loads(path.read_text("utf-8"))
-        except (FileNotFoundError, OSError):
-            return None
-        except ValueError:
-            return {}  # corrupt: present but unparseable → treat as stale
-        return record if isinstance(record, dict) else {}
-
-    @staticmethod
-    def _lease_expired(record: Dict[str, Any]) -> bool:
-        try:
-            ts = float(record["ts"])
-            ttl = float(record["ttl"])
-        except (KeyError, TypeError, ValueError):
-            return True  # malformed lease: claimable
-        return time.time() - ts >= ttl
-
-    def _write_lease(self, path: Path, record: Dict[str, Any]) -> None:
-        fd, temp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
-    def claim(
-        self, key: str, owner: str, *, ttl: float = DEFAULT_LEASE_TTL
-    ) -> bool:
-        """Try to lease cell ``key`` for ``owner``; True when owned.
-
-        Exactly one of the dispatchers racing on a *fresh* cell wins (the
-        lease file is created with ``O_CREAT | O_EXCL``, which is atomic
-        on POSIX and Windows, including NFSv3+).  Re-claiming a lease the
-        caller already owns refreshes its timestamp and succeeds.  A
-        lease older than its ``ttl`` — or unparseable — is presumed
-        abandoned and stolen: replaced atomically, then re-read to
-        confirm this owner actually won any concurrent steal.
-        """
-        path = self._lease_path(key)
-        record = {
-            "owner": owner,
-            "pid": os.getpid(),
-            "ts": time.time(),
-            "ttl": float(ttl),
-        }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        except OSError:
-            return False  # unwritable store: never claim what we can't hold
-        else:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle)
-            return True
-        existing = self._read_lease(path)
-        if existing is None:
-            # Released between our O_EXCL failure and the read: recurse
-            # once — the O_EXCL path settles any race.
-            return self.claim(key, owner, ttl=ttl)
-        if existing.get("owner") == owner:
-            try:
-                self._write_lease(path, record)  # refresh
-            except OSError:
-                pass  # still ours; refresh is best-effort
-            return True
-        if not self._lease_expired(existing):
-            return False
-        try:
-            self._write_lease(path, record)
-        except OSError:
-            return False
-        confirmed = self._read_lease(path)
-        won = bool(confirmed) and confirmed.get("owner") == owner
-        if won:
-            LOGGER.info(
-                "stole expired lease %s from %r", key[:12],
-                existing.get("owner"),
-            )
-        return won
-
-    def release(self, key: str) -> None:
-        """Drop the lease on ``key`` (no-op when absent)."""
-        try:
-            self._lease_path(key).unlink()
-        except OSError:
-            pass
-
-    def lease_info(self, key: str) -> Optional[Dict[str, Any]]:
-        """The current lease record for ``key``, or ``None``."""
-        record = self._read_lease(self._lease_path(key))
-        return record or None
 
     # ------------------------------------------------------------------
 
@@ -339,25 +219,30 @@ class CheckpointStore:
             except OSError:
                 return
         get_telemetry().inc("checkpoint.quarantined")
-        if not self._quarantine_logged:
-            self._quarantine_logged = True
-            LOGGER.warning(
-                "quarantined corrupt checkpoint entry %s (%r); the cell will "
-                "be recomputed (further quarantines logged at DEBUG)",
-                path.name, exc,
-            )
-        else:
-            LOGGER.debug("quarantined corrupt checkpoint entry %s (%r)", path.name, exc)
+        self._log_once(
+            "quarantine",
+            "quarantined corrupt checkpoint entry %s (%r); the cell will be "
+            "recomputed",
+            path.name, exc,
+        )
+
+    def _log_once(self, kind: str, message: str, *args: Any) -> None:
+        """WARNING for the first event of ``kind``, DEBUG for the rest —
+        a whole grid hitting the same trouble says so once."""
+        if kind in self._warned:
+            LOGGER.debug(message, *args)
+            return
+        self._warned.add(kind)
+        LOGGER.warning(message + " (further ones logged at DEBUG)", *args)
 
     def clear(self) -> None:
-        """Delete every journal entry (and any leases)."""
+        """Delete every journal entry."""
         if self.directory.is_dir():
-            for pattern in ("*.pkl", "*.lease"):
-                for entry in self.directory.glob(pattern):
-                    try:
-                        entry.unlink()
-                    except OSError:
-                        pass
+            for entry in self.directory.glob("*.pkl"):
+                try:
+                    entry.unlink()
+                except OSError:
+                    pass
 
     def __len__(self) -> int:
         if not self.directory.is_dir():
@@ -379,8 +264,7 @@ class GCReport:
     reclaimed_bytes: int = 0
     dry_run: bool = False
     #: prune counts keyed by reason (``stale-schema``, ``unreadable``,
-    #: ``worker-mismatch``, ``orphan-tmp``, ``expired-lease``,
-    #: ``corrupt-lease``, ``quarantined``).
+    #: ``worker-mismatch``, ``orphan-tmp``, ``quarantined``).
     reasons: Dict[str, int] = field(default_factory=dict)
 
     def note(self, reason: str, size: int) -> None:
@@ -406,11 +290,9 @@ def gc_store(
       carry none and are pruned under a filter — conservative, since
       their producing worker cannot be verified);
     * orphaned ``*.tmp`` files from writers that died mid-write;
-    * expired or corrupt ``*.lease`` files;
     * everything under ``quarantine/`` (already judged corrupt).
 
-    Live leases and resumable entries are kept.  ``dry_run`` reports
-    without deleting.
+    Resumable entries are kept.  ``dry_run`` reports without deleting.
     """
     root = Path(directory)
     report = GCReport(dry_run=dry_run)
@@ -452,18 +334,6 @@ def gc_store(
     for path in sorted(root.glob("*.tmp")):
         report.scanned += 1
         _remove(path, "orphan-tmp")
-
-    for path in sorted(root.glob("*.lease")):
-        report.scanned += 1
-        record = CheckpointStore._read_lease(path)
-        if record is None:
-            continue  # vanished between glob and read
-        if not record:
-            _remove(path, "corrupt-lease")
-        elif CheckpointStore._lease_expired(record):
-            _remove(path, "expired-lease")
-        else:
-            report.kept += 1
 
     quarantine = root / QUARANTINE_DIR
     if quarantine.is_dir():

@@ -3,6 +3,7 @@
 Every sweep experiment in this repository has the same shape — a grid of
 parameter points, optionally replicated over independent seeds, with one
 pure worker call per cell.  :class:`SweepRunner` owns that shape once:
+grid → checkpoint hits → **one dispatch loop** → ordered results.
 
 * **grid construction** — cells are enumerated in deterministic order
   (points outer, replications inner) and each carries its flat index;
@@ -11,76 +12,79 @@ pure worker call per cell.  :class:`SweepRunner` owns that shape once:
   depend only on the cell's grid position, never on scheduling; an
   experiment that must preserve a historical derivation (e.g. the legacy
   ``seed + replication``) passes ``seed_fn`` instead;
-* **execution** — dispatch happens behind the
-  :class:`repro.runner.backends.ExecutionBackend` seam: ``jobs <= 1``
-  selects the inline backend (no pickling requirement, zero overhead),
-  ``jobs > 1`` a :class:`~concurrent.futures.ProcessPoolExecutor`
-  backend, and ``executor=`` forces any backend (``"inline"``,
-  ``"process"``, ``"thread"``, or an
-  :class:`~repro.runner.backends.ExecutionBackend` instance);
+* **execution** — one loop submits cells to a stdlib
+  :class:`concurrent.futures.Executor` and settles them as they finish.
+  ``executor`` names which one: ``"process"``
+  (:class:`~concurrent.futures.ProcessPoolExecutor`), ``"thread"``
+  (:class:`~concurrent.futures.ThreadPoolExecutor`), ``"inline"`` (a
+  synchronous in-process executor: no pickling requirement), or
+  ``"auto"`` (inline at ``jobs <= 1``, process otherwise);
 * **ordered collection** — results are returned in grid order regardless
-  of completion order, which is what makes every backend, at any
+  of completion order, which is what makes every executor, at any
   parallelism, bit-identical for pure workers;
 * **hooks** — an optional ``progress`` callback fires per settled cell
   (in completion order) and a ``repro.runner`` logger records timing.  A
   hook that raises is logged at WARNING and never aborts the sweep.
 
 The paper this repository reproduces is about correctness *under loss*;
-the runner applies the same stance to its own execution:
+the runner applies the same stance to its own execution, and because
+there is one loop every policy below is written exactly once:
 
 * **retries with exponential backoff** — a failed cell is re-executed up
-  to ``max_retries`` times, delayed ``backoff_base · backoff_factor^k``
-  seconds (capped at ``backoff_max``).  Because a pure worker's result is
-  a function of its cell alone, a retried cell's result is bit-identical
-  to a first-try result.
-* **an ``on_error`` policy** — ``"raise"`` (default, the historical
-  fail-fast behavior), ``"retry"`` (retry, then raise), or ``"skip"``
-  (retry, then record a :class:`FailureReport` and yield ``None`` for
-  that cell instead of poisoning the whole grid).
-* **per-cell timeouts** (deadline-capable backends only) — a cell
-  running longer than ``cell_timeout`` seconds is treated as failed: the
-  pool is rebuilt (killing the hung worker), innocent in-flight cells
-  are requeued uncharged, and the overdue cell is retried/skipped/raised
-  per policy.
+  to ``max_retries`` times, delayed ``backoff_base · BACKOFF_FACTOR^k``
+  seconds (capped at ``BACKOFF_MAX``); it waits out the delay in the
+  loop's retry heap while other cells run.  Because a pure worker's
+  result is a function of its cell alone, a retried cell's result is
+  bit-identical to a first-try result.
+* **an ``on_error`` policy** — ``"raise"`` (default, fail fast),
+  ``"retry"`` (retry, then raise), or ``"skip"`` (retry, then record a
+  :class:`FailureReport` and yield ``None`` for that cell instead of
+  poisoning the whole grid).
+* **per-cell timeouts** (process executor only — nothing else can kill a
+  running call) — a cell running longer than ``cell_timeout`` seconds is
+  treated as failed: the pool is rebuilt (killing the hung worker),
+  innocent in-flight cells are requeued uncharged, and the overdue cell
+  is retried/skipped/raised per policy.
 * **BrokenProcessPool recovery** — an OOM-killed or crashed worker
-  process no longer discards completed results: the pool is rebuilt (at
-  most ``max_pool_rebuilds`` times per run) and in-flight cells are
-  requeued, each at most ``crash_retries`` times, since the crashed cell
+  process does not discard completed results: the pool is rebuilt (at
+  most ``MAX_POOL_REBUILDS`` times per run) and in-flight cells are
+  requeued, each at most ``max_retries`` times, since the crashed cell
   cannot be told apart from its in-flight neighbors.
 * **checkpoint/resume** — with a :class:`repro.runner.CheckpointStore`,
   every completed cell is journaled atomically as it lands; a re-run of
   the same grid loads journaled cells instead of recomputing them, so an
   interrupted sweep resumes where it died with bit-identical output.
-* **multi-dispatcher work stealing** — with ``coordinate=True`` (and a
-  checkpoint store), the store doubles as a coordination fabric:
-  dispatchers claim per-cell leases before executing, adopt journaled
-  results written by their peers, and steal expired leases from dead
-  dispatchers, so several ``repro run`` processes sharing one
-  ``--checkpoint-dir`` partition a grid without duplicating work.
 
-Workers submitted to out-of-process backends must be module-level
-callables (or picklable callable objects) and their arguments picklable
-— the standard multiprocessing constraint.
+Workers submitted to the process executor must be module-level callables
+(or picklable callable objects) and their arguments picklable — the
+standard multiprocessing constraint.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import os
 import time
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import get_telemetry
-from repro.runner.backends import (
-    CellTimeout,
-    ExecutionBackend,
-    PoolCrashError,
-    _CellState,
-    resolve_backend,
-)
+from repro.obs.profile import phase
+from repro.obs.worker import MeteredResult, MeteredWorker
 from repro.runner.checkpoint import CheckpointStore, worker_token
 
 __all__ = [
@@ -93,8 +97,8 @@ __all__ = [
     "SweepRunner",
     "default_jobs",
     "derive_seeds",
-    "run_sweep",
     "ON_ERROR_POLICIES",
+    "EXECUTORS",
 ]
 
 LOGGER = logging.getLogger("repro.runner")
@@ -109,9 +113,17 @@ ProgressHook = Callable[["GridCell", Any, int, int], None]
 #: Valid ``on_error`` policies.
 ON_ERROR_POLICIES = ("raise", "retry", "skip")
 
-#: How long a coordinated dispatcher sleeps between polls of cells whose
-#: leases are held by a live peer.
-_STEAL_POLL = 0.1
+#: Valid ``executor`` names.
+EXECUTORS = ("auto", "inline", "process", "thread")
+
+#: Retry ``k`` waits ``backoff_base * BACKOFF_FACTOR**(k-1)`` seconds ...
+BACKOFF_FACTOR = 2.0
+
+#: ... capped at this many seconds.
+BACKOFF_MAX = 30.0
+
+#: Worker-process crashes survived per run before :class:`PoolCrashError`.
+MAX_POOL_REBUILDS = 5
 
 
 @dataclass(frozen=True)
@@ -155,10 +167,8 @@ class FailureReport:
 class SweepStats:
     """Execution counters for the most recent :meth:`SweepRunner.run`.
 
-    ``backend`` names the :class:`ExecutionBackend` that dispatched the
-    run; ``stolen_cells`` counts cells this dispatcher executed after
-    stealing another dispatcher's released or expired lease
-    (``coordinate=True`` only).
+    ``backend`` names the executor that ran the sweep (``inline``,
+    ``process`` or ``thread``).
     """
 
     total: int = 0
@@ -168,7 +178,6 @@ class SweepStats:
     skipped: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
-    stolen_cells: int = 0
     backend: str = ""
 
 
@@ -186,27 +195,18 @@ class SweepError(RuntimeError):
         self.attempts = attempts
 
 
-def default_jobs() -> int:
-    """A reasonable ``jobs`` for "use the machine".
+class CellTimeout(RuntimeError):
+    """A cell exceeded ``cell_timeout``; raised parent-side, never in the worker."""
 
-    Honors a positive-integer ``REPRO_JOBS`` environment override
-    (operators pinning sweep width fleet-wide); ``0``, unset, or
-    non-numeric values fall through to the default of CPU count capped
-    at 8 (beyond 8 the per-process import and pickling overhead beats
-    the marginal speedup for this repository's cell sizes).
-    """
-    override = os.environ.get("REPRO_JOBS", "").strip()
-    if override:
-        try:
-            value = int(override)
-        except ValueError:
-            LOGGER.warning(
-                "ignoring non-integer REPRO_JOBS=%r; using the CPU default",
-                override,
-            )
-        else:
-            if value > 0:
-                return value
+
+class PoolCrashError(RuntimeError):
+    """The process pool crashed more than ``MAX_POOL_REBUILDS`` times."""
+
+
+def default_jobs() -> int:
+    """A reasonable ``jobs`` for "use the machine": CPU count capped at 8
+    (beyond 8 the per-process import and pickling overhead beats the
+    marginal speedup for this repository's cell sizes)."""
     return min(os.cpu_count() or 1, 8)
 
 
@@ -225,54 +225,99 @@ def derive_seeds(
     return [int(child.generate_state(2, np.uint64)[0]) for child in children]
 
 
+class _CellState:
+    """Per-cell failure bookkeeping (attempts, crashes, errors, wall time)."""
+
+    __slots__ = ("attempts", "crashes", "errors", "elapsed", "submitted")
+
+    def __init__(self) -> None:
+        self.attempts = 0  # worker raises + timeouts
+        self.crashes = 0   # pool crashes while in flight (blame uncertain)
+        self.errors: List[str] = []
+        self.elapsed = 0.0
+        self.submitted = 0.0
+
+    def charged(self) -> int:
+        return self.attempts + self.crashes
+
+
+class _InlineExecutor(Executor):
+    """Runs each call inside ``submit``, in the calling thread.
+
+    The future comes back already settled, so the dispatch loop treats
+    an in-process serial sweep exactly like a pooled one.  Only
+    ``Exception`` is captured; ``KeyboardInterrupt`` propagates.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _open_executor(kind: str, max_workers: int) -> Executor:
+    if kind == "process":
+        return ProcessPoolExecutor(max_workers=max_workers)
+    if kind == "thread":
+        return ThreadPoolExecutor(max_workers=max_workers)
+    return _InlineExecutor()
+
+
+def _close_executor(executor: Executor) -> None:
+    """Shut down without waiting on in-flight work; kill pool processes
+    (one of them may be hung past its deadline)."""
+    # shutdown() forgets the pool's processes, so list them first.
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+
+
+def _phased(worker: SweepWorker, cell: GridCell, context: Any) -> Any:
+    """An in-process cell call, timed as ``phase.cell_run``."""
+    with phase("cell_run"):
+        return worker(cell, context)
+
+
+#: The retry heap: ``(ready_at, cell index, cell)``.
+_RetryHeap = List[Tuple[float, int, GridCell]]
+
+
 class SweepRunner:
-    """Run a sweep worker over a parameter grid on a pluggable backend.
+    """Run a sweep worker over a parameter grid, on one dispatch loop.
 
     Args:
         jobs: worker parallelism; ``None`` or ``<= 1`` selects the inline
-            backend under ``executor="auto"``.  (Use :func:`default_jobs`
+            executor under ``executor="auto"``.  (Use :func:`default_jobs`
             for "all the machine".)
         progress: optional per-settled-cell hook
             ``progress(cell, result, done, total)``; exceptions it raises
             are logged and swallowed.
-        on_error: ``"raise"`` fails fast on the first worker error (the
-            historical behavior); ``"retry"`` retries each failing cell up
-            to ``max_retries`` times and raises if it still fails;
-            ``"skip"`` retries likewise but then records a
-            :class:`FailureReport` and leaves ``None`` in that cell's slot.
+        on_error: ``"raise"`` fails fast on the first worker error;
+            ``"retry"`` retries each failing cell up to ``max_retries``
+            times and raises if it still fails; ``"skip"`` retries
+            likewise but then records a :class:`FailureReport` and leaves
+            ``None`` in that cell's slot.
         max_retries: extra executions granted per cell after its first
-            failure (total attempts = ``max_retries + 1``).
+            failure (total attempts = ``max_retries + 1``).  A cell in
+            flight during a pool crash is requeued under the same budget;
+            beyond it the cell is handled per ``on_error``.
         backoff_base: delay before the first retry, in seconds; retry
-            ``k`` waits ``backoff_base * backoff_factor**(k-1)``.
-        backoff_factor: exponential backoff multiplier.
-        backoff_max: upper bound on any single backoff delay.
+            ``k`` waits ``backoff_base * BACKOFF_FACTOR**(k-1)``, capped
+            at ``BACKOFF_MAX``.
         cell_timeout: wall-clock budget per cell execution, in seconds.
-            Enforced only by deadline-capable backends (the process
-            pool) — a hung worker is killed by rebuilding the pool and
-            the cell is handled per ``on_error``; other backends ignore
-            the setting with a warning (nothing can preempt the call).
+            Enforced only on the process executor — a hung worker is
+            killed by rebuilding the pool and the cell is handled per
+            ``on_error``; the others ignore the setting with a warning
+            (nothing can preempt the call).
         checkpoint: optional :class:`repro.runner.CheckpointStore`; every
             completed cell is journaled and journaled cells are loaded
             instead of executed on re-runs.
-        max_pool_rebuilds: how many worker-process crashes to survive per
-            run before raising :class:`PoolCrashError`.
-        crash_retries: requeues granted to a cell that was in flight
-            during a pool crash (defaults to ``max_retries``); beyond it
-            the cell is handled per ``on_error``.
-        executor: backend selector — ``"auto"`` (default; inline at
-            ``jobs <= 1``, process pool otherwise), ``"inline"``,
-            ``"process"``, ``"thread"``, or an
-            :class:`~repro.runner.backends.ExecutionBackend` instance.
-        coordinate: share the grid with other dispatchers running
-            against the same checkpoint store: cells are claimed via
-            per-cell leases before execution, peer-journaled results are
-            adopted, and expired leases are stolen.  Requires
-            ``checkpoint``.
-        lease_ttl: seconds before an unrefreshed lease is considered
-            abandoned and may be stolen by another dispatcher.  Must
-            exceed the worst-case wall time of one cell (including
-            retries); too small risks duplicated work, too large delays
-            recovery from a dead dispatcher.
+        executor: ``"auto"`` (default; inline at ``jobs <= 1``, process
+            otherwise), ``"inline"``, ``"process"`` or ``"thread"``.
 
     After :meth:`run`, :attr:`last_failures` holds the run's
     :class:`FailureReport` list and :attr:`last_stats` its
@@ -287,15 +332,9 @@ class SweepRunner:
         on_error: str = "raise",
         max_retries: int = 2,
         backoff_base: float = 0.1,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 30.0,
         cell_timeout: Optional[float] = None,
         checkpoint: Optional[CheckpointStore] = None,
-        max_pool_rebuilds: int = 5,
-        crash_retries: Optional[int] = None,
-        executor: Union[None, str, ExecutionBackend] = None,
-        coordinate: bool = False,
-        lease_ttl: float = 300.0,
+        executor: str = "auto",
     ):
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(
@@ -305,42 +344,25 @@ class SweepRunner:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
-        if max_pool_rebuilds < 0:
+        if executor not in EXECUTORS:
             raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
+                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
-        if coordinate and checkpoint is None:
-            raise ValueError(
-                "coordinate=True requires a checkpoint store — the store is "
-                "the coordination fabric (leases + result journal)"
-            )
-        if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.jobs = 1 if jobs is None else max(1, int(jobs))
         self.progress = progress
         self.on_error = on_error
         self.max_retries = max_retries
         self.backoff_base = max(0.0, backoff_base)
-        self.backoff_factor = max(1.0, backoff_factor)
-        self.backoff_max = max(0.0, backoff_max)
         self.cell_timeout = cell_timeout
         self.checkpoint = checkpoint
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.crash_retries = max_retries if crash_retries is None else crash_retries
         self.executor = executor
-        self.coordinate = coordinate
-        self.lease_ttl = lease_ttl
         self.last_failures: List[FailureReport] = []
         self.last_stats = SweepStats()
         # Worker-process metric snapshots, keyed by cell index; merged into
         # the parent registry in index order at the end of run() so the
         # aggregate is deterministic at any jobs count.
         self._worker_metrics: Dict[int, Dict[str, Any]] = {}
-        # Lease keys held while coordinating, keyed by cell index;
-        # released as each cell settles (and wholesale on exit).
-        self._held_leases: Dict[int, str] = {}
         self._worker_token: Optional[str] = None
-        self._lease_owner: Optional[str] = None
 
     def run(
         self,
@@ -364,16 +386,17 @@ class SweepRunner:
         described in :attr:`last_failures`.  Raises :class:`SweepError`
         when a cell fails terminally under ``"raise"``/``"retry"``, and
         :class:`PoolCrashError` when worker processes crash more than
-        ``max_pool_rebuilds`` times.
+        ``MAX_POOL_REBUILDS`` times.
         """
         if replications <= 0:
             raise ValueError(f"replications must be positive, got {replications}")
-        backend = resolve_backend(self.executor, self.jobs)
+        kind = self.executor
+        if kind == "auto":
+            kind = "inline" if self.jobs <= 1 else "process"
         cells = self._build_cells(points, replications, seed, seed_fn)
         self.last_failures = []
-        self.last_stats = SweepStats(total=len(cells), backend=backend.name)
+        self.last_stats = SweepStats(total=len(cells), backend=kind)
         self._worker_metrics = {}
-        self._held_leases = {}
         if not cells:
             return []
         tel = get_telemetry()
@@ -385,37 +408,28 @@ class SweepRunner:
             replications=replications,
             jobs=self.jobs,
             on_error=self.on_error,
-            executor=backend.name,
+            executor=kind,
         )
         LOGGER.debug(
             "sweep start: %d points x %d replications, jobs=%d, on_error=%s, "
             "executor=%s",
-            len(points), replications, self.jobs, self.on_error, backend.name,
+            len(points), replications, self.jobs, self.on_error, kind,
         )
         results: List[Any] = [None] * len(cells)
         keys: Dict[int, str] = {}
         to_run = self._resume_from_checkpoint(worker, cells, context, results, keys)
-        done = len(cells) - len(to_run)
         if self.last_stats.resumed:
             LOGGER.info(
                 "resumed %d/%d cells from checkpoint",
                 self.last_stats.resumed, len(cells),
             )
         if to_run:
-            if self.coordinate:
-                self._run_coordinated(
-                    backend, worker, to_run, context, results, len(cells), keys
-                )
-            else:
-                backend.run_cells(
-                    self, worker, to_run, context, results, done, len(cells), keys
-                )
+            self._dispatch(kind, worker, to_run, context, results, keys)
         elapsed = time.perf_counter() - start
         self._finish_telemetry(tel, elapsed)
         LOGGER.debug(
-            "sweep done: %d cells (%d resumed, %d skipped, %d stolen) in %.3fs",
-            len(cells), self.last_stats.resumed, self.last_stats.skipped,
-            self.last_stats.stolen_cells, elapsed,
+            "sweep done: %d cells (%d resumed, %d skipped) in %.3fs",
+            len(cells), self.last_stats.resumed, self.last_stats.skipped, elapsed,
         )
         return results
 
@@ -430,27 +444,26 @@ class SweepRunner:
         stats = self.last_stats
         return {
             "total": stats.total,
-            "done": stats.resumed + stats.completed + stats.skipped,
+            "done": self._settled(),
             "completed": stats.completed,
             "resumed": stats.resumed,
             "retries": stats.retries,
             "skipped": stats.skipped,
             "timeouts": stats.timeouts,
             "pool_rebuilds": stats.pool_rebuilds,
-            "stolen_cells": stats.stolen_cells,
             "backend": stats.backend,
             "failures": len(self.last_failures),
         }
 
     def _finish_telemetry(self, tel, elapsed: float) -> None:
         """Merge worker snapshots and mirror the run's stats (end of run)."""
+        stats = self.last_stats
         if tel.metrics_on:
             # Index order, not completion order: merge_snapshot arithmetic
             # is commutative for counters/histograms but gauges are
             # last-writer-wins, so a fixed order keeps them deterministic.
             for index in sorted(self._worker_metrics):
                 tel.registry.merge_snapshot(self._worker_metrics[index])
-            stats = self.last_stats
             tel.inc("sweep.cells", stats.total)
             tel.inc("sweep.completed", stats.completed)
             tel.inc("sweep.resumed", stats.resumed)
@@ -458,17 +471,15 @@ class SweepRunner:
             tel.inc("sweep.skipped", stats.skipped)
             tel.inc("sweep.timeouts", stats.timeouts)
             tel.inc("sweep.pool_rebuilds", stats.pool_rebuilds)
-            tel.inc("sweep.stolen_cells", stats.stolen_cells)
         tel.event(
             "sweep.end",
-            cells=self.last_stats.total,
-            completed=self.last_stats.completed,
-            resumed=self.last_stats.resumed,
-            retries=self.last_stats.retries,
-            skipped=self.last_stats.skipped,
-            timeouts=self.last_stats.timeouts,
-            pool_rebuilds=self.last_stats.pool_rebuilds,
-            stolen=self.last_stats.stolen_cells,
+            cells=stats.total,
+            completed=stats.completed,
+            resumed=stats.resumed,
+            retries=stats.retries,
+            skipped=stats.skipped,
+            timeouts=stats.timeouts,
+            pool_rebuilds=stats.pool_rebuilds,
             duration_s=round(elapsed, 6),
         )
 
@@ -524,135 +535,273 @@ class SweepRunner:
         self._worker_token = worker_token(worker)
         tel = get_telemetry()
         to_run: List[GridCell] = []
-        resumed: List[GridCell] = []
         for cell in cells:
             key = self.checkpoint.cell_key(worker, cell, context)
             keys[cell.index] = key
             hit, value = self.checkpoint.load(key)
-            if hit:
-                results[cell.index] = value
-                resumed.append(cell)
-                if tel.tracing_on:
-                    tel.event("checkpoint.hit", index=cell.index)
-                    self._emit_cell_end(cell, "resumed", 0.0)
-            else:
+            if not hit:
                 to_run.append(cell)
-        self.last_stats.resumed = len(resumed)
-        for done, cell in enumerate(resumed, start=1):
-            self._notify(cell, results[cell.index], done, len(cells))
+                continue
+            results[cell.index] = value
+            self.last_stats.resumed += 1
+            if tel.tracing_on:
+                tel.event("checkpoint.hit", index=cell.index)
+                self._emit_cell_end(cell, "resumed", 0.0)
+            self._notify(cell, value)
         return to_run
 
-    # -- multi-dispatcher coordination ---------------------------------
+    # -- the dispatch loop ---------------------------------------------
+
+    def _dispatch(
+        self,
+        kind: str,
+        worker: SweepWorker,
+        cells: List[GridCell],
+        context: Any,
+        results: List[Any],
+        keys: Dict[int, str],
+    ) -> None:
+        """Run ``cells`` on the ``kind`` executor, settling each per policy.
+
+        One loop for every executor: submit up to ``width`` cells, wait
+        for the first to finish (or for a deadline or retry to fall
+        due), settle what finished.  Whether the executor is the process
+        pool is the single fact that turns on metric snapshots from the
+        workers and per-cell deadlines.
+        """
+        pooled = kind == "process"
+        deadline = self.cell_timeout if pooled else None
+        if self.cell_timeout is not None and not pooled:
+            LOGGER.warning(
+                "cell_timeout is not enforced by the %s executor; "
+                "running without deadlines", kind,
+            )
+        # Outstanding submissions are capped at the worker count: in-flight
+        # cells are then (almost) the running set, which keeps the blame
+        # set small when the pool crashes.  The inline executor runs a
+        # cell inside submit(), so a cap of one keeps it serial — a
+        # fail-fast error stops the sweep before any later cell runs.
+        width = 1 if kind == "inline" else min(self.jobs, len(cells))
+        tel = get_telemetry()
+        if not pooled:
+            call: SweepWorker = partial(_phased, worker)
+        elif tel.metrics_on:
+            # The parent registry is unreachable from a worker process;
+            # ship a snapshot back and merge it deterministically later.
+            call = MeteredWorker(worker)
+        else:
+            call = worker
+        pending: Deque[GridCell] = deque(cells)
+        waiting: _RetryHeap = []
+        states = {cell.index: _CellState() for cell in cells}
+        inflight: Dict[Future, GridCell] = {}
+        executor = _open_executor(kind, width)
+        try:
+            while pending or waiting or inflight:
+                now = time.monotonic()
+                while waiting and waiting[0][0] <= now:
+                    pending.append(heapq.heappop(waiting)[2])
+                try:
+                    while pending and len(inflight) < width:
+                        cell = pending[0]
+                        states[cell.index].submitted = time.monotonic()
+                        inflight[executor.submit(call, cell, context)] = cell
+                        pending.popleft()
+                    if not inflight:
+                        # Everything left is waiting out a retry backoff.
+                        time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
+                        continue
+                    finished, _ = wait(
+                        inflight,
+                        timeout=self._wait_timeout(
+                            deadline, waiting, inflight, states
+                        ),
+                        return_when=FIRST_COMPLETED,
+                    )
+                    for future in finished:
+                        self._settle(future, inflight, states, waiting, results, keys)
+                    rebuild = deadline is not None and self._expire_overdue(
+                        deadline, inflight, states, pending, waiting
+                    )
+                except BrokenExecutor as crash:
+                    # A worker process died: the pool fails every in-flight
+                    # future with this and refuses new submissions.
+                    self.last_stats.pool_rebuilds += 1
+                    rebuilds = self.last_stats.pool_rebuilds
+                    tel.event("pool.rebuild", reason="crash")
+                    LOGGER.warning(
+                        "worker process died (%r); rebuilding pool (%d/%d), "
+                        "requeueing %d in-flight cell(s); %d completed result(s) kept",
+                        crash, rebuilds, MAX_POOL_REBUILDS, len(inflight),
+                        self.last_stats.completed,
+                    )
+                    if rebuilds > MAX_POOL_REBUILDS:
+                        raise PoolCrashError(
+                            f"process pool crashed {rebuilds} times "
+                            f"(MAX_POOL_REBUILDS={MAX_POOL_REBUILDS}); "
+                            f"last crash: {crash!r}"
+                        ) from crash
+                    self._settle_crashed(crash, inflight, states, pending)
+                    rebuild = True
+                if rebuild:
+                    # Closing the old pool is what kills a hung worker.
+                    _close_executor(executor)
+                    executor = _open_executor(kind, width)
+        finally:
+            _close_executor(executor)
+
+    def _settle(
+        self,
+        future: Future,
+        inflight: Dict[Future, GridCell],
+        states: Dict[int, _CellState],
+        waiting: _RetryHeap,
+        results: List[Any],
+        keys: Dict[int, str],
+    ) -> None:
+        """Settle one finished future: record its result, or retry/skip/
+        raise per policy.  A dead pool's ``BrokenExecutor`` propagates,
+        leaving the cell in ``inflight`` for the crash handler."""
+        failure: Optional[Exception] = None
+        try:
+            result = future.result()
+        except BrokenExecutor:
+            raise
+        except Exception as exc:
+            failure = exc
+        cell = inflight.pop(future)
+        state = states[cell.index]
+        state.elapsed += time.monotonic() - state.submitted
+        if failure is not None:
+            if self._handle_failure(cell, failure, state, waiting):
+                self._notify(cell, None)
+            return
+        if isinstance(result, MeteredResult):
+            self._worker_metrics[cell.index] = result.metrics
+            result = result.value
+        self._record_success(cell, result, results, keys)
+        self._emit_cell_end(cell, "ok", state.elapsed)
+        self._notify(cell, result)
+
+    @staticmethod
+    def _wait_timeout(
+        deadline: Optional[float],
+        waiting: _RetryHeap,
+        inflight: Dict[Future, GridCell],
+        states: Dict[int, _CellState],
+    ) -> Optional[float]:
+        """How long ``wait`` may block before a deadline or retry is due."""
+        due = []
+        if deadline is not None:
+            due.append(
+                min(states[cell.index].submitted for cell in inflight.values())
+                + deadline
+            )
+        if waiting:
+            due.append(waiting[0][0])
+        if not due:
+            return None
+        return max(0.0, min(due) - time.monotonic()) + 0.01
+
+    def _settle_crashed(
+        self,
+        crash: BaseException,
+        inflight: Dict[Future, GridCell],
+        states: Dict[int, _CellState],
+        pending: Deque[GridCell],
+    ) -> None:
+        """Requeue or settle every cell that was in flight during a crash.
+
+        The crashed cell cannot be told apart from its in-flight
+        neighbors, so each gets a crash charge; a cell over its
+        ``max_retries`` budget is settled per ``on_error``.
+        """
+        now = time.monotonic()
+        for cell in inflight.values():
+            state = states[cell.index]
+            state.crashes += 1
+            state.elapsed += now - state.submitted
+            state.errors.append(repr(crash))
+            if state.crashes <= self.max_retries:
+                pending.append(cell)
+            elif self.on_error == "skip":
+                self._skip(cell, state)
+                self._notify(cell, None)
+            else:
+                raise SweepError(cell, crash, attempts=state.charged()) from crash
+        inflight.clear()
+
+    def _expire_overdue(
+        self,
+        deadline: float,
+        inflight: Dict[Future, GridCell],
+        states: Dict[int, _CellState],
+        pending: Deque[GridCell],
+        waiting: _RetryHeap,
+    ) -> bool:
+        """Fail every in-flight cell over its deadline; True if any was.
+
+        A running task cannot be cancelled, so the caller then rebuilds
+        the pool: the overdue cells are charged a timeout attempt and
+        retried/skipped/raised per policy, while the other in-flight
+        cells are requeued uncharged.
+        """
+        now = time.monotonic()
+        overdue = {
+            cell.index
+            for future, cell in inflight.items()
+            if not future.done() and now - states[cell.index].submitted >= deadline
+        }
+        if not overdue:
+            return False
+        self.last_stats.timeouts += len(overdue)
+        tel = get_telemetry()
+        if tel.tracing_on:
+            tel.event("pool.rebuild", reason="timeout")
+            for index in sorted(overdue):
+                tel.event(
+                    "cell.timeout",
+                    index=index,
+                    elapsed_s=round(now - states[index].submitted, 6),
+                )
+        LOGGER.warning(
+            "%d cell(s) exceeded cell_timeout=%.3gs; killing the pool "
+            "and requeueing %d innocent in-flight cell(s)",
+            len(overdue), deadline, len(inflight) - len(overdue),
+        )
+        for cell in inflight.values():
+            state = states[cell.index]
+            state.elapsed += now - state.submitted
+            if cell.index not in overdue:
+                pending.append(cell)
+                continue
+            exc = CellTimeout(
+                f"cell {cell.index} (point={cell.point!r}) exceeded "
+                f"cell_timeout={deadline}s"
+            )
+            if self._handle_failure(cell, exc, state, waiting):
+                self._notify(cell, None)
+        inflight.clear()
+        return True
+
+    # -- per-cell settlement policy ------------------------------------
 
     def _settled(self) -> int:
         """Cells settled so far (resumed + completed + skipped)."""
         stats = self.last_stats
         return stats.resumed + stats.completed + stats.skipped
 
-    def _run_coordinated(
-        self,
-        backend: ExecutionBackend,
-        worker: SweepWorker,
-        cells: List[GridCell],
-        context: Any,
-        results: List[Any],
-        total: int,
-        keys: Dict[int, str],
-    ) -> None:
-        """Partition ``cells`` with peer dispatchers via checkpoint leases.
-
-        Cells are claimed lazily, at most ``jobs`` per round, so several
-        dispatchers starting together interleave through the grid instead
-        of the first one leasing everything.  Each round: adopt any cell
-        a peer has journaled (counted as resumed), claim up to ``jobs``
-        unleased cells and run them on ``backend``, and poll the rest.  A
-        cell whose lease was observed held by a peer and later becomes
-        claimable was *abandoned* — the peer released it without a
-        journal entry (failure/skip) or died and let it expire — and
-        executing it here counts toward ``stolen_cells``.  Leases this
-        dispatcher holds are released as each cell settles — see
-        :meth:`_record_success` and :meth:`_skip` — and wholesale on
-        exit, so a raising sweep never wedges its peers for a full
-        ``lease_ttl``.
-        """
-        store = self.checkpoint
-        assert store is not None  # guaranteed by __init__
-        owner = f"pid{os.getpid()}-{os.urandom(4).hex()}"
-        self._lease_owner = owner
-        tel = get_telemetry()
-        seen_foreign: set = set()
-        try:
-            remaining = list(cells)
-            while remaining:
-                still: List[GridCell] = []
-                batch: List[GridCell] = []
-                for cell in remaining:
-                    key = keys[cell.index]
-                    if len(batch) >= self.jobs:
-                        still.append(cell)  # leave unclaimed for peers
-                        continue
-                    hit, value = store.load(key)
-                    if hit:
-                        # A peer journaled this cell; adopt its result.
-                        results[cell.index] = value
-                        self.last_stats.resumed += 1
-                        if tel.tracing_on:
-                            tel.event("checkpoint.hit", index=cell.index)
-                            self._emit_cell_end(cell, "adopted", 0.0)
-                        self._notify(cell, value, self._settled(), total)
-                        continue
-                    # A lease record under another owner — live or already
-                    # expired — marks the cell as a peer's: winning the
-                    # claim below (now, or in a later round) is a steal.
-                    held = store.lease_info(key)
-                    if held is not None and held.get("owner") != owner:
-                        seen_foreign.add(cell.index)
-                    if store.claim(key, owner, ttl=self.lease_ttl):
-                        self._held_leases[cell.index] = key
-                        batch.append(cell)
-                    else:
-                        seen_foreign.add(cell.index)
-                        still.append(cell)
-                if batch:
-                    stolen = [c for c in batch if c.index in seen_foreign]
-                    if stolen:
-                        self.last_stats.stolen_cells += len(stolen)
-                        LOGGER.info(
-                            "stole %d abandoned cell(s): %s",
-                            len(stolen), [cell.index for cell in stolen],
-                        )
-                    backend.run_cells(
-                        self, worker, batch, context, results,
-                        self._settled(), total, keys,
-                    )
-                elif still and len(still) == len(remaining):
-                    # Everything left is leased by live peers: poll.
-                    time.sleep(_STEAL_POLL)
-                remaining = still
-        finally:
-            self._lease_owner = None
-            for key in self._held_leases.values():
-                store.release(key)
-            self._held_leases.clear()
-
-    def _release_lease(self, cell: GridCell) -> None:
-        key = self._held_leases.pop(cell.index, None)
-        if key is not None and self.checkpoint is not None:
-            self.checkpoint.release(key)
-
-    # -- per-cell settlement policy (called by backends) ---------------
-
     def _backoff_delay(self, failed_attempts: int) -> float:
         if self.backoff_base <= 0.0:
             return 0.0
-        delay = self.backoff_base * self.backoff_factor ** (failed_attempts - 1)
-        return min(delay, self.backoff_max)
+        delay = self.backoff_base * BACKOFF_FACTOR ** (failed_attempts - 1)
+        return min(delay, BACKOFF_MAX)
 
-    def _notify(self, cell: GridCell, result: Any, done: int, total: int) -> None:
+    def _notify(self, cell: GridCell, result: Any) -> None:
         if self.progress is None:
             return
         try:
-            self.progress(cell, result, done, total)
+            self.progress(cell, result, self._settled(), self.last_stats.total)
         except Exception:
             LOGGER.warning(
                 "progress hook raised for cell %d; continuing the sweep",
@@ -672,9 +821,8 @@ class SweepRunner:
             self.checkpoint.store(
                 keys[cell.index], cell, result, token=self._worker_token
             )
-        self._release_lease(cell)
 
-    def _skip(self, cell: GridCell, state: _CellState, results: List[Any]) -> None:
+    def _skip(self, cell: GridCell, state: _CellState) -> None:
         report = FailureReport(
             cell=cell,
             attempts=state.charged(),
@@ -683,9 +831,7 @@ class SweepRunner:
         )
         self.last_failures.append(report)
         self.last_stats.skipped += 1
-        results[cell.index] = None
         self._emit_cell_end(cell, "skipped", state.elapsed)
-        self._release_lease(cell)
         LOGGER.warning(
             "skipping cell %d (point=%r, replication=%d) after %d attempt(s): %s",
             cell.index, cell.point, cell.replication, report.attempts,
@@ -697,12 +843,11 @@ class SweepRunner:
         cell: GridCell,
         exc: BaseException,
         state: _CellState,
-        results: List[Any],
-        requeue: Callable[[GridCell, float], None],
+        waiting: _RetryHeap,
     ) -> bool:
         """Bookkeep one failed execution.  True when the cell is settled
-        (skipped); False when a retry was scheduled via ``requeue(cell,
-        delay)``.  Raises :class:`SweepError` per policy."""
+        (skipped); False when it was pushed onto the ``waiting`` retry
+        heap.  Raises :class:`SweepError` per policy."""
         state.attempts += 1
         state.errors.append(repr(exc))
         if self.on_error == "raise":
@@ -721,46 +866,9 @@ class SweepRunner:
                 "cell %d failed (attempt %d/%d): %r; retrying in %.2fs",
                 cell.index, state.attempts, self.max_retries + 1, exc, delay,
             )
-            requeue(cell, delay)
+            heapq.heappush(waiting, (time.monotonic() + delay, cell.index, cell))
             return False
         if self.on_error == "retry":
             raise SweepError(cell, exc, attempts=state.charged()) from exc
-        self._skip(cell, state, results)
+        self._skip(cell, state)
         return True
-
-
-def run_sweep(
-    worker: SweepWorker,
-    points: Sequence[Any],
-    *,
-    jobs: Optional[int] = None,
-    replications: int = 1,
-    seed: Optional[int] = None,
-    seed_fn: Optional[Callable[[Any, int], Optional[int]]] = None,
-    context: Any = None,
-    progress: Optional[ProgressHook] = None,
-    on_error: str = "raise",
-    max_retries: int = 2,
-    backoff_base: float = 0.1,
-    cell_timeout: Optional[float] = None,
-    checkpoint: Optional[CheckpointStore] = None,
-    executor: Union[None, str, ExecutionBackend] = None,
-) -> List[Any]:
-    """One-shot convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(
-        jobs=jobs,
-        progress=progress,
-        on_error=on_error,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        cell_timeout=cell_timeout,
-        checkpoint=checkpoint,
-        executor=executor,
-    ).run(
-        worker,
-        points,
-        replications=replications,
-        seed=seed,
-        seed_fn=seed_fn,
-        context=context,
-    )

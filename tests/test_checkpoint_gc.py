@@ -1,10 +1,6 @@
-"""Tests for checkpoint garbage collection (library, CLI, and tool)."""
+"""Tests for checkpoint garbage collection (library and CLI)."""
 
 import pickle
-import sys
-import time
-
-import pytest
 
 from repro.cli import main
 from repro.runner import CheckpointStore, GridCell, gc_store
@@ -69,17 +65,6 @@ class TestGcStore:
         report = gc_store(tmp_path)
         assert report.reasons == {"orphan-tmp": 1}
 
-    def test_expired_and_corrupt_leases_pruned_live_kept(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.claim("dead", "gone-dispatcher", ttl=0.01)
-        store.claim("live", "running-dispatcher", ttl=3600.0)
-        (tmp_path / "corrupt.lease").write_text("{{{")
-        time.sleep(0.05)
-        report = gc_store(tmp_path)
-        assert report.reasons == {"expired-lease": 1, "corrupt-lease": 1}
-        assert store.lease_info("live") is not None
-        assert store.lease_info("dead") is None
-
     def test_quarantine_emptied(self, tmp_path):
         store = CheckpointStore(tmp_path)
         (tmp_path / "bad.pkl").write_bytes(b"corrupt")
@@ -135,29 +120,3 @@ class TestCheckpointGcCli:
         ]) == 0
         assert "worker-mismatch: 1" in capsys.readouterr().out
         assert len(store) == 1
-
-
-class TestCheckpointGcTool:
-    """The standalone tools/checkpoint_gc.py wrapper."""
-
-    @pytest.fixture()
-    def tool(self):
-        sys.path.insert(0, "tools")
-        try:
-            import checkpoint_gc
-        finally:
-            sys.path.pop(0)
-        return checkpoint_gc
-
-    def test_tool_matches_cli_output(self, tool, tmp_path, capsys):
-        (tmp_path / "junk.pkl").write_bytes(b"not a pickle")
-        assert tool.main([str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "pruned=1" in out
-        assert "unreadable: 1" in out
-
-    def test_tool_dry_run_flag(self, tool, tmp_path, capsys):
-        (tmp_path / "junk.pkl").write_bytes(b"garbage")
-        assert tool.main([str(tmp_path), "--dry-run"]) == 0
-        assert "would reclaim" in capsys.readouterr().out
-        assert (tmp_path / "junk.pkl").exists()

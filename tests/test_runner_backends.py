@@ -1,37 +1,19 @@
-"""Tests for the execution-backend seam and multi-dispatcher coordination.
+"""Tests for executor selection and cross-executor bit-identity.
 
-Three concerns, in order:
+Two concerns, in order:
 
-* backend selection (:func:`repro.runner.resolve_backend`) and the
-  capability flags each backend advertises;
+* executor selection — which of ``inline`` / ``process`` / ``thread``
+  ``SweepRunner(executor=..., jobs=...)`` runs a sweep on;
 * the bit-identity guarantee — the same sweep produces byte-identical
-  results on every backend, at any parallelism;
-* checkpoint leases and work stealing — several coordinated dispatchers
-  sharing one checkpoint directory partition a grid with zero duplicate
-  executions.
+  results on every executor, at any parallelism.
 """
 
 import json
-import os
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.experiments import registry
-from repro.runner import (
-    CheckpointStore,
-    ExecutionBackend,
-    FuturesBackend,
-    GridCell,
-    InlineBackend,
-    ProcessPoolBackend,
-    SweepRunner,
-    default_jobs,
-    resolve_backend,
-    run_sweep,
-)
+from repro.runner import GridCell, SweepRunner
 
 # Workers must be module-level so out-of-process backends can pickle them.
 
@@ -47,59 +29,29 @@ def _boom(cell: GridCell, context):
     raise ValueError(f"boom at {cell.point}")
 
 
-def _logged_echo(cell: GridCell, context):
-    """Append this cell's index to the O_APPEND log at ``context``.
-
-    O_APPEND writes of one short line are atomic on POSIX, so the log
-    is an exact record of every execution across dispatchers.
-    """
-    fd = os.open(context, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        os.write(fd, f"{cell.index}\n".encode())
-    finally:
-        os.close(fd)
-    time.sleep(0.01)  # let concurrent dispatchers interleave
-    return cell.index * 10
+def _backend(executor, jobs):
+    """The executor a runner configured this way actually dispatches on."""
+    runner = SweepRunner(jobs=jobs, executor=executor)
+    runner.run(_square, [1, 2])
+    return runner.last_stats.backend
 
 
 class TestResolveBackend:
     def test_auto_is_inline_at_jobs_1(self):
-        assert isinstance(resolve_backend(None, 1), InlineBackend)
-        assert isinstance(resolve_backend("auto", 1), InlineBackend)
+        assert _backend("auto", 1) == "inline"
+        assert SweepRunner().executor == "auto"
 
     def test_auto_is_process_pool_at_jobs_many(self):
-        assert isinstance(resolve_backend(None, 4), ProcessPoolBackend)
-        assert isinstance(resolve_backend("auto", 4), ProcessPoolBackend)
+        assert _backend("auto", 4) == "process"
 
     def test_names_force_backends_regardless_of_jobs(self):
-        assert isinstance(resolve_backend("inline", 8), InlineBackend)
-        assert isinstance(resolve_backend("process", 1), ProcessPoolBackend)
-        assert isinstance(resolve_backend("process-pool", 1), ProcessPoolBackend)
-        thread = resolve_backend("thread", 4)
-        assert isinstance(thread, FuturesBackend)
-        assert thread.name == "thread"
-        assert resolve_backend("threads", 4).name == "thread"
-
-    def test_instance_passthrough(self):
-        backend = InlineBackend()
-        assert resolve_backend(backend, 4) is backend
+        assert _backend("inline", 8) == "inline"
+        assert _backend("process", 1) == "process"
+        assert _backend("thread", 4) == "thread"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_backend("mainframe", 4)
-
-    def test_capability_flags(self):
-        pool = ProcessPoolBackend()
-        assert pool.out_of_process
-        assert pool.enforces_deadlines
-        assert pool.recovers_crashes
-        inline = InlineBackend()
-        assert not inline.out_of_process
-        assert not inline.enforces_deadlines
-        thread = resolve_backend("thread", 2)
-        assert not thread.out_of_process  # shares the parent registry
-        assert not thread.enforces_deadlines
-        assert not thread.recovers_crashes
+            SweepRunner(jobs=4, executor="mainframe")
 
 
 class TestBitIdentity:
@@ -107,16 +59,16 @@ class TestBitIdentity:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return run_sweep(
+        return SweepRunner(executor="inline").run(
             _echo_cell, list(range(6)), replications=2, seed=42,
-            context="shared", executor="inline",
+            context="shared",
         )
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_synthetic_sweep_matches_inline(self, executor, reference):
-        got = run_sweep(
+        got = SweepRunner(jobs=3, executor=executor).run(
             _echo_cell, list(range(6)), replications=2, seed=42,
-            context="shared", jobs=3, executor=executor,
+            context="shared",
         )
         # json.dumps is the byte-level comparison that matters: artifacts
         # are JSON, and pickle bytes legitimately differ across process
@@ -135,73 +87,31 @@ class TestBitIdentity:
             )
             assert records == baseline
 
-    def test_stats_record_backend_name(self):
-        runner = SweepRunner(jobs=2, executor="thread")
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_stats_record_backend_name(self, executor):
+        runner = SweepRunner(jobs=2, executor=executor)
         runner.run(_square, [1, 2, 3])
-        assert runner.last_stats.backend == "thread"
-        runner = SweepRunner()
-        runner.run(_square, [1, 2, 3])
-        assert runner.last_stats.backend == "inline"
+        assert runner.last_stats.backend == executor
 
 
 class TestFuturesBackend:
-    def test_caller_owned_executor_left_running(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            backend = FuturesBackend(pool, name="shared-pool")
-            results = run_sweep(
-                _square, [1, 2, 3, 4], jobs=2, executor=backend
-            )
-            assert results == [1, 4, 9, 16]
-            # The backend must not have shut the caller's executor down.
-            assert pool.submit(lambda: 7).result() == 7
-
-    def test_factory_without_max_workers_kwarg(self):
-        def factory():
-            return ThreadPoolExecutor(max_workers=1)
-
-        results = run_sweep(_square, [2, 3], jobs=2,
-                            executor=FuturesBackend(factory, name="sized"))
-        assert results == [4, 9]
-
-    def test_non_executor_rejected(self):
-        with pytest.raises(TypeError, match="factory callable"):
-            FuturesBackend(object())
-
     def test_cell_timeout_warns_on_thread_backend(self, caplog):
         with caplog.at_level("WARNING", logger="repro.runner"):
-            run_sweep(_square, [1, 2], jobs=2, executor="thread",
-                      cell_timeout=60.0)
+            SweepRunner(jobs=2, executor="thread", cell_timeout=60.0).run(
+                _square, [1, 2]
+            )
         assert any("cell_timeout is not enforced" in record.message
                    for record in caplog.records)
 
-    def test_retry_and_skip_policies_work_on_threads(self):
-        runner = SweepRunner(jobs=2, executor="thread", on_error="skip",
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_retry_and_skip_policies_work(self, executor):
+        runner = SweepRunner(jobs=2, executor=executor, on_error="skip",
                              max_retries=1, backoff_base=0.0)
         results = runner.run(_boom, [1, 2])
         assert results == [None, None]
         assert runner.last_stats.skipped == 2
         assert runner.last_stats.retries == 2
         assert all(report.attempts == 2 for report in runner.last_failures)
-
-
-class TestDefaultJobs:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert default_jobs() == 5
-
-    def test_zero_and_unset_fall_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        capped = default_jobs()
-        assert 1 <= capped <= 8
-        monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() == capped
-
-    def test_garbage_ignored_with_warning(self, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with caplog.at_level("WARNING", logger="repro.runner"):
-            value = default_jobs()
-        assert 1 <= value <= 8
-        assert any("REPRO_JOBS" in record.message for record in caplog.records)
 
 
 class TestProgressSnapshot:
@@ -214,7 +124,6 @@ class TestProgressSnapshot:
         assert snap["completed"] == 6
         assert snap["backend"] == "inline"
         assert snap["failures"] == 0
-        assert snap["stolen_cells"] == 0
 
     def test_snapshot_counts_skips(self):
         runner = SweepRunner(on_error="skip", max_retries=0)
@@ -223,157 +132,3 @@ class TestProgressSnapshot:
         assert snap["done"] == 2
         assert snap["skipped"] == 2
         assert snap["failures"] == 2
-
-
-class TestCoordinationValidation:
-    def test_coordinate_requires_checkpoint(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            SweepRunner(coordinate=True)
-
-    def test_lease_ttl_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="lease_ttl"):
-            SweepRunner(checkpoint=CheckpointStore(tmp_path),
-                        coordinate=True, lease_ttl=0.0)
-
-
-class TestLeases:
-    def test_fresh_claim_wins_once(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.claim("cell-a", "alice", ttl=30.0)
-        assert not store.claim("cell-a", "bob", ttl=30.0)
-        info = store.lease_info("cell-a")
-        assert info["owner"] == "alice"
-
-    def test_reclaim_refreshes_own_lease(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.claim("cell-a", "alice", ttl=30.0)
-        first_ts = store.lease_info("cell-a")["ts"]
-        time.sleep(0.01)
-        assert store.claim("cell-a", "alice", ttl=30.0)
-        assert store.lease_info("cell-a")["ts"] >= first_ts
-
-    def test_release_makes_cell_claimable(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.claim("cell-a", "alice", ttl=30.0)
-        store.release("cell-a")
-        assert store.lease_info("cell-a") is None
-        assert store.claim("cell-a", "bob", ttl=30.0)
-
-    def test_expired_lease_is_stolen(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.claim("cell-a", "dead", ttl=0.01)
-        time.sleep(0.05)
-        assert store.claim("cell-a", "heir", ttl=30.0)
-        assert store.lease_info("cell-a")["owner"] == "heir"
-
-    def test_corrupt_lease_is_claimable(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.claim("cell-a", "alice", ttl=30.0)
-        (tmp_path / "cell-a.lease").write_text("not json at all")
-        assert store.claim("cell-a", "bob", ttl=30.0)
-        assert store.lease_info("cell-a")["owner"] == "bob"
-
-    def test_release_absent_is_noop(self, tmp_path):
-        CheckpointStore(tmp_path).release("never-claimed")
-
-    def test_clear_removes_leases(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.claim("cell-a", "alice", ttl=30.0)
-        store.clear()
-        assert store.lease_info("cell-a") is None
-
-
-class TestWorkStealing:
-    def _run_coordinated(self, ckpt_dir, log_path, points, barrier):
-        runner = SweepRunner(
-            jobs=1,
-            executor="inline",
-            checkpoint=CheckpointStore(ckpt_dir),
-            coordinate=True,
-            lease_ttl=30.0,
-        )
-        barrier.wait(timeout=10.0)
-        results = runner.run(
-            _logged_echo, points, seed=11, context=str(log_path)
-        )
-        return runner, results
-
-    def test_two_dispatchers_split_grid_without_duplicates(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        log_path = tmp_path / "executions.log"
-        points = list(range(8))
-        barrier = threading.Barrier(2)
-        outcomes = {}
-
-        def _dispatch(name):
-            outcomes[name] = self._run_coordinated(
-                ckpt, log_path, points, barrier
-            )
-
-        threads = [
-            threading.Thread(target=_dispatch, args=(name,))
-            for name in ("a", "b")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert set(outcomes) == {"a", "b"}
-
-        # Zero duplicated executions: the O_APPEND log names every cell
-        # exactly once across both dispatchers.
-        executed = [int(line) for line in
-                    log_path.read_text().splitlines()]
-        assert sorted(executed) == list(range(8))
-
-        # Both dispatchers hold the complete, identical result grid
-        # (own cells executed, peer cells adopted from the journal), and
-        # it matches a fresh single-runner reference.
-        reference = run_sweep(
-            _logged_echo, points, seed=11,
-            context=str(tmp_path / "reference.log"),
-        )
-        for runner, results in outcomes.values():
-            assert results == reference
-            stats = runner.last_stats
-            assert stats.completed + stats.resumed == len(points)
-        total_completed = sum(
-            runner.last_stats.completed for runner, _ in outcomes.values()
-        )
-        assert total_completed == len(points)
-
-    def test_expired_lease_stolen_and_counted(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        cell = GridCell(index=0, point=0, replication=0, seed=None)
-        key = store.cell_key(_echo_cell, cell, "ctx")
-        assert store.claim(key, "dead-dispatcher", ttl=0.01)
-        time.sleep(0.05)
-
-        runner = SweepRunner(checkpoint=store, coordinate=True,
-                             lease_ttl=30.0)
-        results = runner.run(_echo_cell, [0], context="ctx")
-        assert results == [(0, 0, 0, None, "ctx")]
-        assert runner.last_stats.stolen_cells == 1
-        assert runner.last_stats.completed == 1
-        # The lease was released once the cell settled.
-        assert store.lease_info(key) is None
-
-    def test_peer_journal_adopted_not_recomputed(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        cell = GridCell(index=0, point=0, replication=0, seed=None)
-        key = store.cell_key(_echo_cell, cell, "ctx")
-        store.store(key, cell, "peer-result")
-
-        runner = SweepRunner(checkpoint=store, coordinate=True)
-        results = runner.run(_echo_cell, [0], context="ctx")
-        assert results == ["peer-result"]
-        assert runner.last_stats.resumed == 1
-        assert runner.last_stats.completed == 0
-
-    def test_leases_released_when_worker_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        runner = SweepRunner(checkpoint=store, coordinate=True)
-        with pytest.raises(Exception):
-            runner.run(_boom, [1, 2, 3])
-        assert runner._held_leases == {}
-        assert not list(store.directory.glob("*.lease"))

@@ -18,9 +18,16 @@ locally they fall back to 2 workers to stay light.
 import logging
 import os
 import pickle
+import tempfile
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.runner.sweep as sweep_module
 
 from repro.runner import (
     CellTimeout,
@@ -39,6 +46,8 @@ from repro.runner import (
 
 JOBS = int(os.environ.get("REPRO_CHAOS_JOBS", "2"))
 
+EXECUTORS = ["inline", "thread", "process"]
+
 
 # ----------------------------------------------------------------------
 # Module-level workers (picklable for jobs > 1)
@@ -56,27 +65,29 @@ def _slow_when_negative(cell: GridCell, context):
     return cell.point
 
 
-class _FailNTimes:
-    """Inline-path worker failing each cell's first ``n`` attempts."""
-
-    def __init__(self, n):
-        self.n = n
-        self.attempts = {}
-
-    def __call__(self, cell: GridCell, context):
-        seen = self.attempts.get(cell.index, 0) + 1
-        self.attempts[cell.index] = seen
-        if seen <= self.n:
-            raise ValueError(f"transient failure {seen} on cell {cell.index}")
-        return _pure(cell, context)
-
-
 def chaos(worker, state_dir, *faults):
     return ChaosWorker(worker, tuple(faults), state_dir)
 
 
+def fail_n_times(n, state_dir):
+    """``_pure`` failing each cell's first ``n`` attempts, on any executor:
+    the attempt counts live in ``state_dir``, so they survive a pool."""
+    return chaos(
+        _pure, state_dir, FaultSpec("error", indices=tuple(range(64)), times=n)
+    )
+
+
+def attempts(state_dir):
+    """``{cell index: executions}`` read back from a chaos state dir."""
+    counts = {}
+    for marker in Path(state_dir).glob("cell*-fault0-attempt*"):
+        index = int(marker.name[len("cell"):].split("-")[0])
+        counts[index] = counts.get(index, 0) + 1
+    return counts
+
+
 # ----------------------------------------------------------------------
-# Policy semantics (inline path)
+# Policy semantics (one matrix: every policy on every executor)
 # ----------------------------------------------------------------------
 
 
@@ -85,31 +96,41 @@ class TestOnErrorPolicies:
         with pytest.raises(ValueError, match="on_error"):
             SweepRunner(on_error="ignore")
 
-    def test_raise_is_the_default_and_fails_fast(self):
-        worker = _FailNTimes(1)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_raise_is_the_default_and_fails_fast(self, executor, tmp_path):
+        worker = fail_n_times(1, tmp_path)
         with pytest.raises(SweepError):
-            SweepRunner().run(worker, [1, 2, 3])
+            SweepRunner(executor=executor).run(worker, [1, 2, 3])
         # Fail-fast: the failing cell ran once, later cells never ran.
-        assert worker.attempts == {0: 1}
+        assert attempts(tmp_path) == {0: 1}
 
-    def test_retry_recovers_transient_failures(self):
-        worker = _FailNTimes(2)
-        runner = SweepRunner(on_error="retry", max_retries=2, backoff_base=0.0)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_retry_recovers_transient_failures(self, executor, tmp_path):
+        worker = fail_n_times(2, tmp_path)
+        runner = SweepRunner(
+            executor=executor, on_error="retry", max_retries=2, backoff_base=0.0
+        )
         out = runner.run(worker, ["a", "b"], seed=5)
         assert out == SweepRunner().run(_pure, ["a", "b"], seed=5)
         assert runner.last_stats.retries == 4  # 2 retries per cell
         assert runner.last_failures == []
 
-    def test_retry_exhaustion_raises_with_attempt_count(self):
-        worker = _FailNTimes(10)
-        runner = SweepRunner(on_error="retry", max_retries=2, backoff_base=0.0)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_retry_exhaustion_raises_with_attempt_count(self, executor, tmp_path):
+        worker = fail_n_times(10, tmp_path)
+        runner = SweepRunner(
+            executor=executor, on_error="retry", max_retries=2, backoff_base=0.0
+        )
         with pytest.raises(SweepError, match="after 3 attempt"):
             runner.run(worker, [1])
-        assert worker.attempts == {0: 3}
+        assert attempts(tmp_path) == {0: 3}
 
-    def test_skip_records_failure_report_and_none(self):
-        worker = _FailNTimes(10)
-        runner = SweepRunner(on_error="skip", max_retries=1, backoff_base=0.0)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_skip_records_failure_report_and_none(self, executor, tmp_path):
+        worker = fail_n_times(10, tmp_path)
+        runner = SweepRunner(
+            executor=executor, on_error="skip", max_retries=1, backoff_base=0.0
+        )
         out = runner.run(worker, [1, 2], seed=9)
         assert out[0] is None and out[1] is None
         assert runner.last_stats.skipped == 2
@@ -119,39 +140,35 @@ class TestOnErrorPolicies:
         assert report.cell.index == 0
         assert report.attempts == 2
         assert len(report.errors) == 2
-        assert "transient failure" in report.errors[-1]
+        assert "injected fault" in report.errors[-1]
         assert report.wall_time >= 0.0
 
-    def test_skip_keeps_successful_cells(self):
-        worker = _FailNTimes(10)
-
-        class _FailOnlyMiddle:
-            def __call__(self, cell, context):
-                if cell.point == "bad":
-                    return worker(cell, context)
-                return _pure(cell, context)
-
-        runner = SweepRunner(on_error="skip", max_retries=0)
-        out = runner.run(_FailOnlyMiddle(), ["ok", "bad", "fine"], seed=2)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_skip_keeps_successful_cells(self, executor, tmp_path):
+        fail_only_middle = chaos(
+            _pure, tmp_path, FaultSpec("error", indices=(1,), times=-1)
+        )
+        runner = SweepRunner(executor=executor, on_error="skip", max_retries=0)
+        out = runner.run(fail_only_middle, ["ok", "bad", "fine"], seed=2)
         assert out[0] is not None and out[2] is not None
         assert out[1] is None
         assert [f.cell.point for f in runner.last_failures] == ["bad"]
 
-    def test_backoff_delay_schedule(self):
-        runner = SweepRunner(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.35
-        )
+    def test_backoff_delay_schedule(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "BACKOFF_MAX", 0.35)
+        runner = SweepRunner(backoff_base=0.1)
         assert runner._backoff_delay(1) == pytest.approx(0.1)
         assert runner._backoff_delay(2) == pytest.approx(0.2)
         assert runner._backoff_delay(3) == pytest.approx(0.35)  # capped
         assert SweepRunner(backoff_base=0.0)._backoff_delay(5) == 0.0
 
-    def test_retried_results_are_bit_identical(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_retried_results_are_bit_identical(self, executor, tmp_path):
         baseline = SweepRunner().run(_pure, [3, 1, 4], replications=2, seed=1)
-        flaky = _FailNTimes(1)
-        retried = SweepRunner(on_error="retry", max_retries=1, backoff_base=0.0).run(
-            flaky, [3, 1, 4], replications=2, seed=1
-        )
+        flaky = fail_n_times(1, tmp_path)
+        retried = SweepRunner(
+            executor=executor, on_error="retry", max_retries=1, backoff_base=0.0
+        ).run(flaky, [3, 1, 4], replications=2, seed=1)
         assert retried == baseline
 
 
@@ -252,16 +269,37 @@ class TestPoolRecovery:
         assert runner.last_stats.pool_rebuilds >= 1
         assert runner.last_stats.completed == 8
 
-    def test_poison_cell_skipped_under_skip_policy(self, tmp_path):
+    def test_pool_found_dead_at_submit_is_rebuilt(self, monkeypatch):
+        """A worker can die between two waits; the pool then refuses the
+        next submission instead of failing a future."""
+        from concurrent.futures import BrokenExecutor, Executor
+
+        class _DeadOnArrival(Executor):
+            def submit(self, fn, /, *args, **kwargs):
+                raise BrokenExecutor("a child process terminated abruptly")
+
+        real_open = sweep_module._open_executor
+        dead = [_DeadOnArrival()]
+        monkeypatch.setattr(
+            sweep_module, "_open_executor",
+            lambda kind, width: dead.pop() if dead else real_open(kind, width),
+        )
+        runner = SweepRunner(jobs=JOBS, executor="thread")
+        assert runner.run(_pure, [1, 2, 3], seed=4) == SweepRunner().run(
+            _pure, [1, 2, 3], seed=4
+        )
+        assert runner.last_stats.pool_rebuilds == 1
+        assert runner.last_stats.retries == 0  # nobody was in flight to blame
+
+    def test_poison_cell_skipped_under_skip_policy(self, tmp_path, monkeypatch):
         """A cell that kills its worker on *every* attempt is eventually
         given up on without sinking the grid."""
+        monkeypatch.setattr(sweep_module, "MAX_POOL_REBUILDS", 10)
         worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(3,), times=-1))
         runner = SweepRunner(
             jobs=JOBS,
             on_error="skip",
-            max_retries=1,
-            crash_retries=2,
-            max_pool_rebuilds=10,
+            max_retries=2,
             backoff_base=0.0,
         )
         out = runner.run(worker, list(range(6)), seed=33)
@@ -271,24 +309,23 @@ class TestPoolRecovery:
         assert report.cell.index == 3
         assert "BrokenProcessPool" in "".join(report.errors)
 
-    def test_rebuild_budget_exhaustion_raises_pool_crash_error(self, tmp_path):
+    def test_rebuild_budget_exhaustion_raises_pool_crash_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sweep_module, "MAX_POOL_REBUILDS", 2)
         worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(0,), times=-1))
         runner = SweepRunner(
-            jobs=JOBS,
-            on_error="retry",
-            crash_retries=50,
-            max_pool_rebuilds=2,
-            backoff_base=0.0,
+            jobs=JOBS, on_error="retry", max_retries=50, backoff_base=0.0
         )
         with pytest.raises(PoolCrashError, match="crashed 3 times"):
             runner.run(worker, list(range(4)), seed=1)
 
     def test_crash_budget_exhaustion_raises_sweep_error(self, tmp_path):
-        """With crash_retries=0 under "retry", the first crash settles the
+        """With max_retries=0 under "retry", the first crash settles the
         in-flight cells as terminal failures."""
         worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(0,), times=-1))
         runner = SweepRunner(
-            jobs=JOBS, on_error="retry", crash_retries=0, backoff_base=0.0
+            jobs=JOBS, on_error="retry", max_retries=0, backoff_base=0.0
         )
         with pytest.raises(SweepError):
             runner.run(worker, list(range(4)), seed=1)
@@ -327,6 +364,21 @@ class TestPoolRecovery:
         report = runner.last_failures[0]
         assert report.cell.point == -2
         assert CellTimeout.__name__ in report.errors[-1]
+
+    def test_overdue_worker_is_killed_not_abandoned(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        runner = SweepRunner(
+            jobs=JOBS, on_error="skip", max_retries=0, cell_timeout=1.5
+        )
+        assert runner.run(_slow_when_negative, [1, -2, 3]) == [1, None, 3]
+        # The worker sleeping 30 s in cell -2 must die with its pool, not
+        # linger until the sleep (and the interpreter's exit) runs out.
+        deadline = time.monotonic() + 10.0
+        while set(multiprocessing.active_children()) - before:
+            assert time.monotonic() < deadline, "hung worker still alive"
+            time.sleep(0.05)
 
     def test_timeout_under_raise_policy_fails_fast(self):
         runner = SweepRunner(jobs=JOBS, cell_timeout=1.5)
@@ -405,12 +457,12 @@ class TestCheckpointStore:
         first = SweepRunner(checkpoint=store).run(
             _pure, [1, 2, 3], replications=2, seed=8
         )
-        worker = _FailNTimes(99)  # would fail every cell if executed
-        # Same checkpoint identity as _pure: resume must make execution moot.
-        worker.checkpoint_token = worker_token(_pure)
+        # Would fail every cell if executed, and has _pure's checkpoint
+        # identity: resume must make execution moot.
+        worker = fail_n_times(99, tmp_path / "chaos")
         resumed_runner = SweepRunner(checkpoint=CheckpointStore(tmp_path))
         assert resumed_runner.run(worker, [1, 2, 3], replications=2, seed=8) == first
-        assert worker.attempts == {}  # nothing was re-executed
+        assert attempts(tmp_path / "chaos") == {}  # nothing was re-executed
         assert resumed_runner.last_stats.resumed == 6
 
     def test_changed_grid_does_not_false_resume(self, tmp_path):
@@ -438,8 +490,130 @@ class TestCheckpointStore:
         runner = SweepRunner(
             on_error="skip", max_retries=0, checkpoint=store, backoff_base=0.0
         )
-        runner.run(_FailNTimes(99), [1, 2], seed=8)
+        runner.run(fail_n_times(99, tmp_path / "chaos"), [1, 2], seed=8)
         assert len(store) == 0  # skip != success: both cells retry next run
+
+    def test_unwritable_directory_warns_once_and_sweep_completes(
+        self, tmp_path, caplog
+    ):
+        blocker = tmp_path / "a-regular-file"
+        blocker.write_text("not a directory")
+        store = CheckpointStore(blocker / "ckpt")
+        with caplog.at_level(logging.DEBUG, logger="repro.runner.checkpoint"):
+            out = SweepRunner(checkpoint=store).run(_pure, [1, 2, 3], seed=8)
+        assert out == SweepRunner().run(_pure, [1, 2, 3], seed=8)
+        assert store.stats.writes == 0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert str(blocker / "ckpt") in warnings[0].getMessage()
+        assert "errno" in warnings[0].getMessage()
+        # The other two failed writes were reported, but quietly.
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG
+                 and "checkpoint write" in r.getMessage()]
+        assert len(debug) == 2
+
+
+# ----------------------------------------------------------------------
+# Property: any fault script, any policy, any journaled prefix
+# ----------------------------------------------------------------------
+
+
+class _Scripted:
+    """``_pure``, except cell ``i`` raises on its first ``script[i]``
+    attempts.  Counts every execution in memory, so it suits only the
+    in-process executors; journals under ``_pure``'s identity."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = Counter()
+        self.checkpoint_token = worker_token(_pure)
+
+    def __call__(self, cell: GridCell, context):
+        self.calls[cell.index] += 1
+        if self.calls[cell.index] <= self.script[cell.index]:
+            raise ValueError(f"scripted failure on cell {cell.index}")
+        return _pure(cell, context)
+
+
+class TestFaultScriptProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+        on_error=st.sampled_from(["raise", "retry", "skip"]),
+        max_retries=st.integers(0, 3),
+        executor=st.sampled_from(["inline", "thread"]),
+        jobs=st.integers(1, 3),
+        journaled=st.integers(0, 12),
+    )
+    def test_policy_counts_and_resume(
+        self, script, on_error, max_retries, executor, jobs, journaled
+    ):
+        total = len(script)
+        points = list(range(total))
+        pure = SweepRunner().run(_pure, points, seed=3)
+        journaled = min(journaled, total)
+        # Failures a cell survives: none under "raise", the budget otherwise.
+        budget = 0 if on_error == "raise" else max_retries
+        doomed = [i for i in range(journaled, total) if script[i] > budget]
+
+        with tempfile.TemporaryDirectory() as scratch:
+            store = CheckpointStore(Path(scratch) / "journal")
+            # An earlier run journaled a prefix of the grid (per-cell seeds
+            # are position-derived, so the prefix's keys are the grid's).
+            SweepRunner(checkpoint=store).run(_pure, points[:journaled], seed=3)
+            assert len(store) == journaled
+
+            worker = _Scripted(script)
+            runner = SweepRunner(
+                jobs=jobs, executor=executor, on_error=on_error,
+                max_retries=max_retries, backoff_base=0.0, checkpoint=store,
+            )
+            if doomed and on_error != "skip":
+                with pytest.raises(SweepError) as info:
+                    runner.run(worker, points, seed=3)
+                assert info.value.attempts == budget + 1
+                if executor == "inline" or jobs == 1:
+                    assert info.value.cell.index == doomed[0]
+                else:
+                    assert info.value.cell.index in doomed
+            else:
+                out = runner.run(worker, points, seed=3)
+                assert out == [
+                    None if i in doomed else pure[i] for i in range(total)
+                ]
+                stats = runner.last_stats
+                assert stats.resumed == journaled
+                assert stats.skipped == len(doomed)
+                assert stats.resumed + stats.completed + stats.skipped == total
+                assert stats.retries == sum(
+                    min(script[i], budget) for i in range(journaled, total)
+                )
+                assert sorted(f.cell.index for f in runner.last_failures) == doomed
+                assert all(
+                    f.attempts == budget + 1 for f in runner.last_failures
+                )
+                # Journaled cells never ran; the rest ran until they passed
+                # or ran out of budget.
+                assert dict(worker.calls) == {
+                    i: min(script[i], budget) + 1 for i in range(journaled, total)
+                }
+                # Exactly one journal entry per successfully settled cell.
+                assert len(store) == total - len(doomed)
+            assert not list(store.directory.glob("*.tmp"))
+
+            # Whatever subset is journaled by now, a clean re-run executes
+            # exactly the missing cells and reproduces the pure map.
+            already = len(store)
+            clean = _Scripted([0] * total)
+            rerunner = SweepRunner(
+                jobs=jobs, executor=executor,
+                checkpoint=CheckpointStore(store.directory),
+            )
+            assert rerunner.run(clean, points, seed=3) == pure
+            assert rerunner.last_stats.resumed == already
+            assert rerunner.last_stats.completed == total - already
+            assert sum(clean.calls.values()) == total - already
+            assert len(store) == total
 
 
 # ----------------------------------------------------------------------
@@ -470,14 +644,14 @@ class TestInterruptedSweepResume:
         checkpoint_dir = tmp_path / "journal"
         chaos_state = tmp_path / "chaos"
         # The poison cell kills its worker on every attempt; with no
-        # crash-retry budget the run must die mid-grid.
+        # retry budget the run must die mid-grid.
         worker = chaos(
             _pure, chaos_state, FaultSpec("kill", indices=(9,), times=-1)
         )
         interrupted = SweepRunner(
             jobs=JOBS,
             on_error="retry",
-            crash_retries=0,
+            max_retries=0,
             checkpoint=CheckpointStore(checkpoint_dir),
             backoff_base=0.0,
         )
@@ -507,7 +681,7 @@ class TestInterruptedSweepResume:
         with pytest.raises((SweepError, PoolCrashError)):
             SweepRunner(
                 jobs=JOBS,
-                crash_retries=0,
+                max_retries=0,
                 on_error="retry",
                 checkpoint=CheckpointStore(store_dir),
                 backoff_base=0.0,

@@ -11,9 +11,9 @@ from repro.runner import (
     SweepRunner,
     default_jobs,
     derive_seeds,
-    run_sweep,
 )
 
+EXECUTORS = ["inline", "thread", "process"]
 
 # Workers must be module-level so jobs > 1 can pickle them.
 
@@ -94,15 +94,13 @@ class TestExecution:
             p * p for p in points
         ]
 
-    def test_worker_error_wrapped_inline(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_worker_error_wrapped(self, executor):
         with pytest.raises(SweepError, match="point='bad'") as info:
-            SweepRunner(jobs=1).run(_boom, ["ok", "bad"])
+            SweepRunner(jobs=2, executor=executor).run(_boom, ["ok", "bad"])
+        assert "worker exploded" in str(info.value)
         assert info.value.cell.point == "bad"
         assert info.value.cell.index == 1
-
-    def test_worker_error_wrapped_in_pool(self):
-        with pytest.raises(SweepError, match="worker exploded"):
-            SweepRunner(jobs=2).run(_boom, ["ok", "bad"])
 
     def test_progress_hook(self):
         calls = []
@@ -115,31 +113,20 @@ class TestExecution:
         assert [(c[2], c[3]) for c in calls] == [(1, 3), (2, 3), (3, 3)]
         assert {c[0] for c in calls} == {0, 1, 2}
 
-    def test_progress_hook_exception_does_not_abort_inline(self, caplog):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_progress_hook_exception_does_not_abort(self, executor, caplog):
         import logging
 
         def hostile(cell, result, done, total):
             raise RuntimeError("hook exploded")
 
         with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            out = SweepRunner(jobs=1, progress=hostile).run(_square, [1, 2, 3], seed=None)
+            out = SweepRunner(jobs=2, executor=executor, progress=hostile).run(
+                _square, [1, 2, 3], seed=None
+            )
         assert out == [1, 4, 9]  # the sweep completed anyway
         hook_warnings = [r for r in caplog.records if "progress hook" in r.message]
         assert len(hook_warnings) == 3
-
-    def test_progress_hook_exception_does_not_abort_pool(self, caplog):
-        import logging
-
-        def hostile(cell, result, done, total):
-            raise RuntimeError("hook exploded")
-
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            out = SweepRunner(jobs=2, progress=hostile).run(_square, [1, 2, 3], seed=None)
-        assert out == [1, 4, 9]
-        assert any("progress hook" in r.message for r in caplog.records)
-
-    def test_run_sweep_convenience(self):
-        assert run_sweep(_square, [2, 3], jobs=2, seed=None) == [4, 9]
 
     def test_default_jobs_bounds(self):
         assert 1 <= default_jobs() <= 8
