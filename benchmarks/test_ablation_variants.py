@@ -8,11 +8,11 @@ messages; all variants preserve the outdegree floor.
 
 from conftest import emit
 
-from repro.experiments import ablation_variants
+from repro.experiments import registry
 
 
 def run_full():
-    return ablation_variants.run(n=300, loss_rate=0.05, seed=55)
+    return registry.execute("ablation")  # the full (paper-scale) preset
 
 
 def test_ablation_variants(benchmark):

@@ -8,11 +8,11 @@ only mildly elevated dependence.
 
 from conftest import emit
 
-from repro.experiments import baselines
+from repro.experiments import baselines, registry
 
 
 def run_full():
-    return baselines.run(n=300, loss_rate=0.05, rounds=200, sample_every=25, seed=31)
+    return registry.execute("baselines", points=baselines.points(sample_every=25))
 
 
 def test_baselines(benchmark):

@@ -7,11 +7,11 @@ weakly connected.
 
 from conftest import emit
 
-from repro.experiments import connectivity_exp
+from repro.experiments import registry
 
 
 def run_full():
-    return connectivity_exp.run(simulate=True, simulate_n=300, seed=74)
+    return registry.execute("connectivity")  # the full (paper-scale) preset
 
 
 def test_connectivity(benchmark):

@@ -7,11 +7,11 @@ normally (outdegree off the duplication floor).
 
 from conftest import emit
 
-from repro.experiments import join_integration
+from repro.experiments import registry
 
 
 def run_full():
-    return join_integration.run(n=400, joiners=10, warmup_rounds=300, seed=614)
+    return registry.execute("cor-6.14")  # the full (paper-scale) preset
 
 
 def test_cor_6_14(benchmark):

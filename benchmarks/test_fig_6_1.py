@@ -7,11 +7,13 @@ analytical and Markov outdegree curves have similar form and variance.
 
 from conftest import emit
 
-from repro.experiments import fig_6_1
+from repro.experiments import registry
 
 
 def test_fig_6_1(benchmark):
-    result = benchmark.pedantic(fig_6_1.run, kwargs={"dm": 90}, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        registry.execute, args=("fig-6.1",), rounds=1, iterations=1
+    )
     emit("Figure 6.1 — degree distributions (s=90, dL=0, l=0, ds=90)", result.format())
 
     moments = result.moments()

@@ -7,11 +7,13 @@ them, and the isolated (0,0) state is disconnected/excluded.
 
 from conftest import emit
 
-from repro.experiments import fig_6_2
+from repro.experiments import registry
 
 
 def test_fig_6_2(benchmark):
-    result = benchmark.pedantic(fig_6_2.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        registry.execute, args=("fig-6.2",), rounds=1, iterations=1
+    )
     emit("Figure 6.2 — degree-MC transition structure", result.format())
 
     assert result.atomic_preserve_sum_degree()

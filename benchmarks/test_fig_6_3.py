@@ -9,13 +9,11 @@ means track the MC.
 import pytest
 from conftest import emit
 
-from repro.experiments import fig_6_3
+from repro.experiments import fig_6_3, registry
 
 
 def run_full():
-    return fig_6_3.run(
-        simulate=True, simulate_n=300, simulate_rounds=(400.0, 150.0), seed=63
-    )
+    return registry.execute("fig-6.3", points=fig_6_3.points(seed=63))
 
 
 def test_fig_6_3(benchmark):

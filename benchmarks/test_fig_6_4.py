@@ -7,19 +7,11 @@ as fast as the bound.
 
 from conftest import emit
 
-from repro.experiments import fig_6_4
+from repro.experiments import fig_6_4, registry
 
 
 def run_full():
-    return fig_6_4.run(
-        max_round=500,
-        step=50,
-        simulate=True,
-        simulate_n=300,
-        simulate_leavers=20,
-        warmup_rounds=200,
-        seed=64,
-    )
+    return registry.execute("fig-6.4", points=fig_6_4.points(step=50))
 
 
 def test_fig_6_4(benchmark):

@@ -6,13 +6,11 @@ live protocol and cross-checked against the degree MC.
 
 from conftest import emit
 
-from repro.experiments import dup_del_balance
+from repro.experiments import registry
 
 
 def run_full():
-    return dup_del_balance.run(
-        n=300, warmup_rounds=400, measure_rounds=250, seed=66
-    )
+    return registry.execute("lemma-6.6")  # the full (paper-scale) preset
 
 
 def test_lemma_6_6_and_6_7(benchmark):

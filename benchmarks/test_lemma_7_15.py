@@ -9,15 +9,12 @@ import math
 
 from conftest import emit
 
-from repro.experiments import temporal_exp
+from repro.experiments import registry
 
 
 def run_both():
-    bounds = temporal_exp.run_bounds()
-    decay = temporal_exp.run_decay(
-        n=300, max_rounds=200, sample_every=10, warmup_rounds=150, seed=715
-    )
-    return bounds, decay
+    bundle = registry.execute("lemma-7.15")  # the full (paper-scale) preset
+    return bundle.bounds, bundle.decay
 
 
 def test_lemma_7_15(benchmark):

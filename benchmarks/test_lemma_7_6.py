@@ -6,13 +6,12 @@ probability) and empirical via pooled-replication occupancy counts.
 
 from conftest import emit
 
-from repro.experiments import uniformity_exp
+from repro.experiments import registry
 
 
 def run_both():
-    exact = uniformity_exp.run_exact(loss_rate=0.2)
-    empirical = uniformity_exp.run_empirical(seed=76)
-    return exact, empirical
+    bundle = registry.execute("lemma-7.6")  # the full (paper-scale) preset
+    return bundle.exact, bundle.empirical
 
 
 def test_lemma_7_6(benchmark):

@@ -8,13 +8,11 @@ floor.
 
 from conftest import emit
 
-from repro.experiments import independence_exp
+from repro.experiments import independence_exp, registry
 
 
 def run_full():
-    return independence_exp.run(
-        n=600, warmup_rounds=300, measure_rounds=100, seed=79
-    )
+    return registry.execute("lemma-7.9")  # the full (paper-scale) preset
 
 
 def test_lemma_7_9(benchmark):

@@ -6,11 +6,11 @@ the indegree variance moves toward the degree-MC stationary level.
 
 from conftest import emit
 
-from repro.experiments import load_balance
+from repro.experiments import registry
 
 
 def run_full():
-    return load_balance.run(n=300, rounds=400, sample_every=50, seed=22)
+    return registry.execute("load-balance")  # the full (paper-scale) preset
 
 
 def test_load_balance(benchmark):

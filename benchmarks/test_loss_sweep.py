@@ -7,11 +7,13 @@ duplication ≈ ℓ + del (Lemma 6.6); conductance bound degrading smoothly.
 
 from conftest import emit
 
-from repro.experiments import loss_sweep
+from repro.experiments import registry
 
 
 def test_loss_sweep(benchmark):
-    result = benchmark.pedantic(loss_sweep.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        registry.execute, args=("loss-sweep",), rounds=1, iterations=1
+    )
     emit("Lemma 6.4 — loss sweep / operating envelope", result.format())
 
     outdegrees = result.outdegrees()

@@ -8,11 +8,14 @@ disproportionate share of traffic.
 
 from conftest import emit
 
-from repro.experiments import message_load
+from repro.experiments import registry
 
 
 def run_full():
-    return message_load.run(n=400, warmup_rounds=200, measure_rounds=250, seed=92)
+    (full,) = registry.get("message-load").grid(False)
+    return registry.execute(
+        "message-load", points=[{**full, "measure_rounds": 250}]
+    )
 
 
 def test_message_load(benchmark):

@@ -7,11 +7,11 @@ the Lemma 7.15-style bound computed from the exact Φ(G) dominates τε.
 
 from conftest import emit
 
-from repro.experiments import mixing_exp
+from repro.experiments import registry
 
 
 def run_full():
-    return mixing_exp.run(loss_rate=0.2, epsilon=0.05)
+    return registry.execute("mixing-exact")  # the full (paper-scale) preset
 
 
 def test_mixing_exact(benchmark):

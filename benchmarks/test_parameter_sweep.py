@@ -7,11 +7,13 @@ the δ=0.01 diagonal.
 
 from conftest import emit
 
-from repro.experiments import parameter_sweep
+from repro.experiments import parameter_sweep, registry
 
 
 def test_parameter_sweep(benchmark):
-    result = benchmark.pedantic(parameter_sweep.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        registry.execute, args=("parameter-sweep",), rounds=1, iterations=1
+    )
     emit("Section 6.3 — (dL, s) sensitivity", result.format())
 
     for view_size in (32, 40, 48):

@@ -8,13 +8,11 @@ the halves never find each other again.
 
 from conftest import emit
 
-from repro.experiments import partition_recovery
+from repro.experiments import registry
 
 
 def run_full():
-    return partition_recovery.run(
-        n=200, partition_lengths=(20, 60, 150, 400), seed=88
-    )
+    return registry.execute("partition-recovery")  # the full (paper-scale) preset
 
 
 def test_partition_recovery(benchmark):

@@ -9,12 +9,12 @@ uniform share.
 import pytest
 from conftest import emit
 
-from repro.experiments import random_walk_exp
+from repro.experiments import registry
 from repro.sampling.random_walk import walk_success_probability
 
 
 def run_full():
-    return random_walk_exp.run(attempts=2000, seed=311)
+    return registry.execute("random-walks")  # the full (paper-scale) preset
 
 
 def test_random_walks(benchmark):

@@ -8,11 +8,11 @@ independence vs S&F's both.
 
 from conftest import emit
 
-from repro.experiments import sampler_exp
+from repro.experiments import registry
 
 
 def run_full():
-    return sampler_exp.run(n=150, epochs=8, rounds_per_epoch=25, seed=37)
+    return registry.execute("samplers")  # the full (paper-scale) preset
 
 
 def test_samplers(benchmark):

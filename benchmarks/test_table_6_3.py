@@ -2,11 +2,13 @@
 
 from conftest import emit
 
-from repro.experiments import table_6_3
+from repro.experiments import registry
 
 
 def test_table_6_3(benchmark):
-    result = benchmark.pedantic(table_6_3.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        registry.execute, args=("table-6.3",), rounds=1, iterations=1
+    )
     emit("Section 6.3 — threshold selection sweep", result.format())
 
     selection = result.lookup(30, 0.01)

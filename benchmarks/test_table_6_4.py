@@ -7,14 +7,21 @@ Paper values: 28±3.4, 27±3.6, 24±4.1, 23±4.3 for ℓ = 0, 0.01, 0.05, 0.1
 import pytest
 from conftest import emit
 
-from repro.experiments import fig_6_3
+from repro.experiments import registry
 from repro.util.tables import format_table
 
 PAPER = {0.0: (28.0, 3.4), 0.01: (27.0, 3.6), 0.05: (24.0, 4.1), 0.1: (23.0, 4.3)}
 
 
 def test_table_6_4(benchmark):
-    result = benchmark.pedantic(fig_6_3.run, rounds=1, iterations=1)
+    # The fast preset is the MC-only table (no simulation overlay).
+    result = benchmark.pedantic(
+        registry.execute,
+        args=("fig-6.3",),
+        kwargs={"fast": True},
+        rounds=1,
+        iterations=1,
+    )
 
     rows = []
     for row in result.rows:

@@ -8,11 +8,11 @@ regardless of n.
 
 from conftest import emit
 
-from repro.experiments import view_regimes
+from repro.experiments import registry
 
 
 def run_full():
-    return view_regimes.run(sizes=(100, 400, 1600), seed=93)
+    return registry.execute("view-regimes")  # the full (paper-scale) preset
 
 
 def test_view_regimes(benchmark):

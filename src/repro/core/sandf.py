@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.params import SFParams
-from repro.core.view import NodeId, View, ViewEntry
+from repro.core.view import NodeId, View, ViewEntry, dependent_fraction
 from repro.model.membership_graph import MembershipGraph
 from repro.protocols.base import GossipProtocol, Message, SendEffect
 
@@ -203,28 +203,8 @@ class SendForget(GossipProtocol):
             view.validate()
 
     def dependent_fraction(self) -> float:
-        """Fraction of nonempty entries labeled dependent, plus structural
-        dependents (self-edges and in-view duplicates not already labeled).
-
-        This is the empirical ``1 − α`` compared against ``2(ℓ+δ)`` in the
-        Lemma 7.9 benchmark.
-        """
-        dependent = 0
-        total = 0
-        for node_id, view in self._views.items():
-            seen: Counter = Counter()
-            for _, entry in view.entries():
-                total += 1
-                if entry.dependent:
-                    dependent += 1
-                elif entry.node_id == node_id:
-                    dependent += 1  # self-edges are always dependent
-                elif seen[entry.node_id] >= 1:
-                    dependent += 1  # all but one copy of a duplicate id
-                seen[entry.node_id] += 1
-        if total == 0:
-            return 0.0
-        return dependent / total
+        """The empirical ``1 − α`` (see :func:`repro.core.view.dependent_fraction`)."""
+        return dependent_fraction(self._views.items())
 
     def export_graph(self) -> MembershipGraph:
         graph = MembershipGraph(self._views)

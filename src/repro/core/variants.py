@@ -30,7 +30,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import SFParams
-from repro.core.view import NodeId, View, ViewEntry
+from repro.core.view import NodeId, View, ViewEntry, dependent_fraction
 from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 
@@ -258,22 +258,9 @@ class SendForgetVariant(GossipProtocol):
 
     def dependent_fraction(self) -> float:
         """Same accounting as the base protocol (see SendForget)."""
-        dependent = 0
-        total = 0
-        for node_id, wrapped in self._views.items():
-            seen: Counter = Counter()
-            for _, entry in wrapped.view.entries():
-                total += 1
-                if entry.dependent:
-                    dependent += 1
-                elif entry.node_id == node_id:
-                    dependent += 1
-                elif seen[entry.node_id] >= 1:
-                    dependent += 1
-                seen[entry.node_id] += 1
-        if total == 0:
-            return 0.0
-        return dependent / total
+        return dependent_fraction(
+            (node_id, wrapped.view) for node_id, wrapped in self._views.items()
+        )
 
     def check_invariant(self) -> None:
         """Validate outdegree bounds and view consistency.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 NodeId = int
 
@@ -218,3 +218,29 @@ class View:
             "⊥" if entry is None else str(entry.node_id) for entry in self._slots
         ]
         return f"View([{', '.join(shown)}])"
+
+
+def dependent_fraction(views: Iterable[Tuple[NodeId, View]]) -> float:
+    """Fraction of nonempty entries that are dependent, over ``(owner, view)``
+    pairs: entries labeled dependent, plus structural dependents (self-edges
+    and in-view duplicates not already labeled).
+
+    This is the empirical ``1 − α`` compared against ``2(ℓ+δ)`` in the
+    Lemma 7.9 benchmark.
+    """
+    dependent = 0
+    total = 0
+    for node_id, view in views:
+        seen: Counter = Counter()
+        for _, entry in view.entries():
+            total += 1
+            if entry.dependent:
+                dependent += 1
+            elif entry.node_id == node_id:
+                dependent += 1  # self-edges are always dependent
+            elif seen[entry.node_id] >= 1:
+                dependent += 1  # all but one copy of a duplicate id
+            seen[entry.node_id] += 1
+    if total == 0:
+        return 0.0
+    return dependent / total

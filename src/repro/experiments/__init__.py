@@ -6,10 +6,12 @@ declares it as an :class:`repro.experiments.registry.ExperimentSpec`
 is the single index the CLI's ``list``/``run``/``report`` build on, and
 execution always routes through :class:`repro.runner.SweepRunner`.
 Every result object carries the raw series plus a ``format()`` method
-printing the same rows/series the paper reports.  Legacy
-``module.run(...)`` entry points remain as thin spec-invoking wrappers;
-the benchmark suite under ``benchmarks/`` is a thin timing/printing
-wrapper around those.  See ``docs/paper_map.md`` ("Experiment registry")
+printing the same rows/series the paper reports.
+:func:`repro.experiments.registry.execute` is the only entry point
+(modules with a parameterised grid expose one public ``points(...)``
+builder for its ``points=`` argument); the acceptance tests under
+``benchmarks/`` are thin timing/printing wrappers around it.  See
+``docs/paper_map.md`` ("Experiment registry")
 for the index and ``EXPERIMENTS.md`` for the add-an-experiment
 walkthrough.
 """

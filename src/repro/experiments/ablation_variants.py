@@ -16,7 +16,7 @@ work" remark invites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -91,16 +91,19 @@ VARIANTS: Dict[str, Dict[str, object]] = {
 }
 
 
-def _points(
-    n: int,
-    loss_rate: float,
-    params: SFParams,
-    warmup_rounds: float,
-    measure_rounds: float,
-    seed: int,
+def points(
+    n: int = 300,
+    loss_rate: float = 0.05,
+    params: SFParams = SFParams(view_size=16, d_low=6),
+    warmup_rounds: float = 200.0,
+    measure_rounds: float = 150.0,
+    seed: int = 55,
 ) -> List[dict]:
-    # Every variant uses the same engine seed (the historical convention:
-    # identical populations, identical channel randomness).
+    """One point per variant on an identical population/loss configuration.
+
+    Every variant uses the same engine seed (the historical convention:
+    identical populations, identical channel randomness).
+    """
     return [
         {
             "variant": name,
@@ -117,10 +120,9 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=16, d_low=6)
     if fast:
-        return _points(150, 0.05, params, 120.0, 80.0, seed=55)
-    return _points(300, 0.05, params, 200.0, 150.0, seed=55)
+        return points(n=150, warmup_rounds=120.0, measure_rounds=80.0)
+    return points()
 
 
 def _aggregate(points: List[dict], records: List[object]) -> AblationResult:
@@ -166,21 +168,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> VariantRow:
         dependent_fraction=protocol.dependent_fraction(),
         mean_outdegree=mean_out,
         messages_per_round=protocol.stats.messages_sent / measure_rounds,
-    )
-
-
-def run(
-    n: int = 300,
-    loss_rate: float = 0.05,
-    params: Optional[SFParams] = None,
-    warmup_rounds: float = 200.0,
-    measure_rounds: float = 150.0,
-    seed: int = 55,
-) -> AblationResult:
-    """Run every variant on an identical population/loss configuration."""
-    if params is None:
-        params = SFParams(view_size=16, d_low=6)
-    return registry.execute(
-        "ablation",
-        points=_points(n, loss_rate, params, warmup_rounds, measure_rounds, seed),
     )

@@ -216,25 +216,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> AdversarialLossRe
         weakly_connected=protocol.export_graph().is_weakly_connected(),
         invariant_ok=invariant_ok,
     )
-
-
-def run(
-    n: int = 60,
-    rounds: int = 150,
-    rate: float = 0.25,
-    seed: int = 20260808,
-) -> AdversarialLossResult:
-    """Compare the four loss regimes at matched nominal intensity."""
-    base = {
-        "view_size": 12,
-        "d_low": 4,
-        "rate": rate,
-        "warm_rounds": 20,
-        "rounds": rounds,
-        "n": n,
-    }
-    points = [
-        dict(base, regime=regime, seed=seed + i)
-        for i, regime in enumerate(("uniform", "targeted", "correlated", "topology"))
-    ]
-    return registry.execute("adversarial-loss", points=points)

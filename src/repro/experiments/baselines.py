@@ -100,17 +100,20 @@ def _build_protocol(name: str, view_size: int, d_low: int):
     raise ValueError(f"unknown baseline protocol {name!r}")
 
 
-def _points(
-    n: int,
-    loss_rate: float,
-    view_size: int,
-    d_low: int,
-    rounds: int,
-    sample_every: int,
-    seed: int,
+def points(
+    n: int = 300,
+    loss_rate: float = 0.05,
+    view_size: int = 16,
+    d_low: int = 6,
+    rounds: int = 200,
+    sample_every: int = 40,
+    seed: int = 31,
 ) -> List[dict]:
-    # All four protocols use the same engine seed (the historical
-    # convention: identical populations, identical channel randomness).
+    """One point per protocol on identical populations under the same loss.
+
+    All four protocols use the same engine seed (the historical
+    convention: identical populations, identical channel randomness).
+    """
     return [
         {
             "protocol": protocol,
@@ -127,15 +130,7 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    return _points(
-        n=200 if fast else 300,
-        loss_rate=0.05,
-        view_size=16,
-        d_low=6,
-        rounds=120 if fast else 200,
-        sample_every=40,
-        seed=31,
-    )
+    return points(n=200, rounds=120) if fast else points()
 
 
 def _aggregate(
@@ -207,19 +202,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> dict:
         "mutual": mutual,
         "isolated": isolated_nodes,
     }
-
-
-def run(
-    n: int = 300,
-    loss_rate: float = 0.05,
-    view_size: int = 16,
-    d_low: int = 6,
-    rounds: int = 150,
-    sample_every: int = 15,
-    seed: int = 31,
-) -> BaselineComparisonResult:
-    """Run the four protocols on identical populations under the same loss."""
-    return registry.execute(
-        "baselines",
-        points=_points(n, loss_rate, view_size, d_low, rounds, sample_every, seed),
-    )

@@ -50,23 +50,24 @@ class ConnectivityResult:
         return body
 
 
-def _points(
-    losses: Sequence[float],
-    deltas: Sequence[float],
-    epsilons: Sequence[float],
-    simulate: bool,
-    simulate_n: int,
-    simulate_snapshots: int,
-    seed: int,
+def points(
+    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
+    deltas: Sequence[float] = (0.01,),
+    epsilons: Sequence[float] = (1e-10, 1e-30),
+    simulate: bool = True,
+    simulate_n: int = 300,
+    simulate_snapshots: int = 20,
+    seed: int = 74,
 ) -> List[dict]:
-    points: List[dict] = [
+    """One row point per (ℓ, δ, ε), plus an optional simulation point."""
+    grid: List[dict] = [
         {"kind": "row", "loss": loss, "delta": delta, "epsilon": epsilon}
         for loss in losses
         for delta in deltas
         for epsilon in epsilons
     ]
     if simulate:
-        points.append(
+        grid.append(
             {
                 "kind": "simulate",
                 "n": simulate_n,
@@ -74,19 +75,11 @@ def _points(
                 "seed": seed,
             }
         )
-    return points
+    return grid
 
 
 def _grid(fast: bool) -> List[dict]:
-    return _points(
-        losses=(0.0, 0.01, 0.05, 0.1),
-        deltas=(0.01,),
-        epsilons=(1e-10, 1e-30),
-        simulate=not fast,
-        simulate_n=300,
-        simulate_snapshots=20,
-        seed=74,
-    )
+    return points(simulate=not fast)
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ConnectivityResult:
@@ -117,26 +110,6 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         achieved = partition_probability_bound(d_low, loss, delta)
         return (loss, delta, epsilon, d_low, achieved)
     return _simulate(point["n"], point["snapshots"], seed, backend)
-
-
-def run(
-    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
-    deltas: Sequence[float] = (0.01,),
-    epsilons: Sequence[float] = (1e-10, 1e-30),
-    simulate: bool = False,
-    simulate_n: int = 300,
-    simulate_snapshots: int = 20,
-    seed: int = 74,
-    backend: str = "reference",
-) -> ConnectivityResult:
-    """Tabulate minimal ``dL`` per (ℓ, δ, ε); optionally simulate."""
-    return registry.execute(
-        "connectivity",
-        points=_points(
-            losses, deltas, epsilons, simulate, simulate_n, simulate_snapshots, seed
-        ),
-        backend=backend,
-    )
 
 
 def _simulate(n: int, snapshots: int, seed: int, backend: str = "reference") -> float:

@@ -12,7 +12,7 @@ the actual protocol for several loss rates and reports the residual
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.params import SFParams
 from repro.experiments import registry
@@ -63,18 +63,23 @@ class DupDelResult:
         )
 
 
-def _points(
-    losses: Sequence[float],
-    n: int,
-    params: SFParams,
-    delta: float,
-    warmup_rounds: float,
-    measure_rounds: float,
-    tolerance: float,
-    seed: int,
+def points(
+    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
+    n: int = 300,
+    params: SFParams = SFParams(view_size=40, d_low=18),
+    delta: float = 0.01,
+    warmup_rounds: float = 400.0,
+    measure_rounds: float = 250.0,
+    tolerance: float = 0.01,
+    seed: int = 66,
 ) -> List[dict]:
-    # Every loss rate carries the same simulation seed (the historical
-    # convention of the serial loop this sweep replaced).
+    """One point per loss rate.
+
+    ``tolerance`` loosens the Lemma 6.7 interval check to absorb sampling
+    noise: the check is ``ℓ − tol ≤ dup ≤ ℓ + δ + tol``.  Every loss rate
+    carries the same simulation seed (the historical convention of the
+    serial loop this sweep replaced).
+    """
     return [
         {
             "loss": loss,
@@ -92,12 +97,11 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=40, d_low=18)
     if fast:
-        return _points((0.0, 0.05), 200, params, 0.01, 250.0, 100.0, 0.01, seed=66)
-    return _points(
-        (0.0, 0.01, 0.05, 0.1), 300, params, 0.01, 400.0, 250.0, 0.01, seed=66
-    )
+        return points(
+            losses=(0.0, 0.05), n=200, warmup_rounds=250.0, measure_rounds=100.0
+        )
+    return points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> DupDelResult:
@@ -141,31 +145,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> BalanceRow:
         mc_duplication=solved.duplication_probability,
         mc_deletion=solved.deletion_probability,
         within_lemma_6_7=(loss - tolerance <= dup <= loss + delta + tolerance),
-    )
-
-
-def run(
-    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
-    n: int = 400,
-    params: Optional[SFParams] = None,
-    delta: float = 0.01,
-    warmup_rounds: float = 500.0,
-    measure_rounds: float = 300.0,
-    seed: int = 66,
-    tolerance: float = 0.01,
-    backend: str = "reference",
-) -> DupDelResult:
-    """Measure the balance per loss rate (thin spec wrapper).
-
-    ``tolerance`` loosens the Lemma 6.7 interval check to absorb sampling
-    noise: the check is ``ℓ − tol ≤ dup ≤ ℓ + δ + tol``.
-    """
-    if params is None:
-        params = SFParams(view_size=40, d_low=18)
-    return registry.execute(
-        "lemma-6.6",
-        points=_points(
-            losses, n, params, delta, warmup_rounds, measure_rounds, tolerance, seed
-        ),
-        backend=backend,
     )

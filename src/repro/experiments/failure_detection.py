@@ -25,7 +25,7 @@ for the sizing rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
@@ -201,18 +201,3 @@ def _grid(fast: bool) -> list:
         dict(base, n=60, kill=10, loss=loss, detect_rounds=150, seed=20260808 + i)
         for i, loss in enumerate((0.0, 0.05, 0.10))
     ]
-
-
-def run(
-    n: int = 60,
-    kill: int = 10,
-    loss_rates: Sequence[float] = (0.0, 0.05, 0.10),
-    seed: int = 20260808,
-) -> FailureDetectionResult:
-    """Run the crash-wave sweep at the given loss rates."""
-    base = _grid(fast=False)[0]
-    points: List[Dict] = [
-        dict(base, n=n, kill=kill, loss=loss, seed=seed + i)
-        for i, loss in enumerate(loss_rates)
-    ]
-    return registry.execute("failure-detection", points=points)

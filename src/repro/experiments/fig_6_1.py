@@ -19,7 +19,7 @@ with the analytical one, matching the paper's "more accurate" remark).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.degree_analytic import (
     analytical_indegree_distribution,
@@ -114,14 +114,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> Fig61Result:
             "analytical": analytic_in,
             "markov": markov.indegree_pmf,
         },
-    )
-
-
-def run(dm: int = 90, view_size: Optional[int] = None) -> Fig61Result:
-    """Reproduce Figure 6.1 for sum degree ``dm`` (paper: 90).
-
-    ``view_size`` defaults to ``dm`` (the paper's s = 90 with ds = s).
-    """
-    return registry.execute(
-        "fig-6.1", points=[{"dm": dm, "view_size": view_size}]
     )

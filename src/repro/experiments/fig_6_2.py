@@ -88,19 +88,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> Fig62Result:
         lossy_transitions=classes["lossy"],
         isolated_state_present=(0, 0) in chain.states,
     )
-
-
-def run(
-    params: SFParams = SFParams(view_size=8, d_low=0), loss_rate: float = 0.05
-) -> Fig62Result:
-    """Classify the degree-MC transition structure for a small view size."""
-    return registry.execute(
-        "fig-6.2",
-        points=[
-            {
-                "view_size": params.view_size,
-                "d_low": params.d_low,
-                "loss": loss_rate,
-            }
-        ],
-    )

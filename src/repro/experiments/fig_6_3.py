@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.markov.degree_mc import DegreeMarkovChain
-from repro.runner import SweepRunner
 from repro.util.tables import format_table
 
 
@@ -79,16 +78,20 @@ class Fig63Result:
         return format_table(headers, table_rows, title=title)
 
 
-def _points(
-    losses: Sequence[float],
-    params: SFParams,
-    simulate: bool,
-    simulate_n: int,
-    simulate_rounds: Tuple[float, float],
-    seed: int,
+def points(
+    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
+    params: SFParams = SFParams(view_size=40, d_low=18),
+    simulate: bool = True,
+    simulate_n: int = 300,
+    simulate_rounds: Tuple[float, float] = (400.0, 150.0),
+    seed: int = 2009,
 ) -> List[dict]:
-    # Every loss rate carries the same simulation seed (the historical
-    # convention, preserved so outputs are independent of ``jobs``).
+    """One point per loss rate: the degree MC, optionally simulated.
+
+    ``simulate_rounds`` is (warm-up rounds, measurement rounds).  Every
+    loss rate carries the same simulation seed (the historical
+    convention, preserved so outputs are independent of ``jobs``).
+    """
     return [
         {
             "loss": loss,
@@ -105,14 +108,11 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=40, d_low=18)
     if fast:
-        return _points(
-            (0.0, 0.01, 0.05, 0.1), params, False, 400, (600.0, 200.0), seed=2009
+        return points(
+            simulate=False, simulate_n=400, simulate_rounds=(600.0, 200.0)
         )
-    return _points(
-        (0.0, 0.01, 0.05, 0.1), params, True, 300, (400.0, 150.0), seed=2009
-    )
+    return points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Fig63Result:
@@ -162,36 +162,6 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> LossRow:
     return row
 
 
-def run(
-    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
-    params: Optional[SFParams] = None,
-    simulate: bool = False,
-    simulate_n: int = 400,
-    simulate_rounds: Tuple[float, float] = (600.0, 200.0),
-    seed: int = 2009,
-    backend: str = "reference",
-    jobs: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> Fig63Result:
-    """Solve the degree MC per loss rate; optionally validate by simulation.
-
-    ``simulate_rounds`` is (warm-up rounds, measurement rounds); ``backend``
-    selects the simulation kernel (see ``build_sf_system``); ``jobs > 1``
-    distributes the loss points over a process pool.  A preconfigured
-    ``runner`` (retries, ``on_error="skip"``, checkpoint) overrides
-    ``jobs``; cells skipped under that policy are omitted from the result.
-    """
-    if params is None:
-        params = SFParams(view_size=40, d_low=18)
-    return registry.execute(
-        "fig-6.3",
-        points=_points(losses, params, simulate, simulate_n, simulate_rounds, seed),
-        backend=backend,
-        jobs=jobs,
-        runner=runner,
-    )
-
-
 def _simulate(
     params: SFParams,
     loss: float,
@@ -203,27 +173,18 @@ def _simulate(
     import numpy as np
 
     from repro.experiments.common import build_sf_system, warm_up
+    from repro.metrics.degrees import degree_summary
 
     protocol, engine = build_sf_system(
         n, params, loss_rate=loss, seed=seed, backend=backend
     )
     warm_up(engine, rounds[0])
     # Average degrees over several snapshots of the measurement window.
-    in_means: List[float] = []
-    out_means: List[float] = []
-    snapshots = 8
-    degree_arrays = getattr(protocol, "degree_arrays", None)
-    for _ in range(snapshots):
-        engine.run_rounds(rounds[1] / snapshots)
-        if degree_arrays is not None:
-            # Array-backed kernels: both profiles from the id-matrix in a
-            # few vectorized ops (see metrics.degrees.degree_summary).
-            out, indeg = degree_arrays()
-            out_means.append(float(np.mean(out)))
-            in_means.append(float(np.mean(indeg)))
-        else:
-            out_means.append(
-                float(np.mean([protocol.outdegree(u) for u in protocol.node_ids()]))
-            )
-            in_means.append(float(np.mean(list(protocol.indegrees().values()))))
-    return float(np.mean(in_means)), float(np.mean(out_means))
+    snapshots = []
+    for _ in range(8):
+        engine.run_rounds(rounds[1] / 8)
+        snapshots.append(degree_summary(protocol))
+    return (
+        float(np.mean([snap.indegree_mean for snap in snapshots])),
+        float(np.mean([snap.outdegree_mean for snap in snapshots])),
+    )

@@ -16,13 +16,12 @@ and the surviving instances of their ids are counted each round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.decay import half_life_rounds, survival_curve
 from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.metrics.degrees import id_instance_count
-from repro.runner import SweepRunner
 from repro.util.tables import format_series
 
 
@@ -63,20 +62,23 @@ def _rounds(point: dict) -> List[int]:
     return list(range(0, point["max_round"] + 1, point["step"]))
 
 
-def _points(
-    losses: Sequence[float],
-    params: SFParams,
-    delta: float,
-    max_round: int,
-    step: int,
-    simulate: bool,
-    simulate_n: int,
-    simulate_leavers: int,
-    warmup_rounds: float,
-    seed: int,
+def points(
+    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
+    params: SFParams = SFParams(view_size=40, d_low=18),
+    delta: float = 0.01,
+    max_round: int = 500,
+    step: int = 25,
+    simulate: bool = True,
+    simulate_n: int = 300,
+    simulate_leavers: int = 20,
+    warmup_rounds: float = 200.0,
+    seed: int = 64,
 ) -> List[dict]:
-    # Every loss rate carries the same simulation seed (the historical
-    # convention, preserved so outputs are independent of ``jobs``).
+    """One point per loss rate: the Lemma 6.10 curve, optionally simulated.
+
+    Every loss rate carries the same simulation seed (the historical
+    convention, preserved so outputs are independent of ``jobs``).
+    """
     return [
         {
             "loss": loss,
@@ -96,11 +98,12 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=40, d_low=18)
-    losses = (0.0, 0.01, 0.05, 0.1)
     if fast:
-        return _points(losses, params, 0.01, 200, 50, False, 400, 20, 300.0, seed=64)
-    return _points(losses, params, 0.01, 500, 25, True, 300, 20, 200.0, seed=64)
+        return points(
+            max_round=200, step=50, simulate=False, simulate_n=400,
+            warmup_rounds=300.0,
+        )
+    return points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Fig64Result:
@@ -151,42 +154,6 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         else None
     )
     return bound, simulated
-
-
-def run(
-    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
-    params: Optional[SFParams] = None,
-    delta: float = 0.01,
-    max_round: int = 500,
-    step: int = 25,
-    simulate: bool = False,
-    simulate_n: int = 400,
-    simulate_leavers: int = 20,
-    warmup_rounds: float = 300.0,
-    seed: int = 64,
-    backend: str = "reference",
-    jobs: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> Fig64Result:
-    """Compute the Lemma 6.10 curves; optionally simulate actual decay.
-
-    ``jobs > 1`` distributes loss points over a process pool; outputs are
-    independent of ``jobs``.  A preconfigured ``runner`` (retries,
-    ``on_error="skip"``, checkpoint) overrides ``jobs``; loss rates whose
-    cell was skipped under that policy get no curves.
-    """
-    if params is None:
-        params = SFParams(view_size=40, d_low=18)
-    return registry.execute(
-        "fig-6.4",
-        points=_points(
-            losses, params, delta, max_round, step,
-            simulate, simulate_n, simulate_leavers, warmup_rounds, seed,
-        ),
-        backend=backend,
-        jobs=jobs,
-        runner=runner,
-    )
 
 
 def _simulate_decay(

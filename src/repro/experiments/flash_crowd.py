@@ -196,28 +196,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> FlashCrowdResult:
         weakly_connected=protocol.export_graph().is_weakly_connected(),
         invariant_rounds_ok=invariant_rounds_ok,
     )
-
-
-def run(
-    n0: int = 50,
-    crowd: int = 100,
-    rounds: int = 150,
-    loss_rate: float = 0.05,
-    seed: int = 20260808,
-) -> FlashCrowdResult:
-    """Throw a flash crowd of ``crowd`` joiners at an ``n0``-node system."""
-    return registry.execute(
-        "flash-crowd",
-        points=[
-            {
-                "n0": n0,
-                "crowd": crowd,
-                "view_size": 12,
-                "d_low": 4,
-                "loss": loss_rate,
-                "warm_rounds": 30,
-                "rounds": rounds,
-                "seed": seed,
-            }
-        ],
-    )

@@ -15,7 +15,7 @@ duplicates) and compares it with:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.independence import (
     dependence_stationary_exact,
@@ -24,7 +24,6 @@ from repro.analysis.independence import (
 from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.markov.dependence_mc import DependenceMarkovChain
-from repro.runner import SweepRunner
 from repro.util.tables import format_table
 
 
@@ -67,17 +66,20 @@ class IndependenceResult:
         )
 
 
-def _points(
-    losses: Sequence[float],
-    n: int,
-    params: SFParams,
-    delta: float,
-    warmup_rounds: float,
-    measure_rounds: float,
-    seed: int,
+def points(
+    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
+    n: int = 600,
+    params: SFParams = SFParams(view_size=40, d_low=18),
+    delta: float = 0.01,
+    warmup_rounds: float = 300.0,
+    measure_rounds: float = 100.0,
+    seed: int = 79,
 ) -> List[dict]:
-    # Every loss rate carries the same simulation seed (the historical
-    # convention, preserved so outputs are independent of ``jobs``).
+    """One point per loss rate.
+
+    Every loss rate carries the same simulation seed (the historical
+    convention, preserved so outputs are independent of ``jobs``).
+    """
     return [
         {
             "loss": loss,
@@ -94,10 +96,11 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=40, d_low=18)
     if fast:
-        return _points((0.0, 0.05), 300, params, 0.01, 200.0, 60.0, seed=79)
-    return _points((0.0, 0.01, 0.05, 0.1), 600, params, 0.01, 300.0, 100.0, seed=79)
+        return points(
+            losses=(0.0, 0.05), n=300, warmup_rounds=200.0, measure_rounds=60.0
+        )
+    return points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> IndependenceResult:
@@ -152,38 +155,6 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> IndependenceRow:
         mc_stationary=mc,
         iid_duplicate_floor=floor,
         within_bound=dep <= bound + floor + 0.01,
-    )
-
-
-def run(
-    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
-    n: int = 1000,
-    params: Optional[SFParams] = None,
-    delta: float = 0.01,
-    warmup_rounds: float = 400.0,
-    measure_rounds: float = 100.0,
-    seed: int = 79,
-    backend: str = "reference",
-    jobs: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> IndependenceResult:
-    """Measure dependence per loss rate against the Lemma 7.9 bound.
-
-    The acceptance criterion adds the finite-size duplicate floor to the
-    asymptotic bound, since the simulation runs at finite ``n``.
-    ``jobs > 1`` distributes loss points over a process pool; outputs are
-    independent of ``jobs``.  A preconfigured ``runner`` (retries,
-    ``on_error="skip"``, checkpoint) overrides ``jobs``; cells skipped
-    under that policy are omitted from the result.
-    """
-    if params is None:
-        params = SFParams(view_size=40, d_low=18)
-    return registry.execute(
-        "lemma-7.9",
-        points=_points(losses, n, params, delta, warmup_rounds, measure_rounds, seed),
-        backend=backend,
-        jobs=jobs,
-        runner=runner,
     )
 
 

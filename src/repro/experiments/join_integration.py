@@ -15,7 +15,7 @@ messages and re-enters the normal operating regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -130,41 +130,6 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> JoinIntegrationRe
         horizon_rounds=horizon_rounds,
         joiner_instances=instances,
         joiner_outdegrees=outdegrees,
-    )
-
-
-def run(
-    n: int = 400,
-    params: Optional[SFParams] = None,
-    loss_rate: float = 0.01,
-    joiners: int = 8,
-    warmup_rounds: float = 300.0,
-    horizon_rounds: Optional[float] = None,
-    seed: int = 614,
-    backend: str = "reference",
-) -> JoinIntegrationResult:
-    """Run the join-integration experiment (thin spec wrapper).
-
-    Defaults use ``s/dL = 2`` (``s = 40, dL = 20``) as in the corollary.
-    ``horizon_rounds`` defaults to ``2s``.
-    """
-    if params is None:
-        params = SFParams(view_size=40, d_low=20)
-    return registry.execute(
-        "cor-6.14",
-        points=[
-            {
-                "n": n,
-                "view_size": params.view_size,
-                "d_low": params.d_low,
-                "loss": loss_rate,
-                "joiners": joiners,
-                "warmup_rounds": warmup_rounds,
-                "horizon_rounds": horizon_rounds,
-                "seed": seed,
-            }
-        ],
-        backend=backend,
     )
 
 

@@ -139,8 +139,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> GlobalChainChecks
     if kind == "lossy":
         return run_lossy(loss_rate=point["loss"])
     raise ValueError(f"unknown lemma-7.5 cell kind {kind!r}")
-
-
-def run() -> Lemma75Bundle:
-    """All three checks as one bundle (thin spec wrapper)."""
-    return registry.execute("lemma-7.5", fast=False)

@@ -142,26 +142,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> LiveDegreeResult:
         degree_violations=list(report.degree_violations),
         errors=list(report.errors),
     )
-
-
-def run(
-    n: int = 120,
-    drop_rate: float = 0.05,
-    duration_s: float = 5.0,
-    seed: int = 20260808,
-) -> LiveDegreeResult:
-    """Boot a localhost UDP cluster and compare it with the degree MC."""
-    return registry.execute(
-        "live-degree",
-        points=[
-            {
-                "n": n,
-                "view_size": 8,
-                "d_low": 2,
-                "drop": drop_rate,
-                "rate": 60.0,
-                "duration": duration_s,
-                "seed": seed,
-            }
-        ],
-    )

@@ -17,7 +17,7 @@ the same extreme indegree skew without that bottleneck.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
@@ -86,16 +86,22 @@ def _ring_protocol(n: int, params: SFParams) -> SendForget:
 _TOPOLOGIES = ("hubs", "ring")
 
 
-def _points(
-    n: int,
-    params: SFParams,
-    loss_rate: float,
-    rounds: int,
-    sample_every: int,
-    seed: int,
+def points(
+    n: int = 300,
+    params: SFParams = SFParams(view_size=12, d_low=2),
+    loss_rate: float = 0.01,
+    rounds: int = 400,
+    sample_every: int = 50,
+    seed: int = 22,
 ) -> List[dict]:
-    # Both topologies use the same engine seed (the historical convention
-    # of the serial loop this sweep replaced).
+    """One point per starting topology (hubs, ring).
+
+    The ring bootstraps every node at outdegree 2, so ``d_low`` must be
+    ≤ 2.  Both topologies use the same engine seed (the historical
+    convention of the serial loop this sweep replaced).
+    """
+    if params.d_low > 2:
+        raise ValueError("the ring start has outdegree 2; need d_low <= 2")
     return [
         {
             "topology": topology,
@@ -112,15 +118,7 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=12, d_low=2)
-    return _points(
-        n=200 if fast else 300,
-        params=params,
-        loss_rate=0.01,
-        rounds=150 if fast else 400,
-        sample_every=50,
-        seed=22,
-    )
+    return points(n=200, rounds=150) if fast else points()
 
 
 def _aggregate(points: List[dict], records: List[object]) -> LoadBalanceResult:
@@ -167,26 +165,3 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         xs.append(float(elapsed))
         ys.append(indegree_variance(protocol))
     return xs, ys
-
-
-def run(
-    n: int = 300,
-    params: Optional[SFParams] = None,
-    loss_rate: float = 0.01,
-    rounds: int = 200,
-    sample_every: int = 10,
-    seed: int = 22,
-) -> LoadBalanceResult:
-    """Track indegree variance from hubs and ring starts (thin spec wrapper).
-
-    The ring bootstraps every node at outdegree 2, so ``d_low`` must be
-    ≤ 2 (default params use ``d_low = 2`` with a small view).
-    """
-    if params is None:
-        params = SFParams(view_size=12, d_low=2)
-    if params.d_low > 2:
-        raise ValueError("the ring start has outdegree 2; need d_low <= 2")
-    return registry.execute(
-        "load-balance",
-        points=_points(n, params, loss_rate, rounds, sample_every, seed),
-    )

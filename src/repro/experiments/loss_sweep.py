@@ -16,7 +16,7 @@ It is the quantitative "operating envelope" a deployer would consult.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.independence import (
     dependence_stationary_exact,
@@ -26,7 +26,6 @@ from repro.analysis.temporal import expected_conductance_bound
 from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.markov.degree_mc import DegreeMarkovChain
-from repro.runner import SweepRunner
 from repro.util.tables import format_table
 
 
@@ -79,9 +78,12 @@ class LossSweepResult:
 DEFAULT_LOSSES = (0.0, 0.005, 0.01, 0.02, 0.03, 0.05, 0.075, 0.1, 0.15, 0.2)
 
 
-def _points(
-    losses: Sequence[float], params: SFParams, delta: float
+def points(
+    losses: Sequence[float] = DEFAULT_LOSSES,
+    params: SFParams = SFParams(view_size=40, d_low=18),
+    delta: float = 0.01,
 ) -> List[dict]:
+    """One point per loss rate; each row is a pure function of its point."""
     return [
         {
             "loss": loss,
@@ -94,8 +96,7 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    losses = (0.0, 0.01, 0.05, 0.1) if fast else DEFAULT_LOSSES
-    return _points(losses, SFParams(view_size=40, d_low=18), delta=0.01)
+    return points(losses=(0.0, 0.01, 0.05, 0.1)) if fast else points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> "LossSweepResult":
@@ -138,29 +139,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> LossSweepRow:
         alpha_bound=alpha,
         dependence_exact=dependence_stationary_exact(loss, delta),
         conductance_bound=conductance,
-    )
-
-
-def run(
-    losses: Sequence[float] = DEFAULT_LOSSES,
-    params: Optional[SFParams] = None,
-    delta: float = 0.01,
-    jobs: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> LossSweepResult:
-    """Solve the degree MC across the loss grid (thin spec wrapper).
-
-    ``jobs > 1`` distributes loss points over a process pool; each row is
-    a pure function of its point, so results are identical at any ``jobs``.
-    A preconfigured ``runner`` (retries, ``on_error="skip"``, checkpoint)
-    overrides ``jobs``; cells skipped under that policy are omitted from
-    the result.
-    """
-    if params is None:
-        params = SFParams(view_size=40, d_low=18)
-    return registry.execute(
-        "loss-sweep",
-        points=_points(losses, params, delta),
-        jobs=jobs,
-        runner=runner,
     )

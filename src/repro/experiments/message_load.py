@@ -15,7 +15,6 @@ steady-state S&F system, counts messages actually received per node, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -119,35 +118,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> MessageLoadResult
         indegree_cv=indegree_cv,
         mc_indegree_cv=mc_std / mc_mean,
         max_load_ratio=float(received.max() / received.mean()),
-    )
-
-
-def run(
-    n: int = 400,
-    params: Optional[SFParams] = None,
-    loss_rate: float = 0.01,
-    warmup_rounds: float = 200.0,
-    measure_rounds: float = 200.0,
-    snapshots: int = 20,
-    seed: int = 92,
-    backend: str = "reference",
-) -> MessageLoadResult:
-    """Measure per-node receive load against time-averaged indegree."""
-    if params is None:
-        params = SFParams(view_size=40, d_low=18)
-    return registry.execute(
-        "message-load",
-        points=[
-            {
-                "n": n,
-                "view_size": params.view_size,
-                "d_low": params.d_low,
-                "loss": loss_rate,
-                "warmup_rounds": warmup_rounds,
-                "measure_rounds": measure_rounds,
-                "snapshots": snapshots,
-                "seed": seed,
-            }
-        ],
-        backend=backend,
     )

@@ -109,10 +109,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> MixingValidationR
         expected_conductance=phi,
         lemma_7_15_style_bound=bound,
     )
-
-
-def run(loss_rate: float = 0.2, epsilon: float = 0.05) -> MixingValidationResult:
-    """Validate the conductance→τε chain on the 2-node lossy global MC."""
-    return registry.execute(
-        "mixing-exact", points=[{"loss": loss_rate, "epsilon": epsilon}]
-    )

@@ -16,12 +16,11 @@ Solved entirely with the degree MC — no simulation needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.markov.degree_mc import DegreeMarkovChain
-from repro.runner import SweepRunner
 from repro.util.tables import format_table
 
 
@@ -65,9 +64,12 @@ class ParameterSweepResult:
         )
 
 
-def _points(
-    d_lows: Sequence[int], view_sizes: Sequence[int], loss_rate: float
+def points(
+    d_lows: Sequence[int] = (10, 14, 18, 22, 26),
+    view_sizes: Sequence[int] = (32, 40, 48),
+    loss_rate: float = 0.01,
 ) -> List[dict]:
+    """One point per feasible (dL, s) pair; each cell's solve is pure."""
     return [
         {"view_size": view_size, "d_low": d_low, "loss": loss_rate}
         for view_size in view_sizes
@@ -77,9 +79,7 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return _points(d_lows=(10, 18), view_sizes=(40,), loss_rate=0.01)
-    return _points(d_lows=(10, 14, 18, 22, 26), view_sizes=(32, 40, 48), loss_rate=0.01)
+    return points(d_lows=(10, 18), view_sizes=(40,)) if fast else points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ParameterSweepResult:
@@ -108,32 +108,6 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> SweepCell:
         duplication=solved.duplication_probability,
         deletion=solved.deletion_probability,
         indegree_std=in_std,
-    )
-
-
-def run(
-    d_lows: Sequence[int] = (10, 14, 18, 22, 26),
-    view_sizes: Sequence[int] = (32, 40, 48),
-    loss_rate: float = 0.01,
-    jobs: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> ParameterSweepResult:
-    """Solve the degree MC for each feasible (dL, s) pair (thin spec wrapper).
-
-    ``jobs > 1`` fans the grid over a process pool (see
-    :class:`repro.runner.SweepRunner`); results are identical at any
-    ``jobs`` since each cell's solve is pure.  A preconfigured ``runner``
-    (retries, ``on_error="skip"``, checkpoint) overrides ``jobs``; cells
-    skipped under that policy are omitted from the result.
-    """
-    points = _points(d_lows, view_sizes, loss_rate)
-    if not points:  # every requested pair infeasible: empty result
-        return ParameterSweepResult(loss_rate=loss_rate)
-    return registry.execute(
-        "parameter-sweep",
-        points=points,
-        jobs=jobs,
-        runner=runner,
     )
 
 

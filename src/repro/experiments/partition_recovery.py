@@ -20,7 +20,7 @@ tolerance window to the ≈70-round id half-life of Figure 6.4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.decay import id_survival_bound
 from repro.core.params import SFParams
@@ -87,15 +87,18 @@ def _cross_edges(protocol: SendForget, half: int) -> int:
     return count
 
 
-def _points(
-    n: int,
-    partition_lengths: Sequence[int],
-    params: SFParams,
-    warmup_rounds: float,
-    recovery_rounds: int,
-    seed: int,
+def points(
+    n: int = 200,
+    partition_lengths: Sequence[int] = (20, 60, 150, 400),
+    params: SFParams = SFParams(view_size=16, d_low=6),
+    warmup_rounds: float = 150.0,
+    recovery_rounds: int = 60,
+    seed: int = 88,
 ) -> List[dict]:
-    # Each split length keeps its historical engine seed ``seed + length``.
+    """One point per split duration: split in half, then heal and observe.
+
+    Each split length keeps its historical engine seed ``seed + length``.
+    """
     return [
         {
             "partition_rounds": rounds_split,
@@ -111,10 +114,9 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    params = SFParams(view_size=16, d_low=6)
     if fast:
-        return _points(100, (20, 300), params, 80.0, 60, seed=88)
-    return _points(200, (20, 60, 150, 400), params, 150.0, 60, seed=88)
+        return points(n=100, partition_lengths=(20, 300), warmup_rounds=80.0)
+    return points()
 
 
 def _aggregate(
@@ -172,23 +174,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> PartitionRow:
             0.05,  # generous duplication allowance during the split
         ),
         remerged=remerged,
-    )
-
-
-def run(
-    n: int = 200,
-    partition_lengths: Sequence[int] = (20, 60, 150, 400),
-    params: Optional[SFParams] = None,
-    warmup_rounds: float = 150.0,
-    recovery_rounds: int = 60,
-    seed: int = 88,
-) -> PartitionRecoveryResult:
-    """Split the system in half for each duration, then heal and observe."""
-    if params is None:
-        params = SFParams(view_size=16, d_low=6)
-    return registry.execute(
-        "partition-recovery",
-        points=_points(
-            n, partition_lengths, params, warmup_rounds, recovery_rounds, seed
-        ),
     )

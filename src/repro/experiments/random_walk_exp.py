@@ -77,18 +77,22 @@ class RandomWalkResult:
 _PHASES = ("success", "bias-simple", "bias-mh", "bias-view")
 
 
-def _points(
-    n: int,
-    losses: Sequence[float],
-    walk_length: int,
-    bias_walk_length: int,
-    attempts: int,
-    warmup_rounds: float,
-    seed: int,
+def points(
+    n: int = 200,
+    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
+    walk_length: int = 20,
+    bias_walk_length: int = 200,
+    attempts: int = 2000,
+    warmup_rounds: float = 150.0,
+    seed: int = 311,
 ) -> List[dict]:
-    # Each phase derives its historical walker/engine seed (seed+1..+4)
-    # inside the cell, so independent rebuilds stay bit-identical to the
-    # serial run this sweep replaced.
+    """One point per measurement phase: walk success on a steady-state
+    overlay, then sample bias on a skewed one.
+
+    Each phase derives its historical walker/engine seed (seed+1..+4)
+    inside the cell, so independent rebuilds stay bit-identical to the
+    serial run this sweep replaced.
+    """
     return [
         {
             "phase": phase,
@@ -105,15 +109,7 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    return _points(
-        n=200,
-        losses=(0.0, 0.01, 0.05, 0.1),
-        walk_length=20,
-        bias_walk_length=200,
-        attempts=800 if fast else 2000,
-        warmup_rounds=150.0,
-        seed=311,
-    )
+    return points(attempts=800) if fast else points()
 
 
 def _aggregate(points: List[dict], records: List[object]) -> RandomWalkResult:
@@ -213,25 +209,6 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         return hits / max(draws, 1)
 
     raise ValueError(f"unknown random-walks phase {phase!r}")
-
-
-def run(
-    n: int = 200,
-    losses: Sequence[float] = (0.0, 0.01, 0.05, 0.1),
-    walk_length: int = 20,
-    bias_walk_length: int = 200,
-    attempts: int = 2000,
-    warmup_rounds: float = 150.0,
-    seed: int = 311,
-) -> RandomWalkResult:
-    """Measure walk success on a steady-state overlay and sample bias on a
-    skewed one (thin spec wrapper)."""
-    return registry.execute(
-        "random-walks",
-        points=_points(
-            n, losses, walk_length, bias_walk_length, attempts, warmup_rounds, seed
-        ),
-    )
 
 
 def _skewed_overlay(n: int, params: SFParams):

@@ -334,44 +334,6 @@ def _point_seed(point: Any, replication: int) -> Optional[int]:
     return None
 
 
-def run_cells(
-    name_or_spec: Any,
-    points: Sequence[Any],
-    *,
-    backend: Optional[str] = None,
-    runner: Optional[SweepRunner] = None,
-    jobs: Optional[int] = None,
-    executor: str = "auto",
-) -> List[Any]:
-    """Run ``points`` through the spec's cell via a :class:`SweepRunner`.
-
-    The building block behind :func:`execute`; legacy ``module.run()``
-    wrappers with partial entry points call it directly with custom
-    points.  Returns records in grid order (``None`` for skipped cells).
-    ``executor`` (``auto``/``inline``/``process``/``thread``) selects
-    where cells run when no preconfigured ``runner`` is given.
-    """
-    spec = name_or_spec if isinstance(name_or_spec, ExperimentSpec) else get(
-        name_or_spec
-    )
-    backend = backend or "reference"
-    if backend != "reference" and not spec.backend_sensitive:
-        warnings.warn(
-            f"experiment {spec.name!r} is analytic: backend={backend!r} "
-            "does not affect it",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if runner is None:
-        runner = SweepRunner(jobs=jobs, executor=executor)
-    return runner.run(
-        _spec_worker,
-        list(points),
-        seed_fn=_point_seed,
-        context=_CellContext(experiment=spec.name, backend=backend),
-    )
-
-
 def execute(
     name_or_spec: Any,
     *,
@@ -384,14 +346,29 @@ def execute(
 ) -> Any:
     """Run one experiment end to end: grid → cells → aggregate.
 
-    ``points`` overrides the spec's ``grid(fast)`` (how the legacy
-    ``module.run()`` wrappers express their keyword arguments).  A
-    preconfigured ``runner`` (jobs, retries, ``on_error``, timeout,
-    checkpoint, executor) overrides ``jobs``/``executor``.
+    The only way in.  ``points`` overrides the spec's ``grid(fast)`` —
+    a module's ``points(...)`` builder with other keyword values, or a
+    hand-edited copy of a grid point — e.g.::
+
+        execute("fig-6.3", points=fig_6_3.points(losses=(0.01,)))
+
+    Cells run through a :class:`SweepRunner` in grid order (a cell
+    skipped under ``on_error="skip"`` hands ``None`` to the aggregate).
+    A preconfigured ``runner`` (jobs, retries, ``on_error``, timeout,
+    checkpoint, executor) overrides ``jobs``/``executor``
+    (``auto``/``inline``/``process``/``thread``).
     """
     spec = name_or_spec if isinstance(name_or_spec, ExperimentSpec) else get(
         name_or_spec
     )
+    backend = backend or "reference"
+    if backend != "reference" and not spec.backend_sensitive:
+        warnings.warn(
+            f"experiment {spec.name!r} is analytic: backend={backend!r} "
+            "does not affect it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     tel = get_telemetry()
     tel.event("experiment.start", experiment=spec.name, fast=fast)
     if points is None:
@@ -400,9 +377,13 @@ def execute(
     points = list(points)
     if not points:
         raise ValueError(f"experiment {spec.name!r} produced an empty grid")
-    records = run_cells(
-        spec, points, backend=backend, runner=runner, jobs=jobs,
-        executor=executor,
+    if runner is None:
+        runner = SweepRunner(jobs=jobs, executor=executor)
+    records = runner.run(
+        _spec_worker,
+        points,
+        seed_fn=_point_seed,
+        context=_CellContext(experiment=spec.name, backend=backend),
     )
     with phase("aggregate"):
         result = spec.aggregate(points, records)

@@ -145,27 +145,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> SamplerResult:
             )
         )
     return result
-
-
-def run(
-    n: int = 150,
-    slots: int = 8,
-    loss_rate: float = 0.02,
-    epochs: int = 8,
-    rounds_per_epoch: float = 25.0,
-    seed: int = 37,
-) -> SamplerResult:
-    """Drive S&F + samplers and record the uniformity/freshness series."""
-    return registry.execute(
-        "samplers",
-        points=[
-            {
-                "n": n,
-                "slots": slots,
-                "loss": loss_rate,
-                "epochs": epochs,
-                "rounds_per_epoch": rounds_per_epoch,
-                "seed": seed,
-            }
-        ],
-    )

@@ -45,15 +45,18 @@ class ThresholdTableResult:
         )
 
 
-def _points(d_hats: Sequence[int], deltas: Sequence[float]) -> List[dict]:
+def points(
+    d_hats: Sequence[int] = (10, 20, 30, 40, 50),
+    deltas: Sequence[float] = (0.05, 0.01, 0.001),
+) -> List[dict]:
+    """One point per (target degree d̂, tail cap δ) pair."""
     return [
         {"d_hat": d_hat, "delta": delta} for d_hat in d_hats for delta in deltas
     ]
 
 
 def _grid(fast: bool) -> List[dict]:
-    d_hats = (30,) if fast else (10, 20, 30, 40, 50)
-    return _points(d_hats, deltas=(0.05, 0.01, 0.001))
+    return points(d_hats=(30,)) if fast else points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ThresholdTableResult:
@@ -76,11 +79,3 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         return select_thresholds(point["d_hat"], point["delta"])
     except ValueError:
         return None  # unsatisfiable corner (tiny d̂ with tight δ)
-
-
-def run(
-    d_hats: Sequence[int] = (10, 20, 30, 40, 50),
-    deltas: Sequence[float] = (0.05, 0.01, 0.001),
-) -> ThresholdTableResult:
-    """Sweep the rule over target degrees and tail caps (thin spec wrapper)."""
-    return registry.execute("table-6.3", points=_points(d_hats, deltas))

@@ -103,18 +103,28 @@ class TemporalBundle:
         return f"{self.bounds.format()}\n\n{self.decay.format()}"
 
 
-def _decay_points(
-    n: int,
-    params: SFParams,
-    losses: Sequence[float],
-    max_rounds: int,
-    sample_every: int,
-    warmup_rounds: float,
-    seed: int,
+def points(
+    n: int = 300,
+    params: SFParams = SFParams(view_size=16, d_low=6),
+    losses: Sequence[float] = (0.0, 0.05),
+    max_rounds: int = 200,
+    sample_every: int = 10,
+    warmup_rounds: float = 150.0,
+    seed: int = 715,
 ) -> List[dict]:
-    # Every loss rate carries the same simulation seed (the historical
-    # convention of the serial loop this sweep replaced).
-    return [
+    """The bounds-table point, then one overlap-decay point per loss rate.
+
+    Every loss rate carries the same simulation seed (the historical
+    convention of the serial loop this sweep replaced).
+    """
+    bounds = {
+        "kind": "bounds",
+        "sizes": [10**3, 10**4, 10**5, 10**6],
+        "epsilon": 0.01,
+        "losses": [0.0, 0.01],
+        "delta": 0.01,
+    }
+    return [bounds] + [
         {
             "kind": "decay",
             "loss": loss,
@@ -131,33 +141,13 @@ def _decay_points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    points: List[dict] = [
-        {
-            "kind": "bounds",
-            "sizes": [10**3, 10**4, 10**5, 10**6],
-            "epsilon": 0.01,
-            "losses": [0.0, 0.01],
-            "delta": 0.01,
-        }
-    ]
-    points.extend(
-        _decay_points(
-            n=150 if fast else 300,
-            params=SFParams(view_size=16, d_low=6),
-            losses=(0.0, 0.05),
-            max_rounds=120 if fast else 200,
-            sample_every=20 if fast else 10,
-            warmup_rounds=150.0,
-            seed=715,
-        )
-    )
-    return points
+    return points(n=150, max_rounds=120, sample_every=20) if fast else points()
 
 
 def _assemble_decay(
     points: List[dict], records: List[object]
 ) -> TemporalDecayResult:
-    """Rebuild the decay result from per-loss cells (shared by spec and wrapper)."""
+    """Rebuild the decay result from per-loss cells."""
     first = points[0]
     result = TemporalDecayResult(
         n=first["n"],
@@ -229,23 +219,3 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         protocol.outdegree(u) for u in protocol.node_ids()
     ) / len(protocol.node_ids())
     return xs, ys, mean_out / n
-
-
-def run_decay(
-    n: int = 300,
-    params: Optional[SFParams] = None,
-    losses: Sequence[float] = (0.0, 0.05),
-    max_rounds: int = 120,
-    sample_every: int = 5,
-    warmup_rounds: float = 150.0,
-    seed: int = 715,
-    backend: str = "reference",
-) -> TemporalDecayResult:
-    """Empirical overlap-decay curves per loss rate (thin spec wrapper)."""
-    if params is None:
-        params = SFParams(view_size=16, d_low=6)
-    points = _decay_points(
-        n, params, losses, max_rounds, sample_every, warmup_rounds, seed
-    )
-    records = registry.run_cells("lemma-7.15", points, backend=backend)
-    return _assemble_decay(points, records)

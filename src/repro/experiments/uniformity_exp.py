@@ -8,7 +8,7 @@ same probability.  Two validations:
   should give the *same* number (:func:`run_exact`);
 * **empirical** — for a moderate system, tally long-run occupancy of every
   id across observer views and test uniformity by chi-square
-  (:func:`run_empirical`).
+  (the ``"empirical"`` points of :func:`points`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.metrics.uniformity import OccupancyTracker
-from repro.runner import SweepRunner
 from repro.util.tables import format_table
 
 
@@ -98,18 +97,31 @@ class UniformityBundle:
         return f"{self.exact.format()}\n{self.empirical.format()}"
 
 
-def _empirical_points(
-    n: int,
-    params: SFParams,
-    loss_rate: float,
-    warmup_rounds: float,
-    samples: int,
-    sample_gap_rounds: float,
-    replications: int,
-    seed: int,
+def points(
+    n: int = 30,
+    params: SFParams = SFParams(view_size=8, d_low=2),
+    loss_rate: float = 0.02,
+    warmup_rounds: float = 100.0,
+    samples: int = 40,
+    sample_gap_rounds: float = 12.0,
+    replications: int = 6,
+    seed: int = 76,
 ) -> List[dict]:
-    # Replication ``i`` keeps its historical seed ``seed + i``.
-    return [
+    """The exact tiny-MC point, then one empirical point per replication.
+
+    A single run's time-averaged occupancy converges slowly — a node's
+    indegree is mean-reverting with time constant ≈ s²/dL rounds, so
+    widely spaced snapshots remain correlated.  Pooling several runs with
+    independent seeds removes that correlation; the acceptance statistic
+    is the scale-free (max − min)/mean spread of per-id presence counts.
+    Replication ``i`` keeps its historical seed ``seed + i``, and pooling
+    integer counts is order-independent, so results are identical at any
+    ``jobs``; skipped replications are excluded from the pool (and from
+    the reported replication count).
+    """
+    if replications <= 0:
+        raise ValueError(f"replications must be positive, got {replications}")
+    return [{"kind": "exact", "loss": 0.2}] + [
         {
             "kind": "empirical",
             "n": n,
@@ -126,26 +138,13 @@ def _empirical_points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    points = [{"kind": "exact", "loss": 0.2}]
-    points.extend(
-        _empirical_points(
-            n=30,
-            params=SFParams(view_size=8, d_low=2),
-            loss_rate=0.02,
-            warmup_rounds=100.0,
-            samples=40,
-            sample_gap_rounds=12.0,
-            replications=3 if fast else 6,
-            seed=76,
-        )
-    )
-    return points
+    return points(replications=3) if fast else points()
 
 
 def _pool_empirical(
     points: List[dict], records: List[object]
 ) -> EmpiricalUniformityResult:
-    """Pool per-replication occupancy counts (shared by spec and wrapper)."""
+    """Pool per-replication occupancy counts."""
     successful = [counts for counts in records if counts is not None]
     if not successful:
         raise RuntimeError("every replication failed; nothing to pool")
@@ -212,43 +211,3 @@ def _cell(point: dict, seed, *, backend: str = "reference"):
         engine.run_rounds(point["sample_gap_rounds"])
         tracker.sample()
     return tracker.pooled_counts(list(range(n)))
-
-
-def run_empirical(
-    n: int = 30,
-    params: SFParams = SFParams(view_size=8, d_low=2),
-    loss_rate: float = 0.02,
-    warmup_rounds: float = 100.0,
-    samples: int = 40,
-    sample_gap_rounds: float = 12.0,
-    replications: int = 6,
-    seed: int = 76,
-    backend: str = "reference",
-    jobs: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> EmpiricalUniformityResult:
-    """Empirical occupancy uniformity, pooled over independent runs.
-
-    A single run's time-averaged occupancy converges slowly — a node's
-    indegree is mean-reverting with time constant ≈ s²/dL rounds, so
-    widely spaced snapshots remain correlated.  Pooling several runs with
-    independent seeds removes that correlation; the acceptance statistic
-    is the scale-free (max − min)/mean spread of per-id presence counts.
-
-    ``jobs > 1`` runs replications in parallel processes.  Replication
-    ``i`` keeps its historical seed ``seed + i``, and pooling integer
-    counts is order-independent, so results are identical at any ``jobs``.
-    A preconfigured ``runner`` (retries, ``on_error="skip"``, checkpoint)
-    overrides ``jobs``; skipped replications are excluded from the pool
-    (and from the reported replication count).
-    """
-    if replications <= 0:
-        raise ValueError(f"replications must be positive, got {replications}")
-    points = _empirical_points(
-        n, params, loss_rate, warmup_rounds, samples, sample_gap_rounds,
-        replications, seed,
-    )
-    records = registry.run_cells(
-        "lemma-7.6", points, backend=backend, runner=runner, jobs=jobs
-    )
-    return _pool_empirical(points, records)

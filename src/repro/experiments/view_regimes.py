@@ -80,16 +80,19 @@ def _log_params(n: int) -> SFParams:
     return SFParams(view_size=s, d_low=d_low)
 
 
-def _points(
-    sizes: Sequence[int],
-    constant_params: SFParams,
-    loss_rate: float,
-    warmup_rounds: float,
-    measure_rounds: float,
-    seed: int,
+def points(
+    sizes: Sequence[int] = (100, 400, 1600),
+    constant_params: SFParams = SFParams(view_size=16, d_low=6),
+    loss_rate: float = 0.01,
+    warmup_rounds: float = 150.0,
+    measure_rounds: float = 100.0,
+    seed: int = 93,
 ) -> List[dict]:
-    # Every (regime, n) plan uses the same simulation seed (the historical
-    # convention of the serial loop this sweep replaced).
+    """Two points per size: the constant-view and logarithmic-view regimes.
+
+    Every (regime, n) plan uses the same simulation seed (the historical
+    convention of the serial loop this sweep replaced).
+    """
     plans: List[Tuple[str, int, SFParams]] = []
     for n in sizes:
         plans.append(("constant", n, constant_params))
@@ -110,10 +113,9 @@ def _points(
 
 
 def _grid(fast: bool) -> List[dict]:
-    constant_params = SFParams(view_size=16, d_low=6)
     if fast:
-        return _points((100, 400), constant_params, 0.01, 100.0, 60.0, seed=93)
-    return _points((100, 400, 1600), constant_params, 0.01, 150.0, 100.0, seed=93)
+        return points(sizes=(100, 400), warmup_rounds=100.0, measure_rounds=60.0)
+    return points()
 
 
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ViewRegimesResult:
@@ -161,23 +163,4 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> RegimeRow:
         connected=stats.weakly_connected,
         diameter=stats.undirected_diameter,
         dup_minus_loss_del=dup - (loss_rate + dele),
-    )
-
-
-def run(
-    sizes: Sequence[int] = (100, 400, 1600),
-    constant_params: Optional[SFParams] = None,
-    loss_rate: float = 0.01,
-    warmup_rounds: float = 150.0,
-    measure_rounds: float = 100.0,
-    seed: int = 93,
-) -> ViewRegimesResult:
-    """Run both regimes at every size and compare against the degree MC."""
-    if constant_params is None:
-        constant_params = SFParams(view_size=16, d_low=6)
-    return registry.execute(
-        "view-regimes",
-        points=_points(
-            sizes, constant_params, loss_rate, warmup_rounds, measure_rounds, seed
-        ),
     )

@@ -95,10 +95,20 @@ class LivenessUpdate:
                 int(self.heartbeat)]
 
     @classmethod
-    def decode(cls, raw: Sequence) -> "LivenessUpdate":
+    def decode(cls, raw: Any) -> "LivenessUpdate":
+        """Inverse of :meth:`encode`; ``ValueError`` for any other shape.
+
+        Strict on purpose: exactly four plain ints (no bools, floats or
+        digit strings) and a known :class:`PeerState`.
+        """
+        if (
+            not isinstance(raw, (list, tuple))
+            or len(raw) != 4
+            or not all(type(field) is int for field in raw)
+        ):
+            raise ValueError(f"malformed liveness entry {raw!r}")
         peer, state, incarnation, heartbeat = raw
-        return cls(int(peer), PeerState(int(state)), int(incarnation),
-                   int(heartbeat))
+        return cls(peer, PeerState(state), incarnation, heartbeat)
 
 
 @dataclass
@@ -524,22 +534,29 @@ class FailureDetector:
             return None
         return {"v": FD_WIRE_VERSION, "g": [u.encode() for u in updates]}
 
-    def absorb_extension(self, blob: Optional[Dict[str, Any]], now: float) -> int:
+    def absorb_extension(self, blob: Any, now: float) -> int:
         """Merge a received extension blob; returns rumors that changed state.
 
-        Unknown versions and malformed entries are counted and skipped —
-        a half-understood liveness rumor is worse than none.
+        The blob comes off the network: whatever its shape, this never
+        raises.  A blob that is not a current-version envelope with a list
+        of entries, and each entry that does not decode, costs one
+        ``ignored_extensions`` increment and touches no record — a
+        half-understood liveness rumor is worse than none.
         """
-        if not blob:
+        if blob is None:
             return 0
-        if blob.get("v") != FD_WIRE_VERSION:
+        entries = blob.get("g", []) if isinstance(blob, dict) else None
+        if (
+            not isinstance(entries, (list, tuple))
+            or blob.get("v") != FD_WIRE_VERSION
+        ):
             self.counters["ignored_extensions"] += 1
             return 0
         changed = 0
-        for raw in blob.get("g", ()):
+        for raw in entries:
             try:
                 update = LivenessUpdate.decode(raw)
-            except (TypeError, ValueError):
+            except ValueError:
                 self.counters["ignored_extensions"] += 1
                 continue
             if self.absorb(update, now):

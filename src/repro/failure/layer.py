@@ -37,7 +37,6 @@ conservation identity stays checkable::
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.failure.detector import (
@@ -46,7 +45,13 @@ from repro.failure.detector import (
     FailureDetector,
     PeerState,
 )
-from repro.protocols.base import GossipProtocol, Message, SendEffect
+from repro.protocols.base import (
+    GossipProtocol,
+    Message,
+    ProtocolStats,
+    ProtocolWrapper,
+    SendEffect,
+)
 
 NodeId = int
 
@@ -56,7 +61,28 @@ NodeId = int
 Transition = Tuple[NodeId, NodeId, Optional[PeerState], PeerState, int, float]
 
 
-class FailureDetectorLayer(GossipProtocol):
+def outbound(
+    detector: FailureDetector, effect: SendEffect, stats: ProtocolStats
+) -> bool:
+    """The sender-side step, shared by the layer and the live UDP nodes.
+
+    A send to a peer ``detector`` has declared ``FAILED`` is suppressed
+    (counted in ``stats.extra["fd_suppressed"]``, returns False); any
+    other send gets the pending liveness rumors piggybacked and goes out.
+    """
+    message = effect.message
+    if detector.state_of(message.target) is PeerState.FAILED:
+        stats.extra["fd_suppressed"] = stats.extra.get("fd_suppressed", 0) + 1
+        return False
+    blob = detector.wire_extension()
+    if blob is not None:
+        ext = dict(message.ext) if message.ext else {}
+        ext[FD_EXT_KEY] = blob
+        message.ext = ext
+    return True
+
+
+class FailureDetectorLayer(ProtocolWrapper):
     """Wrap ``inner`` with per-node SWIM detectors on its own traffic.
 
     The layer is a drop-in :class:`GossipProtocol`: engines drive it
@@ -79,9 +105,7 @@ class FailureDetectorLayer(GossipProtocol):
         config: Optional[DetectorConfig] = None,
         record_transitions: bool = True,
     ):
-        # Deliberately no super().__init__(): the inner protocol owns the
-        # ProtocolStats instance and this wrapper must not shadow it.
-        self.inner = inner
+        super().__init__(inner)
         self.config = config if config is not None else DetectorConfig()
         self.detectors: Dict[NodeId, FailureDetector] = {}
         self.transitions: Optional[List[Transition]] = (
@@ -149,41 +173,18 @@ class FailureDetectorLayer(GossipProtocol):
         return totals
 
     # ------------------------------------------------------------------
-    # GossipProtocol surface (delegation)
+    # Population changes
     # ------------------------------------------------------------------
 
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def params(self):
-        # Engines and churn processes read protocol.params (when present)
-        # for bootstrap sizing; expose the inner protocol's.
-        return self.inner.params
-
-    def node_ids(self) -> List[NodeId]:
-        return self.inner.node_ids()
-
-    @property
-    def members(self) -> Tuple[NodeId, ...]:
-        return self.inner.members
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return self.inner.has_node(node_id)
-
-    def view_of(self, node_id: NodeId) -> Counter:
-        return self.inner.view_of(node_id)
-
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        self.inner.add_node(node_id, bootstrap_ids)
+        super().add_node(node_id, bootstrap_ids)
         # A restarted id comes back one incarnation above its grave so its
         # ALIVE gossip resurrects FAILED records instead of dying stale.
         incarnation = self.retired_incarnations.pop(node_id, -1) + 1
         self._install_detector(node_id, list(bootstrap_ids), incarnation)
 
     def remove_node(self, node_id: NodeId) -> None:
-        self.inner.remove_node(node_id)
+        super().remove_node(node_id)
         detector = self.detectors.pop(node_id, None)
         if detector is not None:
             self.retired_incarnations[node_id] = detector.incarnation
@@ -215,22 +216,8 @@ class FailureDetectorLayer(GossipProtocol):
         self, origin: NodeId, effects: Tuple[SendEffect, ...]
     ) -> Tuple[SendEffect, ...]:
         """Suppress sends to FAILED peers; piggyback rumors on the rest."""
-        if not effects:
-            return effects
         detector = self.detectors.get(origin)
         if detector is None:
             return effects
-        kept: List[SendEffect] = []
-        for effect in effects:
-            message = effect.message
-            if detector.state_of(message.target) is PeerState.FAILED:
-                extra = self.inner.stats.extra
-                extra["fd_suppressed"] = extra.get("fd_suppressed", 0) + 1
-                continue
-            blob = detector.wire_extension()
-            if blob is not None:
-                ext = dict(message.ext) if message.ext else {}
-                ext[FD_EXT_KEY] = blob
-                message.ext = ext
-            kept.append(effect)
-        return tuple(kept)
+        stats = self.inner.stats
+        return tuple(e for e in effects if outbound(detector, e, stats))

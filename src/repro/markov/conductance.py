@@ -16,7 +16,7 @@ For a finite MC with transition matrix ``P`` and stationary π:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -28,13 +28,14 @@ def boundary_size(chain: MarkovChain, subset: Iterable[int]) -> float:
     """``|∂S| = Σ_{x∈S, y∉S} π(x)·P(x, y)`` (Definition 7.11)."""
     members = set(subset)
     _check_subset(chain, members)
-    pi = chain.stationary_distribution()
-    total = 0.0
-    for x in members:
-        row = chain.P[x]
-        outside = sum(row[y] for y in range(chain.n) if y not in members)
-        total += pi[x] * outside
-    return total
+    inside = np.zeros(chain.n, dtype=bool)
+    inside[list(members)] = True
+    return _boundary(chain.stationary_distribution(), chain.P, inside)
+
+
+def _boundary(pi: np.ndarray, P: np.ndarray, inside: np.ndarray) -> float:
+    """``Q(S, Sᶜ)`` for the boolean membership mask ``inside``."""
+    return float(pi[inside] @ P[inside][:, ~inside].sum(axis=1))
 
 
 def conductance_of_set(chain: MarkovChain, subset: Iterable[int]) -> float:
@@ -80,17 +81,22 @@ def conductance(
 
 def neighbor_sets(chain: MarkovChain, start: int, tolerance: float = 1e-12) -> List[Set[int]]:
     """The nested ``Γ_i(start)`` (Definition 7.10) until they stop growing."""
-    current: Set[int] = {start}
-    layers = [set(current)]
+    return [
+        set(np.flatnonzero(layer).tolist())
+        for layer in _neighbor_masks(chain.P > tolerance, start)
+    ]
+
+
+def _neighbor_masks(adjacency: np.ndarray, start: int) -> Iterator[np.ndarray]:
+    """``Γ_i(start)`` as boolean masks: a BFS on the sparsity pattern."""
+    layer = np.zeros(adjacency.shape[0], dtype=bool)
+    layer[start] = True
     while True:
-        frontier: Set[int] = set()
-        for x in current:
-            frontier.update(np.nonzero(chain.P[x] > tolerance)[0].tolist())
-        nxt = current | frontier
-        if nxt == current:
-            return layers
-        current = nxt
-        layers.append(set(current))
+        yield layer
+        grown = layer | adjacency[layer].any(axis=0)
+        if np.array_equal(grown, layer):
+            return
+        layer = grown
 
 
 def expected_conductance(
@@ -113,17 +119,18 @@ def expected_conductance(
             raise ValueError(f"samples must be positive, got {samples}")
         starts = [int(rng.choice(chain.n, p=pi)) for _ in range(samples)]
         weights = np.full(len(starts), 1.0 / len(starts))
+    adjacency = chain.P > 1e-12
     total = 0.0
     for weight, start in zip(weights, starts):
         if weight <= 0.0:
             continue
         best = np.inf
-        for layer in neighbor_sets(chain, start):
-            mass = sum(pi[x] for x in layer)
-            if mass > 0.5 + 1e-12 or len(layer) == chain.n:
+        for layer in _neighbor_masks(adjacency, start):
+            mass = pi[layer].sum()
+            if mass > 0.5 + 1e-12 or layer.all():
                 break
             if mass > 0.0:
-                best = min(best, boundary_size(chain, layer) / mass)
+                best = min(best, _boundary(pi, chain.P, layer) / mass)
         if np.isfinite(best):
             total += weight * best
     return float(total)

@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.failure import FD_EXT_KEY, DetectorConfig, FailureDetector, PeerState
+from repro.failure.layer import outbound as fd_outbound
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, WireRecord
 from repro.obs import get_telemetry
@@ -222,19 +223,9 @@ class ClusterNode:
         view invariants hold while traffic to the dead stops.  Returns
         whether the effect should actually reach the transport.
         """
-        if self.detector is None:
-            return True
-        message = effect.message
-        if self.detector.state_of(message.target) is PeerState.FAILED:
-            extra = self.protocol.stats.extra
-            extra["fd_suppressed"] = extra.get("fd_suppressed", 0) + 1
-            return False
-        blob = self.detector.wire_extension()
-        if blob is not None:
-            ext = dict(message.ext) if message.ext else {}
-            ext[FD_EXT_KEY] = blob
-            message.ext = ext
-        return True
+        return self.detector is None or fd_outbound(
+            self.detector, effect, self.protocol.stats
+        )
 
     def _on_record(
         self, record: WireRecord, timestamp: Optional[float], addr: Tuple[str, int]

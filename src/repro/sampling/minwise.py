@@ -19,10 +19,9 @@ generates.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.protocols.base import GossipProtocol, Message, SendEffect
+from repro.protocols.base import GossipProtocol, Message, ProtocolWrapper, SendEffect
 from repro.util.rng import SeedLike, make_rng
 
 NodeId = int
@@ -93,7 +92,7 @@ class SamplerBank:
         return len(self._samplers)
 
 
-class SamplerLayer(GossipProtocol):
+class SamplerLayer(ProtocolWrapper):
     """Wrap a membership protocol, feeding samplers from delivered traffic.
 
     Every id arriving in a delivered message (including the sender's own
@@ -103,46 +102,20 @@ class SamplerLayer(GossipProtocol):
     """
 
     def __init__(self, inner: GossipProtocol, slots: int = 8, seed: SeedLike = None):
-        # Deliberately no super().__init__(): the inner protocol owns the
-        # ProtocolStats instance and this wrapper must not shadow it.
-        self.inner = inner
+        super().__init__(inner)
         self.slots = slots
         self._rng = make_rng(seed)
         self._banks: Dict[NodeId, SamplerBank] = {
             u: SamplerBank(slots, self._rng) for u in inner.node_ids()
         }
 
-    # -- delegation -------------------------------------------------------
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def params(self):
-        # Churn processes read protocol.params for bootstrap sizing.
-        return self.inner.params
-
-    def node_ids(self) -> List[NodeId]:
-        return self.inner.node_ids()
-
-    @property
-    def members(self) -> Tuple[NodeId, ...]:
-        return self.inner.members
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return self.inner.has_node(node_id)
-
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        self.inner.add_node(node_id, bootstrap_ids)
+        super().add_node(node_id, bootstrap_ids)
         self._banks[node_id] = SamplerBank(self.slots, self._rng)
 
     def remove_node(self, node_id: NodeId) -> None:
-        self.inner.remove_node(node_id)
+        super().remove_node(node_id)
         self._banks.pop(node_id, None)
-
-    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
-        return self.inner.initiate_effects(node_id, rng)
 
     def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
         bank = self._banks.get(message.target)
@@ -150,10 +123,7 @@ class SamplerLayer(GossipProtocol):
             for node_id, _ in message.payload:
                 if node_id != message.target:
                     bank.observe(node_id)
-        return self.inner.deliver_effects(message, rng)
-
-    def view_of(self, node_id: NodeId) -> Counter:
-        return self.inner.view_of(node_id)
+        return super().deliver_effects(message, rng)
 
     # -- sampler access ----------------------------------------------------
 

@@ -6,12 +6,10 @@ import pytest
 
 from repro.experiments import (
     connectivity_exp,
-    fig_6_1,
-    fig_6_2,
-    fig_6_3,
     fig_6_4,
     independence_exp,
     lemma_7_5,
+    registry,
     table_6_3,
     temporal_exp,
 )
@@ -20,7 +18,7 @@ from repro.experiments import (
 class TestFig61:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig_6_1.run(dm=90)
+        return registry.execute("fig-6.1")  # the full preset: dm = 90
 
     def test_all_curves_present(self, result):
         assert set(result.outdegree) == {"binomial", "analytical", "markov"}
@@ -56,7 +54,7 @@ class TestFig61:
 
 class TestFig62:
     def test_structure_claims(self):
-        result = fig_6_2.run()
+        result = registry.execute("fig-6.2")
         assert result.atomic_preserve_sum_degree()
         assert result.lossy_change_sum_degree()
         assert not result.isolated_state_present
@@ -67,17 +65,22 @@ class TestFig62:
 
 class TestTable63:
     def test_paper_row(self):
-        result = table_6_3.run()
+        result = registry.execute("table-6.3")
         selection = result.lookup(30, 0.01)
         assert (selection.d_low, selection.view_size) == (18, 40)
 
     def test_sweep_monotone_in_d_hat(self):
-        result = table_6_3.run(d_hats=(20, 30, 40), deltas=(0.01,))
+        result = registry.execute(
+            "table-6.3",
+            points=table_6_3.points(d_hats=(20, 30, 40), deltas=(0.01,)),
+        )
         sizes = [result.lookup(d, 0.01).view_size for d in (20, 30, 40)]
         assert sizes == sorted(sizes)
 
     def test_missing_lookup_raises(self):
-        result = table_6_3.run(d_hats=(30,), deltas=(0.01,))
+        result = registry.execute(
+            "table-6.3", points=table_6_3.points(d_hats=(30,), deltas=(0.01,))
+        )
         with pytest.raises(KeyError):
             result.lookup(12, 0.5)
 
@@ -85,7 +88,7 @@ class TestTable63:
 class TestFig63:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig_6_3.run()
+        return registry.execute("fig-6.3", fast=True)  # MC only, no simulation
 
     def test_paper_indegree_table(self, result):
         """28±3.4, 27±3.6, 24±4.1, 23±4.3 — means within 1."""
@@ -108,7 +111,10 @@ class TestFig63:
 class TestFig64:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig_6_4.run(max_round=200, step=20)
+        return registry.execute(
+            "fig-6.4",
+            points=fig_6_4.points(max_round=200, step=20, simulate=False),
+        )
 
     def test_bound_curves_decreasing(self, result):
         for curve in result.bound_curves.values():
@@ -125,11 +131,21 @@ class TestFig64:
 
 class TestConnectivityExp:
     def test_paper_row(self):
-        result = connectivity_exp.run(losses=(0.01,), deltas=(0.01,), epsilons=(1e-30,))
+        result = registry.execute(
+            "connectivity",
+            points=connectivity_exp.points(
+                losses=(0.01,), deltas=(0.01,), epsilons=(1e-30,), simulate=False
+            ),
+        )
         assert result.lookup(0.01, 0.01, 1e-30) == 26
 
     def test_format(self):
-        result = connectivity_exp.run(losses=(0.01,), epsilons=(1e-10,))
+        result = registry.execute(
+            "connectivity",
+            points=connectivity_exp.points(
+                losses=(0.01,), epsilons=(1e-10,), simulate=False
+            ),
+        )
         assert "min dL" in result.format()
 
 

@@ -8,10 +8,8 @@ import pytest
 
 from repro.experiments import (
     ablation_variants,
-    message_load,
-    mixing_exp,
     random_walk_exp,
-    sampler_exp,
+    registry,
     view_regimes,
 )
 
@@ -19,8 +17,11 @@ from repro.experiments import (
 class TestAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return ablation_variants.run(
-            n=120, loss_rate=0.05, warmup_rounds=100, measure_rounds=80, seed=56
+        return registry.execute(
+            "ablation",
+            points=ablation_variants.points(
+                n=120, loss_rate=0.05, warmup_rounds=100, measure_rounds=80, seed=56
+            ),
         )
 
     def test_all_variants_present(self, result):
@@ -46,8 +47,11 @@ class TestAblation:
 class TestRandomWalkExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return random_walk_exp.run(
-            n=150, attempts=600, warmup_rounds=80, bias_walk_length=150, seed=312
+        return registry.execute(
+            "random-walks",
+            points=random_walk_exp.points(
+                n=150, attempts=600, warmup_rounds=80, bias_walk_length=150, seed=312
+            ),
         )
 
     def test_success_matches_prediction(self, result):
@@ -70,7 +74,11 @@ class TestRandomWalkExperiment:
 class TestSamplerExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return sampler_exp.run(n=80, epochs=5, rounds_per_epoch=20, seed=38)
+        (full,) = registry.get("samplers").grid(False)
+        return registry.execute(
+            "samplers",
+            points=[{**full, "n": 80, "epochs": 5, "rounds_per_epoch": 20, "seed": 38}],
+        )
 
     def test_coverage_complete(self, result):
         assert result.epochs[-1].coverage == 1.0
@@ -89,8 +97,13 @@ class TestSamplerExperiment:
 class TestMessageLoad:
     @pytest.fixture(scope="class")
     def result(self):
-        return message_load.run(
-            n=200, warmup_rounds=100, measure_rounds=150, seed=94
+        (full,) = registry.get("message-load").grid(False)
+        return registry.execute(
+            "message-load",
+            points=[
+                {**full, "n": 200, "warmup_rounds": 100, "measure_rounds": 150,
+                 "seed": 94}
+            ],
         )
 
     def test_positive_correlation(self, result):
@@ -107,7 +120,12 @@ class TestMessageLoad:
 class TestViewRegimes:
     @pytest.fixture(scope="class")
     def result(self):
-        return view_regimes.run(sizes=(80, 300), warmup_rounds=80, measure_rounds=60)
+        return registry.execute(
+            "view-regimes",
+            points=view_regimes.points(
+                sizes=(80, 300), warmup_rounds=80, measure_rounds=60
+            ),
+        )
 
     def test_both_regimes_at_each_size(self, result):
         assert len(result.rows) == 4
@@ -133,7 +151,9 @@ class TestViewRegimes:
 
 class TestMixingValidation:
     def test_exact_validation(self):
-        result = mixing_exp.run(loss_rate=0.3, epsilon=0.2)
+        result = registry.execute(
+            "mixing-exact", points=[{"loss": 0.3, "epsilon": 0.2}]
+        )
         assert result.bound_holds()
         assert result.tau_epsilon <= result.worst_case_mixing + 1e-9
         assert result.spectral_gap > 0

@@ -5,14 +5,15 @@ import math
 import pytest
 
 from repro.core.params import SFParams
-from repro.experiments import fig_6_1
+from repro.experiments import registry
 from repro.markov.degree_mc import DegreeMarkovChain
 
 
 class TestFig61Details:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig_6_1.run(dm=30)  # small dm keeps this module fast
+        # the fast preset (dm = 30) keeps this module fast
+        return registry.execute("fig-6.1", fast=True)
 
     def test_all_pmfs_normalized(self, result):
         for panel in (result.outdegree, result.indegree):
@@ -31,7 +32,9 @@ class TestFig61Details:
 
     def test_custom_view_size(self):
         # ds < s: the conserved line sits strictly inside the view bound.
-        result = fig_6_1.run(dm=20, view_size=30)
+        result = registry.execute(
+            "fig-6.1", points=[{"dm": 20, "view_size": 30}]
+        )
         mean = sum(d * p for d, p in result.outdegree["markov"].items())
         assert mean == pytest.approx(20 / 3, abs=0.3)
 

@@ -9,14 +9,22 @@ The contract tested here is what the CLI and CI rely on:
   (so --jobs/--on-error/--cell-timeout/--checkpoint-dir apply to all);
 * the JSON artifact envelope round-trips under the declared schema
   version;
-* the thin legacy ``module.run()`` wrappers are bit-identical to the
-  registry's fast grids at the historical seeds.
+* ``registry.execute`` is the only way in (no module-level ``run``), and
+  no grid point of either preset ever moves: checkpoint keys hash
+  ``repr(point)`` and ``--fast`` output is a function of the points, so
+  ``tests/data/grid_points.json`` pins a digest of every point list.
+
+To regenerate the digests after an *intentional* grid change::
+
+    PYTHONPATH=src:tests python -c \
+        "import test_experiments_registry as t; t.write_grid_golden()"
 """
 
+import hashlib
 import importlib
-import inspect
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +46,34 @@ CHEAP_FAST = [
     "parameter-sweep",
     "connectivity",
 ]
+
+
+GRID_GOLDEN_PATH = Path(__file__).parent / "data" / "grid_points.json"
+
+
+def _grid_digests() -> dict:
+    """``{spec: {preset: sha256}}`` over the canonical JSON of each grid.
+
+    Keys are *not* sorted: ``repr(point)`` (what a checkpoint key hashes)
+    depends on insertion order, so the digest must too.
+    """
+    return {
+        spec.name: {
+            preset: hashlib.sha256(
+                json.dumps(
+                    list(spec.grid(fast)), separators=(",", ":"), allow_nan=False
+                ).encode("utf-8")
+            ).hexdigest()
+            for preset, fast in (("fast", True), ("full", False))
+        }
+        for spec in ALL_SPECS
+    }
+
+
+def write_grid_golden() -> None:
+    GRID_GOLDEN_PATH.write_text(
+        json.dumps(_grid_digests(), indent=2, sort_keys=True) + "\n"
+    )
 
 
 class RecordingRunner(SweepRunner):
@@ -107,14 +143,23 @@ class TestRegistryShape:
         assert registry._point_seed({"loss": 0.1}, 0) is None
         assert registry._point_seed((1, 2), 0) is None
 
-    def test_legacy_wrappers_delegate_to_registry(self):
-        """No module keeps a private execution loop beside the registry."""
+    def test_registry_is_the_only_way_in(self):
+        """No module keeps a second, keyword-argument spelling of its grid."""
         for module_name in registry.EXPERIMENT_MODULES:
             module = importlib.import_module(module_name)
-            source = inspect.getsource(module)
-            assert (
-                "registry.execute(" in source or "registry.run_cells(" in source
-            ), f"{module_name} does not route through the registry"
+            for shim in ("run", "run_decay", "run_empirical"):
+                assert not hasattr(module, shim), f"{module_name}.{shim}"
+        assert not hasattr(registry, "run_cells")
+
+    @pytest.mark.parametrize("preset", ["fast", "full"])
+    def test_grid_points_match_golden(self, preset):
+        golden = json.loads(GRID_GOLDEN_PATH.read_text())
+        digests = _grid_digests()
+        assert sorted(digests) == sorted(golden)
+        moved = [
+            name for name in digests if digests[name][preset] != golden[name][preset]
+        ]
+        assert not moved, f"{preset} grid points moved: {moved}"
 
 
 class TestExecution:
@@ -218,47 +263,3 @@ class TestJsonEnvelope:
         assert len(failures) == 1
         assert failures[0]["cell"]["index"] == 1
         assert failures[0]["errors"]
-
-
-class TestLegacyBitIdentity:
-    """Legacy ``module.run()`` at the historical presets == fast grid."""
-
-    def test_fig_6_1(self):
-        from repro.experiments import fig_6_1
-
-        assert (
-            fig_6_1.run(dm=30).format()
-            == registry.execute("fig-6.1", fast=True).format()
-        )
-
-    def test_table_6_3(self):
-        from repro.experiments import table_6_3
-
-        assert (
-            table_6_3.run(d_hats=(30,)).format()
-            == registry.execute("table-6.3", fast=True).format()
-        )
-
-    def test_mixing_exact(self):
-        from repro.experiments import mixing_exp
-
-        assert (
-            mixing_exp.run(epsilon=0.1).format()
-            == registry.execute("mixing-exact", fast=True).format()
-        )
-
-    def test_loss_sweep(self):
-        from repro.experiments import loss_sweep
-
-        assert (
-            loss_sweep.run(losses=(0.0, 0.01, 0.05, 0.1)).format()
-            == registry.execute("loss-sweep", fast=True).format()
-        )
-
-    def test_connectivity(self):
-        from repro.experiments import connectivity_exp
-
-        assert (
-            connectivity_exp.run(simulate=False).format()
-            == registry.execute("connectivity", fast=True).format()
-        )

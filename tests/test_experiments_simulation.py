@@ -15,6 +15,7 @@ from repro.experiments import (
     fig_6_4,
     join_integration,
     load_balance,
+    registry,
     temporal_exp,
     uniformity_exp,
 )
@@ -23,12 +24,15 @@ from repro.experiments import (
 class TestDupDelBalance:
     @pytest.fixture(scope="class")
     def result(self):
-        return dup_del_balance.run(
-            losses=(0.0, 0.05),
-            n=200,
-            warmup_rounds=300,
-            measure_rounds=150,
-            seed=100,
+        return registry.execute(
+            "lemma-6.6",
+            points=dup_del_balance.points(
+                losses=(0.0, 0.05),
+                n=200,
+                warmup_rounds=300,
+                measure_rounds=150,
+                seed=100,
+            ),
         )
 
     def test_lemma_6_6_residual_small(self, result):
@@ -47,15 +51,17 @@ class TestDupDelBalance:
 
 class TestFig64Simulated:
     def test_simulated_decay_below_bound(self):
-        result = fig_6_4.run(
-            losses=(0.01,),
-            max_round=150,
-            step=50,
-            simulate=True,
-            simulate_n=150,
-            simulate_leavers=10,
-            warmup_rounds=100,
-            seed=101,
+        result = registry.execute(
+            "fig-6.4",
+            points=fig_6_4.points(
+                losses=(0.01,),
+                max_round=150,
+                step=50,
+                simulate_n=150,
+                simulate_leavers=10,
+                warmup_rounds=100,
+                seed=101,
+            ),
         )
         bound = result.bound_curves[0.01]
         simulated = result.simulated_curves[0.01]
@@ -65,30 +71,37 @@ class TestFig64Simulated:
             assert s <= b + 0.1
 
     def test_simulated_curve_reaches_low_survival(self):
-        result = fig_6_4.run(
-            losses=(0.0,),
-            max_round=150,
-            step=150,
-            simulate=True,
-            simulate_n=150,
-            simulate_leavers=10,
-            warmup_rounds=100,
-            seed=102,
+        result = registry.execute(
+            "fig-6.4",
+            points=fig_6_4.points(
+                losses=(0.0,),
+                max_round=150,
+                step=150,
+                simulate_n=150,
+                simulate_leavers=10,
+                warmup_rounds=100,
+                seed=102,
+            ),
         )
         assert result.simulated_curves[0.0][-1] < 0.3
 
 
 class TestJoinIntegration:
-    def test_corollary_6_14(self):
-        result = join_integration.run(
-            n=250, joiners=6, warmup_rounds=200, seed=103
+    @staticmethod
+    def _run(seed):
+        (full,) = registry.get("cor-6.14").grid(False)
+        return registry.execute(
+            "cor-6.14",
+            points=[
+                {**full, "n": 250, "joiners": 6, "warmup_rounds": 200, "seed": seed}
+            ],
         )
-        assert result.satisfied()
+
+    def test_corollary_6_14(self):
+        assert self._run(seed=103).satisfied()
 
     def test_joiners_recover_outdegree(self):
-        result = join_integration.run(
-            n=250, joiners=6, warmup_rounds=200, seed=104
-        )
+        result = self._run(seed=104)
         assert all(d >= result.params.d_low for d in result.joiner_outdegrees)
 
     def test_theoretical_summary_renders(self):
@@ -101,7 +114,10 @@ class TestJoinIntegration:
 class TestLoadBalance:
     @pytest.fixture(scope="class")
     def result(self):
-        return load_balance.run(n=200, rounds=250, sample_every=50, seed=105)
+        return registry.execute(
+            "load-balance",
+            points=load_balance.points(n=200, rounds=250, sample_every=50, seed=105),
+        )
 
     def test_hubs_variance_collapses(self, result):
         curve = result.variance_curves["hubs"]
@@ -113,13 +129,18 @@ class TestLoadBalance:
 
     def test_requires_small_d_low(self):
         with pytest.raises(ValueError):
-            load_balance.run(params=SFParams(view_size=16, d_low=4))
+            load_balance.points(params=SFParams(view_size=16, d_low=4))
 
 
 class TestBaselines:
     @pytest.fixture(scope="class")
     def result(self):
-        return baselines.run(n=200, loss_rate=0.05, rounds=120, sample_every=60, seed=106)
+        return registry.execute(
+            "baselines",
+            points=baselines.points(
+                n=200, loss_rate=0.05, rounds=120, sample_every=60, seed=106
+            ),
+        )
 
     def test_shuffle_attrition(self, result):
         assert result.edge_retention("shuffle") < 0.2
@@ -142,22 +163,28 @@ class TestBaselines:
 
 class TestTemporalDecay:
     def test_decay_within_slogn_scale(self):
-        result = temporal_exp.run_decay(
-            n=200, max_rounds=160, sample_every=20, warmup_rounds=80, seed=107
-        )
+        result = registry.execute(
+            "lemma-7.15",
+            points=temporal_exp.points(
+                n=200, max_rounds=160, sample_every=20, warmup_rounds=80, seed=107
+            ),
+        ).decay
         for loss in result.curves:
             crossing = result.decorrelation_round(loss, threshold=0.06)
             assert crossing <= 2.5 * result.reference_rounds
 
     def test_loss_does_not_break_decay(self):
-        result = temporal_exp.run_decay(
-            n=200,
-            losses=(0.0, 0.05),
-            max_rounds=120,
-            sample_every=40,
-            warmup_rounds=80,
-            seed=108,
-        )
+        result = registry.execute(
+            "lemma-7.15",
+            points=temporal_exp.points(
+                n=200,
+                losses=(0.0, 0.05),
+                max_rounds=120,
+                sample_every=40,
+                warmup_rounds=80,
+                seed=108,
+            ),
+        ).decay
         clean = result.curves[0.0][-1]
         lossy = result.curves[0.05][-1]
         assert lossy < clean + 0.15
@@ -165,14 +192,17 @@ class TestTemporalDecay:
 
 class TestUniformityEmpirical:
     def test_occupancy_uniform(self):
-        result = uniformity_exp.run_empirical(
-            n=20,
-            warmup_rounds=100,
-            samples=40,
-            sample_gap_rounds=12,
-            replications=6,
-            seed=109,
-        )
+        result = registry.execute(
+            "lemma-7.6",
+            points=uniformity_exp.points(
+                n=20,
+                warmup_rounds=100,
+                samples=40,
+                sample_gap_rounds=12,
+                replications=6,
+                seed=109,
+            ),
+        ).empirical
         assert result.relative_spread < 0.5
         assert min(result.pooled_counts) > 0
 
@@ -180,7 +210,7 @@ class TestUniformityEmpirical:
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            uniformity_exp.run_empirical(replications=0)
+            uniformity_exp.points(replications=0)
 
     def test_exact_hub_uniform(self):
         result = uniformity_exp.run_exact(loss_rate=0.0)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.experiments import loss_sweep, parameter_sweep, partition_recovery
+from repro.experiments import (
+    loss_sweep,
+    parameter_sweep,
+    partition_recovery,
+    registry,
+)
 from repro.net.loss import PartitionLoss
 from repro.util.rng import make_rng
 
@@ -10,7 +15,9 @@ from repro.util.rng import make_rng
 class TestLossSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return loss_sweep.run(losses=(0.0, 0.02, 0.1))
+        return registry.execute(
+            "loss-sweep", points=loss_sweep.points(losses=(0.0, 0.02, 0.1))
+        )
 
     def test_rows_match_losses(self, result):
         assert [row.loss_rate for row in result.rows] == [0.0, 0.02, 0.1]
@@ -32,11 +39,14 @@ class TestLossSweep:
 class TestParameterSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return parameter_sweep.run(d_lows=(10, 18), view_sizes=(32, 40))
+        return registry.execute(
+            "parameter-sweep",
+            points=parameter_sweep.points(d_lows=(10, 18), view_sizes=(32, 40)),
+        )
 
     def test_infeasible_cells_skipped(self):
-        result = parameter_sweep.run(d_lows=(30,), view_sizes=(32,))
-        assert result.cells == []  # 30 > 32 - 6
+        # 30 > 32 - 6: the builder drops the pair before it becomes a cell
+        assert parameter_sweep.points(d_lows=(30,), view_sizes=(32,)) == []
 
     def test_cell_lookup(self, result):
         cell = result.cell(18, 40)
@@ -96,12 +106,15 @@ class TestPartitionLoss:
 class TestPartitionRecovery:
     @pytest.fixture(scope="class")
     def result(self):
-        return partition_recovery.run(
-            n=100,
-            partition_lengths=(15, 300),
-            warmup_rounds=80,
-            recovery_rounds=40,
-            seed=90,
+        return registry.execute(
+            "partition-recovery",
+            points=partition_recovery.points(
+                n=100,
+                partition_lengths=(15, 300),
+                warmup_rounds=80,
+                recovery_rounds=40,
+                seed=90,
+            ),
         )
 
     def test_short_split_heals(self, result):

@@ -8,20 +8,29 @@ The guarantees documented in :mod:`repro.failure.detector`:
   from ``ALIVE``), even when the evidence arrives as a ``FAILED`` rumor;
 * ``FAILED`` is sticky at its incarnation — only a strictly-higher
   ``ALIVE`` (a rebirth) resurrects;
-* the detector is deterministic: same update sequence, same state.
+* the detector is deterministic: same update sequence, same state;
+* a received extension blob is hostile input: whatever its shape,
+  ``absorb_extension`` never raises, counts each rejected blob or entry
+  once, and touches no record it did not parse.
 """
+
+import copy
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_net_wire import json_leaves
 
 from repro.failure import (
+    FD_EXT_KEY,
     FD_WIRE_VERSION,
     DetectorConfig,
     FailureDetector,
     LivenessUpdate,
     PeerState,
 )
+from repro.net.wire import WIRE_SCHEMA_VERSION, WireError, decode
 
 PEERS = st.integers(min_value=1, max_value=6)
 
@@ -286,6 +295,119 @@ def test_malformed_entries_skipped_and_counted():
     assert detector.counters["ignored_extensions"] == 2
     assert detector.state_of(2) is PeerState.ALIVE
     assert detector.state_of(1) is None
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        [1, 2],
+        "fd",
+        7,
+        {},
+        {"v": FD_WIRE_VERSION, "g": 5},
+        {"v": FD_WIRE_VERSION, "g": "1234"},
+        {"v": FD_WIRE_VERSION, "g": {"0": [1, 0, 0, 0]}},
+        {"v": FD_WIRE_VERSION, "g": [[1, 1, 0, float("inf")]]},
+        {"v": FD_WIRE_VERSION, "g": [[1, 1, 0, float("nan")]]},
+        {"v": FD_WIRE_VERSION, "g": [[1, 0, 0.5, 3]]},
+        {"v": FD_WIRE_VERSION, "g": [[1, 0, 0, 3.0]]},
+        {"v": FD_WIRE_VERSION, "g": [[True, 0, 0, 3]]},
+        {"v": FD_WIRE_VERSION, "g": [["1", "0", "0", "3"]]},
+        {"v": FD_WIRE_VERSION, "g": ["1003"]},
+        {"v": FD_WIRE_VERSION, "g": [[1, 0, 0]]},
+        {"v": FD_WIRE_VERSION, "g": [[1, 0, 0, 3, 4]]},
+        {"v": FD_WIRE_VERSION, "g": [[1, 3, 0, 0]]},
+        {"v": FD_WIRE_VERSION, "g": [None]},
+    ],
+    ids=repr,
+)
+def test_each_malformed_shape_costs_one_increment_and_nothing_else(blob):
+    detector, log = make_detector()
+    assert detector.absorb_extension(blob, now=0.0) == 0
+    assert detector.counters["ignored_extensions"] == 1
+    assert detector.known_peers() == [] and log == []
+
+
+#: Any JSON-decodable value — the wire fuzz's leaves plus the non-finite
+#: floats ``json.loads`` accepts (``Infinity``, ``NaN``), nested.
+JSON_VALUES = st.recursive(
+    st.one_of(json_leaves, st.sampled_from([float("inf"), float("-inf"), float("nan")])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+#: Mostly-plausible envelopes, so the fuzz spends its budget past the
+#: version gate: good entries interleaved with arbitrary JSON.
+FD_BLOBS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {
+            "v": st.just(FD_WIRE_VERSION),
+            "g": st.one_of(
+                JSON_VALUES,
+                st.lists(
+                    st.one_of(JSON_VALUES, UPDATES.map(LivenessUpdate.encode)),
+                    max_size=6,
+                ),
+            ),
+        }
+    ),
+)
+
+
+def _well_formed(entry):
+    """Independent oracle for what :meth:`LivenessUpdate.encode` emits."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 4
+        and all(type(field) is int for field in entry)
+        and entry[1] in (0, 1, 2)
+    )
+
+
+@given(blob=FD_BLOBS, known=st.lists(UPDATES, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_hostile_extension_never_raises_nor_touches_what_it_cannot_parse(blob, known):
+    detector, _log = make_detector()
+    for update in known:
+        detector.absorb(update, now=0.0)
+    # Through the wire wherever the envelope check admits the blob; the
+    # in-process layer hands the detector the sender's object unchecked.
+    datagram = json.dumps(
+        {
+            "t": "msg",
+            "m": {"s": 1, "d": 0, "k": "sf", "p": [], "x": {FD_EXT_KEY: blob}},
+            "v": WIRE_SCHEMA_VERSION,
+        }
+    ).encode("utf-8")
+    try:
+        received = decode(datagram).ext[FD_EXT_KEY]
+    except WireError:
+        assert not isinstance(blob, dict)
+        received = blob
+
+    before = copy.deepcopy(detector._records)
+    ignored = detector.counters["ignored_extensions"]
+    changed = detector.absorb_extension(received, now=1.0)
+
+    entries = blob.get("g", []) if isinstance(blob, dict) else None
+    if blob is None:
+        parsed, rejected = [], 0
+    elif not isinstance(entries, list) or blob.get("v") != FD_WIRE_VERSION:
+        parsed, rejected = [], 1
+    else:
+        parsed = [entry for entry in entries if _well_formed(entry)]
+        rejected = len(entries) - len(parsed)
+    assert detector.counters["ignored_extensions"] - ignored == rejected
+    assert 0 <= changed <= len(parsed)
+    touched = {
+        peer
+        for peer, record in detector._records.items()
+        if before.get(peer) != record
+    }
+    assert touched <= {entry[0] for entry in parsed}
 
 
 def test_idle_detector_adds_no_wire_bytes():

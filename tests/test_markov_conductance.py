@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.markov.chain import MarkovChain
 from repro.markov.conductance import (
@@ -117,3 +119,82 @@ class TestExpectedConductance:
     def test_invalid_samples_rejected(self):
         with pytest.raises(ValueError):
             expected_conductance(symmetric_chain(), samples=0)
+
+
+def _random_ergodic_chain(n, density, seed):
+    """Random sparse chain made ergodic by a ring (irreducible) and
+    self-loops (aperiodic)."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((n, n)) * (rng.random((n, n)) < density)
+    for x in range(n):
+        matrix[x, x] += 0.1
+        matrix[x, (x + 1) % n] += 0.1
+    return MarkovChain(matrix / matrix.sum(axis=1, keepdims=True))
+
+
+def _boundary_by_definition(chain, members):
+    """Definition 7.11, literally: Σ_{x∈S} Σ_{y∉S} π(x)·P(x, y)."""
+    pi = chain.stationary_distribution()
+    return sum(
+        pi[x] * chain.P[x, y]
+        for x in members
+        for y in range(chain.n)
+        if y not in members
+    )
+
+
+def _expected_conductance_by_definition(chain):
+    """Definition 7.13 with Python sets and the literal double sum."""
+    pi = chain.stationary_distribution()
+    total = 0.0
+    for start in range(chain.n):
+        layer, best = {start}, np.inf
+        while len(layer) < chain.n and sum(pi[x] for x in layer) <= 0.5 + 1e-12:
+            mass = sum(pi[x] for x in layer)
+            best = min(best, _boundary_by_definition(chain, layer) / mass)
+            grown = layer | {
+                y for x in layer for y in range(chain.n) if chain.P[x, y] > 1e-12
+            }
+            if grown == layer:
+                break
+            layer = grown
+        if np.isfinite(best):
+            total += pi[start] * best
+    return total
+
+
+class TestAgainstDefinition:
+    """The mask arithmetic equals the definitions' literal sums.
+
+    The vectorised sums associate differently from the Python loops, so
+    agreement is to float64 rounding over ≤ n² terms, not bit-exact.
+    """
+
+    chains = st.builds(
+        _random_ergodic_chain,
+        n=st.integers(2, 9),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @given(chain=chains, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_size(self, chain, data):
+        members = data.draw(
+            st.sets(st.integers(0, chain.n - 1), min_size=1, max_size=chain.n - 1)
+        )
+        assert boundary_size(chain, members) == pytest.approx(
+            _boundary_by_definition(chain, members), rel=1e-12, abs=1e-15
+        )
+
+    @given(chain=chains)
+    @settings(max_examples=60, deadline=None)
+    def test_neighbor_sets_and_expected_conductance(self, chain):
+        for start in range(chain.n):
+            layers = neighbor_sets(chain, start)
+            assert layers[0] == {start}
+            assert all(a < b for a, b in zip(layers, layers[1:]))
+            assert layers[-1] == set(range(chain.n))  # irreducible
+        assert expected_conductance(chain) == pytest.approx(
+            _expected_conductance_by_definition(chain), rel=1e-12, abs=1e-15
+        )

@@ -80,12 +80,14 @@ class TestBitIdentity:
     def test_experiment_records_identical_across_backends(self, name):
         spec = registry.get(name)
         points = list(spec.grid(True))[:3]
-        baseline = registry.run_cells(spec, points, executor="inline")
-        for executor, jobs in (("thread", 2), ("process", 2)):
-            records = registry.run_cells(
-                spec, points, jobs=jobs, executor=executor
-            )
-            assert records == baseline
+
+        def artifact(**where):
+            result = registry.execute(spec, points=points, **where)
+            return json.dumps(spec.to_json(result))
+
+        baseline = artifact(executor="inline")
+        for executor in ("thread", "process"):
+            assert artifact(jobs=2, executor=executor) == baseline
 
     @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
     def test_stats_record_backend_name(self, executor):

@@ -6,6 +6,7 @@ steady-state statistics — the §6.2 comparison lives in the paper tier.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -393,3 +394,31 @@ class TestSocketErrors:
         assert report.socket_errors == 3
         assert "socket errors" in report.format()
         assert registry.snapshot()["counters"]["cluster.socket_errors"] == 3
+
+
+class TestHostileDatagrams:
+    def test_malformed_fd_extension_costs_a_counter_not_the_run(self):
+        """``ext["fd"]`` blobs that pass the wire envelope check but not the
+        detector's: each is one ``ignored_extensions``, never a node error."""
+        body = '{"t":"msg","m":{"s":1,"d":0,"k":"push","p":[],"x":{"fd":%s}},"v":1}'
+        hostile = [
+            body % '{"v":1,"g":5}',
+            body % '{"v":1,"g":[[1,1,0,Infinity]]}',
+        ]
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, failure_detection=True))
+            await cluster.start()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
+                for datagram in hostile:
+                    attacker.sendto(datagram.encode("utf-8"), cluster.address_book[0])
+            await asyncio.sleep(0.2)
+            ignored = cluster.nodes[0].detector.counters["ignored_extensions"]
+            report = cluster.report()
+            await cluster.shutdown()
+            return ignored, report
+
+        ignored, report = asyncio.run(scenario())
+        assert ignored == len(hostile)
+        assert report.errors == []
+        assert report.ok(), (report.degree_violations, report.errors)

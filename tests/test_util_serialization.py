@@ -75,9 +75,11 @@ class TestDumpLoad:
         assert loaded["table"]["0.1"] == 7
 
     def test_real_experiment_result_serializes(self, tmp_path):
-        from repro.experiments import table_6_3
+        from repro.experiments import registry
 
-        result = table_6_3.run(d_hats=(30,), deltas=(0.01,))
+        result = registry.execute(
+            "table-6.3", points=[{"d_hat": 30, "delta": 0.01}]
+        )
         path = dump_result(result, tmp_path / "t63.json")
         loaded = load_result(path)
         assert loaded["selections"][0]["d_low"] == 18
