@@ -32,7 +32,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.params import SFParams
 from repro.core.view import NodeId, View, ViewEntry, dependent_fraction
-from repro.model.membership_graph import MembershipGraph
 from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 #: Wire kind of an S&F ``[u, w]`` message.  S&F is fire-and-forget — there
@@ -205,12 +204,3 @@ class SendForget(GossipProtocol):
     def dependent_fraction(self) -> float:
         """The empirical ``1 − α`` (see :func:`repro.core.view.dependent_fraction`)."""
         return dependent_fraction(self._views.items())
-
-    def export_graph(self) -> MembershipGraph:
-        graph = MembershipGraph(self._views)
-        for node_id, view in self._views.items():
-            for _, entry in view.entries():
-                if not graph.has_node(entry.node_id):
-                    graph.add_node(entry.node_id)
-                graph.add_edge(node_id, entry.node_id)
-        return graph

@@ -25,13 +25,7 @@ from repro.engine.sequential import EngineStats
 from repro.net.delay import ConstantDelay, DelayModel
 from repro.obs import get_telemetry
 from repro.net.loss import LossModel, NoLoss
-from repro.protocols.base import (
-    DeliverEvent,
-    GossipProtocol,
-    InitiateEvent,
-    Message,
-    SendEffect,
-)
+from repro.protocols.base import GossipProtocol, Message, SendEffect
 from repro.util.rng import SeedLike, make_rng
 
 NodeId = int
@@ -177,7 +171,7 @@ class DiscreteEventEngine:
             self._armed.pop(node, None)  # departed node: its clock dies with it
             return
         self.stats.actions += 1
-        for effect in self.protocol.handle(InitiateEvent(node), self.rng):
+        for effect in self.protocol.initiate_effects(node, self.rng):
             self._route(effect)
         self._schedule_initiate(node)
 
@@ -212,7 +206,7 @@ class DiscreteEventEngine:
             self.stats.replies_delivered += 1
         else:
             self.stats.messages_delivered += 1
-        for effect in self.protocol.handle(DeliverEvent(message), self.rng):
+        for effect in self.protocol.deliver_effects(message, self.rng):
             self._route(effect)
 
     # ------------------------------------------------------------------

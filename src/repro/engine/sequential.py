@@ -25,16 +25,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.kernel.base import LoadCounts, SimulationKernel
+from repro.kernel.base import SimulationKernel
 from repro.obs import get_telemetry
 from repro.net.loss import LossModel, NoLoss
 from repro.net.transport import LoopbackTransport
-from repro.protocols.base import (
-    DeliverEvent,
-    GossipProtocol,
-    InitiateEvent,
-    SendEffect,
-)
+from repro.protocols.base import GossipProtocol, SendEffect
 from repro.util.rng import SeedLike, make_rng
 
 NodeId = int
@@ -131,17 +126,8 @@ class SequentialEngine:
         # Last integer round for which an ``engine.round`` trace record was
         # emitted (telemetry only; never consulted when tracing is off).
         self._trace_round = 0
-        # Per-node transport load: §2 motivates load balance (Property M2)
-        # by "the number of messages received by a node is proportional to
-        # the number of its in-neighbors" — these counters let experiments
-        # verify that operational reading directly.  Kernel backends own
-        # the counters; the dict-like views read through to them.
-        if self.kernel is not None:
-            self.received_by = LoadCounts(self.kernel, "received")
-            self.sent_by = LoadCounts(self.kernel, "sent")
-        else:
-            self.received_by: Dict[NodeId, int] = {}
-            self.sent_by: Dict[NodeId, int] = {}
+        # Per-node load on the protocol path; kernel backends keep their own.
+        self._load: Dict[str, Dict[NodeId, int]] = {"sent": {}, "received": {}}
 
     # ------------------------------------------------------------------
     # Stepping
@@ -154,8 +140,8 @@ class SequentialEngine:
     def step_node(self, initiator: NodeId) -> None:
         """Run one complete action initiated by ``initiator``.
 
-        The protocol is driven purely through the event seam: the initiate
-        event's effects enter the transport, and :meth:`_pump` runs every
+        The protocol is driven purely through its two steps: the initiate
+        step's effects enter the transport, and :meth:`_pump` runs every
         resulting receive step (and routes any reply effects) until the
         channel is empty — the serial model's "wait for completion".
         """
@@ -164,7 +150,7 @@ class SequentialEngine:
                 "kernel backends schedule initiators internally; use step()"
             )
         self.stats.actions += 1
-        for effect in self.protocol.handle(InitiateEvent(initiator), self.rng):
+        for effect in self.protocol.initiate_effects(initiator, self.rng):
             self._dispatch(effect)
         self._pump()
 
@@ -175,7 +161,8 @@ class SequentialEngine:
             self.stats.replies_sent += 1
         else:
             self.stats.messages_sent += 1
-        self.sent_by[message.sender] = self.sent_by.get(message.sender, 0) + 1
+        sent = self._load["sent"]
+        sent[message.sender] = sent.get(message.sender, 0) + 1
         if not self.transport.send(effect, self.rng):
             if effect.reply:
                 self.stats.replies_lost += 1
@@ -189,6 +176,7 @@ class SequentialEngine:
         (request receive draws, then reply loss draw, then reply receive
         draws), which is what keeps seeded runs bit-identical.
         """
+        received = self._load["received"]
         while True:
             effect = self.transport.poll()
             if effect is None:
@@ -207,11 +195,28 @@ class SequentialEngine:
                 self.stats.replies_delivered += 1
             else:
                 self.stats.messages_delivered += 1
-            self.received_by[message.target] = (
-                self.received_by.get(message.target, 0) + 1
-            )
-            for produced in self.protocol.handle(DeliverEvent(message), self.rng):
+            received[message.target] = received.get(message.target, 0) + 1
+            for produced in self.protocol.deliver_effects(message, self.rng):
                 self._dispatch(produced)
+
+    def load_counts(self, kind: str) -> Dict[NodeId, int]:
+        """Messages each node has ``sent`` or ``received`` since the last reset.
+
+        §2 motivates load balance (Property M2) by "the number of messages
+        received by a node is proportional to the number of its
+        in-neighbors"; this snapshot lets experiments verify that
+        operational reading directly.  Nodes with a zero count are omitted.
+        """
+        if self.kernel is not None:
+            return self.kernel.load_counts(kind)
+        return dict(self._load[kind])
+
+    def reset_load_counts(self) -> None:
+        """Zero both counters (e.g. at the end of a warm-up)."""
+        for kind, counts in self._load.items():
+            if self.kernel is not None:
+                self.kernel.reset_load_counts(kind)
+            counts.clear()
 
     def _next_batch_size(self, limit: int) -> int:
         """``limit`` actions, or fewer if a hook boundary comes first."""

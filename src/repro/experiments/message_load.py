@@ -93,8 +93,7 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> MessageLoadResult
         n, params, loss_rate=loss_rate, seed=seed, backend=backend
     )
     warm_up(engine, point["warmup_rounds"])
-    engine.received_by.clear()
-    engine.sent_by.clear()
+    engine.reset_load_counts()
 
     indegree_sums = np.zeros(n)
     for _ in range(snapshots):
@@ -103,7 +102,8 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> MessageLoadResult
         for u in range(n):
             indegree_sums[u] += degrees[u]
     average_indegree = indegree_sums / snapshots
-    received = np.array([engine.received_by.get(u, 0) for u in range(n)], dtype=float)
+    counts = engine.load_counts("received")
+    received = np.array([counts.get(u, 0) for u in range(n)], dtype=float)
 
     correlation = float(np.corrcoef(received, average_indegree)[0, 1])
     load_cv = float(received.std() / received.mean())

@@ -4,7 +4,7 @@
 (``ALIVE → SUSPECTED → FAILED``, incarnation refutation, heartbeat
 freshness, piggyback queue); :mod:`repro.failure.layer` plugs one
 detector per node into any :class:`~repro.protocols.base.GossipProtocol`
-on the event/effect seam, and :mod:`repro.runtime.cluster` wires the
+on the step/effect seam, and :mod:`repro.runtime.cluster` wires the
 same detector into the live UDP nodes.  See ``docs/failure_detection.md``.
 """
 

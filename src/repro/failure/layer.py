@@ -1,18 +1,17 @@
-"""Failure detection as a protocol wrapper on the event/effect seam.
+"""Failure detection as a protocol wrapper on the step/effect seam.
 
 :class:`FailureDetectorLayer` wraps any
 :class:`~repro.protocols.base.GossipProtocol` and runs one
 :class:`~repro.failure.detector.FailureDetector` per node, entirely on
 the traffic the inner protocol already produces:
 
-* every :class:`~repro.protocols.base.InitiateEvent` for a node is one
-  *beat* of its local clock (the paper's period: each node initiates
-  once per round in expectation), advancing its heartbeat and running
-  suspicion/failure timeouts;
+* every initiate step at a node is one *beat* of its local clock (the
+  paper's period: each node initiates once per round in expectation),
+  advancing its heartbeat and running suspicion/failure timeouts;
 * every outgoing message gets the node's pending liveness rumors
   attached in the :attr:`~repro.protocols.base.Message.ext` envelope;
-* every :class:`~repro.protocols.base.DeliverEvent` refreshes the
-  sender's record (direct evidence) and merges the piggybacked rumors.
+* every receive step refreshes the sender's record (direct evidence)
+  and merges the piggybacked rumors.
 
 The layer **draws no randomness**: detectors are deterministic and the
 local clock is the node's own beat count — so a seeded engine run with
@@ -85,8 +84,8 @@ def outbound(
 class FailureDetectorLayer(ProtocolWrapper):
     """Wrap ``inner`` with per-node SWIM detectors on its own traffic.
 
-    The layer is a drop-in :class:`GossipProtocol`: engines drive it
-    through :meth:`handle` exactly like the inner protocol, and all
+    The layer is a drop-in :class:`GossipProtocol`: engines drive its
+    two steps exactly like the inner protocol's, and all
     state queries (views, graphs, stats) pass through, so experiment
     code does not care whether detection is installed.
 

@@ -21,7 +21,6 @@ bit-identical views and statistics.  Four backends ship:
 from repro.kernel.array import ArrayKernel
 from repro.kernel.base import (
     ActionDraws,
-    LoadCounts,
     SimulationKernel,
     decide_loss,
     draw_action_block,
@@ -35,7 +34,6 @@ __all__ = [
     "ActionDraws",
     "ArrayKernel",
     "JitKernel",
-    "LoadCounts",
     "ReferenceKernel",
     "ShardedKernel",
     "SimulationKernel",

@@ -53,6 +53,7 @@ from repro.kernel.base import (
     NodeId,
     SimulationKernel,
     ViewSlots,
+    decide_loss,
     draw_action_block,
 )
 from repro.net.loss import LossModel, UniformLoss
@@ -625,16 +626,10 @@ class ArrayKernel(SimulationKernel):
                 senders = self._node_at.take(u.take(msg)).tolist()
                 targets = vi.take(msg).tolist()
                 u_vals = draws.loss_u[pos:].take(msg).tolist()
-                verdicts = []
-                for sender, target, u_val in zip(senders, targets, u_vals):
-                    rate = loss.rate_for(sender, target)
-                    if rate is None:
-                        verdicts.append(
-                            loss.is_lost(sender, target, self.aux_rng(rng))
-                        )
-                    else:
-                        verdicts.append(u_val < rate)
-                lost[msg] = verdicts
+                lost[msg] = [
+                    decide_loss(loss, sender, target, u_val, self, rng)
+                    for sender, target, u_val in zip(senders, targets, u_vals)
+                ]
             # Re-derive the delivery masks from the actual verdicts (the
             # plan assumed lossless; real deliveries are a subset).
             delivers &= ~lost

@@ -39,16 +39,14 @@ Canonical conventions shared by every kernel:
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.params import SFParams
-from repro.model.membership_graph import MembershipGraph
 from repro.net.loss import LossModel
-from repro.protocols.base import ProtocolStats
+from repro.protocols.base import Population, ProtocolStats
 
 NodeId = int
 
@@ -109,60 +107,16 @@ def decide_loss(loss: LossModel, sender: NodeId, target: NodeId,
     return u < rate
 
 
-class LoadCounts:
-    """Dict-like read view over a kernel's per-node message counters.
-
-    Quacks enough like the legacy ``Dict[NodeId, int]`` attributes of
-    :class:`repro.engine.sequential.SequentialEngine` (``get``, item
-    access, iteration, ``values``, ``clear``) that experiments reading
-    per-node transport load work unchanged on kernel backends.  Nodes
-    with a zero count are omitted, matching the legacy dicts.
-    """
-
-    def __init__(self, kernel: "SimulationKernel", kind: str):
-        self._kernel = kernel
-        self._kind = kind
-
-    def _snapshot(self) -> Dict[NodeId, int]:
-        return self._kernel.load_counts(self._kind)
-
-    def get(self, key: NodeId, default: int = 0) -> int:
-        return self._snapshot().get(key, default)
-
-    def __getitem__(self, key: NodeId) -> int:
-        return self._snapshot()[key]
-
-    def __contains__(self, key: NodeId) -> bool:
-        return key in self._snapshot()
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._snapshot())
-
-    def __len__(self) -> int:
-        return len(self._snapshot())
-
-    def keys(self):
-        return self._snapshot().keys()
-
-    def values(self):
-        return self._snapshot().values()
-
-    def items(self):
-        return self._snapshot().items()
-
-    def clear(self) -> None:
-        self._kernel.reset_load_counts(self._kind)
-
-
-class SimulationKernel(abc.ABC):
+class SimulationKernel(Population):
     """Owns population state and executes batches of S&F actions.
 
     The kernel exposes the same observation surface as
     :class:`repro.core.sandf.SendForget` (``node_ids``, ``view_of``,
-    ``outdegree``, ``indegrees``, ``dependent_fraction``,
-    ``check_invariant``, ``export_graph``, ``stats``), so experiment and
-    metrics code written against the protocol object runs unchanged on
-    any backend.
+    ``outdegree``, ``dependent_fraction``, ``check_invariant``, ``stats``,
+    and — through the shared :class:`~repro.protocols.base.Population`
+    base — ``indegrees`` and ``export_graph``), so experiment and metrics
+    code written against the protocol object runs unchanged on any
+    backend.
     """
 
     def __init__(self, params: SFParams):
@@ -176,10 +130,6 @@ class SimulationKernel(abc.ABC):
     @abc.abstractmethod
     def population(self) -> int:
         """Number of live nodes."""
-
-    @abc.abstractmethod
-    def node_ids(self) -> List[NodeId]:
-        """Live node ids in the canonical (insertion/swap-remove) order."""
 
     @property
     def members(self) -> Tuple[NodeId, ...]:
@@ -225,15 +175,8 @@ class SimulationKernel(abc.ABC):
     # -- observation -------------------------------------------------------
 
     @abc.abstractmethod
-    def view_of(self, node_id: NodeId) -> Counter:
-        """The multiset of ids in ``node_id``'s view."""
-
-    @abc.abstractmethod
     def view_slots(self, node_id: NodeId) -> ViewSlots:
         """Slot-exact view contents, for the equivalence harness."""
-
-    @abc.abstractmethod
-    def outdegree(self, node_id: NodeId) -> int: ...
 
     @abc.abstractmethod
     def dependent_fraction(self) -> float:
@@ -249,24 +192,3 @@ class SimulationKernel(abc.ABC):
 
     @abc.abstractmethod
     def reset_load_counts(self, kind: str) -> None: ...
-
-    def indegrees(self) -> Dict[NodeId, int]:
-        """Indegree of every live node (Property M2 measurement)."""
-        counts: Dict[NodeId, int] = {u: 0 for u in self.node_ids()}
-        for u in self.node_ids():
-            for v, multiplicity in self.view_of(u).items():
-                if v in counts:
-                    counts[v] += multiplicity
-        return counts
-
-    def export_graph(self) -> MembershipGraph:
-        """Snapshot the global membership graph (section 4's object)."""
-        nodes = self.node_ids()
-        graph = MembershipGraph(nodes)
-        for u in nodes:
-            for v, multiplicity in self.view_of(u).items():
-                if not graph.has_node(v):
-                    graph.add_node(v)
-                for _ in range(multiplicity):
-                    graph.add_edge(u, v)
-        return graph

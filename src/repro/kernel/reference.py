@@ -128,12 +128,6 @@ class ReferenceKernel(SimulationKernel):
         if sorted(self._order) != sorted(self.protocol.node_ids()):
             raise AssertionError("canonical ordering out of sync with population")
 
-    def indegrees(self) -> Dict[NodeId, int]:
-        return self.protocol.indegrees()
-
-    def export_graph(self):
-        return self.protocol.export_graph()
-
     def load_counts(self, kind: str) -> Dict[NodeId, int]:
         return dict(self._sent if kind == "sent" else self._received)
 

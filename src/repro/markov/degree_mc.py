@@ -45,7 +45,6 @@ this reproduces the "S&F Markov" curves of Figure 6.1.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -57,6 +56,12 @@ from repro.core.params import SFParams
 from repro.markov.solve_cache import DEFAULT_CACHE, SolveCache, solve_key
 
 State = Tuple[int, int]  # (outdegree, indegree)
+
+#: Fixed-point solver settings.  Read at call time (tests monkeypatch them)
+#: and hashed into every solve key, so a changed value never false-hits.
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-10
+DAMPING = 0.5
 
 # Transition kinds: every rate in ``_transitions`` is ``base × factor``
 # where ``base`` depends only on the source state (q for initiates, k for
@@ -114,7 +119,8 @@ class DegreeMCResult:
             ``(1−ℓ)·P_full``.
         iterations: fixed-point iterations used.
         converged: whether the environment fixed point met the tolerance
-            within ``max_iterations`` (``solve`` warns when it did not).
+            (``solve`` raises when it did not, so always true on a result
+            it returned).
     """
 
     states: List[State]
@@ -460,44 +466,60 @@ class DegreeMarkovChain:
     # Fixed point
     # ------------------------------------------------------------------
 
-    def solve(
-        self,
-        max_iterations: int = 200,
-        tolerance: float = 1e-10,
-        damping: float = 0.5,
-        cache: Union[None, bool, SolveCache] = None,
-    ) -> DegreeMCResult:
+    def solve(self, cache: Union[None, bool, SolveCache] = None) -> DegreeMCResult:
         """Run the paper's iterative scheme to the self-consistent π.
 
         Each iteration computes the stationary distribution for the current
-        environment and re-derives the environment from it; ``damping``
-        mixes old and new environments for stability.  Warns (and sets
-        ``converged=False`` on the result) when the fixed point has not met
-        ``tolerance`` after ``max_iterations``.
+        environment and re-derives the environment from it; :data:`DAMPING`
+        mixes old and new environments for stability.  Raises
+        ``RuntimeError`` when the fixed point has not met :data:`TOLERANCE`
+        after :data:`MAX_ITERATIONS` — a result is always a converged one —
+        and ``ValueError`` for the reducible ``ℓ = 0, dL = 0`` full grid
+        (Lemma 6.2), which has no unique stationary law to converge to.
 
-        ``cache`` selects the content-addressed solve cache: ``None`` uses
-        the process-wide default (disable with ``REPRO_SOLVE_CACHE=off``),
-        ``True``/``False`` force it on/off, and a :class:`SolveCache`
-        instance substitutes a custom cache.  Keys cover every input the
-        result depends on — chain construction and solver settings alike —
-        so a hit is always exact; cached results are deep-copied on return.
+        ``cache`` selects the content-addressed solve cache: ``None`` (or
+        ``True``) uses the process-wide default, ``False`` skips caching,
+        and a :class:`SolveCache` instance substitutes a custom cache.
+        Keys cover every input the result depends on — chain construction
+        and solver settings alike — so a hit is always exact; cached
+        results are deep-copied on return.
         """
-        cache_obj = self._resolve_cache(cache)
-        key = None
-        if cache_obj is not None:
+        if (
+            self.conserved_sum_degree is None
+            and self.loss_rate == 0.0
+            and self.params.d_low == 0
+        ):
+            raise ValueError(
+                "with loss_rate=0 and d_low=0 the chain conserves d + 2k "
+                "(Lemma 6.2) and is reducible on the full grid; pass "
+                "conserved_sum_degree to solve it on one line"
+            )
+        if cache is None or cache is True:
+            cache = DEFAULT_CACHE
+        elif cache is False:
+            cache = None
+        if cache is not None:
             key = solve_key(
                 view_size=self.params.view_size,
                 d_low=self.params.d_low,
                 loss_rate=self.loss_rate,
                 conserved_sum_degree=self.conserved_sum_degree,
                 sum_degree_cap=self.sum_degree_cap,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-                damping=damping,
+                max_iterations=MAX_ITERATIONS,
+                tolerance=TOLERANCE,
+                damping=DAMPING,
             )
-            hit = cache_obj.get(key)
-            if hit is not None:
-                return self._finish(copy.deepcopy(hit), max_iterations)
+            hit = cache.get(key)
+            # An unconverged entry can only be one older code journaled.
+            if hit is not None and hit.converged:
+                return copy.deepcopy(hit)
+        result = self._fixed_point()
+        if cache is not None:
+            cache.put(key, copy.deepcopy(result))
+        return result
+
+    def _fixed_point(self) -> DegreeMCResult:
+        """Iterate environment → π → environment until it stops moving."""
         s = self.params.view_size
         # Neutral starting guess: moderately busy network.
         env = _Environment(
@@ -505,63 +527,29 @@ class DegreeMarkovChain:
             p_dup_holder=0.01,
             p_full=0.01,
         )
-        pi = np.full(len(self.states), 1.0 / len(self.states))
-        iterations = 0
-        converged = False
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             matrix = self._build_matrix(env)
             pi = self._stationary(matrix)
             new_env = self._environment_from(pi)
-            blended = _Environment(
+            if new_env.distance(env) < TOLERANCE:
+                return self._result(pi, new_env, iterations)
+            env = _Environment(
                 rate_per_instance=(
-                    damping * env.rate_per_instance
-                    + (1 - damping) * new_env.rate_per_instance
+                    DAMPING * env.rate_per_instance
+                    + (1 - DAMPING) * new_env.rate_per_instance
                 ),
                 p_dup_holder=(
-                    damping * env.p_dup_holder + (1 - damping) * new_env.p_dup_holder
+                    DAMPING * env.p_dup_holder + (1 - DAMPING) * new_env.p_dup_holder
                 ),
-                p_full=damping * env.p_full + (1 - damping) * new_env.p_full,
+                p_full=DAMPING * env.p_full + (1 - DAMPING) * new_env.p_full,
             )
-            if new_env.distance(env) < tolerance:
-                env = new_env
-                converged = True
-                break
-            env = blended
-        result = self._result(pi, env, iterations, converged)
-        if cache_obj is not None and key is not None:
-            cache_obj.put(key, copy.deepcopy(result))
-        return self._finish(result, max_iterations)
-
-    @staticmethod
-    def _resolve_cache(
-        cache: Union[None, bool, SolveCache]
-    ) -> Optional[SolveCache]:
-        if isinstance(cache, SolveCache):
-            return cache
-        if cache is True:
-            return DEFAULT_CACHE
-        if cache is False:
-            return None
-        return DEFAULT_CACHE if SolveCache.enabled() else None
-
-    def _finish(self, result: DegreeMCResult, max_iterations: int) -> DegreeMCResult:
-        if not result.converged:
-            warnings.warn(
-                f"degree-MC fixed point did not converge within "
-                f"{max_iterations} iterations "
-                f"(s={self.params.view_size}, dL={self.params.d_low}, "
-                f"l={self.loss_rate}); returning the last iterate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return result
+        raise RuntimeError(
+            f"degree-MC fixed point did not converge within {MAX_ITERATIONS} "
+            f"iterations (s={s}, dL={self.params.d_low}, l={self.loss_rate})"
+        )
 
     def _result(
-        self,
-        pi: np.ndarray,
-        env: _Environment,
-        iterations: int,
-        converged: bool = True,
+        self, pi: np.ndarray, env: _Environment, iterations: int
     ) -> DegreeMCResult:
         out_pmf: Dict[int, float] = {}
         in_pmf: Dict[int, float] = {}
@@ -589,7 +577,6 @@ class DegreeMarkovChain:
             duplication_probability=duplication,
             deletion_probability=deletion,
             iterations=iterations,
-            converged=converged,
         )
 
     # ------------------------------------------------------------------

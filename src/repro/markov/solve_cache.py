@@ -15,24 +15,17 @@ Two layers:
   separate processes — including :class:`repro.runner.SweepRunner`
   workers — share results across runs.
 
-Disk writes go through a temporary file in the cache directory followed
-by :func:`os.replace`, which is atomic on POSIX and Windows: concurrent
+The disk layer follows the one policy of :mod:`repro.util.pickle_store`
+(shared with the sweep checkpoint journal): atomic writes, so concurrent
 workers solving the same chain race harmlessly (last writer wins with an
-identical payload) and a reader never observes a half-written entry.
-Corrupt or unpicklable entries are quarantined (deleted) on first read
-and treated as misses — one bad file costs one re-solve, not a warning
-per run forever; unreadable-but-intact files (permissions, I/O errors)
-are left in place and miss softly.
+identical payload) and a reader never observes a half-written entry; a
+failed write logged but never raised (the memory layer still serves the
+process); corrupt entries quarantined on first read and treated as misses
+— one bad file costs one re-solve, not a warning per run forever.
 
-Configuration:
-
-* ``REPRO_SOLVE_CACHE=off`` (or ``0``) disables the cache entirely;
-* ``REPRO_SOLVE_CACHE_DIR=<path>`` relocates the disk layer (default
-  ``~/.cache/repro-gossip/degree-mc``).
-
-The cache stores pickles of results this library itself produced; it is
-a private scratch directory, not an interchange format — do not point
-``REPRO_SOLVE_CACHE_DIR`` at untrusted data.
+``REPRO_SOLVE_CACHE_DIR=<path>`` relocates the disk layer (default
+``~/.cache/repro-gossip/degree-mc``); ``solve(cache=False)`` is the way to
+skip the cache for one solve.
 """
 
 from __future__ import annotations
@@ -41,13 +34,12 @@ import hashlib
 import json
 import logging
 import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.obs import get_telemetry
+from repro.util.pickle_store import PickleFiles, clear_entries
 
 LOGGER = logging.getLogger("repro.markov.solve_cache")
 
@@ -55,7 +47,6 @@ LOGGER = logging.getLogger("repro.markov.solve_cache")
 #: embeds this, so stale entries from older code can never be returned.
 SOLVE_SCHEMA_VERSION = 1
 
-_ENV_SWITCH = "REPRO_SOLVE_CACHE"
 _ENV_DIR = "REPRO_SOLVE_CACHE_DIR"
 
 
@@ -104,12 +95,15 @@ class SolveCache:
     use_disk: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _memory: Dict[str, Any] = field(default_factory=dict)
-    _quarantine_logged: bool = field(default=False, repr=False)
-
-    @staticmethod
-    def enabled() -> bool:
-        """Whether caching is globally enabled (``REPRO_SOLVE_CACHE``)."""
-        return os.environ.get(_ENV_SWITCH, "").lower() not in ("off", "0", "false")
+    _files: PickleFiles = field(
+        default_factory=lambda: PickleFiles(
+            LOGGER,
+            "solve_cache",
+            unwritten="results stay in this process's memory only",
+            corrupt="the solve will be recomputed",
+        ),
+        repr=False,
+    )
 
     def resolve_directory(self) -> Path:
         if self.directory is not None:
@@ -125,9 +119,9 @@ class SolveCache:
     def get(self, key: str) -> Optional[Any]:
         """Return the cached result for ``key``, or ``None`` on a miss.
 
-        A corrupt or unpicklable disk entry is quarantined (deleted) so
-        it costs one re-solve instead of silently re-failing on every
-        future read; missing or unreadable files are plain misses.
+        A corrupt or unpicklable disk entry is quarantined so it costs one
+        re-solve instead of silently re-failing on every future read;
+        missing or unreadable files are plain misses.
         """
         tel = get_telemetry()
         if key in self._memory:
@@ -137,15 +131,8 @@ class SolveCache:
                 tel.event("solve_cache.hit", layer="memory")
             return self._memory[key]
         if self.use_disk:
-            path = self._path(key)
-            try:
-                with open(path, "rb") as handle:
-                    result = pickle.load(handle)
-            except (FileNotFoundError, OSError):
-                pass  # missing or unreadable entry: plain miss
-            except Exception as exc:
-                self._quarantine(path, exc)
-            else:
+            hit, result = self._files.read(self._path(key))
+            if hit:
                 self.stats.disk_hits += 1
                 self._memory[key] = result
                 if tel.active:
@@ -158,24 +145,6 @@ class SolveCache:
             tel.event("solve_cache.miss")
         return None
 
-    def _quarantine(self, path: Path, exc: BaseException) -> None:
-        """Delete a corrupt entry; warn once, then log further ones at DEBUG."""
-        try:
-            path.unlink()
-        except OSError:
-            return
-        if not self._quarantine_logged:
-            self._quarantine_logged = True
-            LOGGER.warning(
-                "quarantined corrupt solve-cache entry %s (%r); the solve "
-                "will be recomputed (further quarantines logged at DEBUG)",
-                path.name, exc,
-            )
-        else:
-            LOGGER.debug(
-                "quarantined corrupt solve-cache entry %s (%r)", path.name, exc
-            )
-
     def put(self, key: str, result: Any) -> None:
         """Store ``result`` under ``key`` in memory and (atomically) on disk."""
         self._memory[key] = result
@@ -184,34 +153,15 @@ class SolveCache:
         if tel.active:
             tel.inc("solve_cache.writes")
             tel.event("solve_cache.store")
-        if not self.use_disk:
-            return
-        directory = self.resolve_directory()
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, temp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(temp_name, self._path(key))
-            except BaseException:
-                os.unlink(temp_name)
-                raise
-        except OSError:
-            pass  # read-only filesystem etc.: keep the memory layer only
+        if self.use_disk:
+            self._files.write(self._path(key), result)
 
     def clear_memory(self) -> None:
         self._memory.clear()
 
     def clear_disk(self) -> None:
         """Delete every cache file in the resolved directory."""
-        directory = self.resolve_directory()
-        if directory.is_dir():
-            for entry in directory.glob("*.pkl"):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
+        clear_entries(self.resolve_directory())
 
 
 #: Process-wide default used by :meth:`DegreeMarkovChain.solve` when the

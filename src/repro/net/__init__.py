@@ -18,6 +18,7 @@ from repro.net.loss import (
     GilbertElliottLoss,
     LossModel,
     NoLoss,
+    PartitionLoss,
     PerLinkLoss,
     TargetedLoss,
     TopologyLoss,
@@ -39,6 +40,7 @@ __all__ = [
     "NoLoss",
     "UniformLoss",
     "GilbertElliottLoss",
+    "PartitionLoss",
     "PerLinkLoss",
     "TargetedLoss",
     "CorrelatedLoss",

@@ -7,18 +7,32 @@ the receive step silently never runs — no retransmission, no bookkeeping.
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, Optional, Tuple
 
 NodeId = int
 
 
-class LossModel(abc.ABC):
-    """Decides, per message, whether it is lost in transit."""
+class LossModel:
+    """Decides, per message, whether it is lost in transit.
 
-    @abc.abstractmethod
+    A stateless model defines :meth:`rate_for` and inherits the verdict; a
+    stateful one leaves ``rate_for`` at ``None`` and overrides
+    :meth:`is_lost`.
+    """
+
     def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
-        """Return True if the message from ``sender`` to ``target`` is lost."""
+        """Return True if the message from ``sender`` to ``target`` is lost.
+
+        The one coin: a rate of 0 never loses and a rate of 1 always does,
+        both without touching ``rng``; any rate in between costs exactly
+        one ``rng.random()``.
+        """
+        rate = self.rate_for(sender, target)
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0:
+            return True
+        return bool(rng.random() < rate)
 
     def rate_for(self, sender: NodeId, target: NodeId) -> Optional[float]:
         """The deterministic loss rate for this message, if one exists.
@@ -27,7 +41,7 @@ class LossModel(abc.ABC):
         to ``target`` is lost, letting batch kernels decide loss from a
         pre-drawn uniform (see :func:`repro.kernel.base.decide_loss`).
         Stateful models (whose verdict needs extra randomness or evolves
-        per message) return ``None`` to request the ``is_lost`` path.
+        per message) return ``None`` and supply their own ``is_lost``.
         """
         return None
 
@@ -53,13 +67,6 @@ class UniformLoss(LossModel):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         self.rate = rate
-
-    def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
-        if self.rate == 0.0:
-            return False
-        if self.rate == 1.0:
-            return True
-        return bool(rng.random() < self.rate)
 
     def rate_for(self, sender: NodeId, target: NodeId) -> float:
         return self.rate
@@ -195,14 +202,6 @@ class PartitionLoss(LossModel):
                 rate = self.cross_loss
         return rate
 
-    def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
-        rate = self.rate_for(sender, target)
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        return bool(rng.random() < rate)
-
     def expected_rate(self) -> float:
         return self.base_loss  # nominal; cross traffic depends on topology
 
@@ -250,14 +249,6 @@ class TargetedLoss(LossModel):
         if sender in self.victims or target in self.victims:
             return self.victim_loss
         return self.base_loss
-
-    def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
-        rate = self.rate_for(sender, target)
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        return bool(rng.random() < rate)
 
     def expected_rate(self) -> float:
         return self.base_loss  # nominal; victim traffic depends on topology
@@ -373,14 +364,6 @@ class TopologyLoss(LossModel):
             return self.edge_loss
         return 1.0
 
-    def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
-        rate = self.rate_for(sender, target)
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        return bool(rng.random() < rate)
-
     def expected_rate(self) -> float:
         return self.edge_loss  # nominal; off-mask traffic depends on views
 
@@ -412,9 +395,6 @@ class PerLinkLoss(LossModel):
 
     def rate_for(self, sender: NodeId, target: NodeId) -> float:
         return self.rates.get((sender, target), self.default_rate)
-
-    def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
-        return bool(rng.random() < self.rate_for(sender, target))
 
     def expected_rate(self) -> float:
         if not self.rates:

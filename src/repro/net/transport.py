@@ -50,7 +50,7 @@ InboundFilter = Callable[[WireRecord], bool]
 
 
 class Transport(abc.ABC):
-    """Carries effects produced at the event/effect seam.
+    """Carries effects produced at the step/effect seam.
 
     ``send`` returns True if the message entered the channel (delivery
     still not guaranteed — the receiver side may drop it), False if it

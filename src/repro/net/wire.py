@@ -19,12 +19,11 @@ time so receivers can sample one-way delivery latency (the transport
 benchmark's p50/p99).  ``ts`` is transport metadata, not record state:
 :func:`decode` ignores it, :func:`decode_with_timestamp` surfaces it.
 
-The codec also covers the typed event/effect records of the execution
-seam (:class:`~repro.protocols.base.InitiateEvent` and friends) so any
-record crossing a process boundary — pickled into a sweep checkpoint or
-serialized onto a socket — round-trips through one versioned format.
-Round-tripping is property-tested with Hypothesis in
-``tests/test_net_wire.py``.
+Those three records — :class:`~repro.protocols.base.Message`,
+:class:`JoinRequest`, :class:`Welcome` — are everything any runtime sends,
+so they are everything the codec speaks: a datagram with any other tag is
+a :class:`WireError`.  Round-tripping is property-tested with Hypothesis
+in ``tests/test_net_wire.py``.
 """
 
 from __future__ import annotations
@@ -35,13 +34,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.protocols.base import (
-    DATACLASS_SLOTS,
-    DeliverEvent,
-    InitiateEvent,
-    Message,
-    SendEffect,
-)
+from repro.protocols.base import DATACLASS_SLOTS, Message
 
 NodeId = int
 
@@ -88,12 +81,9 @@ class Welcome:
 
 
 #: Everything the codec can carry.
-WireRecord = Union[Message, InitiateEvent, DeliverEvent, SendEffect, JoinRequest, Welcome]
+WireRecord = Union[Message, JoinRequest, Welcome]
 
 _TAG_MESSAGE = "msg"
-_TAG_INITIATE = "init"
-_TAG_DELIVER = "dlvr"
-_TAG_SEND = "send"
 _TAG_JOIN = "join"
 _TAG_WELCOME = "wlcm"
 
@@ -106,10 +96,8 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, AttributeError)
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-#: ``{"t":<tag>,"m":`` — how each message-bearing datagram starts.
-_MESSAGE_HEAD, _DELIVER_HEAD, _SEND_HEAD = (
-    '{"t":%s,"m":' % _quote(tag) for tag in (_TAG_MESSAGE, _TAG_DELIVER, _TAG_SEND)
-)
+#: ``{"t":"msg","m":`` — how every message datagram starts.
+_MESSAGE_HEAD = '{"t":%s,"m":' % _quote(_TAG_MESSAGE)
 
 
 def _open_object(obj: Dict[str, Any]) -> str:
@@ -175,19 +163,9 @@ def encode(record: WireRecord, timestamp: Optional[float] = None) -> bytes:
     round-trip equality.
     """
     # Each branch leaves ``text`` one "}" short of a JSON object, so the
-    # envelope's ``v`` and ``ts`` are appended the same way for all six.
+    # envelope's ``v`` and ``ts`` are appended the same way for all three.
     if isinstance(record, Message):
         text = _MESSAGE_HEAD + _format_message(record)
-    elif isinstance(record, DeliverEvent):
-        text = _DELIVER_HEAD + _format_message(record.message)
-    elif isinstance(record, SendEffect):
-        text = '%s%s,"r":%d' % (
-            _SEND_HEAD,
-            _format_message(record.message),
-            1 if record.reply else 0,
-        )
-    elif isinstance(record, InitiateEvent):
-        text = _open_object({"t": _TAG_INITIATE, "n": int(record.node)})
     elif isinstance(record, JoinRequest):
         text = _open_object(
             {"t": _TAG_JOIN, "n": int(record.node), "port": int(record.port)}
@@ -247,15 +225,6 @@ def decode_with_timestamp(data: bytes) -> Tuple[WireRecord, Optional[float]]:
             raise WireError("ts field is not a finite number")
         if tag == _TAG_MESSAGE:
             return _message_from_body(obj["m"]), timestamp
-        if tag == _TAG_INITIATE:
-            return InitiateEvent(node=int(obj["n"])), timestamp
-        if tag == _TAG_DELIVER:
-            return DeliverEvent(message=_message_from_body(obj["m"])), timestamp
-        if tag == _TAG_SEND:
-            return (
-                SendEffect(message=_message_from_body(obj["m"]), reply=bool(obj["r"])),
-                timestamp,
-            )
         if tag == _TAG_JOIN:
             return JoinRequest(node=int(obj["n"]), port=int(obj["port"])), timestamp
         if tag == _TAG_WELCOME:

@@ -29,7 +29,6 @@ accident.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
@@ -118,22 +117,6 @@ class Telemetry:
     def event(self, type_: str, **fields: Any) -> None:
         if self.tracer is not None:
             self.tracer.emit(type_, **fields)
-
-    @contextmanager
-    def span(self, type_: str, **fields: Any) -> Iterator[None]:
-        """Timed block → one trace record with ``duration_s`` (and the
-        wall time recorded as timer ``type_`` when metrics are on)."""
-        if not self.active:
-            yield
-            return
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        try:
-            yield
-        finally:
-            wall = time.perf_counter() - wall0
-            self.observe_timer(type_, wall, time.process_time() - cpu0)
-            self.event(type_, duration_s=round(wall, 6), **fields)
 
 
 #: The do-nothing default every process starts with.

@@ -31,7 +31,6 @@ simulation stack this instruments:
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Dict, Optional
 
 #: Bump when the snapshot layout changes; embedded in every snapshot so
@@ -98,29 +97,6 @@ class TimerStat:
         self.cpu_total += float(other.get("cpu_total", 0.0))
 
 
-class _TimerContext:
-    """Context manager measuring wall (``perf_counter``) and CPU
-    (``process_time``) around a block, recording into one timer."""
-
-    __slots__ = ("_registry", "_name", "_wall0", "_cpu0")
-
-    def __init__(self, registry: "Registry", name: str):
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_TimerContext":
-        self._wall0 = time.perf_counter()
-        self._cpu0 = time.process_time()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._registry.observe_timer(
-            self._name,
-            time.perf_counter() - self._wall0,
-            time.process_time() - self._cpu0,
-        )
-
-
 class Registry:
     """A named collection of counters, gauges, histograms, and timers.
 
@@ -160,10 +136,6 @@ class Registry:
             if timer is None:
                 timer = self._timers[name] = TimerStat()
             timer.observe(wall, cpu)
-
-    def timer(self, name: str) -> _TimerContext:
-        """``with registry.timer("phase.x"):`` — time a block (wall + CPU)."""
-        return _TimerContext(self, name)
 
     # -- reading --------------------------------------------------------
 

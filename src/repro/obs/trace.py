@@ -29,9 +29,8 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Union
+from typing import Any, Dict, Union
 
 #: Bump whenever the record envelope or an existing record type's fields
 #: change shape; every record embeds it.
@@ -72,17 +71,6 @@ class Tracer:
                 return
             self._file.write(line + "\n")
             self.records_written += 1
-
-    @contextmanager
-    def span(self, type_: str, **fields: Any) -> Iterator[None]:
-        """Emit one record for the enclosed block, with ``duration_s``."""
-        wall0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.emit(
-                type_, duration_s=round(time.perf_counter() - wall0, 6), **fields
-            )
 
     def flush(self) -> None:
         with self._lock:

@@ -12,18 +12,17 @@ subjects replies to the same loss model, so a push-pull action degrades
 gracefully into its constituent steps under loss instead of assuming
 atomicity.
 
-**Execution-agnostic event/effect seam.**  A protocol step is driven by a
-typed *event* (:class:`InitiateEvent` or :class:`DeliverEvent`) and
-answers with zero or more typed *effects* (:class:`SendEffect` records).
-:meth:`GossipProtocol.handle` is the single entry point every runtime
-uses — the serial engine, the discrete-event engine, and the asyncio UDP
-runtime (:mod:`repro.runtime`) all call ``handle`` and route the
-resulting effects through their own transport
-(:mod:`repro.net.transport`).  Nothing in a protocol assumes *how* a
-produced message travels: synchronously in-process, through a delayed
-event queue, or as a datagram on a real lossy network.  All records are
-slotted, picklable dataclasses with a schema-versioned wire codec in
-:mod:`repro.net.wire`.
+**The step/effect seam.**  The two step methods are the whole
+execution interface: every runtime — the serial engine, the
+discrete-event engine, and the asyncio UDP runtime (:mod:`repro.runtime`)
+— calls ``initiate_effects(node, rng)`` and ``deliver_effects(message,
+rng)`` and routes the :class:`SendEffect` records they return through
+its own transport (:mod:`repro.net.transport`).  Nothing in a protocol
+assumes *how* a produced message travels: synchronously in-process,
+through a delayed event queue, or as a datagram on a real lossy network.
+:class:`Message` and :class:`SendEffect` are slotted, picklable
+dataclasses; messages cross sockets through the schema-versioned codec
+in :mod:`repro.net.wire`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import abc
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.membership_graph import MembershipGraph
 
@@ -76,25 +75,6 @@ class Message:
     ext: Optional[Dict[str, Dict]] = None
 
 
-# ----------------------------------------------------------------------
-# Typed events and effects (the execution seam)
-# ----------------------------------------------------------------------
-
-
-@dataclass(**DATACLASS_SLOTS)
-class InitiateEvent:
-    """Scheduler input: ``node`` runs one initiate action."""
-
-    node: NodeId
-
-
-@dataclass(**DATACLASS_SLOTS)
-class DeliverEvent:
-    """Network input: ``message`` arrived at its target."""
-
-    message: Message
-
-
 @dataclass(**DATACLASS_SLOTS)
 class SendEffect:
     """Protocol output: ``message`` should be handed to the transport.
@@ -108,10 +88,6 @@ class SendEffect:
 
     message: Message
     reply: bool = False
-
-
-#: Events a protocol consumes.
-ProtocolEvent = Union[InitiateEvent, DeliverEvent]
 
 
 @dataclass
@@ -155,17 +131,64 @@ class ProtocolStats:
         self.extra.clear()
 
 
-class GossipProtocol(abc.ABC):
+class Population(abc.ABC):
+    """What can be observed of any population of views.
+
+    The base :class:`GossipProtocol` and
+    :class:`repro.kernel.base.SimulationKernel` share: whoever can list its
+    live nodes and show each one's view gets the membership graph and the
+    indegree census from here, so metrics and experiments read both alike.
+    """
+
+    @abc.abstractmethod
+    def node_ids(self) -> List[NodeId]:
+        """All live node ids, canonical order, as a fresh list."""
+
+    @abc.abstractmethod
+    def view_of(self, node_id: NodeId) -> Counter:
+        """The multiset of ids in ``node_id``'s view."""
+
+    def outdegree(self, node_id: NodeId) -> int:
+        return sum(self.view_of(node_id).values())
+
+    def export_graph(self) -> MembershipGraph:
+        """Snapshot the global membership graph (section 4's object).
+
+        Dangling ids (pointing at removed nodes) are preserved as vertices
+        so indegree bookkeeping of departed nodes remains observable.
+        """
+        nodes = self.node_ids()
+        graph = MembershipGraph(nodes)
+        for u in nodes:
+            for v, multiplicity in self.view_of(u).items():
+                if not graph.has_node(v):
+                    graph.add_node(v)
+                for _ in range(multiplicity):
+                    graph.add_edge(u, v)
+        return graph
+
+    def indegrees(self) -> Dict[NodeId, int]:
+        """Indegree of every live node (for Property M2 measurement)."""
+        nodes = self.node_ids()
+        counts: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
+        for u in nodes:
+            for v, multiplicity in self.view_of(u).items():
+                if v in counts:
+                    counts[v] += multiplicity
+        return counts
+
+
+class GossipProtocol(Population):
     """Abstract membership protocol over a population of nodes.
 
     Concrete protocols own all per-node state, in one table keyed by node
     id (``_views``) whose insertion order is the *canonical node order*:
     the scheduler's ``r``-th node is the ``r``-th live id in it.  The
-    engine drives protocols via :meth:`handle` and observes state via
-    ``view_of`` and ``export_graph``.  Wrappers (failure detection,
-    samplers) keep no table or counters of their own and delegate the
-    population accessors, ``stats`` and ``params`` to the protocol they
-    wrap.
+    engine drives protocols via :meth:`initiate_effects` and
+    :meth:`deliver_effects` and observes state via ``view_of`` and
+    ``export_graph``.  Wrappers (failure detection, samplers) keep no
+    table or counters of their own and delegate the population accessors,
+    ``stats`` and ``params`` to the protocol they wrap.
     """
 
     def __init__(self) -> None:
@@ -225,7 +248,7 @@ class GossipProtocol(abc.ABC):
         del self._views[node_id]
         self._members = None
 
-    # -- protocol steps (the event/effect seam) ---------------------------------
+    # -- protocol steps (the step/effect seam) ----------------------------------
 
     @abc.abstractmethod
     def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
@@ -234,55 +257,6 @@ class GossipProtocol(abc.ABC):
     @abc.abstractmethod
     def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
         """Run the receive step for ``message``; return any reply effects."""
-
-    def handle(self, event: ProtocolEvent, rng) -> Tuple[SendEffect, ...]:
-        """Execute one protocol step for ``event``; return its effects.
-
-        This is the execution-agnostic entry point: every runtime — the
-        serial engine, the discrete-event engine, the UDP node runtime —
-        drives the protocol exclusively through it and owns the decision
-        of what to *do* with the returned :class:`SendEffect` records
-        (synchronous loopback, delayed queue, or real datagrams).
-        """
-        if isinstance(event, InitiateEvent):
-            return self.initiate_effects(event.node, rng)
-        if isinstance(event, DeliverEvent):
-            return self.deliver_effects(event.message, rng)
-        raise TypeError(f"unknown protocol event: {event!r}")
-
-    # -- observation -----------------------------------------------------------
-
-    @abc.abstractmethod
-    def view_of(self, node_id: NodeId) -> Counter:
-        """The multiset of ids in ``node_id``'s view."""
-
-    def outdegree(self, node_id: NodeId) -> int:
-        return sum(self.view_of(node_id).values())
-
-    def export_graph(self) -> MembershipGraph:
-        """Snapshot the global membership graph (section 4's object).
-
-        Dangling ids (pointing at removed nodes) are preserved as vertices
-        so indegree bookkeeping of departed nodes remains observable.
-        """
-        nodes = list(self.node_ids())
-        graph = MembershipGraph(nodes)
-        for u in nodes:
-            for v, multiplicity in self.view_of(u).items():
-                if not graph.has_node(v):
-                    graph.add_node(v)
-                for _ in range(multiplicity):
-                    graph.add_edge(u, v)
-        return graph
-
-    def indegrees(self) -> Dict[NodeId, int]:
-        """Indegree of every live node (for Property M2 measurement)."""
-        counts: Dict[NodeId, int] = {u: 0 for u in self.node_ids()}
-        for u in self.node_ids():
-            for v, multiplicity in self.view_of(u).items():
-                if v in counts:
-                    counts[v] += multiplicity
-        return counts
 
 
 class ProtocolWrapper(GossipProtocol):

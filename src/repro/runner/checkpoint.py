@@ -7,20 +7,14 @@ run stopped — with bit-identical output for pure workers, because the
 journaled result **is** the worker's return value and per-cell seeds are
 position-derived (see :mod:`repro.runner.sweep`).
 
-Entries follow the same content-address discipline as
-:mod:`repro.markov.solve_cache`:
-
-* the key is the SHA-256 of everything the cell's result depends on — a
-  schema version, the worker's identity, the cell's grid position, point,
-  replication, seed, and the shared context — so a changed grid, seed, or
-  worker can never produce a false resume;
-* writes go through a temporary file plus :func:`os.replace` (atomic on
-  POSIX and Windows), so a crash mid-write never leaves a half-written
-  entry and concurrent writers race harmlessly;
-* corrupt or unpicklable entries are quarantined (moved into a
-  ``quarantine/`` subdirectory for post-mortem) on first read and treated
-  as misses, so one bad file costs one recomputation, not a wedged
-  resume.
+Entries are content-addressed: the key is the SHA-256 of everything the
+cell's result depends on — a schema version, the worker's identity, the
+cell's grid position, point, replication, seed, and the shared context —
+so a changed grid, seed, or worker can never produce a false resume.  On
+disk they follow the one policy of :mod:`repro.util.pickle_store` (shared
+with :mod:`repro.markov.solve_cache`): atomic writes, a failed write
+logged but never raised, corrupt entries quarantined and treated as
+misses, so one bad file costs one recomputation, not a wedged resume.
 
 Only *successful* cells are journaled.  Failed, skipped, and timed-out
 cells are retried by the next run — exactly the semantics a resumable
@@ -32,11 +26,8 @@ worker it wraps; :func:`worker_token` honors it, which is what lets a
 sweep interrupted under :class:`repro.runner.chaos.ChaosWorker` resume
 with the plain worker.
 
-Like the solve cache, a checkpoint directory stores pickles this library
-itself produced; it is a private scratch directory, not an interchange
-format — do not point it at untrusted data.  :func:`gc_store` (the
-``repro checkpoint-gc`` command) prunes entries the current code can no
-longer resume from.
+:func:`gc_store` (the ``repro checkpoint-gc`` command) prunes entries the
+current code can no longer resume from.
 """
 
 from __future__ import annotations
@@ -44,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.obs import get_telemetry
+from repro.util.pickle_store import QUARANTINE_DIR, PickleFiles, clear_entries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
     from repro.runner.sweep import GridCell
@@ -61,9 +51,6 @@ LOGGER = logging.getLogger("repro.runner.checkpoint")
 #: Bump whenever the journal layout or keying semantics change: every key
 #: embeds this, so entries from older code can never be resumed from.
 CHECKPOINT_SCHEMA_VERSION = 1
-
-#: Name of the subdirectory corrupt entries are moved into.
-QUARANTINE_DIR = "quarantine"
 
 
 def worker_token(worker: Any) -> str:
@@ -115,8 +102,12 @@ class CheckpointStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.stats = CheckpointStats()
-        # Kinds of trouble already reported at WARNING (see _log_once).
-        self._warned: Set[str] = set()
+        self._files = PickleFiles(
+            LOGGER,
+            "checkpoint",
+            unwritten="the sweep continues but is NOT being journaled",
+            corrupt="the cell will be recomputed",
+        )
 
     def cell_key(self, worker: Any, cell: "GridCell", context: Any) -> str:
         """SHA-256 content address of one (worker, cell, context) triple."""
@@ -141,23 +132,16 @@ class CheckpointStore:
         A corrupt entry is quarantined and reported as a miss, so the
         cell is simply recomputed.
         """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            result = payload["result"]
-        except (FileNotFoundError, OSError):
+        hit, result = self._files.read(
+            self._path(key), lambda payload: payload["result"]
+        )
+        if hit:
+            self.stats.hits += 1
+            get_telemetry().inc("checkpoint.hits")
+        else:
             self.stats.misses += 1
             get_telemetry().inc("checkpoint.misses")
-            return False, None
-        except Exception as exc:
-            self._quarantine(path, exc)
-            self.stats.misses += 1
-            get_telemetry().inc("checkpoint.misses")
-            return False, None
-        self.stats.hits += 1
-        get_telemetry().inc("checkpoint.hits")
-        return True, result
+        return hit, result
 
     def store(
         self,
@@ -185,64 +169,13 @@ class CheckpointStore:
         }
         if token is not None:
             payload["worker"] = token
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, temp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(temp_name, self._path(key))
-            except BaseException:
-                os.unlink(temp_name)
-                raise
-        except OSError as exc:
-            self._log_once(
-                "write",
-                "checkpoint write to %s failed (errno %s: %s); the sweep "
-                "continues but is NOT being journaled",
-                self.directory, exc.errno, exc.strerror,
-            )
-            return
-        self.stats.writes += 1
-        get_telemetry().inc("checkpoint.writes")
-
-    # ------------------------------------------------------------------
-
-    def _quarantine(self, path: Path, exc: BaseException) -> None:
-        quarantine = self.directory / QUARANTINE_DIR
-        try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                return
-        get_telemetry().inc("checkpoint.quarantined")
-        self._log_once(
-            "quarantine",
-            "quarantined corrupt checkpoint entry %s (%r); the cell will be "
-            "recomputed",
-            path.name, exc,
-        )
-
-    def _log_once(self, kind: str, message: str, *args: Any) -> None:
-        """WARNING for the first event of ``kind``, DEBUG for the rest —
-        a whole grid hitting the same trouble says so once."""
-        if kind in self._warned:
-            LOGGER.debug(message, *args)
-            return
-        self._warned.add(kind)
-        LOGGER.warning(message + " (further ones logged at DEBUG)", *args)
+        if self._files.write(self._path(key), payload):
+            self.stats.writes += 1
+            get_telemetry().inc("checkpoint.writes")
 
     def clear(self) -> None:
         """Delete every journal entry."""
-        if self.directory.is_dir():
-            for entry in self.directory.glob("*.pkl"):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
+        clear_entries(self.directory)
 
     def __len__(self) -> int:
         if not self.directory.is_dir():
@@ -335,9 +268,9 @@ def gc_store(
         report.scanned += 1
         _remove(path, "orphan-tmp")
 
-    quarantine = root / QUARANTINE_DIR
-    if quarantine.is_dir():
-        for path in sorted(quarantine.iterdir()):
+    aside = root / QUARANTINE_DIR
+    if aside.is_dir():
+        for path in sorted(aside.iterdir()):
             if path.is_file():
                 report.scanned += 1
                 _remove(path, "quarantined")

@@ -5,7 +5,7 @@ replaces it with the real thing.  Each node is a loop timer plus an
 :class:`~repro.net.transport.AsyncioUdpTransport` and a private
 :class:`~repro.core.sandf.SendForget` instance holding only its own view
 — the same protocol code the simulations run, driven through the same
-event/effect seam, with datagrams instead of queue entries in between.
+step/effect seam, with datagrams instead of queue entries in between.
 
 :mod:`repro.runtime.cluster` is the harness: it boots hundreds of nodes
 on ephemeral ports, runs an introducer endpoint for joins, injects

@@ -47,7 +47,7 @@ from repro.failure.layer import outbound as fd_outbound
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, WireRecord
 from repro.obs import get_telemetry
-from repro.protocols.base import DeliverEvent, InitiateEvent, Message, SendEffect
+from repro.protocols.base import Message, SendEffect
 from repro.util.rng import SeedLike, make_rng, spawn_rngs
 from repro.util.tables import format_table
 
@@ -206,26 +206,26 @@ class ClusterNode:
         try:
             if self.detector is not None:
                 self.detector.beat(self._loop_ref.time())
-            for effect in self.protocol.handle(InitiateEvent(self.node_id), self.rng):
-                if self._fd_outbound(effect):
-                    self.transport.send(effect, self.rng)
+            self._route(self.protocol.initiate_effects(self.node_id, self.rng))
         except Exception as exc:  # a node crash must not vanish silently
             self.cluster.errors.append(f"node {self.node_id} initiate: {exc!r}")
             self._timer = None
             return
         self._arm()
 
-    def _fd_outbound(self, effect: SendEffect) -> bool:
-        """Suppress sends to FAILED peers; piggyback rumors on the rest.
+    def _route(self, effects: Tuple[SendEffect, ...]) -> None:
+        """Send one step's effects, minus those to peers declared FAILED.
 
+        The detector suppresses those and piggybacks rumors on the rest.
         Suppression is this node's eviction action: to the protocol it is
         indistinguishable from loss (S&F's one tolerated failure), so
-        view invariants hold while traffic to the dead stops.  Returns
-        whether the effect should actually reach the transport.
+        view invariants hold while traffic to the dead stops.
         """
-        return self.detector is None or fd_outbound(
-            self.detector, effect, self.protocol.stats
-        )
+        for effect in effects:
+            if self.detector is None or fd_outbound(
+                self.detector, effect, self.protocol.stats
+            ):
+                self.transport.send(effect, self.rng)
 
     def _on_record(
         self, record: WireRecord, timestamp: Optional[float], addr: Tuple[str, int]
@@ -237,9 +237,7 @@ class ClusterNode:
                     self.detector.observe_direct(record.sender, now)
                     if record.ext:
                         self.detector.absorb_extension(record.ext.get(FD_EXT_KEY), now)
-                for effect in self.protocol.handle(DeliverEvent(record), self.rng):
-                    if self._fd_outbound(effect):
-                        self.transport.send(effect, self.rng)
+                self._route(self.protocol.deliver_effects(record, self.rng))
             except Exception as exc:
                 self.cluster.errors.append(f"node {self.node_id} deliver: {exc!r}")
         elif isinstance(record, Welcome):

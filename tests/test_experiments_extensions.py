@@ -116,6 +116,20 @@ class TestMessageLoad:
     def test_format(self, result):
         assert "message load" in result.format()
 
+    def test_counter_read_is_one_snapshot(self, monkeypatch):
+        """The parent rebuilt the whole snapshot per node read: O(n²)."""
+        from repro.kernel.array import ArrayKernel
+
+        reads, snapshot = [], ArrayKernel.load_counts
+        monkeypatch.setattr(
+            ArrayKernel, "load_counts",
+            lambda kernel, kind: reads.append(kind) or snapshot(kernel, kind),
+        )
+        (fast,) = registry.get("message-load").grid(True)
+        point = {**fast, "n": 60, "warmup_rounds": 5, "measure_rounds": 10}
+        registry.execute("message-load", backend="array", points=[point])
+        assert reads == ["received"]
+
 
 class TestViewRegimes:
     @pytest.fixture(scope="class")

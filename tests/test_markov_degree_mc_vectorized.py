@@ -142,12 +142,19 @@ class TestConvergenceFlag:
         )
         assert result.converged is True
 
-    def test_non_convergence_warns_and_flags(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr("repro.markov.degree_mc.MAX_ITERATIONS", 1)
         chain = DegreeMarkovChain(SFParams(view_size=12, d_low=2), 0.05)
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            result = chain.solve(max_iterations=1, cache=False)
-        assert result.converged is False
-        assert result.iterations == 1
+        with pytest.raises(RuntimeError, match="did not converge within 1 "):
+            chain.solve(cache=False)
+
+    @pytest.mark.parametrize("s", [6, 8, 90])
+    def test_reducible_corner_raises(self, s):
+        """ℓ = 0, dL = 0 off the conserved line (Lemma 6.2): the parent
+        returned its 200th iterate — dE 1.07, 0.92, NaN — with a warning."""
+        chain = DegreeMarkovChain(SFParams(view_size=s, d_low=0), 0.0)
+        with pytest.raises(ValueError, match="conserved_sum_degree"):
+            chain.solve(cache=False)
 
     def test_normal_solve_does_not_warn(self):
         with warnings.catch_warnings():

@@ -76,7 +76,7 @@ def run_case(name: str) -> Dict[str, object]:
             [(u, sorted(protocol.view_of(u).items())) for u in protocol.node_ids()]
         ),
         "load": _sha(
-            (sorted(engine.received_by.items()), sorted(engine.sent_by.items()))
+            tuple(sorted(engine.load_counts(k).items()) for k in ("received", "sent"))
         ),
         "churn": _sha((churn.joined, churn.left)),
         "rounds_completed": repr(engine.rounds_completed),

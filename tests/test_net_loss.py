@@ -1,17 +1,51 @@
 """Tests for repro.net.loss."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.loss import (
     CorrelatedLoss,
     GilbertElliottLoss,
     NoLoss,
+    PartitionLoss,
     PerLinkLoss,
     TargetedLoss,
     TopologyLoss,
     UniformLoss,
 )
 from repro.util.rng import make_rng
+
+
+def parent_is_lost(rate, rng):
+    """The body four stateless models each carried at the parent (PerLinkLoss
+    had no guards, so it drew at rates 0 and 1: the one permitted difference)."""
+    if rate <= 0.0:
+        return False
+    if rate >= 1.0:
+        return True
+    return bool(rng.random() < rate)
+
+
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+nodes = st.integers(0, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate=rates, base=rates, sender=nodes, target=nodes, seed=st.integers(0, 2**32 - 1))
+def test_shared_verdict_matches_the_parent_bodies(rate, base, sender, target, seed):
+    for model in (
+        UniformLoss(rate),
+        PartitionLoss({n: n % 2 for n in range(10)}, cross_loss=rate, base_loss=base),
+        TargetedLoss([3, 4], victim_loss=rate, base_loss=base),
+        TopologyLoss({n: frozenset([(n + 1) % 10]) for n in range(10)}, edge_loss=rate),
+        PerLinkLoss({(2, 5): rate}, default_rate=base),
+    ):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        rate_here = model.rate_for(sender, target)
+        assert model.is_lost(sender, target, got) == parent_is_lost(rate_here, want)
+        assert got.bit_generator.state == want.bit_generator.state  # same draws
 
 
 class TestUniformLoss:

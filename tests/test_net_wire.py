@@ -26,7 +26,7 @@ from repro.net.wire import (
     decode_with_timestamp,
     encode,
 )
-from repro.protocols.base import DeliverEvent, InitiateEvent, Message, SendEffect
+from repro.protocols.base import Message, SendEffect
 
 node_ids = st.integers(min_value=0, max_value=2**31 - 1)
 kinds = st.sampled_from(
@@ -40,9 +40,6 @@ messages = st.builds(
 )
 records = st.one_of(
     messages,
-    st.builds(InitiateEvent, node=node_ids),
-    st.builds(DeliverEvent, message=messages),
-    st.builds(SendEffect, message=messages, reply=st.booleans()),
     st.builds(JoinRequest, node=node_ids, port=st.integers(1, 65535)),
     st.builds(
         Welcome,
@@ -79,11 +76,11 @@ class TestRoundTrip:
 
 class TestEnvelope:
     def test_version_is_stamped(self):
-        obj = json.loads(encode(InitiateEvent(node=5)))
+        obj = json.loads(encode(JoinRequest(node=5, port=1)))
         assert obj["v"] == WIRE_SCHEMA_VERSION
 
     def test_wrong_version_rejected(self):
-        obj = json.loads(encode(InitiateEvent(node=5)))
+        obj = json.loads(encode(JoinRequest(node=5, port=1)))
         obj["v"] = WIRE_SCHEMA_VERSION + 1
         with pytest.raises(WireError, match="version"):
             decode(json.dumps(obj).encode())
@@ -140,8 +137,7 @@ class TestSlots:
         effect = SendEffect(
             Message(sender=1, target=2, payload=[(9, True)], kind="x"), reply=True
         )
-        for record in (InitiateEvent(3), DeliverEvent(effect.message), effect):
-            assert pickle.loads(pickle.dumps(record)) == record
+        assert pickle.loads(pickle.dumps(effect)) == effect
 
 
 class TestExtensionEnvelope:
@@ -204,10 +200,10 @@ class TestExtensionEnvelope:
 # ----------------------------------------------------------------------
 
 
-def reference_encode(tag, message, timestamp, reply=None):
+def reference_encode(message, timestamp):
     """The oracle: ``json.dumps`` of the explicit dict, as the codec was
-    first written.  The production encoder formats message-bearing
-    records directly and must emit these bytes exactly — that identity is
+    first written.  The production encoder formats messages directly and
+    must emit these bytes exactly — that identity is
     the wire-compatibility proof between commits (schema version 1)."""
     body = {
         "s": int(message.sender),
@@ -217,10 +213,7 @@ def reference_encode(tag, message, timestamp, reply=None):
     }
     if message.ext:
         body["x"] = {str(key): dict(value) for key, value in message.ext.items()}
-    obj = {"t": tag, "m": body}
-    if reply is not None:
-        obj["r"] = 1 if reply else 0
-    obj["v"] = WIRE_SCHEMA_VERSION
+    obj = {"t": "msg", "m": body, "v": WIRE_SCHEMA_VERSION}
     if timestamp is not None:
         obj["ts"] = timestamp
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
@@ -266,17 +259,11 @@ timestamps = st.one_of(
 
 class TestDirectFormatter:
     @settings(max_examples=300, deadline=None)
-    @given(message=any_messages, timestamp=timestamps, reply=st.booleans())
+    @given(message=any_messages, timestamp=timestamps)
     def test_message_records_match_the_json_oracle_byte_for_byte(
-        self, message, timestamp, reply
+        self, message, timestamp
     ):
-        assert encode(message, timestamp) == reference_encode("msg", message, timestamp)
-        assert encode(DeliverEvent(message), timestamp) == reference_encode(
-            "dlvr", message, timestamp
-        )
-        assert encode(SendEffect(message, reply=reply), timestamp) == reference_encode(
-            "send", message, timestamp, reply=reply
-        )
+        assert encode(message, timestamp) == reference_encode(message, timestamp)
 
     def test_the_benchmarked_datagram_is_75_bytes(self):
         message = Message(
@@ -292,7 +279,7 @@ class TestDirectFormatter:
 # Decode fails closed
 # ----------------------------------------------------------------------
 
-RECORD_TYPES = (Message, InitiateEvent, DeliverEvent, SendEffect, JoinRequest, Welcome)
+RECORD_TYPES = (Message, JoinRequest, Welcome)
 
 
 def decode_or_wire_error(data):
@@ -322,18 +309,22 @@ HOSTILE = {
         b'{"v":1,"t":"msg","m":' + nested(100_000, b'{"a":', b"}") + b"}"
     ),
     "integer literal beyond the digit limit": (
-        b'{"v":1,"t":"init","n":' + b"7" * 5000 + b"}"
+        b'{"v":1,"t":"join","port":1,"n":' + b"7" * 5000 + b"}"
     ),
     "address book that is a list": b'{"v":1,"t":"wlcm","n":1,"b":[1],"a":[1,2]}',
-    "NaN timestamp": b'{"v":1,"t":"init","n":1,"ts":NaN}',
-    "infinite timestamp": b'{"v":1,"t":"init","n":1,"ts":Infinity}',
-    "negative infinite timestamp": b'{"v":1,"t":"init","n":1,"ts":-Infinity}',
+    "NaN timestamp": b'{"v":1,"t":"join","n":1,"port":1,"ts":NaN}',
+    "infinite timestamp": b'{"v":1,"t":"join","n":1,"port":1,"ts":Infinity}',
+    "negative infinite timestamp": b'{"v":1,"t":"join","n":1,"port":1,"ts":-Infinity}',
     "timestamp too large for a float": (
-        b'{"v":1,"t":"init","n":1,"ts":1' + b"0" * 400 + b"}"
+        b'{"v":1,"t":"join","n":1,"port":1,"ts":1' + b"0" * 400 + b"}"
     ),
-    "boolean timestamp": b'{"v":1,"t":"init","n":1,"ts":true}',
-    "boolean version": b'{"v":true,"t":"init","n":1}',
-    "float version": b'{"v":1.0,"t":"init","n":1}',
+    "boolean timestamp": b'{"v":1,"t":"join","n":1,"port":1,"ts":true}',
+    # The three records no runtime sent, as the parent's encoder wrote them.
+    "retired init tag": b'{"t":"init","n":1,"v":1,"ts":-1e+300}',
+    "retired dlvr tag": b'{"t":"dlvr","m":{"s":3,"d":5,"k":"k","p":[[3,0]]},"v":1}',
+    "retired send tag": b'{"t":"send","m":{"s":3,"d":5,"k":"k","p":[[3,0]]},"r":1,"v":1}',
+    "boolean version": b'{"v":true,"t":"join","n":1,"port":1}',
+    "float version": b'{"v":1.0,"t":"join","n":1,"port":1}',
 }
 
 

@@ -68,14 +68,6 @@ class TestRegistry:
         assert snap["timers"]["t"]["count"] == 1
         assert snap["timers"]["t"]["cpu_total"] == 0.25
 
-    def test_timer_context_measures(self):
-        registry = Registry()
-        with registry.timer("t"):
-            sum(range(1000))
-        stat = registry.timer_stat("t")
-        assert stat["count"] == 1
-        assert stat["total"] >= 0.0
-
     def test_snapshot_is_json_safe_and_sorted(self):
         registry = Registry()
         registry.inc("b")
@@ -108,16 +100,13 @@ class TestTracer:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(path)
         tracer.emit("custom", value=np.float64(1.25), count=np.int64(3))
-        with tracer.span("spanned", label="x"):
-            pass
         tracer.close()
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["type"] for r in records] == ["trace.meta", "custom", "spanned"]
+        assert [r["type"] for r in records] == ["trace.meta", "custom"]
         assert all(r["schema"] == obs.TRACE_SCHEMA_VERSION for r in records)
         # numpy scalars serialize as plain JSON numbers, not reprs
         assert records[1]["value"] == 1.25
         assert records[1]["count"] == 3
-        assert "duration_s" in records[2]
 
     def test_foreign_pid_writes_dropped(self, tmp_path):
         path = tmp_path / "trace.jsonl"

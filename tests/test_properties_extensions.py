@@ -163,19 +163,17 @@ def test_walk_success_multiplicative(loss, a, b):
 
 
 @given(
-    d_low=st.sampled_from([0, 2, 4]),
+    # dL = 0 is outside the domain: with loss the system drains toward
+    # isolation (§5: "when the loss is nonzero, dL > 0"), without it the
+    # chain is reducible (Lemma 6.2) and solve() raises.
+    d_low=st.sampled_from([2, 4]),
     extra=st.sampled_from([6, 8, 10]),
     loss=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
 )
 @settings(max_examples=20, deadline=None)
 def test_degree_mc_fixed_point_sane(d_low, extra, loss):
-    from hypothesis import assume
-
     from repro.markov.degree_mc import DegreeMarkovChain
 
-    # §5: "when the loss is nonzero, dL > 0" — without duplication there is
-    # nothing to balance loss and the system drains toward isolation.
-    assume(loss == 0.0 or d_low > 0)
     params = SFParams(view_size=d_low + extra, d_low=d_low)
     solved = DegreeMarkovChain(params, loss_rate=loss).solve()
     assert math.isclose(float(solved.stationary.sum()), 1.0, rel_tol=1e-8)

@@ -1,10 +1,14 @@
 """Tests for repro.protocols.base (interface-level behavior)."""
 
+import inspect
+import typing
+
 import pytest
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
-from repro.protocols.base import Message, ProtocolStats
+from repro.net import loss, wire
+from repro.protocols.base import GossipProtocol, Message, ProtocolStats
 
 from conftest import build_system
 
@@ -55,21 +59,30 @@ class TestDefaultImplementations:
             assert protocol.outdegree(u) == sum(protocol.view_of(u).values())
 
 
+def test_the_seam_says_each_thing_once():
+    """Two steps, three wire records, one loss coin (+ two stateful models)."""
+    assert not hasattr(GossipProtocol, "handle")
+    assert len(typing.get_args(wire.WireRecord)) == 3
+    assert inspect.getsource(loss).count("def is_lost") == 3
+
+
 class TestEngineLoadCounters:
     def test_received_counts_accumulate(self, small_params):
         protocol, engine = build_system(20, small_params, seed=44)
         engine.run_rounds(30)
-        assert sum(engine.received_by.values()) == engine.stats.messages_delivered
-        assert set(engine.received_by) <= set(range(20))
+        received = engine.load_counts("received")
+        assert sum(received.values()) == engine.stats.messages_delivered
+        assert set(received) <= set(range(20))
 
     def test_sent_counts_accumulate(self, small_params):
         protocol, engine = build_system(20, small_params, seed=45)
         engine.run_rounds(30)
-        assert sum(engine.sent_by.values()) == (
+        assert sum(engine.load_counts("sent").values()) == (
             engine.stats.messages_sent + engine.stats.replies_sent
         )
 
     def test_loss_reduces_received_not_sent(self, small_params):
         protocol, engine = build_system(20, small_params, loss_rate=0.5, seed=46)
         engine.run_rounds(40)
-        assert sum(engine.received_by.values()) < sum(engine.sent_by.values())
+        received, sent = map(engine.load_counts, ("received", "sent"))
+        assert sum(received.values()) < sum(sent.values())

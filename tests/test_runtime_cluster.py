@@ -15,6 +15,8 @@ from repro.core.sandf import SendForget
 from repro.net.wire import JoinRequest
 from repro.runtime.cluster import ClusterConfig, LocalCluster, run_cluster
 
+from test_net_wire import HOSTILE
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -397,28 +399,38 @@ class TestSocketErrors:
 
 
 class TestHostileDatagrams:
+    @staticmethod
+    def attack(datagrams, **config):
+        """Node 0 and the report after a stranger sends it ``datagrams``."""
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, **config))
+            await cluster.start()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
+                for datagram in datagrams:
+                    attacker.sendto(datagram, cluster.address_book[0])
+            await asyncio.sleep(0.2)
+            node, report = cluster.nodes[0], cluster.report()
+            await cluster.shutdown()
+            return node, report
+
+        return asyncio.run(scenario())
+
     def test_malformed_fd_extension_costs_a_counter_not_the_run(self):
         """``ext["fd"]`` blobs that pass the wire envelope check but not the
         detector's: each is one ``ignored_extensions``, never a node error."""
-        body = '{"t":"msg","m":{"s":1,"d":0,"k":"push","p":[],"x":{"fd":%s}},"v":1}'
-        hostile = [
-            body % '{"v":1,"g":5}',
-            body % '{"v":1,"g":[[1,1,0,Infinity]]}',
-        ]
-
-        async def scenario():
-            cluster = LocalCluster(tiny_config(n=6, failure_detection=True))
-            await cluster.start()
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
-                for datagram in hostile:
-                    attacker.sendto(datagram.encode("utf-8"), cluster.address_book[0])
-            await asyncio.sleep(0.2)
-            ignored = cluster.nodes[0].detector.counters["ignored_extensions"]
-            report = cluster.report()
-            await cluster.shutdown()
-            return ignored, report
-
-        ignored, report = asyncio.run(scenario())
-        assert ignored == len(hostile)
+        body = b'{"t":"msg","m":{"s":1,"d":0,"k":"push","p":[],"x":{"fd":%s}},"v":1}'
+        hostile = [body % b'{"v":1,"g":5}', body % b'{"v":1,"g":[[1,1,0,Infinity]]}']
+        node, report = self.attack(hostile, failure_detection=True)
+        assert node.detector.counters["ignored_extensions"] == len(hostile)
         assert report.errors == []
         assert report.ok(), (report.degree_violations, report.errors)
+
+    def test_retired_wire_tag_is_a_decode_error_not_a_delivery(self):
+        """The parent decoded this datagram, counted it ``delivered`` and
+        sampled a 1e300 s latency before the node ignored it."""
+        # Clocks this slow never tick during the test: no other traffic.
+        node, _ = self.attack([HOSTILE["retired init tag"]], rate=1e-6)
+        transport = node.transport
+        assert (transport.delivered, len(transport.latency_samples)) == (0, 0)
+        assert transport.decode_errors == 1

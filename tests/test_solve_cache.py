@@ -15,9 +15,9 @@ from repro.markov.solve_cache import (
 )
 
 
-def _solve(cache, s=12, d_low=2, loss=0.05, **kwargs):
+def _solve(cache, s=12, d_low=2, loss=0.05):
     chain = DegreeMarkovChain(SFParams(view_size=s, d_low=d_low), loss_rate=loss)
-    return chain.solve(cache=cache, **kwargs)
+    return chain.solve(cache=cache)
 
 
 class TestSolveKey:
@@ -92,8 +92,8 @@ class TestSolveCacheLayers:
         fresh = SolveCache(directory=tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.markov.solve_cache"):
             assert fresh.get("k") is None
-        # The bad file is deleted, so the next read is a clean miss that a
-        # put() can repair — not a parse failure forever.
+        # The bad file is moved aside, so the next read is a clean miss that
+        # a put() can repair — not a parse failure forever.
         assert not (tmp_path / "k.pkl").exists()
         assert any("quarantined" in r.message for r in caplog.records)
         fresh.put("k", 43)
@@ -123,6 +123,17 @@ class TestSolveCacheLayers:
             assert cache.get("never-written") is None
         assert not caplog.records
 
+    def test_unwritable_directory_warns_once_and_keeps_memory(self, tmp_path, caplog):
+        (tmp_path / "a-file").write_text("not a directory")
+        cache = SolveCache(directory=tmp_path / "a-file" / "cache")
+        with caplog.at_level("DEBUG", logger="repro.markov.solve_cache"):
+            cache.put("a", 1)
+            cache.put("b", 2)
+        assert cache.get("a") == 1
+        assert [r.levelname for r in caplog.records] == ["WARNING", "DEBUG"]
+        assert str(cache.directory) in caplog.records[0].getMessage()
+        assert "errno" in caplog.records[0].getMessage()
+
     def test_no_tmp_files_left_behind(self, tmp_path):
         cache = SolveCache(directory=tmp_path)
         for i in range(5):
@@ -141,15 +152,6 @@ class TestSolveCacheLayers:
 
 
 class TestConfiguration:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_CACHE", raising=False)
-        assert SolveCache.enabled()
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "OFF", "False"])
-    def test_disabled_via_env(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SOLVE_CACHE", value)
-        assert not SolveCache.enabled()
-
     def test_directory_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "alt"))
         assert SolveCache().resolve_directory() == tmp_path / "alt"
@@ -178,10 +180,11 @@ class TestSolveIntegration:
         assert other.stats.disk_hits == 1
         assert other.stats.writes == 0
 
-    def test_key_covers_solver_settings(self, tmp_path):
+    def test_key_covers_solver_settings(self, tmp_path, monkeypatch):
         cache = SolveCache(directory=tmp_path)
         _solve(cache)
-        _solve(cache, tolerance=1e-8)  # different settings: no false hit
+        monkeypatch.setattr("repro.markov.degree_mc.TOLERANCE", 1e-8)
+        _solve(cache)  # different settings: no false hit
         assert cache.stats.misses == 2
         assert cache.stats.hits() == 0
 
