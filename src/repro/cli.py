@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -190,17 +191,13 @@ def _print_failures(sweep_runner) -> None:
         )
 
 
-def _execute(spec, args: argparse.Namespace, sweep_runner=None):
-    """Run ``spec`` with the CLI's runner flags; returns ``(result, runner)``.
+def _execute(spec, args: argparse.Namespace, sweep_runner):
+    """Run ``spec`` on the command's runner; returns the result.
 
-    ``sweep_runner`` lets callers pre-build the runner (so a live
-    ``/progress`` endpoint can be bound to it before execution starts).
     Backend warnings from the registry (a non-default ``--backend`` on an
     analytic experiment) are re-routed to stderr so they are visible even
     where Python's once-per-location warning filter would drop them.
     """
-    if sweep_runner is None:
-        sweep_runner = _make_runner(args)
     from repro.experiments import registry
 
     with warnings.catch_warnings(record=True) as caught:
@@ -211,7 +208,7 @@ def _execute(spec, args: argparse.Namespace, sweep_runner=None):
     for warning in caught:
         print(f"WARNING: {warning.message}", file=sys.stderr)
     _print_failures(sweep_runner)
-    return result, sweep_runner
+    return result
 
 
 def _write_artifacts(
@@ -248,7 +245,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sweep_runner = _make_runner(args)
     endpoint = _start_endpoint(args, telemetry, sweep_runner.progress_snapshot)
     try:
-        result, sweep_runner = _execute(spec, args, sweep_runner)
+        result = _execute(spec, args, sweep_runner)
         text = result.format()
         print(text)
         if args.artifacts_dir:
@@ -262,6 +259,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         _finish_telemetry(args, telemetry, runner=sweep_runner)
     finally:
+        sweep_runner.close()
         _stop_endpoint(endpoint)
         _reset_telemetry(telemetry)
     return 0
@@ -327,15 +325,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
     telemetry = _configure_telemetry(args)
-    # /progress follows whichever experiment's runner is currently active.
-    current = {"runner": None}
-
-    def _progress():
-        runner = current["runner"]
-        return runner.progress_snapshot() if runner is not None else {}
-
-    endpoint = _start_endpoint(args, telemetry, _progress)
-    sweep_runner = None
+    # One runner, hence one worker pool, for every experiment of the
+    # command; /progress follows whichever sweep it is running.
+    sweep_runner = _make_runner(args)
+    endpoint = _start_endpoint(args, telemetry, sweep_runner.progress_snapshot)
     try:
         for spec in specs:
             print(f"== {spec.name} ==")
@@ -350,9 +343,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 per_registry = obs.Registry()
                 obs.configure(registry=per_registry, tracer=telemetry.tracer)
             try:
-                sweep_runner = _make_runner(args)
-                current["runner"] = sweep_runner
-                result, sweep_runner = _execute(spec, args, sweep_runner)
+                result = _execute(spec, args, sweep_runner)
             finally:
                 if telemetry is not None:
                     obs.set_telemetry(telemetry)
@@ -367,6 +358,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         _finish_telemetry(args, telemetry, runner=sweep_runner)
     finally:
+        sweep_runner.close()
         _stop_endpoint(endpoint)
         _reset_telemetry(telemetry)
     print(f"report written to {args.output}/")
@@ -695,7 +687,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flush inside the try so a closed pipe surfaces here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro list | head``).  Python flushes
+        # stdout again at exit; point it at devnull so that cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import importlib
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -356,7 +357,9 @@ def execute(
     skipped under ``on_error="skip"`` hands ``None`` to the aggregate).
     A preconfigured ``runner`` (jobs, retries, ``on_error``, timeout,
     checkpoint, executor) overrides ``jobs``/``executor``
-    (``auto``/``inline``/``process``/``thread``).
+    (``auto``/``inline``/``process``/``thread``) and stays open for the
+    caller's next experiment; a runner built here is closed before
+    returning.
     """
     spec = name_or_spec if isinstance(name_or_spec, ExperimentSpec) else get(
         name_or_spec
@@ -377,14 +380,17 @@ def execute(
     points = list(points)
     if not points:
         raise ValueError(f"experiment {spec.name!r} produced an empty grid")
-    if runner is None:
-        runner = SweepRunner(jobs=jobs, executor=executor)
-    records = runner.run(
-        _spec_worker,
-        points,
-        seed_fn=_point_seed,
-        context=_CellContext(experiment=spec.name, backend=backend),
-    )
+    with (
+        nullcontext(runner)
+        if runner is not None
+        else SweepRunner(jobs=jobs, executor=executor)
+    ) as active:
+        records = active.run(
+            _spec_worker,
+            points,
+            seed_fn=_point_seed,
+            context=_CellContext(experiment=spec.name, backend=backend),
+        )
     with phase("aggregate"):
         result = spec.aggregate(points, records)
     tel.event("experiment.end", experiment=spec.name, cells=len(points))

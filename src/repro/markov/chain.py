@@ -15,8 +15,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.util.rng import SeedLike, make_rng
 
@@ -61,6 +59,9 @@ class MarkovChain:
 
     def is_irreducible(self, tolerance: float = 1e-12) -> bool:
         """True if the transition graph is strongly connected."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         sparse = csr_matrix(self.P > tolerance)
         count, _ = connected_components(sparse, directed=True, connection="strong")
         return count == 1

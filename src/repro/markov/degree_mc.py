@@ -46,14 +46,17 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.core.params import SFParams
 from repro.markov.solve_cache import DEFAULT_CACHE, SolveCache, solve_key
+
+if TYPE_CHECKING:
+    # scipy.sparse is imported where it is called: `repro list` imports
+    # this module and must not pay for it (tests/test_import_budget.py).
+    from scipy.sparse import csr_matrix
 
 State = Tuple[int, int]  # (outdegree, indegree)
 
@@ -386,6 +389,8 @@ class DegreeMarkovChain:
         ``rate > 0`` filter of ``_transitions``), and the diagonal is
         always materialized (``lil`` stores assigned zeros).
         """
+        from scipy.sparse import coo_matrix
+
         if self._template is None:
             self._template = self._build_template()
         template = self._template
@@ -442,6 +447,9 @@ class DegreeMarkovChain:
 
     @staticmethod
     def _stationary(matrix: csr_matrix) -> np.ndarray:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import spsolve
+
         n = matrix.shape[0]
         balance = (matrix.T - _sparse_eye(n)).tocsr()
         # Replace the last balance equation with the normalization row

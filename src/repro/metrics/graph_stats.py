@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from repro.model.membership_graph import MembershipGraph
 
 
@@ -51,6 +49,8 @@ def graph_statistics(
     only when the graph is connected; pass ``compute_diameter=False`` to
     skip the O(V·E) cost on large snapshots.
     """
+    import networkx as nx
+
     nx_graph = graph.to_networkx()
     undirected = nx.Graph(nx_graph.to_undirected())
     undirected.remove_edges_from(nx.selfloop_edges(undirected))

@@ -11,9 +11,12 @@ of section 7.2.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    # networkx is imported where it is called: every `repro` command
+    # imports this module and only graph statistics need the library.
+    import networkx as nx
 
 NodeId = int
 Edge = Tuple[NodeId, NodeId]
@@ -250,6 +253,8 @@ class MembershipGraph:
 
     def weakly_connected_components(self) -> List[FrozenSet[NodeId]]:
         """Return the weakly connected components as frozensets."""
+        import networkx as nx
+
         return [
             frozenset(component)
             for component in nx.weakly_connected_components(self.to_networkx())
@@ -257,6 +262,8 @@ class MembershipGraph:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a :class:`networkx.MultiDiGraph` for graph statistics."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         graph.add_nodes_from(self._out)
         graph.add_edges_from(self.edges())

@@ -18,7 +18,11 @@ grid → checkpoint hits → **one dispatch loop** → ordered results.
   (:class:`~concurrent.futures.ProcessPoolExecutor`), ``"thread"``
   (:class:`~concurrent.futures.ThreadPoolExecutor`), ``"inline"`` (a
   synchronous in-process executor: no pickling requirement), or
-  ``"auto"`` (inline at ``jobs <= 1``, process otherwise);
+  ``"auto"`` (inline at ``jobs <= 1``, process otherwise).  The runner
+  owns the executor: the first cell that has to run opens it, every
+  later :meth:`SweepRunner.run` reuses it, and :meth:`SweepRunner.close`
+  (or leaving ``with SweepRunner(...) as runner:``) joins its workers —
+  a command that runs thirteen sweeps forks ``jobs`` workers once;
 * **ordered collection** — results are returned in grid order regardless
   of completion order, which is what makes every executor, at any
   parallelism, bit-identical for pure workers;
@@ -266,16 +270,6 @@ def _open_executor(kind: str, max_workers: int) -> Executor:
     return _InlineExecutor()
 
 
-def _close_executor(executor: Executor) -> None:
-    """Shut down without waiting on in-flight work; kill pool processes
-    (one of them may be hung past its deadline)."""
-    # shutdown() forgets the pool's processes, so list them first.
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        process.terminate()
-
-
 def _phased(worker: SweepWorker, cell: GridCell, context: Any) -> Any:
     """An in-process cell call, timed as ``phase.cell_run``."""
     with phase("cell_run"):
@@ -322,6 +316,12 @@ class SweepRunner:
     After :meth:`run`, :attr:`last_failures` holds the run's
     :class:`FailureReport` list and :attr:`last_stats` its
     :class:`SweepStats`.
+
+    The executor is opened by the first :meth:`run` that has a cell to
+    execute and kept for the next one; :meth:`close` — or using the
+    runner as a context manager — waits for its workers to exit.  A
+    runner dropped without :meth:`close` leaks nothing: the stdlib
+    executors shut their workers down when collected.
     """
 
     def __init__(
@@ -356,6 +356,10 @@ class SweepRunner:
         self.cell_timeout = cell_timeout
         self.checkpoint = checkpoint
         self.executor = executor
+        if executor == "auto":
+            executor = "inline" if self.jobs <= 1 else "process"
+        self._kind = executor
+        self._pool: Optional[Executor] = None
         self.last_failures: List[FailureReport] = []
         self.last_stats = SweepStats()
         # Worker-process metric snapshots, keyed by cell index; merged into
@@ -363,6 +367,34 @@ class SweepRunner:
         # aggregate is deterministic at any jobs count.
         self._worker_metrics: Dict[int, Dict[str, Any]] = {}
         self._worker_token: Optional[str] = None
+
+    def close(self) -> None:
+        """Shut the executor down and wait for its workers to exit.
+
+        Idempotent; a later :meth:`run` opens a fresh executor.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def __enter__(self) -> "SweepRunner":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _kill_pool(self) -> None:
+        """Drop the executor without waiting on in-flight work and kill its
+        processes (one of them may be hung past its deadline); the next
+        submission opens a fresh one."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        # shutdown() forgets the pool's processes, so list them first.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
 
     def run(
         self,
@@ -390,9 +422,7 @@ class SweepRunner:
         """
         if replications <= 0:
             raise ValueError(f"replications must be positive, got {replications}")
-        kind = self.executor
-        if kind == "auto":
-            kind = "inline" if self.jobs <= 1 else "process"
+        kind = self._kind
         cells = self._build_cells(points, replications, seed, seed_fn)
         self.last_failures = []
         self.last_stats = SweepStats(total=len(cells), backend=kind)
@@ -424,7 +454,7 @@ class SweepRunner:
                 self.last_stats.resumed, len(cells),
             )
         if to_run:
-            self._dispatch(kind, worker, to_run, context, results, keys)
+            self._dispatch(worker, to_run, context, results, keys)
         elapsed = time.perf_counter() - start
         self._finish_telemetry(tel, elapsed)
         LOGGER.debug(
@@ -554,21 +584,22 @@ class SweepRunner:
 
     def _dispatch(
         self,
-        kind: str,
         worker: SweepWorker,
         cells: List[GridCell],
         context: Any,
         results: List[Any],
         keys: Dict[int, str],
     ) -> None:
-        """Run ``cells`` on the ``kind`` executor, settling each per policy.
+        """Run ``cells`` on the runner's executor, settling each per policy.
 
         One loop for every executor: submit up to ``width`` cells, wait
         for the first to finish (or for a deadline or retry to fall
         due), settle what finished.  Whether the executor is the process
         pool is the single fact that turns on metric snapshots from the
-        workers and per-cell deadlines.
+        workers and per-cell deadlines.  The executor outlives the call
+        unless a crash or deadline replaces it or an exception escapes.
         """
+        kind = self._kind
         pooled = kind == "process"
         deadline = self.cell_timeout if pooled else None
         if self.cell_timeout is not None and not pooled:
@@ -595,7 +626,6 @@ class SweepRunner:
         waiting: _RetryHeap = []
         states = {cell.index: _CellState() for cell in cells}
         inflight: Dict[Future, GridCell] = {}
-        executor = _open_executor(kind, width)
         try:
             while pending or waiting or inflight:
                 now = time.monotonic()
@@ -603,9 +633,11 @@ class SweepRunner:
                     pending.append(heapq.heappop(waiting)[2])
                 try:
                     while pending and len(inflight) < width:
+                        if self._pool is None:
+                            self._pool = _open_executor(kind, self.jobs)
                         cell = pending[0]
                         states[cell.index].submitted = time.monotonic()
-                        inflight[executor.submit(call, cell, context)] = cell
+                        inflight[self._pool.submit(call, cell, context)] = cell
                         pending.popleft()
                     if not inflight:
                         # Everything left is waiting out a retry backoff.
@@ -644,11 +676,12 @@ class SweepRunner:
                     self._settle_crashed(crash, inflight, states, pending)
                     rebuild = True
                 if rebuild:
-                    # Closing the old pool is what kills a hung worker.
-                    _close_executor(executor)
-                    executor = _open_executor(kind, width)
-        finally:
-            _close_executor(executor)
+                    # Killing the old pool is what kills a hung worker;
+                    # the next submission opens its replacement.
+                    self._kill_pool()
+        except BaseException:
+            self._kill_pool()
+            raise
 
     def _settle(
         self,

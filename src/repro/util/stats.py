@@ -3,6 +3,10 @@
 Includes the binomial reference distributions the paper compares against
 (Figure 6.1), total-variation distance for convergence measurements, and a
 chi-square uniformity test used to validate Property M3 empirically.
+
+``scipy.stats`` takes over a second to import and every ``repro`` command
+imports this module, so the four functions that call it import it
+themselves (``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def binomial_pmf(k: int, n: int, p: float) -> float:
@@ -20,6 +23,8 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
     Used to overlay the binomial reference curve of Figure 6.1 on the S&F
     degree distributions.
     """
+    from scipy import stats as scipy_stats
+
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if k < 0 or k > n:
@@ -29,6 +34,8 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
 
 def binomial_pmf_vector(n: int, p: float) -> np.ndarray:
     """Return the full binomial pmf over ``0..n`` as an array."""
+    from scipy import stats as scipy_stats
+
     return scipy_stats.binom.pmf(np.arange(n + 1), n, p)
 
 
@@ -40,6 +47,8 @@ def binomial_tail_below(threshold: int, n: int, p: float) -> float:
     out-neighbors when each of ``n`` view slots is independently useful
     with probability ``p``.
     """
+    from scipy import stats as scipy_stats
+
     if threshold <= 0:
         return 0.0
     return float(scipy_stats.binom.cdf(threshold - 1, n, p))
@@ -107,6 +116,8 @@ def chi_square_uniformity(counts: Sequence[int]) -> Tuple[float, float]:
     long-run occupancy counts of each id in a tagged node's view should be
     statistically uniform across ids.
     """
+    from scipy import stats as scipy_stats
+
     counts_arr = np.asarray(counts, dtype=float)
     if counts_arr.ndim != 1 or len(counts_arr) < 2:
         raise ValueError("need at least two categories")

@@ -2,13 +2,42 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
 from repro.net.loss import UniformLoss
 from repro.util.rng import make_rng
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child interpreter that imports *this* ``repro``."""
+    search_path = [str(Path(repro.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        search_path.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(search_path)}
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every ``(kind, max_workers)`` a sweep runner opens an executor with."""
+    import repro.runner.sweep as sweep_module
+
+    calls = []
+    real_open = sweep_module._open_executor
+
+    def counting(kind, max_workers):
+        calls.append((kind, max_workers))
+        return real_open(kind, max_workers)
+
+    monkeypatch.setattr(sweep_module, "_open_executor", counting)
+    return calls
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +97,27 @@ class TestCommands:
         for entry in payload:
             assert entry["anchor"]
             assert entry["schema_version"] >= 1
+
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_list_into_closed_pipe_leaves_no_traceback(self, flags, child_env):
+        """``repro list | head -1`` with the race taken out: the reader is
+        gone before the listing is written, so the write fails either in
+        ``print`` (unbuffered) or in the flush that ends ``main``."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "repro", "list"],
+                env=child_env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == 1
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "nope"]) == 2

@@ -1,19 +1,30 @@
-"""Tests for executor selection and cross-executor bit-identity.
+"""Tests for executor selection, lifetime and cross-executor bit-identity.
 
-Two concerns, in order:
+Three concerns, in order:
 
 * executor selection — which of ``inline`` / ``process`` / ``thread``
   ``SweepRunner(executor=..., jobs=...)`` runs a sweep on;
 * the bit-identity guarantee — the same sweep produces byte-identical
-  results on every executor, at any parallelism.
+  results on every executor, at any parallelism;
+* executor lifetime — one pool per runner, opened by the first cell that
+  has to run, joined by ``close()``, reaped by the stdlib when a runner
+  is dropped without it.
 """
 
+import gc
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import time
 
 import pytest
 
+from repro import cli
 from repro.experiments import registry
-from repro.runner import GridCell, SweepRunner
+from repro.runner import CheckpointStore, GridCell, SweepRunner
 
 # Workers must be module-level so out-of-process backends can pickle them.
 
@@ -27,6 +38,10 @@ def _square(cell: GridCell, context):
 
 def _boom(cell: GridCell, context):
     raise ValueError(f"boom at {cell.point}")
+
+
+def _pid(cell: GridCell, context):
+    return os.getpid()
 
 
 def _backend(executor, jobs):
@@ -134,3 +149,120 @@ class TestProgressSnapshot:
         assert snap["done"] == 2
         assert snap["skipped"] == 2
         assert snap["failures"] == 2
+
+
+def _alive_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestPoolLifetime:
+    def test_one_pool_serves_every_run_until_close(self, opened):
+        runner = SweepRunner(jobs=2, executor="process")
+        assert opened == []  # nothing is forked before a cell has to run
+        workers = set(runner.run(_pid, list(range(6))))
+        workers |= set(runner.run(_pid, list(range(6))))
+        assert len(workers) <= 2
+        assert os.getpid() not in workers
+        assert opened == [("process", 2)]
+        runner.close()
+        assert not workers & _alive_pids()  # joined, not merely signalled
+        runner.close()  # idempotent
+        assert runner.run(_square, [1, 2, 3]) == [1, 4, 9]  # reopens
+        assert len(opened) == 2
+        runner.close()
+
+    def test_dropped_runner_leaves_no_worker_behind(self):
+        """No ``close()``: the stdlib executor's weakref shutdown reaps."""
+        runner = SweepRunner(jobs=2, executor="process")
+        workers = set(runner.run(_pid, [1, 2, 3]))
+        del runner
+        gc.collect()
+        deadline = time.monotonic() + 30.0
+        while workers & _alive_pids():
+            assert time.monotonic() < deadline, "orphaned pool worker"
+            time.sleep(0.05)
+
+    def test_unclosed_runner_does_not_hold_interpreter_exit(self, child_env):
+        script = (
+            "from repro.runner import SweepRunner\n"
+            "import repro.experiments.registry as registry\n"
+            "KEPT = SweepRunner(jobs=2, executor='process')\n"
+            "registry.execute('table-6.3', fast=True, runner=KEPT)\n"
+            "print('ran', KEPT.last_stats.completed)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=child_env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ran 3"
+        assert done.stderr == ""
+
+    def test_execute_closes_the_runner_it_builds_and_only_that(self, opened):
+        before = _alive_pids()
+        registry.execute("table-6.3", fast=True, jobs=2, executor="process")
+        assert _alive_pids() <= before
+        with SweepRunner(jobs=2, executor="process") as runner:
+            registry.execute("table-6.3", fast=True, runner=runner)
+            registry.execute("lemma-7.5", fast=True, runner=runner)
+            assert _alive_pids() - before  # still the caller's to close
+        assert _alive_pids() <= before
+        assert opened == [("process", 2)] * 2
+
+    def test_report_forks_once_cold_and_never_resumed(
+        self, opened, tmp_path, capsys
+    ):
+        before = _alive_pids()
+
+        def report(output):
+            return cli.main([
+                "report", "--fast", "--jobs", "2",
+                "--checkpoint-dir", str(tmp_path / "ck"),
+                "--output", str(tmp_path / output),
+                "lemma-7.5", "loss-sweep", "fig-6.3",
+            ])
+
+        assert report("cold") == 0
+        assert opened == [("process", 2)]
+        assert _alive_pids() <= before  # a clean close joins its workers
+        assert report("resumed") == 0
+        assert opened == [("process", 2)]  # pure checkpoint reads fork nothing
+        for slug in ("lemma-7_5", "loss-sweep", "fig-6_3"):
+            cold = (tmp_path / "cold" / f"{slug}.txt").read_bytes()
+            assert (tmp_path / "resumed" / f"{slug}.txt").read_bytes() == cold
+
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_kept_executor_changes_no_result_stat_or_journal(
+        self, executor, tmp_path
+    ):
+        """One runner over two grids == a fresh runner per grid."""
+        grids = [(list(range(5)), 2, 42), (list(range(3, 9)), 1, 7)]
+
+        def sweep(runner, grid):
+            points, replications, seed = grid
+            results = runner.run(
+                _echo_cell, points, replications=replications, seed=seed,
+                context="shared",
+            )
+            return results, runner.last_stats, runner.last_failures
+
+        def journal(directory):
+            return {
+                path.name: pickle.loads(path.read_bytes())
+                for path in directory.glob("*.pkl")
+            }
+
+        with SweepRunner(
+            jobs=2, executor=executor, checkpoint=CheckpointStore(tmp_path / "kept")
+        ) as kept:
+            together = [sweep(kept, grid) for grid in grids]
+        apart = []
+        for grid in grids:
+            with SweepRunner(
+                jobs=2, executor=executor,
+                checkpoint=CheckpointStore(tmp_path / "fresh"),
+            ) as fresh:
+                apart.append(sweep(fresh, grid))
+        assert together == apart
+        assert journal(tmp_path / "kept") == journal(tmp_path / "fresh")
+        assert len(journal(tmp_path / "kept")) == 16

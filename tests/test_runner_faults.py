@@ -60,7 +60,10 @@ def _pure(cell: GridCell, context):
 
 
 def _slow_when_negative(cell: GridCell, context):
+    """A negative point hangs for 30 s, leaving its pid in file ``context``."""
     if cell.point < 0:
+        if context is not None:
+            Path(context).write_text(str(os.getpid()))
         time.sleep(30.0)
     return cell.point
 
@@ -258,7 +261,7 @@ class TestPoolRecovery:
         assert [f.cell.index for f in runner.last_failures] == [2]
         assert runner.last_failures[0].attempts == 2
 
-    def test_broken_pool_recovery_keeps_completed_results(self, tmp_path):
+    def test_broken_pool_recovery_keeps_completed_results(self, tmp_path, opened):
         baseline = SweepRunner().run(_pure, list(range(8)), seed=21)
         worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(5,), times=1))
         runner = SweepRunner(
@@ -268,6 +271,12 @@ class TestPoolRecovery:
         assert out == baseline
         assert runner.last_stats.pool_rebuilds >= 1
         assert runner.last_stats.completed == 8
+        # One pool to start with and one replacement per crash — which the
+        # runner keeps: a second sweep on it forks nothing.
+        pools = opened.count(("process", JOBS))
+        assert pools == 1 + runner.last_stats.pool_rebuilds
+        assert runner.run(_pure, list(range(8)), seed=21) == baseline
+        assert opened.count(("process", JOBS)) == pools
 
     def test_pool_found_dead_at_submit_is_rebuilt(self, monkeypatch):
         """A worker can die between two waits; the pool then refuses the
@@ -365,18 +374,22 @@ class TestPoolRecovery:
         assert report.cell.point == -2
         assert CellTimeout.__name__ in report.errors[-1]
 
-    def test_overdue_worker_is_killed_not_abandoned(self):
+    def test_overdue_worker_is_killed_not_abandoned(self, tmp_path):
         import multiprocessing
 
-        before = set(multiprocessing.active_children())
+        pid_file = tmp_path / "hung.pid"
         runner = SweepRunner(
             jobs=JOBS, on_error="skip", max_retries=0, cell_timeout=1.5
         )
-        assert runner.run(_slow_when_negative, [1, -2, 3]) == [1, None, 3]
-        # The worker sleeping 30 s in cell -2 must die with its pool, not
-        # linger until the sleep (and the interpreter's exit) runs out.
+        out = runner.run(_slow_when_negative, [1, -2, 3], context=str(pid_file))
+        assert out == [1, None, 3]
+        hung = int(pid_file.read_text())
+        # The worker sleeping 30 s in cell -2 must die with the pool the
+        # deadline replaced, not linger until the sleep (and the
+        # interpreter's exit) runs out.  The live runner may still hold
+        # an idle, healthy pool: that is not it.
         deadline = time.monotonic() + 10.0
-        while set(multiprocessing.active_children()) - before:
+        while hung in {child.pid for child in multiprocessing.active_children()}:
             assert time.monotonic() < deadline, "hung worker still alive"
             time.sleep(0.05)
 
