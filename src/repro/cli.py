@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from repro.core.params import SFParams
@@ -82,54 +83,11 @@ def _make_runner(args: argparse.Namespace):
     )
 
 
-def _configure_telemetry(args: argparse.Namespace):
-    """Install process telemetry from ``--trace``/``--metrics-out``.
-
-    Any of the telemetry flags (``--metrics-port`` included) turns the
-    metrics registry on (the trace alone would not be able to feed the
-    one-line summary, the ``<slug>.metrics.json`` artifact, or the
-    ``/metrics`` exposition).  Returns the installed telemetry, or
-    ``None`` when every flag is absent — the zero-cost default.
-    """
-    trace = getattr(args, "trace", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    metrics_port = getattr(args, "metrics_port", None)
-    if not trace and not metrics_out and metrics_port is None:
-        return None
-    from repro import obs
-
-    return obs.configure(metrics=True, trace_path=trace)
-
-
-def _start_endpoint(args: argparse.Namespace, telemetry, progress=None):
-    """Serve live ``/metrics`` + ``/progress`` when ``--metrics-port`` is set.
-
-    Returns the started :class:`repro.obs.MetricsEndpoint` (or ``None``);
-    the bound address goes to stderr so scripts scraping stdout for
-    experiment output are unaffected.
-    """
-    port = getattr(args, "metrics_port", None)
-    if port is None:
-        return None
-    from repro.obs import MetricsEndpoint
-
-    endpoint = MetricsEndpoint(
-        registry=telemetry.registry if telemetry else None,
-        progress=progress,
-        port=port,
-    )
-    bound = endpoint.start()
-    print(
-        f"metrics endpoint: http://127.0.0.1:{bound}/metrics "
-        f"(progress at /progress)",
-        file=sys.stderr,
-    )
-    return endpoint
-
-
-def _stop_endpoint(endpoint) -> None:
-    if endpoint is not None:
-        endpoint.stop()
+def _write_json(path, obj) -> None:
+    """Every JSON file the CLI writes: pretty, key-sorted, parents created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _telemetry_summary(registry, runner=None) -> str:
@@ -155,29 +113,54 @@ def _telemetry_summary(registry, runner=None) -> str:
     return line
 
 
-def _finish_telemetry(args: argparse.Namespace, telemetry, runner=None) -> None:
-    """Flush the trace, write ``--metrics-out``, print the summary."""
-    if telemetry is None:
-        return
-    if telemetry.tracer is not None:
-        telemetry.tracer.flush()
-    if telemetry.registry is not None:
-        metrics_out = getattr(args, "metrics_out", None)
-        if metrics_out:
-            path = Path(metrics_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(telemetry.registry.snapshot(), indent=2, sort_keys=True)
-            )
-        print(_telemetry_summary(telemetry.registry, runner=runner))
+@contextmanager
+def _telemetry(args: argparse.Namespace, runner=None):
+    """The command's telemetry lifetime, from its telemetry flags.
 
-
-def _reset_telemetry(telemetry) -> None:
-    if telemetry is None:
+    Any of ``--trace`` / ``--metrics-out`` / ``--metrics-port`` turns the
+    metrics registry on (the trace alone could not feed the one-line
+    summary, the ``<slug>.metrics.json`` artifact, or ``/metrics``) and
+    yields the installed telemetry; with every flag absent the block runs
+    under the zero-cost disabled default and gets ``None``.  With
+    ``--metrics-port`` a live endpoint serves ``/metrics`` and the
+    ``runner``'s ``/progress``; its address goes to stderr so scripts
+    scraping stdout for experiment output are unaffected.  However the
+    block ends, the endpoint stops, the trace file closes and the
+    telemetry is uninstalled; ``--metrics-out`` and the summary line are
+    written only when it ends cleanly.
+    """
+    trace = getattr(args, "trace", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    port = getattr(args, "metrics_port", None)
+    if not trace and not metrics_out and port is None:
+        yield None
         return
     from repro import obs
 
-    obs.reset()
+    registry = obs.Registry()
+    with ExitStack() as stack:
+        tracer = None
+        if trace:
+            tracer = obs.Tracer(trace)
+            stack.callback(tracer.close)
+        telemetry = stack.enter_context(
+            obs.activated(obs.Telemetry(registry, tracer))
+        )
+        if port is not None:
+            endpoint = stack.enter_context(
+                obs.MetricsEndpoint(
+                    registry, runner.progress_snapshot if runner else None, port=port
+                )
+            )
+            print(
+                f"metrics endpoint: http://127.0.0.1:{endpoint.port}/metrics "
+                f"(progress at /progress)",
+                file=sys.stderr,
+            )
+        yield telemetry
+        if metrics_out:
+            _write_json(metrics_out, registry.snapshot())
+        print(_telemetry_summary(registry, runner=runner))
 
 
 def _print_failures(sweep_runner) -> None:
@@ -221,48 +204,70 @@ def _write_artifacts(
     output_dir.mkdir(parents=True, exist_ok=True)
     slug = spec.name.replace(".", "_")
     (output_dir / f"{slug}.txt").write_text(text + "\n")
-    (output_dir / f"{slug}.json").write_text(
-        json.dumps(spec.to_json(result, runner=runner), indent=2, sort_keys=True)
-    )
+    _write_json(output_dir / f"{slug}.json", spec.to_json(result, runner=runner))
     if registry is not None:
-        (output_dir / f"{slug}.metrics.json").write_text(
-            json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-        )
+        _write_json(output_dir / f"{slug}.metrics.json", registry.snapshot())
+
+
+def _run_specs(names, args: argparse.Namespace, directory, *, banner: bool) -> int:
+    """Execute, print and archive each named experiment on one runner.
+
+    ``repro report`` is this over many names with ``banner`` framing (a
+    header per experiment, a closing line); ``repro run`` is the report
+    of one, bare.  One runner, hence one worker pool, serves the whole
+    command, and ``/progress`` follows whichever sweep it is running.
+    """
+    from repro import obs
+    from repro.experiments import registry
+
+    specs = []
+    unknown = []
+    for name in names:
+        try:
+            specs.append(registry.get(name))
+        except registry.UnknownExperimentError:
+            unknown.append(name)
+    if unknown:
+        if banner:
+            print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
+        else:
+            print(
+                f"unknown experiment {unknown[0]!r}; try 'python -m repro list'",
+                file=sys.stderr,
+            )
+        return 2
+    with _make_runner(args) as runner, _telemetry(args, runner) as telemetry:
+        for spec in specs:
+            if banner:
+                print(f"== {spec.name} ==")
+            if telemetry is None:
+                per_registry = None
+                result = _execute(spec, args, runner)
+            else:
+                # Fresh registry per experiment (so <slug>.metrics.json is
+                # that experiment's alone) under the command's tracer; the
+                # command's registry gets each snapshot merged back for
+                # --metrics-out and the summary line.
+                per_registry = obs.Registry()
+                with obs.activated(obs.Telemetry(per_registry, telemetry.tracer)):
+                    result = _execute(spec, args, runner)
+                telemetry.registry.merge_snapshot(per_registry.snapshot())
+            text = result.format()
+            print(text)
+            if banner:
+                print()
+            if directory:
+                _write_artifacts(
+                    spec, result, text, directory,
+                    runner=runner, registry=per_registry,
+                )
+    if banner:
+        print(f"report written to {directory}/")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments import registry
-
-    try:
-        spec = registry.get(args.experiment)
-    except registry.UnknownExperimentError:
-        print(
-            f"unknown experiment {args.experiment!r}; try 'python -m repro list'",
-            file=sys.stderr,
-        )
-        return 2
-    telemetry = _configure_telemetry(args)
-    sweep_runner = _make_runner(args)
-    endpoint = _start_endpoint(args, telemetry, sweep_runner.progress_snapshot)
-    try:
-        result = _execute(spec, args, sweep_runner)
-        text = result.format()
-        print(text)
-        if args.artifacts_dir:
-            _write_artifacts(
-                spec,
-                result,
-                text,
-                args.artifacts_dir,
-                runner=sweep_runner,
-                registry=telemetry.registry if telemetry else None,
-            )
-        _finish_telemetry(args, telemetry, runner=sweep_runner)
-    finally:
-        sweep_runner.close()
-        _stop_endpoint(endpoint)
-        _reset_telemetry(telemetry)
-    return 0
+    return _run_specs([args.experiment], args, args.artifacts_dir, banner=False)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -274,8 +279,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if params.default_bootstrap_degree >= args.nodes:
         print("need more nodes than the bootstrap outdegree", file=sys.stderr)
         return 2
-    telemetry = _configure_telemetry(args)
-    try:
+    with _telemetry(args):
         protocol, engine = build_sf_system(
             args.nodes,
             params,
@@ -284,28 +288,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             backend=args.backend,
             shard_workers=getattr(args, "shard_workers", None),
         )
-        engine.run_rounds(args.rounds)
-        protocol.check_invariant()
+        try:
+            engine.run_rounds(args.rounds)
+            protocol.check_invariant()
 
-        summary = degree_summary(protocol)
-        stats = graph_statistics(
-            protocol.export_graph(), compute_diameter=args.nodes <= 2000
-        )
-        print(f"n={args.nodes} s={args.view_size} dL={args.d_low} "
-              f"loss={args.loss} rounds={args.rounds}")
-        print(f"outdegree {summary.outdegree_mean:.1f} ± {summary.outdegree_std:.1f}, "
-              f"indegree {summary.indegree_mean:.1f} ± {summary.indegree_std:.1f}")
-        print(f"dup {protocol.stats.duplication_probability():.4f}, "
-              f"del {protocol.stats.deletion_probability():.4f}, "
-              f"dependent {protocol.dependent_fraction():.4f}")
-        print(f"connected={stats.weakly_connected} "
-              f"diameter={stats.undirected_diameter} "
-              f"self-edges={stats.self_edges}")
-        _finish_telemetry(args, telemetry)
-        if hasattr(protocol, "close"):
-            protocol.close()
-    finally:
-        _reset_telemetry(telemetry)
+            summary = degree_summary(protocol)
+            stats = graph_statistics(
+                protocol.export_graph(), compute_diameter=args.nodes <= 2000
+            )
+            print(f"n={args.nodes} s={args.view_size} dL={args.d_low} "
+                  f"loss={args.loss} rounds={args.rounds}")
+            print(f"outdegree {summary.outdegree_mean:.1f} ± {summary.outdegree_std:.1f}, "
+                  f"indegree {summary.indegree_mean:.1f} ± {summary.indegree_std:.1f}")
+            print(f"dup {protocol.stats.duplication_probability():.4f}, "
+                  f"del {protocol.stats.deletion_probability():.4f}, "
+                  f"dependent {protocol.dependent_fraction():.4f}")
+            print(f"connected={stats.weakly_connected} "
+                  f"diameter={stats.undirected_diameter} "
+                  f"self-edges={stats.self_edges}")
+        finally:
+            # The sharded kernel holds worker processes and shared memory.
+            if hasattr(protocol, "close"):
+                protocol.close()
     return 0
 
 
@@ -314,55 +318,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import registry
 
     names = args.experiments or registry.names()
-    specs = []
-    unknown = []
-    for name in names:
-        try:
-            specs.append(registry.get(name))
-        except registry.UnknownExperimentError:
-            unknown.append(name)
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    telemetry = _configure_telemetry(args)
-    # One runner, hence one worker pool, for every experiment of the
-    # command; /progress follows whichever sweep it is running.
-    sweep_runner = _make_runner(args)
-    endpoint = _start_endpoint(args, telemetry, sweep_runner.progress_snapshot)
-    try:
-        for spec in specs:
-            print(f"== {spec.name} ==")
-            per_registry = None
-            if telemetry is not None:
-                # Fresh registry per experiment (so <slug>.metrics.json is
-                # that experiment's alone), shared tracer across the run;
-                # the master registry gets the per-experiment snapshots
-                # merged back for --metrics-out and the summary line.
-                from repro import obs
-
-                per_registry = obs.Registry()
-                obs.configure(registry=per_registry, tracer=telemetry.tracer)
-            try:
-                result = _execute(spec, args, sweep_runner)
-            finally:
-                if telemetry is not None:
-                    obs.set_telemetry(telemetry)
-            if per_registry is not None:
-                telemetry.registry.merge_snapshot(per_registry.snapshot())
-            text = result.format()
-            print(text)
-            print()
-            _write_artifacts(
-                spec, result, text, args.output,
-                runner=sweep_runner, registry=per_registry,
-            )
-        _finish_telemetry(args, telemetry, runner=sweep_runner)
-    finally:
-        sweep_runner.close()
-        _stop_endpoint(endpoint)
-        _reset_telemetry(telemetry)
-    print(f"report written to {args.output}/")
-    return 0
+    return _run_specs(names, args, args.output, banner=True)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -389,19 +345,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         suspect_after_s=args.suspect_after,
         fail_after_s=args.fail_after,
     )
-    telemetry = _configure_telemetry(args)
-    try:
+    with _telemetry(args):
         report = run_cluster(config)
         print(report.format())
         if args.json:
             from dataclasses import asdict
 
-            path = Path(args.json)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
-        _finish_telemetry(args, telemetry)
-    finally:
-        _reset_telemetry(telemetry)
+            _write_json(args.json, asdict(report))
     if not report.ok():
         for violation in report.degree_violations:
             print(f"DEGREE VIOLATION: {violation}", file=sys.stderr)
@@ -468,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend_kwargs = dict(
         choices=list(available_backends()),
         default="reference",
-        help="simulation backend: 'reference' (legacy object-per-node), "
+        help="simulation backend: 'reference' (object-per-node, per action), "
         "'array' (fused vectorized numpy kernel), 'jit' (Numba-compiled "
         "batch loop; listed only when the 'jit' extra is installed), "
         "'sharded' (shared-memory array state with per-shard apply "

@@ -101,8 +101,8 @@ def points(
 ) -> List[dict]:
     """One point per variant on an identical population/loss configuration.
 
-    Every variant uses the same engine seed (the historical convention:
-    identical populations, identical channel randomness).
+    All variants share one engine seed: identical populations, identical
+    channel randomness.
     """
     return [
         {

@@ -84,7 +84,7 @@ def _total_instances(protocol) -> int:
     )
 
 
-#: Compared protocols, in their historical reporting order.
+#: Compared protocols, in reporting order.
 _PROTOCOLS = ("sandf", "shuffle", "push", "pushpull")
 
 
@@ -111,8 +111,8 @@ def points(
 ) -> List[dict]:
     """One point per protocol on identical populations under the same loss.
 
-    All four protocols use the same engine seed (the historical
-    convention: identical populations, identical channel randomness).
+    All four protocols share one engine seed: identical populations,
+    identical channel randomness.
     """
     return [
         {

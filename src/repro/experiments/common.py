@@ -60,8 +60,8 @@ def build_sf_system(
 
     ``backend`` selects the state-mutation layer:
 
-    - ``"reference"`` (default) — the legacy per-action ``SendForget``
-      path, bit-identical to historical runs at any given seed;
+    - ``"reference"`` (default) — the per-action ``SendForget`` object
+      path, the one the membership goldens pin at any given seed;
     - ``"array"`` — the vectorized :class:`repro.kernel.ArrayKernel`
       (one numpy id-matrix for all views, fused batched execution);
     - ``"jit"`` — :class:`repro.kernel.JitKernel`, the array layout with

@@ -76,9 +76,8 @@ def points(
     """One point per loss rate.
 
     ``tolerance`` loosens the Lemma 6.7 interval check to absorb sampling
-    noise: the check is ``ℓ − tol ≤ dup ≤ ℓ + δ + tol``.  Every loss rate
-    carries the same simulation seed (the historical convention of the
-    serial loop this sweep replaced).
+    noise: the check is ``ℓ − tol ≤ dup ≤ ℓ + δ + tol``.  All loss rates
+    share one simulation seed, so the rows differ by ℓ alone.
     """
     return [
         {

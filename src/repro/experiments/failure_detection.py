@@ -155,11 +155,10 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> FailureDetectionR
 
     # Detection latency per (observer, victim) pair, in observer periods.
     latencies: List[float] = []
-    if layer.transitions is not None:
-        for observer, peer, _old, new, _inc, now in layer.transitions:
-            if new is PeerState.FAILED and peer in victim_set:
-                if observer in clock_at_kill:
-                    latencies.append(now - clock_at_kill[observer])
+    for observer, peer, _old, new, _inc, now in layer.transitions:
+        if new is PeerState.FAILED and peer in victim_set:
+            if observer in clock_at_kill:
+                latencies.append(now - clock_at_kill[observer])
     pairs = len(clock_at_kill) * len(victims)
     engine.stats.check_conservation()
     summary = layer.summary()

@@ -88,9 +88,9 @@ def points(
 ) -> List[dict]:
     """One point per loss rate: the degree MC, optionally simulated.
 
-    ``simulate_rounds`` is (warm-up rounds, measurement rounds).  Every
-    loss rate carries the same simulation seed (the historical
-    convention, preserved so outputs are independent of ``jobs``).
+    ``simulate_rounds`` is (warm-up rounds, measurement rounds).  All loss
+    rates share one simulation seed, so the curves differ by ℓ alone and
+    outputs are independent of ``jobs``.
     """
     return [
         {

@@ -76,8 +76,8 @@ def points(
 ) -> List[dict]:
     """One point per loss rate: the Lemma 6.10 curve, optionally simulated.
 
-    Every loss rate carries the same simulation seed (the historical
-    convention, preserved so outputs are independent of ``jobs``).
+    All loss rates share one simulation seed, so the curves differ by ℓ
+    alone and outputs are independent of ``jobs``.
     """
     return [
         {

@@ -48,16 +48,14 @@ class FlashCrowdResult:
     weakly_connected: bool
     invariant_rounds_ok: int
 
-    def relaxed(self, slack: float = 1.5) -> bool:
+    def relaxed(self) -> bool:
         """Did the core's mean indegree come back near its pre-crowd level?
 
         The population grew by ``crowd`` nodes, so at steady state the
-        core's share of everyone's views *shrinks*; landing within
-        ``slack ×`` the pre-crowd mean is already full relaxation.
+        core's share of everyone's views *shrinks*; landing within 1.5 ×
+        the pre-crowd mean is already full relaxation.
         """
-        return self.core_indegree_final <= slack * max(
-            self.core_indegree_before, 1.0
-        )
+        return self.core_indegree_final <= 1.5 * max(self.core_indegree_before, 1.0)
 
     def clean(self) -> bool:
         return (

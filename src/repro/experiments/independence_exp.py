@@ -77,8 +77,8 @@ def points(
 ) -> List[dict]:
     """One point per loss rate.
 
-    Every loss rate carries the same simulation seed (the historical
-    convention, preserved so outputs are independent of ``jobs``).
+    All loss rates share one simulation seed, so the rows differ by ℓ
+    alone and outputs are independent of ``jobs``.
     """
     return [
         {

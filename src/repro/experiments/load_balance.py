@@ -82,7 +82,7 @@ def _ring_protocol(n: int, params: SFParams) -> SendForget:
     return protocol
 
 
-#: Adversarial start topologies, in their historical reporting order.
+#: Adversarial start topologies, in reporting order.
 _TOPOLOGIES = ("hubs", "ring")
 
 
@@ -97,8 +97,8 @@ def points(
     """One point per starting topology (hubs, ring).
 
     The ring bootstraps every node at outdegree 2, so ``d_low`` must be
-    ≤ 2.  Both topologies use the same engine seed (the historical
-    convention of the serial loop this sweep replaced).
+    ≤ 2.  Both topologies share one engine seed, so the curves differ by
+    the starting graph alone.
     """
     if params.d_low > 2:
         raise ValueError("the ring start has outdegree 2; need d_low <= 2")

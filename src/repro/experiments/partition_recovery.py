@@ -97,7 +97,7 @@ def points(
 ) -> List[dict]:
     """One point per split duration: split in half, then heal and observe.
 
-    Each split length keeps its historical engine seed ``seed + length``.
+    Each split length runs on engine seed ``seed + length``.
     """
     return [
         {

@@ -73,7 +73,7 @@ class RandomWalkResult:
         return f"{success}\n\n{bias}"
 
 
-#: Measurement phases, in their historical execution order.
+#: Measurement phases, in reporting order.
 _PHASES = ("success", "bias-simple", "bias-mh", "bias-view")
 
 
@@ -89,9 +89,8 @@ def points(
     """One point per measurement phase: walk success on a steady-state
     overlay, then sample bias on a skewed one.
 
-    Each phase derives its historical walker/engine seed (seed+1..+4)
-    inside the cell, so independent rebuilds stay bit-identical to the
-    serial run this sweep replaced.
+    Each phase derives its own walker/engine seed (seed+1..+4) inside the
+    cell, so a phase's result does not depend on which others ran.
     """
     return [
         {

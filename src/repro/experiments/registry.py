@@ -324,8 +324,8 @@ def _spec_worker(cell: GridCell, context: _CellContext) -> Any:
 def _point_seed(point: Any, replication: int) -> Optional[int]:
     """Default seed derivation: a dict point's ``"seed"`` key, else none.
 
-    Experiments embed per-cell seeds in their points (including any
-    historical derivations such as ``seed + replication``), which keeps
+    Experiments embed per-cell seeds in their points (including derived
+    ones such as ``seed + replication``), which keeps
     every point self-contained — the property checkpoint keys and
     process-pool workers rely on.
     """

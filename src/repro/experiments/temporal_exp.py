@@ -114,8 +114,8 @@ def points(
 ) -> List[dict]:
     """The bounds-table point, then one overlap-decay point per loss rate.
 
-    Every loss rate carries the same simulation seed (the historical
-    convention of the serial loop this sweep replaced).
+    All loss rates share one simulation seed, so the curves differ by ℓ
+    alone.
     """
     bounds = {
         "kind": "bounds",
@@ -161,7 +161,7 @@ def _assemble_decay(
         xs, ys, iid = record
         result.rounds = xs
         result.curves[point["loss"]] = ys
-        # Last-wins, matching the serial loop this sweep replaced.
+        # One baseline is reported: the last loss rate's.
         result.iid_baseline = iid
     return result
 

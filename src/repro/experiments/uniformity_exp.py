@@ -114,7 +114,7 @@ def points(
     widely spaced snapshots remain correlated.  Pooling several runs with
     independent seeds removes that correlation; the acceptance statistic
     is the scale-free (max − min)/mean spread of per-id presence counts.
-    Replication ``i`` keeps its historical seed ``seed + i``, and pooling
+    Replication ``i`` runs on seed ``seed + i``, and pooling
     integer counts is order-independent, so results are identical at any
     ``jobs``; skipped replications are excluded from the pool (and from
     the reported replication count).

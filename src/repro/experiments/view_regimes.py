@@ -90,8 +90,8 @@ def points(
 ) -> List[dict]:
     """Two points per size: the constant-view and logarithmic-view regimes.
 
-    Every (regime, n) plan uses the same simulation seed (the historical
-    convention of the serial loop this sweep replaced).
+    All (regime, n) plans share one simulation seed, so rows differ by
+    the plan alone.
     """
     plans: List[Tuple[str, int, SFParams]] = []
     for n in sizes:

@@ -93,23 +93,19 @@ class FailureDetectorLayer(ProtocolWrapper):
         inner: the protocol whose traffic carries the liveness gossip.
         config: detector tuning, in *periods* (one period = one beat of
             a node's local clock = one initiate action at that node).
-        record_transitions: keep a log of every state change in
-            :attr:`transitions` (cheap at simulation scale; switch off
-            for very long runs).
+
+    Every state change any detector makes is logged in :attr:`transitions`.
     """
 
     def __init__(
         self,
         inner: GossipProtocol,
         config: Optional[DetectorConfig] = None,
-        record_transitions: bool = True,
     ):
         super().__init__(inner)
         self.config = config if config is not None else DetectorConfig()
         self.detectors: Dict[NodeId, FailureDetector] = {}
-        self.transitions: Optional[List[Transition]] = (
-            [] if record_transitions else None
-        )
+        self.transitions: List[Transition] = []
         #: Incarnation each departed node held when it was removed;
         #: restarts seed from here so their ALIVE beats the grave.
         self.retired_incarnations: Dict[NodeId, int] = {}
@@ -135,8 +131,7 @@ class FailureDetectorLayer(ProtocolWrapper):
 
     def _transition_hook(self, observer: NodeId) -> Callable:
         def hook(peer, old, new, incarnation, now):
-            if self.transitions is not None:
-                self.transitions.append((observer, peer, old, new, incarnation, now))
+            self.transitions.append((observer, peer, old, new, incarnation, now))
 
         return hook
 

@@ -27,7 +27,7 @@ Canonical conventions shared by every kernel:
   selects the ``r``-th node of this ordering.
 * **Empty-slot ranking** — a received id is stored into the ``k``-th
   *lowest-indexed* empty slot, with ``k`` derived from a pre-drawn uniform
-  via :func:`rank_from_uniform`.  (The per-action legacy path instead
+  via :func:`rank_from_uniform`.  (The per-action object path instead
   draws directly from the ``View`` free list; the two disciplines are
   distributionally identical.)
 * **Loss decisions** — :func:`decide_loss` turns the pre-drawn uniform

@@ -178,7 +178,9 @@ class DegreeMarkovChain:
         loss_rate: the uniform loss probability ℓ.
         conserved_sum_degree: restrict states to the line ``d + 2k = dm``
             (requires ``ℓ = 0`` and ``dL = 0``; Lemma 6.2's invariant).
-        sum_degree_cap: cap on ``d + 2k`` (default ``3s``, as in the paper).
+
+    States are capped at ``d + 2k <= 3s`` (:attr:`sum_degree_cap`), as in
+    the paper.
     """
 
     def __init__(
@@ -186,7 +188,6 @@ class DegreeMarkovChain:
         params: SFParams,
         loss_rate: float = 0.0,
         conserved_sum_degree: Optional[int] = None,
-        sum_degree_cap: Optional[int] = None,
     ):
         self._template: Optional[_TransitionTemplate] = None
         if not 0.0 <= loss_rate < 1.0:
@@ -194,9 +195,7 @@ class DegreeMarkovChain:
         self.params = params
         self.loss_rate = loss_rate
         s = params.view_size
-        self.sum_degree_cap = sum_degree_cap if sum_degree_cap is not None else 3 * s
-        if self.sum_degree_cap < params.d_low:
-            raise ValueError("sum_degree_cap below d_low leaves no states")
+        self.sum_degree_cap = 3 * s
         self.conserved_sum_degree = conserved_sum_degree
         if conserved_sum_degree is not None:
             if loss_rate != 0.0 or params.d_low != 0:

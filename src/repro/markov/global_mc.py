@@ -40,9 +40,9 @@ class GlobalMarkovChain:
         loss_rate: the uniform loss probability ℓ.
         initial: a weakly connected starting membership graph.
         max_states: safety cap on the enumeration.
-        exclude_partitioned: fold transitions into partitioned graphs back
-            as self-loops (the paper's 𝒢 construction).  Disable only for
-            diagnostics.
+
+    Transitions into partitioned graphs are folded back as self-loops (the
+    paper's 𝒢 construction).
     """
 
     def __init__(
@@ -51,7 +51,6 @@ class GlobalMarkovChain:
         loss_rate: float,
         initial: MembershipGraph,
         max_states: int = 200_000,
-        exclude_partitioned: bool = True,
     ):
         if not initial.is_weakly_connected():
             raise ValueError("initial membership graph must be weakly connected")
@@ -59,7 +58,6 @@ class GlobalMarkovChain:
             params.validate_outdegree(initial.outdegree(node))
         self.params = params
         self.loss_rate = loss_rate
-        self.exclude_partitioned = exclude_partitioned
         self._states: List[MembershipGraph] = []
         self._index: Dict[CanonicalState, int] = {}
         self._rows: List[Dict[int, float]] = []
@@ -104,10 +102,7 @@ class GlobalMarkovChain:
                     weighted = prob / n
                     if weighted <= 0.0:
                         continue
-                    if (
-                        self.exclude_partitioned
-                        and not successor.is_weakly_connected()
-                    ):
+                    if not successor.is_weakly_connected():
                         # Fold into a self-loop, as in the paper's 𝒢.
                         row[state_id] = row.get(state_id, 0.0) + weighted
                         continue

@@ -77,7 +77,11 @@ def _mutual_edge_fraction_array(ids: np.ndarray, node_at: np.ndarray) -> float:
     return mutual / src_e.size
 
 
-def neighbor_overlap_fraction(protocol: GossipProtocol, max_pairs: int = 50_000) -> float:
+#: Edges :func:`neighbor_overlap_fraction` averages over before it stops.
+MAX_OVERLAP_PAIRS = 50_000
+
+
+def neighbor_overlap_fraction(protocol: GossipProtocol) -> float:
     """Average per-edge excess view overlap, normalized by view size.
 
     For each membership edge ``(u, v)``, counts ids common to ``u``'s and
@@ -113,7 +117,7 @@ def neighbor_overlap_fraction(protocol: GossipProtocol, max_pairs: int = 50_000)
             excess = max(0.0, overlap_excl - baseline)
             total += excess / min(size_u, size_v)
             pairs += 1
-            if pairs >= max_pairs:
+            if pairs >= MAX_OVERLAP_PAIRS:
                 return total / pairs
     if pairs == 0:
         raise ValueError("no membership edges between live nodes")

@@ -78,21 +78,21 @@ class MembershipGraph:
         return graph
 
     @classmethod
-    def star(cls, n: int, center: NodeId = 0, spokes_out: int = 2) -> "MembershipGraph":
+    def star(cls, n: int, center: NodeId = 0) -> "MembershipGraph":
         """Adversarial initial topology: every node points at ``center``.
 
-        Each non-center node holds ``spokes_out`` copies of the center id
-        (outdegree must be even for S&F); the center points at the first
-        ``spokes_out`` non-center nodes.  Used by the load-balance experiment
+        Each non-center node holds two copies of the center id (outdegree
+        must be even for S&F); the center points at the first two
+        non-center nodes.  Used by the load-balance experiment
         (Property M2) to demonstrate convergence from a maximally unbalanced
         start.
         """
         graph = cls(range(n))
         others = [v for v in range(n) if v != center]
         for u in others:
-            for _ in range(spokes_out):
-                graph.add_edge(u, center)
-        for v in others[:spokes_out]:
+            graph.add_edge(u, center)
+            graph.add_edge(u, center)
+        for v in others[:2]:
             graph.add_edge(center, v)
         return graph
 

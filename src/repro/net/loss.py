@@ -162,10 +162,11 @@ class PartitionLoss(LossModel):
 
     While :attr:`active` is True, any message between nodes of different
     groups is lost with probability ``cross_loss`` (1.0 = a clean cut);
-    intra-group messages see ``base_loss``.  Deactivate to heal the
-    partition.  Used by the partition-recovery experiment: S&F tolerates
-    partitions shorter than the id half-life (Lemma 6.10) because stale
-    cross-partition ids are still in views when connectivity returns.
+    intra-group messages see ``base_loss``; a node ``group_of`` does not
+    name is in group 0.  Deactivate to heal the partition.  Used by the
+    partition-recovery experiment: S&F tolerates partitions shorter than
+    the id half-life (Lemma 6.10) because stale cross-partition ids are
+    still in views when connectivity returns.
     """
 
     def __init__(
@@ -173,7 +174,6 @@ class PartitionLoss(LossModel):
         group_of: Dict[NodeId, int],
         cross_loss: float = 1.0,
         base_loss: float = 0.0,
-        default_group: int = 0,
     ):
         if not 0.0 <= cross_loss <= 1.0:
             raise ValueError(f"cross_loss must be in [0, 1], got {cross_loss}")
@@ -182,7 +182,6 @@ class PartitionLoss(LossModel):
         self.group_of = dict(group_of)
         self.cross_loss = cross_loss
         self.base_loss = base_loss
-        self.default_group = default_group
         self.active = True
 
     def heal(self) -> None:
@@ -196,9 +195,7 @@ class PartitionLoss(LossModel):
     def rate_for(self, sender: NodeId, target: NodeId) -> float:
         rate = self.base_loss
         if self.active:
-            sender_group = self.group_of.get(sender, self.default_group)
-            target_group = self.group_of.get(target, self.default_group)
-            if sender_group != target_group:
+            if self.group_of.get(sender, 0) != self.group_of.get(target, 0):
                 rate = self.cross_loss
         return rate
 

@@ -48,6 +48,9 @@ RecordHandler = Callable[[WireRecord, Optional[float], Tuple[str, int]], None]
 #: socket but never reaches the protocol).
 InboundFilter = Callable[[WireRecord], bool]
 
+#: Latency samples one UDP transport keeps (the percentiles need no more).
+MAX_LATENCY_SAMPLES = 100_000
+
 
 class Transport(abc.ABC):
     """Carries effects produced at the step/effect seam.
@@ -142,7 +145,6 @@ class AsyncioUdpTransport(Transport):
         rng=None,
         resolve: Optional[AddressResolver] = None,
         inbound_filter: Optional[InboundFilter] = None,
-        max_latency_samples: int = 100_000,
     ):
         if not 0.0 <= drop_rate <= 1.0:
             raise ValueError(f"drop_rate must be in [0, 1], got {drop_rate}")
@@ -163,10 +165,12 @@ class AsyncioUdpTransport(Transport):
         self.decode_errors = 0
         self.unroutable = 0
         self.socket_errors = 0
-        self.max_latency_samples = max_latency_samples
         #: One-way delivery latencies [s], unboxed: a saturated run fills
         #: the reservoir on every node, and a list of floats is 4x the bytes.
         self.latency_samples = array("d")
+        #: No honest datagram was stamped before this: ``create`` binds the
+        #: socket right after construction.
+        self._created_at = time.monotonic()
 
     @classmethod
     async def create(
@@ -241,10 +245,13 @@ class AsyncioUdpTransport(Transport):
         if self.inbound_filter is not None and not self.inbound_filter(record):
             self.filtered += 1
             return
-        if timestamp is not None:
-            latency = time.monotonic() - timestamp
-            if len(self.latency_samples) < self.max_latency_samples:
-                self.latency_samples.append(latency)
+        if timestamp is not None and len(self.latency_samples) < MAX_LATENCY_SAMPLES:
+            # The stamp is the sender's word.  One from the future, or from
+            # before this socket existed, is delivered like any other record
+            # but kept out of the latency percentiles.
+            now = time.monotonic()
+            if self._created_at <= timestamp <= now:
+                self.latency_samples.append(now - timestamp)
         self.delivered += 1
         self.on_record(record, timestamp, addr)
 

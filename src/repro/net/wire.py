@@ -155,6 +155,16 @@ def _message_from_body(body: Any) -> Message:
         raise WireError("malformed message body") from exc
 
 
+def _port(value: Any) -> int:
+    """A UDP port a peer announced: an int in 1..65535, or the datagram is
+    malformed.  Receivers ``sendto`` these; any other value raises there
+    (``OverflowError``, which asyncio treats as fatal to the *sender's*
+    socket), so it must not get past the decoder."""
+    if type(value) is not int or not 0 < value < 65536:
+        raise WireError(f"not a UDP port: {value!r}")
+    return value
+
+
 def encode(record: WireRecord, timestamp: Optional[float] = None) -> bytes:
     """Serialize ``record`` into one versioned datagram.
 
@@ -226,13 +236,13 @@ def decode_with_timestamp(data: bytes) -> Tuple[WireRecord, Optional[float]]:
         if tag == _TAG_MESSAGE:
             return _message_from_body(obj["m"]), timestamp
         if tag == _TAG_JOIN:
-            return JoinRequest(node=int(obj["n"]), port=int(obj["port"])), timestamp
+            return JoinRequest(node=int(obj["n"]), port=_port(obj["port"])), timestamp
         if tag == _TAG_WELCOME:
             return (
                 Welcome(
                     node=int(obj["n"]),
                     bootstrap=[int(v) for v in obj["b"]],
-                    address_book={int(k): int(p) for k, p in obj["a"].items()},
+                    address_book={int(k): _port(p) for k, p in obj["a"].items()},
                 ),
                 timestamp,
             )

@@ -30,8 +30,7 @@ accident.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
@@ -52,11 +51,8 @@ __all__ = [
     "TimerStat",
     "Tracer",
     "activated",
-    "configure",
     "get_telemetry",
     "render_openmetrics",
-    "reset",
-    "set_telemetry",
 ]
 
 
@@ -125,53 +121,18 @@ _CURRENT: Telemetry = _DISABLED
 
 
 def get_telemetry() -> Telemetry:
-    """The process-current telemetry (disabled unless configured)."""
+    """The process-current telemetry (disabled outside :func:`activated`)."""
     return _CURRENT
-
-
-def set_telemetry(telemetry: Telemetry) -> Telemetry:
-    """Install ``telemetry`` as process-current; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = telemetry
-    return previous
-
-
-def configure(
-    metrics: bool = False,
-    trace_path: Optional[Union[str, Path]] = None,
-    registry: Optional[Registry] = None,
-    tracer: Optional[Tracer] = None,
-) -> Telemetry:
-    """Build and install a telemetry from flags (the CLI entry point).
-
-    ``registry``/``tracer`` override the flag-driven construction when a
-    caller wants to share instruments across several configure calls
-    (e.g. ``repro report`` keeps one tracer but a fresh registry per
-    experiment).
-    """
-    if registry is None and metrics:
-        registry = Registry()
-    if tracer is None and trace_path is not None:
-        tracer = Tracer(trace_path)
-    telemetry = Telemetry(registry=registry, tracer=tracer)
-    set_telemetry(telemetry)
-    return telemetry
-
-
-def reset(close_tracer: bool = True) -> None:
-    """Restore the disabled default (closing the tracer by default)."""
-    global _CURRENT
-    if close_tracer and _CURRENT.tracer is not None:
-        _CURRENT.tracer.close()
-    _CURRENT = _DISABLED
 
 
 @contextmanager
 def activated(telemetry: Telemetry) -> Iterator[Telemetry]:
-    """Temporarily install ``telemetry`` (tests and worker capture)."""
-    previous = set_telemetry(telemetry)
+    """Install ``telemetry`` as process-current for the block (the only
+    installer); leaving it, normally or not, restores the previous one.
+    Closing a tracer stays its owner's job."""
+    global _CURRENT
+    previous, _CURRENT = _CURRENT, telemetry
     try:
         yield telemetry
     finally:
-        set_telemetry(previous)
+        _CURRENT = previous

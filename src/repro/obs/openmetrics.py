@@ -40,6 +40,9 @@ from repro.obs.metrics import Registry
 
 LOGGER = logging.getLogger("repro.obs.openmetrics")
 
+#: The only address :class:`MetricsEndpoint` binds.
+LOOPBACK = "127.0.0.1"
+
 #: Content type the OpenMetrics spec mandates for text exposition.
 CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
@@ -174,13 +177,11 @@ class MetricsEndpoint:
             ``None`` serves ``{}``.
         port: TCP port to bind; ``0`` picks a free one (see
             :attr:`port` after :meth:`start`).
-        host: bind address; loopback by default — this is an operator
-            diagnostic, not an internet-facing service.
-        prefix: metric-name prefix for the exposition.
 
-    The server runs entirely in daemon threads: an abandoned endpoint
-    never blocks interpreter shutdown, but call :meth:`stop` for a tidy
-    exit.  Usable as a context manager.
+    The server binds loopback only — this is an operator diagnostic, not
+    an internet-facing service — and runs entirely in daemon threads: an
+    abandoned endpoint never blocks interpreter shutdown, but call
+    :meth:`stop` for a tidy exit.  Usable as a context manager.
     """
 
     def __init__(
@@ -189,13 +190,9 @@ class MetricsEndpoint:
         progress: Optional[Callable[[], Dict[str, Any]]] = None,
         *,
         port: int = 0,
-        host: str = "127.0.0.1",
-        prefix: str = "repro",
     ):
         self.registry = registry
         self.progress = progress
-        self.host = host
-        self.prefix = prefix
         self._requested_port = int(port)
         self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
@@ -208,7 +205,7 @@ class MetricsEndpoint:
     def render_metrics(self) -> str:
         if self.registry is None:
             return "# EOF\n"
-        return render_openmetrics(self.registry, prefix=self.prefix)
+        return render_openmetrics(self.registry)
 
     def render_progress(self) -> Dict[str, Any]:
         if self.progress is None:
@@ -223,7 +220,7 @@ class MetricsEndpoint:
         """Bind and serve in a background thread; returns the bound port."""
         if self._server is not None:
             return self.port  # type: ignore[return-value]
-        server = _Server((self.host, self._requested_port), _Handler)
+        server = _Server((LOOPBACK, self._requested_port), _Handler)
         server.endpoint = self
         thread = threading.Thread(
             target=server.serve_forever,
@@ -235,7 +232,7 @@ class MetricsEndpoint:
         self._thread = thread
         LOGGER.info(
             "metrics endpoint listening on http://%s:%d (/metrics, /progress)",
-            self.host, self.port,
+            LOOPBACK, self.port,
         )
         return self.port  # type: ignore[return-value]
 

@@ -72,11 +72,6 @@ class Tracer:
             self._file.write(line + "\n")
             self.records_written += 1
 
-    def flush(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-
     def close(self) -> None:
         with self._lock:
             if not self._file.closed:

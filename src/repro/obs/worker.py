@@ -10,8 +10,8 @@ closes the gap:
   returns a :class:`MeteredResult` — the real result plus the worker
   registry's snapshot;
 * parent-side, the sweep runner unwraps the value before any result
-  handling (ordering, checkpoint journaling, progress hooks see the
-  plain result, exactly as without metering) and merges the snapshots
+  handling (ordering and checkpoint journaling see the plain result,
+  exactly as without metering) and merges the snapshots
   into its registry **in cell-index order**, so the aggregated metrics
   are deterministic at any ``jobs``.
 

@@ -14,13 +14,19 @@ S&F itself lives in :mod:`repro.core.sandf` and implements the same
 :class:`~repro.protocols.base.GossipProtocol` interface.
 """
 
-from repro.protocols.base import GossipProtocol, Message, ProtocolStats
+from repro.protocols.base import (
+    GossipProtocol,
+    ListViewProtocol,
+    Message,
+    ProtocolStats,
+)
 from repro.protocols.push import PushProtocol
 from repro.protocols.pushpull import PushPullProtocol
 from repro.protocols.shuffle import ShuffleProtocol
 
 __all__ = [
     "GossipProtocol",
+    "ListViewProtocol",
     "Message",
     "ProtocolStats",
     "ShuffleProtocol",

@@ -259,6 +259,71 @@ class GossipProtocol(Population):
         """Run the receive step for ``message``; return any reply effects."""
 
 
+class ListViewProtocol(GossipProtocol):
+    """A protocol whose views are bounded lists of ids (the §3.1 baselines).
+
+    Push, push-pull and shuffle differ only in their step rules; the list,
+    its capacity, and the two randomized list operations the rules are
+    written in — :meth:`_insert` and :meth:`_take` — live here.
+
+    Args:
+        view_size: capacity of each node's view.
+    """
+
+    _views: Dict[NodeId, List[NodeId]]
+
+    def __init__(self, view_size: int):
+        super().__init__()
+        if view_size < 2:
+            raise ValueError(f"view_size must be at least 2, got {view_size}")
+        self.view_size = view_size
+
+    def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
+        if len(bootstrap_ids) > self.view_size:
+            raise ValueError("bootstrap view exceeds view size")
+        self._admit(node_id, list(bootstrap_ids))
+
+    def view_of(self, node_id: NodeId) -> Counter:
+        return Counter(self._views[node_id])
+
+    def total_edges(self) -> int:
+        """System-wide id count — the attrition signal under loss."""
+        return sum(len(view) for view in self._views.values())
+
+    def _insert(self, node_id: NodeId, value: NodeId, rng) -> None:
+        """Store ``value`` at ``node_id``: append, or on a full view evict
+        a random entry (one draw, one deletion).  Never a self-pointer."""
+        if value == node_id:
+            return
+        view = self._views[node_id]
+        if len(view) >= self.view_size:
+            view[int(rng.integers(len(view)))] = value
+            self.stats.deletions += 1
+        else:
+            view.append(value)
+
+    @staticmethod
+    def _take(
+        view: List[NodeId], count: int, excluded: NodeId, rng
+    ) -> List[NodeId]:
+        """Remove up to ``count`` random entries other than ``excluded``
+        from ``view`` (one draw each) and return them."""
+        taken: List[NodeId] = []
+        candidates = [i for i, value in enumerate(view) if value != excluded]
+        for _ in range(min(count, len(candidates))):
+            index = candidates.pop(int(rng.integers(len(candidates))))
+            taken.append(view[index])
+            # Keep candidate indices valid: remove by swap with the last
+            # occupied slot, then fix up any candidate pointing at it.
+            last = len(view) - 1
+            view[index] = view[last]
+            view.pop()
+            for c, cand in enumerate(candidates):
+                if cand == last:
+                    candidates[c] = index
+        return taken
+
+
 class ProtocolWrapper(GossipProtocol):
     """A layer over ``inner`` that taps its traffic (detection, samplers).
 

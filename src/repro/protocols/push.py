@@ -15,10 +15,9 @@ growing well beyond the i.i.d.-uniform level, in contrast to S&F's bounded
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.protocols.base import GossipProtocol, Message, SendEffect
+from repro.protocols.base import ListViewProtocol, Message, SendEffect
 
 NodeId = int
 
@@ -26,7 +25,7 @@ NodeId = int
 KIND_PUSH = "push"
 
 
-class PushProtocol(GossipProtocol):
+class PushProtocol(ListViewProtocol):
     """Copy-based membership: push own id plus ``gossip_length`` view ids.
 
     Args:
@@ -35,27 +34,13 @@ class PushProtocol(GossipProtocol):
             the sender's own id).
     """
 
-    _views: Dict[NodeId, List[NodeId]]
-
     def __init__(self, view_size: int, gossip_length: int = 2):
-        super().__init__()
-        if view_size < 2:
-            raise ValueError(f"view_size must be at least 2, got {view_size}")
+        super().__init__(view_size)
         if not 0 <= gossip_length <= view_size:
             raise ValueError(
                 f"gossip_length must be in [0, {view_size}], got {gossip_length}"
             )
-        self.view_size = view_size
         self.gossip_length = gossip_length
-
-    # -- population ------------------------------------------------------
-
-    def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        if len(bootstrap_ids) > self.view_size:
-            raise ValueError("bootstrap view exceeds view size")
-        self._admit(node_id, list(bootstrap_ids))
-
-    # -- protocol steps ----------------------------------------------------
 
     def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         view = self._views[node_id]
@@ -79,25 +64,9 @@ class PushProtocol(GossipProtocol):
         return (SendEffect(message),)
 
     def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
-        view = self._views.get(message.target)
-        if view is None:
+        if message.target not in self._views:
             return ()
         self.stats.deliveries += 1
         for value, _ in message.payload:
-            if value == message.target:
-                continue
-            if len(view) >= self.view_size:
-                evict = int(rng.integers(len(view)))
-                view[evict] = value
-                self.stats.deletions += 1
-            else:
-                view.append(value)
+            self._insert(message.target, value, rng)
         return ()
-
-    # -- observation -------------------------------------------------------
-
-    def view_of(self, node_id: NodeId) -> Counter:
-        return Counter(self._views[node_id])
-
-    def total_edges(self) -> int:
-        return sum(len(view) for view in self._views.values())

@@ -16,10 +16,9 @@ designed to avoid.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
-from repro.protocols.base import GossipProtocol, Message, SendEffect
+from repro.protocols.base import ListViewProtocol, Message, SendEffect
 
 NodeId = int
 
@@ -28,30 +27,13 @@ KIND_REQUEST = "pushpull-request"
 KIND_REPLY = "pushpull-reply"
 
 
-class PushPullProtocol(GossipProtocol):
+class PushPullProtocol(ListViewProtocol):
     """Reinforcement-by-push + mixing-by-pull with fixed-size views.
 
     Args:
         view_size: capacity of each node's view; views are kept full by
             replacing random entries on insertion once at capacity.
     """
-
-    _views: Dict[NodeId, List[NodeId]]
-
-    def __init__(self, view_size: int):
-        super().__init__()
-        if view_size < 2:
-            raise ValueError(f"view_size must be at least 2, got {view_size}")
-        self.view_size = view_size
-
-    # -- population ------------------------------------------------------
-
-    def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        if len(bootstrap_ids) > self.view_size:
-            raise ValueError("bootstrap view exceeds view size")
-        self._admit(node_id, list(bootstrap_ids))
-
-    # -- protocol steps ----------------------------------------------------
 
     def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         view = self._views[node_id]
@@ -102,22 +84,3 @@ class PushPullProtocol(GossipProtocol):
         for value, _ in message.payload:
             self._insert(message.target, value, rng)
         return ()
-
-    def _insert(self, node_id: NodeId, value: NodeId, rng) -> None:
-        if value == node_id:
-            return
-        view = self._views[node_id]
-        if len(view) >= self.view_size:
-            evict = int(rng.integers(len(view)))
-            view[evict] = value
-            self.stats.deletions += 1
-        else:
-            view.append(value)
-
-    # -- observation -------------------------------------------------------
-
-    def view_of(self, node_id: NodeId) -> Counter:
-        return Counter(self._views[node_id])
-
-    def total_edges(self) -> int:
-        return sum(len(view) for view in self._views.values())

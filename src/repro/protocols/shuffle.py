@@ -13,10 +13,9 @@ this attrition against S&F's stable edge count.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.protocols.base import GossipProtocol, Message, SendEffect
+from repro.protocols.base import ListViewProtocol, Message, SendEffect
 
 NodeId = int
 
@@ -25,7 +24,7 @@ KIND_REQUEST = "shuffle-request"
 KIND_REPLY = "shuffle-reply"
 
 
-class ShuffleProtocol(GossipProtocol):
+class ShuffleProtocol(ListViewProtocol):
     """Swap-based membership: exchange ``shuffle_length`` ids with a peer.
 
     Args:
@@ -34,27 +33,13 @@ class ShuffleProtocol(GossipProtocol):
             (including the initiator's own id in the request).
     """
 
-    _views: Dict[NodeId, List[NodeId]]
-
     def __init__(self, view_size: int, shuffle_length: int = 3):
-        super().__init__()
-        if view_size < 2:
-            raise ValueError(f"view_size must be at least 2, got {view_size}")
+        super().__init__(view_size)
         if not 1 <= shuffle_length <= view_size:
             raise ValueError(
                 f"shuffle_length must be in [1, {view_size}], got {shuffle_length}"
             )
-        self.view_size = view_size
         self.shuffle_length = shuffle_length
-
-    # -- population ------------------------------------------------------
-
-    def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        if len(bootstrap_ids) > self.view_size:
-            raise ValueError("bootstrap view exceeds view size")
-        self._admit(node_id, list(bootstrap_ids))
-
-    # -- protocol steps ----------------------------------------------------
 
     def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
         view = self._views[node_id]
@@ -63,26 +48,11 @@ class ShuffleProtocol(GossipProtocol):
             self.stats.self_loops += 1
             return ()  # isolated: the attrition end-state under loss
         self.stats.non_self_loop_actions += 1
-        target_index = int(rng.integers(len(view)))
-        target = view.pop(target_index)
-        to_send: List[NodeId] = [node_id]
-        # Sample payload ids, excluding further copies of the target (the
-        # target would discard pointers to itself, leaking ids even on a
-        # lossless network).
-        candidates = [i for i, value in enumerate(view) if value != target]
-        budget = min(self.shuffle_length - 1, len(candidates))
-        for _ in range(budget):
-            pick = int(rng.integers(len(candidates)))
-            index = candidates.pop(pick)
-            to_send.append(view[index])
-            # Keep candidate indices valid: remove by swap with the last
-            # occupied slot, then fix up any candidate pointing at it.
-            last = len(view) - 1
-            view[index] = view[last]
-            view.pop()
-            for c, cand in enumerate(candidates):
-                if cand == last:
-                    candidates[c] = index
+        target = view.pop(int(rng.integers(len(view))))
+        # The payload excludes further copies of the target (the target
+        # would discard pointers to itself, leaking ids even on a lossless
+        # network).
+        to_send = [node_id] + self._take(view, self.shuffle_length - 1, target, rng)
         self.stats.messages_sent += 1
         message = Message(
             sender=node_id,
@@ -105,23 +75,9 @@ class ShuffleProtocol(GossipProtocol):
         self.stats.deliveries += 1
         received = [v for v, _ in message.payload]
         if message.kind == KIND_REQUEST:
-            # Sample the reply excluding pointers to the requester, which it
-            # would discard (see initiate_effects for the symmetric exclusion).
-            reply_ids: List[NodeId] = []
-            candidates = [
-                i for i, value in enumerate(view) if value != message.sender
-            ]
-            budget = min(len(received), len(candidates))
-            for _ in range(budget):
-                pick = int(rng.integers(len(candidates)))
-                index = candidates.pop(pick)
-                reply_ids.append(view[index])
-                last = len(view) - 1
-                view[index] = view[last]
-                view.pop()
-                for c, cand in enumerate(candidates):
-                    if cand == last:
-                        candidates[c] = index
+            # The reply excludes pointers to the requester, which it would
+            # discard (see initiate_effects for the symmetric exclusion).
+            reply_ids = self._take(view, len(received), message.sender, rng)
             self._absorb(message.target, received)
             if not reply_ids:
                 return ()
@@ -150,15 +106,6 @@ class ShuffleProtocol(GossipProtocol):
                 self.stats.deletions += 1
                 continue
             view.append(value)
-
-    # -- observation -------------------------------------------------------
-
-    def view_of(self, node_id: NodeId) -> Counter:
-        return Counter(self._views[node_id])
-
-    def total_edges(self) -> int:
-        """System-wide id count — the attrition signal under loss."""
-        return sum(len(view) for view in self._views.values())
 
     def isolated_count(self) -> int:
         """Nodes with empty views (fully starved by loss)."""

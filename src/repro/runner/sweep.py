@@ -10,8 +10,8 @@ grid → checkpoint hits → **one dispatch loop** → ordered results.
 * **seed derivation** — per-cell seeds come from
   ``numpy.random.SeedSequence(seed).spawn(...)`` by default, so they
   depend only on the cell's grid position, never on scheduling; an
-  experiment that must preserve a historical derivation (e.g. the legacy
-  ``seed + replication``) passes ``seed_fn`` instead;
+  experiment with its own derivation (e.g. ``seed + replication``) passes
+  ``seed_fn`` instead;
 * **execution** — one loop submits cells to a stdlib
   :class:`concurrent.futures.Executor` and settles them as they finish.
   ``executor`` names which one: ``"process"``
@@ -25,10 +25,7 @@ grid → checkpoint hits → **one dispatch loop** → ordered results.
   a command that runs thirteen sweeps forks ``jobs`` workers once;
 * **ordered collection** — results are returned in grid order regardless
   of completion order, which is what makes every executor, at any
-  parallelism, bit-identical for pure workers;
-* **hooks** — an optional ``progress`` callback fires per settled cell
-  (in completion order) and a ``repro.runner`` logger records timing.  A
-  hook that raises is logged at WARNING and never aborts the sweep.
+  parallelism, bit-identical for pure workers.
 
 The paper this repository reproduces is about correctness *under loss*;
 the runner applies the same stance to its own execution, and because
@@ -109,10 +106,6 @@ LOGGER = logging.getLogger("repro.runner")
 
 #: Signature of a sweep worker: ``worker(cell, context) -> result``.
 SweepWorker = Callable[["GridCell", Any], Any]
-
-#: Signature of the per-completion progress hook:
-#: ``progress(cell, result, done, total)``.
-ProgressHook = Callable[["GridCell", Any, int, int], None]
 
 #: Valid ``on_error`` policies.
 ON_ERROR_POLICIES = ("raise", "retry", "skip")
@@ -287,9 +280,6 @@ class SweepRunner:
         jobs: worker parallelism; ``None`` or ``<= 1`` selects the inline
             executor under ``executor="auto"``.  (Use :func:`default_jobs`
             for "all the machine".)
-        progress: optional per-settled-cell hook
-            ``progress(cell, result, done, total)``; exceptions it raises
-            are logged and swallowed.
         on_error: ``"raise"`` fails fast on the first worker error;
             ``"retry"`` retries each failing cell up to ``max_retries``
             times and raises if it still fails; ``"skip"`` retries
@@ -327,7 +317,6 @@ class SweepRunner:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        progress: Optional[ProgressHook] = None,
         *,
         on_error: str = "raise",
         max_retries: int = 2,
@@ -349,7 +338,6 @@ class SweepRunner:
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         self.jobs = 1 if jobs is None else max(1, int(jobs))
-        self.progress = progress
         self.on_error = on_error
         self.max_retries = max_retries
         self.backoff_base = max(0.0, backoff_base)
@@ -474,7 +462,7 @@ class SweepRunner:
         stats = self.last_stats
         return {
             "total": stats.total,
-            "done": self._settled(),
+            "done": stats.resumed + stats.completed + stats.skipped,
             "completed": stats.completed,
             "resumed": stats.resumed,
             "retries": stats.retries,
@@ -577,7 +565,6 @@ class SweepRunner:
             if tel.tracing_on:
                 tel.event("checkpoint.hit", index=cell.index)
                 self._emit_cell_end(cell, "resumed", 0.0)
-            self._notify(cell, value)
         return to_run
 
     # -- the dispatch loop ---------------------------------------------
@@ -706,15 +693,13 @@ class SweepRunner:
         state = states[cell.index]
         state.elapsed += time.monotonic() - state.submitted
         if failure is not None:
-            if self._handle_failure(cell, failure, state, waiting):
-                self._notify(cell, None)
+            self._handle_failure(cell, failure, state, waiting)
             return
         if isinstance(result, MeteredResult):
             self._worker_metrics[cell.index] = result.metrics
             result = result.value
         self._record_success(cell, result, results, keys)
         self._emit_cell_end(cell, "ok", state.elapsed)
-        self._notify(cell, result)
 
     @staticmethod
     def _wait_timeout(
@@ -759,7 +744,6 @@ class SweepRunner:
                 pending.append(cell)
             elif self.on_error == "skip":
                 self._skip(cell, state)
-                self._notify(cell, None)
             else:
                 raise SweepError(cell, crash, attempts=state.charged()) from crash
         inflight.clear()
@@ -812,34 +796,17 @@ class SweepRunner:
                 f"cell {cell.index} (point={cell.point!r}) exceeded "
                 f"cell_timeout={deadline}s"
             )
-            if self._handle_failure(cell, exc, state, waiting):
-                self._notify(cell, None)
+            self._handle_failure(cell, exc, state, waiting)
         inflight.clear()
         return True
 
     # -- per-cell settlement policy ------------------------------------
-
-    def _settled(self) -> int:
-        """Cells settled so far (resumed + completed + skipped)."""
-        stats = self.last_stats
-        return stats.resumed + stats.completed + stats.skipped
 
     def _backoff_delay(self, failed_attempts: int) -> float:
         if self.backoff_base <= 0.0:
             return 0.0
         delay = self.backoff_base * BACKOFF_FACTOR ** (failed_attempts - 1)
         return min(delay, BACKOFF_MAX)
-
-    def _notify(self, cell: GridCell, result: Any) -> None:
-        if self.progress is None:
-            return
-        try:
-            self.progress(cell, result, self._settled(), self.last_stats.total)
-        except Exception:
-            LOGGER.warning(
-                "progress hook raised for cell %d; continuing the sweep",
-                cell.index, exc_info=True,
-            )
 
     def _record_success(
         self,
@@ -877,10 +844,9 @@ class SweepRunner:
         exc: BaseException,
         state: _CellState,
         waiting: _RetryHeap,
-    ) -> bool:
-        """Bookkeep one failed execution.  True when the cell is settled
-        (skipped); False when it was pushed onto the ``waiting`` retry
-        heap.  Raises :class:`SweepError` per policy."""
+    ) -> None:
+        """Bookkeep one failed execution: push the cell onto the ``waiting``
+        retry heap, skip it, or raise :class:`SweepError`, per policy."""
         state.attempts += 1
         state.errors.append(repr(exc))
         if self.on_error == "raise":
@@ -900,8 +866,7 @@ class SweepRunner:
                 cell.index, state.attempts, self.max_retries + 1, exc, delay,
             )
             heapq.heappush(waiting, (time.monotonic() + delay, cell.index, cell))
-            return False
+            return
         if self.on_error == "retry":
             raise SweepError(cell, exc, attempts=state.charged()) from exc
         self._skip(cell, state)
-        return True

@@ -53,6 +53,11 @@ from repro.util.tables import format_table
 
 NodeId = int
 
+#: A killed node counts as detected when more than this fraction of live
+#: detectors call it FAILED (and a live node as a false positive, same
+#: threshold).
+FD_QUORUM = 0.5
+
 
 @dataclass
 class ClusterConfig:
@@ -94,11 +99,6 @@ class ClusterConfig:
     failure_detection: bool = False
     suspect_after_s: float = 1.5
     fail_after_s: float = 0.75
-    fd_piggyback: int = 64
-    #: A killed node counts as detected when more than this fraction of
-    #: live detectors call it FAILED (and a live node as a false
-    #: positive, same threshold).
-    fd_quorum: float = 0.5
 
     def params(self) -> SFParams:
         return SFParams(view_size=self.view_size, d_low=self.d_low)
@@ -136,7 +136,6 @@ class ClusterNode:
                 config=DetectorConfig(
                     suspect_after=cfg.suspect_after_s,
                     fail_after=cfg.fail_after_s,
-                    piggyback_limit=cfg.fd_piggyback,
                 ),
                 incarnation=incarnation,
             )
@@ -589,7 +588,7 @@ class LocalCluster:
     def detection_verdict(self) -> Tuple[List[NodeId], List[NodeId], List[NodeId]]:
         """``(detected, missed, false_positives)`` under the quorum rule.
 
-        A killed id is *detected* when more than ``fd_quorum`` of live
+        A killed id is *detected* when more than ``FD_QUORUM`` of live
         detectors call it FAILED; a live id with the same level of FAILED
         votes among its peers is a *false positive*.
         """
@@ -598,7 +597,6 @@ class LocalCluster:
         ]
         if not detectors:
             return [], list(sorted(self.killed)), []
-        quorum = self.config.fd_quorum
         detected: List[NodeId] = []
         missed: List[NodeId] = []
         for victim in sorted(self.killed):
@@ -607,7 +605,7 @@ class LocalCluster:
                 for node in detectors
                 if node.detector.state_of(victim) is PeerState.FAILED
             )
-            (detected if votes > quorum * len(detectors) else missed).append(victim)
+            (detected if votes > FD_QUORUM * len(detectors) else missed).append(victim)
         false_positives: List[NodeId] = []
         for node in detectors:
             peers = [d for d in detectors if d.node_id != node.node_id]
@@ -618,7 +616,7 @@ class LocalCluster:
                 for peer in peers
                 if peer.detector.state_of(node.node_id) is PeerState.FAILED
             )
-            if votes > quorum * len(peers):
+            if votes > FD_QUORUM * len(peers):
                 false_positives.append(node.node_id)
         return detected, missed, sorted(false_positives)
 

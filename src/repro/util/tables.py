@@ -66,19 +66,18 @@ def format_histogram(
     pmf: Mapping[int, float],
     title: str = "",
     width: int = 40,
-    min_probability: float = 5e-4,
 ) -> str:
     """Render a pmf as an ASCII bar chart — the text analogue of a figure.
 
-    Bars are scaled to the modal probability; outcomes below
-    ``min_probability`` at both tails are trimmed for readability.
+    Bars are scaled to the modal probability; outcomes below 5e-4 at both
+    tails are trimmed for readability.
     """
     if not pmf:
         raise ValueError("cannot render an empty distribution")
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     outcomes = sorted(pmf)
-    visible = [x for x in outcomes if pmf[x] >= min_probability]
+    visible = [x for x in outcomes if pmf[x] >= 5e-4]
     if visible:
         low, high = visible[0], visible[-1]
         outcomes = [x for x in outcomes if low <= x <= high]

@@ -1,12 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import multiprocessing
 import os
+import re
+import socket
 import subprocess
 import sys
 
 import pytest
 
+import repro.experiments.common
+import repro.runtime
+from repro import obs
 from repro.cli import build_parser, main
 from repro.experiments import registry
 
@@ -334,3 +340,105 @@ class TestTelemetryFlags:
             for slug in ("fig-6_1", "table-6_3")
         )
         assert combined["counters"]["sweep.completed"] == total
+
+
+class Boom(Exception):
+    """Raised by a command body after it has done its real work."""
+
+
+#: Per command whose lifetime ``cli._telemetry`` owns: a small invocation,
+#: and the (module, function) its body runs through.
+LIFETIMES = {
+    "run": (
+        ["run", "fig-6.1", "--fast", "--jobs", "2", "--metrics-port", "0"],
+        (registry, "execute"),
+    ),
+    "report": (
+        ["report", "fig-6.1", "table-6.3", "--fast", "--jobs", "2",
+         "--metrics-port", "0"],
+        (registry, "execute"),
+    ),
+    "simulate": (
+        ["simulate", "--nodes", "60", "--view-size", "12", "--d-low", "2",
+         "--rounds", "5"],
+        (repro.experiments.common, "build_sf_system"),
+    ),
+    "cluster": (
+        ["cluster", "--n", "8", "--duration", "0.3", "--seed", "1"],
+        (repro.runtime, "run_cluster"),
+    ),
+}
+
+
+class TestTelemetryLifetime:
+    """Whatever the command and however its body ends, nothing it opened
+    for telemetry outlives ``main``."""
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["clean", "raising"])
+    @pytest.mark.parametrize("command", sorted(LIFETIMES))
+    def test_nothing_outlives_the_command(
+        self, command, fails, tmp_path, capsys, monkeypatch
+    ):
+        argv, (module, name) = LIFETIMES[command]
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+        argv = [*argv, "--trace", str(trace), "--metrics-out", str(metrics)]
+        if command == "report":
+            argv += ["--output", str(tmp_path / "report")]
+        tracers = []
+
+        class SpiedTracer(obs.Tracer):
+            def __init__(self, path):
+                super().__init__(path)
+                tracers.append(self)
+
+        monkeypatch.setattr(obs, "Tracer", SpiedTracer)
+        if fails:
+            real = getattr(module, name)
+
+            def failing(*args, **kwargs):
+                real(*args, **kwargs)
+                raise Boom
+
+            monkeypatch.setattr(module, name, failing)
+            with pytest.raises(Boom):
+                main(argv)
+        else:
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+
+        assert not obs.get_telemetry().active
+        assert multiprocessing.active_children() == []
+        # The trace is whole and closed: nothing can be appended to it.
+        (tracer,) = tracers
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(records) == tracer.records_written
+        tracer.emit("late")
+        assert len(trace.read_text().splitlines()) == len(records)
+        # Summary and --metrics-out are for runs that ended cleanly.
+        assert metrics.exists() == (not fails)
+        assert ("telemetry: cells=" in captured.out) == (not fails)
+        announced = re.search(r"http://127\.0\.0\.1:(\d+)/metrics", captured.err)
+        assert (announced is not None) == ("--metrics-port" in argv)
+        if announced:
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(
+                    ("127.0.0.1", int(announced.group(1))), timeout=1.0
+                ).close()
+
+    def test_run_is_report_of_one(self, tmp_path, capsys):
+        assert main([
+            "run", "table-6.3", "--fast", "--artifacts-dir", str(tmp_path / "run"),
+        ]) == 0
+        assert main([
+            "report", "table-6.3", "--fast", "--output", str(tmp_path / "report"),
+        ]) == 0
+        capsys.readouterr()
+        assert (
+            (tmp_path / "run" / "table-6_3.txt").read_bytes()
+            == (tmp_path / "report" / "table-6_3.txt").read_bytes()
+        )
+        envelopes = [
+            json.loads((tmp_path / side / "table-6_3.json").read_text())
+            for side in ("run", "report")
+        ]
+        assert envelopes[0]["result"] == envelopes[1]["result"]

@@ -2,6 +2,7 @@
 
 import asyncio
 import socket
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +65,7 @@ class TestUdp:
             )
             sender = await AsyncioUdpTransport.create(lambda *a: None)
             message = Message(sender=1, target=2, payload=[(1, True)], kind="sandf")
-            sender.send_record(message, receiver.address, timestamp=0.0)
+            sender.send_record(message, receiver.address, timestamp=time.monotonic())
             await asyncio.sleep(0.05)
             sender.close()
             receiver.close()
@@ -220,9 +221,8 @@ HOSTILE_DATAGRAMS = [
     b'{"v":true,"t":"init","n":1}',
     b'{"v":2,"t":"init","n":1}',
 ]
-VALID_MESSAGE = encode(
-    Message(sender=1, target=2, payload=[(1, False)], kind="sandf"), timestamp=0.0
-)
+MESSAGE = Message(sender=1, target=2, payload=[(1, False)], kind="sandf")
+VALID_MESSAGE = encode(MESSAGE)  # the ledger scenario stamps it at send time
 VALID_JOIN = encode(JoinRequest(node=1, port=9))  # refused by the filter below
 
 
@@ -257,6 +257,8 @@ class TestLedger:
             raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
                 for datagram in plan:
+                    if datagram == VALID_MESSAGE:
+                        datagram = encode(MESSAGE, timestamp=time.monotonic())
                     raw.sendto(datagram, receiver.address)
                     await asyncio.sleep(0)  # drain as we go: no kernel-buffer loss
                 for _ in range(200):
@@ -277,7 +279,9 @@ class TestLedger:
         hostile = sum(datagram in HOSTILE_DATAGRAMS for datagram in plan)
         assert receiver.decode_errors >= hostile  # random bytes add their own
         assert len(inbox) == receiver.delivered
-        assert len(receiver.latency_samples) == receiver.delivered  # finite, all of them
+        # Every honest stamp is sampled, and lies between zero and the run.
+        assert len(receiver.latency_samples) == receiver.delivered
+        assert all(0.0 <= sample < 60.0 for sample in receiver.latency_samples)
         if drop_rate == 0.0:
             assert receiver.delivered == plan.count(VALID_MESSAGE)
             assert receiver.filtered == plan.count(VALID_JOIN)
@@ -304,3 +308,36 @@ class TestLedger:
         receiver = run(scenario())
         assert (receiver.datagrams_received, receiver.decode_errors) == (2, 1)
         assert receiver.delivered == 1
+
+
+class TestTimestampAdmission:
+    def test_impossible_timestamps_are_delivered_but_not_sampled(self):
+        """A finite ``ts`` from before the socket existed, or from the
+        future, is still the sender's word only: the record is delivered,
+        the latency percentiles never see it."""
+
+        async def scenario():
+            inbox = []
+            receiver = await AsyncioUdpTransport.create(
+                lambda record, ts, addr: inbox.append(record)
+            )
+            raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                raw.sendto(encode(MESSAGE, timestamp=-1e300), receiver.address)
+                raw.sendto(
+                    encode(MESSAGE, timestamp=time.monotonic() + 3600.0),
+                    receiver.address,
+                )
+                for _ in range(200):
+                    if receiver.datagrams_received == 2:
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                raw.close()
+                receiver.close()
+            return inbox, receiver
+
+        inbox, receiver = run(scenario())
+        assert inbox == [MESSAGE, MESSAGE]
+        assert (receiver.delivered, receiver.decode_errors) == (2, 0)
+        assert list(receiver.latency_samples) == []

@@ -323,6 +323,13 @@ HOSTILE = {
     "retired init tag": b'{"t":"init","n":1,"v":1,"ts":-1e+300}',
     "retired dlvr tag": b'{"t":"dlvr","m":{"s":3,"d":5,"k":"k","p":[[3,0]]},"v":1}',
     "retired send tag": b'{"t":"send","m":{"s":3,"d":5,"k":"k","p":[[3,0]]},"r":1,"v":1}',
+    # A port nobody can sendto(): OverflowError there closes the *sender's*
+    # asyncio socket, so it must die in the decoder.
+    "join port beyond 65535": b'{"t":"join","n":5,"port":99999,"v":1}',
+    "join port zero": b'{"t":"join","n":5,"port":0,"v":1}',
+    "boolean join port": b'{"t":"join","n":5,"port":true,"v":1}',
+    "fractional join port": b'{"t":"join","n":5,"port":1.5,"v":1}',
+    "address-book port beyond 65535": b'{"t":"wlcm","n":1,"b":[2],"a":{"2":99999},"v":1}',
     "boolean version": b'{"v":true,"t":"join","n":1,"port":1}',
     "float version": b'{"v":1.0,"t":"join","n":1,"port":1}',
 }

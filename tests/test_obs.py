@@ -132,17 +132,6 @@ class TestTelemetry:
             assert get_telemetry().active
         assert not get_telemetry().active
 
-    def test_configure_and_reset(self, tmp_path):
-        tel = obs.configure(metrics=True, trace_path=tmp_path / "t.jsonl")
-        try:
-            assert get_telemetry() is tel
-            assert tel.metrics_on and tel.tracing_on
-        finally:
-            obs.reset()
-        assert not get_telemetry().active
-        # reset closed the tracer: the meta record is on disk
-        assert (tmp_path / "t.jsonl").read_text().count("trace.meta") == 1
-
     def test_phase_records_timer_and_event(self, tmp_path):
         registry = Registry()
         tracer = Tracer(tmp_path / "t.jsonl")
@@ -182,13 +171,10 @@ class TestDeterminism:
     def test_simulation_bit_identical_with_telemetry(self, tmp_path):
         cell = GridCell(index=0, point=None, replication=0, seed=1234)
         plain = _simulate_cell(cell, None)
-        tel = obs.configure(
-            metrics=True, trace_path=tmp_path / "t.jsonl"
-        )
-        try:
+        tel = Telemetry(Registry(), Tracer(tmp_path / "t.jsonl"))
+        with activated(tel):
             with_telemetry = _simulate_cell(cell, None)
-        finally:
-            obs.reset()
+        tel.tracer.close()
         assert plain == with_telemetry
         assert tel.registry.counter("engine.actions") == 200
 

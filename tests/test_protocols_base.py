@@ -2,13 +2,23 @@
 
 import inspect
 import typing
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.net import loss, wire
-from repro.protocols.base import GossipProtocol, Message, ProtocolStats
+from repro.protocols import PushPullProtocol
+from repro.protocols.base import (
+    GossipProtocol,
+    ListViewProtocol,
+    Message,
+    ProtocolStats,
+)
+from repro.util.rng import make_rng
 
 from conftest import build_system
 
@@ -86,3 +96,66 @@ class TestEngineLoadCounters:
         engine.run_rounds(40)
         received, sent = map(engine.load_counts, ("received", "sent"))
         assert sum(received.values()) < sum(sent.values())
+
+
+class CountingRng:
+    """A seeded generator that counts its ``integers`` draws."""
+
+    def __init__(self, seed):
+        self._rng = make_rng(seed)
+        self.draws = 0
+
+    def integers(self, high):
+        self.draws += 1
+        return self._rng.integers(high)
+
+
+ids = st.integers(0, 6)
+
+
+class TestListView:
+    """The two randomized list operations the §3.1 baselines are written in."""
+
+    @given(
+        view=st.lists(ids, max_size=12),
+        count=st.integers(0, 14),
+        excluded=ids,
+        seed=st.integers(0, 2**16),
+    )
+    def test_take_removes_what_it_returns(self, view, count, excluded, seed):
+        original = Counter(view)
+        candidates = sum(1 for value in view if value != excluded)
+        rng = CountingRng(seed)
+        taken = ListViewProtocol._take(view, count, excluded, rng)
+        assert len(taken) == min(count, candidates) == rng.draws
+        assert excluded not in taken
+        assert not Counter(taken) - original  # a sub-multiset of the view
+        assert Counter(view) == original - Counter(taken)
+
+    @given(
+        view_size=st.integers(2, 6),
+        bootstrap=st.lists(ids, max_size=6),
+        values=st.lists(ids, max_size=20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_insert_keeps_the_view_bounded(self, view_size, bootstrap, values, seed):
+        node = 0
+        protocol = PushPullProtocol(view_size)
+        protocol.add_node(node, [v for v in bootstrap if v != node][:view_size])
+        rng = CountingRng(seed)
+        for value in values:
+            before = list(protocol._views[node])
+            draws, deletions = rng.draws, protocol.stats.deletions
+            protocol._insert(node, value, rng)
+            after = protocol._views[node]
+            full = len(before) == view_size
+            evicted = value != node and full
+            assert rng.draws - draws == protocol.stats.deletions - deletions == evicted
+            assert len(after) <= view_size and node not in after
+            if value == node:
+                assert after == before
+            elif full:  # one entry overwritten in place
+                assert sum(a != b for a, b in zip(after, before)) <= 1
+                assert value in after
+            else:
+                assert after == before + [value]

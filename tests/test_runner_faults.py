@@ -485,19 +485,6 @@ class TestCheckpointStore:
         runner.run(_pure, [1, 2], seed=9)  # different base seed
         assert runner.last_stats.resumed == 0
 
-    def test_progress_fires_for_resumed_cells(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        SweepRunner(checkpoint=store).run(_pure, [1, 2], seed=8)
-        seen = []
-        runner = SweepRunner(
-            checkpoint=CheckpointStore(tmp_path),
-            progress=lambda cell, result, done, total: seen.append(
-                (cell.index, done, total)
-            ),
-        )
-        runner.run(_pure, [1, 2], seed=8)
-        assert [(d, t) for _, d, t in seen] == [(1, 2), (2, 2)]
-
     def test_failed_cells_are_not_journaled(self, tmp_path):
         store = CheckpointStore(tmp_path)
         runner = SweepRunner(

@@ -102,32 +102,6 @@ class TestExecution:
         assert info.value.cell.point == "bad"
         assert info.value.cell.index == 1
 
-    def test_progress_hook(self):
-        calls = []
-        runner = SweepRunner(
-            jobs=1, progress=lambda cell, result, done, total: calls.append(
-                (cell.index, result, done, total)
-            )
-        )
-        runner.run(_square, [1, 2, 3], seed=None)
-        assert [(c[2], c[3]) for c in calls] == [(1, 3), (2, 3), (3, 3)]
-        assert {c[0] for c in calls} == {0, 1, 2}
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_progress_hook_exception_does_not_abort(self, executor, caplog):
-        import logging
-
-        def hostile(cell, result, done, total):
-            raise RuntimeError("hook exploded")
-
-        with caplog.at_level(logging.WARNING, logger="repro.runner"):
-            out = SweepRunner(jobs=2, executor=executor, progress=hostile).run(
-                _square, [1, 2, 3], seed=None
-            )
-        assert out == [1, 4, 9]  # the sweep completed anyway
-        hook_warnings = [r for r in caplog.records if "progress hook" in r.message]
-        assert len(hook_warnings) == 3
-
     def test_default_jobs_bounds(self):
         assert 1 <= default_jobs() <= 8
 

@@ -434,3 +434,31 @@ class TestHostileDatagrams:
         transport = node.transport
         assert (transport.delivered, len(transport.latency_samples)) == (0, 0)
         assert transport.decode_errors == 1
+
+    def test_unroutable_join_port_reaches_no_address_book(self):
+        """At the parent the introducer filed port 99999 under id 5; the
+        next node to gossip to 5 raised ``OverflowError`` inside ``sendto``
+        and asyncio closed *that node's* socket."""
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6))
+            await cluster.start()
+            before = dict(cluster.address_book)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
+                attacker.sendto(
+                    HOSTILE["join port beyond 65535"], cluster.introducer_address
+                )
+            await asyncio.sleep(0.5)
+            sockets_open = [
+                not node.transport._socket.is_closing()
+                for node in cluster.nodes.values()
+            ]
+            report = cluster.report()
+            unchanged = cluster.address_book == before
+            await cluster.shutdown()
+            return sockets_open, unchanged, report
+
+        sockets_open, unchanged, report = asyncio.run(scenario())
+        assert unchanged
+        assert all(sockets_open), sockets_open
+        assert report.ok(), (report.degree_violations, report.errors)
