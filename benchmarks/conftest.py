@@ -2,8 +2,8 @@
 
 Every benchmark reproduces one figure/table of the paper (see DESIGN.md's
 experiment index), prints the corresponding rows/series, and asserts the
-paper's shape claims.  ``benchmark.pedantic(..., rounds=1)`` is used for
-the simulation-backed experiments so each heavy run executes exactly once.
+paper's shape claims.  Each runs its experiment exactly once, as a plain
+pytest test; timing is ``benchmarks/suite``'s job.
 
 :func:`emit` both prints an experiment's output (bypassing pytest's
 capture, so the tables appear in the normal benchmark run) and writes it

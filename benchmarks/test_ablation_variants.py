@@ -15,8 +15,8 @@ def run_full():
     return registry.execute("ablation")  # the full (paper-scale) preset
 
 
-def test_ablation_variants(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_ablation_variants():
+    result = run_full()
     emit("Section 5 optimizations — ablation", result.format())
 
     base = result.row("base")

@@ -15,8 +15,8 @@ def run_full():
     return registry.execute("baselines", points=baselines.points(sample_every=25))
 
 
-def test_baselines(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_baselines():
+    result = run_full()
     emit("Section 3.1 — baseline comparison under 5% loss", result.format())
 
     assert result.edge_retention("shuffle") < 0.1

@@ -14,8 +14,8 @@ def run_full():
     return registry.execute("connectivity")  # the full (paper-scale) preset
 
 
-def test_connectivity(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_connectivity():
+    result = run_full()
     emit("Section 7.4 — connectivity sizing", result.format())
 
     assert result.lookup(0.01, 0.01, 1e-30) == 26

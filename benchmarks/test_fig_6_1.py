@@ -10,10 +10,8 @@ from conftest import emit
 from repro.experiments import registry
 
 
-def test_fig_6_1(benchmark):
-    result = benchmark.pedantic(
-        registry.execute, args=("fig-6.1",), rounds=1, iterations=1
-    )
+def test_fig_6_1():
+    result = registry.execute("fig-6.1")
     emit("Figure 6.1 — degree distributions (s=90, dL=0, l=0, ds=90)", result.format())
 
     moments = result.moments()

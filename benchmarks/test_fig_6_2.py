@@ -10,10 +10,8 @@ from conftest import emit
 from repro.experiments import registry
 
 
-def test_fig_6_2(benchmark):
-    result = benchmark.pedantic(
-        registry.execute, args=("fig-6.2",), rounds=1, iterations=1
-    )
+def test_fig_6_2():
+    result = registry.execute("fig-6.2")
     emit("Figure 6.2 — degree-MC transition structure", result.format())
 
     assert result.atomic_preserve_sum_degree()

@@ -13,8 +13,8 @@ def run_full():
     return registry.execute("lemma-6.6")  # the full (paper-scale) preset
 
 
-def test_lemma_6_6_and_6_7(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_lemma_6_6_and_6_7():
+    result = run_full()
     emit("Lemmas 6.6/6.7 — dup/del/loss balance", result.format())
 
     assert result.max_residual() < 0.01, "Lemma 6.6 residual too large"

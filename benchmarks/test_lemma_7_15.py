@@ -17,8 +17,8 @@ def run_both():
     return bundle.bounds, bundle.decay
 
 
-def test_lemma_7_15(benchmark):
-    bounds, decay = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_lemma_7_15():
+    bounds, decay = run_both()
     emit(
         "Lemma 7.15 — temporal independence",
         bounds.format() + "\n\n" + decay.format(),

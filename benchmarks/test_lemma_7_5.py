@@ -20,8 +20,8 @@ def run_all():
     )
 
 
-def test_lemma_7_5(benchmark):
-    simple, multi, lossy = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_lemma_7_5():
+    simple, multi, lossy = run_all()
     emit(
         "Lemmas 7.1-7.5 — exact global Markov chains",
         "\n".join([simple.format(), multi.format(), lossy.format()]),

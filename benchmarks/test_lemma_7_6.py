@@ -14,8 +14,8 @@ def run_both():
     return bundle.exact, bundle.empirical
 
 
-def test_lemma_7_6(benchmark):
-    exact, empirical = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_lemma_7_6():
+    exact, empirical = run_both()
     emit(
         "Lemma 7.6 — membership uniformity",
         exact.format() + "\n\n" + empirical.format(),

@@ -15,8 +15,8 @@ def run_full():
     return registry.execute("lemma-7.9")  # the full (paper-scale) preset
 
 
-def test_lemma_7_9(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_lemma_7_9():
+    result = run_full()
     emit(
         "Lemma 7.9 — spatial independence under loss",
         result.format() + "\n\n" + independence_exp.bound_table(),

@@ -13,8 +13,8 @@ def run_full():
     return registry.execute("load-balance")  # the full (paper-scale) preset
 
 
-def test_load_balance(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_load_balance():
+    result = run_full()
     emit("Property M2 — load balance from adversarial topologies", result.format())
 
     hubs = result.variance_curves["hubs"]

@@ -10,10 +10,8 @@ from conftest import emit
 from repro.experiments import registry
 
 
-def test_loss_sweep(benchmark):
-    result = benchmark.pedantic(
-        registry.execute, args=("loss-sweep",), rounds=1, iterations=1
-    )
+def test_loss_sweep():
+    result = registry.execute("loss-sweep")
     emit("Lemma 6.4 — loss sweep / operating envelope", result.format())
 
     outdegrees = result.outdegrees()

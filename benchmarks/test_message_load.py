@@ -8,18 +8,17 @@ disproportionate share of traffic.
 
 from conftest import emit
 
-from repro.experiments import registry
+from repro.experiments import message_load, registry
 
 
 def run_full():
-    (full,) = registry.get("message-load").grid(False)
     return registry.execute(
-        "message-load", points=[{**full, "measure_rounds": 250}]
+        "message-load", points=message_load.points(measure_rounds=250)
     )
 
 
-def test_message_load(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_message_load():
+    result = run_full()
     emit("Property M2 (operational) — message load vs indegree", result.format())
 
     assert result.correlation > 0.25

@@ -14,8 +14,8 @@ def run_full():
     return registry.execute("mixing-exact")  # the full (paper-scale) preset
 
 
-def test_mixing_exact(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_mixing_exact():
+    result = run_full()
     emit("Section 7.5 — exact τε / conductance validation", result.format())
 
     assert result.tau_epsilon <= result.worst_case_mixing + 1e-9

@@ -10,10 +10,8 @@ from conftest import emit
 from repro.experiments import parameter_sweep, registry
 
 
-def test_parameter_sweep(benchmark):
-    result = benchmark.pedantic(
-        registry.execute, args=("parameter-sweep",), rounds=1, iterations=1
-    )
+def test_parameter_sweep():
+    result = registry.execute("parameter-sweep")
     emit("Section 6.3 — (dL, s) sensitivity", result.format())
 
     for view_size in (32, 40, 48):

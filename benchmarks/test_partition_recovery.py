@@ -15,8 +15,8 @@ def run_full():
     return registry.execute("partition-recovery")  # the full (paper-scale) preset
 
 
-def test_partition_recovery(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_partition_recovery():
+    result = run_full()
     emit("Partition tolerance — the id half-life window", result.format())
 
     survivals = [row.survival_measured for row in result.rows]

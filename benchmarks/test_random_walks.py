@@ -17,8 +17,8 @@ def run_full():
     return registry.execute("random-walks")  # the full (paper-scale) preset
 
 
-def test_random_walks(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_random_walks():
+    result = run_full()
     emit("Section 3.1 — random walks vs gossip sampling", result.format())
 
     for loss, measured, predicted in result.success_rows:

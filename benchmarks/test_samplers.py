@@ -15,8 +15,8 @@ def run_full():
     return registry.execute("samplers")  # the full (paper-scale) preset
 
 
-def test_samplers(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_samplers():
+    result = run_full()
     emit("Section 3.1 — Brahms-style samplers vs evolving views", result.format())
 
     # Uniformity: final TVD near the finite-sample floor (~0.14 for

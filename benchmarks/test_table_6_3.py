@@ -5,10 +5,8 @@ from conftest import emit
 from repro.experiments import registry
 
 
-def test_table_6_3(benchmark):
-    result = benchmark.pedantic(
-        registry.execute, args=("table-6.3",), rounds=1, iterations=1
-    )
+def test_table_6_3():
+    result = registry.execute("table-6.3")
     emit("Section 6.3 — threshold selection sweep", result.format())
 
     selection = result.lookup(30, 0.01)

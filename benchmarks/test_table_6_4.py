@@ -13,15 +13,9 @@ from repro.util.tables import format_table
 PAPER = {0.0: (28.0, 3.4), 0.01: (27.0, 3.6), 0.05: (24.0, 4.1), 0.1: (23.0, 4.3)}
 
 
-def test_table_6_4(benchmark):
+def test_table_6_4():
     # The fast preset is the MC-only table (no simulation overlay).
-    result = benchmark.pedantic(
-        registry.execute,
-        args=("fig-6.3",),
-        kwargs={"fast": True},
-        rounds=1,
-        iterations=1,
-    )
+    result = registry.execute("fig-6.3", fast=True)
 
     rows = []
     for row in result.rows:

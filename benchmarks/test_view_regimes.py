@@ -15,8 +15,8 @@ def run_full():
     return registry.execute("view-regimes")  # the full (paper-scale) preset
 
 
-def test_view_regimes(benchmark):
-    result = benchmark.pedantic(run_full, rounds=1, iterations=1)
+def test_view_regimes():
+    result = run_full()
     emit("Property M1 — constant vs logarithmic views", result.format())
 
     for row in result.rows:

@@ -38,6 +38,21 @@ from repro.core.params import SFParams
 # ----------------------------------------------------------------------
 
 
+class _Rejected(Exception):
+    """A command-line value the command cannot use (exit status 2)."""
+
+
+@contextmanager
+def _rejecting():
+    """Report the ``ValueError`` of a constructor fed command-line values
+    as a rejected value.  Wrap the construction only: a ``ValueError``
+    raised while the command *runs* must surface as what it is."""
+    try:
+        yield
+    except ValueError as error:
+        raise _Rejected(str(error)) from None
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments import registry
 
@@ -74,13 +89,14 @@ def _make_runner(args: argparse.Namespace):
     checkpoint = None
     if args.checkpoint_dir:
         checkpoint = CheckpointStore(args.checkpoint_dir)
-    return SweepRunner(
-        jobs=_resolve_jobs(args.jobs),
-        on_error=args.on_error,
-        cell_timeout=args.cell_timeout,
-        checkpoint=checkpoint,
-        executor=args.executor,
-    )
+    with _rejecting():
+        return SweepRunner(
+            jobs=_resolve_jobs(args.jobs),
+            on_error=args.on_error,
+            cell_timeout=args.cell_timeout,
+            checkpoint=checkpoint,
+            executor=args.executor,
+        )
 
 
 def _write_json(path, obj) -> None:
@@ -275,19 +291,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.metrics.degrees import degree_summary
     from repro.metrics.graph_stats import graph_statistics
 
-    params = SFParams(view_size=args.view_size, d_low=args.d_low)
+    with _rejecting():
+        params = SFParams(view_size=args.view_size, d_low=args.d_low)
     if params.default_bootstrap_degree >= args.nodes:
         print("need more nodes than the bootstrap outdegree", file=sys.stderr)
         return 2
+    if args.rounds < 0:
+        raise _Rejected(f"--rounds must be nonnegative, got {args.rounds}")
     with _telemetry(args):
-        protocol, engine = build_sf_system(
-            args.nodes,
-            params,
-            loss_rate=args.loss,
-            seed=args.seed,
-            backend=args.backend,
-            shard_workers=getattr(args, "shard_workers", None),
-        )
+        with _rejecting():
+            protocol, engine = build_sf_system(
+                args.nodes,
+                params,
+                loss_rate=args.loss,
+                seed=args.seed,
+                backend=args.backend,
+                shard_workers=getattr(args, "shard_workers", None),
+            )
         try:
             engine.run_rounds(args.rounds)
             protocol.check_invariant()
@@ -317,6 +337,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Run a set of experiments, archiving text and JSON per experiment."""
     from repro.experiments import registry
 
+    if not args.output:
+        raise _Rejected("--output needs a directory name")
     names = args.experiments or registry.names()
     return _run_specs(names, args, args.output, banner=True)
 
@@ -385,11 +407,12 @@ def _cmd_size(args: argparse.Namespace) -> int:
     from repro.analysis.connectivity import min_d_low_for_connectivity
     from repro.core.thresholds import select_thresholds
 
-    selection = select_thresholds(args.target_degree, args.delta)
+    with _rejecting():
+        selection = select_thresholds(args.target_degree, args.delta)
+        required = min_d_low_for_connectivity(args.loss, args.delta, args.epsilon)
     print(f"§6.3 rule: d̂={args.target_degree}, δ={args.delta} → "
           f"dL={selection.d_low}, s={selection.view_size} "
           f"(tails {selection.low_tail:.4f}/{selection.high_tail:.4f})")
-    required = min_d_low_for_connectivity(args.loss, args.delta, args.epsilon)
     print(f"§7.4 connectivity at l={args.loss}, ε={args.epsilon:.0e}: dL ≥ {required}")
     d_low = max(selection.d_low, required)
     view_size = max(selection.view_size, d_low + 6)
@@ -641,6 +664,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         # Flush inside the try so a closed pipe surfaces here, not at exit.
         sys.stdout.flush()
+    except _Rejected as rejected:
+        print(f"repro {args.command}: error: {rejected}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader went away (``repro list | head``).  Python flushes
         # stdout again at exit; point it at devnull so that cannot raise.

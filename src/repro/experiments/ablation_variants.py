@@ -119,28 +119,22 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(n=150, warmup_rounds=120.0, measure_rounds=80.0)
-    return points()
-
-
-def _aggregate(points: List[dict], records: List[object]) -> AblationResult:
+def _aggregate(points: List[dict], records: List[VariantRow]) -> AblationResult:
     first = points[0]
-    result = AblationResult(
+    return AblationResult(
         n=first["n"],
         loss_rate=first["loss"],
         params=SFParams(view_size=first["view_size"], d_low=first["d_low"]),
+        rows=list(records),
     )
-    result.rows.extend(row for row in records if row is not None)
-    return result
 
 
 @registry.experiment(
     "ablation",
     anchor="§5 (optimization ablation)",
     description="per-variant dup/del/dependence/overhead on identical populations",
-    grid=_grid,
+    points=points,
+    fast=dict(n=150, warmup_rounds=120.0, measure_rounds=80.0),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> VariantRow:

@@ -140,14 +140,15 @@ class AdversarialLossResult:
         )
 
 
-def _grid(fast: bool) -> list:
+def points(n: int = 60, rounds: int = 150) -> List[dict]:
+    """One point per loss regime at matched nominal intensity."""
     base = {
         "view_size": 12,
         "d_low": 4,
         "rate": 0.25,
         "warm_rounds": 20,
-        "rounds": 60 if fast else 150,
-        "n": 30 if fast else 60,
+        "rounds": rounds,
+        "n": n,
     }
     return [
         dict(base, regime=regime, seed=20260808 + i)
@@ -156,13 +157,12 @@ def _grid(fast: bool) -> list:
 
 
 def _aggregate(points, records) -> AdversarialLossResult:
-    rows = [record for record in records if record is not None]
     first = points[0]
     return AdversarialLossResult(
         n=first["n"],
         view_size=first["view_size"],
         d_low=first["d_low"],
-        rows=rows,
+        rows=list(records),
     )
 
 
@@ -170,7 +170,8 @@ def _aggregate(points, records) -> AdversarialLossResult:
     "adversarial-loss",
     anchor="§4.1 loss model, adversarially violated (targeted/correlated/topology)",
     description="uniform vs targeted vs correlated vs topology-masked loss, matched intensity",
-    grid=_grid,
+    points=points,
+    fast=dict(n=30, rounds=60),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

@@ -129,10 +129,6 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(n=200, rounds=120) if fast else points()
-
-
 def _aggregate(
     points: List[dict], records: List[object]
 ) -> BaselineComparisonResult:
@@ -141,8 +137,6 @@ def _aggregate(
         n=first["n"], loss_rate=first["loss"], rounds=[]
     )
     for point, record in zip(points, records):
-        if record is None:  # cell skipped under on_error="skip"
-            continue
         name = point["protocol"]
         result.rounds = record["rounds"]
         result.edge_curves[name] = record["edges"]
@@ -156,7 +150,8 @@ def _aggregate(
     "baselines",
     anchor="§3.1 (S&F vs shuffle / push / push-pull under loss)",
     description="id attrition and dependence signals across four protocols",
-    grid=_grid,
+    points=points,
+    fast=dict(n=200, rounds=120),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> dict:

@@ -78,15 +78,9 @@ def points(
     return grid
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(simulate=not fast)
-
-
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ConnectivityResult:
     result = ConnectivityResult()
     for point, record in zip(points, records):
-        if record is None:  # cell skipped under on_error="skip"
-            continue
         if point["kind"] == "row":
             result.rows.append(record)
         else:
@@ -98,7 +92,8 @@ def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Connectivit
     "connectivity",
     anchor="§7.4 (connectivity condition / dL sizing)",
     description="minimal dL per (ℓ, δ, ε) with optional simulation spot-check",
-    grid=_grid,
+    points=points,
+    fast=dict(simulate=False),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

@@ -95,28 +95,20 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(
-            losses=(0.0, 0.05), n=200, warmup_rounds=250.0, measure_rounds=100.0
-        )
-    return points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> DupDelResult:
-    result = DupDelResult(
+def _aggregate(points: Sequence[dict], records: Sequence[BalanceRow]) -> DupDelResult:
+    return DupDelResult(
         params=SFParams(view_size=points[0]["view_size"], d_low=points[0]["d_low"]),
         delta=points[0]["delta"],
+        rows=list(records),
     )
-    result.rows.extend(row for row in records if row is not None)
-    return result
 
 
 @registry.experiment(
     "lemma-6.6",
     anchor="Lemmas 6.6/6.7 (§6.4, dup/del/loss balance)",
     description="steady-state duplication/deletion balance vs the MC prediction",
-    grid=_grid,
+    points=points,
+    fast=dict(losses=(0.0, 0.05), n=200, warmup_rounds=250.0, measure_rounds=100.0),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

@@ -25,7 +25,7 @@ for the sizing rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
@@ -123,14 +123,38 @@ def _build(point: dict, seed) -> SequentialEngine:
     return SequentialEngine(layer, UniformLoss(point["loss"]), seed=seed)
 
 
+def points(
+    n: int = 60,
+    kill: int = 10,
+    losses: Sequence[float] = (0.0, 0.05, 0.10),
+    detect_rounds: int = 150,
+) -> List[dict]:
+    """One crash wave of ``kill`` nodes per loss rate."""
+    # Dense regime on purpose: steady-state degree stays well above d_low,
+    # so p_send (and with it the liveness-rumor refresh rate) stays high.
+    base = {
+        "view_size": 24,
+        "d_low": 16,
+        "init_outdegree": 16,
+        "suspect_after": 48.0,
+        "fail_after": 24.0,
+        "piggyback": 64,
+        "warm_rounds": 20,
+        "detect_rounds": detect_rounds,
+    }
+    return [
+        dict(base, n=n, kill=kill, loss=loss, seed=20260808 + i)
+        for i, loss in enumerate(losses)
+    ]
+
+
 @registry.experiment(
     "failure-detection",
     anchor="§4.1 failure model + SWIM detection on S&F traffic",
     description="crash a wave mid-run; measure detection completeness/accuracy/latency",
-    grid=lambda fast: _grid(fast),
-    aggregate=lambda points, records: FailureDetectionResult(
-        rows=[record for record in records if record is not None]
-    ),
+    points=points,
+    fast=dict(n=30, kill=5, losses=(0.05,), detect_rounds=120),
+    aggregate=lambda points, records: FailureDetectionResult(rows=list(records)),
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> FailureDetectionRecord:
     """One crash wave: warm up, kill, keep gossiping, read the verdicts."""
@@ -177,26 +201,3 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> FailureDetectionR
         suppressed_sends=summary.get("suppressed_sends", 0),
         refutations=summary.get("refutations", 0),
     )
-
-
-def _grid(fast: bool) -> list:
-    # Dense regime on purpose: steady-state degree stays well above d_low,
-    # so p_send (and with it the liveness-rumor refresh rate) stays high.
-    base = {
-        "view_size": 24,
-        "d_low": 16,
-        "init_outdegree": 16,
-        "suspect_after": 48.0,
-        "fail_after": 24.0,
-        "piggyback": 64,
-        "warm_rounds": 20,
-        "detect_rounds": 120,
-    }
-    if fast:
-        return [
-            dict(base, n=30, kill=5, loss=0.05, seed=20260808),
-        ]
-    return [
-        dict(base, n=60, kill=10, loss=loss, detect_rounds=150, seed=20260808 + i)
-        for i, loss in enumerate((0.0, 0.05, 0.10))
-    ]

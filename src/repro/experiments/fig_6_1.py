@@ -19,7 +19,7 @@ with the analytical one, matching the paper's "more accurate" remark).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.analysis.degree_analytic import (
     analytical_indegree_distribution,
@@ -73,15 +73,17 @@ class Fig61Result:
         return "\n\n".join(blocks + [histogram, "\n".join(moment_lines)])
 
 
-def _grid(fast: bool) -> list:
-    return [{"dm": 30 if fast else 90, "view_size": None}]
+def points(dm: int = 90) -> List[dict]:
+    """The one point: sum degree ``dm`` (the paper's ``s = 90``)."""
+    return [{"dm": dm, "view_size": None}]
 
 
 @registry.experiment(
     "fig-6.1",
     anchor="Fig 6.1 / §6.2 (degree distributions)",
     description="S&F degree distributions vs the binomial reference",
-    grid=_grid,
+    points=points,
+    fast=dict(dm=30),
     aggregate=registry.single_record,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> Fig61Result:

@@ -63,7 +63,8 @@ class Fig62Result:
         )
 
 
-def _grid(fast: bool) -> list:
+def points() -> List[dict]:
+    """The one point: the schematic's small chain (both presets)."""
     return [{"view_size": 8, "d_low": 0, "loss": 0.05}]
 
 
@@ -71,7 +72,7 @@ def _grid(fast: bool) -> list:
     "fig-6.2",
     anchor="Fig 6.2 / §6.2 (degree-MC structure)",
     description="transition structure of the degree Markov chain",
-    grid=_grid,
+    points=points,
     aggregate=registry.single_record,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> Fig62Result:

@@ -107,27 +107,19 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(
-            simulate=False, simulate_n=400, simulate_rounds=(600.0, 200.0)
-        )
-    return points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Fig63Result:
-    result = Fig63Result(
-        params=SFParams(view_size=points[0]["view_size"], d_low=points[0]["d_low"])
+def _aggregate(points: Sequence[dict], records: Sequence[LossRow]) -> Fig63Result:
+    return Fig63Result(
+        params=SFParams(view_size=points[0]["view_size"], d_low=points[0]["d_low"]),
+        rows=list(records),
     )
-    result.rows.extend(row for row in records if row is not None)
-    return result
 
 
 @registry.experiment(
     "fig-6.3",
     anchor="Fig 6.3 / §6.4 in-text table",
     description="degree distributions under loss (MC, optional simulation)",
-    grid=_grid,
+    points=points,
+    fast=dict(simulate=False, simulate_n=400, simulate_rounds=(600.0, 200.0)),
     aggregate=_aggregate,
     aliases=("table-6.4",),
     backend_sensitive=True,

@@ -97,15 +97,6 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(
-            max_round=200, step=50, simulate=False, simulate_n=400,
-            warmup_rounds=300.0,
-        )
-    return points()
-
-
 def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Fig64Result:
     first = points[0]
     result = Fig64Result(
@@ -113,10 +104,7 @@ def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Fig64Result
         delta=first["delta"],
         rounds=_rounds(first),
     )
-    for point, outcome in zip(points, records):
-        if outcome is None:  # cell skipped under on_error="skip"
-            continue
-        bound, simulated = outcome
+    for point, (bound, simulated) in zip(points, records):
         result.bound_curves[point["loss"]] = bound
         if simulated is not None:
             result.simulated_curves[point["loss"]] = simulated
@@ -127,7 +115,10 @@ def _aggregate(points: Sequence[dict], records: Sequence[object]) -> Fig64Result
     "fig-6.4",
     anchor="Fig 6.4 / Lemma 6.10 (§6.5.2)",
     description="decay of departed-id instances: bound curves vs simulation",
-    grid=_grid,
+    points=points,
+    fast=dict(
+        max_round=200, step=50, simulate=False, simulate_n=400, warmup_rounds=300.0
+    ),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

@@ -96,29 +96,19 @@ def _core_indegrees(protocol, core: List[int]) -> Dict[int, int]:
     return {u: indegrees.get(u, 0) for u in core}
 
 
-def _grid(fast: bool) -> list:
-    if fast:
-        return [
-            {
-                "n0": 24,
-                "crowd": 24,
-                "view_size": 12,
-                "d_low": 4,
-                "loss": 0.05,
-                "warm_rounds": 20,
-                "rounds": 60,
-                "seed": 20260808,
-            }
-        ]
+def points(
+    n0: int = 50, crowd: int = 100, warm_rounds: int = 30, rounds: int = 150
+) -> List[dict]:
+    """The one point: ``crowd`` joiners hitting a warmed core of ``n0``."""
     return [
         {
-            "n0": 50,
-            "crowd": 100,
+            "n0": n0,
+            "crowd": crowd,
             "view_size": 12,
             "d_low": 4,
             "loss": 0.05,
-            "warm_rounds": 30,
-            "rounds": 150,
+            "warm_rounds": warm_rounds,
+            "rounds": rounds,
             "seed": 20260808,
         }
     ]
@@ -128,7 +118,8 @@ def _grid(fast: bool) -> list:
     "flash-crowd",
     anchor="§6.5 join analysis under a synchronized arrival burst",
     description="flash-crowd joins: core indegree spike, relaxation, invariants",
-    grid=_grid,
+    points=points,
+    fast=dict(n0=24, crowd=24, warm_rounds=20, rounds=60),
     aggregate=registry.single_record,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> FlashCrowdResult:

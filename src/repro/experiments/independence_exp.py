@@ -95,28 +95,22 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(
-            losses=(0.0, 0.05), n=300, warmup_rounds=200.0, measure_rounds=60.0
-        )
-    return points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> IndependenceResult:
-    result = IndependenceResult(
+def _aggregate(
+    points: Sequence[dict], records: Sequence[IndependenceRow]
+) -> IndependenceResult:
+    return IndependenceResult(
         params=SFParams(view_size=points[0]["view_size"], d_low=points[0]["d_low"]),
         n=points[0]["n"],
+        rows=list(records),
     )
-    result.rows.extend(row for row in records if row is not None)
-    return result
 
 
 @registry.experiment(
     "lemma-7.9",
     anchor="Lemma 7.9 / Property M4 (§7.4)",
     description="spatial independence: dependent-entry fraction vs the α bound",
-    grid=_grid,
+    points=points,
+    fast=dict(losses=(0.0, 0.05), n=300, warmup_rounds=200.0, measure_rounds=60.0),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

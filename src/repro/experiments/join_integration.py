@@ -66,28 +66,33 @@ class JoinIntegrationResult:
         )
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        point = {"n": 200, "joiners": 4, "warmup_rounds": 150.0}
-    else:
-        point = {"n": 400, "joiners": 10, "warmup_rounds": 300.0}
-    point.update(
+def points(
+    n: int = 400, joiners: int = 10, warmup_rounds: float = 300.0
+) -> List[dict]:
+    """The one point: ``joiners`` fresh nodes entering a warmed system of ``n``.
+
+    ``horizon_rounds: None`` means the corollary's ``2s`` rounds.
+    """
+    return [
         {
+            "n": n,
+            "joiners": joiners,
+            "warmup_rounds": warmup_rounds,
             "view_size": 40,
             "d_low": 20,
             "loss": 0.01,
             "horizon_rounds": None,
             "seed": 614,
         }
-    )
-    return [point]
+    ]
 
 
 @registry.experiment(
     "cor-6.14",
     anchor="Corollary 6.14 (§6.5.3, join integration)",
     description="integration speed of joining nodes vs the Din/4 bound",
-    grid=_grid,
+    points=points,
+    fast=dict(n=200, joiners=4, warmup_rounds=150.0),
     aggregate=registry.single_record,
     backend_sensitive=True,
 )

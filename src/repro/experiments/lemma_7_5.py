@@ -110,7 +110,8 @@ class Lemma75Bundle:
         return "\n".join(check.format() for check in self.checks)
 
 
-def _grid(fast: bool) -> List[dict]:
+def points() -> List[dict]:
+    """One point per structural check (both presets: the chains are tiny)."""
     return [
         {"kind": "lossless-simple"},
         {"kind": "lossless-multiedge"},
@@ -118,16 +119,12 @@ def _grid(fast: bool) -> List[dict]:
     ]
 
 
-def _aggregate(points: List[dict], records: List[object]) -> Lemma75Bundle:
-    return Lemma75Bundle(checks=[check for check in records if check is not None])
-
-
 @registry.experiment(
     "lemma-7.5",
     anchor="Lemmas 7.1–7.5 (§7.2, exact global-MC checks)",
     description="structural checks on tiny global MCs (reversibility, uniformity)",
-    grid=_grid,
-    aggregate=_aggregate,
+    points=points,
+    aggregate=lambda points, records: Lemma75Bundle(checks=list(records)),
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> GlobalChainChecks:
     """Experiment cell: one of the three structural checks."""

@@ -80,27 +80,16 @@ class LiveDegreeResult:
         )
 
 
-def _grid(fast: bool) -> list:
-    if fast:
-        return [
-            {
-                "n": 30,
-                "view_size": 8,
-                "d_low": 2,
-                "drop": 0.05,
-                "rate": 60.0,
-                "duration": 1.5,
-                "seed": 20260808,
-            }
-        ]
+def points(n: int = 120, duration: float = 5.0) -> List[dict]:
+    """The one point: an ``n``-node cluster gossiping for ``duration`` seconds."""
     return [
         {
-            "n": 120,
+            "n": n,
             "view_size": 8,
             "d_low": 2,
             "drop": 0.05,
             "rate": 60.0,
-            "duration": 5.0,
+            "duration": duration,
             "seed": 20260808,
         }
     ]
@@ -110,7 +99,8 @@ def _grid(fast: bool) -> list:
     "live-degree",
     anchor="§6.2 degree MC vs live UDP cluster",
     description="real localhost UDP cluster's degree distribution vs the degree MC",
-    grid=_grid,
+    points=points,
+    fast=dict(n=30, duration=1.5),
     aggregate=registry.single_record,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> LiveDegreeResult:

@@ -117,20 +117,13 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(n=200, rounds=150) if fast else points()
-
-
 def _aggregate(points: List[dict], records: List[object]) -> LoadBalanceResult:
     first = points[0]
     params = SFParams(view_size=first["view_size"], d_low=first["d_low"])
     result = LoadBalanceResult(
         n=first["n"], params=params, loss_rate=first["loss"], rounds=[]
     )
-    for point, record in zip(points, records):
-        if record is None:  # cell skipped under on_error="skip"
-            continue
-        xs, ys = record
+    for point, (xs, ys) in zip(points, records):
         result.rounds = xs
         result.variance_curves[point["topology"]] = ys
     solved = DegreeMarkovChain(params, loss_rate=first["loss"]).solve()
@@ -143,7 +136,8 @@ def _aggregate(points: List[dict], records: List[object]) -> LoadBalanceResult:
     "load-balance",
     anchor="Property M2 / §2 (load balance from adversarial starts)",
     description="indegree-variance convergence from hubs and ring topologies",
-    grid=_grid,
+    points=points,
+    fast=dict(n=200, rounds=150),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference"):

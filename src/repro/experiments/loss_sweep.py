@@ -95,26 +95,24 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(losses=(0.0, 0.01, 0.05, 0.1)) if fast else points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> "LossSweepResult":
-    result = LossSweepResult(
+def _aggregate(
+    points: Sequence[dict], records: Sequence[LossSweepRow]
+) -> LossSweepResult:
+    return LossSweepResult(
         params=SFParams(
             view_size=points[0]["view_size"], d_low=points[0]["d_low"]
         ),
         delta=points[0]["delta"],
+        rows=list(records),
     )
-    result.rows.extend(row for row in records if row is not None)
-    return result
 
 
 @registry.experiment(
     "loss-sweep",
     anchor="Lemma 6.4 / §6.4 (operating envelope)",
     description="fine-grained loss sweep of the degree MC and §7 bounds",
-    grid=_grid,
+    points=points,
+    fast=dict(losses=(0.0, 0.01, 0.05, 0.1)),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> LossSweepRow:

@@ -15,6 +15,7 @@ steady-state S&F system, counts messages actually received per node, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -51,31 +52,33 @@ class MessageLoadResult:
         )
 
 
-def _grid(fast: bool) -> list:
-    point = {
-        "view_size": 40,
-        "d_low": 18,
-        "loss": 0.01,
-        "seed": 92,
-    }
-    if fast:
-        point.update(
-            {"n": 200, "warmup_rounds": 100.0, "measure_rounds": 100.0,
-             "snapshots": 10}
-        )
-    else:
-        point.update(
-            {"n": 400, "warmup_rounds": 200.0, "measure_rounds": 200.0,
-             "snapshots": 20}
-        )
-    return [point]
+def points(
+    n: int = 400,
+    warmup_rounds: float = 200.0,
+    measure_rounds: float = 200.0,
+    snapshots: int = 20,
+) -> List[dict]:
+    """The one point: ``snapshots`` indegree samples over the measured window."""
+    return [
+        {
+            "view_size": 40,
+            "d_low": 18,
+            "loss": 0.01,
+            "seed": 92,
+            "n": n,
+            "warmup_rounds": warmup_rounds,
+            "measure_rounds": measure_rounds,
+            "snapshots": snapshots,
+        }
+    ]
 
 
 @registry.experiment(
     "message-load",
     anchor="Property M2 / §2 (message load ∝ indegree)",
     description="per-node receive load regressed on time-averaged indegree",
-    grid=_grid,
+    points=points,
+    fast=dict(n=200, warmup_rounds=100.0, measure_rounds=100.0, snapshots=10),
     aggregate=registry.single_record,
     backend_sensitive=True,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -69,15 +70,17 @@ class MixingValidationResult:
         )
 
 
-def _grid(fast: bool) -> list:
-    return [{"loss": 0.2, "epsilon": 0.1 if fast else 0.05}]
+def points(epsilon: float = 0.05) -> List[dict]:
+    """The one point: the tiny lossy chain at independence level ``epsilon``."""
+    return [{"loss": 0.2, "epsilon": epsilon}]
 
 
 @registry.experiment(
     "mixing-exact",
     anchor="§7.5 (conductance → τε machinery, exact)",
     description="end-to-end check of the mixing-time bound on a tiny global MC",
-    grid=_grid,
+    points=points,
+    fast=dict(epsilon=0.1),
     aggregate=registry.single_record,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> MixingValidationResult:

@@ -78,21 +78,18 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(d_lows=(10, 18), view_sizes=(40,)) if fast else points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ParameterSweepResult:
-    result = ParameterSweepResult(loss_rate=points[0]["loss"])
-    result.cells.extend(cell for cell in records if cell is not None)
-    return result
+def _aggregate(
+    points: Sequence[dict], records: Sequence[SweepCell]
+) -> ParameterSweepResult:
+    return ParameterSweepResult(loss_rate=points[0]["loss"], cells=list(records))
 
 
 @registry.experiment(
     "parameter-sweep",
     anchor="§6.3 (parametrization rule design space)",
     description="(dL, s) sensitivity map via the degree MC",
-    grid=_grid,
+    points=points,
+    fast=dict(d_lows=(10, 18), view_sizes=(40,)),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> SweepCell:

@@ -113,30 +113,24 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(n=100, partition_lengths=(20, 300), warmup_rounds=80.0)
-    return points()
-
-
 def _aggregate(
     points: Sequence[dict], records: Sequence[object]
 ) -> PartitionRecoveryResult:
     first = points[0]
-    result = PartitionRecoveryResult(
+    return PartitionRecoveryResult(
         n=first["n"],
         params=SFParams(view_size=first["view_size"], d_low=first["d_low"]),
         recovery_rounds=first["recovery_rounds"],
+        rows=list(records),
     )
-    result.rows.extend(row for row in records if row is not None)
-    return result
 
 
 @registry.experiment(
     "partition-recovery",
     anchor="§6.5.2 applied (partition-tolerance window)",
     description="cross-partition edge survival and re-merge per split length",
-    grid=_grid,
+    points=points,
+    fast=dict(n=100, partition_lengths=(20, 300), warmup_rounds=80.0),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> PartitionRow:

@@ -107,10 +107,6 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(attempts=800) if fast else points()
-
-
 def _aggregate(points: List[dict], records: List[object]) -> RandomWalkResult:
     first = points[0]
     result = RandomWalkResult(
@@ -120,8 +116,6 @@ def _aggregate(points: List[dict], records: List[object]) -> RandomWalkResult:
         uniform_hub_mass=HUB_REGION / first["n"],
     )
     for point, record in zip(points, records):
-        if record is None:  # cell skipped under on_error="skip"
-            continue
         phase = point["phase"]
         if phase == "success":
             result.success_rows = record
@@ -138,7 +132,8 @@ def _aggregate(points: List[dict], records: List[object]) -> RandomWalkResult:
     "random-walks",
     anchor="§3.1 (random-walk critique, quantified)",
     description="walk success under loss and sample bias on a skewed overlay",
-    grid=_grid,
+    points=points,
+    fast=dict(attempts=800),
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference"):

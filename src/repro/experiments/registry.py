@@ -5,26 +5,31 @@ The paper's evaluation is a catalog of parameterized experiments
 hand-written CLI shim per experiment, each experiment module declares an
 :class:`ExperimentSpec` — *what* to run, not *how* to run it:
 
-* ``grid(fast)`` — the parameter points of the experiment (the ``fast``
-  flag selects the CI-sized preset).  Points are plain picklable values
-  (dicts of primitives by convention); a point carrying a ``"seed"`` key
-  seeds its cell.
+* ``points(**kwargs)`` — the module's public grid builder: called bare
+  it returns the full preset, and its keyword arguments are what a
+  caller may vary.  Points are plain picklable values (dicts of
+  primitives by convention); a point carrying a ``"seed"`` key seeds
+  its cell.
+* ``fast`` — the CI-sized preset as data: the keyword arguments that
+  turn ``points`` into the ``--fast`` grid (``spec.grid(fast)``).
 * ``cell(point, seed, *, backend)`` — one unit of work: a pure function
   of its point (and seed/backend), returning a picklable record.
 * ``aggregate(points, records)`` — assemble the per-cell records into
-  the experiment's result object.  Records align with points in grid
-  order; a cell skipped under ``on_error="skip"`` leaves ``None``.
+  the experiment's result object.  :func:`execute` hands it only the
+  cells that produced a record (see the skip rule there).
 
 Execution always goes through :class:`repro.runner.SweepRunner`, so
 *every* experiment — the analytic one-cell ones included — inherits
 ``--jobs``, ``--executor``, ``--on-error``, ``--cell-timeout``, and
-``--checkpoint-dir`` for free.  Registration is one decorator::
+``--checkpoint-dir`` for free.  Registration is one decorator, and the
+registry finds the module by importing all of :mod:`repro.experiments`::
 
     @experiment(
         "fig-9.9",
         anchor="Figure 9.9",
         description="one-line summary for `repro list`",
-        grid=_grid,
+        points=points,
+        fast=dict(n=100, rounds=50),
         aggregate=_aggregate,
         backend_sensitive=True,
     )
@@ -45,14 +50,16 @@ pool without any of the spec's callables needing to be pickled.
 from __future__ import annotations
 
 import importlib
+import pkgutil
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -64,40 +71,6 @@ from repro.obs import get_telemetry
 from repro.obs.profile import phase
 from repro.runner import GridCell, SweepRunner
 
-#: Every module that registers experiments.  The registry imports these
-#: lazily (first lookup/listing); keeping the list explicit makes the
-#: worker-side resolution deterministic and lets a test assert that no
-#: experiment module is left unregistered.
-EXPERIMENT_MODULES: Tuple[str, ...] = (
-    "repro.experiments.ablation_variants",
-    "repro.experiments.adversarial_loss",
-    "repro.experiments.baselines",
-    "repro.experiments.connectivity_exp",
-    "repro.experiments.dup_del_balance",
-    "repro.experiments.failure_detection",
-    "repro.experiments.fig_6_1",
-    "repro.experiments.fig_6_2",
-    "repro.experiments.fig_6_3",
-    "repro.experiments.fig_6_4",
-    "repro.experiments.flash_crowd",
-    "repro.experiments.independence_exp",
-    "repro.experiments.join_integration",
-    "repro.experiments.lemma_7_5",
-    "repro.experiments.live_degree",
-    "repro.experiments.load_balance",
-    "repro.experiments.loss_sweep",
-    "repro.experiments.message_load",
-    "repro.experiments.mixing_exp",
-    "repro.experiments.parameter_sweep",
-    "repro.experiments.partition_recovery",
-    "repro.experiments.random_walk_exp",
-    "repro.experiments.sampler_exp",
-    "repro.experiments.table_6_3",
-    "repro.experiments.temporal_exp",
-    "repro.experiments.uniformity_exp",
-    "repro.experiments.view_regimes",
-)
-
 
 @runtime_checkable
 class Result(Protocol):
@@ -108,12 +81,10 @@ class Result(Protocol):
         ...  # pragma: no cover - protocol
 
 
-#: ``grid(fast) -> points``.
-GridFn = Callable[[bool], Sequence[Any]]
 #: ``cell(point, seed, *, backend) -> record``.
 CellFn = Callable[..., Any]
-#: ``aggregate(points, records) -> Result``; ``records[i]`` is ``None``
-#: when point ``i``'s cell was skipped under ``on_error="skip"``.
+#: ``aggregate(points, records) -> Result`` over the cells that produced
+#: a record (never ``None``, never empty).
 AggregateFn = Callable[[Sequence[Any], Sequence[Any]], Any]
 
 
@@ -126,9 +97,10 @@ class ExperimentSpec:
         anchor: where in the paper this experiment lives (e.g.
             ``"Figure 6.3 / §6.4 in-text table"``).
         description: one-line summary shown by ``repro list``.
-        grid: ``grid(fast)`` returning the parameter points.
+        points: the module's ``points(**kwargs)`` builder (bare: the full preset).
         cell: ``cell(point, seed, *, backend)`` — the per-point worker.
         aggregate: ``aggregate(points, records)`` building the result.
+        fast: keyword arguments turning ``points`` into the ``--fast`` preset.
         schema_version: version stamped into the JSON artifact envelope;
             bump when the result's serialized shape changes.
         aliases: alternative CLI names resolving to this spec (e.g. the
@@ -141,9 +113,10 @@ class ExperimentSpec:
     name: str
     anchor: str
     description: str
-    grid: GridFn
+    points: Callable[..., Sequence[Any]]
     cell: CellFn
     aggregate: AggregateFn
+    fast: Mapping[str, Any] = field(default_factory=dict)
     schema_version: int = 1
     aliases: Tuple[str, ...] = ()
     backend_sensitive: bool = False
@@ -152,6 +125,10 @@ class ExperimentSpec:
     def module(self) -> str:
         """The module defining this experiment's cell."""
         return self.cell.__module__
+
+    def grid(self, fast: bool) -> Sequence[Any]:
+        """The parameter points of the full or the ``fast`` preset."""
+        return self.points(**self.fast) if fast else self.points()
 
     def to_json(
         self, result: Any, runner: Optional[SweepRunner] = None
@@ -224,8 +201,9 @@ def experiment(
     name: str,
     *,
     anchor: str,
-    grid: GridFn,
+    points: Callable[..., Sequence[Any]],
     aggregate: AggregateFn,
+    fast: Optional[Mapping[str, Any]] = None,
     description: str = "",
     schema_version: int = 1,
     aliases: Sequence[str] = (),
@@ -243,9 +221,10 @@ def experiment(
                 anchor=anchor,
                 description=description
                 or (cell.__doc__ or "").strip().splitlines()[0].rstrip("."),
-                grid=grid,
+                points=points,
                 cell=cell,
                 aggregate=aggregate,
+                fast=fast or {},
                 schema_version=schema_version,
                 aliases=tuple(aliases),
                 backend_sensitive=backend_sensitive,
@@ -257,13 +236,15 @@ def experiment(
 
 
 def _load_all() -> None:
-    """Import every experiment module so their decorators have run."""
+    """Import every module of this package, in name order, so their
+    decorators have run (``common`` and this module register nothing)."""
     global _LOADED
     if _LOADED:
         return
     _LOADED = True
-    for module in EXPERIMENT_MODULES:
-        importlib.import_module(module)
+    package = importlib.import_module(__package__)
+    for name in sorted(info.name for info in pkgutil.iter_modules(package.__path__)):
+        importlib.import_module(f"{__package__}.{name}")
 
 
 def get(name: str) -> ExperimentSpec:
@@ -348,15 +329,17 @@ def execute(
     """Run one experiment end to end: grid → cells → aggregate.
 
     The only way in.  ``points`` overrides the spec's ``grid(fast)`` —
-    a module's ``points(...)`` builder with other keyword values, or a
-    hand-edited copy of a grid point — e.g.::
+    usually the module's ``points(...)`` builder with other keyword
+    values (any list of points is legal) — e.g.::
 
         execute("fig-6.3", points=fig_6_3.points(losses=(0.01,)))
 
-    Cells run through a :class:`SweepRunner` in grid order (a cell
-    skipped under ``on_error="skip"`` hands ``None`` to the aggregate).
-    A preconfigured ``runner`` (jobs, retries, ``on_error``, timeout,
-    checkpoint, executor) overrides ``jobs``/``executor``
+    Cells run through a :class:`SweepRunner` in grid order.  A cell that
+    comes back ``None`` — skipped under ``on_error="skip"``, or its own
+    "no row" — is dropped with its point before the aggregate runs;
+    when none survive this raises ``RuntimeError``.  A preconfigured
+    ``runner`` (jobs, retries, ``on_error``, timeout, checkpoint,
+    executor) overrides ``jobs``/``executor``
     (``auto``/``inline``/``process``/``thread``) and stays open for the
     caller's next experiment; a runner built here is closed before
     returning.
@@ -391,22 +374,20 @@ def execute(
             seed_fn=_point_seed,
             context=_CellContext(experiment=spec.name, backend=backend),
         )
+    kept = [index for index, record in enumerate(records) if record is not None]
+    if not kept:
+        raise RuntimeError(
+            f"every cell of experiment {spec.name!r} was skipped; "
+            "nothing to report"
+        )
     with phase("aggregate"):
-        result = spec.aggregate(points, records)
+        result = spec.aggregate(
+            [points[index] for index in kept], [records[index] for index in kept]
+        )
     tel.event("experiment.end", experiment=spec.name, cells=len(points))
     return result
 
 
 def single_record(points: Sequence[Any], records: Sequence[Any]) -> Any:
-    """Aggregate for one-cell experiments: the lone record, verbatim.
-
-    Raises when the only cell was skipped under ``on_error="skip"`` —
-    there is nothing to report.
-    """
-    survivors = [record for record in records if record is not None]
-    if not survivors:
-        raise RuntimeError(
-            "every cell of a single-record experiment was skipped; "
-            "nothing to report"
-        )
-    return survivors[0]
+    """Aggregate for one-cell experiments: the lone record, verbatim."""
+    return records[0]

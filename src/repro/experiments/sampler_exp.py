@@ -73,20 +73,28 @@ class SamplerResult:
         return self.epochs[-1].view_turnover_per_round
 
 
-def _grid(fast: bool) -> List[dict]:
-    point = {"slots": 8, "loss": 0.02, "seed": 37}
-    if fast:
-        point.update({"n": 100, "epochs": 5, "rounds_per_epoch": 20.0})
-    else:
-        point.update({"n": 150, "epochs": 8, "rounds_per_epoch": 25.0})
-    return [point]
+def points(
+    n: int = 150, epochs: int = 8, rounds_per_epoch: float = 25.0
+) -> List[dict]:
+    """The one point: ``epochs`` measurements, ``rounds_per_epoch`` apart."""
+    return [
+        {
+            "slots": 8,
+            "loss": 0.02,
+            "seed": 37,
+            "n": n,
+            "epochs": epochs,
+            "rounds_per_epoch": rounds_per_epoch,
+        }
+    ]
 
 
 @registry.experiment(
     "samplers",
     anchor="§3.1 (Brahms-style samplers vs evolving views)",
     description="sampler uniformity/freshness against view turnover over time",
-    grid=_grid,
+    points=points,
+    fast=dict(n=100, epochs=5, rounds_per_epoch=20.0),
     aggregate=registry.single_record,
 )
 def _cell(point: dict, seed, *, backend: str = "reference") -> SamplerResult:

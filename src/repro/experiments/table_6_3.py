@@ -55,23 +55,13 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(d_hats=(30,)) if fast else points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ThresholdTableResult:
-    result = ThresholdTableResult()
-    # ``None`` covers both skipped cells and unsatisfiable corners.
-    result.selections.extend(sel for sel in records if sel is not None)
-    return result
-
-
 @registry.experiment(
     "table-6.3",
     anchor="Table 6.3 / §6.3 (threshold-selection rule)",
     description="threshold selection across target degrees and tail caps",
-    grid=_grid,
-    aggregate=_aggregate,
+    points=points,
+    fast=dict(d_hats=(30,)),
+    aggregate=lambda points, records: ThresholdTableResult(selections=list(records)),
 )
 def _cell(point: dict, seed, *, backend: str = "reference"):
     """Experiment cell: one (d̂, δ) selection, ``None`` if unsatisfiable."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.independence import independence_lower_bound
 from repro.analysis.temporal import actions_per_node_bound
@@ -140,25 +140,16 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(n=150, max_rounds=120, sample_every=20) if fast else points()
-
-
-def _assemble_decay(
-    points: List[dict], records: List[object]
-) -> TemporalDecayResult:
-    """Rebuild the decay result from per-loss cells."""
-    first = points[0]
+def _assemble_decay(cells: List[Tuple[dict, tuple]]) -> TemporalDecayResult:
+    """Rebuild the decay result from per-loss ``(point, record)`` cells."""
+    first = cells[0][0]
     result = TemporalDecayResult(
         n=first["n"],
         params=SFParams(view_size=first["view_size"], d_low=first["d_low"]),
         rounds=[],
         reference_rounds=first["view_size"] * math.log(first["n"]),
     )
-    for point, record in zip(points, records):
-        if record is None:  # cell skipped under on_error="skip"
-            continue
-        xs, ys, iid = record
+    for point, (xs, ys, iid) in cells:
         result.rounds = xs
         result.curves[point["loss"]] = ys
         # One baseline is reported: the last loss rate's.
@@ -167,21 +158,13 @@ def _assemble_decay(
 
 
 def _aggregate(points: List[dict], records: List[object]) -> TemporalBundle:
-    bounds: Optional[TemporalBoundsResult] = None
-    decay_points: List[dict] = []
-    decay_records: List[object] = []
+    cells: Dict[str, list] = {"bounds": [], "decay": []}
     for point, record in zip(points, records):
-        if point["kind"] == "bounds":
-            if record is None:
-                raise RuntimeError("the bounds cell was skipped")
-            bounds = record
-        else:
-            decay_points.append(point)
-            decay_records.append(record)
-    if bounds is None:
-        raise RuntimeError("grid contained no bounds point")
+        cells[point["kind"]].append((point, record))
+    if not (cells["bounds"] and cells["decay"]):
+        raise RuntimeError("no bounds table or no decay curve to report")
     return TemporalBundle(
-        bounds=bounds, decay=_assemble_decay(decay_points, decay_records)
+        bounds=cells["bounds"][0][1], decay=_assemble_decay(cells["decay"])
     )
 
 
@@ -189,7 +172,8 @@ def _aggregate(points: List[dict], records: List[object]) -> TemporalBundle:
     "lemma-7.15",
     anchor="Lemma 7.15 / Property M5 (§7.5, temporal independence)",
     description="τε bounds per system size plus empirical overlap decay",
-    grid=_grid,
+    points=points,
+    fast=dict(n=150, max_rounds=120, sample_every=20),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

@@ -14,7 +14,7 @@ same probability.  Two validations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.params import SFParams
 from repro.experiments import registry
@@ -137,47 +137,31 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    return points(replications=3) if fast else points()
-
-
-def _pool_empirical(
-    points: List[dict], records: List[object]
-) -> EmpiricalUniformityResult:
-    """Pool per-replication occupancy counts."""
-    successful = [counts for counts in records if counts is not None]
-    if not successful:
-        raise RuntimeError("every replication failed; nothing to pool")
-    n = points[0]["n"]
+def _pool_empirical(cells: List[Tuple[dict, List[int]]]) -> EmpiricalUniformityResult:
+    """Pool the occupancy counts of per-replication ``(point, record)`` cells."""
+    first = cells[0][0]
+    n = first["n"]
     pooled = [0] * n
-    for counts in successful:
+    for _, counts in cells:
         pooled = [a + b for a, b in zip(pooled, counts)]
     mean = sum(pooled) / n
     return EmpiricalUniformityResult(
         n=n,
-        samples=points[0]["samples"],
-        replications=len(successful),
+        samples=first["samples"],
+        replications=len(cells),
         relative_spread=(max(pooled) - min(pooled)) / mean,
         pooled_counts=pooled,
     )
 
 
 def _aggregate(points: List[dict], records: List[object]) -> UniformityBundle:
-    exact: Optional[ExactUniformityResult] = None
-    empirical_points: List[dict] = []
-    empirical_records: List[object] = []
+    cells: Dict[str, list] = {"exact": [], "empirical": []}
     for point, record in zip(points, records):
-        if point["kind"] == "exact":
-            if record is None:
-                raise RuntimeError("the exact-uniformity cell was skipped")
-            exact = record
-        else:
-            empirical_points.append(point)
-            empirical_records.append(record)
-    if exact is None:
-        raise RuntimeError("grid contained no exact-uniformity point")
+        cells[point["kind"]].append((point, record))
+    if not (cells["exact"] and cells["empirical"]):
+        raise RuntimeError("no exact cell or no replication to report")
     return UniformityBundle(
-        exact=exact, empirical=_pool_empirical(empirical_points, empirical_records)
+        exact=cells["exact"][0][1], empirical=_pool_empirical(cells["empirical"])
     )
 
 
@@ -185,7 +169,8 @@ def _aggregate(points: List[dict], records: List[object]) -> UniformityBundle:
     "lemma-7.6",
     anchor="Lemma 7.6 / Property M3 (§7.3)",
     description="uniformity of view membership: exact tiny-MC + empirical occupancy",
-    grid=_grid,
+    points=points,
+    fast=dict(replications=3),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

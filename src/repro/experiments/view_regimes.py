@@ -112,23 +112,18 @@ def points(
     ]
 
 
-def _grid(fast: bool) -> List[dict]:
-    if fast:
-        return points(sizes=(100, 400), warmup_rounds=100.0, measure_rounds=60.0)
-    return points()
-
-
-def _aggregate(points: Sequence[dict], records: Sequence[object]) -> ViewRegimesResult:
-    result = ViewRegimesResult(loss_rate=points[0]["loss"])
-    result.rows.extend(row for row in records if row is not None)
-    return result
+def _aggregate(
+    points: Sequence[dict], records: Sequence[RegimeRow]
+) -> ViewRegimesResult:
+    return ViewRegimesResult(loss_rate=points[0]["loss"], rows=list(records))
 
 
 @registry.experiment(
     "view-regimes",
     anchor="Property M1 / §6.3 (constant vs logarithmic views)",
     description="S&F health across system sizes under both view-size regimes",
-    grid=_grid,
+    points=points,
+    fast=dict(sizes=(100, 400), warmup_rounds=100.0, measure_rounds=60.0),
     aggregate=_aggregate,
     backend_sensitive=True,
 )

@@ -12,9 +12,6 @@
   atomic on-disk journal of completed cells, so interrupted sweeps
   resume bit-identically (:func:`gc_store` prunes entries the current
   code can no longer resume from).
-* :mod:`repro.runner.chaos` — :class:`ChaosWorker` / :class:`FaultSpec`:
-  deterministic injection of exceptions, hangs, and process kills for
-  exercising every recovery path without flakiness.
 
 Every registered experiment (see :mod:`repro.experiments.registry`)
 executes its point grid through this layer — ``registry.execute`` is
@@ -32,12 +29,6 @@ from repro.runner.checkpoint import (
     gc_store,
     worker_token,
 )
-from repro.runner.chaos import (
-    ChaosError,
-    ChaosSetupError,
-    ChaosWorker,
-    FaultSpec,
-)
 from repro.runner.sweep import (
     CellTimeout,
     FailureReport,
@@ -53,13 +44,9 @@ from repro.runner.sweep import (
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CellTimeout",
-    "ChaosError",
-    "ChaosSetupError",
-    "ChaosWorker",
     "CheckpointStats",
     "CheckpointStore",
     "FailureReport",
-    "FaultSpec",
     "GCReport",
     "GridCell",
     "PoolCrashError",

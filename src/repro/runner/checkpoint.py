@@ -20,11 +20,11 @@ Only *successful* cells are journaled.  Failed, skipped, and timed-out
 cells are retried by the next run — exactly the semantics a resumable
 sweep wants.
 
-A fault-injection wrapper that merely perturbs *execution* (not the
-computed value) can set a ``checkpoint_token`` attribute naming the
-worker it wraps; :func:`worker_token` honors it, which is what lets a
-sweep interrupted under :class:`repro.runner.chaos.ChaosWorker` resume
-with the plain worker.
+A wrapper that merely perturbs or observes *execution* (not the computed
+value) can set a ``checkpoint_token`` attribute naming the worker it
+wraps; :func:`worker_token` honors it, which is what lets a sweep run
+under :class:`repro.obs.worker.MeteredWorker` — or interrupted under
+the tests' fault injector — resume with the plain worker.
 
 :func:`gc_store` (the ``repro checkpoint-gc`` command) prunes entries the
 current code can no longer resume from.

@@ -207,6 +207,47 @@ class TestCommands:
     def test_simulate_too_few_nodes(self, capsys):
         assert main(["simulate", "--nodes", "5", "--view-size", "40"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["size", "--target-degree", "4", "--delta", "0.001"],
+            ["simulate", "--view-size", "7"],
+            ["simulate", "--loss", "1.5"],
+            ["simulate", "--nodes", "40", "--rounds", "-1"],
+            ["run", "fig-6.2", "--cell-timeout", "0"],
+            ["report", "--fast", "--output", "", "fig-6.2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_value_is_one_error_line_and_status_2(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        """A value the command cannot use ends like an argparse error —
+        ``repro <command>: error: …`` on stderr, exit status 2 — not in a
+        ``ValueError`` traceback, and not in ``report written to /``."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {argv[0]}: error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_error_inside_a_cell_is_not_a_rejected_value(self, monkeypatch):
+        """Only construction from command-line values is checked: a
+        ``ValueError`` a cell raises while running surfaces as itself."""
+        from dataclasses import replace
+
+        from repro.runner import SweepError
+
+        def cell(point, seed, *, backend="reference"):
+            raise ValueError("raised while running")
+
+        spec = registry.get("fig-6.2")
+        monkeypatch.setitem(registry._SPECS, spec.name, replace(spec, cell=cell))
+        with pytest.raises(SweepError, match="raised while running"):
+            main(["run", "fig-6.2", "--fast"])
+
     def test_simulate_array_backend(self, capsys):
         code = main(
             [

@@ -8,8 +8,10 @@ import pytest
 
 from repro.experiments import (
     ablation_variants,
+    message_load,
     random_walk_exp,
     registry,
+    sampler_exp,
     view_regimes,
 )
 
@@ -74,11 +76,8 @@ class TestRandomWalkExperiment:
 class TestSamplerExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        (full,) = registry.get("samplers").grid(False)
-        return registry.execute(
-            "samplers",
-            points=[{**full, "n": 80, "epochs": 5, "rounds_per_epoch": 20, "seed": 38}],
-        )
+        (point,) = sampler_exp.points(n=80, epochs=5, rounds_per_epoch=20)
+        return registry.execute("samplers", points=[{**point, "seed": 38}])
 
     def test_coverage_complete(self, result):
         assert result.epochs[-1].coverage == 1.0
@@ -97,14 +96,10 @@ class TestSamplerExperiment:
 class TestMessageLoad:
     @pytest.fixture(scope="class")
     def result(self):
-        (full,) = registry.get("message-load").grid(False)
-        return registry.execute(
-            "message-load",
-            points=[
-                {**full, "n": 200, "warmup_rounds": 100, "measure_rounds": 150,
-                 "seed": 94}
-            ],
+        (point,) = message_load.points(
+            n=200, warmup_rounds=100, measure_rounds=150
         )
+        return registry.execute("message-load", points=[{**point, "seed": 94}])
 
     def test_positive_correlation(self, result):
         assert result.correlation > 0.15
@@ -125,9 +120,13 @@ class TestMessageLoad:
             ArrayKernel, "load_counts",
             lambda kernel, kind: reads.append(kind) or snapshot(kernel, kind),
         )
-        (fast,) = registry.get("message-load").grid(True)
-        point = {**fast, "n": 60, "warmup_rounds": 5, "measure_rounds": 10}
-        registry.execute("message-load", backend="array", points=[point])
+        registry.execute(
+            "message-load",
+            backend="array",
+            points=message_load.points(
+                n=60, warmup_rounds=5, measure_rounds=10, snapshots=10
+            ),
+        )
         assert reads == ["received"]
 
 

@@ -22,16 +22,30 @@ To regenerate the digests after an *intentional* grid change::
 
 import hashlib
 import importlib
+import inspect
 import json
 import pickle
+import pkgutil
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import repro.experiments
+from repro import cli
 from repro.experiments import registry
 from repro.runner import SweepRunner
 
 ALL_SPECS = registry.list_specs()
+
+#: Every module the registry's discovery imports, minus the two that are
+#: scaffolding (they register nothing).
+DISCOVERED_MODULES = [
+    f"repro.experiments.{info.name}"
+    for info in pkgutil.iter_modules(repro.experiments.__path__)
+    if info.name not in ("common", "registry")
+]
 
 #: Specs cheap enough to execute end-to-end in the test suite (analytic
 #: or tiny: no steady-state simulation in their fast grid).
@@ -91,7 +105,33 @@ class RecordingRunner(SweepRunner):
 class TestRegistryShape:
     def test_every_experiment_module_registers(self):
         registered = {spec.module for spec in ALL_SPECS}
-        assert registered == set(registry.EXPERIMENT_MODULES)
+        assert registered == set(DISCOVERED_MODULES)
+        assert len(DISCOVERED_MODULES) == 27
+
+    def test_dropped_in_module_is_discovered(self, tmp_path, monkeypatch):
+        """New experiment: one file — nothing in ``registry.py`` lists it."""
+        (tmp_path / "zz_dropped_in.py").write_text(
+            "from repro.experiments import registry\n"
+            "def points():\n"
+            "    return [{'x': 1}]\n"
+            "@registry.experiment('zz-dropped-in', anchor='nowhere',\n"
+            "                     description='found by discovery', points=points,\n"
+            "                     aggregate=registry.single_record)\n"
+            "def _cell(point, seed, *, backend='reference'):\n"
+            "    return point['x']\n"
+        )
+        monkeypatch.setattr(
+            repro.experiments, "__path__",
+            [*repro.experiments.__path__, str(tmp_path)],
+        )
+        monkeypatch.setattr(registry, "_SPECS", dict(registry._SPECS))
+        monkeypatch.setattr(registry, "_LOADED", False)
+        try:
+            assert "zz-dropped-in" in registry.names()
+            assert registry.execute("zz-dropped-in") == 1
+        finally:
+            sys.modules.pop("repro.experiments.zz_dropped_in", None)
+            vars(repro.experiments).pop("zz_dropped_in", None)
 
     def test_every_spec_has_anchor_description_and_schema(self):
         for spec in ALL_SPECS:
@@ -130,7 +170,7 @@ class TestRegistryShape:
             name="brand-new",
             anchor="nowhere",
             description="clashes via alias",
-            grid=spec.grid,
+            points=spec.points,
             cell=spec.cell,
             aggregate=spec.aggregate,
             aliases=("fig-6.1",),
@@ -145,11 +185,20 @@ class TestRegistryShape:
 
     def test_registry_is_the_only_way_in(self):
         """No module keeps a second, keyword-argument spelling of its grid."""
-        for module_name in registry.EXPERIMENT_MODULES:
+        for module_name in DISCOVERED_MODULES:
             module = importlib.import_module(module_name)
-            for shim in ("run", "run_decay", "run_empirical"):
+            for shim in ("run", "run_decay", "run_empirical", "_grid"):
                 assert not hasattr(module, shim), f"{module_name}.{shim}"
         assert not hasattr(registry, "run_cells")
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_presets_are_the_builder_called_with_data(self, spec):
+        """Both presets are ``points`` calls; ``fast`` is plain keyword data."""
+        builder = importlib.import_module(spec.module).points
+        assert spec.points is builder
+        assert spec.grid(False) == builder()
+        assert spec.grid(True) == builder(**spec.fast)
+        assert set(spec.fast) <= set(inspect.signature(builder).parameters)
 
     @pytest.mark.parametrize("preset", ["fast", "full"])
     def test_grid_points_match_golden(self, preset):
@@ -218,6 +267,86 @@ class TestExecution:
             ],
         )
         assert [row.name for row in result.rows] == ["base"]
+
+
+#: Specs whose ``--fast`` grid has more than one cell (one can be lost).
+MULTI_CELL = [spec for spec in ALL_SPECS if len(spec.grid(True)) > 1]
+
+
+def _failing_on(spec, doomed):
+    """``spec`` with its cell raising on every point in ``doomed``."""
+
+    def cell(point, seed, *, backend="reference"):
+        if point in doomed:
+            raise ValueError("injected cell failure")
+        return spec.cell(point, seed, backend=backend)
+
+    return replace(spec, cell=cell)
+
+
+class TestSkippedCells:
+    """One rule for all 27 specs, applied in ``registry.execute``: a cell
+    without a record is dropped with its point, and a sweep in which no
+    cell survives raises instead of reporting an empty table."""
+
+    @pytest.mark.parametrize("spec", MULTI_CELL, ids=lambda spec: spec.name)
+    def test_one_skipped_cell_still_reports(self, spec, monkeypatch):
+        # The last point: ``lemma-7.15`` / ``lemma-7.6`` lead with the one
+        # cell their bundle cannot do without.
+        doomed = [spec.grid(True)[-1]]
+        monkeypatch.setitem(registry._SPECS, spec.name, _failing_on(spec, doomed))
+        runner = SweepRunner(on_error="skip", max_retries=0)
+        result = registry.execute(spec.name, fast=True, runner=runner)
+        assert result.format()
+        assert runner.last_stats.skipped == 1
+        assert len(runner.last_failures) == 1
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_every_cell_skipped_raises(self, spec, monkeypatch):
+        doomed = spec.grid(True)
+        monkeypatch.setitem(registry._SPECS, spec.name, _failing_on(spec, doomed))
+        runner = SweepRunner(on_error="skip", max_retries=0)
+        with pytest.raises(RuntimeError, match="was skipped; nothing to report"):
+            registry.execute(spec.name, fast=True, runner=runner)
+        assert runner.last_stats.skipped == len(doomed)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_cli_archives_nothing_when_every_cell_skipped(
+        self, spec, monkeypatch, tmp_path
+    ):
+        import repro.runner.sweep as sweep_module
+
+        monkeypatch.setattr(sweep_module, "BACKOFF_MAX", 0.0)  # retry at once
+        doomed = spec.grid(True)
+        monkeypatch.setitem(registry._SPECS, spec.name, _failing_on(spec, doomed))
+        with pytest.raises(RuntimeError, match="was skipped; nothing to report"):
+            cli.main(
+                ["run", spec.name, "--fast", "--on-error", "skip",
+                 "--artifacts-dir", str(tmp_path)]
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["lemma-7.15", "lemma-7.6"])
+    def test_two_part_bundle_needs_a_cell_of_each_part(self, name):
+        """The bounds / exact cell alone (every decay / replication cell
+        lost) is half a report: one check, one error."""
+        lead = registry.get(name).grid(True)[:1]
+        with pytest.raises(RuntimeError, match="to report"):
+            registry.execute(name, points=lead)
+
+    def test_cell_returning_none_is_a_skipped_cell(self):
+        """``table-6.3``'s unsatisfiable corner: no row, and no error."""
+        runner = SweepRunner()
+        with pytest.raises(RuntimeError, match="'table-6.3' was skipped"):
+            registry.execute(
+                "table-6.3", points=[{"d_hat": 4, "delta": 0.001}], runner=runner
+            )
+        assert runner.last_stats.skipped == 0
+        result = registry.execute(
+            "table-6.3",
+            points=[{"d_hat": 4, "delta": 0.001}, {"d_hat": 30, "delta": 0.01}],
+        )
+        assert [sel.d_hat for sel in result.selections] == [30]
 
 
 class TestJsonEnvelope:

@@ -89,13 +89,8 @@ class TestFig64Simulated:
 class TestJoinIntegration:
     @staticmethod
     def _run(seed):
-        (full,) = registry.get("cor-6.14").grid(False)
-        return registry.execute(
-            "cor-6.14",
-            points=[
-                {**full, "n": 250, "joiners": 6, "warmup_rounds": 200, "seed": seed}
-            ],
-        )
+        (point,) = join_integration.points(n=250, joiners=6, warmup_rounds=200)
+        return registry.execute("cor-6.14", points=[{**point, "seed": seed}])
 
     def test_corollary_6_14(self):
         assert self._run(seed=103).satisfied()

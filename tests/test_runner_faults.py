@@ -2,9 +2,13 @@
 
 Every recovery path — retry, skip, timeout, BrokenProcessPool rebuild,
 checkpoint/resume — is exercised with *deterministic* faults injected by
-``repro.runner.chaos`` (exceptions, hangs, and hard ``os._exit`` kills
+``tests/runner_chaos.py`` (exceptions, hangs, and hard ``os._exit`` kills
 scripted per cell and per attempt), so nothing here depends on timing
-luck or real resource exhaustion.
+luck or real resource exhaustion.  Pool workers import ``runner_chaos``
+the way they import this module's own workers: pytest puts ``tests/`` on
+``sys.path`` (rootdir conftest, no ``__init__.py``), and a worker process
+is forked from — or, under spawn, handed the ``sys.path`` of — the
+pytest process.
 
 The acceptance test at the bottom is the tentpole contract: a sweep
 interrupted mid-grid by a killed worker resumes from its checkpoint and
@@ -31,18 +35,15 @@ import repro.runner.sweep as sweep_module
 
 from repro.runner import (
     CellTimeout,
-    ChaosError,
-    ChaosSetupError,
-    ChaosWorker,
     CheckpointStore,
     FailureReport,
-    FaultSpec,
     GridCell,
     PoolCrashError,
     SweepError,
     SweepRunner,
     worker_token,
 )
+from runner_chaos import ChaosError, ChaosSetupError, ChaosWorker, FaultSpec
 
 JOBS = int(os.environ.get("REPRO_CHAOS_JOBS", "2"))
 
