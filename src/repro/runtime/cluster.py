@@ -8,17 +8,18 @@ probability ``drop_rate``), so the sender's code path is exactly the
 lossless one — the sender cannot detect loss, as section 4.1 requires.
 
 The harness runs every node on one asyncio loop in one process.  That
-keeps a several-hundred-node cluster cheap (one socket + one re-armed
-timer callback per node — no task, no future) while the messages still
-traverse the real OS network stack: every send is a genuine ``sendto``
-on 127.0.0.1 and every receive a datagram callback, with kernel
-scheduling deciding interleaving — the asynchrony the discrete-event
-engine only simulates.
+keeps a several-hundred-node cluster cheap (one socket per node; one
+heap of due times, one loop timer and one block-fed draw source for the
+whole cluster — no task, no future, no per-node generator) while the
+messages still traverse the real OS network stack: every send is a
+genuine ``sendto`` on 127.0.0.1 and every receive a datagram callback,
+with kernel scheduling deciding interleaving — the asynchrony the
+discrete-event engine only simulates.
 
 Scenario controls:
 
-* **kill/restart** — a node's timer is cancelled and its socket closed
-  (its id lingers in other views and drains at the section 6.5.2 rate);
+* **kill/restart** — a node leaves the initiate clock and its socket is
+  closed (its id lingers in other views and drains at the section 6.5.2 rate);
   a restarted node rejoins through the introducer like any newcomer.
 * **partition-and-heal** — nodes are assigned groups and every node's
   inbound filter drops cross-group protocol messages; healing removes
@@ -36,6 +37,8 @@ import asyncio
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,7 +51,7 @@ from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, WireRecord
 from repro.obs import get_telemetry
 from repro.protocols.base import Message, SendEffect
-from repro.util.rng import SeedLike, make_rng, spawn_rngs
+from repro.util.rng import BlockDraws, SeedLike, make_rng
 from repro.util.tables import format_table
 
 NodeId = int
@@ -109,7 +112,7 @@ class ClusterConfig:
 
 
 class ClusterNode:
-    """One S&F node: a socket, a view, and an initiate timer.
+    """One S&F node: a socket, a view, and a place on the cluster's clock.
 
     The node's :class:`SendForget` instance holds *only its own view* —
     ``deliver_effects`` looks up ``message.target`` and finds exactly the
@@ -117,16 +120,16 @@ class ClusterNode:
     nodes in-process runs one node here, unchanged.
     """
 
-    def __init__(
-        self, cluster: "LocalCluster", node_id: NodeId, rng, incarnation: int = 0
-    ):
+    def __init__(self, cluster: "LocalCluster", node_id: NodeId, incarnation: int = 0):
         self.cluster = cluster
         self.node_id = node_id
-        self.rng = rng
+        #: The cluster's one draw source: every node, and every transport's
+        #: drop coin, takes the next uniform off the same seeded stream.
+        self.rng = cluster.draws
         self.protocol = SendForget(cluster.config.params())
         cfg = cluster.config
         #: SWIM detector (when enabled): heartbeats advance on the
-        #: initiate timer, liveness rides the S&F datagrams, and sends to
+        #: initiate clock, liveness rides the S&F datagrams, and sends to
         #: FAILED peers are suppressed at this node's send seam.  A
         #: restarted node is seeded one incarnation above its previous
         #: life so its ALIVE gossip resurrects stale FAILED records.
@@ -143,19 +146,15 @@ class ClusterNode:
             else None
         )
         self.transport: Optional[AsyncioUdpTransport] = None
-        #: The armed initiate timer; ``None`` when the node is not running.
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: On the initiate clock: set by ``_arm``, cleared by ``stop`` and
+        #: by a tick that raises.  The clock drops an entry whose node is
+        #: no longer running when it comes due.
+        self.running = False
         self._welcome: Optional[asyncio.Future] = None
-        self._loop_ref: Optional[asyncio.AbstractEventLoop] = None
-
-    @property
-    def running(self) -> bool:
-        return self._timer is not None
 
     async def start(self, bootstrap_ids: Optional[List[NodeId]] = None) -> None:
         """Bind the socket, obtain a view (given or via introducer), go live."""
         cfg = self.cluster.config
-        self._loop_ref = asyncio.get_running_loop()
         self.transport = await AsyncioUdpTransport.create(
             self._on_record,
             host=cfg.host,
@@ -172,45 +171,44 @@ class ClusterNode:
             except RuntimeError:
                 # Leave no half-started node behind; the caller decides
                 # whether a failed join is an error or a counted event.
-                self.transport.close()
-                self.cluster.address_book.pop(self.node_id, None)
+                self.stop()
                 raise
         self.protocol.add_node(self.node_id, bootstrap_ids)
         if self.detector is not None:
-            self.detector.seed_peers(bootstrap_ids, self._loop_ref.time())
+            self.detector.seed_peers(bootstrap_ids, self.cluster._loop.time())
         self._arm()
 
     def stop(self) -> None:
-        """Crash the node: cancel its timer, close its socket.
+        """Crash the node: leave the clock, close the socket.
 
         No goodbye message — the paper's leave model (section 5).  Other
-        nodes keep our id until it drains out of their views.
+        nodes keep our id until it drains out of their views.  The address
+        book forgets the id only while it still names this socket: a
+        restart may have filed a replacement under it since.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self.running = False
         if self.transport is not None:
             self.transport.close()
-        self.cluster.address_book.pop(self.node_id, None)
+            book = self.cluster.address_book
+            if book.get(self.node_id) == self.transport.address:
+                del book[self.node_id]
 
     # -- the node's two halves -----------------------------------------
 
     def _arm(self) -> None:
-        """The initiate clock: exponential gaps, like the DES engine."""
-        gap = float(self.rng.exponential(1.0 / self.cluster.config.rate))
-        self._timer = self._loop_ref.call_later(gap, self._tick)
+        """Go live: take a place on the cluster's initiate clock."""
+        self.running = True
+        self.cluster._schedule(self)
 
     def _tick(self) -> None:
-        """One initiate action, then re-arm; an exception stops this node only."""
+        """One initiate action; an exception stops this node only."""
         try:
             if self.detector is not None:
-                self.detector.beat(self._loop_ref.time())
+                self.detector.beat(self.cluster._loop.time())
             self._route(self.protocol.initiate_effects(self.node_id, self.rng))
         except Exception as exc:  # a node crash must not vanish silently
             self.cluster.errors.append(f"node {self.node_id} initiate: {exc!r}")
-            self._timer = None
-            return
-        self._arm()
+            self.running = False
 
     def _route(self, effects: Tuple[SendEffect, ...]) -> None:
         """Send one step's effects, minus those to peers declared FAILED.
@@ -232,7 +230,7 @@ class ClusterNode:
         if isinstance(record, Message):
             try:
                 if self.detector is not None:
-                    now = self._loop_ref.time()
+                    now = self.cluster._loop.time()
                     self.detector.observe_direct(record.sender, now)
                     if record.ext:
                         self.detector.absorb_extension(record.ext.get(FD_EXT_KEY), now)
@@ -258,18 +256,17 @@ class ClusterNode:
 
         Each attempt waits up to the current timeout for a Welcome; a miss
         (request or Welcome eaten by drop injection) doubles the timeout
-        up to ``join_backoff_cap_s``.  The ±20% jitter is drawn from the
-        node's own rng, so simultaneous joiners (restart storms,
+        up to ``join_backoff_cap_s``.  The ±20% jitter is a fresh draw per
+        attempt, so simultaneous joiners (restart storms,
         flash crowds) decorrelate instead of re-colliding in lockstep.
         """
         cfg = self.cluster.config
-        loop = asyncio.get_running_loop()
         request = JoinRequest(node=self.node_id, port=self.transport.port)
         timeout = cfg.join_timeout_s
         for _ in range(cfg.join_retries):
-            self._welcome = loop.create_future()
+            self._welcome = self.cluster._loop.create_future()
             self.transport.send_record(request, self.cluster.introducer_address)
-            jittered = timeout * (0.8 + 0.4 * float(self.rng.random()))
+            jittered = timeout * (0.8 + 0.4 * self.rng.random())
             try:
                 welcome = await asyncio.wait_for(self._welcome, timeout=jittered)
                 return list(welcome.bootstrap)
@@ -418,6 +415,8 @@ class LocalCluster:
         config.params()  # validate (s, dL) eagerly
         self.config = config
         self.rng = make_rng(config.seed)
+        #: Scalar draws for every node and transport, off ``self.rng``.
+        self.draws = BlockDraws(self.rng)
         self.address_book: Dict[NodeId, Tuple[str, int]] = {}
         self.nodes: Dict[NodeId, ClusterNode] = {}
         self.errors: List[str] = []
@@ -433,7 +432,13 @@ class LocalCluster:
         self._fd_incarnations: Dict[NodeId, int] = {}
         self._partition: Optional[Dict[NodeId, int]] = None
         self._introducer: Optional[AsyncioUdpTransport] = None
-        self._node_rngs = spawn_rngs(self.rng, config.n + 1)
+        #: The initiate clock: a heap of ``(when, seq, node)``, one entry
+        #: per running node, and the one loop timer armed for its head.
+        #: ``seq`` is unique, so two entries never compare their nodes.
+        self._clock: List[Tuple[float, int, ClusterNode]] = []
+        self._clock_seq = count()
+        self._clock_handle: Optional[asyncio.TimerHandle] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         # Counters of killed incarnations, so totals survive restarts.
         self._grave_actions = 0
         self._grave_suppressed = 0
@@ -466,14 +471,13 @@ class LocalCluster:
         exercised by every restart and late join.
         """
         cfg = self.config
+        self._loop = asyncio.get_running_loop()
         self._introducer = await AsyncioUdpTransport.create(
-            self._on_introducer, host=cfg.host, port=0, rng=self._node_rngs[cfg.n]
+            self._on_introducer, host=cfg.host, port=0, rng=self.draws
         )
         degree = cfg.bootstrap_degree()
         for node_id in range(cfg.n):
-            self.nodes[node_id] = ClusterNode(
-                self, node_id, self._node_rngs[node_id]
-            )
+            self.nodes[node_id] = ClusterNode(self, node_id)
         await asyncio.gather(
             *(
                 self.nodes[u].start(
@@ -484,10 +488,51 @@ class LocalCluster:
         )
 
     async def shutdown(self) -> None:
+        if self._clock_handle is not None:
+            self._clock_handle.cancel()
+            self._clock_handle = None
+        self._clock.clear()
         for node in self.nodes.values():
             node.stop()
         if self._introducer is not None:
             self._introducer.close()
+
+    # -- the initiate clock ---------------------------------------------
+
+    def _schedule(self, node: ClusterNode) -> None:
+        """Give ``node`` its first due time; re-aim the timer if it leads."""
+        gap = self.draws.exponential(1.0 / self.config.rate)
+        entry = (self._loop.time() + gap, next(self._clock_seq), node)
+        heappush(self._clock, entry)
+        if self._clock[0] is entry:
+            if self._clock_handle is not None:
+                self._clock_handle.cancel()
+            self._clock_handle = self._loop.call_at(entry[0], self._fire)
+
+    def _fire(self) -> None:
+        """Tick every node due by now, then aim the timer at the next one.
+
+        A node's next due time is an exponential gap after its tick, like
+        the DES engine's clocks (section 4.1).  Each re-push therefore lies
+        after the cut-off read on entry: a firing ticks a node at most
+        once and the loop polls the sockets before the next, so overdue
+        clocks cannot starve the receive path.
+        """
+        clock, seq = self._clock, self._clock_seq
+        now, exponential = self._loop.time, self.draws.exponential
+        mean_gap = 1.0 / self.config.rate
+        cutoff = now()
+        while clock and clock[0][0] <= cutoff:
+            node = clock[0][2]
+            if node.running:
+                node._tick()
+            if node.running:
+                heapreplace(clock, (now() + exponential(mean_gap), next(seq), node))
+            else:
+                heappop(clock)
+        self._clock_handle = (
+            self._loop.call_at(clock[0][0], self._fire) if clock else None
+        )
 
     def _on_introducer(
         self, record: WireRecord, timestamp: Optional[float], addr: Tuple[str, int]
@@ -529,10 +574,7 @@ class LocalCluster:
         lossy join path — and one the failure detector should then report.
         """
         replacement = ClusterNode(
-            self,
-            node_id,
-            self._node_rngs[node_id % len(self._node_rngs)],
-            incarnation=self._fd_incarnations.get(node_id, -1) + 1,
+            self, node_id, incarnation=self._fd_incarnations.get(node_id, -1) + 1
         )
         try:
             await replacement.start(bootstrap_ids=None)

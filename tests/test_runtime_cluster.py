@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.core.sandf import SendForget
 from repro.net.wire import JoinRequest
+from repro.protocols.base import Message, SendEffect
 from repro.runtime.cluster import ClusterConfig, LocalCluster, run_cluster
 
 from test_net_wire import HOSTILE
@@ -253,21 +254,44 @@ class TestJoinBackoff:
         assert report.join_failures == 0
 
 
-def armed_timers(node):
-    """Live (uncancelled) loop callbacks that belong to ``node``: timers
-    still in the heap plus those already due and queued to run."""
+def clock_timers(cluster):
+    """Live (uncancelled) loop callbacks that belong to ``cluster`` or to one
+    of its nodes: timers in the loop's heap plus those due and queued to run."""
     loop = asyncio.get_running_loop()
+    owners = [cluster, *cluster.nodes.values()]
     return [
         handle
         for handle in [*loop._scheduled, *loop._ready]
         if not handle.cancelled()
-        and getattr(handle._callback, "__self__", None) is node
+        and any(getattr(handle._callback, "__self__", None) is o for o in owners)
     ]
 
 
+def action_counts(nodes):
+    return [node.protocol.stats.actions for node in nodes]
+
+
 class TestInitiateClock:
-    """Each node's clock is one self-re-arming loop timer: ``running``
-    means a timer is armed, and stopping a node leaves nothing scheduled."""
+    """The cluster keeps one clock for all its nodes: one loop timer while
+    it runs, none after ``shutdown``; a node that stops, is killed or
+    raises never ticks again, and the others never notice."""
+
+    def test_one_loop_timer_while_running_and_none_after_shutdown(self):
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, rate=400.0))
+            await cluster.start()
+            seen = []
+            for _ in range(5):
+                seen.append(len(clock_timers(cluster)))
+                await asyncio.sleep(0.02)
+            await cluster.kill(2)
+            assert await cluster.restart(2)
+            seen.append(len(clock_timers(cluster)))
+            await cluster.shutdown()
+            assert clock_timers(cluster) == [] and cluster._clock == []
+            return seen
+
+        assert asyncio.run(scenario()) == [1] * 6
 
     def test_stop_and_kill_freeze_the_node(self):
         async def scenario():
@@ -275,19 +299,17 @@ class TestInitiateClock:
             await cluster.start()
             await asyncio.sleep(0.1)
             stopped, killed = cluster.nodes[1], cluster.nodes[2]
-            assert all(len(armed_timers(node)) == 1 for node in cluster.nodes.values())
             stopped.stop()
             await cluster.kill(2)
-            frozen = (stopped.protocol.stats.actions, killed.protocol.stats.actions)
-            assert frozen[0] > 0 and frozen[1] > 0
+            frozen = action_counts([stopped, killed])
+            assert min(frozen) > 0
             assert not stopped.running and not killed.running
-            assert armed_timers(stopped) == [] and armed_timers(killed) == []
-            others_before = cluster.nodes[0].protocol.stats.actions
+            others = [cluster.nodes[u] for u in (0, 3, 4, 5)]
+            before = action_counts(others)
             await asyncio.sleep(0.1)
-            assert frozen == (
-                stopped.protocol.stats.actions, killed.protocol.stats.actions
-            )
-            assert cluster.nodes[0].protocol.stats.actions > others_before
+            assert frozen == action_counts([stopped, killed])
+            assert all(b > a for a, b in zip(before, action_counts(others)))
+            assert len(clock_timers(cluster)) == 1
             stopped.stop()  # idempotent
             await cluster.shutdown()
 
@@ -307,7 +329,6 @@ class TestInitiateClock:
             await asyncio.sleep(0.1)
             assert new.protocol.stats.actions > 0
             assert old.protocol.stats.actions == old_actions
-            assert len(armed_timers(new)) == 1 and armed_timers(old) == []
             report = cluster.report()
             await cluster.shutdown()
             return report
@@ -315,6 +336,36 @@ class TestInitiateClock:
         report = asyncio.run(scenario())
         assert report.ok(), (report.degree_violations, report.errors)
         assert report.live_nodes == 6
+
+    def test_stopping_a_superseded_incarnation_spares_its_replacement(self):
+        """At the parent ``old.stop()`` unregistered the live node 3: every
+        later send to it was counted ``unroutable``."""
+
+        async def scenario():
+            # Clocks this slow never tick: the one datagram is the test's own.
+            cluster = LocalCluster(tiny_config(n=6, rate=1e-6))
+            await cluster.start()
+            old = cluster.nodes[3]
+            await cluster.kill(3)
+            assert cluster.resolve(3) is None
+            assert await cluster.restart(3)
+            new = cluster.nodes[3]
+            old.stop()
+            assert cluster.resolve(3) == new.transport.address
+            before = new.transport.delivered  # its Welcome
+            message = Message(
+                sender=0, target=3, payload=[(0, False), (1, False)], kind="sandf"
+            )
+            assert cluster.nodes[0].transport.send(SendEffect(message), cluster.draws)
+            await asyncio.sleep(0.1)
+            report = cluster.report()
+            await cluster.shutdown()
+            return new.transport.delivered - before, report
+
+        delivered, report = asyncio.run(scenario())
+        assert delivered == 1
+        assert report.unroutable == 0
+        assert report.ok(), (report.degree_violations, report.errors)
 
     def test_a_raising_tick_stops_that_node_only(self, monkeypatch):
         real = SendForget.initiate_effects
@@ -331,16 +382,11 @@ class TestInitiateClock:
 
             monkeypatch.setattr(SendForget, "initiate_effects", faulty)
             await asyncio.sleep(0.1)
-            assert not victim.running and armed_timers(victim) == []
-            before = {
-                u: node.protocol.stats.actions
-                for u, node in cluster.nodes.items() if u != 4
-            }
+            assert not victim.running and len(clock_timers(cluster)) == 1
+            others = [node for u, node in cluster.nodes.items() if u != 4]
+            before = action_counts(others)
             await asyncio.sleep(0.1)
-            grew = all(
-                cluster.nodes[u].protocol.stats.actions > count
-                for u, count in before.items()
-            )
+            grew = all(b > a for a, b in zip(before, action_counts(others)))
             report = cluster.report()
             await cluster.shutdown()
             return grew, report
@@ -351,7 +397,7 @@ class TestInitiateClock:
         assert "node 4 initiate" in report.errors[0] and "boom" in report.errors[0]
         assert report.live_nodes == 5 and not report.ok()
 
-    def test_saturated_shutdown_leaves_nothing_pending(self):
+    def test_saturated_clock_starves_neither_sockets_nor_nodes(self):
         async def scenario():
             cluster = LocalCluster(
                 tiny_config(n=20, view_size=12, d_low=4, drop_rate=0.05, rate=5000.0)
@@ -361,15 +407,44 @@ class TestInitiateClock:
             report = cluster.report()
             nodes = list(cluster.nodes.values())
             await cluster.shutdown()
-            actions = [node.protocol.stats.actions for node in nodes]
+            actions = action_counts(nodes)
             await asyncio.sleep(0.05)
-            assert actions == [node.protocol.stats.actions for node in nodes]
-            assert not any(node.running or armed_timers(node) for node in nodes)
-            return report
+            assert actions == action_counts(nodes)
+            assert clock_timers(cluster) == []
+            assert not any(node.running for node in nodes)
+            return report, actions
 
-        report = asyncio.run(scenario())
+        report, actions = asyncio.run(scenario())
         assert report.ok(), (report.degree_violations, report.errors)
         assert report.actions > 20 * 50  # really saturated, not idling
+        # Every clock is always overdue, yet the loop still reads the sockets
+        # between firings and every node gets its turn in each.
+        assert report.datagrams_received >= 0.9 * report.datagrams_sent
+        assert min(actions) >= 0.5 * sum(actions) / len(actions)
+
+    def test_paced_clock_keeps_the_poisson_rate(self):
+        """``n`` exponential clocks at ``rate`` superpose into one Poisson
+        stream of ``n * rate``.  A gap starts when its tick *ran*, which the
+        selector lets be up to ``slack_s`` late (epoll rounds a
+        timeout up to the millisecond), so the band opens downward by that."""
+        n, rate, slack_s, sigmas = 10, 200.0, 1e-3, 5.0
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=n, rate=rate))
+            await cluster.start()
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            await asyncio.sleep(1.0)
+            actions = sum(action_counts(cluster.nodes.values()))
+            elapsed = loop.time() - began
+            await cluster.shutdown()
+            return actions, elapsed
+
+        actions, elapsed = asyncio.run(scenario())
+        on_time = n * rate * elapsed
+        all_late = n * elapsed / (1.0 / rate + slack_s)
+        assert actions >= all_late - sigmas * all_late**0.5
+        assert actions <= on_time + sigmas * on_time**0.5
 
 
 class TestSocketErrors:
