@@ -9,7 +9,8 @@ robustness beyond the paper's model (its section 8 future work).
 :mod:`repro.net.transport` carries the messages themselves: the engines'
 in-memory :class:`LoopbackTransport` (loss model applied at the seam) and
 the runtime's :class:`AsyncioUdpTransport` speaking the schema-versioned
-datagram format of :mod:`repro.net.wire`.
+binary datagram layout of :mod:`repro.net.wire` (schema 2: fixed-width
+fields, JSON only in a message's optional extension tail).
 """
 
 from repro.net.delay import ConstantDelay, DelayModel, ExponentialDelay, UniformDelay

@@ -1,11 +1,25 @@
 """Schema-versioned wire codec for protocol and runtime control records.
 
-Every datagram the UDP runtime puts on the wire is a compact JSON object
-with two envelope fields:
+Every datagram the UDP runtime puts on the wire is a fixed binary layout
+in network byte order (``i64`` signed, ``u8`` / ``u16`` unsigned, ``f64``
+IEEE double)::
 
-* ``v`` — :data:`WIRE_SCHEMA_VERSION`, checked on decode so incompatible
-  peers fail loudly instead of corrupting views;
-* ``t`` — a short tag selecting the record type.
+    offset 0   u8   version   WIRE_SCHEMA_VERSION; other values are rejected
+           1   u8   tag       1 message, 2 join request, 3 welcome
+           2   u8   flags     bit 0: ts present; bit 1: ext present
+                              (messages only); other bits must be zero
+           3   f64  ts        only when flagged; must be finite
+
+    message        i64 sender, i64 target, u8 len(kind), u16 pair count,
+                   then per pair (i64 id, u8 dependence flag: 0 or 1),
+                   then ``kind`` as UTF-8, then the ext tail when flagged
+    join request   i64 node, u16 port (1..65535)
+    welcome        i64 node, u16 bootstrap count, u16 address-book count,
+                   then the bootstrap ids (i64 each), then the address
+                   book as (i64 id, u16 port 1..65535) entries, ids distinct
+
+so a message is ``22 + 9 * len(payload) + len(kind.encode())`` bytes, 8
+more with a ``ts`` — the ``[u, w]`` S&F datagram the cluster sends is 53.
 
 The protocol payload is the paper's ``[u, w]`` message (section 5): the
 sender's own id and the forwarded id, each with its dependence flag.  The
@@ -14,25 +28,33 @@ by the UDP gossip-membership daemons in the related work): a
 :class:`JoinRequest` announcing a node's listening port, answered by a
 :class:`Welcome` carrying bootstrap ids and the address book.
 
-An optional ``ts`` envelope field carries the sender's wall-clock send
-time so receivers can sample one-way delivery latency (the transport
-benchmark's p50/p99).  ``ts`` is transport metadata, not record state:
-:func:`decode` ignores it, :func:`decode_with_timestamp` surfaces it.
+``ts`` carries the sender's clock at send time so receivers can sample
+one-way delivery latency (the transport benchmark's p50/p99).  It is
+transport metadata, not record state: :func:`decode` ignores it,
+:func:`decode_with_timestamp` surfaces it.
 
-Those three records — :class:`~repro.protocols.base.Message`,
-:class:`JoinRequest`, :class:`Welcome` — are everything any runtime sends,
-so they are everything the codec speaks: a datagram with any other tag is
-a :class:`WireError`.  Round-tripping is property-tested with Hypothesis
-in ``tests/test_net_wire.py``.
+The ext tail is :attr:`Message.ext <repro.protocols.base.Message.ext>` —
+a JSON object mapping each extension key to a self-versioned JSON object
+(the failure detector's ``{"fd": {...}}``) — and is the only JSON on the
+wire: a message without extensions carries none.
+
+Decoding is strict: the length must be exact, every flag byte 0 or 1, so
+an accepted ext-free datagram is the *only* spelling of its record
+(``encode(*decode_with_timestamp(b)) == b``).  Those three records —
+:class:`~repro.protocols.base.Message`, :class:`JoinRequest`,
+:class:`Welcome` — are everything any runtime sends, so they are
+everything the codec speaks.  Round trip, canonical form and fail-closed
+decoding are property-tested with Hypothesis in ``tests/test_net_wire.py``;
+``tests/data/wire_v2_golden.json`` pins the bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import struct
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Optional, Tuple, Union
+from math import isfinite
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.protocols.base import DATACLASS_SLOTS, Message
 
@@ -41,17 +63,19 @@ NodeId = int
 #: Bump on any incompatible change to the datagram layout.  Decoders
 #: reject other versions outright — a half-understood membership message
 #: could silently corrupt a view, which is worse than dropping it (drops
-#: are the one failure S&F is designed for).
-WIRE_SCHEMA_VERSION = 1
+#: are the one failure S&F is designed for).  Version 1 was JSON text: its
+#: first byte is ``{`` (0x7B), so the two versions reject each other here.
+WIRE_SCHEMA_VERSION = 2
 
 #: Practical payload ceiling for a localhost UDP datagram (IPv4 65535
-#: minus IP/UDP headers).  An S&F message is ~100 bytes; a Welcome for a
-#: 1000-node cluster is ~20 KiB — both comfortably under it.
+#: minus IP/UDP headers).  An S&F message is 53 bytes; a Welcome for a
+#: 1000-node cluster is ~10 KiB — both comfortably under it.
 MAX_DATAGRAM = 65507
 
 
 class WireError(ValueError):
-    """A datagram that cannot be decoded: bad JSON, version, tag, or shape."""
+    """A datagram that cannot be decoded (bad version, tag, flags, length
+    or field), or a record that no datagram can hold."""
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -83,124 +107,136 @@ class Welcome:
 #: Everything the codec can carry.
 WireRecord = Union[Message, JoinRequest, Welcome]
 
-_TAG_MESSAGE = "msg"
-_TAG_JOIN = "join"
-_TAG_WELCOME = "wlcm"
+_TAG_MESSAGE = 1
+_TAG_JOIN = 2
+_TAG_WELCOME = 3
 
+_FLAG_TS = 1
+_FLAG_EXT = 2
 
-#: What a hostile-but-parseable datagram can raise while a record is
-#: rebuilt from it: missing keys, wrong shapes, ``int(1e999)`` (overflow),
-#: ``.items()`` on a non-object.  Decoding turns each into :class:`WireError`.
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, AttributeError)
+_HEAD = struct.Struct("!BBB")
+_HEAD_TS = struct.Struct("!BBBd")
+_MESSAGE = struct.Struct("!qqBH")
+_PAIR = struct.Struct("!qB")
+_JOIN = struct.Struct("!qH")
+_WELCOME = struct.Struct("!qHH")
+_ID = struct.Struct("!q")
+_ENTRY = struct.Struct("!qH")
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
-
-
-#: ``{"t":"msg","m":`` — how every message datagram starts.
-_MESSAGE_HEAD = '{"t":%s,"m":' % _quote(_TAG_MESSAGE)
-
-
-def _open_object(obj: Dict[str, Any]) -> str:
-    """``obj`` as compact JSON text, minus the closing brace (see :func:`encode`)."""
-    return _dumps(obj)[:-1]
-
-
-def _format_message(message: Message) -> str:
-    """The message body as JSON text, written directly.
-
-    Byte for byte what ``json.dumps`` with compact separators emits for
-    ``{"s": int, "d": int, "k": str, "p": [[int, 0|1], ...]}`` — this is
-    the hot half of every datagram the cluster sends, and building that
-    dict for a reflective encoder cost more than the ``sendto``.  The
-    oracle dict lives in ``tests/test_net_wire.py``.
-    """
-    text = '{"s":%d,"d":%d,"k":%s,"p":[%s]' % (
-        message.sender,
-        message.target,
-        _quote(message.kind),
-        ",".join(
-            ["[%d,%d]" % (node_id, 1 if dep else 0) for node_id, dep in message.payload]
-        ),
-    )
-    # The extension envelope is strictly additive: absent extensions
-    # produce the exact pre-extension bytes, so extension-free peers and
-    # replays stay bit-identical on the wire.  Each extension key maps to
-    # a JSON object that carries its own version field (e.g. the failure
-    # detector's liveness gossip, repro.failure.detector.FD_WIRE_VERSION).
-    if message.ext:
-        ext = {str(key): dict(value) for key, value in message.ext.items()}
-        return text + ',"x":' + _dumps(ext) + "}"
-    return text + "}"
-
-
-def _message_from_body(body: Any) -> Message:
-    if not isinstance(body, dict):
-        raise WireError("malformed message body: not an object")
-    try:
-        ext = body.get("x")
-        if ext is not None:
-            if not isinstance(ext, dict) or not all(
-                isinstance(value, dict) for value in ext.values()
-            ):
-                raise WireError("malformed extension envelope")
-            ext = {str(key): dict(value) for key, value in ext.items()}
-        return Message(
-            sender=int(body["s"]),
-            target=int(body["d"]),
-            payload=[(int(v), bool(f)) for v, f in body["p"]],
-            kind=str(body["k"]),
-            ext=ext,
-        )
-    except _MALFORMED as exc:
-        raise WireError("malformed message body") from exc
-
-
-def _port(value: Any) -> int:
-    """A UDP port a peer announced: an int in 1..65535, or the datagram is
-    malformed.  Receivers ``sendto`` these; any other value raises there
-    (``OverflowError``, which asyncio treats as fatal to the *sender's*
-    socket), so it must not get past the decoder."""
-    if type(value) is not int or not 0 < value < 65536:
-        raise WireError(f"not a UDP port: {value!r}")
-    return value
 
 
 def encode(record: WireRecord, timestamp: Optional[float] = None) -> bytes:
     """Serialize ``record`` into one versioned datagram.
 
-    ``timestamp`` (sender wall-clock seconds) rides in the envelope for
-    latency sampling; it is not part of the record and does not affect
-    round-trip equality.
+    ``timestamp`` (sender clock seconds) rides in the header for latency
+    sampling; it is not part of the record and does not affect round-trip
+    equality.  A record the layout cannot hold — an id outside signed 64
+    bits, a ``kind`` over 255 bytes, more than 65535 pairs, a port or
+    ``timestamp`` of the wrong type or range — is a :class:`WireError`.
     """
-    # Each branch leaves ``text`` one "}" short of a JSON object, so the
-    # envelope's ``v`` and ``ts`` are appended the same way for all three.
-    if isinstance(record, Message):
-        text = _MESSAGE_HEAD + _format_message(record)
-    elif isinstance(record, JoinRequest):
-        text = _open_object(
-            {"t": _TAG_JOIN, "n": int(record.node), "port": int(record.port)}
-        )
-    elif isinstance(record, Welcome):
-        text = _open_object(
-            {
-                "t": _TAG_WELCOME,
-                "n": int(record.node),
-                "b": [int(v) for v in record.bootstrap],
-                "a": {str(int(k)): int(p) for k, p in record.address_book.items()},
-            }
-        )
-    else:
-        raise WireError(f"cannot encode record of type {type(record).__name__}")
-    text += ',"v":%d' % WIRE_SCHEMA_VERSION
-    if timestamp is not None:
-        # repr is what the JSON encoder emits for a finite float; it alone
-        # knows how to spell everything else (ints, NaN, Infinity).
-        finite = type(timestamp) is float and math.isfinite(timestamp)
-        text += ',"ts":' + (repr(timestamp) if finite else _dumps(timestamp))
-    data = (text + "}").encode("utf-8")
+    flags = 0 if timestamp is None else _FLAG_TS
+    tail = b""
+    try:
+        if isinstance(record, Message):
+            tag = _TAG_MESSAGE
+            kind = record.kind.encode("utf-8")
+            payload = record.payload
+            parts = [
+                _MESSAGE.pack(record.sender, record.target, len(kind), len(payload))
+            ]
+            pack = _PAIR.pack
+            for node_id, dependent in payload:
+                parts.append(pack(node_id, 1 if dependent else 0))
+            parts.append(kind)
+            # The extension envelope is strictly additive: a message without
+            # extensions carries no flag and no tail.  Each extension key maps
+            # to a JSON object with its own version field (e.g. the failure
+            # detector's liveness gossip, repro.failure.detector.FD_WIRE_VERSION).
+            if record.ext:
+                flags |= _FLAG_EXT
+                tail = _dumps(
+                    {str(key): dict(value) for key, value in record.ext.items()}
+                ).encode("utf-8")
+        elif isinstance(record, JoinRequest):
+            tag = _TAG_JOIN
+            parts = [_JOIN.pack(record.node, record.port)]
+        elif isinstance(record, Welcome):
+            tag = _TAG_WELCOME
+            bootstrap, book = record.bootstrap, record.address_book
+            parts = [_WELCOME.pack(record.node, len(bootstrap), len(book))]
+            parts += map(_ID.pack, bootstrap)
+            parts += [_ENTRY.pack(peer, port) for peer, port in book.items()]
+        else:
+            raise WireError(f"cannot encode record of type {type(record).__name__}")
+        if timestamp is None:
+            head = _HEAD.pack(WIRE_SCHEMA_VERSION, tag, flags)
+        else:
+            head = _HEAD_TS.pack(WIRE_SCHEMA_VERSION, tag, flags, timestamp)
+    except WireError:
+        raise
+    except (struct.error, OverflowError, TypeError, ValueError) as exc:
+        # struct.error: a value outside its field; OverflowError: an int ts
+        # no double holds; TypeError / ValueError: a field of the wrong type,
+        # a kind that is not encodable text, an ext that is not JSON.
+        raise WireError(f"cannot encode this {type(record).__name__}: {exc}") from exc
+    data = head + b"".join(parts) + tail
     if len(data) > MAX_DATAGRAM:
         raise WireError(f"record encodes to {len(data)} bytes > {MAX_DATAGRAM}")
     return data
+
+
+def _port(value: int) -> int:
+    """A UDP port a peer announced: 1..65535, or the datagram is malformed.
+    Receivers ``sendto`` these, and port 0 is nobody's address."""
+    if value == 0:
+        raise WireError("not a UDP port: 0")
+    return value
+
+
+def _exact(data: bytes, length: int, what: str) -> None:
+    """Every count in a header is checked against ``len(data)`` here,
+    before anything is sized by it."""
+    if len(data) != length:
+        raise WireError(
+            f"{what} datagram is {len(data)} bytes, its header says {length}"
+        )
+
+
+def _decode_message(data: bytes, offset: int, has_ext: int) -> Message:
+    sender, target, kind_length, pairs = _MESSAGE.unpack_from(data, offset)
+    offset += _MESSAGE.size
+    kind_at = offset + _PAIR.size * pairs
+    end = kind_at + kind_length
+    ext = None
+    if has_ext:
+        if len(data) <= end:
+            raise WireError(f"message datagram is {len(data)} bytes, no ext tail")
+        ext = json.loads(data[end:].decode("utf-8"))
+        if not isinstance(ext, dict) or not all(
+            isinstance(value, dict) for value in ext.values()
+        ):
+            raise WireError("malformed extension envelope")
+    else:
+        _exact(data, end, "message")
+    payload = []
+    for node_id, dependent in _PAIR.iter_unpack(data[offset:kind_at]):
+        if dependent > 1:
+            raise WireError(f"dependence flag is {dependent}, not 0 or 1")
+        payload.append((node_id, dependent == 1))
+    return Message(sender, target, payload, data[kind_at:end].decode("utf-8"), ext)
+
+
+def _decode_welcome(data: bytes, offset: int) -> Welcome:
+    node, bootstrap_count, book_count = _WELCOME.unpack_from(data, offset)
+    offset += _WELCOME.size
+    book_at = offset + _ID.size * bootstrap_count
+    _exact(data, book_at + _ENTRY.size * book_count, "welcome")
+    bootstrap = [node_id for (node_id,) in _ID.iter_unpack(data[offset:book_at])]
+    book = {peer: _port(port) for peer, port in _ENTRY.iter_unpack(data[book_at:])}
+    if len(book) != book_count:
+        raise WireError("address book names an id twice")
+    return Welcome(node, bootstrap, book)
 
 
 def decode_with_timestamp(data: bytes) -> Tuple[WireRecord, Optional[float]]:
@@ -211,44 +247,40 @@ def decode_with_timestamp(data: bytes) -> Tuple[WireRecord, Optional[float]]:
     a hostile datagram is one ``decode_errors`` increment.
     """
     try:
-        obj = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError: not UTF-8, not JSON, or an integer literal beyond the
-        # interpreter's digit limit.  RecursionError: nesting too deep.
-        raise WireError(f"undecodable datagram ({len(data)} bytes)") from exc
-    if not isinstance(obj, dict):
-        raise WireError(f"datagram is not an object: {type(obj).__name__}")
-    version = obj.get("v")
-    # ``True == 1`` and ``1.0 == 1``: the version is an int or it is wrong.
-    if type(version) is not int or version != WIRE_SCHEMA_VERSION:
-        raise WireError(
-            f"wire schema version mismatch: got {version!r}, "
-            f"speak {WIRE_SCHEMA_VERSION}"
-        )
-    tag = obj.get("t")
-    timestamp = obj.get("ts")
-    try:
-        # A NaN or infinite ts would poison the latency percentiles.
-        if timestamp is not None and not (
-            type(timestamp) in (int, float) and math.isfinite(timestamp)
-        ):
-            raise WireError("ts field is not a finite number")
-        if tag == _TAG_MESSAGE:
-            return _message_from_body(obj["m"]), timestamp
-        if tag == _TAG_JOIN:
-            return JoinRequest(node=int(obj["n"]), port=_port(obj["port"])), timestamp
-        if tag == _TAG_WELCOME:
-            return (
-                Welcome(
-                    node=int(obj["n"]),
-                    bootstrap=[int(v) for v in obj["b"]],
-                    address_book={int(k): _port(p) for k, p in obj["a"].items()},
-                ),
-                timestamp,
+        if data[0] != WIRE_SCHEMA_VERSION:
+            raise WireError(
+                f"wire schema version mismatch: got {data[0]}, "
+                f"speak {WIRE_SCHEMA_VERSION}"
             )
-    except _MALFORMED as exc:
-        raise WireError(f"malformed {tag!r} datagram") from exc
-    raise WireError(f"unknown wire tag: {tag!r}")
+        tag, flags = data[1], data[2]
+        if flags & _FLAG_TS:
+            timestamp = _HEAD_TS.unpack_from(data)[3]
+            # A NaN or infinite ts would poison the latency percentiles.
+            if not isfinite(timestamp):
+                raise WireError("ts field is not a finite number")
+            offset = _HEAD_TS.size
+        else:
+            timestamp = None
+            offset = _HEAD.size
+        has_ext = flags & _FLAG_EXT
+        if flags > _FLAG_TS | _FLAG_EXT or (has_ext and tag != _TAG_MESSAGE):
+            raise WireError(f"flag bits {flags:#04x} on a tag-{tag} datagram")
+        if tag == _TAG_MESSAGE:
+            return _decode_message(data, offset, has_ext), timestamp
+        if tag == _TAG_JOIN:
+            _exact(data, offset + _JOIN.size, "join")
+            node, port = _JOIN.unpack_from(data, offset)
+            return JoinRequest(node, _port(port)), timestamp
+        if tag == _TAG_WELCOME:
+            return _decode_welcome(data, offset), timestamp
+    except WireError:
+        raise
+    except (IndexError, struct.error, ValueError, RecursionError) as exc:
+        # IndexError / struct.error: shorter than its own header.
+        # ValueError: a kind or ext tail that is not UTF-8, or not JSON.
+        # RecursionError: an ext tail nested too deep.
+        raise WireError(f"malformed datagram ({len(data)} bytes)") from exc
+    raise WireError(f"unknown wire tag: {tag}")
 
 
 def decode(data: bytes) -> WireRecord:

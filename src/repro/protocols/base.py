@@ -58,9 +58,10 @@ class Message:
     the failure detector's liveness gossip (:mod:`repro.failure`).  Each
     extension owns one key mapping to a self-versioned blob, so carriers
     that do not understand an extension forward or ignore it without
-    misreading the membership payload.  ``None`` (the default) encodes to
-    exactly the pre-extension wire bytes, keeping extension-free runs
-    bit-identical on the wire as well as in memory.
+    misreading the membership payload.  On the wire it is a flagged JSON
+    tail after the fixed-width message (:mod:`repro.net.wire`); ``None``
+    (the default) sets no flag and adds no byte, keeping extension-free
+    runs bit-identical on the wire as well as in memory.
 
     The record is slotted and picklable, and round-trips through the
     versioned wire codec (:func:`repro.net.wire.encode` /

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.params import SFParams
-from repro.core.sandf import SendForget
+from repro.core.sandf import KIND_SANDF, SendForget
 from repro.failure import FD_EXT_KEY, DetectorConfig, FailureDetector, PeerState
 from repro.failure.layer import outbound as fd_outbound
 from repro.net.transport import AsyncioUdpTransport
@@ -246,9 +246,21 @@ class ClusterNode:
                 self._welcome.set_result(record)
 
     def _admit(self, record: WireRecord) -> bool:
-        """Receiver-side partition filter (control records always pass)."""
+        """Receiver-side filter (control records always pass).
+
+        A message is admitted when it is an S&F ``[u, w]`` addressed to this
+        node from this side of any partition.  The codec carries every
+        protocol's messages, but ``S&F-Receive`` stores a payload whole or
+        not at all on the premise that it holds two ids (Observation 5.1):
+        one stray one-id datagram would leave the outdegree odd for good.
+        """
         if isinstance(record, Message):
-            return self.cluster.admits(record.sender, self.node_id)
+            return (
+                record.kind == KIND_SANDF
+                and len(record.payload) == 2
+                and record.target == self.node_id
+                and self.cluster.admits(record.sender, self.node_id)
+            )
         return True
 
     async def _join_via_introducer(self) -> List[NodeId]:
@@ -353,7 +365,7 @@ class ClusterReport:
             ["datagrams sent", self.datagrams_sent],
             ["datagrams received", self.datagrams_received],
             ["dropped (injected)", self.datagrams_dropped],
-            ["filtered (partition)", self.datagrams_filtered],
+            ["filtered (partition / not [u, w])", self.datagrams_filtered],
             ["decode errors", self.decode_errors],
             ["unroutable", self.unroutable],
             ["socket errors", self.socket_errors],

@@ -20,7 +20,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_net_wire import json_leaves
+from test_net_wire import ext_message, json_leaves
 
 from repro.failure import (
     FD_EXT_KEY,
@@ -30,7 +30,7 @@ from repro.failure import (
     LivenessUpdate,
     PeerState,
 )
-from repro.net.wire import WIRE_SCHEMA_VERSION, WireError, decode
+from repro.net.wire import WireError, decode
 
 PEERS = st.integers(min_value=1, max_value=6)
 
@@ -375,13 +375,7 @@ def test_hostile_extension_never_raises_nor_touches_what_it_cannot_parse(blob, k
         detector.absorb(update, now=0.0)
     # Through the wire wherever the envelope check admits the blob; the
     # in-process layer hands the detector the sender's object unchecked.
-    datagram = json.dumps(
-        {
-            "t": "msg",
-            "m": {"s": 1, "d": 0, "k": "sf", "p": [], "x": {FD_EXT_KEY: blob}},
-            "v": WIRE_SCHEMA_VERSION,
-        }
-    ).encode("utf-8")
+    datagram = ext_message(json.dumps({FD_EXT_KEY: blob}).encode("utf-8"))
     try:
         received = decode(datagram).ext[FD_EXT_KEY]
     except WireError:

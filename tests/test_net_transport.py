@@ -14,6 +14,8 @@ from repro.net.wire import JoinRequest, encode
 from repro.protocols.base import Message, SendEffect
 from repro.util.rng import make_rng
 
+from test_net_wire import HOSTILE, V1_DATAGRAMS
+
 
 def effect(sender=1, target=2, kind="sandf", reply=False):
     return SendEffect(
@@ -205,21 +207,12 @@ class TestUdp:
         assert sender.socket_errors == 2
 
 
-#: One datagram apiece that must cost exactly one ``decode_errors``.
+#: One datagram apiece that must cost exactly one ``decode_errors``: the
+#: codec suite's lying v2 headers and the parent's v1 JSON, over a socket.
 HOSTILE_DATAGRAMS = [
-    b"",
     b"\xff garbage",
-    b"[" * 60_000,
-    b'{"v":1,"t":"msg","m":' + b'{"a":' * 10_000 + b"1" + b"}" * 10_001,
-    b'{"v":1,"t":"msg","m":{"s":1e999,"d":2,"k":"k","p":[]}}',
-    b'{"v":1,"t":"join","n":1e999,"port":1}',
-    b'{"v":1,"t":"init","n":' + b"7" * 5000 + b"}",
-    b'{"v":1,"t":"wlcm","n":1,"b":[1],"a":[1,2]}',
-    b'{"v":1,"t":"init","n":1,"ts":NaN}',
-    b'{"v":1,"t":"init","n":1,"ts":Infinity}',
-    b'{"v":1,"t":"init","n":1,"ts":1' + b"0" * 400 + b"}",
-    b'{"v":true,"t":"init","n":1}',
-    b'{"v":2,"t":"init","n":1}',
+    *(HOSTILE[name] for name in sorted(HOSTILE)),
+    *(V1_DATAGRAMS[name] for name in sorted(V1_DATAGRAMS)),
 ]
 MESSAGE = Message(sender=1, target=2, payload=[(1, False)], kind="sandf")
 VALID_MESSAGE = encode(MESSAGE)  # the ledger scenario stamps it at send time

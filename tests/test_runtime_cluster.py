@@ -12,11 +12,11 @@ import pytest
 
 from repro import obs
 from repro.core.sandf import SendForget
-from repro.net.wire import JoinRequest
+from repro.net.wire import JoinRequest, encode
 from repro.protocols.base import Message, SendEffect
 from repro.runtime.cluster import ClusterConfig, LocalCluster, run_cluster
 
-from test_net_wire import HOSTILE
+from test_net_wire import HOSTILE, V1_DATAGRAMS, ext_message
 
 
 def tiny_config(**overrides):
@@ -476,53 +476,104 @@ class TestSocketErrors:
 class TestHostileDatagrams:
     @staticmethod
     def attack(datagrams, **config):
-        """Node 0 and the report after a stranger sends it ``datagrams``."""
+        """Node 0, the report and node 0's view before and after a stranger
+        sends it ``datagrams``."""
 
         async def scenario():
             cluster = LocalCluster(tiny_config(n=6, **config))
             await cluster.start()
+            node = cluster.nodes[0]
+            before = node.protocol.view_of(0)
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
                 for datagram in datagrams:
                     attacker.sendto(datagram, cluster.address_book[0])
             await asyncio.sleep(0.2)
-            node, report = cluster.nodes[0], cluster.report()
+            report, after = cluster.report(), node.protocol.view_of(0)
             await cluster.shutdown()
-            return node, report
+            return node, report, before, after
 
         return asyncio.run(scenario())
 
     def test_malformed_fd_extension_costs_a_counter_not_the_run(self):
         """``ext["fd"]`` blobs that pass the wire envelope check but not the
         detector's: each is one ``ignored_extensions``, never a node error."""
-        body = b'{"t":"msg","m":{"s":1,"d":0,"k":"push","p":[],"x":{"fd":%s}},"v":1}'
-        hostile = [body % b'{"v":1,"g":5}', body % b'{"v":1,"g":[[1,1,0,Infinity]]}']
-        node, report = self.attack(hostile, failure_detection=True)
+        hostile = [
+            ext_message(b'{"fd":{"v":1,"g":5}}'),
+            ext_message(b'{"fd":{"v":1,"g":[[1,1,0,Infinity]]}}'),
+        ]
+        node, report, _, _ = self.attack(hostile, failure_detection=True)
         assert node.detector.counters["ignored_extensions"] == len(hostile)
+        assert node.transport.filtered == 0
         assert report.errors == []
         assert report.ok(), (report.degree_violations, report.errors)
 
+    # Clocks at rate 1e-6 never tick during a test: no other traffic.
+
     def test_retired_wire_tag_is_a_decode_error_not_a_delivery(self):
-        """The parent decoded this datagram, counted it ``delivered`` and
-        sampled a 1e300 s latency before the node ignored it."""
-        # Clocks this slow never tick during the test: no other traffic.
-        node, _ = self.attack([HOSTILE["retired init tag"]], rate=1e-6)
+        """A tag no runtime sends, stamped 1e300 s in the past: never
+        ``delivered``, never a latency sample."""
+        node, _, _, _ = self.attack([HOSTILE["unknown tag with a ts"]], rate=1e-6)
         transport = node.transport
         assert (transport.delivered, len(transport.latency_samples)) == (0, 0)
         assert transport.decode_errors == 1
 
+    @pytest.mark.parametrize("name", ["v1 message", "v1 message the v1 decoder coerced"])
+    def test_v1_datagram_costs_one_decode_error_and_nothing_else(self, name):
+        """A peer still speaking schema 1 — an honest ``[u, w]``, or the one
+        whose ``"s":"1"`` / ``[true,0]`` the v1 decoder read as ids."""
+        node, report, before, after = self.attack([V1_DATAGRAMS[name]], rate=1e-6)
+        transport = node.transport
+        assert (transport.datagrams_received, transport.decode_errors) == (1, 1)
+        assert (transport.delivered, transport.filtered, transport.dropped) == (0, 0, 0)
+        assert after == before
+        assert report.ok(), (report.degree_violations, report.errors)
+
+    @pytest.mark.parametrize(
+        "stray",
+        [
+            Message(sender=1, target=0, payload=[(3, False)], kind="push"),
+            Message(sender=1, target=0, payload=[(3, False)], kind="sandf"),
+            Message(sender=1, target=0, payload=[(3, False), (4, False)], kind="push"),
+            Message(sender=1, target=5, payload=[(3, False), (4, False)], kind="sandf"),
+            Message(sender=1, target=0, payload=[(3, False)] * 3, kind="sandf"),
+        ],
+        ids=["one id, push", "one id", "not S&F", "not mine", "three ids"],
+    )
+    def test_only_a_two_id_sandf_message_to_this_node_reaches_its_view(self, stray):
+        """At the parent the first of these left node 0 at outdegree 7 —
+        ``degree_violations == ['node 0 has odd outdegree 7']`` for the rest
+        of the run: ``S&F-Receive`` takes a payload whole on the premise
+        that it holds two ids (Observation 5.1)."""
+        node, report, before, after = self.attack([encode(stray)], rate=1e-6)
+        transport = node.transport
+        assert report.degree_violations == []
+        assert (transport.filtered, transport.delivered) == (1, 0)
+        assert transport.decode_errors == 0
+        assert after == before
+        assert transport.datagrams_received == (
+            transport.delivered + transport.dropped + transport.filtered
+            + transport.decode_errors
+        )
+
+    def test_a_two_id_sandf_message_is_admitted(self):
+        honest = Message(sender=1, target=0, payload=[(3, False), (4, True)], kind="sandf")
+        node, report, before, after = self.attack([encode(honest)], rate=1e-6)
+        assert (node.transport.filtered, node.transport.delivered) == (0, 1)
+        assert after - before == {3: 1, 4: 1}
+        assert report.ok(), (report.degree_violations, report.errors)
+
     def test_unroutable_join_port_reaches_no_address_book(self):
-        """At the parent the introducer filed port 99999 under id 5; the
-        next node to gossip to 5 raised ``OverflowError`` inside ``sendto``
-        and asyncio closed *that node's* socket."""
+        """A port nobody can ``sendto`` (schema 1 could also spell 99999,
+        which raised ``OverflowError`` inside the next gossip to id 5 and
+        made asyncio close *that node's* socket): the introducer files
+        nothing under id 5."""
 
         async def scenario():
             cluster = LocalCluster(tiny_config(n=6))
             await cluster.start()
             before = dict(cluster.address_book)
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as attacker:
-                attacker.sendto(
-                    HOSTILE["join port beyond 65535"], cluster.introducer_address
-                )
+                attacker.sendto(HOSTILE["join port zero"], cluster.introducer_address)
             await asyncio.sleep(0.5)
             sockets_open = [
                 not node.transport._socket.is_closing()
