@@ -94,6 +94,20 @@ class _TransitionTemplate:
     ``order/group_starts/merged_rows/merged_cols`` pre-merge duplicate
     ``(row, col)`` pairs via a stable sort, preserving first-generated
     order inside each group.
+
+    The rest lays the balance system ``Pᵀ − I`` out for
+    ``scipy.linalg.solve_banded``.  A transition moves ``k`` by at most
+    one, so with the states sorted by ``(k, d)`` every entry sits within
+    about one row of d values of the diagonal (12 at s=40, dL=18, against
+    52 in the d-major order of ``states``).  ``position`` maps a state
+    index to its k-major position, ``band`` is the ``(lower, upper)``
+    bandwidth, and ``band_off`` / ``band_diag`` are the flat indices into
+    the ``(lower + upper + 1, n)`` band array of each merged off-diagonal
+    entry and of each state's diagonal.  ``degrees`` is the states as a
+    ``(2, n)`` array (row 0 the outdegrees, row 1 the indegrees) and
+    ``moments`` holds, one row each, ``d``, ``d(d−1)``, ``d(d−1)·1{d=dL}``,
+    ``k`` and ``k·1{d=s}``, so the environment of a distribution π is
+    ``moments @ π``.
     """
 
     rows: np.ndarray
@@ -104,6 +118,12 @@ class _TransitionTemplate:
     group_starts: np.ndarray
     merged_rows: np.ndarray
     merged_cols: np.ndarray
+    position: np.ndarray
+    band: Tuple[int, int]
+    band_off: np.ndarray
+    band_diag: np.ndarray
+    degrees: np.ndarray
+    moments: np.ndarray
 
 
 @dataclass
@@ -292,20 +312,9 @@ class DegreeMarkovChain:
 
     def _environment_from(self, pi: np.ndarray) -> _Environment:
         s = self.params.view_size
-        d_low = self.params.d_low
-        mean_d = 0.0
-        mean_dd1 = 0.0
-        dup_mass = 0.0
-        k_mass = 0.0
-        k_full_mass = 0.0
-        for prob, (d, k) in zip(pi, self.states):
-            mean_d += prob * d
-            mean_dd1 += prob * d * (d - 1)
-            if d == d_low:
-                dup_mass += prob * d * (d - 1)
-            k_mass += prob * k
-            if d == s:
-                k_full_mass += prob * k
+        mean_d, mean_dd1, dup_mass, k_mass, k_full_mass = (
+            self._cached_template().moments @ pi
+        ).tolist()
         if mean_d <= 0.0 or mean_dd1 <= 0.0:
             # Degenerate distribution; fall back to inert environment.
             return _Environment(0.0, 0.0, 0.0)
@@ -313,6 +322,11 @@ class DegreeMarkovChain:
         p_dup = dup_mass / mean_dd1
         p_full = (k_full_mass / k_mass) if k_mass > 0.0 else 0.0
         return _Environment(rate, p_dup, p_full)
+
+    def _cached_template(self) -> _TransitionTemplate:
+        if self._template is None:
+            self._template = self._build_template()
+        return self._template
 
     def _build_template(self) -> _TransitionTemplate:
         """Enumerate potential transitions once, in scalar-builder order."""
@@ -364,6 +378,20 @@ class DegreeMarkovChain:
         is_start = np.ones(flat.shape, dtype=bool)
         is_start[1:] = flat[1:] != flat[:-1]
         group_starts = np.flatnonzero(is_start)
+        merged_rows = sorted_rows[group_starts]
+        merged_cols = sorted_cols[group_starts]
+
+        degrees = np.asarray(self.states, dtype=np.int64).T
+        d, k = degrees
+        position = np.empty(n, dtype=np.int64)
+        position[np.lexsort((d, k))] = np.arange(n)
+        # Balance equation i = the target's position, unknown j = the
+        # source's: ``P[row, col]`` lands at ``(Pᵀ − I)[col, row]``, which
+        # ``solve_banded`` keeps at ``ab[upper + i − j, j]``.
+        i, j = position[merged_cols], position[merged_rows]
+        lower = int((i - j).max(initial=0))
+        upper = int((j - i).max(initial=0))
+        dd1 = d * (d - 1)
         return _TransitionTemplate(
             rows=rows_arr,
             cols=cols_arr,
@@ -373,26 +401,31 @@ class DegreeMarkovChain:
             ),
             order=order,
             group_starts=group_starts,
-            merged_rows=sorted_rows[group_starts],
-            merged_cols=sorted_cols[group_starts],
+            merged_rows=merged_rows,
+            merged_cols=merged_cols,
+            position=position,
+            band=(lower, upper),
+            band_off=(upper + i - j) * n + j,
+            band_diag=upper * n + position,
+            degrees=degrees,
+            moments=np.array(
+                [d, dd1, dd1 * (d == d_low), k, k * (d == s)], dtype=np.float64
+            ),
         )
 
-    def _build_matrix(self, env: _Environment) -> csr_matrix:
-        """Template builder: array scaling plus one coo→csr construction.
+    def _transition_parts(
+        self, env: _Environment
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``P``'s merged off-diagonal entries and its diagonal under ``env``.
 
-        Bit-identical to a per-state scalar builder that sums
-        :meth:`_transitions` into a ``lil`` matrix (the oracle in
-        ``tests/test_markov_degree_mc_vectorized.py``): each kind's factor
-        is applied with the scalar operation order, duplicate entries are
-        summed in generation order, env-zeroed entries are pruned (the
-        ``rate > 0`` filter of ``_transitions``), and the diagonal is
-        always materialized (``lil`` stores assigned zeros).
+        The entries are aligned with the template's ``merged_rows`` /
+        ``merged_cols``; both :meth:`_build_matrix` and the banded balance
+        system of :meth:`_stationary` are scatters of these two arrays.
+        Each kind's factor is applied with the scalar operation order and
+        duplicate entries are summed in generation order, so the values
+        are those of the per-state loop builder bit for bit.
         """
-        from scipy.sparse import coo_matrix
-
-        if self._template is None:
-            self._template = self._build_template()
-        template = self._template
+        template = self._cached_template()
         n = len(self.states)
         loss = self.loss_rate
         arrive = 1.0 - loss
@@ -428,46 +461,108 @@ class DegreeMarkovChain:
         if lam <= 0.0:
             raise RuntimeError("degenerate chain: no transitions anywhere")
         merged = np.add.reduceat(data[template.order], template.group_starts)
-        keep = merged != 0.0
         # scipy's ``csr / lam`` multiplies by the reciprocal; do the same
         # so off-diagonal probabilities match the scalar builder bit for bit.
-        off_diag = merged[keep] * (1.0 / lam)
-        diagonal = 1.0 - outflow / lam
-        # ``lil`` assignment drops zeros, so the scalar builder stores no
-        # zero entries anywhere — prune them here too (off-diagonal zeros
-        # come from env-zeroed factors, diagonal zeros from max-outflow
-        # rows) to keep the sparsity structure identical.
-        diag_keep = diagonal != 0.0
-        diag_idx = np.flatnonzero(diag_keep)
+        return merged * (1.0 / lam), 1.0 - outflow / lam
+
+    def _build_matrix(self, env: _Environment) -> csr_matrix:
+        """The transition matrix ``P``: one coo→csr construction.
+
+        Bit-identical to a per-state scalar builder that sums
+        :meth:`_transitions` into a ``lil`` matrix (the oracle in
+        ``tests/test_markov_degree_mc_vectorized.py``): env-zeroed entries
+        are pruned (the ``rate > 0`` filter of ``_transitions``) and so
+        are zero diagonals — ``lil`` assignment drops zeros, so the scalar
+        builder stores none anywhere (off-diagonal zeros come from
+        env-zeroed factors, diagonal zeros from max-outflow rows).  The
+        fixed point never builds it: :meth:`_stationary` scatters the same
+        values straight into a band.
+        """
+        from scipy.sparse import coo_matrix
+
+        template = self._cached_template()
+        n = len(self.states)
+        off_diag, diagonal = self._transition_parts(env)
+        keep = off_diag != 0.0
+        diag_idx = np.flatnonzero(diagonal != 0.0)
         all_rows = np.concatenate([template.merged_rows[keep], diag_idx])
         all_cols = np.concatenate([template.merged_cols[keep], diag_idx])
-        all_vals = np.concatenate([off_diag, diagonal[diag_keep]])
+        all_vals = np.concatenate([off_diag[keep], diagonal[diag_idx]])
         return coo_matrix((all_vals, (all_rows, all_cols)), shape=(n, n)).tocsr()
 
     @staticmethod
-    def _stationary(matrix: csr_matrix) -> np.ndarray:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import spsolve
+    def _mode(pi: np.ndarray) -> int:
+        """The state that holds the most mass: where the next solve pins."""
+        return int(np.argmax(pi))
 
-        n = matrix.shape[0]
-        balance = (matrix.T - _sparse_eye(n)).tocsr()
-        # Replace the last balance equation with the normalization row
-        # Σπ = 1 by splicing a dense ones-row into the csr arrays directly
-        # (equivalent to ``tolil(); a[n-1, :] = 1.0`` but without the two
-        # format conversions, which dominate the solve at these sizes).
-        cut = balance.indptr[n - 1]
-        indptr = np.concatenate([balance.indptr[:n], [cut + n]])
-        indices = np.concatenate([balance.indices[:cut], np.arange(n)])
-        data = np.concatenate([balance.data[:cut], np.ones(n)])
-        a = csr_matrix((data, indices, indptr), shape=(n, n))
-        b = np.zeros(n)
-        b[n - 1] = 1.0
-        pi = spsolve(a, b)
-        pi = np.clip(pi, 0.0, None)
-        total = pi.sum()
-        if total <= 0.0:
-            raise RuntimeError("failed to solve for a stationary distribution")
-        return pi / total
+    def _stationary(self, env: _Environment, pin: int) -> np.ndarray:
+        """The stationary π of ``P(env)``, by one banded solve.
+
+        The balance equations ``(Pᵀ − I)π = 0`` sum to zero, so any one is
+        redundant: the equation of state ``pin`` is replaced by
+        ``π[pin] = 1`` — which, unlike a spliced ``Σπ = 1`` row, keeps the
+        k-major band — and the solution is renormalised.  The n−1 kept
+        equations fix π's direction and the pin only its scale, so any
+        state that holds mass will do; one that holds less than a rounding
+        error of the mode's (a transient state under ``p_dup = 0``, a far
+        corner of the grid) is pinned by round-off alone.  A solve that is
+        not finite, has a negative entry below −1e-12, leaves a balance
+        residual ``‖πP − π‖∞`` above 1e-10 or whose pin holds no such mass
+        is repeated once, pinned at the mode it found; if that fails too
+        the chain has no trustworthy stationary law and this raises
+        rather than clip a wrong vector into a distribution.
+        """
+        from scipy.linalg import LinAlgError, solve_banded
+
+        template = self._cached_template()
+        n = len(self.states)
+        lower, upper = template.band
+        off_diag, diagonal = self._transition_parts(env)
+        balance_diagonal = diagonal - 1.0
+        for _ in range(2):
+            band = np.zeros((lower + upper + 1) * n)
+            band[template.band_off] = off_diag
+            band[template.band_diag] = balance_diagonal
+            band = band.reshape(lower + upper + 1, n)
+            p = int(template.position[pin])
+            across = np.arange(max(p - lower, 0), min(p + upper, n - 1) + 1)
+            band[upper + p - across, across] = 0.0
+            band[upper, p] = 1.0
+            rhs = np.zeros(n)
+            rhs[p] = 1.0
+            try:
+                solved = solve_banded(
+                    (lower, upper), band, rhs,
+                    overwrite_ab=True, overwrite_b=True, check_finite=False,
+                )
+            except LinAlgError:
+                break  # an exactly singular pin leaves no mode to move to
+            total = solved.sum()
+            if not np.isfinite(total) or total == 0.0:
+                break
+            pi = solved[template.position] / total
+            inflow = np.bincount(
+                template.merged_cols,
+                weights=pi[template.merged_rows] * off_diag,
+                minlength=n,
+            )
+            residual = np.abs(inflow + pi * balance_diagonal).max()
+            mode = self._mode(pi)
+            if (
+                pi.min() >= -1e-12
+                and residual <= 1e-10
+                and pi[pin] > np.finfo(float).eps * pi[mode]
+            ):
+                pi = np.clip(pi, 0.0, None)
+                return pi / pi.sum()
+            if mode == pin:
+                break
+            pin = mode
+        raise RuntimeError(
+            "failed to solve for a stationary distribution "
+            f"(s={self.params.view_size}, dL={self.params.d_low}, "
+            f"l={self.loss_rate}, environment {env})"
+        )
 
     # ------------------------------------------------------------------
     # Fixed point
@@ -534,9 +629,12 @@ class DegreeMarkovChain:
             p_dup_holder=0.01,
             p_full=0.01,
         )
+        # Pinned where the previous iterate peaked; on the first, at the
+        # middle of the grid, where a low-loss chain does.
+        pin = len(self.states) // 2
         for iterations in range(1, MAX_ITERATIONS + 1):
-            matrix = self._build_matrix(env)
-            pi = self._stationary(matrix)
+            pi = self._stationary(env, pin)
+            pin = self._mode(pi)
             new_env = self._environment_from(pi)
             if new_env.distance(env) < TOLERANCE:
                 return self._result(pi, new_env, iterations)
@@ -558,30 +656,26 @@ class DegreeMarkovChain:
     def _result(
         self, pi: np.ndarray, env: _Environment, iterations: int
     ) -> DegreeMCResult:
-        out_pmf: Dict[int, float] = {}
-        in_pmf: Dict[int, float] = {}
-        for prob, (d, k) in zip(pi, self.states):
-            out_pmf[d] = out_pmf.get(d, 0.0) + float(prob)
-            in_pmf[k] = in_pmf.get(k, 0.0) + float(prob)
-        # Duplication probability of a random *initiator*, conditioned on a
-        # non-self-loop action: actions are weighted by q(d) ∝ d(d−1).
-        weight = 0.0
-        dup_weight = 0.0
-        for prob, (d, _) in zip(pi, self.states):
-            w = prob * d * (d - 1)
-            weight += w
-            if d == self.params.d_low:
-                dup_weight += w
-        duplication = dup_weight / weight if weight > 0 else 0.0
+        d, k = self._cached_template().degrees
+        out_mass = np.bincount(d, weights=pi)
+        in_mass = np.bincount(k, weights=pi)
+        out_support, in_support = np.unique(d), np.unique(k)
         deletion = (1.0 - self.loss_rate) * env.p_full
         return DegreeMCResult(
             states=list(self.states),
             stationary=pi,
-            outdegree_pmf=dict(sorted(out_pmf.items())),
-            indegree_pmf=dict(sorted(in_pmf.items())),
+            outdegree_pmf=dict(
+                zip(out_support.tolist(), out_mass[out_support].tolist())
+            ),
+            indegree_pmf=dict(
+                zip(in_support.tolist(), in_mass[in_support].tolist())
+            ),
             p_full=env.p_full,
             p_dup_holder=env.p_dup_holder,
-            duplication_probability=duplication,
+            # Of a random *initiator*, conditioned on a non-self-loop
+            # action: actions are weighted by q(d) ∝ d(d−1), the same size
+            # bias as a holder's, so it is ``p_dup_holder`` of this π.
+            duplication_probability=env.p_dup_holder,
             deletion_probability=deletion,
             iterations=iterations,
         )
@@ -619,8 +713,3 @@ class DegreeMarkovChain:
                     lossy.append((state, target))
         return {"atomic": atomic, "lossy": lossy}
 
-
-def _sparse_eye(n: int):
-    from scipy.sparse import identity
-
-    return identity(n, format="csr")

@@ -45,7 +45,8 @@ LOGGER = logging.getLogger("repro.markov.solve_cache")
 
 #: Bump whenever the solver's numerical behavior changes: every key
 #: embeds this, so stale entries from older code can never be returned.
-SOLVE_SCHEMA_VERSION = 1
+#: 2: the banded stationary solve (iterates moved in their 15th digit).
+SOLVE_SCHEMA_VERSION = 2
 
 _ENV_DIR = "REPRO_SOLVE_CACHE_DIR"
 

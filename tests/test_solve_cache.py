@@ -1,12 +1,14 @@
 """Tests for the content-addressed degree-MC solve cache."""
 
 import copy
+import logging
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.params import SFParams
+from repro.markov import solve_cache
 from repro.markov.degree_mc import DegreeMarkovChain
 from repro.markov.solve_cache import (
     SOLVE_SCHEMA_VERSION,
@@ -41,8 +43,13 @@ class TestSolveKey:
 
     def test_schema_version_embedded(self):
         # The canonical payload embeds the schema version, so bumping it
-        # invalidates all old entries (sanity-check the constant exists).
-        assert isinstance(SOLVE_SCHEMA_VERSION, int)
+        # invalidates all old entries.  2: the banded stationary solve.
+        assert SOLVE_SCHEMA_VERSION == 2
+
+    def test_schema_version_changes_every_key(self, monkeypatch):
+        current = solve_key(view_size=40, d_low=18, loss_rate=0.01)
+        monkeypatch.setattr(solve_cache, "SOLVE_SCHEMA_VERSION", 1)
+        assert solve_key(view_size=40, d_low=18, loss_rate=0.01) != current
 
 
 class TestSolveCacheLayers:
@@ -187,6 +194,29 @@ class TestSolveIntegration:
         _solve(cache)  # different settings: no false hit
         assert cache.stats.misses == 2
         assert cache.stats.hits() == 0
+
+    def test_schema_1_entry_is_a_quiet_miss(self, tmp_path, monkeypatch, caplog):
+        """A ``REPRO_SOLVE_CACHE_DIR`` the parent commit (schema 1, sparse
+        LU) filled: its entry for the same chain is never read — not as a
+        hit, not as a corrupt file to quarantine — and stays as it was."""
+        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path))
+        with monkeypatch.context() as parent:
+            parent.setattr(solve_cache, "SOLVE_SCHEMA_VERSION", 1)
+            stale = _solve(SolveCache())
+        (stale_path,) = tmp_path.iterdir()
+        stale.iterations = -1  # a hit on this entry would show
+        stale_path.write_bytes(pickle.dumps(stale))
+        stale_bytes = stale_path.read_bytes()
+
+        cache = SolveCache()
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            fresh = _solve(cache)
+        assert fresh.iterations > 0
+        assert (cache.stats.hits(), cache.stats.misses, cache.stats.writes) == (0, 1, 1)
+        assert caplog.records == []
+        assert stale_path.read_bytes() == stale_bytes
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        assert len(entries) == 2 and all(name.endswith(".pkl") for name in entries)
 
     def test_cached_result_is_mutation_isolated(self, tmp_path):
         cache = SolveCache(directory=tmp_path)
