@@ -294,8 +294,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with _rejecting():
         params = SFParams(view_size=args.view_size, d_low=args.d_low)
     if params.default_bootstrap_degree >= args.nodes:
-        print("need more nodes than the bootstrap outdegree", file=sys.stderr)
-        return 2
+        raise _Rejected(
+            f"need more nodes than the bootstrap outdegree "
+            f"{params.default_bootstrap_degree}, got --nodes {args.nodes}"
+        )
     if args.rounds < 0:
         raise _Rejected(f"--rounds must be nonnegative, got {args.rounds}")
     with _telemetry(args):
@@ -306,7 +308,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 loss_rate=args.loss,
                 seed=args.seed,
                 backend=args.backend,
-                shard_workers=getattr(args, "shard_workers", None),
             )
         try:
             engine.run_rounds(args.rounds)
@@ -352,21 +353,22 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     """
     from repro.runtime import ClusterConfig, run_cluster
 
-    config = ClusterConfig(
-        n=args.n,
-        view_size=args.view_size,
-        d_low=args.d_low,
-        drop_rate=args.drop,
-        rate=args.rate,
-        duration_s=args.duration,
-        seed=args.seed,
-        kill_restart=args.kill_restart,
-        kill_wave=args.kill_wave,
-        partition_groups=args.partition_groups,
-        failure_detection=args.failure_detection,
-        suspect_after_s=args.suspect_after,
-        fail_after_s=args.fail_after,
-    )
+    with _rejecting():
+        config = ClusterConfig(
+            n=args.n,
+            view_size=args.view_size,
+            d_low=args.d_low,
+            drop_rate=args.drop,
+            rate=args.rate,
+            duration_s=args.duration,
+            seed=args.seed,
+            kill_restart=args.kill_restart,
+            kill_wave=args.kill_wave,
+            partition_groups=args.partition_groups,
+            failure_detection=args.failure_detection,
+            suspect_after_s=args.suspect_after,
+            fail_after_s=args.fail_after,
+        )
     with _telemetry(args):
         report = run_cluster(config)
         print(report.format())
@@ -436,14 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     list_parser.set_defaults(func=_cmd_list)
 
-    from repro.experiments.common import available_backends
+    from repro.experiments.common import BACKENDS
 
     backend_kwargs = dict(
-        choices=list(available_backends()),
+        choices=BACKENDS,
         default="reference",
         help="simulation backend: 'reference' (object-per-node, per action), "
-        "'array' (fused vectorized numpy kernel), 'jit' (Numba-compiled "
-        "batch loop; listed only when the 'jit' extra is installed), "
+        "'array' (fused vectorized numpy kernel), "
         "'sharded' (shared-memory array state with per-shard apply "
         "workers, for very large n), or 'reference-kernel' "
         "(object-per-node under the batched kernel discipline); analytic "
@@ -539,14 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--rounds", type=float, default=300.0)
     simulate_parser.add_argument("--seed", type=int, default=0)
     simulate_parser.add_argument("--backend", **backend_kwargs)
-    simulate_parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="apply workers for --backend sharded (default: one per CPU); "
-        "ignored by other backends",
-    )
     simulate_parser.add_argument("--trace", **trace_kwargs)
     simulate_parser.add_argument("--metrics-out", **metrics_out_kwargs)
     simulate_parser.set_defaults(func=_cmd_simulate)

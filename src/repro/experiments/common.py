@@ -16,28 +16,12 @@ import numpy as np
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
-from repro.kernel import (
-    ArrayKernel,
-    JitKernel,
-    ReferenceKernel,
-    ShardedKernel,
-    SimulationKernel,
-    jit_available,
-)
+from repro.kernel import ArrayKernel, ReferenceKernel, ShardedKernel, SimulationKernel
 from repro.net.loss import LossModel, UniformLoss
 from repro.util.rng import SeedLike
 
 #: Valid values for ``build_sf_system``'s ``backend`` argument.
-BACKENDS = ("reference", "array", "jit", "sharded", "reference-kernel")
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backends constructible in this environment.
-
-    ``jit`` requires the optional Numba extra (``pip install 'repro[jit]'``)
-    and is omitted when it cannot run; everything else is always available.
-    """
-    return tuple(b for b in BACKENDS if b != "jit" or jit_available())
+BACKENDS = ("reference", "array", "sharded", "reference-kernel")
 
 
 def build_sf_system(
@@ -48,7 +32,6 @@ def build_sf_system(
     init_outdegree: Optional[int] = None,
     loss_model: Optional[LossModel] = None,
     backend: str = "reference",
-    shard_workers: Optional[int] = None,
 ) -> Tuple[Union[SendForget, SimulationKernel], SequentialEngine]:
     """Create ``n`` S&F nodes on a ring bootstrap plus a sequential engine.
 
@@ -64,13 +47,9 @@ def build_sf_system(
       path, the one the membership goldens pin at any given seed;
     - ``"array"`` — the vectorized :class:`repro.kernel.ArrayKernel`
       (one numpy id-matrix for all views, fused batched execution);
-    - ``"jit"`` — :class:`repro.kernel.JitKernel`, the array layout with
-      a Numba-compiled batch loop (optional extra; raises a clean
-      ``ImportError`` when Numba is absent — see
-      :func:`available_backends`);
     - ``"sharded"`` — :class:`repro.kernel.ShardedKernel`, the array
-      layout in shared memory with ``shard_workers`` apply processes
-      (default: one per CPU), for very large ``n``;
+      layout in shared memory with one apply process per CPU, for very
+      large ``n``;
     - ``"reference-kernel"`` — ``SendForget`` objects driven through the
       batched kernel discipline (mainly for equivalence testing).
 
@@ -94,10 +73,8 @@ def build_sf_system(
         protocol: Union[SendForget, SimulationKernel] = SendForget(params)
     elif backend == "array":
         protocol = ArrayKernel(params, capacity=n)
-    elif backend == "jit":
-        protocol = JitKernel(params, capacity=n)
     elif backend == "sharded":
-        protocol = ShardedKernel(params, capacity=n, workers=shard_workers)
+        protocol = ShardedKernel(params, capacity=n)
     elif backend == "reference-kernel":
         protocol = ReferenceKernel(params)
     else:

@@ -139,7 +139,7 @@ def _select_empty_pair(ebits_vals, ranks2):
 class ArrayKernel(SimulationKernel):
     """S&F over a single ``(n, s)`` numpy id-matrix with fused batch ops."""
 
-    #: Telemetry namespace; subclasses (jit, sharded) override it so their
+    #: Telemetry namespace; the sharded subclass overrides it so its
     #: batches/actions counters stay distinguishable.
     _metric_prefix = "kernel.array"
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.protocols.base import DATACLASS_SLOTS, Message
+from repro.protocols.base import Message
 
 NodeId = int
 
@@ -78,7 +78,7 @@ class WireError(ValueError):
     or field), or a record that no datagram can hold."""
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class JoinRequest:
     """A joiner announces itself to the introducer.
 
@@ -90,7 +90,7 @@ class JoinRequest:
     port: int
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class Welcome:
     """The introducer's answer to a :class:`JoinRequest`.
 

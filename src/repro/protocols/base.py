@@ -28,7 +28,6 @@ in :mod:`repro.net.wire`.
 from __future__ import annotations
 
 import abc
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -37,14 +36,8 @@ from repro.model.membership_graph import MembershipGraph
 
 NodeId = int
 
-#: ``@dataclass(**DATACLASS_SLOTS)`` — slotted records on 3.10+, plain
-#: dataclasses on 3.9 (where ``slots=True`` does not exist).  Slots keep
-#: the per-message footprint small (the DES queue and the UDP runtime
-#: hold many in flight) without giving up pickling or dataclass ergonomics.
-DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class Message:
     """A protocol message: ids in flight from ``sender`` to ``target``.
 
@@ -76,7 +69,7 @@ class Message:
     ext: Optional[Dict[str, Dict]] = None
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class SendEffect:
     """Protocol output: ``message`` should be handed to the transport.
 

@@ -103,8 +103,37 @@ class ClusterConfig:
     suspect_after_s: float = 1.5
     fail_after_s: float = 0.75
 
+    def __post_init__(self) -> None:
+        """Reject what no run can use, before any socket is bound."""
+        if self.n < 3:
+            raise ValueError(f"need at least 3 nodes, got {self.n}")
+        self.params()
+        if not 0.0 <= self.drop_rate <= 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
+        if not self.rate > 0.0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.duration_s < 0.0:
+            raise ValueError(f"duration_s must be nonnegative, got {self.duration_s}")
+        if self.kill_restart < 0:
+            raise ValueError(
+                f"kill_restart must be nonnegative, got {self.kill_restart}"
+            )
+        if self.kill_wave < 0:
+            raise ValueError(f"kill_wave must be nonnegative, got {self.kill_wave}")
+        if self.partition_groups < 1:
+            raise ValueError(
+                f"partition_groups must be at least 1, got {self.partition_groups}"
+            )
+        if self.failure_detection:
+            self.detector_config()
+
     def params(self) -> SFParams:
         return SFParams(view_size=self.view_size, d_low=self.d_low)
+
+    def detector_config(self) -> DetectorConfig:
+        return DetectorConfig(
+            suspect_after=self.suspect_after_s, fail_after=self.fail_after_s
+        )
 
     def bootstrap_degree(self) -> int:
         """Initial outdegree: the simulation experiments' ring bootstrap rule."""
@@ -135,12 +164,7 @@ class ClusterNode:
         #: life so its ALIVE gossip resurrects stale FAILED records.
         self.detector: Optional[FailureDetector] = (
             FailureDetector(
-                node_id,
-                config=DetectorConfig(
-                    suspect_after=cfg.suspect_after_s,
-                    fail_after=cfg.fail_after_s,
-                ),
-                incarnation=incarnation,
+                node_id, config=cfg.detector_config(), incarnation=incarnation
             )
             if cfg.failure_detection
             else None
@@ -164,16 +188,16 @@ class ClusterNode:
             resolve=self.cluster.resolve,
             inbound_filter=self._admit,
         )
-        self.cluster.address_book[self.node_id] = self.transport.address
-        if bootstrap_ids is None:
-            try:
+        try:
+            self.cluster.address_book[self.node_id] = self.transport.address
+            if bootstrap_ids is None:
                 bootstrap_ids = await self._join_via_introducer()
-            except RuntimeError:
-                # Leave no half-started node behind; the caller decides
-                # whether a failed join is an error or a counted event.
-                self.stop()
-                raise
-        self.protocol.add_node(self.node_id, bootstrap_ids)
+            self.protocol.add_node(self.node_id, bootstrap_ids)
+        except BaseException:
+            # Leave no half-started node behind; the caller decides
+            # whether a failed join is an error or a counted event.
+            self.stop()
+            raise
         if self.detector is not None:
             self.detector.seed_peers(bootstrap_ids, self.cluster._loop.time())
         self._arm()
@@ -281,10 +305,15 @@ class ClusterNode:
             jittered = timeout * (0.8 + 0.4 * self.rng.random())
             try:
                 welcome = await asyncio.wait_for(self._welcome, timeout=jittered)
-                return list(welcome.bootstrap)
             except asyncio.TimeoutError:
                 self.cluster.join_retry_timeouts += 1
                 timeout = min(timeout * 2.0, cfg.join_backoff_cap_s)
+                continue
+            try:
+                cfg.params().validate_bootstrap(len(welcome.bootstrap))
+            except ValueError as exc:
+                raise RuntimeError(f"node {self.node_id} cannot join: {exc}") from None
+            return list(welcome.bootstrap)
         raise RuntimeError(
             f"node {self.node_id} could not join after {cfg.join_retries} attempts"
         )
@@ -422,9 +451,6 @@ class LocalCluster:
     """Boots, disrupts, observes, and tears down a localhost S&F cluster."""
 
     def __init__(self, config: ClusterConfig):
-        if config.n < 3:
-            raise ValueError(f"need at least 3 nodes, got {config.n}")
-        config.params()  # validate (s, dL) eagerly
         self.config = config
         self.rng = make_rng(config.seed)
         #: Scalar draws for every node and transport, off ``self.rng``.
@@ -558,11 +584,17 @@ class LocalCluster:
             for nid, node in self.nodes.items()
             if node.running and nid != record.node
         ]
-        degree = min(cfg.bootstrap_degree(), len(live) & ~1)
-        picks = self.rng.choice(len(live), size=degree, replace=False)
+        degree = cfg.bootstrap_degree()
+        if len(live) >= degree:
+            picks = self.rng.choice(len(live), size=degree, replace=False)
+            bootstrap = [live[int(i)] for i in picks]
+        else:
+            # Too few distinct live peers: repeat them, as the ring
+            # bootstrap does (a view may hold an id more than once).
+            bootstrap = [live[i % len(live)] for i in range(degree)] if live else []
         welcome = Welcome(
             node=record.node,
-            bootstrap=[live[int(i)] for i in picks],
+            bootstrap=bootstrap,
             address_book={nid: a[1] for nid, a in self.address_book.items()},
         )
         self._introducer.send_record(welcome, addr)

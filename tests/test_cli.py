@@ -45,10 +45,15 @@ class TestParser:
             ["report", "fig-6.3", "--backend", "reference-kernel"],
         ):
             assert parser.parse_args(argv).backend == argv[-1]
+        for backend in repro.experiments.common.BACKENDS:
+            args = parser.parse_args(["simulate", "--backend", backend])
+            assert args.backend == backend
 
-    def test_unknown_backend_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--backend", "gpu"])
+    def test_unknown_backend_rejected_by_parser(self, capsys):
+        for backend in ("gpu", "jit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", "--backend", backend])
+        assert "invalid choice: 'jit'" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -214,6 +219,16 @@ class TestCommands:
             ["simulate", "--view-size", "7"],
             ["simulate", "--loss", "1.5"],
             ["simulate", "--nodes", "40", "--rounds", "-1"],
+            ["simulate", "--nodes", "5", "--view-size", "40"],
+            ["cluster", "--drop", "1.5"],
+            ["cluster", "--n", "2"],
+            ["cluster", "--view-size", "7"],
+            ["cluster", "--failure-detection", "--suspect-after", "0"],
+            ["cluster", "--rate", "0"],
+            ["cluster", "--kill-wave", "-1"],
+            ["cluster", "--kill-restart", "-2"],
+            ["cluster", "--partition-groups", "0"],
+            ["cluster", "--duration", "-1"],
             ["run", "fig-6.2", "--cell-timeout", "0"],
             ["report", "--fast", "--output", "", "fig-6.2"],
         ],

@@ -77,13 +77,13 @@ class TestBackends:
     def test_backend_registry(self):
         from repro.experiments.common import BACKENDS
 
-        assert BACKENDS == (
-            "reference", "array", "jit", "sharded", "reference-kernel"
-        )
+        assert BACKENDS == ("reference", "array", "sharded", "reference-kernel")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             build_sf_system(20, SFParams(view_size=12, d_low=2), backend="gpu")
+        with pytest.raises(ValueError, match=r"'jit'; expected one of \('reference'"):
+            build_sf_system(20, SFParams(view_size=12, d_low=2), backend="jit")
 
     @pytest.mark.parametrize("backend", ["reference", "array", "reference-kernel"])
     def test_every_backend_builds_and_runs(self, backend):

@@ -11,10 +11,8 @@ exercising both of the array kernel's execution paths (the unordered
 fused-window path for precomputable loss, the in-order prefix path for
 stateful loss) and under churn.
 
-Covered backends: the fused :class:`ArrayKernel`; :class:`JitKernel`'s
-batch loop both as plain Python (always runnable — it is byte-for-byte
-the function Numba compiles) and compiled (skipped when the ``jit``
-extra is absent); and :class:`ShardedKernel` with two apply workers.
+Covered backends: the fused :class:`ArrayKernel` and
+:class:`ShardedKernel` with two apply workers.
 """
 
 from __future__ import annotations
@@ -25,14 +23,7 @@ import pytest
 from repro.core.params import SFParams
 from repro.engine.sequential import EngineStats, SequentialEngine
 from repro.experiments.common import build_sf_system
-from repro.kernel import (
-    ArrayKernel,
-    JitKernel,
-    ReferenceKernel,
-    ShardedKernel,
-    jit_available,
-)
-from repro.kernel.jit import _batch_step_python
+from repro.kernel import ArrayKernel, ReferenceKernel, ShardedKernel
 from repro.net.loss import (
     CorrelatedLoss,
     GilbertElliottLoss,
@@ -62,20 +53,6 @@ STATS_FIELDS = (
 )
 
 
-class PurePythonJitKernel(JitKernel):
-    """``JitKernel``'s exact batch loop, uncompiled.
-
-    Runs in every environment (no Numba needed) and executes the very
-    function the compiled backend feeds to ``njit``, so the loop's
-    semantics are pinned by the equivalence matrix even where the
-    compiled variant has to be skipped.
-    """
-
-    def __init__(self, params, capacity=64):
-        ArrayKernel.__init__(self, params, capacity)
-        self._step = _batch_step_python
-
-
 def make_sharded(params, capacity=64):
     return ShardedKernel(params, capacity=capacity, workers=2)
 
@@ -83,14 +60,6 @@ def make_sharded(params, capacity=64):
 #: The array-family backends held bit-exact against ReferenceKernel.
 ARRAY_BACKENDS = [
     pytest.param(ArrayKernel, id="array"),
-    pytest.param(PurePythonJitKernel, id="jit-python-loop"),
-    pytest.param(
-        JitKernel,
-        id="jit",
-        marks=pytest.mark.skipif(
-            not jit_available(), reason="numba not installed (jit extra)"
-        ),
-    ),
     pytest.param(make_sharded, id="sharded-2-workers"),
 ]
 

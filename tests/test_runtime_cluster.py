@@ -12,7 +12,8 @@ import pytest
 
 from repro import obs
 from repro.core.sandf import SendForget
-from repro.net.wire import JoinRequest, encode
+from repro.net.transport import AsyncioUdpTransport
+from repro.net.wire import JoinRequest, Welcome, encode
 from repro.protocols.base import Message, SendEffect
 from repro.runtime.cluster import ClusterConfig, LocalCluster, run_cluster
 
@@ -245,6 +246,49 @@ class TestJoinBackoff:
         assert rejoined is False
         assert retry_timeouts == 3
         assert join_failures == 1
+
+    def test_rejoin_with_fewer_live_peers_than_the_bootstrap(self, monkeypatch):
+        """n=4, s=12, dL=6: three survivors against a bootstrap outdegree
+        of 8, so the introducer repeats live ids.  The run reports instead
+        of raising, and every socket it bound is closed."""
+        created = []
+        create = AsyncioUdpTransport.create.__func__
+
+        async def recording_create(cls, *args, **kwargs):
+            created.append(await create(cls, *args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(
+            AsyncioUdpTransport, "create", classmethod(recording_create)
+        )
+        report = run_cluster(
+            tiny_config(n=4, view_size=12, d_low=6, kill_restart=1, drop_rate=0.05)
+        )
+        assert report.restarts + report.join_failures == 1
+        assert report.ok(), (report.degree_violations, report.errors)
+        assert len(created) == 4 + 1 + 1  # nodes, introducer, the rejoin
+        assert all(transport._socket is None for transport in created)
+
+    def test_short_welcome_is_a_counted_failure(self, monkeypatch):
+        """A Welcome with fewer than dL ids fails the join, closes the
+        joiner's socket and leaves no address behind."""
+
+        def short_welcome(cluster, record, timestamp, addr):
+            if isinstance(record, JoinRequest):
+                welcome = Welcome(node=record.node, bootstrap=[0, 1])
+                cluster._introducer.send_record(welcome, addr)
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(view_size=10, d_low=4))
+            monkeypatch.setattr(LocalCluster, "_on_introducer", short_welcome)
+            await cluster.start()
+            await cluster.kill(2)
+            rejoined = await cluster.restart(2)
+            outcome = (rejoined, cluster.join_failures, 2 in cluster.address_book)
+            await cluster.shutdown()
+            return outcome
+
+        assert asyncio.run(scenario()) == (False, 1, False)
 
     def test_restart_through_introducer_still_succeeds(self):
         report = run_cluster(
