@@ -24,7 +24,8 @@ class MarkovChain:
 
     Args:
         transition: square matrix ``P`` with ``P[x, y] = Pr(x → y)``; rows
-            must sum to 1 (within ``tolerance``).
+            must sum to 1 (within ``tolerance``).  The chain keeps a
+            read-only copy, so what it computes from ``P`` stays valid.
         labels: optional human-readable state labels for reporting.
     """
 
@@ -34,7 +35,7 @@ class MarkovChain:
         labels: Optional[Sequence[object]] = None,
         tolerance: float = 1e-9,
     ):
-        matrix = np.asarray(transition, dtype=float)
+        matrix = np.array(transition, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"transition matrix must be square, got {matrix.shape}")
         if (matrix < -tolerance).any():
@@ -45,6 +46,7 @@ class MarkovChain:
             raise ValueError(
                 f"row {worst} sums to {row_sums[worst]!r}, expected 1.0"
             )
+        matrix.flags.writeable = False
         self.P = matrix
         self.n = matrix.shape[0]
         if labels is not None and len(labels) != self.n:
@@ -52,6 +54,7 @@ class MarkovChain:
                 f"got {len(labels)} labels for {self.n} states"
             )
         self.labels = list(labels) if labels is not None else None
+        self._stationary: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -118,16 +121,28 @@ class MarkovChain:
     # ------------------------------------------------------------------
 
     def stationary_distribution(self) -> np.ndarray:
-        """The unique π with πP = π (requires irreducibility).
+        """The unique π with πP = π, as a fresh copy (solved once per chain).
 
         Solved as a linear system with a normalization row — exact up to
-        floating point, no iteration-count concerns.
+        floating point, no iteration-count concerns.  That bordered system
+        has full rank exactly when π is unique (one closed class), so a
+        rank-deficient one raises ``np.linalg.LinAlgError`` rather than
+        returning one of many answers.
         """
+        if self._stationary is None:
+            self._stationary = self._solve_stationary()
+        return self._stationary.copy()
+
+    def _solve_stationary(self) -> np.ndarray:
         a = self.P.T - np.eye(self.n)
         a[-1, :] = 1.0
         b = np.zeros(self.n)
         b[-1] = 1.0
-        pi, residuals, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        pi, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        if rank < self.n:
+            raise np.linalg.LinAlgError(
+                f"stationary distribution is not unique (rank {rank} < {self.n})"
+            )
         pi = np.clip(pi, 0.0, None)
         total = pi.sum()
         if total <= 0:

@@ -1,7 +1,7 @@
 """Exhaustive global Markov chain over membership graphs (sections 7.1–7.2).
 
 For *tiny* systems, every membership graph reachable from an initial state
-can be enumerated by breadth-first search over S&F transformations, and the
+can be enumerated by depth-first search over S&F transformations, and the
 chain's transition matrix built exactly.  This validates the structural
 lemmas directly:
 
@@ -14,22 +14,25 @@ lemmas directly:
 Partitioned successor states are excluded, with their probability folded
 back as self-loops — exactly the paper's construction of 𝒢 (section 7.1).
 
+States are :class:`~repro.model.transformations.ViewTuples` encodings —
+one tuple of ``(id, count)`` pairs per node, in ``Counter`` insertion
+order — and are keyed by ``canonical_state()``; a ``MembershipGraph`` is
+built only when :attr:`GlobalMarkovChain.states` asks for one.
+
 State counts grow combinatorially; the builder enforces a configurable cap
 and raises rather than grinding forever.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import SFParams
 from repro.markov.chain import MarkovChain
 from repro.model.membership_graph import MembershipGraph
-from repro.model.transformations import enumerate_action_outcomes
-
-CanonicalState = Tuple
+from repro.model.transformations import CanonicalState, ViewTuples, ViewTupleState
 
 
 class GlobalMarkovChain:
@@ -58,60 +61,63 @@ class GlobalMarkovChain:
             params.validate_outdegree(initial.outdegree(node))
         self.params = params
         self.loss_rate = loss_rate
-        self._states: List[MembershipGraph] = []
+        self._layout = ViewTuples(initial.nodes)
+        self._states: List[ViewTupleState] = []
+        # Canonical key -> state index, in index order: the chain's labels.
         self._index: Dict[CanonicalState, int] = {}
         self._rows: List[Dict[int, float]] = []
-        self._enumerate(initial, max_states)
+        self._markov: Optional[MarkovChain] = None
+        self._enumerate(self._layout.encode(initial), max_states)
 
     # ------------------------------------------------------------------
     # Enumeration
     # ------------------------------------------------------------------
 
-    def _state_id(self, graph: MembershipGraph) -> int:
-        key = graph.canonical_state()
-        existing = self._index.get(key)
-        if existing is not None:
-            return existing
-        index = len(self._states)
-        self._index[key] = index
-        self._states.append(graph)
-        self._rows.append({})
-        return index
-
-    def _enumerate(self, initial: MembershipGraph, max_states: int) -> None:
-        n = initial.num_nodes
-        start = self._state_id(initial.copy())
-        frontier = [start]
+    def _enumerate(self, initial: ViewTupleState, max_states: int) -> None:
+        layout = self._layout
+        n = len(layout.nodes)
+        states, index, rows = self._states, self._index, self._rows
+        partitioned = set()
+        index[layout.canonical(initial)] = 0
+        states.append(initial)
+        rows.append({})
+        frontier = [0]
         processed = set()
         while frontier:
             state_id = frontier.pop()
             if state_id in processed:
                 continue
             processed.add(state_id)
-            graph = self._states[state_id]
-            row = self._rows[state_id]
-            for node in graph.nodes:
-                outcomes = enumerate_action_outcomes(
-                    graph,
+            state = states[state_id]
+            row = rows[state_id]
+            for node in layout.nodes:
+                outcomes = layout.outcomes(
+                    state,
                     node,
                     self.params.d_low,
                     self.params.view_size,
                     self.loss_rate,
                 )
-                for prob, successor in outcomes:
+                for prob, key, successor in outcomes:
                     weighted = prob / n
                     if weighted <= 0.0:
                         continue
-                    if not successor.is_weakly_connected():
-                        # Fold into a self-loop, as in the paper's 𝒢.
-                        row[state_id] = row.get(state_id, 0.0) + weighted
-                        continue
-                    succ_id = self._state_id(successor)
-                    if len(self._states) > max_states:
-                        raise RuntimeError(
-                            f"state space exceeded max_states={max_states}; "
-                            "use a smaller system"
-                        )
+                    succ_id = index.get(key)
+                    if succ_id is None:
+                        if key in partitioned or not layout.is_weakly_connected(successor):
+                            # Fold into a self-loop, as in the paper's 𝒢.
+                            partitioned.add(key)
+                            row[state_id] = row.get(state_id, 0.0) + weighted
+                            continue
+                        succ_id = len(states)
+                        index[key] = succ_id
+                        states.append(successor)
+                        rows.append({})
+                        if len(states) > max_states:
+                            raise RuntimeError(
+                                f"state space exceeded max_states={max_states}; "
+                                "use a smaller system"
+                            )
                     row[succ_id] = row.get(succ_id, 0.0) + weighted
                     if succ_id not in processed:
                         frontier.append(succ_id)
@@ -126,7 +132,8 @@ class GlobalMarkovChain:
 
     @property
     def states(self) -> List[MembershipGraph]:
-        return list(self._states)
+        """Every enumerated state as a graph, in index order (built per call)."""
+        return [self._layout.decode(state) for state in self._states]
 
     def transition_matrix(self) -> np.ndarray:
         matrix = np.zeros((self.num_states, self.num_states))
@@ -136,8 +143,11 @@ class GlobalMarkovChain:
         return matrix
 
     def to_markov_chain(self) -> MarkovChain:
-        labels = [state.canonical_state() for state in self._states]
-        return MarkovChain(self.transition_matrix(), labels=labels)
+        """The chain as a :class:`MarkovChain` labelled by canonical states
+        (built once; its stationary solve is memoised with it)."""
+        if self._markov is None:
+            self._markov = MarkovChain(self.transition_matrix(), labels=list(self._index))
+        return self._markov
 
     # ------------------------------------------------------------------
     # Lemma checks
@@ -145,7 +155,7 @@ class GlobalMarkovChain:
 
     def sum_degree_vectors(self) -> List[Dict[int, int]]:
         """Sum-degree vector of every enumerated state (Lemma 6.2 check)."""
-        return [state.sum_degree_vector() for state in self._states]
+        return [state.sum_degree_vector() for state in self.states]
 
     def is_strongly_connected(self) -> bool:
         """Lemma 7.1: with 0 < ℓ < 1 the chain should be strongly connected."""
@@ -162,16 +172,14 @@ class GlobalMarkovChain:
     def uniformity_of_membership(self) -> Dict[Tuple[int, int], float]:
         """Stationary Pr(v ∈ u.lv) for every ordered pair (Lemma 7.6)."""
         pi = self.stationary_distribution()
-        nodes = self._states[0].nodes
+        nodes = self._layout.nodes
         result: Dict[Tuple[int, int], float] = {}
-        for u in nodes:
+        for i, u in enumerate(nodes):
+            held = [{v for v, _ in state[i]} for state in self._states]
             for v in nodes:
                 if u == v:
                     continue
-                mass = sum(
-                    float(p)
-                    for p, state in zip(pi, self._states)
-                    if state.has_edge(u, v)
+                result[(u, v)] = sum(
+                    float(p) for p, ids in zip(pi, held) if v in ids
                 )
-                result[(u, v)] = mass
         return result

@@ -14,7 +14,7 @@ spectral-gap route (relaxation time) for cross-checking.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -26,11 +26,10 @@ def mixing_time(chain: MarkovChain, epsilon: float, max_steps: int = 10_000) -> 
     """Worst-case mixing time: smallest t with ``max_x TV(δ_x Pᵗ, π) < ε``."""
     _check_epsilon(epsilon)
     pi = chain.stationary_distribution()
-    distributions = np.eye(chain.n)
-    for t in range(max_steps + 1):
-        if _tv_rows(distributions, pi).max() < epsilon:
+    scratch = np.empty((chain.n, chain.n))
+    for t, distributions in zip(range(max_steps + 1), _row_powers(chain)):
+        if _tv_rows(distributions, pi, scratch).max() < epsilon:
             return t
-        distributions = distributions @ chain.P
     raise RuntimeError(f"worst-case mixing did not reach {epsilon} in {max_steps} steps")
 
 
@@ -46,24 +45,42 @@ def epsilon_independence_time(
     """
     _check_epsilon(epsilon)
     pi = chain.stationary_distribution()
-    distributions = np.eye(chain.n)
     remaining = np.ones(chain.n, dtype=bool)
     hit_time = np.zeros(chain.n)
-    for t in range(max_steps + 1):
-        settled = remaining & (_tv_rows(distributions, pi) < epsilon)
+    scratch = np.empty((chain.n, chain.n))
+    for t, distributions in zip(range(max_steps + 1), _row_powers(chain)):
+        settled = remaining & (_tv_rows(distributions, pi, scratch) < epsilon)
         hit_time[settled] = t
         remaining &= ~settled
         if not remaining.any():
             return float(np.dot(pi, hit_time))
-        distributions = distributions @ chain.P
     raise RuntimeError(
         f"{int(remaining.sum())} states did not reach {epsilon} in {max_steps} steps"
     )
 
 
-def _tv_rows(distributions: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """``TV(δ_x Pᵗ, π)`` for every start ``x`` (one row each) at once."""
-    return 0.5 * np.abs(distributions - pi).sum(axis=1)
+def _row_powers(chain: MarkovChain) -> Iterator[np.ndarray]:
+    """``Pᵗ`` for t = 0, 1, …: row ``x`` is ``δ_x Pᵗ``.
+
+    Two ``(n, n)`` buffers take turns as the product's output, so a step
+    allocates nothing; a yielded array is overwritten two steps later.
+    """
+    current = np.eye(chain.n)
+    following = np.empty_like(current)
+    while True:
+        yield current
+        np.matmul(current, chain.P, out=following)
+        current, following = following, current
+
+
+def _tv_rows(
+    distributions: np.ndarray, pi: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """``TV(δ_x Pᵗ, π)`` for every start ``x`` (one row each) at once,
+    with ``scratch`` (the shape of ``distributions``) as workspace."""
+    np.subtract(distributions, pi, out=scratch)
+    np.abs(scratch, out=scratch)
+    return 0.5 * scratch.sum(axis=1)
 
 
 def tv_decay_curve(
@@ -76,8 +93,7 @@ def tv_decay_curve(
     pi = chain.stationary_distribution()
     if start is None:
         curve: List[float] = []
-        distributions = np.eye(chain.n)
-        for _ in range(steps + 1):
+        for _, distributions in zip(range(steps + 1), _row_powers(chain)):
             average = float(
                 sum(
                     pi[x] * total_variation_distance(distributions[x], pi)
@@ -85,7 +101,6 @@ def tv_decay_curve(
                 )
             )
             curve.append(average)
-            distributions = distributions @ chain.P
         return curve
     if not 0 <= start < chain.n:
         raise ValueError(f"start state {start} out of range")

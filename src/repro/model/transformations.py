@@ -5,7 +5,9 @@ objects and mirror the paper's modeling of protocol actions as random graph
 transformations.  The protocol engines in :mod:`repro.core` maintain richer
 slot-level state; this module is the analytical counterpart used by the
 global-Markov-chain enumeration (section 7.2) and by reachability tests of
-the appendix lemmas.
+the appendix lemmas.  The enumeration acts on :class:`ViewTuples`, an
+encoding of the same graphs as plain tuples, so that a successor costs at
+most two view copies rather than a graph copy.
 """
 
 from __future__ import annotations
@@ -108,47 +110,176 @@ def enumerate_action_outcomes(
     ``loss_rate``.  The returned probabilities sum to 1 (self-loop mass is
     aggregated onto the unchanged input graph).
 
-    This enumeration is the building block of the global Markov chain of
-    section 7.1; its cost is quadratic in the number of distinct ids in the
-    initiator's view.
+    This is :meth:`ViewTuples.outcomes` on ``graph``'s encoding, with each
+    successor decoded back into a graph.
     """
-    if not 0.0 <= loss_rate <= 1.0:
-        raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
-    view = graph.out_view(initiator)
-    d = sum(view.values())
-    slots = view_size * (view_size - 1)
-    outcomes: Dict[MembershipGraph, float] = {}
-    self_loop = 1.0 - d * (d - 1) / slots
-
-    for target, target_count in view.items():
-        for payload, payload_count in view.items():
-            if target == payload:
-                pair_prob = target_count * (target_count - 1) / slots
-            else:
-                pair_prob = target_count * payload_count / slots
-            if pair_prob == 0.0:
-                continue
-            delivered = sandf_action(
-                graph, initiator, target, payload, d_low, view_size, lost=False
-            )
-            if loss_rate < 1.0:
-                _accumulate(outcomes, delivered, pair_prob * (1.0 - loss_rate))
-            if loss_rate > 0.0:
-                dropped = sandf_action(
-                    graph, initiator, target, payload, d_low, view_size, lost=True
-                )
-                _accumulate(outcomes, dropped, pair_prob * loss_rate)
-
-    results = [(prob, successor) for successor, prob in outcomes.items()]
-    if self_loop > 1e-15:
-        results.append((self_loop, graph.copy()))
-    return results
+    layout = ViewTuples(graph.nodes)
+    return [
+        (prob, layout.decode(successor))
+        for prob, _, successor in layout.outcomes(
+            layout.encode(graph), initiator, d_low, view_size, loss_rate
+        )
+    ]
 
 
-def _accumulate(
-    outcomes: Dict[MembershipGraph, float], successor: MembershipGraph, prob: float
-) -> None:
-    outcomes[successor] = outcomes.get(successor, 0.0) + prob
+# A view as ``(id, count)`` pairs in ``Counter`` insertion order, and a
+# global state as one view per node in a fixed node order.
+ViewTuple = Tuple[Tuple[NodeId, int], ...]
+ViewTupleState = Tuple[ViewTuple, ...]
+CanonicalState = Tuple[Tuple[NodeId, ViewTuple], ...]
+
+
+class ViewTuples:
+    """Membership graphs over a fixed node set, encoded as tuples of views.
+
+    ``state[i]`` is ``nodes[i]``'s view.  An S&F action on a state is the
+    same sequence of ``Counter`` updates :func:`sandf_action` makes on a
+    graph copy — an added id increments in place or is appended, a
+    removed one decrements and is deleted at zero — so a decoded successor
+    equals that copy entry for entry, in the same order.  The order is kept
+    rather than sorted because it decides which of two equal successors
+    survives a merge, and so the order an enumeration discovers states in.
+    """
+
+    def __init__(self, nodes: List[NodeId]):
+        self.nodes: Tuple[NodeId, ...] = tuple(nodes)
+        self.position: Dict[NodeId, int] = {u: i for i, u in enumerate(self.nodes)}
+        self._by_id = sorted(range(len(self.nodes)), key=self.nodes.__getitem__)
+
+    def encode(self, graph: MembershipGraph) -> ViewTupleState:
+        return tuple(tuple(graph.out_view(u).items()) for u in self.nodes)
+
+    def decode(self, state: ViewTupleState) -> MembershipGraph:
+        return MembershipGraph.from_edges(
+            (
+                (u, v)
+                for u, view in zip(self.nodes, state)
+                for v, count in view
+                for _ in range(count)
+            ),
+            nodes=self.nodes,
+        )
+
+    def canonical(self, state: ViewTupleState) -> CanonicalState:
+        """``decode(state).canonical_state()``, without building the graph."""
+        return tuple((self.nodes[i], tuple(sorted(state[i]))) for i in self._by_id)
+
+    def is_weakly_connected(self, state: ViewTupleState) -> bool:
+        """``decode(state).is_weakly_connected()``."""
+        if len(state) <= 1:
+            return True
+        position = self.position
+        adjacency: List[set] = [set() for _ in state]
+        for i, view in enumerate(state):
+            for v, _ in view:
+                j = position[v]
+                if j != i:
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for neighbor in adjacency[frontier.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    frontier.append(neighbor)
+        return len(seen) == len(state)
+
+    def outcomes(
+        self,
+        state: ViewTupleState,
+        initiator: NodeId,
+        d_low: int,
+        view_size: int,
+        loss_rate: float,
+    ) -> List[Tuple[float, CanonicalState, ViewTupleState]]:
+        """``(probability, canonical key, successor)`` of ``initiator`` acting.
+
+        Successors that are the same graph are merged, the mass landing on
+        the first one produced; the self-loop mass comes last, on ``state``
+        itself.  See :func:`enumerate_action_outcomes`.
+        """
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
+        i = self.position[initiator]
+        view = state[i]
+        d = sum(count for _, count in view)
+        slots = view_size * (view_size - 1)
+        merged: Dict[CanonicalState, list] = {}
+        self_loop = 1.0 - d * (d - 1) / slots
+
+        for target, target_count in view:
+            for payload, payload_count in view:
+                if target == payload:
+                    pair_prob = target_count * (target_count - 1) / slots
+                else:
+                    pair_prob = target_count * payload_count / slots
+                if pair_prob == 0.0:
+                    continue
+                if loss_rate < 1.0:
+                    self._merge(
+                        merged,
+                        self._act(state, i, d, target, payload, d_low, view_size, False),
+                        pair_prob * (1.0 - loss_rate),
+                    )
+                if loss_rate > 0.0:
+                    self._merge(
+                        merged,
+                        self._act(state, i, d, target, payload, d_low, view_size, True),
+                        pair_prob * loss_rate,
+                    )
+
+        results = [(prob, key, successor) for key, (successor, prob) in merged.items()]
+        if self_loop > 1e-15:
+            results.append((self_loop, self.canonical(state), state))
+        return results
+
+    def _merge(self, merged: Dict[CanonicalState, list], successor, prob: float) -> None:
+        key = self.canonical(successor)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [successor, prob]
+        else:
+            entry[1] += prob
+
+    def _act(
+        self,
+        state: ViewTupleState,
+        i: int,
+        d: int,
+        target: NodeId,
+        payload: NodeId,
+        d_low: int,
+        view_size: int,
+        lost: bool,
+    ) -> ViewTupleState:
+        """:func:`sandf_action` by ``nodes[i]`` (outdegree ``d``) on ``state``."""
+        successor = list(state)
+        sender = dict(state[i])
+        if d > d_low:
+            _take(sender, target)
+            _take(sender, payload)
+            successor[i] = tuple(sender.items())
+        if not lost:
+            j = self.position[target]
+            receiver = sender if j == i else dict(state[j])
+            if sum(receiver.values()) < view_size:
+                _put(receiver, self.nodes[i])
+                _put(receiver, payload)
+                successor[j] = tuple(receiver.items())
+        return tuple(successor)
+
+
+def _take(view: Dict[NodeId, int], v: NodeId) -> None:
+    count = view[v]
+    if count == 1:
+        del view[v]
+    else:
+        view[v] = count - 1
+
+
+def _put(view: Dict[NodeId, int], v: NodeId) -> None:
+    view[v] = view.get(v, 0) + 1
 
 
 # ----------------------------------------------------------------------

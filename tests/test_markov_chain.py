@@ -80,6 +80,63 @@ class TestStationary:
         pi = chain.stationary_distribution()
         assert np.allclose(pi @ chain.P, pi)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+             [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.8, 0.2]],
+        ],
+        ids=["identity", "two-closed-classes"],
+    )
+    def test_non_unique_raises(self, matrix):
+        """Two closed classes: every mix of their π's is stationary.  The
+        bordered system is rank-deficient, and the solve used to return
+        one of them ([0.5, 0.5] for the identity)."""
+        chain = MarkovChain(np.array(matrix))
+        with pytest.raises(np.linalg.LinAlgError, match="not unique"):
+            chain.stationary_distribution()
+
+    def test_solved_once_and_copied(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        chain = two_state(0.3, 0.6)
+        first = chain.stationary_distribution()
+        first[:] = -1.0  # the caller's copy, not the chain's
+        second = chain.stationary_distribution()
+        assert second[0] == pytest.approx(0.6 / 0.9)
+        assert second is not chain.stationary_distribution()
+        assert len(calls) == 1
+
+    def test_failed_solve_is_not_cached(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        chain = MarkovChain(np.eye(2))
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError):
+                chain.stationary_distribution()
+        assert len(calls) == 2
+
+
+class TestReadOnlyTransition:
+    def test_P_cannot_be_written(self):
+        chain = two_state()
+        with pytest.raises(ValueError):
+            chain.P[0, 0] = 0.5
+
+    def test_caller_array_stays_writable(self):
+        matrix = np.array([[0.7, 0.3], [0.6, 0.4]])
+        chain = MarkovChain(matrix)
+        matrix[0] = [0.0, 1.0]
+        assert matrix.flags.writeable
+        assert chain.P[0, 0] == 0.7
+
 
 class TestEvolution:
     def test_evolve_zero_steps_identity(self):
@@ -117,8 +174,8 @@ class TestEvolution:
 
     def test_time_to_epsilon_unreachable_raises(self):
         frozen = MarkovChain(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        # Identity chain from a non-stationary start never mixes... but the
-        # identity chain is reducible; stationary solve may pick one state.
+        # The identity chain is reducible: it has no unique π to approach,
+        # and the stationary solve says so (LinAlgError is a ValueError).
         with pytest.raises((RuntimeError, ValueError)):
             frozen.time_to_epsilon([1.0, 0.0], 1e-9, max_steps=5)
 

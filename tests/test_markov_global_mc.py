@@ -1,4 +1,18 @@
-"""Tests for repro.markov.global_mc (sections 7.1-7.2 structural lemmas)."""
+"""Tests for repro.markov.global_mc (sections 7.1-7.2 structural lemmas).
+
+``tests/data/global_mc_golden.json`` pins five chains — ``lemma-7.5``'s
+three, ``mixing-exact``'s ℓ=0.2 chain and the ℓ=0.5 hub of
+``TestPartitionExclusion`` — by state count, labels and the bytes of
+``P``.  It was written by the enumerator that copied a ``MembershipGraph``
+per outcome (``PYTHONPATH=src python tests/test_markov_global_mc.py``
+prints it) and is never regenerated to make a change pass.  ``P`` is a
+sum of pure-Python floats in discovery order, so its bytes hold on any
+host.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +20,8 @@ import pytest
 from repro.core.params import SFParams
 from repro.markov.global_mc import GlobalMarkovChain
 from repro.model.membership_graph import MembershipGraph
+
+GOLDEN = Path(__file__).parent / "data" / "global_mc_golden.json"
 
 
 def hub_graph():
@@ -16,6 +32,88 @@ def triangle_graph():
     return MembershipGraph.from_edges(
         [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
     )
+
+
+def pair_graph():
+    return MembershipGraph.from_edges([(0, 1), (0, 1), (1, 0), (1, 0)])
+
+
+# name -> (view_size, d_low, loss_rate, initial graph, max_states)
+GOLDEN_CHAINS = {
+    "lemma-7.5-hub": (6, 0, 0.0, hub_graph, 200_000),
+    "lemma-7.5-multiedge": (6, 0, 0.0, triangle_graph, 200_000),
+    "lemma-7.5-lossy": (8, 2, 0.3, pair_graph, 50_000),
+    "mixing-exact": (8, 2, 0.2, pair_graph, 200_000),
+    "partition-hub": (6, 0, 0.5, hub_graph, 100_000),
+}
+
+
+def describe_chain(name):
+    view_size, d_low, loss_rate, initial, max_states = GOLDEN_CHAINS[name]
+    chain = GlobalMarkovChain(
+        SFParams(view_size=view_size, d_low=d_low), loss_rate, initial(),
+        max_states=max_states,
+    )
+    labels = repr(chain.to_markov_chain().labels).encode("utf-8")
+    return {
+        "num_states": chain.num_states,
+        "labels_sha256": hashlib.sha256(labels).hexdigest(),
+        "transition_sha256": hashlib.sha256(
+            chain.transition_matrix().tobytes()
+        ).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+def test_chain_matches_golden(name):
+    assert describe_chain(name) == json.loads(GOLDEN.read_text())[name]
+
+
+class TestOneSolvePerChain:
+    """Each chain's bordered ``lstsq`` runs once, however many checks read π."""
+
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        return calls
+
+    def test_lemma_7_5_checks(self, lstsq_calls):
+        from repro.experiments import lemma_7_5
+
+        lemma_7_5.run_lossless_simple()
+        lemma_7_5.run_lossless_multiedge()
+        lemma_7_5.run_lossy(0.3)
+        assert len(lstsq_calls) == 3
+
+    def test_conductance_of_the_lossy_chain(self, lstsq_calls):
+        from repro.markov.conductance import conductance
+
+        chain = GlobalMarkovChain(SFParams(view_size=8, d_low=2), 0.2, pair_graph())
+        markov = chain.to_markov_chain()
+        assert chain.to_markov_chain() is markov
+        conductance(markov)
+        chain.uniformity_of_membership()
+        assert len(lstsq_calls) == 1
+
+
+class TestStates:
+    def test_states_decode_to_their_labels(self):
+        chain = GlobalMarkovChain(SFParams(view_size=6, d_low=0), 0.0, triangle_graph())
+        labels = chain.to_markov_chain().labels
+        assert [state.canonical_state() for state in chain.states] == labels
+
+    def test_first_state_is_the_initial_graph(self):
+        initial = triangle_graph()
+        chain = GlobalMarkovChain(SFParams(view_size=6, d_low=0), 0.0, initial)
+        first = chain.states[0]
+        assert first == initial
+        assert [list(first.out_edges(u)) for u in first.nodes] == [
+            list(initial.out_edges(u)) for u in initial.nodes
+        ]
 
 
 class TestConstruction:
@@ -137,3 +235,7 @@ class TestPartitionExclusion:
         assert all(state.is_weakly_connected() for state in chain.states)
         matrix = chain.transition_matrix()
         assert np.allclose(matrix.sum(axis=1), 1.0)
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: describe_chain(name) for name in sorted(GOLDEN_CHAINS)}, indent=1))

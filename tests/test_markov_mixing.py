@@ -8,6 +8,7 @@ from repro.markov.chain import MarkovChain
 from repro.markov.conductance import conductance
 from repro.markov.global_mc import GlobalMarkovChain
 from repro.markov.mixing import (
+    _row_powers,
     epsilon_independence_time,
     mixing_time,
     relaxation_time,
@@ -89,9 +90,23 @@ class TestMixingTimes:
             epsilon_independence_time(two_state(), 1.0)
 
     def test_unmixable_raises(self):
-        frozen = MarkovChain(np.eye(2))
+        # π = (½, ½) is unique, but a point start alternates forever.
+        flip = MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(RuntimeError):
-            mixing_time(frozen, 0.01, max_steps=10)
+            mixing_time(flip, 0.01, max_steps=10)
+
+    def test_non_unique_stationary_raises(self):
+        """The identity chain has no *the* π to mix towards."""
+        with pytest.raises(np.linalg.LinAlgError, match="not unique"):
+            mixing_time(MarkovChain(np.eye(2)), 0.01, max_steps=10)
+
+    def test_buffered_products_match_fresh_ones(self):
+        """The swapped ``out=`` buffers compute what ``D @ P`` did."""
+        chain = lazy_ring(8, move=0.3)
+        fresh = np.eye(chain.n)
+        for t, power in zip(range(12), _row_powers(chain)):
+            assert np.array_equal(power, fresh), t
+            fresh = fresh @ chain.P
 
 
 class TestDecayCurves:

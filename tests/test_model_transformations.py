@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.model.membership_graph import MembershipGraph
 from repro.model.transformations import (
+    ViewTuples,
     apply_receive,
     apply_send,
     degree_borrowing,
@@ -132,6 +135,86 @@ class TestEnumerateOutcomes:
     def test_invalid_loss_rejected(self):
         with pytest.raises(ValueError):
             enumerate_action_outcomes(triangle(), 0, 0, 6, 1.5)
+
+
+def _composed_outcomes(graph, initiator, d_low, view_size, loss_rate):
+    """The oracle: every slot pair's ``sandf_action`` on a graph copy,
+    merged by graph equality (first successor kept), self-loop last."""
+    view = graph.out_view(initiator)
+    d = sum(view.values())
+    slots = view_size * (view_size - 1)
+    merged = {}
+    for target, target_count in view.items():
+        for payload, payload_count in view.items():
+            if target == payload:
+                pair_prob = target_count * (target_count - 1) / slots
+            else:
+                pair_prob = target_count * payload_count / slots
+            if pair_prob == 0.0:
+                continue
+            for lost, prob in ((False, 1.0 - loss_rate), (True, loss_rate)):
+                if prob > 0.0:
+                    successor = sandf_action(
+                        graph, initiator, target, payload, d_low, view_size, lost
+                    )
+                    merged[successor] = merged.get(successor, 0.0) + pair_prob * prob
+    outcomes = [(prob, successor) for successor, prob in merged.items()]
+    self_loop = 1.0 - d * (d - 1) / slots
+    if self_loop > 1e-15:
+        outcomes.append((self_loop, graph.copy()))
+    return outcomes
+
+
+@st.composite
+def connected_graphs(draw):
+    """Weakly connected graphs on ≤ 4 nodes (listed in a random order,
+    self-edges allowed) with even outdegrees ≤ s."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    view_size = draw(st.sampled_from([6, 8]))
+    edges = []
+    for u in range(n):
+        half = draw(st.integers(min_value=0, max_value=view_size // 2))
+        targets = draw(
+            st.lists(st.integers(0, n - 1), min_size=2 * half, max_size=2 * half)
+        )
+        edges += [(u, v) for v in targets]
+    nodes = draw(st.permutations(range(n)))
+    graph = MembershipGraph.from_edges(edges, nodes=nodes)
+    assume(graph.is_weakly_connected())
+    return graph, view_size
+
+
+class TestViewTupleStep:
+    @given(
+        case=connected_graphs(),
+        d_low=st.sampled_from([0, 2]),
+        loss_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        pick=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_equals_composed_sandf_actions(self, case, d_low, loss_rate, pick):
+        graph, view_size = case
+        initiator = graph.nodes[pick % graph.num_nodes]
+        layout = ViewTuples(graph.nodes)
+        state = layout.encode(graph)
+        step = layout.outcomes(state, initiator, d_low, view_size, loss_rate)
+        oracle = _composed_outcomes(graph, initiator, d_low, view_size, loss_rate)
+
+        def by_key(pairs):
+            masses = {}
+            for prob, key in pairs:
+                masses[key] = masses.get(key, 0.0) + prob
+            return masses
+
+        assert by_key((p, key) for p, key, _ in step) == by_key(
+            (p, g.canonical_state()) for p, g in oracle
+        )
+        # Entry for entry, in Counter order: what keeps discovery order.
+        assert [(p, s) for p, _, s in step] == [(p, layout.encode(g)) for p, g in oracle]
+        for _, key, successor in step:
+            decoded = layout.decode(successor)
+            assert key == decoded.canonical_state()
+            assert layout.is_weakly_connected(successor) == decoded.is_weakly_connected()
 
 
 class TestEdgeExchange:
