@@ -17,6 +17,7 @@ from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
 from repro.kernel import ArrayKernel, ReferenceKernel, ShardedKernel, SimulationKernel
+from repro.kernel.array import ROW_BLOCK
 from repro.net.loss import LossModel, UniformLoss
 from repro.util.rng import SeedLike
 
@@ -80,12 +81,14 @@ def build_sf_system(
     else:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if isinstance(protocol, ArrayKernel):
-        # Bulk join: state-identical to the add_node loop below (no
-        # randomness involved), but O(1) numpy calls — at n=10⁶ the loop
-        # itself would dwarf the simulation.
-        ids = np.arange(n)
+        # Bulk join, one block of rows at a time: state-identical to the
+        # add_node loop below (no randomness involved), but O(n / block)
+        # numpy calls — at n=10⁶ the loop itself would dwarf the
+        # simulation — and no (n × k) bootstrap matrix.
         offsets = np.arange(1, init_outdegree + 1)
-        protocol.add_nodes(ids, (ids[:, None] + offsets[None, :]) % n)
+        for lo in range(0, n, ROW_BLOCK):
+            ids = np.arange(lo, min(lo + ROW_BLOCK, n))
+            protocol.add_nodes(ids, (ids[:, None] + offsets) % n)
     else:
         for u in range(n):
             bootstrap = [(u + k) % n for k in range(1, init_outdegree + 1)]

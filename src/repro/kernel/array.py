@@ -75,6 +75,11 @@ _SCAN_WINDOW = 4096
 _POS2R = np.repeat(np.arange(_SCAN_WINDOW - 1, -1, -1, dtype=np.int64), 2)
 _ARANGE = np.arange(_SCAN_WINDOW, dtype=np.int64)
 
+#: Rows per block of the whole-population passes (the paper-property
+#: snapshot, the ring bootstrap): their temporaries stay a few MB at any
+#: n instead of multiples of the id matrix.
+ROW_BLOCK = 4096
+
 #: In-byte rank-select table: ``_BITSEL[b * 8 + r]`` = index of the
 #: ``r``-th set bit of byte ``b``.
 _BITSEL = np.zeros(256 * 8, dtype=np.uint64)
@@ -773,18 +778,21 @@ class ArrayKernel(SimulationKernel):
         """Vectorized ``(outdegrees, indegrees)`` over live nodes, row order.
 
         The fast path behind :func:`repro.metrics.degrees.degree_summary`:
-        indegrees are one ``np.bincount`` over the live portion of the
-        id-matrix — no sort, no per-node Counter walks.  The count vector
-        is indexed by id (offset one so ⊥ lands in a discarded bucket),
-        which the dense id → row index guarantees is small.
+        indegrees are one ``np.bincount`` per block of the id-matrix,
+        summed into one count vector — no sort, no per-node Counter walks.
+        The count vector is indexed by id (offset one so ⊥ lands in a
+        discarded bucket), which the dense id → row index guarantees is
+        small.  Each block is 16 × ``ROW_BLOCK`` rows, since every block
+        pays one pass over the id-sized count vector.
         """
         n = self._n
         out = self._outdeg[:n].copy()
-        counts = np.bincount(
-            self._ids[:n].ravel() + 1, minlength=self._id_index.shape[0] + 1
-        )
-        indeg = counts[1:].take(self._node_at[:n]).astype(np.int64)
-        return out, indeg
+        counts = np.zeros(self._id_index.shape[0] + 1, dtype=np.int64)
+        step = 16 * ROW_BLOCK
+        for lo in range(0, n, step):
+            block = self._ids[lo:min(lo + step, n)].ravel()
+            counts += np.bincount(block + 1, minlength=counts.size)
+        return out, counts[1:].take(self._node_at[:n])
 
     def indegrees(self) -> Dict[NodeId, int]:
         _, indeg = self.degree_arrays()
@@ -811,39 +819,73 @@ class ArrayKernel(SimulationKernel):
         (self._sent if kind == "sent" else self._received)[: self._n] = 0
 
     def dependent_fraction(self) -> float:
-        """Empirical ``1 − α`` in one vectorized pass.
+        """Empirical ``1 − α``, one in-place sort per block of rows.
 
         Labels, self-edges, and "all but the first copy" of an in-view
-        duplicate, exactly as the object implementation counts them; the
-        first-copy scan is a stable per-row argsort (equal ids keep slot
-        order), so no O(s²) broadcasting and no per-node dict churn.
+        duplicate, exactly as the object implementation counts them.  Each
+        slot packs into one key ``id << b | slot << 1 | flag``, where
+        ``flag`` marks a label, a self-edge or ⊥ (dependent or excluded
+        whatever its position).  After a per-row sort equal ids sit
+        together in slot order, so an entry is independent iff it opens
+        its id's run with a clear flag: a labelled first copy still makes
+        a later unlabelled copy dependent.  No O(s²) broadcasting, no
+        per-node dict churn, no temporary larger than one block.
         """
         n = self._n
-        if n == 0:
-            return 0.0
-        ids = self._ids[:n]
-        nonempty = ids != EMPTY
-        total = int(np.count_nonzero(nonempty))
+        s = self.params.view_size
+        b = 1 + (s - 1).bit_length()
+        slot_bits = np.arange(s, dtype=np.int64) << 1
+        total = independent = 0
+        for lo in range(0, n, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, n)
+            ids = self._ids[lo:hi]
+            flag = ids == EMPTY
+            total += flag.size - int(np.count_nonzero(flag))
+            flag |= self._dep[lo:hi]
+            flag |= ids == self._node_at[lo:hi, None]
+            key = ids << b
+            key |= slot_bits
+            key |= flag
+            key.sort(axis=1)
+            run = key >> b
+            head = np.empty(key.shape, dtype=np.bool_)
+            head[:, 0] = True
+            np.not_equal(run[:, 1:], run[:, :-1], out=head[:, 1:])
+            head &= (key & 1) == 0
+            independent += int(np.count_nonzero(head))
         if total == 0:
             return 0.0
-        labeled = self._dep[:n] & nonempty
-        self_edge = (ids == self._node_at[:n, None]) & ~labeled
-        order = np.argsort(ids, axis=1, kind="stable")
-        sorted_ids = np.take_along_axis(ids, order, axis=1)
-        repeat_sorted = np.zeros_like(nonempty)
-        repeat_sorted[:, 1:] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
-        duplicate = np.zeros_like(nonempty)
-        np.put_along_axis(duplicate, order, repeat_sorted, axis=1)
-        duplicate &= nonempty & ~labeled & ~self_edge
-        dependent = int(labeled.sum()) + int(self_edge.sum()) + int(duplicate.sum())
-        return dependent / total
+        return (total - independent) / total
 
     def check_invariant(self) -> None:
         n = self._n
-        ids = self._ids[:n]
+        s = self.params.view_size
         outdeg = self._outdeg[:n]
-        if not np.array_equal((ids != EMPTY).sum(axis=1), outdeg):
-            raise AssertionError("outdegree counter out of sync with id-matrix")
+        ebits = self._ebits
+        # Rebuild each row's empty-slot bitmask from the ids a block at a
+        # time (packbits into a zero-padded 8-byte word): its popcount is
+        # the row's ⊥ count, so the same word checks outdeg and ebits.
+        # Only the first check raises inside the loop; the block verdicts
+        # of the others are raised below in check order, so a corruption
+        # reports the same message whichever block holds it.
+        words = np.zeros(ROW_BLOCK, dtype="<u8")
+        word_bytes = words.view(np.uint8).reshape(ROW_BLOCK, 8)
+        dep_on_empty = ebits_stale = False
+        for lo in range(0, n, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, n)
+            empty = self._ids[lo:hi] == EMPTY
+            if ebits is not None:
+                word_bytes[: hi - lo, : (s + 7) // 8] = np.packbits(
+                    empty, axis=1, bitorder="little"
+                )
+                want = words[: hi - lo]
+                count = s - np.bitwise_count(want).astype(np.int64)
+                ebits_stale = ebits_stale or not np.array_equal(ebits[lo:hi], want)
+            else:
+                count = s - np.count_nonzero(empty, axis=1)
+            if not np.array_equal(count, outdeg[lo:hi]):
+                raise AssertionError("outdegree counter out of sync with id-matrix")
+            dep_on_empty = dep_on_empty or bool((self._dep[lo:hi] & empty).any())
         if (outdeg % 2).any():
             rows = np.nonzero(outdeg % 2)[0]
             raise AssertionError(
@@ -857,7 +899,7 @@ class ArrayKernel(SimulationKernel):
                 f"node {int(self._node_at[rows[0]])} outdegree "
                 f"{int(outdeg[rows[0]])} outside [{low}, {high}]"
             )
-        if self._dep[:n][ids == EMPTY].any():
+        if dep_on_empty:
             raise AssertionError("dependence bit set on an empty slot")
         live = np.flatnonzero(self._id_index >= 0)
         if live.size != n:
@@ -865,13 +907,8 @@ class ArrayKernel(SimulationKernel):
         rows = self._id_index[live]
         if (rows >= n).any() or not np.array_equal(self._node_at[rows], live):
             raise AssertionError("id index out of sync with node_at")
-        if self._ebits is not None:
-            want = (
-                (ids == EMPTY).astype(np.uint64)
-                << np.arange(self.params.view_size, dtype=np.uint64)
-            ).sum(axis=1, dtype=np.uint64)
-            if not np.array_equal(self._ebits[:n], want):
-                raise AssertionError("empty-slot bitmask out of sync with ids")
+        if ebits_stale:
+            raise AssertionError("empty-slot bitmask out of sync with ids")
 
 
 def apply_scatter(

@@ -9,7 +9,7 @@ initial topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -39,45 +39,42 @@ def degree_summary(protocol: GossipProtocol) -> DegreeSummary:
     """Summarize the current degree profile of all live nodes.
 
     Array-backed kernels expose ``degree_arrays`` (both profiles from the
-    id-matrix in a few vectorized ops); other protocols take the generic
-    per-node walk.
+    id-matrix in a few vectorized ops, and everything below stays in
+    numpy); other protocols take the generic per-node walk.
     """
     fast = getattr(protocol, "degree_arrays", None)
     if fast is not None:
         out, indeg = fast()
-        if out.size == 0:
-            raise ValueError("no live nodes")
-        outdegrees = out.tolist()
-        indegrees = indeg.tolist()
-        return _summary_from(outdegrees, indegrees)
-    nodes = protocol.node_ids()
-    if not nodes:
+    else:
+        nodes = protocol.node_ids()
+        indegree_map = protocol.indegrees()
+        out = np.array([protocol.outdegree(u) for u in nodes], dtype=np.int64)
+        indeg = np.array([indegree_map[u] for u in nodes], dtype=np.int64)
+    if out.size == 0:
         raise ValueError("no live nodes")
-    outdegrees = [protocol.outdegree(u) for u in nodes]
-    indegree_map = protocol.indegrees()
-    indegrees = [indegree_map[u] for u in nodes]
-    return _summary_from(outdegrees, indegrees)
-
-
-def _summary_from(outdegrees: List[int], indegrees: List[int]) -> DegreeSummary:
     return DegreeSummary(
-        outdegree_mean=float(np.mean(outdegrees)),
-        outdegree_std=float(np.std(outdegrees)),
-        indegree_mean=float(np.mean(indegrees)),
-        indegree_std=float(np.std(indegrees)),
-        outdegree_min=int(min(outdegrees)),
-        outdegree_max=int(max(outdegrees)),
-        indegree_min=int(min(indegrees)),
-        indegree_max=int(max(indegrees)),
-        outdegree_histogram=_histogram(outdegrees),
-        indegree_histogram=_histogram(indegrees),
+        outdegree_mean=float(np.mean(out)),
+        outdegree_std=float(np.std(out)),
+        indegree_mean=float(np.mean(indeg)),
+        indegree_std=float(np.std(indeg)),
+        outdegree_min=int(out.min()),
+        outdegree_max=int(out.max()),
+        indegree_min=int(indeg.min()),
+        indegree_max=int(indeg.max()),
+        outdegree_histogram=_histogram(out),
+        indegree_histogram=_histogram(indeg),
     )
 
 
 def indegree_variance(protocol: GossipProtocol) -> float:
-    """Variance of live-node indegrees — the Property M2 time series."""
-    values = list(protocol.indegrees().values())
-    if not values:
+    """Variance of live-node indegrees — the Property M2 time series.
+
+    On array-backed kernels the indegrees come from ``degree_arrays``,
+    whose row order is ``indegrees()``'s, so the float is the same.
+    """
+    fast = getattr(protocol, "degree_arrays", None)
+    values = fast()[1] if fast is not None else list(protocol.indegrees().values())
+    if len(values) == 0:
         raise ValueError("no live nodes")
     return float(np.var(values))
 
@@ -98,8 +95,6 @@ def id_instance_count(protocol: GossipProtocol, node_id: int) -> int:
     return total
 
 
-def _histogram(values: List[int]) -> Dict[int, int]:
-    histogram: Dict[int, int] = {}
-    for value in values:
-        histogram[value] = histogram.get(value, 0) + 1
-    return dict(sorted(histogram.items()))
+def _histogram(values: np.ndarray) -> Dict[int, int]:
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))

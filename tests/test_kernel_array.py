@@ -9,11 +9,22 @@ behind a compensating bug in batch execution.
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.params import SFParams
+from repro.core.view import View, ViewEntry, dependent_fraction
 from repro.engine.sequential import EngineStats
+from repro.experiments.common import build_sf_system
 from repro.kernel import ArrayKernel, ReferenceKernel
+from repro.kernel import array as array_module
+from repro.kernel.array import EMPTY, ROW_BLOCK
 from repro.net.loss import UniformLoss
 from repro.util.rng import make_rng
 
@@ -128,9 +139,7 @@ class TestObservation:
         stats_a, stats_r = EngineStats(), EngineStats()
         arr.run_batch(3000, make_rng(4), UniformLoss(0.1), stats_a)
         ref.run_batch(3000, make_rng(4), UniformLoss(0.1), stats_r)
-        assert arr.dependent_fraction() == pytest.approx(
-            ref.dependent_fraction(), abs=1e-12
-        )
+        assert arr.dependent_fraction() == ref.dependent_fraction()
         assert 0.0 < arr.dependent_fraction() < 1.0
 
     def test_view_ids_array_matches_view_of(self):
@@ -170,6 +179,73 @@ class TestObservation:
             assert graph.outdegree(u) <= kernel.outdegree(u)
 
 
+@st.composite
+def slot_layouts(draw):
+    """A row-block size, a population of block − 1, block, block + 1 or
+    2·block + 1 rows, and arbitrary views over them: ⊥, labels, self-edges,
+    duplicate ids whose first copy is labelled or not, and ids of nodes
+    that never joined (departed).  Small id pools make duplicates common."""
+    s = 2 * draw(st.integers(3, 45))  # view sizes are even: 6 … 90
+    block = draw(st.integers(1, 9))
+    rows = max(0, block + draw(st.sampled_from([-1, 0, 1, block + 1])))
+    slot = st.integers(-1, rows + 2) | st.just(EMPTY)
+    ids = draw(arrays(np.int64, (rows, s), elements=slot))
+    dep = draw(arrays(np.bool_, (rows, s))) & (ids != EMPTY)
+    return block, ids, dep
+
+
+def layout_kernel(ids, dep):
+    """An ArrayKernel whose row ``r`` is node ``r`` holding ``ids[r]``."""
+    rows, s = ids.shape
+    kernel = ArrayKernel(SFParams(view_size=s, d_low=0), capacity=max(rows, 1))
+    kernel.add_nodes(np.arange(rows), np.zeros((rows, 2), dtype=np.int64))
+    kernel._ids[:rows] = ids
+    kernel._dep[:rows] = dep
+    return kernel
+
+
+def layout_views(ids, dep):
+    """The same layout as ``(owner, View)`` pairs for the object path."""
+    views = []
+    for owner in range(ids.shape[0]):
+        view = View(ids.shape[1])
+        for slot in np.flatnonzero(ids[owner] != EMPTY).tolist():
+            view.store_into(
+                slot, ViewEntry(int(ids[owner, slot]), bool(dep[owner, slot]))
+            )
+        views.append((owner, view))
+    return views
+
+
+class TestDependentFractionDefinition:
+    """``ArrayKernel.dependent_fraction`` is exactly
+    :func:`repro.core.view.dependent_fraction` on the same views — the same
+    two integers divided — whatever the layout and wherever the row-block
+    boundaries fall."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(slot_layouts())
+    def test_equals_object_path_definition(self, layout):
+        block, ids, dep = layout
+        kernel = layout_kernel(ids, dep)
+        with mock.patch.object(array_module, "ROW_BLOCK", block):
+            assert kernel.dependent_fraction() == dependent_fraction(
+                layout_views(ids, dep)
+            )
+
+    def test_labelled_first_copy_makes_later_copies_dependent(self):
+        # Node 0: 3 (labelled), 3, ⊥, 0 (self-edge), 4, 4 — only the first
+        # 4 is independent.  Node 1: 2, 2 (labelled), 9 (departed), ⊥ ×3 —
+        # the first 2 and the 9 are independent.  So 5 of 8 are dependent.
+        ids = np.array([[3, 3, EMPTY, 0, 4, 4], [2, 2, 9, EMPTY, EMPTY, EMPTY]])
+        dep = np.zeros_like(ids, dtype=bool)
+        dep[0, 0] = dep[1, 1] = True
+        assert dependent_fraction(layout_views(ids, dep)) == 5 / 8
+        for block in (1, 2, ROW_BLOCK):
+            with mock.patch.object(array_module, "ROW_BLOCK", block):
+                assert layout_kernel(ids, dep).dependent_fraction() == 5 / 8
+
+
 class TestInvariant:
     def test_even_outdegrees_maintained(self):
         kernel = ring_kernel(30)
@@ -190,3 +266,129 @@ class TestInvariant:
         kernel._id_index[3] = -1  # forget a live node
         with pytest.raises(AssertionError):
             kernel.check_invariant()
+
+
+#: A view wider than 64 slots: no empty-slot bitmask, per-row counts instead.
+WIDE = SFParams(view_size=70, d_low=20)
+
+
+def boundary_kernel(params):
+    """A lossy-run population one row longer than the snapshot's row block,
+    and its last row — alone in the second block, where a block-boundary
+    off-by-one would miss it."""
+    kernel, engine = build_sf_system(
+        ROW_BLOCK + 1, params, loss_rate=0.1, seed=5, backend="array"
+    )
+    engine.run_rounds(2)
+    return kernel, kernel.population - 1
+
+
+def clear_slots(kernel, row, count):
+    """Empty ``count`` occupied slots of ``row`` with every counter in step."""
+    cols = np.flatnonzero(kernel._ids[row] != EMPTY)[:count]
+    kernel._ids[row, cols] = EMPTY
+    kernel._dep[row, cols] = False
+    kernel._outdeg[row] -= cols.size
+    if kernel._ebits is not None:
+        for col in cols.tolist():
+            kernel._ebits[row] |= np.uint64(1 << col)
+
+
+def first_slot(kernel, row, empty):
+    cols = np.flatnonzero((kernel._ids[row] == EMPTY) == empty)
+    assert cols.size, "the planted row needs such a slot"
+    return int(cols[0])
+
+
+def outdegree_desync(kernel, row):
+    kernel._outdeg[row] += 2
+
+
+def ids_behind_counters(kernel, row):
+    kernel._ids[row, first_slot(kernel, row, empty=False)] = EMPTY
+
+
+def odd_outdegree(kernel, row):
+    clear_slots(kernel, row, 1)
+
+
+def outdegree_below_d_low(kernel, row):
+    clear_slots(kernel, row, int(kernel._outdeg[row]) - (kernel.params.d_low - 2))
+
+
+def dependence_bit_on_empty(kernel, row):
+    kernel._dep[row, first_slot(kernel, row, empty=True)] = True
+
+
+def node_at_desync(kernel, row):
+    kernel._node_at[row] = kernel._node_at[0]
+
+
+def stale_id_index(kernel, row):
+    kernel._id_index[kernel._node_at[row]] = -1
+
+
+def ebits_bit_flip(kernel, row):
+    kernel._ebits[row] ^= np.uint64(1)
+
+
+#: Each guarded property of Observation 5.1 / the kernel's bookkeeping,
+#: with the message the check raises for it.
+CORRUPTIONS = [
+    (outdegree_desync, "outdegree counter out of sync"),
+    (ids_behind_counters, "outdegree counter out of sync"),
+    (odd_outdegree, "odd outdegree"),
+    (outdegree_below_d_low, r"outside \["),
+    (dependence_bit_on_empty, "dependence bit set on an empty slot"),
+    (node_at_desync, "id index out of sync with node_at"),
+    (stale_id_index, "id index size out of sync"),
+    (ebits_bit_flip, "empty-slot bitmask out of sync"),
+]
+
+
+class TestInvariantCorruptionMatrix:
+    @pytest.mark.parametrize("params", [PARAMS, WIDE], ids=["s10", "s70"])
+    def test_uncorrupted_population_passes(self, params):
+        kernel, _ = boundary_kernel(params)
+        kernel.check_invariant()
+
+    @pytest.mark.parametrize(
+        "params, corrupt, message",
+        [
+            pytest.param(
+                params, corrupt, message, id=f"s{params.view_size}-{corrupt.__name__}"
+            )
+            for params in (PARAMS, WIDE)
+            for corrupt, message in CORRUPTIONS
+            if params.view_size <= 64 or corrupt is not ebits_bit_flip
+        ],
+    )
+    def test_corruption_in_last_row_raises(self, params, corrupt, message):
+        kernel, last = boundary_kernel(params)
+        corrupt(kernel, last)
+        with pytest.raises(AssertionError, match=message):
+            kernel.check_invariant()
+
+
+class TestSnapshotMemory:
+    def test_snapshot_peaks_stay_a_fraction_of_the_id_matrix(self):
+        """No whole-matrix temporaries: the paper-property snapshot's
+        tracemalloc peak against the id matrix's bytes at n = 2·10⁵."""
+        kernel, engine = build_sf_system(
+            200_000, SFParams(view_size=40, d_low=18), seed=1, backend="array"
+        )
+        engine.run_actions(20_000)
+        matrix = kernel.array_state()[0].nbytes
+        bounds = {
+            "dependent_fraction": 0.1,
+            "check_invariant": 0.1,
+            "degree_arrays": 0.5,
+        }
+        for name, bound in bounds.items():
+            tracemalloc.start()
+            try:
+                getattr(kernel, name)()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * matrix, (name, peak / matrix)

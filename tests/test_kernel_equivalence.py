@@ -205,9 +205,7 @@ class TestKernelEquivalence:
             assert ref.load_counts("received") == arr.load_counts("received")
             assert ref.indegrees() == arr.indegrees() == ref.protocol.indegrees()
             assert ref.export_graph() == arr.export_graph() == ref.protocol.export_graph()
-            assert ref.dependent_fraction() == pytest.approx(
-                arr.dependent_fraction(), abs=1e-12
-            )
+            assert ref.dependent_fraction() == arr.dependent_fraction()
         finally:
             close_kernel(arr)
 

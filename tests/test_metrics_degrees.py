@@ -1,10 +1,17 @@
 """Tests for repro.metrics.degrees."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
-from repro.metrics.degrees import degree_summary, id_instance_count, indegree_variance
+from repro.metrics.degrees import (
+    DegreeSummary,
+    degree_summary,
+    id_instance_count,
+    indegree_variance,
+)
 
 from conftest import build_system
 
@@ -104,6 +111,20 @@ class TestArrayFastPath:
     def test_degree_summary_matches_generic_path(self):
         arr, ref = self._matched_kernels()
         assert degree_summary(arr) == degree_summary(ref)
+
+    def test_every_summary_field_equal_after_churn(self):
+        arr, ref = self._matched_kernels()
+        for victim in (3, 0, 39):
+            arr.remove_node(victim)
+            ref.remove_node(victim)
+        fast, generic = degree_summary(arr), degree_summary(ref)
+        for field in dataclasses.fields(DegreeSummary):
+            assert getattr(fast, field.name) == getattr(generic, field.name), field.name
+            assert type(getattr(fast, field.name)) is type(getattr(generic, field.name))
+        for histogram in (fast.outdegree_histogram, fast.indegree_histogram):
+            assert list(histogram) == sorted(histogram)
+            assert all(type(k) is int and type(v) is int for k, v in histogram.items())
+        assert indegree_variance(arr) == indegree_variance(ref)
 
     def test_id_instance_count_matches_generic_path(self):
         arr, ref = self._matched_kernels()
