@@ -314,9 +314,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             protocol.check_invariant()
 
             summary = degree_summary(protocol)
-            stats = graph_statistics(
-                protocol.export_graph(), compute_diameter=args.nodes <= 2000
-            )
+            stats = graph_statistics(protocol, compute_diameter=args.nodes <= 2000)
             print(f"n={args.nodes} s={args.view_size} dL={args.d_low} "
                   f"loss={args.loss} rounds={args.rounds}")
             print(f"outdegree {summary.outdegree_mean:.1f} ± {summary.outdegree_std:.1f}, "

@@ -147,7 +147,7 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> RegimeRow:
     )
     dup = protocol.stats.duplication_probability()
     dele = protocol.stats.deletion_probability()
-    stats = graph_statistics(protocol.export_graph(), compute_diameter=n <= 2000)
+    stats = graph_statistics(protocol, compute_diameter=n <= 2000)
     return RegimeRow(
         regime=point["regime"],
         n=n,

@@ -2,8 +2,13 @@
 
 State layout (``n`` live rows, view size ``s``):
 
-* ``ids``  — ``(capacity, s)`` int64; slot ``(r, c)`` holds a node id, or
+* ``ids``  — ``(capacity, s)`` int32; slot ``(r, c)`` holds a node id, or
   ``-1`` for ⊥.  Row ``r`` is the ``r``-th node of the canonical ordering.
+  Node ids are dense indices (see ``id_index``), so 32 bits hold any
+  population that fits in memory; :meth:`ArrayKernel.add_node` and
+  :meth:`ArrayKernel.add_nodes` reject ids above ``MAX_NODE_ID``.  Gathers
+  return int32 ids and stores cast on write, so trajectories are the
+  same as with 64-bit slots.
 * ``dep``  — ``(capacity, s)`` bool; the dependence bitmask (Fig 7.1
   labels, operationally: "received via duplication").
 * ``outdeg``, ``sent``, ``received`` — per-row counters.
@@ -61,6 +66,10 @@ from repro.obs import get_telemetry
 
 EMPTY = -1
 
+#: The id matrix's dtype and the largest node id it can hold.
+ID_DTYPE = np.int32
+MAX_NODE_ID = int(np.iinfo(ID_DTYPE).max)
+
 #: Hard cap on how many upcoming actions one window pre-gathers.  The live
 #: window adapts to the observed group length (≈√n), since gather+plan
 #: work beyond the accepted set is discarded on truncation.
@@ -112,6 +121,15 @@ _ROWS01 = np.arange(2, dtype=np.int64).reshape(2, 1)
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
+def _check_id_width(peak: int) -> None:
+    """Reject an id the int32 matrix cannot hold, before any allocation:
+    the dense id index is sized by the largest id."""
+    if peak > MAX_NODE_ID:
+        raise ValueError(
+            f"array kernel holds node ids up to {MAX_NODE_ID}, got {peak}"
+        )
+
+
 def _select_empty_pair(ebits_vals, ranks2):
     """Vectorized double rank-select: the ``r``-th lowest set bit per word.
 
@@ -153,7 +171,7 @@ class ArrayKernel(SimulationKernel):
         s = params.view_size
         capacity = max(capacity, 1)
         self._n = 0
-        self._ids = self._alloc("ids", (capacity, s), np.int64, EMPTY)
+        self._ids = self._alloc("ids", (capacity, s), ID_DTYPE, EMPTY)
         self._dep = self._alloc("dep", (capacity, s), np.bool_, 0)
         self._outdeg = self._alloc("outdeg", (capacity,), np.int64, 0)
         self._sent = self._alloc("sent", (capacity,), np.int64, 0)
@@ -252,12 +270,13 @@ class ArrayKernel(SimulationKernel):
         ids = list(bootstrap_ids)
         if any(x < 0 for x in ids):
             raise ValueError("array kernel requires nonnegative bootstrap ids")
+        peak = max([node_id] + ids)
+        _check_id_width(peak)
         self.params.validate_bootstrap(len(ids))
         if self._n == self._ids.shape[0]:
             self._grow()
         # The id index must cover every id any view can hold, so that a
         # plain index gather resolves targets (-1 = departed/unknown).
-        peak = max([node_id] + ids)
         if peak >= self._id_index.shape[0]:
             self._grow_id_index(peak)
         row = self._n
@@ -296,6 +315,8 @@ class ArrayKernel(SimulationKernel):
             return
         if node_ids.min() < 0 or boot.min() < 0:
             raise ValueError("array kernel requires nonnegative node ids")
+        peak = int(max(node_ids.max(), boot.max()))
+        _check_id_width(peak)
         if np.unique(node_ids).size != m:
             raise ValueError("duplicate node ids in bulk join")
         in_index = node_ids[node_ids < self._id_index.shape[0]]
@@ -304,7 +325,6 @@ class ArrayKernel(SimulationKernel):
             raise ValueError(f"node {int(live[0])} already exists")
         while self._n + m > self._ids.shape[0]:
             self._grow()
-        peak = int(max(node_ids.max(), boot.max()))
         if peak >= self._id_index.shape[0]:
             self._grow_id_index(peak)
         rows = np.arange(self._n, self._n + m)
@@ -782,16 +802,20 @@ class ArrayKernel(SimulationKernel):
         summed into one count vector — no sort, no per-node Counter walks.
         The count vector is indexed by id (offset one so ⊥ lands in a
         discarded bucket), which the dense id → row index guarantees is
-        small.  Each block is 16 × ``ROW_BLOCK`` rows, since every block
-        pays one pass over the id-sized count vector.
+        small.  Each block is 4 × ``ROW_BLOCK`` rows, since every block
+        pays one pass over the id-sized count vector, and is upcast to
+        ``intp`` once, by the offset add into one reused buffer
+        (``bincount`` would otherwise copy an int32 block itself).
         """
         n = self._n
         out = self._outdeg[:n].copy()
         counts = np.zeros(self._id_index.shape[0] + 1, dtype=np.int64)
-        step = 16 * ROW_BLOCK
+        step = 4 * ROW_BLOCK
+        buf = np.empty(min(step, n) * self.params.view_size, dtype=np.intp)
         for lo in range(0, n, step):
-            block = self._ids[lo:min(lo + step, n)].ravel()
-            counts += np.bincount(block + 1, minlength=counts.size)
+            ids = self._ids[lo:min(lo + step, n)].ravel()
+            block = np.add(ids, 1, out=buf[: ids.size])
+            counts += np.bincount(block, minlength=counts.size)
         return out, counts[1:].take(self._node_at[:n])
 
     def indegrees(self) -> Dict[NodeId, int]:
@@ -829,12 +853,17 @@ class ArrayKernel(SimulationKernel):
         together in slot order, so an entry is independent iff it opens
         its id's run with a clear flag: a labelled first copy still makes
         a later unlabelled copy dependent.  No O(s²) broadcasting, no
-        per-node dict churn, no temporary larger than one block.
+        per-node dict churn, no temporary larger than one block: the key
+        is the block's one int64 upcast into a reused buffer, and the flag
+        read-back and the run shift reuse the ``flag`` buffer and the key
+        in place.
         """
         n = self._n
         s = self.params.view_size
         b = 1 + (s - 1).bit_length()
         slot_bits = np.arange(s, dtype=np.int64) << 1
+        key_buf = np.empty((min(ROW_BLOCK, n), s), dtype=np.int64)
+        head_buf = np.empty(key_buf.shape, dtype=np.bool_)
         total = independent = 0
         for lo in range(0, n, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, n)
@@ -843,15 +872,18 @@ class ArrayKernel(SimulationKernel):
             total += flag.size - int(np.count_nonzero(flag))
             flag |= self._dep[lo:hi]
             flag |= ids == self._node_at[lo:hi, None]
-            key = ids << b
+            key = key_buf[: hi - lo]
+            key[...] = ids
+            key <<= b
             key |= slot_bits
             key |= flag
             key.sort(axis=1)
-            run = key >> b
-            head = np.empty(key.shape, dtype=np.bool_)
+            np.bitwise_and(key, 1, out=flag, casting="unsafe")
+            key >>= b
+            head = head_buf[: hi - lo]
             head[:, 0] = True
-            np.not_equal(run[:, 1:], run[:, :-1], out=head[:, 1:])
-            head &= (key & 1) == 0
+            np.not_equal(key[:, 1:], key[:, :-1], out=head[:, 1:])
+            head &= ~flag
             independent += int(np.count_nonzero(head))
         if total == 0:
             return 0.0
@@ -860,20 +892,24 @@ class ArrayKernel(SimulationKernel):
     def check_invariant(self) -> None:
         n = self._n
         s = self.params.view_size
+        low, high = self.params.d_low, s
         outdeg = self._outdeg[:n]
         ebits = self._ebits
         # Rebuild each row's empty-slot bitmask from the ids a block at a
         # time (packbits into a zero-padded 8-byte word): its popcount is
         # the row's ⊥ count, so the same word checks outdeg and ebits.
-        # Only the first check raises inside the loop; the block verdicts
-        # of the others are raised below in check order, so a corruption
-        # reports the same message whichever block holds it.
+        # Only the first check raises inside the loop; the other checks
+        # record their first offending row (or a verdict) and raise below
+        # in check order, so a corruption reports the same message
+        # whichever block holds it.  Every temporary is block-sized.
         words = np.zeros(ROW_BLOCK, dtype="<u8")
         word_bytes = words.view(np.uint8).reshape(ROW_BLOCK, 8)
+        odd_row = range_row = None
         dep_on_empty = ebits_stale = False
         for lo in range(0, n, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, n)
             empty = self._ids[lo:hi] == EMPTY
+            block = outdeg[lo:hi]
             if ebits is not None:
                 word_bytes[: hi - lo, : (s + 7) // 8] = np.packbits(
                     empty, axis=1, bitorder="little"
@@ -883,29 +919,42 @@ class ArrayKernel(SimulationKernel):
                 ebits_stale = ebits_stale or not np.array_equal(ebits[lo:hi], want)
             else:
                 count = s - np.count_nonzero(empty, axis=1)
-            if not np.array_equal(count, outdeg[lo:hi]):
+            if not np.array_equal(count, block):
                 raise AssertionError("outdegree counter out of sync with id-matrix")
+            odd = np.flatnonzero(block & 1)
+            if odd_row is None and odd.size:
+                odd_row = lo + int(odd[0])
+            outside = np.flatnonzero((block < low) | (block > high))
+            if range_row is None and outside.size:
+                range_row = lo + int(outside[0])
             dep_on_empty = dep_on_empty or bool((self._dep[lo:hi] & empty).any())
-        if (outdeg % 2).any():
-            rows = np.nonzero(outdeg % 2)[0]
+        if odd_row is not None:
             raise AssertionError(
-                f"node {int(self._node_at[rows[0]])} has odd outdegree "
-                f"{int(outdeg[rows[0]])}"
+                f"node {int(self._node_at[odd_row])} has odd outdegree "
+                f"{int(outdeg[odd_row])}"
             )
-        low, high = self.params.d_low, self.params.view_size
-        if ((outdeg < low) | (outdeg > high)).any():
-            rows = np.nonzero((outdeg < low) | (outdeg > high))[0]
+        if range_row is not None:
             raise AssertionError(
-                f"node {int(self._node_at[rows[0]])} outdegree "
-                f"{int(outdeg[rows[0]])} outside [{low}, {high}]"
+                f"node {int(self._node_at[range_row])} outdegree "
+                f"{int(outdeg[range_row])} outside [{low}, {high}]"
             )
         if dep_on_empty:
             raise AssertionError("dependence bit set on an empty slot")
-        live = np.flatnonzero(self._id_index >= 0)
-        if live.size != n:
+        # The id index, a block of ids at a time: every live entry names a
+        # row below n whose node_at is that id, and there are n of them.
+        live_count = 0
+        index_stale = False
+        for lo in range(0, self._id_index.shape[0], ROW_BLOCK):
+            rows = self._id_index[lo:lo + ROW_BLOCK]
+            live = np.flatnonzero(rows >= 0)
+            live_count += live.size
+            rows = rows.take(live)
+            index_stale = index_stale or bool((rows >= n).any()) or not (
+                np.array_equal(self._node_at.take(rows), live + lo)
+            )
+        if live_count != n:
             raise AssertionError("id index size out of sync with population")
-        rows = self._id_index[live]
-        if (rows >= n).any() or not np.array_equal(self._node_at[rows], live):
+        if index_stale:
             raise AssertionError("id index out of sync with node_at")
         if ebits_stale:
             raise AssertionError("empty-slot bitmask out of sync with ids")

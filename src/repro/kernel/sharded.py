@@ -21,7 +21,7 @@ free.
 
 The point on a many-core machine is parallel apply bandwidth; the point
 everywhere is *capacity*: state lives in named shared blocks sized to the
-population (128 MiB of ids at n=10⁶, s=16), so a full million-node round
+population (61 MiB of ids at n=10⁶, s=16), so a full million-node round
 fits in RAM with no per-node Python objects at all.  Phase timers
 ``phase.shard_plan`` and ``phase.shard_apply`` report where the wall time
 goes (see :mod:`repro.obs`).

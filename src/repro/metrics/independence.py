@@ -68,7 +68,8 @@ def _mutual_edge_fraction_array(ids: np.ndarray, node_at: np.ndarray) -> float:
     dst_ids = ids.ravel()
     mask = (dst_ids >= 0) & (dst_ids != src_ids) & np.isin(dst_ids, node_at)
     src_e = src_ids[mask]
-    dst_e = dst_ids[mask]
+    # The kernel stores ids as int32; the pair keys need 64 bits.
+    dst_e = dst_ids[mask].astype(np.int64)
     if src_e.size == 0:
         raise ValueError("no membership edges between live nodes")
     stride = int(max(node_at.max(), dst_e.max())) + 1

@@ -4,7 +4,7 @@ These are deliberately small, dependency-light building blocks used by the
 protocol engines, the Markov-chain solvers, and the experiment harness.
 """
 
-from repro.util.rng import make_rng, spawn_rngs
+from repro.util.rng import make_rng
 from repro.util.serialization import dump_result, load_result, to_jsonable
 from repro.util.stats import (
     binomial_pmf,
@@ -18,7 +18,6 @@ from repro.util.tables import format_series, format_table
 
 __all__ = [
     "make_rng",
-    "spawn_rngs",
     "binomial_pmf",
     "binomial_tail_below",
     "chi_square_uniformity",

@@ -8,7 +8,7 @@ here, so every experiment is reproducible from a single integer seed.
 from __future__ import annotations
 
 from math import log1p
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,27 +25,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Return ``count`` independent generators derived from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, which guarantees the
-    child streams are statistically independent.  Useful when a simulation
-    needs separate streams for, e.g., the scheduler, the loss model, and
-    per-node protocol choices, so that changing how often one component
-    draws does not perturb the others.
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    elif isinstance(seed, np.random.Generator):
-        # Derive a seed sequence from the generator's own stream.
-        seq = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 class BlockDraws:

@@ -24,7 +24,7 @@ from repro.engine.sequential import EngineStats
 from repro.experiments.common import build_sf_system
 from repro.kernel import ArrayKernel, ReferenceKernel
 from repro.kernel import array as array_module
-from repro.kernel.array import EMPTY, ROW_BLOCK
+from repro.kernel.array import EMPTY, MAX_NODE_ID, ROW_BLOCK
 from repro.net.loss import UniformLoss
 from repro.util.rng import make_rng
 
@@ -40,6 +40,26 @@ def ring_kernel(n, capacity=None, params=PARAMS, init_outdegree=6):
 
 def run_some(kernel, actions=2000, seed=1, loss_rate=0.1):
     kernel.run_batch(actions, make_rng(seed), UniformLoss(loss_rate), EngineStats())
+
+
+def state_arrays(kernel):
+    """Copies of every state array and the population, for before/after."""
+    arrays = {
+        name: value.copy()
+        for name, value in vars(kernel).items()
+        if isinstance(value, np.ndarray)
+    }
+    return arrays, kernel.population
+
+
+def assert_same_state(kernel, before):
+    arrays, population = before
+    assert kernel.population == population
+    now = {n: v for n, v in vars(kernel).items() if isinstance(v, np.ndarray)}
+    assert now.keys() == arrays.keys()
+    for name, value in arrays.items():
+        assert now[name].dtype == value.dtype, name
+        assert np.array_equal(now[name], value), name
 
 
 class TestPopulation:
@@ -97,6 +117,26 @@ class TestPopulation:
         kernel = ArrayKernel(PARAMS)
         with pytest.raises(ValueError, match="nonnegative"):
             kernel.add_node(0, [1, -2, 3, 4])
+
+    @pytest.mark.parametrize(
+        "node_id, bootstrap",
+        [(MAX_NODE_ID + 1, [0, 1, 2, 3]), (8, [0, 1, MAX_NODE_ID + 1, 3])],
+        ids=["node-id", "bootstrap-id"],
+    )
+    def test_id_above_int32_rejected_before_any_allocation(self, node_id, bootstrap):
+        # The kernel is at capacity, so an accepted call would grow it;
+        # growing the id index to the bad id would allocate 16 GB.
+        kernel = ring_kernel(8)
+        before = state_arrays(kernel)
+        with mock.patch.object(
+            ArrayKernel, "_grow_id_index", side_effect=AssertionError("grew")
+        ):
+            with pytest.raises(ValueError, match="node ids up to"):
+                kernel.add_node(node_id, bootstrap)
+            with pytest.raises(ValueError, match="node ids up to"):
+                # The bad id rides in the second row of the block.
+                kernel.add_nodes([9, node_id], [[0, 1, 2, 3], bootstrap])
+        assert_same_state(kernel, before)
 
     def test_bootstrap_size_rules(self):
         kernel = ArrayKernel(PARAMS)
@@ -392,3 +432,25 @@ class TestSnapshotMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * matrix, (name, peak / matrix)
+
+
+class TestStateLayout:
+    def test_id_matrix_is_int32(self):
+        assert ring_kernel(8).array_state()[0].dtype == np.int32
+
+    def test_state_bytes_per_node(self):
+        """Base arrays only (the ``_flat_*`` reshapes are views of them):
+        the int32 id matrix (4·s), the dependence bitmask (s) and at most
+        ten 8-byte per-row columns.  A 64-bit matrix adds 4·s and fails."""
+        s = 40
+        n = 100_000
+        kernel, _ = build_sf_system(
+            n, SFParams(view_size=s, d_low=18), seed=1, backend="array"
+        )
+        arrays = [
+            value
+            for value in vars(kernel).values()
+            if isinstance(value, np.ndarray) and value.base is None
+        ]
+        per_node = sum(value.nbytes for value in arrays) / n
+        assert per_node <= 4 * s + s + 8 * 10, per_node

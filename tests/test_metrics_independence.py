@@ -99,3 +99,13 @@ class TestArrayFastPath:
         assert mutual_edge_fraction(arr) == pytest.approx(
             mutual_edge_fraction(ref), abs=1e-12
         )
+
+    def test_mutual_edge_fraction_pair_keys_do_not_wrap(self):
+        """Pair keys ``dst * stride + src`` exceed 2³¹ here; the kernel's
+        int32 ids must be widened before they are formed."""
+        from repro.kernel import ArrayKernel
+
+        kernel = ArrayKernel(SFParams(view_size=6, d_low=0))
+        kernel.add_node(0, [60_000, 60_000])
+        kernel.add_node(60_000, [0, 0])
+        assert mutual_edge_fraction(kernel) == 1.0

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.view import View, ViewEntry
-from repro.util.rng import BlockDraws, derive_seed, make_rng, spawn_rngs
+from repro.util.rng import BlockDraws, derive_seed, make_rng
 from repro.util.stats import chi_square_uniformity
 
 
@@ -38,35 +38,6 @@ class TestMakeRng:
     def test_seed_sequence_accepted(self):
         seq = np.random.SeedSequence(9)
         assert isinstance(make_rng(seq), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_independent_streams(self):
-        children = spawn_rngs(3, 2)
-        assert children[0].integers(1 << 30) != children[1].integers(1 << 30) or (
-            [int(children[0].integers(1 << 30)) for _ in range(4)]
-            != [int(children[1].integers(1 << 30)) for _ in range(4)]
-        )
-
-    def test_deterministic_given_seed(self):
-        a = spawn_rngs(7, 3)
-        b = spawn_rngs(7, 3)
-        for child_a, child_b in zip(a, b):
-            assert child_a.integers(1 << 30) == child_b.integers(1 << 30)
-
-    def test_spawn_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(1), 2)
-        assert len(children) == 2
 
 
 class TestDeriveSeed:
