@@ -18,8 +18,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.sequential import EngineStats
 from repro.net.delay import ConstantDelay, DelayModel
@@ -29,19 +28,6 @@ from repro.protocols.base import GossipProtocol, Message, SendEffect
 from repro.util.rng import SeedLike, make_rng
 
 NodeId = int
-
-_INITIATE = 0
-_DELIVER = 1
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    kind: int = field(compare=False)
-    node: NodeId = field(compare=False, default=-1)
-    message: Optional[Message] = field(compare=False, default=None)
-    reply: bool = field(compare=False, default=False)
 
 
 class DiscreteEventEngine:
@@ -53,7 +39,8 @@ class DiscreteEventEngine:
         delay: message-delay model (default constant 1.0 — so actions
             systematically overlap: many messages are in flight at once).
         rate: per-node initiation rate (actions per unit time); the mean
-            inter-action gap at a node is ``1/rate``.
+            inter-action gap at a node is ``1/rate``.  Must be positive
+            and finite.
         seed: RNG seed.
     """
 
@@ -65,8 +52,8 @@ class DiscreteEventEngine:
         rate: float = 1.0,
         seed: SeedLike = None,
     ):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not (0 < rate < math.inf):
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.protocol = protocol
         self.loss = loss if loss is not None else NoLoss()
         self.delay = delay if delay is not None else ConstantDelay(1.0)
@@ -76,9 +63,14 @@ class DiscreteEventEngine:
         self.stats = EngineStats()
         self.messages_in_flight = 0
         self.max_in_flight = 0
-        self._queue: List[_Event] = []
+        # Entries are ``(time, sequence, node, effect)``: ``effect`` is
+        # ``None`` for a clock tick at ``node``, else the ``SendEffect``
+        # delivered at ``time`` to ``node``.  ``(time, sequence)`` is unique
+        # and every time is finite, so ``heapq`` orders entries by comparing
+        # two numbers in C and never reaches ``node`` or ``effect``.
+        self._queue: List[Tuple[float, int, NodeId, Optional[SendEffect]]] = []
         self._sequence = itertools.count()
-        # Sequence number of each node's one live ``_INITIATE`` event.
+        # Sequence number of each node's one live clock tick.
         self._armed: Dict[NodeId, int] = {}
         for node in protocol.node_ids():
             self._schedule_initiate(node)
@@ -92,22 +84,14 @@ class DiscreteEventEngine:
         gap = float(self.rng.exponential(1.0 / self.rate))
         sequence = next(self._sequence)
         self._armed[node] = sequence
-        heapq.heappush(
-            self._queue, _Event(self.now + gap, sequence, _INITIATE, node=node)
-        )
+        heapq.heappush(self._queue, (self.now + gap, sequence, node, None))
 
     def _schedule_delivery(self, effect: SendEffect) -> None:
         message = effect.message
         latency = self.delay.sample(message.sender, message.target, self.rng)
         heapq.heappush(
             self._queue,
-            _Event(
-                self.now + latency,
-                next(self._sequence),
-                _DELIVER,
-                message=message,
-                reply=effect.reply,
-            ),
+            (self.now + latency, next(self._sequence), message.target, effect),
         )
         self.messages_in_flight += 1
         self.max_in_flight = max(self.max_in_flight, self.messages_in_flight)
@@ -140,16 +124,15 @@ class DiscreteEventEngine:
         cpu0 = time.process_time() if tel.active else 0.0
         queue = self._queue
         processed = 0
-        while processed < max_events and queue and queue[0].time <= end_time:
-            event = heapq.heappop(queue)
-            self.now = event.time
-            if event.kind == _DELIVER:
-                self._handle_delivery(event.message, event.reply)
-            elif self._armed.get(event.node) == event.sequence:
-                # Any other clock event is stale: its id left and rejoined,
+        while processed < max_events and queue and queue[0][0] <= end_time:
+            self.now, sequence, node, effect = heapq.heappop(queue)
+            if effect is not None:
+                self._handle_delivery(effect.message, effect.reply)
+            elif self._armed.get(node) == sequence:
+                # Any other clock tick is stale: its id left and rejoined,
                 # and runs on the clock armed at the rejoin (rate 1 per
                 # node, section 4.1).
-                self._handle_initiate(event.node)
+                self._handle_initiate(node)
             processed += 1
         if end_time < math.inf:
             self.now = max(self.now, end_time)

@@ -8,12 +8,18 @@ needs no atomicity (its design rationale in section 5).
 from __future__ import annotations
 
 import abc
+import math
 
 NodeId = int
 
 
 class DelayModel(abc.ABC):
-    """Samples an in-flight latency for each message."""
+    """Samples an in-flight latency for each message.
+
+    Every parameter of the models below must be finite: a NaN arrival time
+    stalls the discrete-event queue once it reaches the head, and an
+    infinite one is a message that never arrives yet is never counted lost.
+    """
 
     @abc.abstractmethod
     def sample(self, sender: NodeId, target: NodeId, rng) -> float:
@@ -24,8 +30,8 @@ class ConstantDelay(DelayModel):
     """Every message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float = 1.0):
-        if delay < 0:
-            raise ValueError(f"delay must be nonnegative, got {delay}")
+        if not (0 <= delay < math.inf):
+            raise ValueError(f"delay must be nonnegative and finite, got {delay}")
         self.delay = delay
 
     def sample(self, sender: NodeId, target: NodeId, rng) -> float:
@@ -39,8 +45,8 @@ class ExponentialDelay(DelayModel):
     """Memoryless latency with the given mean — heavy overlap of actions."""
 
     def __init__(self, mean: float = 1.0):
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
+        if not (0 < mean < math.inf):
+            raise ValueError(f"mean must be positive and finite, got {mean}")
         self.mean = mean
 
     def sample(self, sender: NodeId, target: NodeId, rng) -> float:
@@ -54,8 +60,8 @@ class UniformDelay(DelayModel):
     """Latency uniform in ``[low, high]``."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5):
-        if low < 0 or high < low:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not (0 <= low <= high < math.inf):
+            raise ValueError(f"need 0 <= low <= high < inf, got [{low}, {high}]")
         self.low = low
         self.high = high
 

@@ -1,5 +1,7 @@
 """Tests for repro.net.delay."""
 
+import math
+
 import pytest
 
 from repro.net.delay import ConstantDelay, ExponentialDelay, UniformDelay
@@ -18,6 +20,16 @@ class TestConstantDelay:
     def test_zero_allowed(self):
         assert ConstantDelay(0.0).sample(0, 1, make_rng(0)) == 0.0
 
+    def test_nan_rejected(self):
+        # A NaN arrival time at the head of the event queue stalls it.
+        with pytest.raises(ValueError):
+            ConstantDelay(math.nan)
+
+    def test_infinite_rejected(self):
+        # An infinite delay is a send that never arrives and is never lost.
+        with pytest.raises(ValueError):
+            ConstantDelay(math.inf)
+
 
 class TestExponentialDelay:
     def test_mean_approximated(self):
@@ -35,6 +47,14 @@ class TestExponentialDelay:
         with pytest.raises(ValueError):
             ExponentialDelay(0.0)
 
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ValueError):
+            ExponentialDelay(math.nan)
+
+    def test_infinite_mean_rejected(self):
+        with pytest.raises(ValueError):
+            ExponentialDelay(math.inf)
+
 
 class TestUniformDelay:
     def test_within_bounds(self):
@@ -49,3 +69,10 @@ class TestUniformDelay:
             UniformDelay(2.0, 1.0)
         with pytest.raises(ValueError):
             UniformDelay(-1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "low, high", [(0.5, math.nan), (math.nan, 1.0), (0.5, math.inf)]
+    )
+    def test_non_finite_bounds_rejected(self, low, high):
+        with pytest.raises(ValueError):
+            UniformDelay(low, high)
