@@ -1,4 +1,4 @@
-"""Churn: node join/leave processes and replayable traces (section 6.5).
+"""Churn: node join/leave processes (section 6.5).
 
 Joins follow the paper's bootstrap rule — a joiner copies (part of)
 another node's view, entering with outdegree ≥ ``dL`` and indegree 0;
@@ -7,24 +7,8 @@ bounded in section 6.5.2.
 """
 
 from repro.churn.process import ChurnProcess, bootstrap_from_peer
-from repro.churn.traces import (
-    ChurnEvent,
-    flash_crowd_trace,
-    generate_trace,
-    heavy_tailed_trace,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
 
 __all__ = [
     "ChurnProcess",
     "bootstrap_from_peer",
-    "ChurnEvent",
-    "generate_trace",
-    "flash_crowd_trace",
-    "heavy_tailed_trace",
-    "replay_trace",
-    "save_trace",
-    "load_trace",
 ]

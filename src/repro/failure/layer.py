@@ -36,7 +36,8 @@ conservation identity stays checkable::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.failure.detector import (
     FD_EXT_KEY,
@@ -48,7 +49,6 @@ from repro.protocols.base import (
     GossipProtocol,
     Message,
     ProtocolStats,
-    ProtocolWrapper,
     SendEffect,
 )
 
@@ -81,7 +81,7 @@ def outbound(
     return True
 
 
-class FailureDetectorLayer(ProtocolWrapper):
+class FailureDetectorLayer(GossipProtocol):
     """Wrap ``inner`` with per-node SWIM detectors on its own traffic.
 
     The layer is a drop-in :class:`GossipProtocol`: engines drive its
@@ -95,6 +95,11 @@ class FailureDetectorLayer(ProtocolWrapper):
             a node's local clock = one initiate action at that node).
 
     Every state change any detector makes is logged in :attr:`transitions`.
+
+    The layer keeps no node table or counters of its own: ``inner`` owns
+    the table, the :class:`ProtocolStats` instance and ``params`` (engines
+    and churn processes read it for bootstrap sizing), so code driving the
+    layer cannot tell it from ``inner``.
     """
 
     def __init__(
@@ -102,7 +107,9 @@ class FailureDetectorLayer(ProtocolWrapper):
         inner: GossipProtocol,
         config: Optional[DetectorConfig] = None,
     ):
-        super().__init__(inner)
+        # Deliberately no super().__init__(): a table or stats of our own
+        # would shadow the inner protocol's.
+        self.inner = inner
         self.config = config if config is not None else DetectorConfig()
         self.detectors: Dict[NodeId, FailureDetector] = {}
         self.transitions: List[Transition] = []
@@ -112,6 +119,31 @@ class FailureDetectorLayer(ProtocolWrapper):
         existing = list(inner.node_ids())
         for node in existing:
             self._install_detector(node, existing, incarnation=0)
+
+    # ------------------------------------------------------------------
+    # Delegation to the inner protocol
+    # ------------------------------------------------------------------
+
+    @property
+    def stats(self) -> ProtocolStats:
+        return self.inner.stats
+
+    @property
+    def params(self) -> Any:
+        return self.inner.params
+
+    def node_ids(self) -> List[NodeId]:
+        return self.inner.node_ids()
+
+    @property
+    def members(self) -> Tuple[NodeId, ...]:
+        return self.inner.members
+
+    def has_node(self, node_id: NodeId) -> bool:
+        return self.inner.has_node(node_id)
+
+    def view_of(self, node_id: NodeId) -> Counter:
+        return self.inner.view_of(node_id)
 
     # ------------------------------------------------------------------
     # Detector plumbing
@@ -171,14 +203,14 @@ class FailureDetectorLayer(ProtocolWrapper):
     # ------------------------------------------------------------------
 
     def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        super().add_node(node_id, bootstrap_ids)
+        self.inner.add_node(node_id, bootstrap_ids)
         # A restarted id comes back one incarnation above its grave so its
         # ALIVE gossip resurrects FAILED records instead of dying stale.
         incarnation = self.retired_incarnations.pop(node_id, -1) + 1
         self._install_detector(node_id, list(bootstrap_ids), incarnation)
 
     def remove_node(self, node_id: NodeId) -> None:
-        super().remove_node(node_id)
+        self.inner.remove_node(node_id)
         detector = self.detectors.pop(node_id, None)
         if detector is not None:
             self.retired_incarnations[node_id] = detector.incarnation

@@ -163,10 +163,9 @@ class PartitionLoss(LossModel):
     While :attr:`active` is True, any message between nodes of different
     groups is lost with probability ``cross_loss`` (1.0 = a clean cut);
     intra-group messages see ``base_loss``; a node ``group_of`` does not
-    name is in group 0.  Deactivate to heal the partition.  Used by the
-    partition-recovery experiment: S&F tolerates partitions shorter than
-    the id half-life (Lemma 6.10) because stale cross-partition ids are
-    still in views when connectivity returns.
+    name is in group 0.  Deactivate to heal the partition.  S&F tolerates
+    partitions shorter than the id half-life (Lemma 6.10) because stale
+    cross-partition ids are still in views when connectivity returns.
     """
 
     def __init__(

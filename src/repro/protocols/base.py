@@ -180,9 +180,9 @@ class GossipProtocol(Population):
     the scheduler's ``r``-th node is the ``r``-th live id in it.  The
     engine drives protocols via :meth:`initiate_effects` and
     :meth:`deliver_effects` and observes state via ``view_of`` and
-    ``export_graph``.  Wrappers (failure detection, samplers) keep no
-    table or counters of their own and delegate the population accessors,
-    ``stats`` and ``params`` to the protocol they wrap.
+    ``export_graph``.  The failure-detection wrapper keeps no table or
+    counters of its own and delegates the population accessors, ``stats``
+    and ``params`` to the protocol it wraps.
     """
 
     def __init__(self) -> None:
@@ -317,51 +317,3 @@ class ListViewProtocol(GossipProtocol):
                     candidates[c] = index
         return taken
 
-
-class ProtocolWrapper(GossipProtocol):
-    """A layer over ``inner`` that taps its traffic (detection, samplers).
-
-    Everything delegates: the wrapped protocol owns the node table, the
-    :class:`ProtocolStats` instance and ``params`` (engines and churn
-    processes read it for bootstrap sizing), so code driving the wrapper
-    cannot tell it from ``inner``.  Subclasses override the steps they tap
-    and extend ``add_node``/``remove_node`` with their per-node state.
-    """
-
-    def __init__(self, inner: GossipProtocol):
-        # Deliberately no super().__init__(): a wrapper with its own stats
-        # or table would shadow the inner protocol's.
-        self.inner = inner
-
-    @property
-    def stats(self) -> ProtocolStats:
-        return self.inner.stats
-
-    @property
-    def params(self) -> Any:
-        return self.inner.params
-
-    def node_ids(self) -> List[NodeId]:
-        return self.inner.node_ids()
-
-    @property
-    def members(self) -> Tuple[NodeId, ...]:
-        return self.inner.members
-
-    def has_node(self, node_id: NodeId) -> bool:
-        return self.inner.has_node(node_id)
-
-    def view_of(self, node_id: NodeId) -> Counter:
-        return self.inner.view_of(node_id)
-
-    def add_node(self, node_id: NodeId, bootstrap_ids: Sequence[NodeId]) -> None:
-        self.inner.add_node(node_id, bootstrap_ids)
-
-    def remove_node(self, node_id: NodeId) -> None:
-        self.inner.remove_node(node_id)
-
-    def initiate_effects(self, node_id: NodeId, rng) -> Tuple[SendEffect, ...]:
-        return self.inner.initiate_effects(node_id, rng)
-
-    def deliver_effects(self, message: Message, rng) -> Tuple[SendEffect, ...]:
-        return self.inner.deliver_effects(message, rng)

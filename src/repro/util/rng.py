@@ -1,7 +1,7 @@
 """Deterministic random-number-generator construction.
 
 All stochastic components in this library (protocol engines, loss models,
-churn traces) draw from :class:`numpy.random.Generator` instances created
+churn processes) draw from :class:`numpy.random.Generator` instances created
 here, so every experiment is reproducible from a single integer seed.
 """
 

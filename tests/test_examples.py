@@ -1,8 +1,9 @@
 """Smoke tests: the example scripts run to completion.
 
-Only the fast examples are executed end-to-end; the heavier ones are
-checked for importability (their ``main`` is exercised by the benchmark
-suite's equivalent experiments).
+Only the fast examples are executed end-to-end; the heavier two
+(``quickstart.py``, ``churn_and_loss.py``) are checked for importability
+(their ``main`` is exercised by the benchmark suite's equivalent
+experiments).
 """
 
 import importlib.util
@@ -19,7 +20,6 @@ ALL_EXAMPLES = [
     "gossip_aggregation.py",
     "churn_and_loss.py",
     "deployment_sizing.py",
-    "partition_demo.py",
 ]
 
 

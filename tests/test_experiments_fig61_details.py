@@ -63,27 +63,3 @@ class TestDegreeMCResultHelpers:
         assert 0.0 <= solved.p_full <= 1.0
         assert 0.0 <= solved.p_dup_holder <= 1.0
 
-
-class TestWalkerRefresh:
-    def test_refresh_tracks_view_changes(self):
-        from repro.core.sandf import SendForget
-        from repro.sampling.random_walk import SimpleRandomWalk
-
-        protocol = SendForget(SFParams(view_size=8, d_low=0))
-        protocol.add_node(0, [1, 1])
-        protocol.add_node(1, [0, 0])
-        protocol.add_node(2, [0, 1])
-        walker = SimpleRandomWalk(protocol, loss_rate=0.0, seed=5)
-        assert walker.walk(0, 1).end == 1
-        # Change node 0's view out from under the snapshot, then refresh.
-        protocol.remove_node(1)
-        protocol.add_node(3, [0, 2])
-        view = protocol.raw_view(0)
-        for index, entry in list(view.entries()):
-            view.clear_slot(index)
-        from repro.core.view import ViewEntry
-
-        view.store_into(0, ViewEntry(3))
-        view.store_into(1, ViewEntry(3))
-        walker.refresh(protocol)
-        assert walker.walk(0, 1).end == 3

@@ -12,16 +12,27 @@ The contract tested here is what the CLI and CI rely on:
 * ``registry.execute`` is the only way in (no module-level ``run``), and
   no grid point of either preset ever moves: checkpoint keys hash
   ``repr(point)`` and ``--fast`` output is a function of the points, so
-  ``tests/data/grid_points.json`` pins a digest of every point list.
+  ``tests/data/grid_points.json`` pins a digest of every point list;
+* no checkpoint key moves either: ``tests/data/checkpoint_keys.json``
+  pins a digest of every spec's cell keys, so a journal written by an
+  earlier tree resumes, whatever else is registered beside the spec;
+* docs/paper_map.md ties every spec's module to a paper item.
 
 To regenerate the digests after an *intentional* grid change::
 
     PYTHONPATH=src:tests python -c \
         "import test_experiments_registry as t; t.write_grid_golden()"
+
+and after an intentional change of the checkpoint key (which orphans
+every journal)::
+
+    PYTHONPATH=src:tests python -c \
+        "import test_experiments_registry as t; t.write_checkpoint_golden()"
 """
 
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
 import pickle
@@ -36,6 +47,7 @@ import repro.experiments
 from repro import cli
 from repro.experiments import registry
 from repro.runner import SweepRunner
+from repro.runner.checkpoint import CheckpointStore
 
 ALL_SPECS = registry.list_specs()
 
@@ -63,6 +75,7 @@ CHEAP_FAST = [
 
 
 GRID_GOLDEN_PATH = Path(__file__).parent / "data" / "grid_points.json"
+PAPER_MAP = Path(__file__).resolve().parent.parent / "docs" / "paper_map.md"
 
 
 def _grid_digests() -> dict:
@@ -90,6 +103,38 @@ def write_grid_golden() -> None:
     )
 
 
+CHECKPOINT_GOLDEN_PATH = Path(__file__).parent / "data" / "checkpoint_keys.json"
+
+
+def _checkpoint_digest(spec, fast: bool) -> str:
+    """sha256 over the journal keys ``registry.execute`` gives the cells of
+    ``spec.grid(fast)`` on the default backend, in grid order."""
+    store = CheckpointStore(Path("unused"))  # cell_key touches no file
+    context = registry._CellContext(experiment=spec.name)
+    cells = SweepRunner._build_cells(
+        list(spec.grid(fast)), 1, None, registry._point_seed
+    )
+    keys = [store.cell_key(registry._spec_worker, cell, context) for cell in cells]
+    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+
+
+def write_checkpoint_golden() -> None:
+    CHECKPOINT_GOLDEN_PATH.write_text(
+        json.dumps(
+            {
+                spec.name: {
+                    preset: _checkpoint_digest(spec, fast)
+                    for preset, fast in (("fast", True), ("full", False))
+                }
+                for spec in ALL_SPECS
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+
+
 class RecordingRunner(SweepRunner):
     """A serial runner that counts how often the registry invokes it."""
 
@@ -106,7 +151,7 @@ class TestRegistryShape:
     def test_every_experiment_module_registers(self):
         registered = {spec.module for spec in ALL_SPECS}
         assert registered == set(DISCOVERED_MODULES)
-        assert len(DISCOVERED_MODULES) == 27
+        assert len(DISCOVERED_MODULES) == 22
 
     def test_dropped_in_module_is_discovered(self, tmp_path, monkeypatch):
         """New experiment: one file — nothing in ``registry.py`` lists it."""
@@ -132,6 +177,20 @@ class TestRegistryShape:
         finally:
             sys.modules.pop("repro.experiments.zz_dropped_in", None)
             vars(repro.experiments).pop("zz_dropped_in", None)
+
+    def test_docs_table_matches_registry(self):
+        """The check CI's ``registry-docs`` job runs, in tier-1."""
+        repo = Path(__file__).resolve().parent.parent
+        loader = importlib.util.spec_from_file_location(
+            "check_registry_docs", repo / "tools" / "check_registry_docs.py"
+        )
+        check = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(check)
+        expected = check.registry_entries([spec.describe() for spec in ALL_SPECS])
+        documented = check.parse_docs_table(
+            (repo / "docs" / "paper_map.md").read_text(encoding="utf-8")
+        )
+        assert check.diff(expected, documented) == []
 
     def test_every_spec_has_anchor_description_and_schema(self):
         for spec in ALL_SPECS:
@@ -200,6 +259,31 @@ class TestRegistryShape:
         assert spec.grid(True) == builder(**spec.fast)
         assert set(spec.fast) <= set(inspect.signature(builder).parameters)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_checkpoint_keys_match_golden(self, spec):
+        golden = json.loads(CHECKPOINT_GOLDEN_PATH.read_text())
+        assert sorted(golden) == registry.names()
+        for preset, fast in (("fast", True), ("full", False)):
+            assert _checkpoint_digest(spec, fast) == golden[spec.name][preset], (
+                f"{spec.name} {preset}: checkpoint keys moved, old journals "
+                "would recompute every cell"
+            )
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_paper_map_ties_the_module_to_a_paper_item(self, spec):
+        """A spec earns its place through a row of a section table."""
+        code_rows = [
+            line
+            for line in PAPER_MAP.read_text(encoding="utf-8").split(
+                "## Experiment registry"
+            )[0].splitlines()
+            if line.startswith("| ") and not line.startswith("| Paper item")
+        ]
+        path = f"`experiments/{spec.module.rpartition('.')[2]}.py`"
+        assert any(path in row for row in code_rows), (
+            f"docs/paper_map.md names no paper item for {path}"
+        )
+
     @pytest.mark.parametrize("preset", ["fast", "full"])
     def test_grid_points_match_golden(self, preset):
         golden = json.loads(GRID_GOLDEN_PATH.read_text())
@@ -235,38 +319,41 @@ class TestExecution:
 
     def test_simulation_spec_with_tiny_points(self):
         result = registry.execute(
-            "samplers",
+            "message-load",
             points=[
                 {
-                    "n": 40,
-                    "slots": 4,
+                    "view_size": 12,
+                    "d_low": 4,
                     "loss": 0.02,
-                    "epochs": 2,
-                    "rounds_per_epoch": 5.0,
                     "seed": 37,
+                    "n": 40,
+                    "warmup_rounds": 5.0,
+                    "measure_rounds": 10.0,
+                    "snapshots": 2,
                 }
             ],
         )
         assert result.n == 40
-        assert len(result.epochs) == 2
+        assert result.rounds == 10.0
 
     def test_simulation_sweep_with_tiny_points(self):
         result = registry.execute(
-            "ablation",
+            "load-balance",
             points=[
                 {
-                    "variant": "base",
+                    "topology": "ring",
                     "n": 60,
-                    "loss": 0.05,
                     "view_size": 12,
-                    "d_low": 4,
-                    "warmup_rounds": 20.0,
-                    "measure_rounds": 20.0,
+                    "d_low": 2,
+                    "loss": 0.05,
+                    "rounds": 10,
+                    "sample_every": 5,
                     "seed": 55,
                 }
             ],
         )
-        assert [row.name for row in result.rows] == ["base"]
+        assert list(result.variance_curves) == ["ring"]
+        assert result.rounds == [0.0, 5.0, 10.0]
 
 
 #: Specs whose ``--fast`` grid has more than one cell (one can be lost).
@@ -285,7 +372,7 @@ def _failing_on(spec, doomed):
 
 
 class TestSkippedCells:
-    """One rule for all 27 specs, applied in ``registry.execute``: a cell
+    """One rule for all 22 specs, applied in ``registry.execute``: a cell
     without a record is dropped with its point, and a sweep in which no
     cell survives raises instead of reporting an empty table."""
 

@@ -1,13 +1,9 @@
-"""Tests for the sweep/partition experiment runners (reduced sizes)."""
+"""Tests for the sweep experiment runners (reduced sizes) and the
+partition loss model."""
 
 import pytest
 
-from repro.experiments import (
-    loss_sweep,
-    parameter_sweep,
-    partition_recovery,
-    registry,
-)
+from repro.experiments import loss_sweep, parameter_sweep, registry
 from repro.net.loss import PartitionLoss
 from repro.util.rng import make_rng
 
@@ -102,30 +98,3 @@ class TestPartitionLoss:
         with pytest.raises(ValueError):
             PartitionLoss({}, base_loss=-0.1)
 
-
-class TestPartitionRecovery:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return registry.execute(
-            "partition-recovery",
-            points=partition_recovery.points(
-                n=100,
-                partition_lengths=(15, 300),
-                warmup_rounds=80,
-                recovery_rounds=40,
-                seed=90,
-            ),
-        )
-
-    def test_short_split_heals(self, result):
-        assert result.rows[0].remerged
-
-    def test_long_split_permanent(self, result):
-        assert not result.rows[1].remerged
-        assert result.rows[1].cross_edges_at_heal == 0
-
-    def test_survival_decreases_with_length(self, result):
-        assert result.rows[0].survival_measured > result.rows[1].survival_measured
-
-    def test_format(self, result):
-        assert "Partition tolerance" in result.format()

@@ -27,7 +27,6 @@ import pytest
 from repro.churn.process import ChurnProcess
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
-from repro.core.variants import SendForgetVariant
 from repro.engine.sequential import SequentialEngine
 from repro.failure.layer import FailureDetectorLayer
 from repro.net.loss import UniformLoss
@@ -35,7 +34,6 @@ from repro.protocols.base import GossipProtocol
 from repro.protocols.push import PushProtocol
 from repro.protocols.pushpull import PushPullProtocol
 from repro.protocols.shuffle import ShuffleProtocol
-from repro.sampling.minwise import SamplerLayer
 
 GOLDENS = Path(__file__).parent / "data" / "membership_goldens.json"
 
@@ -46,14 +44,10 @@ EXTRA_ACTIONS = 37  # the run_actions loop reads the population too
 
 CASES: Dict[str, Callable[[], GossipProtocol]] = {
     "sandf": lambda: SendForget(PARAMS),
-    "variant": lambda: SendForgetVariant(
-        PARAMS, mark_and_undelete=True, replace_on_full=True
-    ),
     "push": lambda: PushProtocol(view_size=8),
     "pushpull": lambda: PushPullProtocol(view_size=8),
     "shuffle": lambda: ShuffleProtocol(view_size=8),
     "failure-detector-layer": lambda: FailureDetectorLayer(SendForget(PARAMS)),
-    "sampler-layer": lambda: SamplerLayer(SendForget(PARAMS), slots=2, seed=5),
 }
 
 

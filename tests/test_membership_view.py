@@ -27,7 +27,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.churn.process import ChurnProcess
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
-from repro.core.variants import SendForgetVariant
 from repro.engine.des import DiscreteEventEngine
 from repro.engine.sequential import SequentialEngine
 from repro.experiments.common import build_sf_system, warm_up
@@ -36,7 +35,6 @@ from repro.net.loss import UniformLoss
 from repro.protocols.push import PushProtocol
 from repro.protocols.pushpull import PushPullProtocol
 from repro.protocols.shuffle import ShuffleProtocol
-from repro.sampling.minwise import SamplerLayer
 
 PARAMS = SFParams(view_size=12, d_low=2)
 
@@ -92,7 +90,6 @@ def test_churn_still_drives_a_kernel_backend():
 JOIN_PARAMS = SFParams(view_size=12, d_low=6)
 PROTOCOLS = {
     "sandf": lambda: SendForget(JOIN_PARAMS),
-    "variant": lambda: SendForgetVariant(JOIN_PARAMS, mark_and_undelete=True),
     "push": lambda: PushProtocol(view_size=6),
     "pushpull": lambda: PushPullProtocol(view_size=6),
     "shuffle": lambda: ShuffleProtocol(view_size=6),
@@ -100,7 +97,6 @@ PROTOCOLS = {
 WRAPPERS = {
     "bare": lambda inner: inner,
     "failure_detector": FailureDetectorLayer,
-    "sampler": lambda inner: SamplerLayer(inner, slots=1, seed=0),
 }
 SEED_NODES = 4
 

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.decay import id_survival_bound
+from repro.core.params import SFParams
+from repro.core.sandf import SendForget
+from repro.engine.sequential import SequentialEngine
 from repro.net.loss import (
     CorrelatedLoss,
     GilbertElliottLoss,
@@ -173,6 +177,48 @@ class TestPerLinkLoss:
         assert model.expected_rate() == pytest.approx(0.3)
 
 
+class TestPartitionLoss:
+    def test_cross_group_traffic_cut_while_split(self):
+        model = PartitionLoss({0: 0, 1: 1}, cross_loss=1.0)
+        rng = make_rng(0)
+        assert model.is_lost(0, 1, rng) and model.is_lost(1, 0, rng)
+        assert model.rate_for(0, 1) == 1.0
+
+    def test_intra_group_traffic_sees_base_loss(self):
+        model = PartitionLoss({0: 0, 1: 0, 2: 1}, cross_loss=1.0, base_loss=0.2)
+        assert model.rate_for(0, 1) == 0.2
+        assert model.rate_for(0, 2) == 1.0
+
+    def test_heal_and_split_toggle_the_cut(self):
+        model = PartitionLoss({0: 0, 1: 1}, cross_loss=0.9, base_loss=0.1)
+        model.heal()
+        assert not model.active
+        assert model.rate_for(0, 1) == 0.1
+        model.split()
+        assert model.active
+        assert model.rate_for(0, 1) == 0.9
+
+    def test_unnamed_nodes_are_in_group_zero(self):
+        model = PartitionLoss({5: 1})
+        assert model.rate_for(7, 8) == 0.0  # both default to group 0
+        assert model.rate_for(7, 5) == 1.0
+
+    def test_invalid_rates_rejected(self):
+        with pytest.raises(ValueError):
+            PartitionLoss({}, cross_loss=1.5)
+        with pytest.raises(ValueError):
+            PartitionLoss({}, base_loss=-0.1)
+
+    def test_expected_rate_and_repr_follow_the_state(self):
+        model = PartitionLoss({0: 0, 1: 1, 2: 2}, cross_loss=1.0, base_loss=0.05)
+        assert model.expected_rate() == 0.05
+        assert "3 groups, split" in repr(model)
+        model.heal()
+        assert "healed" in repr(model)
+        model.reset()  # stateless: the cut is scenario state, not channel state
+        assert not model.active
+
+
 class TestTargetedLoss:
     def test_victim_traffic_silenced_both_directions(self):
         model = TargetedLoss(victims=[3], victim_loss=1.0, base_loss=0.0)
@@ -262,3 +308,75 @@ class TestTopologyLoss:
         model = TopologyLoss({0: frozenset([1])})
         model.reset()
         assert model.rate_for(0, 1) == 0.0
+
+
+class TestPartitionTolerance:
+    """S&F heals a split shorter than the id half-life, not a longer one.
+
+    Halves of a warmed-up system are cut apart, then reconnected.  While
+    split, each half keeps itself alive by duplication and the other
+    half's ids drain from its views at the Lemma 6.10 rate; after the
+    heal, surviving cross ids re-knit the overlay, and with none left the
+    halves can never find each other again.
+    """
+
+    N = 100
+    PARAMS = SFParams(view_size=16, d_low=6)
+    SHORT, LONG = 15, 300
+
+    @staticmethod
+    def cross_edges(protocol, half):
+        return sum(
+            multiplicity
+            for u in protocol.node_ids()
+            for v, multiplicity in protocol.view_of(u).items()
+            if (v < half) != (u < half)
+        )
+
+    @classmethod
+    def split_cycle(cls, rounds_split, seed):
+        half = cls.N // 2
+        protocol = SendForget(cls.PARAMS)
+        for u in range(cls.N):
+            protocol.add_node(u, [(u + k) % cls.N for k in range(1, 11)])
+        loss = PartitionLoss({u: int(u >= half) for u in range(cls.N)})
+        loss.heal()  # healthy warm-up
+        engine = SequentialEngine(protocol, loss, seed=seed)
+        engine.run_rounds(80)
+        before = cls.cross_edges(protocol, half)
+        loss.split()
+        engine.run_rounds(rounds_split)
+        at_heal = cls.cross_edges(protocol, half)
+        protocol.check_invariant()  # Observation 5.1 holds on each side
+        loss.heal()
+        engine.run_rounds(40)
+        return {
+            "survival": at_heal / max(before, 1),
+            "at_heal": at_heal,
+            "remerged": protocol.export_graph().is_weakly_connected(),
+            "bound": id_survival_bound(
+                rounds_split, cls.PARAMS.d_low, cls.PARAMS.view_size, 0.0, 0.05
+            ),
+        }
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {
+            rounds: self.split_cycle(rounds, seed=90 + rounds)
+            for rounds in (self.SHORT, self.LONG)
+        }
+
+    def test_short_split_heals(self, runs):
+        assert runs[self.SHORT]["at_heal"] > 0
+        assert runs[self.SHORT]["remerged"]
+
+    def test_long_split_drains_every_cross_id_and_stays_split(self, runs):
+        assert runs[self.LONG]["at_heal"] == 0
+        assert not runs[self.LONG]["remerged"]
+
+    def test_survival_decreases_with_split_length(self, runs):
+        assert runs[self.SHORT]["survival"] > runs[self.LONG]["survival"]
+
+    def test_survival_stays_under_the_lemma_6_10_bound(self, runs):
+        for run in runs.values():
+            assert run["survival"] <= run["bound"] + 0.05

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (variants, samplers,
-partition loss, serialization)."""
+"""Property-based tests for the extension modules (partition loss, the
+degree MC fixed point, serialization)."""
 
 import math
 from collections import Counter
@@ -8,113 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import SFParams
-from repro.core.variants import SendForgetVariant
 from repro.net.loss import PartitionLoss
-from repro.sampling.minwise import MinWiseSampler, SamplerBank
-from repro.sampling.random_walk import walk_success_probability
 from repro.util.rng import make_rng
 from repro.util.serialization import to_jsonable
-
-# ----------------------------------------------------------------------
-# Variant protocol: bounds hold under any flag combination and loss pattern
-# ----------------------------------------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    mark=st.booleans(),
-    replace=st.booleans(),
-    width=st.integers(min_value=1, max_value=3),
-    loss_pattern=st.lists(st.booleans(), min_size=30, max_size=150),
-)
-@settings(max_examples=25, deadline=None)
-def test_variant_bounds_under_any_configuration(seed, mark, replace, width, loss_pattern):
-    params = SFParams(view_size=12, d_low=2)
-    protocol = SendForgetVariant(
-        params,
-        mark_and_undelete=mark,
-        replace_on_full=replace,
-        ids_per_message=width,
-    )
-    n = 10
-    for u in range(n):
-        protocol.add_node(u, [(u + 1) % n, (u + 2) % n, (u + 3) % n, (u + 4) % n])
-    rng = make_rng(seed)
-    for step, lose in enumerate(loss_pattern):
-        for effect in protocol.initiate_effects(step % n, rng):
-            if not lose:
-                protocol.deliver_effects(effect.message, rng)
-    protocol.check_invariant()
-    for u in range(n):
-        assert 0 <= protocol.outdegree(u) <= params.view_size
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    steps=st.integers(min_value=50, max_value=300),
-)
-@settings(max_examples=15, deadline=None)
-def test_replace_on_full_never_classically_deletes(seed, steps):
-    protocol = SendForgetVariant(SFParams(view_size=8, d_low=2), replace_on_full=True)
-    n = 8
-    for u in range(n):
-        protocol.add_node(u, [(u + 1) % n, (u + 2) % n, (u + 3) % n, (u + 4) % n])
-    rng = make_rng(seed)
-    for step in range(steps):
-        for effect in protocol.initiate_effects(step % n, rng):
-            protocol.deliver_effects(effect.message, rng)
-    assert protocol.stats.deletions == 0
-
-
-# ----------------------------------------------------------------------
-# Min-wise samplers
-# ----------------------------------------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    stream=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=200),
-)
-@settings(max_examples=50, deadline=None)
-def test_minwise_sample_is_hash_argmin(seed, stream):
-    sampler = MinWiseSampler(make_rng(seed))
-    for node_id in stream:
-        sampler.observe(node_id)
-    best = min(set(stream), key=sampler._hash)
-    assert sampler.sample == best
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    stream=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=100),
-    extra=st.lists(st.integers(min_value=0, max_value=30), max_size=100),
-)
-@settings(max_examples=50, deadline=None)
-def test_minwise_monotone_under_more_observations(seed, stream, extra):
-    """Observing more ids can only improve (lower) the tracked hash."""
-    sampler = MinWiseSampler(make_rng(seed))
-    for node_id in stream:
-        sampler.observe(node_id)
-    first_hash = sampler._hash(sampler.sample)
-    for node_id in extra:
-        sampler.observe(node_id)
-    assert sampler._hash(sampler.sample) <= first_hash
-
-
-@given(
-    slots=st.integers(min_value=1, max_value=8),
-    stream=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=60),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-@settings(max_examples=30, deadline=None)
-def test_bank_slots_independent(slots, stream, seed):
-    bank = SamplerBank(slots, make_rng(seed))
-    for node_id in stream:
-        bank.observe(node_id)
-    samples = bank.samples()
-    assert len(samples) == slots
-    assert all(s in set(stream) for s in samples)
-
 
 # ----------------------------------------------------------------------
 # Partition loss: group structure fully determines lossiness at rate 1/0
@@ -138,23 +34,6 @@ def test_partition_loss_respects_groups(groups, seed):
     for u in range(len(groups)):
         for v in range(len(groups)):
             assert not loss.is_lost(u, v, rng)
-
-
-# ----------------------------------------------------------------------
-# Walk success probability: multiplicativity
-# ----------------------------------------------------------------------
-
-
-@given(
-    loss=st.floats(min_value=0.0, max_value=0.9),
-    a=st.integers(min_value=0, max_value=50),
-    b=st.integers(min_value=0, max_value=50),
-)
-@settings(max_examples=60, deadline=None)
-def test_walk_success_multiplicative(loss, a, b):
-    combined = walk_success_probability(loss, a + b)
-    product = walk_success_probability(loss, a) * walk_success_probability(loss, b)
-    assert math.isclose(combined, product, rel_tol=1e-9, abs_tol=1e-12)
 
 
 # ----------------------------------------------------------------------
