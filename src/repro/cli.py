@@ -118,7 +118,6 @@ def _telemetry_summary(registry, runner=None) -> str:
         f" cells={counters.get('sweep.cells', 0)}"
         f" completed={counters.get('sweep.completed', 0)}"
         f" resumed={counters.get('sweep.resumed', 0)}"
-        f" retries={counters.get('sweep.retries', 0)}"
         f" skipped={counters.get('sweep.skipped', 0)}"
         f" actions={counters.get('engine.actions', 0)}"
         f" cell_run={wall:.2f}s"
@@ -184,8 +183,7 @@ def _print_failures(sweep_runner) -> None:
     for failure in sweep_runner.last_failures:
         print(
             f"WARNING: skipped point={failure.cell.point!r} "
-            f"replication={failure.cell.replication} after "
-            f"{failure.attempts} attempt(s): {failure.errors[-1]}",
+            f"replication={failure.cell.replication}: {failure.error}",
             file=sys.stderr,
         )
 
@@ -457,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
         "any value",
     )
     on_error_kwargs = dict(
-        choices=["raise", "retry", "skip"],
+        choices=["raise", "skip"],
         default="raise",
-        help="cell failure policy: 'raise' fails fast (default); 'retry' "
-        "retries each failing cell with exponential backoff, then fails; "
-        "'skip' retries likewise, then drops the cell and keeps the rest",
+        help="cell failure policy: a cell runs once; 'raise' fails fast on "
+        "the first failed cell (default); 'skip' drops the cell and keeps "
+        "the rest",
     )
     cell_timeout_kwargs = dict(
         type=float,

@@ -22,13 +22,8 @@ from repro.core.params import SFParams
 from repro.experiments import registry
 from repro.markov.degree_mc import DegreeMarkovChain
 from repro.runtime.cluster import ClusterConfig, run_cluster
+from repro.util.stats import total_variation_distance
 from repro.util.tables import format_table
-
-
-def tv_distance(p: Dict[int, float], q: Dict[int, float]) -> float:
-    """Total variation distance between two pmfs over integer support."""
-    support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(d, 0.0) - q.get(d, 0.0)) for d in support)
 
 
 @dataclass
@@ -128,7 +123,7 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> LiveDegreeResult:
         degree_counts=dict(report.degree_counts),
         empirical_pmf=empirical,
         predicted_pmf=dict(predicted.outdegree_pmf),
-        tv=tv_distance(empirical, dict(predicted.outdegree_pmf)),
+        tv=total_variation_distance(empirical, dict(predicted.outdegree_pmf)),
         degree_violations=list(report.degree_violations),
         errors=list(report.errors),
     )

@@ -138,8 +138,8 @@ class ExperimentSpec:
         With ``runner``, the envelope also carries a ``sweep`` section —
         the runner's :attr:`~repro.runner.SweepRunner.last_stats` and
         :attr:`~repro.runner.SweepRunner.last_failures` — so an artifact
-        records not just the result but how its sweep went (retries,
-        skips, timeouts).
+        records not just the result but how its sweep went (skips,
+        timeouts, pool rebuilds).
         """
         from repro.util.serialization import to_jsonable
 
@@ -338,11 +338,10 @@ def execute(
     comes back ``None`` — skipped under ``on_error="skip"``, or its own
     "no row" — is dropped with its point before the aggregate runs;
     when none survive this raises ``RuntimeError``.  A preconfigured
-    ``runner`` (jobs, retries, ``on_error``, timeout, checkpoint,
-    executor) overrides ``jobs``/``executor``
-    (``auto``/``inline``/``process``/``thread``) and stays open for the
-    caller's next experiment; a runner built here is closed before
-    returning.
+    ``runner`` (jobs, ``on_error``, timeout, checkpoint, executor)
+    overrides ``jobs``/``executor`` (``auto``/``inline``/``process``/
+    ``thread``) and stays open for the caller's next experiment; a runner
+    built here is closed before returning.
     """
     spec = name_or_spec if isinstance(name_or_spec, ExperimentSpec) else get(
         name_or_spec

@@ -4,10 +4,10 @@
   (point × replication) grids with position-derived seeds, run by one
   dispatch loop over a stdlib executor (``inline`` / ``process`` /
   ``thread`` — bit-identical for pure workers) with ordered result
-  collection, per-cell retries with exponential backoff, ``on_error``
-  policies (``raise`` / ``retry`` / ``skip`` + :class:`FailureReport`),
-  and, on the process executor, per-cell timeouts and
-  BrokenProcessPool recovery.
+  collection; a cell runs once, settled by ``on_error`` (``raise`` /
+  ``skip`` + :class:`FailureReport`).  On the process executor: per-cell
+  timeouts, and crash blame — after a BrokenProcessPool the in-flight
+  cells re-run once, alone, and only one that crashes again fails.
 * :mod:`repro.runner.checkpoint` — :class:`CheckpointStore`: an opt-in
   atomic on-disk journal of completed cells, so interrupted sweeps
   resume bit-identically (:func:`gc_store` prunes entries the current

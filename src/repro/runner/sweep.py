@@ -1,69 +1,50 @@
-"""Fault-tolerant parallel sweep execution over a (point × replication) grid.
+"""Parallel sweep execution over a (point × replication) grid.
 
-Every sweep experiment in this repository has the same shape — a grid of
-parameter points, optionally replicated over independent seeds, with one
-pure worker call per cell.  :class:`SweepRunner` owns that shape once:
-grid → checkpoint hits → **one dispatch loop** → ordered results.
+Every sweep experiment in this repository is a grid of parameter points,
+optionally replicated over independent seeds, with one pure worker call
+per cell.  :class:`SweepRunner` owns that shape once: grid → checkpoint
+hits → **one dispatch loop** → ordered results.
 
-* **grid construction** — cells are enumerated in deterministic order
-  (points outer, replications inner) and each carries its flat index;
-* **seed derivation** — per-cell seeds come from
-  ``numpy.random.SeedSequence(seed).spawn(...)`` by default, so they
-  depend only on the cell's grid position, never on scheduling; an
-  experiment with its own derivation (e.g. ``seed + replication``) passes
-  ``seed_fn`` instead;
-* **execution** — one loop submits cells to a stdlib
-  :class:`concurrent.futures.Executor` and settles them as they finish.
-  ``executor`` names which one: ``"process"``
-  (:class:`~concurrent.futures.ProcessPoolExecutor`), ``"thread"``
-  (:class:`~concurrent.futures.ThreadPoolExecutor`), ``"inline"`` (a
-  synchronous in-process executor: no pickling requirement), or
-  ``"auto"`` (inline at ``jobs <= 1``, process otherwise).  The runner
-  owns the executor: the first cell that has to run opens it, every
-  later :meth:`SweepRunner.run` reuses it, and :meth:`SweepRunner.close`
-  (or leaving ``with SweepRunner(...) as runner:``) joins its workers —
-  a command that runs thirteen sweeps forks ``jobs`` workers once;
-* **ordered collection** — results are returned in grid order regardless
-  of completion order, which is what makes every executor, at any
-  parallelism, bit-identical for pure workers.
+* **grid and seeds** — cells are enumerated points outer, replications
+  inner; per-cell seeds come from ``SeedSequence(seed).spawn(...)`` (or
+  an experiment's ``seed_fn``), so they depend only on grid position;
+* **execution** — one loop submits cells to a stdlib executor and
+  settles them as they finish: ``"process"`` (a
+  :class:`~concurrent.futures.ProcessPoolExecutor`), ``"thread"``,
+  ``"inline"`` (synchronous, no pickling requirement), or ``"auto"``
+  (inline at ``jobs <= 1``, process otherwise).  The runner keeps its
+  executor across :meth:`SweepRunner.run` calls until
+  :meth:`SweepRunner.close`, so a command forks ``jobs`` workers once;
+* **ordered collection** — results come back in grid order, so every
+  executor, at any parallelism, is bit-identical for pure workers.
 
-The paper this repository reproduces is about correctness *under loss*;
-the runner applies the same stance to its own execution, and because
-there is one loop every policy below is written exactly once:
+S&F is correct under loss because it sends and forgets: no
+acknowledgement, no retransmission.  The runner takes the same stance
+toward its own failures — **a cell runs once** — and writes each rule
+below exactly once:
 
-* **retries with exponential backoff** — a failed cell is re-executed up
-  to ``max_retries`` times, delayed ``backoff_base · BACKOFF_FACTOR^k``
-  seconds (capped at ``BACKOFF_MAX``); it waits out the delay in the
-  loop's retry heap while other cells run.  Because a pure worker's
-  result is a function of its cell alone, a retried cell's result is
-  bit-identical to a first-try result.
-* **an ``on_error`` policy** — ``"raise"`` (default, fail fast),
-  ``"retry"`` (retry, then raise), or ``"skip"`` (retry, then record a
-  :class:`FailureReport` and yield ``None`` for that cell instead of
-  poisoning the whole grid).
-* **per-cell timeouts** (process executor only — nothing else can kill a
-  running call) — a cell running longer than ``cell_timeout`` seconds is
-  treated as failed: the pool is rebuilt (killing the hung worker),
-  innocent in-flight cells are requeued uncharged, and the overdue cell
-  is retried/skipped/raised per policy.
-* **BrokenProcessPool recovery** — an OOM-killed or crashed worker
-  process does not discard completed results: the pool is rebuilt (at
-  most ``MAX_POOL_REBUILDS`` times per run) and in-flight cells are
-  requeued, each at most ``max_retries`` times, since the crashed cell
-  cannot be told apart from its in-flight neighbors.
+* **``on_error``** — a cell whose worker raises is settled at once:
+  ``"raise"`` (default) fails fast with :class:`SweepError`, ``"skip"``
+  records a :class:`FailureReport` and leaves ``None`` in its slot.  A
+  cell is a pure function of its grid position; it would raise again.
+* **per-cell timeouts** (process executor only) — a cell running longer
+  than ``cell_timeout`` fails with :class:`CellTimeout`; the pool is
+  killed with its hung worker and innocent in-flight cells are requeued.
+* **crash blame** — when a worker process dies, completed results are
+  kept and every cell that was in flight re-runs once, alone: one that
+  crashes its pool again is the culprit and fails per policy, so an
+  innocent neighbour is never blamed.  Only crashes under a batch count
+  against ``MAX_POOL_REBUILDS``; a solo re-run happens once per cell.
 * **checkpoint/resume** — with a :class:`repro.runner.CheckpointStore`,
-  every completed cell is journaled atomically as it lands; a re-run of
-  the same grid loads journaled cells instead of recomputing them, so an
-  interrupted sweep resumes where it died with bit-identical output.
+  every completed cell is journaled as it lands, and a re-run of the
+  same grid loads it instead of recomputing: bit-identical resume.
 
-Workers submitted to the process executor must be module-level callables
-(or picklable callable objects) and their arguments picklable — the
-standard multiprocessing constraint.
+Workers on the process executor must be picklable (module-level
+callables), as must their arguments.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import os
 import time
@@ -79,7 +60,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -108,18 +89,12 @@ LOGGER = logging.getLogger("repro.runner")
 SweepWorker = Callable[["GridCell", Any], Any]
 
 #: Valid ``on_error`` policies.
-ON_ERROR_POLICIES = ("raise", "retry", "skip")
+ON_ERROR_POLICIES = ("raise", "skip")
 
 #: Valid ``executor`` names.
 EXECUTORS = ("auto", "inline", "process", "thread")
 
-#: Retry ``k`` waits ``backoff_base * BACKOFF_FACTOR**(k-1)`` seconds ...
-BACKOFF_FACTOR = 2.0
-
-#: ... capped at this many seconds.
-BACKOFF_MAX = 30.0
-
-#: Worker-process crashes survived per run before :class:`PoolCrashError`.
+#: Crashes of a batch of cells survived per run before :class:`PoolCrashError`.
 MAX_POOL_REBUILDS = 5
 
 
@@ -147,16 +122,14 @@ class FailureReport:
 
     Attributes:
         cell: the failing cell.
-        attempts: executions charged to the cell (worker raises, timeouts,
-            and pool crashes while it was in flight).
-        errors: ``repr`` of each failure, in order.
-        wall_time: parent-observed seconds spent on the cell across all
-            attempts (includes pool queueing, excludes backoff waits).
+        error: ``repr`` of the failure — the worker's exception, a
+            :class:`CellTimeout`, or the pool crash it caused alone.
+        wall_time: parent-observed seconds of the failed execution
+            (includes pool queueing).
     """
 
     cell: GridCell
-    attempts: int
-    errors: Tuple[str, ...]
+    error: str
     wall_time: float
 
 
@@ -171,7 +144,6 @@ class SweepStats:
     total: int = 0
     completed: int = 0
     resumed: int = 0
-    retries: int = 0
     skipped: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
@@ -181,15 +153,13 @@ class SweepStats:
 class SweepError(RuntimeError):
     """A worker failed terminally; carries the failing cell for diagnosis."""
 
-    def __init__(self, cell: GridCell, cause: BaseException, attempts: int = 1):
+    def __init__(self, cell: GridCell, cause: BaseException):
         super().__init__(
             f"sweep worker failed at point={cell.point!r} "
-            f"replication={cell.replication} (cell {cell.index}) "
-            f"after {attempts} attempt(s): {cause!r}"
+            f"replication={cell.replication} (cell {cell.index}): {cause!r}"
         )
         self.cell = cell
         self.cause = cause
-        self.attempts = attempts
 
 
 class CellTimeout(RuntimeError):
@@ -197,7 +167,7 @@ class CellTimeout(RuntimeError):
 
 
 class PoolCrashError(RuntimeError):
-    """The process pool crashed more than ``MAX_POOL_REBUILDS`` times."""
+    """Pool crashes under a batch of cells exceeded ``MAX_POOL_REBUILDS``."""
 
 
 def default_jobs() -> int:
@@ -220,22 +190,6 @@ def derive_seeds(
         return [None] * count
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(child.generate_state(2, np.uint64)[0]) for child in children]
-
-
-class _CellState:
-    """Per-cell failure bookkeeping (attempts, crashes, errors, wall time)."""
-
-    __slots__ = ("attempts", "crashes", "errors", "elapsed", "submitted")
-
-    def __init__(self) -> None:
-        self.attempts = 0  # worker raises + timeouts
-        self.crashes = 0   # pool crashes while in flight (blame uncertain)
-        self.errors: List[str] = []
-        self.elapsed = 0.0
-        self.submitted = 0.0
-
-    def charged(self) -> int:
-        return self.attempts + self.crashes
 
 
 class _InlineExecutor(Executor):
@@ -269,8 +223,8 @@ def _phased(worker: SweepWorker, cell: GridCell, context: Any) -> Any:
         return worker(cell, context)
 
 
-#: The retry heap: ``(ready_at, cell index, cell)``.
-_RetryHeap = List[Tuple[float, int, GridCell]]
+#: In-flight submissions: ``future -> (cell, submitted at)`` (monotonic).
+_InFlight = Dict[Future, Tuple[GridCell, float]]
 
 
 class SweepRunner:
@@ -280,23 +234,15 @@ class SweepRunner:
         jobs: worker parallelism; ``None`` or ``<= 1`` selects the inline
             executor under ``executor="auto"``.  (Use :func:`default_jobs`
             for "all the machine".)
-        on_error: ``"raise"`` fails fast on the first worker error;
-            ``"retry"`` retries each failing cell up to ``max_retries``
-            times and raises if it still fails; ``"skip"`` retries
-            likewise but then records a :class:`FailureReport` and leaves
-            ``None`` in that cell's slot.
-        max_retries: extra executions granted per cell after its first
-            failure (total attempts = ``max_retries + 1``).  A cell in
-            flight during a pool crash is requeued under the same budget;
-            beyond it the cell is handled per ``on_error``.
-        backoff_base: delay before the first retry, in seconds; retry
-            ``k`` waits ``backoff_base * BACKOFF_FACTOR**(k-1)``, capped
-            at ``BACKOFF_MAX``.
+        on_error: what a failed cell does — ``"raise"`` fails fast with
+            :class:`SweepError`; ``"skip"`` records a
+            :class:`FailureReport` and leaves ``None`` in that cell's
+            slot.  A cell runs once, bar one solo re-run after a worker
+            process died while it was in flight.
         cell_timeout: wall-clock budget per cell execution, in seconds.
-            Enforced only on the process executor — a hung worker is
-            killed by rebuilding the pool and the cell is handled per
-            ``on_error``; the others ignore the setting with a warning
-            (nothing can preempt the call).
+            Enforced only on the process executor (killing the pool kills
+            a hung worker; the cell fails per ``on_error``); the others
+            ignore it with a warning, as nothing can preempt the call.
         checkpoint: optional :class:`repro.runner.CheckpointStore`; every
             completed cell is journaled and journaled cells are loaded
             instead of executed on re-runs.
@@ -319,8 +265,6 @@ class SweepRunner:
         jobs: Optional[int] = None,
         *,
         on_error: str = "raise",
-        max_retries: int = 2,
-        backoff_base: float = 0.1,
         cell_timeout: Optional[float] = None,
         checkpoint: Optional[CheckpointStore] = None,
         executor: str = "auto",
@@ -329,8 +273,6 @@ class SweepRunner:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
             )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
         if executor not in EXECUTORS:
@@ -339,8 +281,6 @@ class SweepRunner:
             )
         self.jobs = 1 if jobs is None else max(1, int(jobs))
         self.on_error = on_error
-        self.max_retries = max_retries
-        self.backoff_base = max(0.0, backoff_base)
         self.cell_timeout = cell_timeout
         self.checkpoint = checkpoint
         self.executor = executor
@@ -404,8 +344,8 @@ class SweepRunner:
         Returns results in grid order (points outer, replications inner);
         cells skipped under ``on_error="skip"`` hold ``None`` and are
         described in :attr:`last_failures`.  Raises :class:`SweepError`
-        when a cell fails terminally under ``"raise"``/``"retry"``, and
-        :class:`PoolCrashError` when worker processes crash more than
+        when a cell fails under ``"raise"``, and :class:`PoolCrashError`
+        when worker processes crash under a batch more than
         ``MAX_POOL_REBUILDS`` times.
         """
         if replications <= 0:
@@ -465,7 +405,6 @@ class SweepRunner:
             "done": stats.resumed + stats.completed + stats.skipped,
             "completed": stats.completed,
             "resumed": stats.resumed,
-            "retries": stats.retries,
             "skipped": stats.skipped,
             "timeouts": stats.timeouts,
             "pool_rebuilds": stats.pool_rebuilds,
@@ -485,7 +424,6 @@ class SweepRunner:
             tel.inc("sweep.cells", stats.total)
             tel.inc("sweep.completed", stats.completed)
             tel.inc("sweep.resumed", stats.resumed)
-            tel.inc("sweep.retries", stats.retries)
             tel.inc("sweep.skipped", stats.skipped)
             tel.inc("sweep.timeouts", stats.timeouts)
             tel.inc("sweep.pool_rebuilds", stats.pool_rebuilds)
@@ -494,7 +432,6 @@ class SweepRunner:
             cells=stats.total,
             completed=stats.completed,
             resumed=stats.resumed,
-            retries=stats.retries,
             skipped=stats.skipped,
             timeouts=stats.timeouts,
             pool_rebuilds=stats.pool_rebuilds,
@@ -579,12 +516,12 @@ class SweepRunner:
     ) -> None:
         """Run ``cells`` on the runner's executor, settling each per policy.
 
-        One loop for every executor: submit up to ``width`` cells, wait
-        for the first to finish (or for a deadline or retry to fall
-        due), settle what finished.  Whether the executor is the process
-        pool is the single fact that turns on metric snapshots from the
-        workers and per-cell deadlines.  The executor outlives the call
-        unless a crash or deadline replaces it or an exception escapes.
+        One loop for every executor: submit up to ``width`` cells (one
+        suspect at a time after a crash), wait for the first to finish or
+        a deadline, settle what finished.  Only the process pool ships
+        worker metric snapshots and enforces deadlines.  The executor
+        outlives the call unless a crash or deadline replaces it or an
+        exception escapes.
         """
         kind = self._kind
         pooled = kind == "process"
@@ -595,7 +532,7 @@ class SweepRunner:
                 "running without deadlines", kind,
             )
         # Outstanding submissions are capped at the worker count: in-flight
-        # cells are then (almost) the running set, which keeps the blame
+        # cells are then (almost) the running set, which keeps the suspect
         # set small when the pool crashes.  The inline executor runs a
         # cell inside submit(), so a cap of one keeps it serial — a
         # fail-fast error stops the sweep before any later cell runs.
@@ -610,57 +547,52 @@ class SweepRunner:
         else:
             call = worker
         pending: Deque[GridCell] = deque(cells)
-        waiting: _RetryHeap = []
-        states = {cell.index: _CellState() for cell in cells}
-        inflight: Dict[Future, GridCell] = {}
+        # Cells in flight when a worker died: each re-runs once, alone.
+        suspects: Deque[GridCell] = deque()
+        suspected: Set[int] = set()
+        inflight: _InFlight = {}
+        batch_crashes = 0
         try:
-            while pending or waiting or inflight:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    pending.append(heapq.heappop(waiting)[2])
+            while pending or suspects or inflight:
+                # A suspect re-runs alone: nothing is submitted beside it.
+                alone = suspects or suspected & {c.index for c, _ in inflight.values()}
+                queue, limit = (suspects, 1) if alone else (pending, width)
                 try:
-                    while pending and len(inflight) < width:
+                    while queue and len(inflight) < limit:
                         if self._pool is None:
                             self._pool = _open_executor(kind, self.jobs)
-                        cell = pending[0]
-                        states[cell.index].submitted = time.monotonic()
-                        inflight[self._pool.submit(call, cell, context)] = cell
-                        pending.popleft()
-                    if not inflight:
-                        # Everything left is waiting out a retry backoff.
-                        time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
-                        continue
+                        started = time.monotonic()
+                        future = self._pool.submit(call, queue[0], context)
+                        inflight[future] = (queue.popleft(), started)
                     finished, _ = wait(
                         inflight,
-                        timeout=self._wait_timeout(
-                            deadline, waiting, inflight, states
-                        ),
+                        timeout=self._wait_timeout(deadline, inflight),
                         return_when=FIRST_COMPLETED,
                     )
                     for future in finished:
-                        self._settle(future, inflight, states, waiting, results, keys)
+                        self._settle(future, inflight, results, keys)
                     rebuild = deadline is not None and self._expire_overdue(
-                        deadline, inflight, states, pending, waiting
+                        deadline, inflight, pending
                     )
                 except BrokenExecutor as crash:
                     # A worker process died: the pool fails every in-flight
-                    # future with this and refuses new submissions.
-                    self.last_stats.pool_rebuilds += 1
-                    rebuilds = self.last_stats.pool_rebuilds
-                    tel.event("pool.rebuild", reason="crash")
-                    LOGGER.warning(
-                        "worker process died (%r); rebuilding pool (%d/%d), "
-                        "requeueing %d in-flight cell(s); %d completed result(s) kept",
-                        crash, rebuilds, MAX_POOL_REBUILDS, len(inflight),
-                        self.last_stats.completed,
+                    # future with this and refuses new submissions.  The
+                    # results that landed first are kept, whatever order
+                    # wait() listed the futures in.
+                    for future in [
+                        future for future in inflight if future.done()
+                        and not isinstance(future.exception(), BrokenExecutor)
+                    ]:
+                        self._settle(future, inflight, results, keys)
+                    batch_crashes += self._blame(
+                        crash, inflight, suspects, suspected
                     )
-                    if rebuilds > MAX_POOL_REBUILDS:
+                    if batch_crashes > MAX_POOL_REBUILDS:
                         raise PoolCrashError(
-                            f"process pool crashed {rebuilds} times "
-                            f"(MAX_POOL_REBUILDS={MAX_POOL_REBUILDS}); "
-                            f"last crash: {crash!r}"
+                            f"process pool crashed {batch_crashes} times "
+                            f"under a batch (MAX_POOL_REBUILDS="
+                            f"{MAX_POOL_REBUILDS}); last crash: {crash!r}"
                         ) from crash
-                    self._settle_crashed(crash, inflight, states, pending)
                     rebuild = True
                 if rebuild:
                     # Killing the old pool is what kills a hung worker;
@@ -673,101 +605,85 @@ class SweepRunner:
     def _settle(
         self,
         future: Future,
-        inflight: Dict[Future, GridCell],
-        states: Dict[int, _CellState],
-        waiting: _RetryHeap,
+        inflight: _InFlight,
         results: List[Any],
         keys: Dict[int, str],
     ) -> None:
-        """Settle one finished future: record its result, or retry/skip/
-        raise per policy.  A dead pool's ``BrokenExecutor`` propagates,
-        leaving the cell in ``inflight`` for the crash handler."""
-        failure: Optional[Exception] = None
+        """Settle one finished future: record its result, or fail the cell
+        per policy.  A dead pool's ``BrokenExecutor`` propagates, leaving
+        the cell in ``inflight`` for the crash handler."""
         try:
             result = future.result()
         except BrokenExecutor:
             raise
         except Exception as exc:
-            failure = exc
-        cell = inflight.pop(future)
-        state = states[cell.index]
-        state.elapsed += time.monotonic() - state.submitted
-        if failure is not None:
-            self._handle_failure(cell, failure, state, waiting)
+            self._fail(*inflight.pop(future), exc)
             return
+        cell, started = inflight.pop(future)
         if isinstance(result, MeteredResult):
             self._worker_metrics[cell.index] = result.metrics
             result = result.value
-        self._record_success(cell, result, results, keys)
-        self._emit_cell_end(cell, "ok", state.elapsed)
+        results[cell.index] = result
+        self.last_stats.completed += 1
+        if self.checkpoint is not None:
+            self.checkpoint.store(
+                keys[cell.index], cell, result, token=self._worker_token
+            )
+        self._emit_cell_end(cell, "ok", time.monotonic() - started)
 
     @staticmethod
-    def _wait_timeout(
-        deadline: Optional[float],
-        waiting: _RetryHeap,
-        inflight: Dict[Future, GridCell],
-        states: Dict[int, _CellState],
-    ) -> Optional[float]:
-        """How long ``wait`` may block before a deadline or retry is due."""
-        due = []
-        if deadline is not None:
-            due.append(
-                min(states[cell.index].submitted for cell in inflight.values())
-                + deadline
-            )
-        if waiting:
-            due.append(waiting[0][0])
-        if not due:
+    def _wait_timeout(deadline: Optional[float], inflight: _InFlight) -> Optional[float]:
+        """How long ``wait`` may block before the oldest cell falls due."""
+        if deadline is None:
             return None
-        return max(0.0, min(due) - time.monotonic()) + 0.01
+        oldest = min(started for _, started in inflight.values())
+        return max(0.0, oldest + deadline - time.monotonic()) + 0.01
 
-    def _settle_crashed(
+    def _blame(
         self,
         crash: BaseException,
-        inflight: Dict[Future, GridCell],
-        states: Dict[int, _CellState],
-        pending: Deque[GridCell],
-    ) -> None:
-        """Requeue or settle every cell that was in flight during a crash.
+        inflight: _InFlight,
+        suspects: Deque[GridCell],
+        suspected: Set[int],
+    ) -> bool:
+        """Settle the cells a dead worker took with it; True when it died
+        under a batch (which counts against ``MAX_POOL_REBUILDS``).
 
-        The crashed cell cannot be told apart from its in-flight
-        neighbors, so each gets a crash charge; a cell over its
-        ``max_retries`` budget is settled per ``on_error``.
+        A lost cell already suspected was running alone: it is the
+        culprit and fails per policy.  Otherwise every lost cell becomes
+        a suspect, queued to re-run alone in grid order.
         """
-        now = time.monotonic()
-        for cell in inflight.values():
-            state = states[cell.index]
-            state.crashes += 1
-            state.elapsed += now - state.submitted
-            state.errors.append(repr(crash))
-            if state.crashes <= self.max_retries:
-                pending.append(cell)
-            elif self.on_error == "skip":
-                self._skip(cell, state)
-            else:
-                raise SweepError(cell, crash, attempts=state.charged()) from crash
+        lost = sorted(inflight.values(), key=lambda entry: entry[0].index)
         inflight.clear()
+        self.last_stats.pool_rebuilds += 1
+        get_telemetry().event("pool.rebuild", reason="crash")
+        culprits = [entry for entry in lost if entry[0].index in suspected]
+        if culprits:
+            self._fail(*culprits[0], crash)
+            return False
+        LOGGER.warning(
+            "worker process died (%r); rebuilding pool, re-running %d "
+            "in-flight cell(s) alone; %d completed result(s) kept",
+            crash, len(lost), self.last_stats.completed,
+        )
+        suspected.update(cell.index for cell, _ in lost)
+        suspects.extend(cell for cell, _ in lost)
+        return True
 
     def _expire_overdue(
-        self,
-        deadline: float,
-        inflight: Dict[Future, GridCell],
-        states: Dict[int, _CellState],
-        pending: Deque[GridCell],
-        waiting: _RetryHeap,
+        self, deadline: float, inflight: _InFlight, pending: Deque[GridCell]
     ) -> bool:
         """Fail every in-flight cell over its deadline; True if any was.
 
         A running task cannot be cancelled, so the caller then rebuilds
-        the pool: the overdue cells are charged a timeout attempt and
-        retried/skipped/raised per policy, while the other in-flight
-        cells are requeued uncharged.
+        the pool: the overdue cells fail with :class:`CellTimeout` per
+        policy, while the other in-flight cells are requeued.
         """
         now = time.monotonic()
         overdue = {
-            cell.index
-            for future, cell in inflight.items()
-            if not future.done() and now - states[cell.index].submitted >= deadline
+            cell.index: now - started
+            for future, (cell, started) in inflight.items()
+            if not future.done() and now - started >= deadline
         }
         if not overdue:
             return False
@@ -775,98 +691,34 @@ class SweepRunner:
         tel = get_telemetry()
         if tel.tracing_on:
             tel.event("pool.rebuild", reason="timeout")
-            for index in sorted(overdue):
-                tel.event(
-                    "cell.timeout",
-                    index=index,
-                    elapsed_s=round(now - states[index].submitted, 6),
-                )
+            for index, elapsed in sorted(overdue.items()):
+                tel.event("cell.timeout", index=index, elapsed_s=round(elapsed, 6))
         LOGGER.warning(
             "%d cell(s) exceeded cell_timeout=%.3gs; killing the pool "
             "and requeueing %d innocent in-flight cell(s)",
             len(overdue), deadline, len(inflight) - len(overdue),
         )
-        for cell in inflight.values():
-            state = states[cell.index]
-            state.elapsed += now - state.submitted
+        for cell, started in inflight.values():
             if cell.index not in overdue:
                 pending.append(cell)
                 continue
-            exc = CellTimeout(
+            self._fail(cell, started, CellTimeout(
                 f"cell {cell.index} (point={cell.point!r}) exceeded "
                 f"cell_timeout={deadline}s"
-            )
-            self._handle_failure(cell, exc, state, waiting)
+            ))
         inflight.clear()
         return True
 
-    # -- per-cell settlement policy ------------------------------------
-
-    def _backoff_delay(self, failed_attempts: int) -> float:
-        if self.backoff_base <= 0.0:
-            return 0.0
-        delay = self.backoff_base * BACKOFF_FACTOR ** (failed_attempts - 1)
-        return min(delay, BACKOFF_MAX)
-
-    def _record_success(
-        self,
-        cell: GridCell,
-        result: Any,
-        results: List[Any],
-        keys: Dict[int, str],
-    ) -> None:
-        results[cell.index] = result
-        self.last_stats.completed += 1
-        if self.checkpoint is not None:
-            self.checkpoint.store(
-                keys[cell.index], cell, result, token=self._worker_token
-            )
-
-    def _skip(self, cell: GridCell, state: _CellState) -> None:
-        report = FailureReport(
-            cell=cell,
-            attempts=state.charged(),
-            errors=tuple(state.errors),
-            wall_time=state.elapsed,
-        )
-        self.last_failures.append(report)
-        self.last_stats.skipped += 1
-        self._emit_cell_end(cell, "skipped", state.elapsed)
-        LOGGER.warning(
-            "skipping cell %d (point=%r, replication=%d) after %d attempt(s): %s",
-            cell.index, cell.point, cell.replication, report.attempts,
-            state.errors[-1] if state.errors else "unknown failure",
-        )
-
-    def _handle_failure(
-        self,
-        cell: GridCell,
-        exc: BaseException,
-        state: _CellState,
-        waiting: _RetryHeap,
-    ) -> None:
-        """Bookkeep one failed execution: push the cell onto the ``waiting``
-        retry heap, skip it, or raise :class:`SweepError`, per policy."""
-        state.attempts += 1
-        state.errors.append(repr(exc))
+    def _fail(self, cell: GridCell, started: float, exc: BaseException) -> None:
+        """Settle a failed cell per policy: raise :class:`SweepError`
+        under ``"raise"``, else record a :class:`FailureReport`."""
         if self.on_error == "raise":
-            raise SweepError(cell, exc, attempts=state.charged()) from exc
-        if state.attempts <= self.max_retries:
-            delay = self._backoff_delay(state.attempts)
-            self.last_stats.retries += 1
-            get_telemetry().event(
-                "cell.retry",
-                index=cell.index,
-                attempt=state.attempts,
-                delay_s=round(delay, 6),
-                error=repr(exc),
-            )
-            LOGGER.warning(
-                "cell %d failed (attempt %d/%d): %r; retrying in %.2fs",
-                cell.index, state.attempts, self.max_retries + 1, exc, delay,
-            )
-            heapq.heappush(waiting, (time.monotonic() + delay, cell.index, cell))
-            return
-        if self.on_error == "retry":
-            raise SweepError(cell, exc, attempts=state.charged()) from exc
-        self._skip(cell, state)
+            raise SweepError(cell, exc) from exc
+        elapsed = time.monotonic() - started
+        self.last_failures.append(FailureReport(cell, repr(exc), elapsed))
+        self.last_stats.skipped += 1
+        self._emit_cell_end(cell, "skipped", elapsed)
+        LOGGER.warning(
+            "skipping cell %d (point=%r, replication=%d): %r",
+            cell.index, cell.point, cell.replication, exc,
+        )

@@ -1,12 +1,12 @@
 """Deterministic fault injection for sweep workers.
 
-The fault-tolerance machinery in :mod:`repro.runner.sweep` exists to
-survive worker exceptions, hangs, and killed processes.  Testing those
-paths with real OOM kills or random sleeps would be flaky; this module
-makes the faults *deterministic* instead: :class:`ChaosWorker` wraps a
-real sweep worker and injects a scripted fault — an exception, a hang,
-or a hard ``os._exit`` process kill — for chosen cells, on chosen
-attempts, and nothing else.
+The settlement rules in :mod:`repro.runner.sweep` exist to survive
+worker exceptions and killed processes.  Testing those paths with real
+OOM kills would be flaky; this module makes the faults *deterministic*
+instead: :class:`ChaosWorker` wraps a real sweep worker and injects a
+scripted fault — an exception or a hard ``os._exit`` process kill — for
+chosen cells, on chosen attempts, and nothing else.  (Hangs need no
+harness: a worker that sleeps on a chosen point does.)
 
 Determinism has two parts:
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Tuple, Union
@@ -52,7 +51,7 @@ LOGGER = logging.getLogger("repro.runner.chaos")
 #: Exit status used by ``kill`` faults — distinctive in pool tracebacks.
 KILL_EXIT_CODE = 87
 
-FAULT_KINDS = ("error", "hang", "kill")
+FAULT_KINDS = ("error", "kill")
 
 
 class ChaosError(RuntimeError):
@@ -68,9 +67,8 @@ class FaultSpec:
     """One scripted fault.
 
     Attributes:
-        kind: ``"error"`` (raise :class:`ChaosError`), ``"hang"`` (sleep
-            ``hang_seconds``), or ``"kill"`` (``os._exit`` the worker
-            process).
+        kind: ``"error"`` (raise :class:`ChaosError`) or ``"kill"``
+            (``os._exit`` the worker process).
         indices: cell indices to fault, or ``None`` to select by seed.
         seed_mod: ``(m, r)`` — fault cells whose seed satisfies
             ``seed % m == r`` (ignored for unseeded cells); a
@@ -79,16 +77,12 @@ class FaultSpec:
         times: inject on the first ``times`` attempts of each selected
             cell, then let the wrapped worker run (``times < 0`` means
             every attempt — a permanent fault).
-        hang_seconds: sleep length for ``"hang"`` faults; keep it above
-            the runner's ``cell_timeout`` but finite, so an unkilled
-            sleeper cannot outlive the test run by much.
     """
 
     kind: str
     indices: Optional[Tuple[int, ...]] = None
     seed_mod: Optional[Tuple[int, int]] = None
     times: int = 1
-    hang_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -169,9 +163,6 @@ class ChaosWorker:
             raise ChaosError(
                 f"injected fault: cell {cell.index} attempt {attempt}"
             )
-        if fault.kind == "hang":
-            time.sleep(fault.hang_seconds)
-            return
         # kill
         if multiprocessing.current_process().name == "MainProcess":
             raise ChaosSetupError(

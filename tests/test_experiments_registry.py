@@ -382,7 +382,7 @@ class TestSkippedCells:
         # cell their bundle cannot do without.
         doomed = [spec.grid(True)[-1]]
         monkeypatch.setitem(registry._SPECS, spec.name, _failing_on(spec, doomed))
-        runner = SweepRunner(on_error="skip", max_retries=0)
+        runner = SweepRunner(on_error="skip")
         result = registry.execute(spec.name, fast=True, runner=runner)
         assert result.format()
         assert runner.last_stats.skipped == 1
@@ -392,7 +392,7 @@ class TestSkippedCells:
     def test_every_cell_skipped_raises(self, spec, monkeypatch):
         doomed = spec.grid(True)
         monkeypatch.setitem(registry._SPECS, spec.name, _failing_on(spec, doomed))
-        runner = SweepRunner(on_error="skip", max_retries=0)
+        runner = SweepRunner(on_error="skip")
         with pytest.raises(RuntimeError, match="was skipped; nothing to report"):
             registry.execute(spec.name, fast=True, runner=runner)
         assert runner.last_stats.skipped == len(doomed)
@@ -401,9 +401,6 @@ class TestSkippedCells:
     def test_cli_archives_nothing_when_every_cell_skipped(
         self, spec, monkeypatch, tmp_path
     ):
-        import repro.runner.sweep as sweep_module
-
-        monkeypatch.setattr(sweep_module, "BACKOFF_MAX", 0.0)  # retry at once
         doomed = spec.grid(True)
         monkeypatch.setitem(registry._SPECS, spec.name, _failing_on(spec, doomed))
         with pytest.raises(RuntimeError, match="was skipped; nothing to report"):
@@ -468,14 +465,21 @@ class TestJsonEnvelope:
         from repro.runner import SweepRunner
 
         spec = registry.get("table-6.3")
-        runner = SweepRunner(jobs=1, on_error="skip", max_retries=0)
+        runner = SweepRunner(jobs=1, on_error="skip")
         result = registry.execute(
             spec, points=[{"d_hat": 30, "delta": 0.01}, {"bogus": True}],
             runner=runner,
         )
         decoded = json.loads(json.dumps(spec.to_json(result, runner=runner)))
-        assert decoded["sweep"]["last_stats"]["skipped"] == 1
+        stats = decoded["sweep"]["last_stats"]
+        assert stats["skipped"] == 1
+        # The envelope as docs/observability.md lists it (trace schema v4).
+        assert sorted(stats) == sorted(
+            "__dataclass__ total completed resumed skipped timeouts "
+            "pool_rebuilds backend".split()
+        )
         failures = decoded["sweep"]["last_failures"]
         assert len(failures) == 1
+        assert sorted(failures[0]) == ["__dataclass__", "cell", "error", "wall_time"]
         assert failures[0]["cell"]["index"] == 1
-        assert failures[0]["errors"]
+        assert "d_hat" in failures[0]["error"]

@@ -1,18 +1,18 @@
 """Fault-tolerance tests for the sweep runner.
 
-Every recovery path — retry, skip, timeout, BrokenProcessPool rebuild,
-checkpoint/resume — is exercised with *deterministic* faults injected by
-``tests/runner_chaos.py`` (exceptions, hangs, and hard ``os._exit`` kills
-scripted per cell and per attempt), so nothing here depends on timing
-luck or real resource exhaustion.  Pool workers import ``runner_chaos``
-the way they import this module's own workers: pytest puts ``tests/`` on
-``sys.path`` (rootdir conftest, no ``__init__.py``), and a worker process
-is forked from — or, under spawn, handed the ``sys.path`` of — the
-pytest process.
+Every settlement path — raise, skip, timeout, crash blame, checkpoint/
+resume — is exercised with *deterministic* faults: exceptions and hard
+``os._exit`` kills scripted per cell and per attempt by
+``tests/runner_chaos.py``, or an in-process scripted pool, so nothing
+here depends on timing luck or real resource exhaustion.  Pool workers
+import ``runner_chaos`` the way they import this module's own workers:
+pytest puts ``tests/`` on ``sys.path`` (rootdir conftest, no
+``__init__.py``), and a worker process is forked from — or, under
+spawn, handed the ``sys.path`` of — the pytest process.
 
-The acceptance test at the bottom is the tentpole contract: a sweep
-interrupted mid-grid by a killed worker resumes from its checkpoint and
-produces rows bit-identical to an uninterrupted ``jobs=1`` run.
+The acceptance test at the bottom: a sweep interrupted mid-grid by a
+killed worker resumes from its checkpoint and produces rows
+bit-identical to an uninterrupted ``jobs=1`` run.
 
 Pool-path tests default to ``--jobs 4``-style parallelism via the
 ``REPRO_CHAOS_JOBS`` environment variable (CI's chaos job sets it);
@@ -25,7 +25,9 @@ import pickle
 import tempfile
 import time
 from collections import Counter
+from concurrent.futures import BrokenExecutor, Executor, Future
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -81,10 +83,11 @@ def fail_n_times(n, state_dir):
     )
 
 
-def attempts(state_dir):
-    """``{cell index: executions}`` read back from a chaos state dir."""
+def attempts(state_dir, fault=0):
+    """``{cell index: executions}`` that reached fault ``fault`` of a
+    chaos worker, read back from its state dir."""
     counts = {}
-    for marker in Path(state_dir).glob("cell*-fault0-attempt*"):
+    for marker in Path(state_dir).glob(f"cell*-fault{fault}-attempt*"):
         index = int(marker.name[len("cell"):].split("-")[0])
         counts[index] = counts.get(index, 0) + 1
     return counts
@@ -96,9 +99,10 @@ def attempts(state_dir):
 
 
 class TestOnErrorPolicies:
-    def test_invalid_policy_rejected(self):
+    @pytest.mark.parametrize("policy", ["ignore", "retry"])
+    def test_invalid_policy_rejected(self, policy):
         with pytest.raises(ValueError, match="on_error"):
-            SweepRunner(on_error="ignore")
+            SweepRunner(on_error=policy)
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_raise_is_the_default_and_fails_fast(self, executor, tmp_path):
@@ -109,32 +113,9 @@ class TestOnErrorPolicies:
         assert attempts(tmp_path) == {0: 1}
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_retry_recovers_transient_failures(self, executor, tmp_path):
-        worker = fail_n_times(2, tmp_path)
-        runner = SweepRunner(
-            executor=executor, on_error="retry", max_retries=2, backoff_base=0.0
-        )
-        out = runner.run(worker, ["a", "b"], seed=5)
-        assert out == SweepRunner().run(_pure, ["a", "b"], seed=5)
-        assert runner.last_stats.retries == 4  # 2 retries per cell
-        assert runner.last_failures == []
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_retry_exhaustion_raises_with_attempt_count(self, executor, tmp_path):
-        worker = fail_n_times(10, tmp_path)
-        runner = SweepRunner(
-            executor=executor, on_error="retry", max_retries=2, backoff_base=0.0
-        )
-        with pytest.raises(SweepError, match="after 3 attempt"):
-            runner.run(worker, [1])
-        assert attempts(tmp_path) == {0: 3}
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_skip_records_failure_report_and_none(self, executor, tmp_path):
-        worker = fail_n_times(10, tmp_path)
-        runner = SweepRunner(
-            executor=executor, on_error="skip", max_retries=1, backoff_base=0.0
-        )
+        worker = fail_n_times(1, tmp_path)
+        runner = SweepRunner(executor=executor, on_error="skip")
         out = runner.run(worker, [1, 2], seed=9)
         assert out[0] is None and out[1] is None
         assert runner.last_stats.skipped == 2
@@ -142,38 +123,21 @@ class TestOnErrorPolicies:
         report = runner.last_failures[0]
         assert isinstance(report, FailureReport)
         assert report.cell.index == 0
-        assert report.attempts == 2
-        assert len(report.errors) == 2
-        assert "injected fault" in report.errors[-1]
+        assert "injected fault" in report.error
         assert report.wall_time >= 0.0
+        # A cell runs once: a second run would have passed.
+        assert attempts(tmp_path) == {0: 1, 1: 1}
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_skip_keeps_successful_cells(self, executor, tmp_path):
         fail_only_middle = chaos(
             _pure, tmp_path, FaultSpec("error", indices=(1,), times=-1)
         )
-        runner = SweepRunner(executor=executor, on_error="skip", max_retries=0)
+        runner = SweepRunner(executor=executor, on_error="skip")
         out = runner.run(fail_only_middle, ["ok", "bad", "fine"], seed=2)
         assert out[0] is not None and out[2] is not None
         assert out[1] is None
         assert [f.cell.point for f in runner.last_failures] == ["bad"]
-
-    def test_backoff_delay_schedule(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "BACKOFF_MAX", 0.35)
-        runner = SweepRunner(backoff_base=0.1)
-        assert runner._backoff_delay(1) == pytest.approx(0.1)
-        assert runner._backoff_delay(2) == pytest.approx(0.2)
-        assert runner._backoff_delay(3) == pytest.approx(0.35)  # capped
-        assert SweepRunner(backoff_base=0.0)._backoff_delay(5) == 0.0
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_retried_results_are_bit_identical(self, executor, tmp_path):
-        baseline = SweepRunner().run(_pure, [3, 1, 4], replications=2, seed=1)
-        flaky = fail_n_times(1, tmp_path)
-        retried = SweepRunner(
-            executor=executor, on_error="retry", max_retries=1, backoff_base=0.0
-        ).run(flaky, [3, 1, 4], replications=2, seed=1)
-        assert retried == baseline
 
 
 # ----------------------------------------------------------------------
@@ -235,42 +199,27 @@ class TestChaosHarness:
 
 
 # ----------------------------------------------------------------------
-# Pool path: retries, crashes, timeouts
+# Pool path: crashes, timeouts
 # ----------------------------------------------------------------------
 
 
 class TestPoolRecovery:
-    def test_pool_retry_bit_identical(self, tmp_path):
-        baseline = SweepRunner().run(_pure, [1, 2, 3, 4], replications=2, seed=7)
-        worker = chaos(
-            _pure, tmp_path, FaultSpec("error", indices=(1, 4, 6), times=1)
-        )
-        runner = SweepRunner(
-            jobs=JOBS, on_error="retry", max_retries=2, backoff_base=0.0
-        )
-        assert runner.run(worker, [1, 2, 3, 4], replications=2, seed=7) == baseline
-        assert runner.last_stats.retries == 3
-
     def test_pool_skip_reports_and_keeps_rest(self, tmp_path):
         worker = chaos(_pure, tmp_path, FaultSpec("error", indices=(2,), times=-1))
-        runner = SweepRunner(
-            jobs=JOBS, on_error="skip", max_retries=1, backoff_base=0.0
-        )
+        runner = SweepRunner(jobs=JOBS, on_error="skip")
         out = runner.run(worker, list(range(6)), seed=3)
         assert out[2] is None
         assert sum(value is None for value in out) == 1
         assert [f.cell.index for f in runner.last_failures] == [2]
-        assert runner.last_failures[0].attempts == 2
+        assert attempts(tmp_path) == {2: 1}
 
     def test_broken_pool_recovery_keeps_completed_results(self, tmp_path, opened):
         baseline = SweepRunner().run(_pure, list(range(8)), seed=21)
         worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(5,), times=1))
-        runner = SweepRunner(
-            jobs=JOBS, on_error="retry", max_retries=2, backoff_base=0.0
-        )
+        runner = SweepRunner(jobs=JOBS)
         out = runner.run(worker, list(range(8)), seed=21)
         assert out == baseline
-        assert runner.last_stats.pool_rebuilds >= 1
+        assert runner.last_stats.pool_rebuilds == 1
         assert runner.last_stats.completed == 8
         # One pool to start with and one replacement per crash — which the
         # runner keeps: a second sweep on it forks nothing.
@@ -282,7 +231,6 @@ class TestPoolRecovery:
     def test_pool_found_dead_at_submit_is_rebuilt(self, monkeypatch):
         """A worker can die between two waits; the pool then refuses the
         next submission instead of failing a future."""
-        from concurrent.futures import BrokenExecutor, Executor
 
         class _DeadOnArrival(Executor):
             def submit(self, fn, /, *args, **kwargs):
@@ -299,89 +247,94 @@ class TestPoolRecovery:
             _pure, [1, 2, 3], seed=4
         )
         assert runner.last_stats.pool_rebuilds == 1
-        assert runner.last_stats.retries == 0  # nobody was in flight to blame
+        assert runner.last_failures == []  # nobody was in flight to blame
 
-    def test_poison_cell_skipped_under_skip_policy(self, tmp_path, monkeypatch):
-        """A cell that kills its worker on *every* attempt is eventually
-        given up on without sinking the grid."""
-        monkeypatch.setattr(sweep_module, "MAX_POOL_REBUILDS", 10)
-        worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(3,), times=-1))
-        runner = SweepRunner(
-            jobs=JOBS,
-            on_error="skip",
-            max_retries=2,
-            backoff_base=0.0,
+    @pytest.mark.parametrize("script, lost, runs", [
+        (["ok", "transient"], [{1}], {0: 1, 1: 2}),  # a result beside a crash
+        (["ok", "transient", "ok"], [{1, 2}], {0: 1, 1: 2, 2: 2}),
+        (["transient", "ok"], [{0, 1}], {0: 2, 1: 2}),
+        (["ok", "permanent"], [{1}, {1}], {0: 1, 1: 2}),
+        (["permanent", "ok", "permanent"], [{0, 1, 2}, {0}, {2}], {0: 2, 1: 2, 2: 2}),
+        (["transient", "transient"], [{0, 1}], {0: 2, 1: 2}),
+        (["permanent"], [{0}, {0}], {0: 2}),  # a batch of one re-runs too
+    ])
+    def test_one_batch_crash_is_blamed_exactly(self, script, lost, runs):
+        """The whole grid in one batch, whose ``wait`` lists a broken future
+        before a finished one: results that landed are kept, every lost
+        cell re-runs alone once, and only a permanent crasher is skipped."""
+        out, worker, crashes, _ = _run_scripted(script, jobs=len(script))
+        pure = SweepRunner().run(_pure, list(range(len(script))), seed=5)
+        assert out == [None if k == "permanent" else pure[i] for i, k in enumerate(script)]
+        assert crashes == lost
+        assert dict(worker.calls) == runs
+
+    def test_poison_cell_skipped_under_skip_policy(self, tmp_path):
+        """A cell that kills its worker on *every* run is the only one
+        skipped: its in-flight neighbours re-run alone and pass."""
+        worker = chaos(
+            _pure, tmp_path,
+            FaultSpec("kill", indices=(3,), times=-1),
+            FaultSpec("error", indices=tuple(range(6)), times=0),  # counts runs
         )
+        runner = SweepRunner(jobs=JOBS, on_error="skip")
         out = runner.run(worker, list(range(6)), seed=33)
         assert out[3] is None
         assert sum(value is None for value in out) == 1
         report = runner.last_failures[0]
         assert report.cell.index == 3
-        assert "BrokenProcessPool" in "".join(report.errors)
+        assert "BrokenProcessPool" in report.error
+        # One batch crash, then the poison cell's solo crash; every other
+        # cell ran once, or twice if it was in flight beside the poison.
+        assert runner.last_stats.pool_rebuilds == 2
+        assert attempts(tmp_path) == {3: 2}
+        innocents = attempts(tmp_path, fault=1)
+        assert set(innocents) == {0, 1, 2, 4, 5}
+        assert set(innocents.values()) <= {1, 2}
 
-    def test_rebuild_budget_exhaustion_raises_pool_crash_error(
-        self, tmp_path, monkeypatch
-    ):
+    def test_batch_of_poison_cells_costs_one_rebuild_budget(self, tmp_path, monkeypatch):
+        """Two permanent crashers in one batch crash it once; their solo
+        crashes convict them without touching ``MAX_POOL_REBUILDS``."""
+        monkeypatch.setattr(sweep_module, "MAX_POOL_REBUILDS", 1)
+        worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(0, 1), times=-1))
+        runner = SweepRunner(jobs=2, on_error="skip")
+        out = runner.run(worker, list(range(4)), seed=8)
+        assert out[:2] == [None, None]
+        assert out[2:] == SweepRunner().run(_pure, list(range(4)), seed=8)[2:]
+        assert [f.cell.index for f in runner.last_failures] == [0, 1]
+        assert runner.last_stats.pool_rebuilds == 3
+
+    def test_rebuild_budget_exhaustion_raises_pool_crash_error(self, tmp_path, monkeypatch):
+        """Three cells that each kill their worker on their first run only:
+        one worker makes each a batch crash of its own."""
         monkeypatch.setattr(sweep_module, "MAX_POOL_REBUILDS", 2)
-        worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(0,), times=-1))
-        runner = SweepRunner(
-            jobs=JOBS, on_error="retry", max_retries=50, backoff_base=0.0
-        )
+        worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(0, 1, 2), times=1))
+        runner = SweepRunner(jobs=1, executor="process")
         with pytest.raises(PoolCrashError, match="crashed 3 times"):
             runner.run(worker, list(range(4)), seed=1)
 
     def test_crash_budget_exhaustion_raises_sweep_error(self, tmp_path):
-        """With max_retries=0 under "retry", the first crash settles the
-        in-flight cells as terminal failures."""
+        """Under "raise", the cell that crashes its pool again while
+        running alone is the one the error names."""
         worker = chaos(_pure, tmp_path, FaultSpec("kill", indices=(0,), times=-1))
-        runner = SweepRunner(
-            jobs=JOBS, on_error="retry", max_retries=0, backoff_base=0.0
-        )
-        with pytest.raises(SweepError):
+        runner = SweepRunner(jobs=JOBS)
+        with pytest.raises(SweepError) as info:
             runner.run(worker, list(range(4)), seed=1)
-
-    def test_timeout_retry_recovers_a_transient_hang(self, tmp_path):
-        baseline = SweepRunner().run(_pure, [1, 2, 3, 4], seed=13)
-        worker = chaos(
-            _pure,
-            tmp_path,
-            FaultSpec("hang", indices=(1,), times=1, hang_seconds=30.0),
-        )
-        runner = SweepRunner(
-            jobs=JOBS,
-            on_error="retry",
-            max_retries=1,
-            cell_timeout=1.5,
-            backoff_base=0.0,
-        )
-        start = time.monotonic()
-        out = runner.run(worker, [1, 2, 3, 4], seed=13)
-        assert out == baseline
-        assert runner.last_stats.timeouts == 1
-        # The hung worker was killed, not waited out.
-        assert time.monotonic() - start < 25.0
+        assert info.value.cell.index == 0
+        assert "BrokenProcessPool" in repr(info.value.cause)
 
     def test_timeout_skip_records_cell_timeout(self):
-        runner = SweepRunner(
-            jobs=JOBS,
-            on_error="skip",
-            max_retries=0,
-            cell_timeout=1.5,
-            backoff_base=0.0,
-        )
+        runner = SweepRunner(jobs=JOBS, on_error="skip", cell_timeout=1.5)
         out = runner.run(_slow_when_negative, [1, -2, 3])
         assert out == [1, None, 3]
         report = runner.last_failures[0]
         assert report.cell.point == -2
-        assert CellTimeout.__name__ in report.errors[-1]
+        assert CellTimeout.__name__ in report.error
 
     def test_overdue_worker_is_killed_not_abandoned(self, tmp_path):
         import multiprocessing
 
         pid_file = tmp_path / "hung.pid"
-        runner = SweepRunner(
-            jobs=JOBS, on_error="skip", max_retries=0, cell_timeout=1.5
-        )
+        runner = SweepRunner(jobs=JOBS, on_error="skip", cell_timeout=1.5)
         out = runner.run(_slow_when_negative, [1, -2, 3], context=str(pid_file))
         assert out == [1, None, 3]
         hung = int(pid_file.read_text())
@@ -488,11 +441,9 @@ class TestCheckpointStore:
 
     def test_failed_cells_are_not_journaled(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        runner = SweepRunner(
-            on_error="skip", max_retries=0, checkpoint=store, backoff_base=0.0
-        )
+        runner = SweepRunner(on_error="skip", checkpoint=store)
         runner.run(fail_n_times(99, tmp_path / "chaos"), [1, 2], seed=8)
-        assert len(store) == 0  # skip != success: both cells retry next run
+        assert len(store) == 0  # skip != success: both cells run next time
 
     def test_unwritable_directory_warns_once_and_sweep_completes(
         self, tmp_path, caplog
@@ -515,13 +466,14 @@ class TestCheckpointStore:
 
 
 # ----------------------------------------------------------------------
-# Property: any fault script, any policy, any journaled prefix
+# Properties: any fault script, any policy, any journaled prefix
 # ----------------------------------------------------------------------
 
 
 class _Scripted:
-    """``_pure``, except cell ``i`` raises on its first ``script[i]``
-    attempts.  Counts every execution in memory, so it suits only the
+    """``_pure``, scripted per cell: ``"ok"`` passes, ``"fails"`` raises,
+    ``"transient"`` kills its worker on its first run and ``"permanent"``
+    on every run.  Counts every execution in memory, so it suits only
     in-process executors; journals under ``_pure``'s identity."""
 
     def __init__(self, script):
@@ -531,31 +483,67 @@ class _Scripted:
 
     def __call__(self, cell: GridCell, context):
         self.calls[cell.index] += 1
-        if self.calls[cell.index] <= self.script[cell.index]:
+        kind = self.script[cell.index]
+        if kind == "fails":
             raise ValueError(f"scripted failure on cell {cell.index}")
+        if kind == "permanent" or (kind == "transient" and self.calls[cell.index] == 1):
+            raise BrokenExecutor(f"cell {cell.index} killed its worker")
         return _pure(cell, context)
+
+
+class _ScriptedPool(Executor):
+    """A process pool's crash semantics, in process and deterministic:
+    stands in for the sweep loop's ``_open_executor`` and ``wait``, which
+    runs the queued calls in submit order and lists the latest future
+    first.  A call raising ``BrokenExecutor`` kills its worker: the calls
+    before it keep their results; it and the calls after it, in flight
+    beside it, fail with ``BrokenExecutor``.  ``lost`` logs each crash.
+    """
+
+    def __init__(self):
+        self.lost, self.queued = [], []
+
+    def open(self, kind, max_workers):
+        return self
+
+    def submit(self, fn, cell, context):
+        self.queued.append((Future(), fn, cell, context))
+        return self.queued[-1][0]
+
+    def wait(self, futures, timeout=None, return_when=None):
+        queued, self.queued = self.queued, []
+        broken = False
+        for future, fn, cell, context in queued:
+            try:
+                value = fn(cell, context)
+            except BrokenExecutor:
+                broken = True
+            if broken:
+                future.set_exception(BrokenExecutor("a worker died"))
+            else:
+                future.set_result(value)
+        if broken:
+            self.lost.append(
+                {cell.index for future, _, cell, _ in queued if future.exception()}
+            )
+        return list(reversed(list(futures))), []
 
 
 class TestFaultScriptProperty:
     @settings(max_examples=60, deadline=None)
     @given(
-        script=st.lists(st.integers(0, 4), min_size=1, max_size=12),
-        on_error=st.sampled_from(["raise", "retry", "skip"]),
-        max_retries=st.integers(0, 3),
+        script=st.lists(st.sampled_from(["ok", "fails"]), min_size=1, max_size=12),
+        on_error=st.sampled_from(["raise", "skip"]),
         executor=st.sampled_from(["inline", "thread"]),
         jobs=st.integers(1, 3),
         journaled=st.integers(0, 12),
     )
-    def test_policy_counts_and_resume(
-        self, script, on_error, max_retries, executor, jobs, journaled
-    ):
+    def test_policy_counts_and_resume(self, script, on_error, executor, jobs, journaled):
         total = len(script)
         points = list(range(total))
         pure = SweepRunner().run(_pure, points, seed=3)
         journaled = min(journaled, total)
-        # Failures a cell survives: none under "raise", the budget otherwise.
-        budget = 0 if on_error == "raise" else max_retries
-        doomed = [i for i in range(journaled, total) if script[i] > budget]
+        doomed = [i for i in range(journaled, total) if script[i] == "fails"]
 
         with tempfile.TemporaryDirectory() as scratch:
             store = CheckpointStore(Path(scratch) / "journal")
@@ -566,17 +554,16 @@ class TestFaultScriptProperty:
 
             worker = _Scripted(script)
             runner = SweepRunner(
-                jobs=jobs, executor=executor, on_error=on_error,
-                max_retries=max_retries, backoff_base=0.0, checkpoint=store,
+                jobs=jobs, executor=executor, on_error=on_error, checkpoint=store,
             )
-            if doomed and on_error != "skip":
+            if doomed and on_error == "raise":
                 with pytest.raises(SweepError) as info:
                     runner.run(worker, points, seed=3)
-                assert info.value.attempts == budget + 1
                 if executor == "inline" or jobs == 1:
                     assert info.value.cell.index == doomed[0]
                 else:
                     assert info.value.cell.index in doomed
+                assert set(worker.calls.values()) == {1}
             else:
                 out = runner.run(worker, points, seed=3)
                 assert out == [
@@ -586,18 +573,9 @@ class TestFaultScriptProperty:
                 assert stats.resumed == journaled
                 assert stats.skipped == len(doomed)
                 assert stats.resumed + stats.completed + stats.skipped == total
-                assert stats.retries == sum(
-                    min(script[i], budget) for i in range(journaled, total)
-                )
                 assert sorted(f.cell.index for f in runner.last_failures) == doomed
-                assert all(
-                    f.attempts == budget + 1 for f in runner.last_failures
-                )
-                # Journaled cells never ran; the rest ran until they passed
-                # or ran out of budget.
-                assert dict(worker.calls) == {
-                    i: min(script[i], budget) + 1 for i in range(journaled, total)
-                }
+                # Journaled cells never ran; every other cell ran once.
+                assert dict(worker.calls) == {i: 1 for i in range(journaled, total)}
                 # Exactly one journal entry per successfully settled cell.
                 assert len(store) == total - len(doomed)
             assert not list(store.directory.glob("*.tmp"))
@@ -605,7 +583,7 @@ class TestFaultScriptProperty:
             # Whatever subset is journaled by now, a clean re-run executes
             # exactly the missing cells and reproduces the pure map.
             already = len(store)
-            clean = _Scripted([0] * total)
+            clean = _Scripted(["ok"] * total)
             rerunner = SweepRunner(
                 jobs=jobs, executor=executor,
                 checkpoint=CheckpointStore(store.directory),
@@ -615,6 +593,56 @@ class TestFaultScriptProperty:
             assert rerunner.last_stats.completed == total - already
             assert sum(clean.calls.values()) == total - already
             assert len(store) == total
+
+
+def _run_scripted(script, jobs, budget=sweep_module.MAX_POOL_REBUILDS):
+    """Run ``script`` under ``"skip"`` on a :class:`_ScriptedPool`: returns
+    ``(results or None after PoolCrashError, worker, lost, runner)``."""
+    worker, pool = _Scripted(script), _ScriptedPool()
+    runner = SweepRunner(jobs=jobs, executor="process", on_error="skip")
+    with patch.object(sweep_module, "_open_executor", pool.open), \
+            patch.object(sweep_module, "wait", pool.wait), \
+            patch.object(sweep_module, "MAX_POOL_REBUILDS", budget):
+        try:
+            out = runner.run(worker, list(range(len(script))), seed=5)
+        except PoolCrashError:
+            out = None
+    return out, worker, pool.lost, runner
+
+
+class TestCrashBlameProperty:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(
+            st.sampled_from(["ok", "ok", "transient", "permanent"]),
+            min_size=1, max_size=10,
+        ),
+        budget=st.integers(0, 3),
+    )
+    def test_blame_is_exact(self, jobs, script, budget):
+        out, worker, lost, runner = _run_scripted(script, jobs, budget)
+        # A crash that took a cell an earlier crash took is a solo re-run:
+        # it took nothing else.  Every other crash took a batch.
+        batches, seen = [], set()
+        for cells in lost:
+            if cells & seen:
+                assert len(cells) == 1
+            else:
+                batches.append(cells)
+            seen |= cells
+        assert (out is None) == (len(batches) > budget)
+        assert max(worker.calls.values()) <= 2
+        if out is None:
+            return
+        pure = SweepRunner().run(_pure, list(range(len(script))), seed=5)
+        assert out == [
+            None if kind == "permanent" else pure[i] for i, kind in enumerate(script)
+        ]
+        assert {i for i, runs in worker.calls.items() if runs == 2} == seen
+        assert runner.last_stats.pool_rebuilds == len(lost)
+        if jobs == 1:  # a batch of one: every crasher crashes its own
+            assert len(batches) == len(script) - script.count("ok")
 
 
 # ----------------------------------------------------------------------
@@ -644,19 +672,15 @@ class TestInterruptedSweepResume:
 
         checkpoint_dir = tmp_path / "journal"
         chaos_state = tmp_path / "chaos"
-        # The poison cell kills its worker on every attempt; with no
-        # retry budget the run must die mid-grid.
+        # The poison cell kills its worker on every run; convicted by its
+        # solo re-run, it fails the run mid-grid.
         worker = chaos(
             _pure, chaos_state, FaultSpec("kill", indices=(9,), times=-1)
         )
         interrupted = SweepRunner(
-            jobs=JOBS,
-            on_error="retry",
-            max_retries=0,
-            checkpoint=CheckpointStore(checkpoint_dir),
-            backoff_base=0.0,
+            jobs=JOBS, checkpoint=CheckpointStore(checkpoint_dir)
         )
-        with pytest.raises((SweepError, PoolCrashError)):
+        with pytest.raises(SweepError):
             interrupted.run(worker, **grid)
 
         journaled = len(CheckpointStore(checkpoint_dir))
@@ -679,14 +703,10 @@ class TestInterruptedSweepResume:
         worker = chaos(
             _pure, tmp_path / "chaos", FaultSpec("kill", indices=(6,), times=-1)
         )
-        with pytest.raises((SweepError, PoolCrashError)):
-            SweepRunner(
-                jobs=JOBS,
-                max_retries=0,
-                on_error="retry",
-                checkpoint=CheckpointStore(store_dir),
-                backoff_base=0.0,
-            ).run(worker, **grid)
+        with pytest.raises(SweepError):
+            SweepRunner(jobs=JOBS, checkpoint=CheckpointStore(store_dir)).run(
+                worker, **grid
+            )
         parallel = SweepRunner(
             jobs=JOBS, checkpoint=CheckpointStore(store_dir)
         ).run(_pure, **grid)

@@ -104,10 +104,8 @@ def _emit_all(tmp_path: Path, monkeypatch) -> dict:
     extra_trace = tmp_path / "extra.jsonl"
     tracer = Tracer(extra_trace)
     with activated(Telemetry(registry=Registry(), tracer=tracer)):
-        # cell.retry + a skipped cell.end
-        SweepRunner(
-            jobs=1, on_error="skip", max_retries=1, backoff_base=0.0
-        ).run(_flaky, ["ok", "bad"])
+        # a skipped cell.end
+        SweepRunner(jobs=1, on_error="skip").run(_flaky, ["ok", "bad"])
         # checkpoint.hit + a resumed cell.end (second run over a journal)
         store = CheckpointStore(tmp_path / "ckpt")
         SweepRunner(jobs=1, checkpoint=store).run(_echo, [1, 2])
