@@ -36,7 +36,7 @@ from repro.markov.dependence_mc import DependenceMarkovChain
 from repro.markov.global_mc import GlobalMarkovChain
 from repro.model.membership_graph import MembershipGraph
 from repro.net.delay import ConstantDelay, ExponentialDelay, UniformDelay
-from repro.net.loss import GilbertElliottLoss, NoLoss, PerLinkLoss, UniformLoss
+from repro.net.loss import GilbertElliottLoss, NoLoss, UniformLoss
 from repro.protocols.base import GossipProtocol, Message, ProtocolStats
 from repro.protocols.push import PushProtocol
 from repro.protocols.pushpull import PushPullProtocol
@@ -61,7 +61,6 @@ __all__ = [
     "NoLoss",
     "UniformLoss",
     "GilbertElliottLoss",
-    "PerLinkLoss",
     "ConstantDelay",
     "ExponentialDelay",
     "UniformDelay",

@@ -360,7 +360,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             seed=args.seed,
             kill_restart=args.kill_restart,
             kill_wave=args.kill_wave,
-            partition_groups=args.partition_groups,
             failure_detection=args.failure_detection,
             suspect_after_s=args.suspect_after,
             fail_after_s=args.fail_after,
@@ -599,11 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--fail-after", type=float, default=0.75, metavar="S",
         help="seconds in SUSPECTED without refutation before FAILED",
-    )
-    cluster_parser.add_argument(
-        "--partition-groups", type=int, default=1, metavar="G",
-        help="with G > 1, partition the cluster into G groups for the "
-        "middle third of the run, then heal",
     )
     cluster_parser.add_argument(
         "--json", default=None, metavar="PATH",

@@ -619,13 +619,13 @@ class ArrayKernel(SimulationKernel):
                      engine_stats, count):
         """Strict in-order execution in maximal conflict-free prefixes.
 
-        Used for loss models whose per-message decisions are stateful or
-        pair-dependent (e.g. Gilbert–Elliott): the verdicts must be drawn
-        in action order, so actions cannot be reordered even when their
-        row accesses commute.  Planning assumes conservatively that no
-        message is lost; the accepted prefix then has its losses decided
-        sequentially and is applied in the same fused pass as the
-        unordered path.
+        Used for loss models whose per-message decisions are stateful
+        (Gilbert–Elliott) or pair-dependent (``PartitionLoss``): the
+        verdicts must be drawn in action order, so actions cannot be
+        reordered even when their row accesses commute.  Planning assumes
+        conservatively that no message is lost; the accepted prefix then
+        has its losses decided sequentially and is applied in the same
+        fused pass as the unordered path.
         """
         pos = 0
         while pos < count:

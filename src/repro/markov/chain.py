@@ -160,42 +160,6 @@ class MarkovChain:
             p = p @ self.P
         return p
 
-    def mixing_profile(
-        self, p0: Sequence[float], steps: int
-    ) -> List[float]:
-        """Total-variation distance to π after 0..steps transitions.
-
-        The empirical counterpart of the ergodic theorem's
-        ``||p_t − π|| → 0`` and of the τε definition in section 7.5.
-        """
-        from repro.util.stats import total_variation_distance
-
-        pi = self.stationary_distribution()
-        p = np.asarray(p0, dtype=float)
-        profile = [total_variation_distance(p, pi)]
-        for _ in range(steps):
-            p = p @ self.P
-            profile.append(total_variation_distance(p, pi))
-        return profile
-
-    def time_to_epsilon(
-        self, p0: Sequence[float], epsilon: float, max_steps: int = 100_000
-    ) -> int:
-        """Smallest t with ``TV(p_t, π) < ε`` (raises if not reached)."""
-        from repro.util.stats import total_variation_distance
-
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        pi = self.stationary_distribution()
-        p = np.asarray(p0, dtype=float)
-        for t in range(max_steps + 1):
-            if total_variation_distance(p, pi) < epsilon:
-                return t
-            p = p @ self.P
-        raise RuntimeError(
-            f"did not reach TV < {epsilon} within {max_steps} steps"
-        )
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

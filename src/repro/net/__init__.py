@@ -2,8 +2,8 @@
 
 The paper analyzes uniform i.i.d. loss (each message independently lost
 with probability ℓ, section 4.1).  :class:`UniformLoss` implements exactly
-that.  Real networks also exhibit bursty and link-dependent loss; the
-Gilbert–Elliott and per-link models are provided so experiments can probe
+that.  Real networks also exhibit bursty loss and partitions; the
+Gilbert–Elliott and partition models are provided so experiments can probe
 robustness beyond the paper's model (its section 8 future work).
 
 :mod:`repro.net.transport` carries the messages themselves: the engines'
@@ -15,14 +15,10 @@ fields, JSON only in a message's optional extension tail).
 
 from repro.net.delay import ConstantDelay, DelayModel, ExponentialDelay, UniformDelay
 from repro.net.loss import (
-    CorrelatedLoss,
     GilbertElliottLoss,
     LossModel,
     NoLoss,
     PartitionLoss,
-    PerLinkLoss,
-    TargetedLoss,
-    TopologyLoss,
     UniformLoss,
 )
 from repro.net.transport import AsyncioUdpTransport, LoopbackTransport, Transport
@@ -42,10 +38,6 @@ __all__ = [
     "UniformLoss",
     "GilbertElliottLoss",
     "PartitionLoss",
-    "PerLinkLoss",
-    "TargetedLoss",
-    "CorrelatedLoss",
-    "TopologyLoss",
     "DelayModel",
     "ConstantDelay",
     "ExponentialDelay",

@@ -14,7 +14,7 @@ owns the channel between the send seam and the receive seam:
   the versioned wire codec (:mod:`repro.net.wire`), *receiver-side* drop
   injection (the datagram is read off the socket and then discarded with
   probability ``drop_rate``, like the related UDP daemons' drop knob),
-  an inbound partition filter, and one-way latency sampling from the
+  an inbound admission filter, and one-way latency sampling from the
   sender timestamp in the envelope.
 
 Both keep delivery/drop counters so harnesses can assert conservation:
@@ -43,9 +43,9 @@ AddressResolver = Callable[[NodeId], Optional[Tuple[str, int]]]
 #: Receives each surviving inbound record: ``(record, sender_ts, addr)``.
 RecordHandler = Callable[[WireRecord, Optional[float], Tuple[str, int]], None]
 
-#: Receiver-side admission check: return False to drop the record (used
-#: for partition scenarios — a cross-partition datagram arrives at the
-#: socket but never reaches the protocol).
+#: Receiver-side admission check: return False to drop the record (the
+#: cluster drops anything but an S&F ``[u, w]`` addressed to the receiver —
+#: the datagram arrives at the socket but never reaches the protocol).
 InboundFilter = Callable[[WireRecord], bool]
 
 #: Latency samples one UDP transport keeps (the percentiles need no more).
@@ -127,7 +127,7 @@ class AsyncioUdpTransport(Transport):
     0 picks an ephemeral port, so hundreds of transports coexist on one
     host without coordination).  Outbound records are addressed through
     ``resolve`` (node id → address); inbound datagrams are decoded, run
-    through the receiver-side drop draw and the partition filter, then
+    through the receiver-side drop draw and the admission filter, then
     handed to ``on_record``.
 
     Drop injection is deliberately *receiver-side*: the datagram really

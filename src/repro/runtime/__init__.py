@@ -9,8 +9,8 @@ step/effect seam, with datagrams instead of queue entries in between.
 
 :mod:`repro.runtime.cluster` is the harness: it boots hundreds of nodes
 on ephemeral ports, runs an introducer endpoint for joins, injects
-receiver-side drop, and executes kill/restart and partition-and-heal
-scenarios while streaming counters into :mod:`repro.obs`.
+receiver-side drop, and executes kill/restart and kill-wave scenarios
+while streaming counters into :mod:`repro.obs`.
 """
 
 from repro.runtime.cluster import (

@@ -21,10 +21,8 @@ Scenario controls:
 * **kill/restart** — a node leaves the initiate clock and its socket is
   closed (its id lingers in other views and drains at the section 6.5.2 rate);
   a restarted node rejoins through the introducer like any newcomer.
-* **partition-and-heal** — nodes are assigned groups and every node's
-  inbound filter drops cross-group protocol messages; healing removes
-  the filter.  Receiver-side, so senders keep "succeeding", as in a real
-  partition.
+* **kill wave** — nodes stopped for good at the 1/3 mark, the
+  failure-detection scenario.
 
 Counters stream into :mod:`repro.obs` under ``cluster.*`` names, and the
 final :class:`ClusterReport` carries the live outdegree distribution the
@@ -79,13 +77,11 @@ class ClusterConfig:
     duration_s: float = 3.0
     seed: SeedLike = None
     host: str = "127.0.0.1"
-    #: Scenario knobs: nodes to kill-and-restart, nodes to kill *for
+    #: Scenario knobs: nodes to kill-and-restart, and nodes to kill *for
     #: good* in one wave at the 1/3 mark (the failure-detection
-    #: scenario), and partition groups (>1 splits the cluster for the
-    #: middle third of the run).
+    #: scenario).
     kill_restart: int = 0
     kill_wave: int = 0
-    partition_groups: int = 1
     #: Introducer join handshake: ``join_timeout_s`` is the *first*
     #: attempt's timeout; each retry doubles it (capped at
     #: ``join_backoff_cap_s``) with ±20% jitter, so a hammered or
@@ -120,10 +116,6 @@ class ClusterConfig:
             )
         if self.kill_wave < 0:
             raise ValueError(f"kill_wave must be nonnegative, got {self.kill_wave}")
-        if self.partition_groups < 1:
-            raise ValueError(
-                f"partition_groups must be at least 1, got {self.partition_groups}"
-            )
         if self.failure_detection:
             self.detector_config()
 
@@ -273,17 +265,16 @@ class ClusterNode:
         """Receiver-side filter (control records always pass).
 
         A message is admitted when it is an S&F ``[u, w]`` addressed to this
-        node from this side of any partition.  The codec carries every
-        protocol's messages, but ``S&F-Receive`` stores a payload whole or
-        not at all on the premise that it holds two ids (Observation 5.1):
-        one stray one-id datagram would leave the outdegree odd for good.
+        node.  The codec carries every protocol's messages, but
+        ``S&F-Receive`` stores a payload whole or not at all on the premise
+        that it holds two ids (Observation 5.1): one stray one-id datagram
+        would leave the outdegree odd for good.
         """
         if isinstance(record, Message):
             return (
                 record.kind == KIND_SANDF
                 and len(record.payload) == 2
                 and record.target == self.node_id
-                and self.cluster.admits(record.sender, self.node_id)
             )
         return True
 
@@ -394,7 +385,7 @@ class ClusterReport:
             ["datagrams sent", self.datagrams_sent],
             ["datagrams received", self.datagrams_received],
             ["dropped (injected)", self.datagrams_dropped],
-            ["filtered (partition / not [u, w])", self.datagrams_filtered],
+            ["filtered (not [u, w])", self.datagrams_filtered],
             ["decode errors", self.decode_errors],
             ["unroutable", self.unroutable],
             ["socket errors", self.socket_errors],
@@ -468,7 +459,6 @@ class LocalCluster:
         #: Incarnation each id held when last buried; restarts come back
         #: one above it so their ALIVE gossip beats stale FAILED records.
         self._fd_incarnations: Dict[NodeId, int] = {}
-        self._partition: Optional[Dict[NodeId, int]] = None
         self._introducer: Optional[AsyncioUdpTransport] = None
         #: The initiate clock: a heap of ``(when, seq, node)``, one entry
         #: per running node, and the one loop timer armed for its head.
@@ -487,11 +477,6 @@ class LocalCluster:
 
     def resolve(self, node_id: NodeId) -> Optional[Tuple[str, int]]:
         return self.address_book.get(node_id)
-
-    def admits(self, sender: NodeId, receiver: NodeId) -> bool:
-        if self._partition is None:
-            return True
-        return self._partition.get(sender, 0) == self._partition.get(receiver, 0)
 
     @property
     def introducer_address(self) -> Tuple[str, int]:
@@ -630,15 +615,6 @@ class LocalCluster:
         if node_id in self.killed:
             self.killed.remove(node_id)
         return True
-
-    def split(self, groups: int = 2) -> None:
-        """Partition by node id modulo ``groups`` (receiver-side filters)."""
-        if groups < 2:
-            raise ValueError(f"need at least 2 groups, got {groups}")
-        self._partition = {nid: nid % groups for nid in self.nodes}
-
-    def heal(self) -> None:
-        self._partition = None
 
     def _bury(self, node: ClusterNode) -> None:
         """Fold a dying incarnation's counters into the run totals."""
@@ -804,10 +780,11 @@ class LocalCluster:
     # -- scripted run ---------------------------------------------------
 
     async def run(self) -> ClusterReport:
-        """The standard scenario: warm third, disrupt third, heal third.
+        """The standard scenario: a warm third, then the disruptions, then
+        two thirds to settle.
 
-        The disruption third optionally includes a permanent *kill wave*
-        (``kill_wave`` random victims stopped for good) — the
+        The disruptions are the kill/restarts and an optional permanent
+        *kill wave* (``kill_wave`` random victims stopped for good) — the
         failure-detection scenario: survivors must declare every victim
         FAILED, and no survivor, before the run ends.
         """
@@ -815,8 +792,6 @@ class LocalCluster:
         await self.start()
         third = cfg.duration_s / 3.0
         await asyncio.sleep(third)
-        if cfg.partition_groups > 1:
-            self.split(cfg.partition_groups)
         if cfg.kill_wave > 0:
             live = [n.node_id for n in self.live_nodes()]
             count = min(cfg.kill_wave, max(0, len(live) - 3))
@@ -829,10 +804,7 @@ class LocalCluster:
             await self.kill(victim)
             await asyncio.sleep(min(0.05, third / 4))
             await self.restart(victim)
-        await asyncio.sleep(third)
-        if cfg.partition_groups > 1:
-            self.heal()
-        await asyncio.sleep(third)
+        await asyncio.sleep(2 * third)
         report = self.report()
         await self.shutdown()
         return report

@@ -5,7 +5,7 @@ protocol engines, the Markov-chain solvers, and the experiment harness.
 """
 
 from repro.util.rng import make_rng
-from repro.util.serialization import dump_result, load_result, to_jsonable
+from repro.util.serialization import to_jsonable
 from repro.util.stats import (
     binomial_pmf,
     binomial_tail_below,
@@ -27,6 +27,4 @@ __all__ = [
     "format_series",
     "format_table",
     "to_jsonable",
-    "dump_result",
-    "load_result",
 ]

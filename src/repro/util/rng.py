@@ -8,7 +8,7 @@ here, so every experiment is reproducible from a single integer seed.
 from __future__ import annotations
 
 from math import log1p
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -69,20 +69,3 @@ class BlockDraws:
         """An exponential variate with mean ``scale`` (inverse transform)."""
         return -scale * log1p(-self.random())
 
-
-def derive_seed(seed: SeedLike, salt: int) -> Optional[int]:
-    """Derive a deterministic child seed from ``seed`` and an integer salt.
-
-    Returns ``None`` when ``seed`` is ``None`` so unseeded runs stay unseeded.
-    """
-    if seed is None:
-        return None
-    if isinstance(seed, np.random.Generator):
-        return int(seed.integers(0, 2**63 - 1))
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed.entropy if isinstance(seed.entropy, int) else 0
-    else:
-        base = int(seed)
-    # A simple splitmix-style mix keeps distinct salts well separated.
-    mixed = (base * 0x9E3779B97F4A7C15 + salt * 0xBF58476D1CE4E5B9) % (2**63)
-    return mixed

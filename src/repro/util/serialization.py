@@ -1,19 +1,16 @@
 """JSON serialization of experiment results.
 
 Experiment runners return frozen-ish dataclasses; this module turns them
-into plain JSON-compatible structures (and back into dictionaries) so
-results can be archived, diffed across runs, and post-processed outside
-Python.  Dataclasses nest arbitrarily; numpy scalars/arrays and dict keys
-that are not strings (loss rates, state tuples) are converted to JSON-safe
-forms.
+into plain JSON-compatible structures so results can be archived, diffed
+across runs, and post-processed outside Python.  Dataclasses nest
+arbitrarily; numpy scalars/arrays and dict keys that are not strings (loss
+rates, state tuples) are converted to JSON-safe forms.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -56,15 +53,3 @@ def _key_to_string(key: Any) -> str:
         return ",".join(_key_to_string(part) for part in key)
     raise TypeError(f"cannot use {type(key).__name__} as a JSON key: {key!r}")
 
-
-def dump_result(result: Any, path: Union[str, Path]) -> Path:
-    """Serialize ``result`` to ``path`` as pretty-printed JSON."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(to_jsonable(result), indent=2, sort_keys=True))
-    return target
-
-
-def load_result(path: Union[str, Path]) -> Any:
-    """Load a previously dumped result as plain dictionaries/lists."""
-    return json.loads(Path(path).read_text())

@@ -227,7 +227,6 @@ class TestCommands:
             ["cluster", "--rate", "0"],
             ["cluster", "--kill-wave", "-1"],
             ["cluster", "--kill-restart", "-2"],
-            ["cluster", "--partition-groups", "0"],
             ["cluster", "--duration", "-1"],
             ["run", "fig-6.2", "--cell-timeout", "0"],
             ["report", "--fast", "--output", "", "fig-6.2"],
@@ -247,6 +246,12 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro {argv[0]}: error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_partition_groups_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--partition-groups", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partition-groups" in capsys.readouterr().err
 
     def test_value_error_inside_a_cell_is_not_a_rejected_value(self, monkeypatch):
         """Only construction from command-line values is checked: a

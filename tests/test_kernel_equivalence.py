@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import SFParams
 from repro.engine.sequential import EngineStats, SequentialEngine
 from repro.experiments.common import build_sf_system
 from repro.kernel import ArrayKernel, ReferenceKernel, ShardedKernel
 from repro.net.loss import (
-    CorrelatedLoss,
     GilbertElliottLoss,
+    LossModel,
     NoLoss,
     PartitionLoss,
-    PerLinkLoss,
-    TargetedLoss,
-    TopologyLoss,
     UniformLoss,
 )
 from repro.util.rng import make_rng
@@ -93,31 +92,37 @@ def make_partition_loss():
     return PartitionLoss({u: u % 2 for u in range(200)}, cross_loss=0.9)
 
 
-def make_per_link_loss():
-    rates = {
-        (s, t): ((s * 31 + t) % 7) / 10.0 for s in range(40) for t in range(40)
-    }
-    return PerLinkLoss(rates, default_rate=0.05)
+class ScriptedLoss(LossModel):
+    """An adversary replaying ``verdicts`` in send order, cycling.
+
+    ``rate_for`` stays ``None``, so kernels consult :meth:`is_lost` once
+    per message in action order (the array kernel's in-order path); the
+    verdicts ignore ``rng``, so any schedule of drops can be scripted.
+    """
+
+    def __init__(self, verdicts):
+        self.verdicts = list(verdicts)
+        self.consulted = 0
+
+    def is_lost(self, sender, target, rng):
+        verdict = self.verdicts[self.consulted % len(self.verdicts)]
+        self.consulted += 1
+        return verdict
 
 
-def make_targeted_loss():
-    # Stateless, precomputable per pair: rides the fused fast path.
-    return TargetedLoss(victims=range(0, 200, 17), victim_loss=0.85, base_loss=0.05)
+class PairRateLoss(LossModel):
+    """A stateless model whose rate varies per (sender, target) pair,
+    mixing the never-lose and always-lose bounds with two interior rates
+    inside one fused window."""
+
+    RATES = (0.0, 0.25, 0.75, 1.0)
+
+    def rate_for(self, sender, target):
+        return self.RATES[(3 * sender + target) % len(self.RATES)]
 
 
-def make_correlated_loss():
-    # Stateful (global message counter): forces the in-order prefix path.
-    return CorrelatedLoss(period=37, burst=11, burst_loss=0.7, base_loss=0.05)
-
-
-def make_topology_loss():
-    # Ring admission mask: stateless, fused path, with hard (rate 1.0)
-    # off-mask drops mixed into probabilistic on-mask loss.
-    neighbors = {
-        u: frozenset((u + k) % 200 for k in range(-8, 9) if k != 0)
-        for u in range(200)
-    }
-    return TopologyLoss(neighbors, edge_loss=0.1)
+def scripted(verdicts):
+    return lambda: ScriptedLoss(verdicts)
 
 
 LOSS_MODELS = [
@@ -128,10 +133,11 @@ LOSS_MODELS = [
         lambda: GilbertElliottLoss(0.1, 0.4, 0.02, 0.6), id="gilbert-elliott"
     ),
     pytest.param(make_partition_loss, id="partition"),
-    pytest.param(make_per_link_loss, id="per-link"),
-    pytest.param(make_targeted_loss, id="targeted"),
-    pytest.param(make_correlated_loss, id="correlated"),
-    pytest.param(make_topology_loss, id="topology"),
+    pytest.param(PairRateLoss, id="pair-rates"),
+    pytest.param(scripted([True] * 7 + [False] * 25), id="scripted-bursts"),
+    pytest.param(scripted([True, False]), id="scripted-alternating"),
+    pytest.param(scripted([False] * 9 + [True]), id="scripted-rare"),
+    pytest.param(scripted([True]), id="scripted-silence"),
 ]
 
 
@@ -230,7 +236,8 @@ class TestStatefulLossEquivalence:
     """The ``rate_for() -> None`` / ``is_lost`` fallback path of
     ``decide_loss``, driven through both kernels with evolving loss-model
     state: per-sender Gilbert–Elliott channels (including a mid-schedule
-    ``reset()``) and a partition that splits and heals mid-schedule."""
+    ``reset()``), a partition that splits and heals mid-schedule, and
+    scripted adversarial verdict sequences."""
 
     def test_gilbert_elliott_requests_the_fallback_path(self):
         loss = GilbertElliottLoss(0.1, 0.4, 0.02, 0.6)
@@ -278,6 +285,33 @@ class TestStatefulLossEquivalence:
             arr.check_invariant()
         assert stats_ref == stats_arr
         assert 0 < stats_arr.messages_lost < stats_arr.messages_sent
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        verdicts=st.lists(st.booleans(), min_size=1, max_size=40),
+        batches=st.lists(st.integers(1, 700), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scripted_verdicts_stay_slot_exact(self, verdicts, batches, seed):
+        """Any drop sequence, replayed to both kernels in send order,
+        leaves them slot-exact with S&F's invariant intact."""
+        ref = build(ReferenceKernel, 40)
+        arr = build(ArrayKernel, 40)
+        rng_ref, rng_arr = make_rng(seed), make_rng(seed)
+        stats_ref, stats_arr = EngineStats(), EngineStats()
+        loss_ref, loss_arr = ScriptedLoss(verdicts), ScriptedLoss(verdicts)
+        for batch in batches:
+            ref.run_batch(batch, rng_ref, loss_ref, stats_ref)
+            arr.run_batch(batch, rng_arr, loss_arr, stats_arr)
+            assert_same_state(ref, arr, context=f"scripted batch {batch}")
+            ref.check_invariant()
+            arr.check_invariant()
+        assert stats_ref == stats_arr
+        assert loss_ref.consulted == loss_arr.consulted == stats_arr.messages_sent
+        scripted = sum(
+            verdicts[i % len(verdicts)] for i in range(loss_arr.consulted)
+        )
+        assert stats_arr.messages_lost == scripted
 
 
 class TestEngineLevelEquivalence:

@@ -158,27 +158,6 @@ class TestEvolution:
         with pytest.raises(ValueError):
             two_state().evolve([1.0, 0.0], -1)
 
-    def test_mixing_profile_decreasing_envelope(self):
-        chain = two_state()
-        profile = chain.mixing_profile([1.0, 0.0], 50)
-        assert profile[0] > profile[-1]
-        assert profile[-1] < 1e-6
-
-    def test_time_to_epsilon(self):
-        chain = two_state()
-        t = chain.time_to_epsilon([1.0, 0.0], 0.01)
-        assert t > 0
-        profile = chain.mixing_profile([1.0, 0.0], t)
-        assert profile[-1] < 0.01
-        assert profile[t - 1] >= 0.01
-
-    def test_time_to_epsilon_unreachable_raises(self):
-        frozen = MarkovChain(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        # The identity chain is reducible: it has no unique π to approach,
-        # and the stationary solve says so (LinAlgError is a ValueError).
-        with pytest.raises((RuntimeError, ValueError)):
-            frozen.time_to_epsilon([1.0, 0.0], 1e-9, max_steps=5)
-
 
 class TestSampling:
     def test_path_length(self):

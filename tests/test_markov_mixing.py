@@ -58,12 +58,19 @@ class TestSpectralGap:
 
 
 class TestMixingTimes:
-    def test_mixing_time_definition(self):
-        chain = two_state(0.3, 0.3)
-        t = mixing_time(chain, 0.01)
+    @pytest.mark.parametrize(
+        "chain, epsilon",
+        [(two_state(0.3, 0.3), 0.01), (lazy_ring(8), 0.05)],
+        ids=["two-state", "lazy-ring"],
+    )
+    def test_mixing_time_definition(self, chain, epsilon):
+        """Both chains are symmetric, so state 0 is a worst start and the
+        mixing time is the first hit of ε on its decay curve."""
+        t = mixing_time(chain, epsilon)
+        assert t > 0
         curve = tv_decay_curve(chain, 0, t)
-        assert curve[-1] < 0.01
-        assert curve[-2] >= 0.01 or t == 0
+        assert curve[-1] < epsilon
+        assert curve[-2] >= epsilon
 
     def test_tau_at_most_worst_case(self):
         chain = lazy_ring(8)
@@ -110,11 +117,14 @@ class TestMixingTimes:
 
 
 class TestDecayCurves:
-    def test_point_start_monotone_envelope(self):
-        chain = two_state(0.2, 0.2)
-        curve = tv_decay_curve(chain, 0, 30)
+    @pytest.mark.parametrize(
+        "move, steps, final", [(0.2, 30, 1e-3), (0.3, 50, 1e-6)]
+    )
+    def test_point_start_monotone_envelope(self, move, steps, final):
+        chain = two_state(move, move)
+        curve = tv_decay_curve(chain, 0, steps)
         assert curve[0] == pytest.approx(0.5)
-        assert curve[-1] < 1e-3
+        assert curve[-1] < final
 
     def test_average_start_below_point_start(self):
         chain = lazy_ring(8)
@@ -128,6 +138,11 @@ class TestDecayCurves:
             tv_decay_curve(two_state(), 0, -1)
         with pytest.raises(ValueError):
             tv_decay_curve(two_state(), 9, 5)
+
+    def test_unreachable_epsilon_raises(self):
+        """The identity chain has no unique π to decay towards."""
+        with pytest.raises(np.linalg.LinAlgError, match="not unique"):
+            tv_decay_curve(MarkovChain(np.eye(2)), 0, 5)
 
 
 class TestOnGlobalChain:

@@ -9,22 +9,13 @@ from repro.analysis.decay import id_survival_bound
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
-from repro.net.loss import (
-    CorrelatedLoss,
-    GilbertElliottLoss,
-    NoLoss,
-    PartitionLoss,
-    PerLinkLoss,
-    TargetedLoss,
-    TopologyLoss,
-    UniformLoss,
-)
+from repro.net.loss import GilbertElliottLoss, NoLoss, PartitionLoss, UniformLoss
 from repro.util.rng import make_rng
 
 
 def parent_is_lost(rate, rng):
-    """The body four stateless models each carried at the parent (PerLinkLoss
-    had no guards, so it drew at rates 0 and 1: the one permitted difference)."""
+    """The verdict body each stateless model carried before they shared
+    ``LossModel.is_lost``."""
     if rate <= 0.0:
         return False
     if rate >= 1.0:
@@ -42,9 +33,6 @@ def test_shared_verdict_matches_the_parent_bodies(rate, base, sender, target, se
     for model in (
         UniformLoss(rate),
         PartitionLoss({n: n % 2 for n in range(10)}, cross_loss=rate, base_loss=base),
-        TargetedLoss([3, 4], victim_loss=rate, base_loss=base),
-        TopologyLoss({n: frozenset([(n + 1) % 10]) for n in range(10)}, edge_loss=rate),
-        PerLinkLoss({(2, 5): rate}, default_rate=base),
     ):
         got, want = np.random.default_rng(seed), np.random.default_rng(seed)
         rate_here = model.rate_for(sender, target)
@@ -75,11 +63,35 @@ class TestUniformLoss:
         with pytest.raises(ValueError):
             UniformLoss(1.1)
 
-    def test_expected_rate(self):
-        assert UniformLoss(0.25).expected_rate() == 0.25
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf"), float("-inf")])
+    def test_every_out_of_range_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="loss rate"):
+            UniformLoss(bad)
+
+    @pytest.mark.parametrize("rate, draws", [(0.0, 0), (0.3, 1), (1.0, 0)])
+    def test_one_coin_only_strictly_inside_the_bounds(self, rate, draws):
+        rng, twin = make_rng(8), make_rng(8)
+        UniformLoss(rate).is_lost(0, 1, rng)
+        twin.random(draws)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_no_loss_subclass(self):
-        assert NoLoss().expected_rate() == 0.0
+        assert NoLoss().rate_for(0, 1) == 0.0
+
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            (UniformLoss(0.3), "UniformLoss(rate=0.3)"),
+            (NoLoss(), "NoLoss()"),
+            (
+                GilbertElliottLoss(0.1, 0.3, 0.0, 0.8),
+                "GilbertElliottLoss(p_gb=0.1, p_bg=0.3, good=0.0, bad=0.8)",
+            ),
+        ],
+        ids=["uniform", "no-loss", "gilbert-elliott"],
+    )
+    def test_repr_names_the_parameters(self, model, text):
+        assert repr(model) == text
 
 
 class TestGilbertElliott:
@@ -89,17 +101,38 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             GilbertElliottLoss(bad_loss=-0.1)
 
-    def test_stationary_rate(self):
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.1, p_bad_to_good=0.3, good_loss=0.0, bad_loss=0.8
-        )
-        # stationary bad = 0.1/0.4 = 0.25; rate = 0.25*0.8 = 0.2
-        assert model.expected_rate() == pytest.approx(0.2)
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    @pytest.mark.parametrize(
+        "name", ["p_good_to_bad", "p_bad_to_good", "good_loss", "bad_loss"]
+    )
+    def test_each_parameter_range_checked(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            GilbertElliottLoss(**{name: bad})
+
+    def test_stateful_model_requests_in_order_path(self):
+        assert GilbertElliottLoss().rate_for(0, 1) is None
+
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
+    def test_equal_state_losses_ignore_the_channel(self, loss):
+        model = GilbertElliottLoss(0.5, 0.5, good_loss=loss, bad_loss=loss)
+        rng = make_rng(9)
+        assert {model.is_lost(s % 5, 1, rng) for s in range(500)} == {bool(loss)}
+
+    def test_reset_returns_every_channel_to_good(self):
+        # A bad channel never recovers (p_bad_to_good = 0): only a reset
+        # lets these senders deliver once entering the bad state stops.
+        model = GilbertElliottLoss(1.0, 0.0, good_loss=0.0, bad_loss=1.0)
+        rng = make_rng(10)
+        assert all(model.is_lost(s, 1, rng) for s in range(10))
+        model.reset()
+        model.p_good_to_bad = 0.0
+        assert not any(model.is_lost(s, 1, rng) for s in range(10))
 
     def test_empirical_rate_near_stationary(self):
         model = GilbertElliottLoss(
             p_good_to_bad=0.1, p_bad_to_good=0.3, good_loss=0.0, bad_loss=0.8
         )
+        # stationary bad = 0.1/0.4 = 0.25; rate = 0.25*0.8 = 0.2
         rng = make_rng(2)
         losses = sum(model.is_lost(0, 1, rng) for _ in range(40000))
         assert abs(losses / 40000 - 0.2) < 0.02
@@ -150,31 +183,9 @@ class TestGilbertElliott:
         assert leaky != first
 
     def test_base_model_reset_is_a_noop(self):
-        UniformLoss(0.3).reset()
-        PerLinkLoss({(0, 1): 0.5}).reset()
-
-
-class TestPerLinkLoss:
-    def test_specific_link_rate(self):
-        model = PerLinkLoss({(0, 1): 1.0}, default_rate=0.0)
-        rng = make_rng(0)
-        assert model.is_lost(0, 1, rng)
-        assert not model.is_lost(1, 0, rng)
-
-    def test_default_rate_applies(self):
-        model = PerLinkLoss({}, default_rate=1.0)
-        rng = make_rng(0)
-        assert model.is_lost(3, 4, rng)
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            PerLinkLoss({(0, 1): 2.0})
-        with pytest.raises(ValueError):
-            PerLinkLoss({}, default_rate=-0.5)
-
-    def test_expected_rate_average(self):
-        model = PerLinkLoss({(0, 1): 0.2, (1, 0): 0.4})
-        assert model.expected_rate() == pytest.approx(0.3)
+        model = UniformLoss(0.3)
+        model.reset()
+        assert model.rate_for(0, 1) == 0.3
 
 
 class TestPartitionLoss:
@@ -209,105 +220,34 @@ class TestPartitionLoss:
         with pytest.raises(ValueError):
             PartitionLoss({}, base_loss=-0.1)
 
-    def test_expected_rate_and_repr_follow_the_state(self):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["cross_loss", "base_loss"])
+    def test_non_finite_rates_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            PartitionLoss({}, **{name: bad})
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        groups=st.dictionaries(nodes, st.integers(0, 3)),
+        cross=rates,
+        base=rates,
+        sender=nodes,
+        target=nodes,
+    )
+    def test_rate_is_symmetric_and_one_of_the_two(self, groups, cross, base, sender, target):
+        model = PartitionLoss(groups, cross_loss=cross, base_loss=base)
+        rate = model.rate_for(sender, target)
+        assert rate == model.rate_for(target, sender)
+        same = groups.get(sender, 0) == groups.get(target, 0)
+        assert rate == (base if same else cross)
+
+    def test_repr_follows_the_state(self):
         model = PartitionLoss({0: 0, 1: 1, 2: 2}, cross_loss=1.0, base_loss=0.05)
-        assert model.expected_rate() == 0.05
         assert "3 groups, split" in repr(model)
         model.heal()
         assert "healed" in repr(model)
         model.reset()  # stateless: the cut is scenario state, not channel state
         assert not model.active
-
-
-class TestTargetedLoss:
-    def test_victim_traffic_silenced_both_directions(self):
-        model = TargetedLoss(victims=[3], victim_loss=1.0, base_loss=0.0)
-        rng = make_rng(0)
-        assert model.is_lost(3, 7, rng)  # victim sending
-        assert model.is_lost(7, 3, rng)  # victim receiving
-        assert not model.is_lost(7, 8, rng)
-
-    def test_rate_for_exposes_fused_path(self):
-        model = TargetedLoss(victims=[1, 2], victim_loss=0.9, base_loss=0.05)
-        assert model.rate_for(1, 5) == 0.9
-        assert model.rate_for(5, 2) == 0.9
-        assert model.rate_for(5, 6) == 0.05
-
-    def test_retarget_moves_the_adversary(self):
-        model = TargetedLoss(victims=[1], victim_loss=1.0)
-        model.retarget([2])
-        assert model.rate_for(1, 5) == 0.0
-        assert model.rate_for(2, 5) == 1.0
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            TargetedLoss([1], victim_loss=1.5)
-        with pytest.raises(ValueError):
-            TargetedLoss([1], base_loss=-0.1)
-
-    def test_stateless_reset_noop(self):
-        model = TargetedLoss([1])
-        model.reset()
-        assert model.rate_for(1, 2) == 1.0
-
-
-class TestCorrelatedLoss:
-    def test_burst_phase_loses_rest_delivers(self):
-        model = CorrelatedLoss(period=4, burst=2, burst_loss=1.0, base_loss=0.0)
-        rng = make_rng(0)
-        verdicts = [model.is_lost(0, 1, rng) for _ in range(8)]
-        assert verdicts == [True, True, False, False] * 2
-
-    def test_reset_rewinds_to_cycle_origin(self):
-        model = CorrelatedLoss(period=4, burst=2, burst_loss=1.0, base_loss=0.0)
-        rng = make_rng(0)
-        first = [model.is_lost(0, 1, rng) for _ in range(3)]
-        model.reset()
-        replay = [model.is_lost(0, 1, make_rng(0)) for _ in range(3)]
-        assert replay == first == [True, True, False]
-
-    def test_stateful_model_requests_in_order_path(self):
-        assert CorrelatedLoss(period=4, burst=2).rate_for(0, 1) is None
-
-    def test_expected_rate_mixes_phases(self):
-        model = CorrelatedLoss(period=10, burst=3, burst_loss=1.0, base_loss=0.1)
-        assert model.expected_rate() == pytest.approx(0.3 + 0.7 * 0.1)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            CorrelatedLoss(period=0, burst=0)
-        with pytest.raises(ValueError):
-            CorrelatedLoss(period=4, burst=5)
-        with pytest.raises(ValueError):
-            CorrelatedLoss(period=4, burst=2, burst_loss=1.2)
-
-
-class TestTopologyLoss:
-    def test_off_mask_edges_always_drop(self):
-        model = TopologyLoss({0: frozenset([1]), 1: frozenset([0])})
-        rng = make_rng(0)
-        assert not model.is_lost(0, 1, rng)
-        assert model.is_lost(0, 2, rng)
-        assert model.rate_for(0, 2) == 1.0
-
-    def test_symmetric_admission_from_one_sided_lists(self):
-        model = TopologyLoss({0: frozenset([1])})  # 1 does not list 0
-        assert model.rate_for(1, 0) == 0.0
-        asym = TopologyLoss({0: frozenset([1])}, symmetric=False)
-        assert asym.rate_for(1, 0) == 1.0
-
-    def test_on_mask_edge_loss_applies(self):
-        model = TopologyLoss({0: frozenset([1])}, edge_loss=1.0)
-        assert model.rate_for(0, 1) == 1.0
-
-    def test_invalid_edge_loss_rejected(self):
-        with pytest.raises(ValueError):
-            TopologyLoss({}, edge_loss=1.5)
-
-    def test_stateless_reset_noop(self):
-        model = TopologyLoss({0: frozenset([1])})
-        model.reset()
-        assert model.rate_for(0, 1) == 0.0
 
 
 class TestPartitionTolerance:

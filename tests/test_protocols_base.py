@@ -70,10 +70,10 @@ class TestDefaultImplementations:
 
 
 def test_the_seam_says_each_thing_once():
-    """Two steps, three wire records, one loss coin (+ two stateful models)."""
+    """Two steps, three wire records, one loss coin (+ one stateful model)."""
     assert not hasattr(GossipProtocol, "handle")
     assert len(typing.get_args(wire.WireRecord)) == 3
-    assert inspect.getsource(loss).count("def is_lost") == 3
+    assert inspect.getsource(loss).count("def is_lost") == 2
 
 
 class TestEngineLoadCounters:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.view import View, ViewEntry
-from repro.util.rng import BlockDraws, derive_seed, make_rng
+from repro.util.rng import BlockDraws, make_rng
 from repro.util.stats import chi_square_uniformity
 
 
@@ -38,20 +38,6 @@ class TestMakeRng:
     def test_seed_sequence_accepted(self):
         seq = np.random.SeedSequence(9)
         assert isinstance(make_rng(seq), np.random.Generator)
-
-
-class TestDeriveSeed:
-    def test_none_stays_none(self):
-        assert derive_seed(None, 4) is None
-
-    def test_deterministic(self):
-        assert derive_seed(10, 3) == derive_seed(10, 3)
-
-    def test_salt_changes_result(self):
-        assert derive_seed(10, 1) != derive_seed(10, 2)
-
-    def test_base_changes_result(self):
-        assert derive_seed(10, 1) != derive_seed(11, 1)
 
 
 #: The largest double below 1: the worst uniform ``integers`` can be handed.

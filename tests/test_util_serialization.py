@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.util.serialization import dump_result, load_result, to_jsonable
+from repro.util.serialization import to_jsonable
 
 
 @dataclasses.dataclass
@@ -46,6 +46,20 @@ class TestToJsonable:
     def test_tuple_keys_joined(self):
         assert to_jsonable({(2, 3): "x"}) == {"2,3": "x"}
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            (1, "1"),
+            (0.05, "0.05"),
+            (True, "True"),
+            (np.int64(3), "3"),
+            ((1, (2, 3)), "1,2,3"),
+        ],
+        ids=["int", "float", "bool", "numpy-int", "nested-tuple"],
+    )
+    def test_keys_become_strings(self, key, text):
+        assert to_jsonable({key: 0}) == {text: 0}
+
     def test_sets_become_lists(self):
         assert sorted(to_jsonable({1, 2, 3})) == [1, 2, 3]
 
@@ -64,31 +78,33 @@ class TestToJsonable:
         json.dumps(to_jsonable(outer))  # must not raise
 
 
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
+class TestResultsAsJson:
+    """Results survive ``json.dumps`` / ``json.loads`` of ``to_jsonable``."""
+
+    @staticmethod
+    def round_trip(result):
+        return json.loads(json.dumps(to_jsonable(result)))
+
+    def test_round_trip(self):
         outer = _Outer("run", _Inner(1.25, ["a", "b"]), {0.1: 7})
-        path = dump_result(outer, tmp_path / "sub" / "result.json")
-        assert path.exists()
-        loaded = load_result(path)
+        loaded = self.round_trip(outer)
         assert loaded["name"] == "run"
         assert loaded["inner"]["tags"] == ["a", "b"]
         assert loaded["table"]["0.1"] == 7
 
-    def test_real_experiment_result_serializes(self, tmp_path):
+    def test_real_experiment_result_serializes(self):
         from repro.experiments import registry
 
         result = registry.execute(
             "table-6.3", points=[{"d_hat": 30, "delta": 0.01}]
         )
-        path = dump_result(result, tmp_path / "t63.json")
-        loaded = load_result(path)
+        loaded = self.round_trip(result)
         assert loaded["selections"][0]["d_low"] == 18
 
-    def test_degree_mc_result_serializes(self, tmp_path):
+    def test_degree_mc_result_serializes(self):
         from repro.core.params import SFParams
         from repro.markov.degree_mc import DegreeMarkovChain
 
         solved = DegreeMarkovChain(SFParams(view_size=12, d_low=2), 0.05).solve()
-        path = dump_result(solved, tmp_path / "mc.json")
-        loaded = load_result(path)
+        loaded = self.round_trip(solved)
         assert abs(sum(loaded["outdegree_pmf"].values()) - 1.0) < 1e-9
