@@ -9,6 +9,7 @@ implements exactly that (an even-size sample of a random live peer's view).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.protocols.base import GossipProtocol
@@ -72,8 +73,10 @@ class ChurnProcess:
         min_population: int = 8,
         seed: SeedLike = None,
     ):
-        if join_rate < 0 or leave_rate < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0 <= join_rate < math.inf and 0 <= leave_rate < math.inf):
+            raise ValueError(
+                f"rates must be finite and nonnegative, got {join_rate}, {leave_rate}"
+            )
         self.protocol = protocol
         self.join_rate = join_rate
         self.leave_rate = leave_rate

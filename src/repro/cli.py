@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -95,7 +96,6 @@ def _make_runner(args: argparse.Namespace):
             on_error=args.on_error,
             cell_timeout=args.cell_timeout,
             checkpoint=checkpoint,
-            executor=args.executor,
         )
 
 
@@ -296,8 +296,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"need more nodes than the bootstrap outdegree "
             f"{params.default_bootstrap_degree}, got --nodes {args.nodes}"
         )
-    if args.rounds < 0:
-        raise _Rejected(f"--rounds must be nonnegative, got {args.rounds}")
+    if not 0 <= args.rounds < math.inf:
+        raise _Rejected(f"--rounds must be finite and nonnegative, got {args.rounds}")
     with _telemetry(args):
         with _rejecting():
             protocol, engine = build_sf_system(
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget; an overdue cell counts as failed "
-        "(process executor only)",
+        "(needs --jobs >= 2: cells then run in a process pool)",
     )
     checkpoint_kwargs = dict(
         default=None,
@@ -486,15 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the aggregated metrics registry (counters, gauges, "
         "histograms, timers — worker processes included) to PATH as JSON",
     )
-    executor_kwargs = dict(
-        choices=["auto", "inline", "process", "thread"],
-        default="auto",
-        help="where sweep cells run: 'auto' (default; inline at --jobs 1, "
-        "a process pool otherwise), 'inline' (this process), 'process' "
-        "(ProcessPoolExecutor with deadline enforcement and crash "
-        "recovery), or 'thread' (ThreadPoolExecutor); results are "
-        "bit-identical on every executor",
-    )
     metrics_port_kwargs = dict(
         type=int,
         default=None,
@@ -511,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--backend", **backend_kwargs)
     run_parser.add_argument("--jobs", **jobs_kwargs)
-    run_parser.add_argument("--executor", **executor_kwargs)
     run_parser.add_argument("--on-error", **on_error_kwargs)
     run_parser.add_argument("--cell-timeout", **cell_timeout_kwargs)
     run_parser.add_argument("--checkpoint-dir", **checkpoint_kwargs)
@@ -551,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--fast", action="store_true")
     report_parser.add_argument("--backend", **backend_kwargs)
     report_parser.add_argument("--jobs", **jobs_kwargs)
-    report_parser.add_argument("--executor", **executor_kwargs)
     report_parser.add_argument("--on-error", **on_error_kwargs)
     report_parser.add_argument("--cell-timeout", **cell_timeout_kwargs)
     report_parser.add_argument("--checkpoint-dir", **checkpoint_kwargs)

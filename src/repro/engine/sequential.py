@@ -25,9 +25,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.kernel.base import SimulationKernel
+from repro.kernel.base import SimulationKernel, uniform_rate
 from repro.obs import get_telemetry
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import LossModel
 from repro.net.transport import LoopbackTransport
 from repro.protocols.base import GossipProtocol, SendEffect
 from repro.util.rng import SeedLike, make_rng
@@ -100,7 +100,8 @@ class SequentialEngine:
         protocol: the protocol instance (owns all node state), or a
             :class:`~repro.kernel.base.SimulationKernel` backend to which
             all state mutation is delegated in batches.
-        loss: message-loss model; defaults to a lossless network.
+        loss: message-loss model; defaults to a lossless network.  A
+            kernel takes :class:`~repro.net.loss.UniformLoss` only.
         seed: RNG seed (or an existing generator) for full reproducibility.
     """
 
@@ -114,11 +115,12 @@ class SequentialEngine:
         self.kernel: Optional[SimulationKernel] = (
             protocol if isinstance(protocol, SimulationKernel) else None
         )
-        self.loss = loss if loss is not None else NoLoss()
         # The engine's channel: loss is applied at the send seam, surviving
         # effects are drained FIFO by _pump (kernel backends bypass the
-        # transport and consume self.loss directly inside run_batch).
-        self.transport = LoopbackTransport(self.loss)
+        # transport and read the model through ``loss`` inside run_batch).
+        self.transport = LoopbackTransport(loss)
+        if self.kernel is not None:
+            uniform_rate(self.loss)
         self.rng = make_rng(seed)
         self.stats = EngineStats()
         self.rounds_completed = 0.0
@@ -128,6 +130,11 @@ class SequentialEngine:
         self._trace_round = 0
         # Per-node load on the protocol path; kernel backends keep their own.
         self._load: Dict[str, Dict[NodeId, int]] = {"sent": {}, "received": {}}
+
+    @property
+    def loss(self) -> LossModel:
+        """The loss model, fixed at construction; the transport holds it."""
+        return self.transport.loss
 
     # ------------------------------------------------------------------
     # Stepping
@@ -278,8 +285,8 @@ class SequentialEngine:
 
     def run_actions(self, count: int) -> None:
         """Run ``count`` scheduler picks, firing any registered hooks."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
+        if not 0 <= count < math.inf:
+            raise ValueError(f"count must be finite and nonnegative, got {count}")
         tel = get_telemetry()
         remaining = count
         while remaining > 0:
@@ -296,8 +303,8 @@ class SequentialEngine:
         One round = ``n`` actions at the current population size, tracked
         incrementally so the definition stays correct under churn.
         """
-        if rounds < 0:
-            raise ValueError(f"rounds must be nonnegative, got {rounds}")
+        if not 0 <= rounds < math.inf:
+            raise ValueError(f"rounds must be finite and nonnegative, got {rounds}")
         target = self.rounds_completed + rounds
         while self.rounds_completed < target - 1e-12:
             population = max(self.protocol.population, 1)

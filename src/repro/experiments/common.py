@@ -18,7 +18,7 @@ from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
 from repro.kernel import ArrayKernel, ReferenceKernel, ShardedKernel, SimulationKernel
 from repro.kernel.array import ROW_BLOCK
-from repro.net.loss import LossModel, UniformLoss
+from repro.net.loss import UniformLoss
 from repro.util.rng import SeedLike
 
 #: Valid values for ``build_sf_system``'s ``backend`` argument.
@@ -31,7 +31,6 @@ def build_sf_system(
     loss_rate: float = 0.0,
     seed: SeedLike = None,
     init_outdegree: Optional[int] = None,
-    loss_model: Optional[LossModel] = None,
     backend: str = "reference",
 ) -> Tuple[Union[SendForget, SimulationKernel], SequentialEngine]:
     """Create ``n`` S&F nodes on a ring bootstrap plus a sequential engine.
@@ -40,7 +39,9 @@ def build_sf_system(
     so the initial graph is regular and weakly connected.  The default
     initial outdegree is three quarters of the view size, rounded to an
     even value within ``[d_low, s]`` — comfortably inside the protocol's
-    working range.
+    working range.  Messages are lost i.i.d. at ``loss_rate`` (§4.1), the
+    only model a kernel runs; other loss models run on a ``SendForget``
+    and :class:`SequentialEngine` built directly.
 
     ``backend`` selects the state-mutation layer:
 
@@ -93,12 +94,7 @@ def build_sf_system(
         for u in range(n):
             bootstrap = [(u + k) % n for k in range(1, init_outdegree + 1)]
             protocol.add_node(u, bootstrap)
-    loss = loss_model if loss_model is not None else UniformLoss(loss_rate)
-    # A caller-supplied stateful model (e.g. GilbertElliottLoss) may be
-    # reused across replications; start each assembled system with a clean
-    # channel so replications stay independent.
-    loss.reset()
-    engine = SequentialEngine(protocol, loss, seed=seed)
+    engine = SequentialEngine(protocol, UniformLoss(loss_rate), seed=seed)
     return protocol, engine
 
 

@@ -20,8 +20,8 @@ hand-written CLI shim per experiment, each experiment module declares an
 
 Execution always goes through :class:`repro.runner.SweepRunner`, so
 *every* experiment — the analytic one-cell ones included — inherits
-``--jobs``, ``--executor``, ``--on-error``, ``--cell-timeout``, and
-``--checkpoint-dir`` for free.  Registration is one decorator, and the
+``--jobs``, ``--on-error``, ``--cell-timeout``, and ``--checkpoint-dir``
+for free.  Registration is one decorator, and the
 registry finds the module by importing all of :mod:`repro.experiments`::
 
     @experiment(

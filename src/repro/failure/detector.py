@@ -51,6 +51,7 @@ State-machine guarantees (property-tested in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -149,12 +150,14 @@ class DetectorConfig:
     retransmit: int = 4
 
     def __post_init__(self) -> None:
-        if self.suspect_after <= 0:
+        if not 0 < self.suspect_after < math.inf:
             raise ValueError(
-                f"suspect_after must be positive, got {self.suspect_after}"
+                f"suspect_after must be positive and finite, got {self.suspect_after}"
             )
-        if self.fail_after <= 0:
-            raise ValueError(f"fail_after must be positive, got {self.fail_after}")
+        if not 0 < self.fail_after < math.inf:
+            raise ValueError(
+                f"fail_after must be positive and finite, got {self.fail_after}"
+            )
         if self.piggyback_limit < 1:
             raise ValueError(
                 f"piggyback_limit must be at least 1, got {self.piggyback_limit}"

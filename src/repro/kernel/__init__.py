@@ -19,7 +19,6 @@ from repro.kernel.array import ArrayKernel
 from repro.kernel.base import (
     ActionDraws,
     SimulationKernel,
-    decide_loss,
     draw_action_block,
     rank_from_uniform,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ReferenceKernel",
     "ShardedKernel",
     "SimulationKernel",
-    "decide_loss",
     "draw_action_block",
     "jit_available",
     "rank_from_uniform",

@@ -58,10 +58,10 @@ from repro.kernel.base import (
     NodeId,
     SimulationKernel,
     ViewSlots,
-    decide_loss,
     draw_action_block,
+    uniform_rate,
 )
-from repro.net.loss import LossModel, UniformLoss
+from repro.net.loss import LossModel
 from repro.obs import get_telemetry
 
 EMPTY = -1
@@ -160,7 +160,11 @@ def _select_empty_pair(ebits_vals, ranks2):
 
 
 class ArrayKernel(SimulationKernel):
-    """S&F over a single ``(n, s)`` numpy id-matrix with fused batch ops."""
+    """S&F over a single ``(n, s)`` numpy id-matrix with fused batch ops.
+
+    One execution path, :meth:`_run_unordered`: under uniform loss, the
+    only model a kernel runs, every verdict is known before a batch settles.
+    """
 
     #: Telemetry namespace; the sharded subclass overrides it so its
     #: batches/actions counters stay distinguishable.
@@ -362,6 +366,7 @@ class ArrayKernel(SimulationKernel):
     # -- execution ---------------------------------------------------------
 
     def run_batch(self, count: int, rng, loss: LossModel, engine_stats) -> None:
+        rate = uniform_rate(loss)
         if self._n == 0:
             raise RuntimeError("no live nodes to schedule")
         if count <= 0:
@@ -387,13 +392,9 @@ class ArrayKernel(SimulationKernel):
             )
         else:
             shm = None  # s > 64: ebits disabled, masks never used
-        # Uniform loss is decided for the whole batch in one masked op;
-        # other models are consulted per message, in action order.
-        if isinstance(loss, UniformLoss):
-            lost_all = draws.loss_u < loss.rate
-            self._run_unordered(draws, bi, bj, shm, lost_all, engine_stats, count)
-        else:
-            self._run_inorder(draws, bi, bj, shm, loss, rng, engine_stats, count)
+        # Uniform loss is decided for the whole batch in one masked op.
+        lost_all = draws.loss_u < rate
+        self._run_unordered(draws, bi, bj, shm, lost_all, engine_stats, count)
         self._flush_counts()
 
     # -- planning ----------------------------------------------------------
@@ -415,9 +416,6 @@ class ArrayKernel(SimulationKernel):
         * ``cap`` — target's empty slots at delivery time (own clears of a
           self-delivery already discounted);
         * ``writes_t`` — stores land (all-or-nothing capacity gate holds).
-
-        ``lost=None`` plans conservatively (assume nothing is lost) for
-        the in-order path, whose loss verdicts arrive only at apply time.
         """
         s = self.params.view_size
         flat_ids = self._flat_ids
@@ -429,9 +427,7 @@ class ArrayKernel(SimulationKernel):
         t_row = self._id_index.take(np.maximum(vi, 0))
         dup = self._outdeg.take(u) <= self.params.d_low
         writes_u = ~(noop | dup)
-        delivers = ~noop & (t_row >= 0)
-        if lost is not None:
-            delivers &= ~lost
+        delivers = ~noop & (t_row >= 0) & ~lost
         cap = s - self._outdeg.take(np.maximum(t_row, 0))
         # Self-deliveries (a node's own id in its view) are rare: only pay
         # for the capacity correction (own clears land before own stores)
@@ -578,13 +574,14 @@ class ArrayKernel(SimulationKernel):
 
     def _run_unordered(self, draws, bi_all, bj_all, shm_all, lost_all,
                        engine_stats, count):
-        """Dependency-DAG settlement for precomputable loss decisions.
+        """Dependency-DAG settlement of one batch.
 
         Windows of upcoming actions are planned, the accepted group is
         applied in one fused pass, and deferred actions retry in the next
-        window ahead of new draws.  Requires the loss verdict of every
-        message upfront (``lost_all``): stateful models consume their aux
-        stream in action order and must use :meth:`_run_inorder`.
+        window ahead of new draws.  Every message's loss verdict is known
+        upfront (``lost_all``, from the uniform rate), so an action's row
+        accesses are known before it runs and actions that commute may
+        execute out of program order.
         """
         pos = 0
         pending = None
@@ -614,66 +611,6 @@ class ArrayKernel(SimulationKernel):
             # window's tail — a view, not a mask pass.
             pending = win_idx[n_acc:] if prefix else win_idx[~acc]
             self._adapt_window(n_acc, win_idx.size)
-
-    def _run_inorder(self, draws, bi_all, bj_all, shm_all, loss, rng,
-                     engine_stats, count):
-        """Strict in-order execution in maximal conflict-free prefixes.
-
-        Used for loss models whose per-message decisions are stateful
-        (Gilbert–Elliott) or pair-dependent (``PartitionLoss``): the
-        verdicts must be drawn in action order, so actions cannot be
-        reordered even when their row accesses commute.  Planning assumes
-        conservatively that no message is lost; the accepted prefix then
-        has its losses decided sequentially and is applied in the same
-        fused pass as the unordered path.
-        """
-        pos = 0
-        while pos < count:
-            take = min(count - pos, self._window_hint)
-            sl = slice(pos, pos + take)
-            u = draws.initiators[sl]
-            bi = bi_all[sl]
-            bj = bj_all[sl]
-            shm = shm_all[sl] if shm_all is not None else None
-            vi, vj, noop, t_row, dup, writes_u, delivers, cap, writes_t = (
-                self._gather_plan(u, bi, bj, None)
-            )
-            acc, _, _ = self._acceptance(
-                u, t_row, noop, delivers, writes_u, writes_t
-            )
-            accepted = int(take if acc.all() else acc.argmin())
-            # Decide losses for the prefix in action order (the canonical
-            # discipline: stateless pair rates read the pre-drawn uniform,
-            # stateful models draw from the shared auxiliary generator).
-            lost = np.zeros(take, dtype=bool)
-            msg = np.flatnonzero(~noop[:accepted])
-            if msg.size:
-                senders = self._node_at.take(u.take(msg)).tolist()
-                targets = vi.take(msg).tolist()
-                u_vals = draws.loss_u[pos:].take(msg).tolist()
-                lost[msg] = [
-                    decide_loss(loss, sender, target, u_val, self, rng)
-                    for sender, target, u_val in zip(senders, targets, u_vals)
-                ]
-            # Re-derive the delivery masks from the actual verdicts (the
-            # plan assumed lossless; real deliveries are a subset).
-            delivers &= ~lost
-            cap = (
-                self.params.view_size
-                - self._outdeg.take(np.maximum(t_row, 0))
-                + 2 * (delivers & (t_row == u) & writes_u)
-            )
-            writes_t = delivers & (cap >= 2)
-            prefix = np.zeros(take, dtype=bool)
-            prefix[:accepted] = True
-            win_idx = np.arange(pos, pos + take)
-            self._apply_group(
-                prefix, accepted, win_idx, u, bi, bj, shm, vj, t_row, noop,
-                dup, writes_u, lost, delivers, cap, writes_t, draws.store_u,
-                engine_stats,
-            )
-            pos += accepted
-            self._adapt_window(accepted, take)
 
     # -- apply -------------------------------------------------------------
 

@@ -30,10 +30,10 @@ Canonical conventions shared by every kernel:
   via :func:`rank_from_uniform`.  (The per-action object path instead
   draws directly from the ``View`` free list; the two disciplines are
   distributionally identical.)
-* **Loss decisions** — :func:`decide_loss` turns the pre-drawn uniform
-  into a loss verdict for any stateless model; stateful models (e.g.
-  Gilbert–Elliott) draw from a dedicated auxiliary generator, spawned
-  identically by every kernel, so equivalence survives even there.
+* **Loss decisions** — kernels run the paper's model only, uniform
+  i.i.d. loss (§4.1): a message is lost iff its pre-drawn uniform is
+  below the rate (:func:`uniform_rate`).  Other models run on
+  ``SendForget`` (``backend="reference"``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.params import SFParams
-from repro.net.loss import LossModel
+from repro.net.loss import LossModel, UniformLoss
 from repro.protocols.base import Population, ProtocolStats
 
 NodeId = int
@@ -90,21 +90,16 @@ def rank_from_uniform(u: float, count: int) -> int:
     return min(int(u * count), count - 1)
 
 
-def decide_loss(loss: LossModel, sender: NodeId, target: NodeId,
-                u: float, kernel: "SimulationKernel", rng) -> bool:
-    """Loss verdict for one message under the canonical discipline.
-
-    Stateless models expose a deterministic per-pair rate via
-    :meth:`repro.net.loss.LossModel.rate_for` and are decided from the
-    pre-drawn uniform ``u``; stateful models fall back to their own
-    ``is_lost`` fed from the kernel's auxiliary generator.  The auxiliary
-    generator is only spawned (one main-stream draw) when actually needed,
-    so stateless runs consume no randomness beyond the canonical block.
-    """
-    rate = loss.rate_for(sender, target)
-    if rate is None:
-        return loss.is_lost(sender, target, kernel.aux_rng(rng))
-    return u < rate
+def uniform_rate(loss: LossModel) -> float:
+    """The i.i.d. rate a kernel decides every message with; any model
+    but :class:`~repro.net.loss.UniformLoss` (``NoLoss`` is one) is a
+    ``TypeError``."""
+    if not isinstance(loss, UniformLoss):
+        raise TypeError(
+            f"simulation kernels run uniform i.i.d. loss only, got {loss!r}; "
+            'run other loss models on SendForget (backend="reference")'
+        )
+    return loss.rate
 
 
 class SimulationKernel(Population):
@@ -122,7 +117,6 @@ class SimulationKernel(Population):
     def __init__(self, params: SFParams):
         self.params = params
         self.stats = ProtocolStats()
-        self._aux_rng = None  # lazily spawned; see decide_loss
 
     # -- population management --------------------------------------------
 
@@ -156,21 +150,12 @@ class SimulationKernel(Population):
     def run_batch(self, count: int, rng, loss: LossModel, engine_stats) -> None:
         """Execute ``count`` scheduler picks, updating all counters.
 
+        Any ``loss`` but a uniform one is a ``TypeError`` (:func:`uniform_rate`),
+        raised before the kernel draws from ``rng`` or touches any state.
         ``engine_stats`` is the driving engine's
         :class:`repro.engine.sequential.EngineStats`; the kernel owns the
         per-node ``sent``/``received`` load counters itself.
         """
-
-    def aux_rng(self, rng):
-        """The auxiliary generator for stateful loss models.
-
-        Spawned deterministically from the main stream on first use, so
-        equal-seeded kernels agree on it (both consume exactly one main
-        draw at the same point of the schedule).
-        """
-        if self._aux_rng is None:
-            self._aux_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
-        return self._aux_rng
 
     # -- observation -------------------------------------------------------
 

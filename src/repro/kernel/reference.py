@@ -20,8 +20,8 @@ from repro.kernel.base import (
     NodeId,
     SimulationKernel,
     ViewSlots,
-    decide_loss,
     draw_action_block,
+    uniform_rate,
 )
 from repro.net.loss import LossModel
 from repro.obs import get_telemetry
@@ -71,6 +71,7 @@ class ReferenceKernel(SimulationKernel):
     # -- execution ---------------------------------------------------------
 
     def run_batch(self, count: int, rng, loss: LossModel, engine_stats) -> None:
+        rate = uniform_rate(loss)
         population = len(self._order)
         if population == 0:
             raise RuntimeError("no live nodes to schedule")
@@ -93,9 +94,7 @@ class ReferenceKernel(SimulationKernel):
                 continue
             engine_stats.messages_sent += 1
             self._sent[sender] = self._sent.get(sender, 0) + 1
-            if decide_loss(
-                loss, sender, message.target, float(draws.loss_u[k]), self, rng
-            ):
+            if float(draws.loss_u[k]) < rate:
                 engine_stats.messages_lost += 1
                 continue
             if not protocol.has_node(message.target):

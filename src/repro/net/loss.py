@@ -17,7 +17,8 @@ class LossModel:
 
     A stateless model defines :meth:`rate_for` and inherits the verdict; a
     stateful one leaves ``rate_for`` at ``None`` and overrides
-    :meth:`is_lost`.
+    :meth:`is_lost`.  Every model runs on a protocol (``SendForget`` on
+    either engine); simulation kernels take :class:`UniformLoss` only.
     """
 
     def is_lost(self, sender: NodeId, target: NodeId, rng) -> bool:
@@ -38,22 +39,12 @@ class LossModel:
         """The deterministic loss rate for this message, if one exists.
 
         Stateless models return the probability a message from ``sender``
-        to ``target`` is lost, letting batch kernels decide loss from a
-        pre-drawn uniform (see :func:`repro.kernel.base.decide_loss`).
+        to ``target`` is lost, and :meth:`is_lost` flips one coin on it.
         Stateful models (whose verdict needs extra randomness or evolves
         per message) return ``None`` and supply their own ``is_lost``.
+        No batch kernel reads this: kernels run :class:`UniformLoss` only.
         """
         return None
-
-    def reset(self) -> None:
-        """Discard any accumulated per-run channel state.
-
-        Stateless models are no-ops.  Stateful models (e.g.
-        :class:`GilbertElliottLoss`) must override this so one model
-        instance can be reused across replications without leaking state
-        — :func:`repro.experiments.common.build_sf_system` calls it for
-        every system it assembles.
-        """
 
 
 class UniformLoss(LossModel):
@@ -124,16 +115,6 @@ class GilbertElliottLoss(LossModel):
         self._bad_state[sender] = bad
         loss_probability = self.bad_loss if bad else self.good_loss
         return bool(rng.random() < loss_probability)
-
-    def reset(self) -> None:
-        """Return every sender's channel to the good state.
-
-        The per-sender ``_bad_state`` map otherwise accumulates entries
-        (and burst state) for the lifetime of the instance — reusing one
-        model across replications would correlate runs that are supposed
-        to be independent and grow memory with every distinct sender.
-        """
-        self._bad_state.clear()
 
     def __repr__(self) -> str:
         return (

@@ -17,8 +17,7 @@ Every registered experiment (see :mod:`repro.experiments.registry`)
 executes its point grid through this layer — ``registry.execute`` is
 grid → :meth:`SweepRunner.run` → aggregate — so all of them accept a
 ``jobs``/``runner=`` argument and inherit the CLI's failure knobs
-(``--jobs``, ``--executor``, ``--on-error``, ``--cell-timeout``,
-``--checkpoint-dir``).
+(``--jobs``, ``--on-error``, ``--cell-timeout``, ``--checkpoint-dir``).
 """
 
 from repro.runner.checkpoint import (

@@ -32,6 +32,7 @@ final :class:`ClusterReport` carries the live outdegree distribution the
 from __future__ import annotations
 
 import asyncio
+import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -106,10 +107,10 @@ class ClusterConfig:
         self.params()
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.duration_s < 0.0:
-            raise ValueError(f"duration_s must be nonnegative, got {self.duration_s}")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        if not 0.0 <= self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be in [0, inf), got {self.duration_s}")
         if self.kill_restart < 0:
             raise ValueError(
                 f"kill_restart must be nonnegative, got {self.kill_restart}"

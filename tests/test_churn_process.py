@@ -82,8 +82,15 @@ class TestChurnProcess:
 
     def test_negative_rates_rejected(self, small_system):
         protocol, _ = small_system
-        with pytest.raises(ValueError):
-            ChurnProcess(protocol, join_rate=-1, leave_rate=0)
+        for join_rate, leave_rate in (
+            (-1, 0),
+            (float("nan"), 0),
+            (0, float("nan")),
+            (float("inf"), 0),
+            (0, float("inf")),
+        ):
+            with pytest.raises(ValueError):
+                ChurnProcess(protocol, join_rate=join_rate, leave_rate=leave_rate)
 
     def test_bootstrap_size_defaults_to_d_low(self, paper_params):
         protocol, _ = build_system(40, paper_params, init_outdegree=24)

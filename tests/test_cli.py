@@ -219,6 +219,11 @@ class TestCommands:
             ["simulate", "--view-size", "7"],
             ["simulate", "--loss", "1.5"],
             ["simulate", "--nodes", "40", "--rounds", "-1"],
+            ["simulate", "--nodes", "60", "--view-size", "12", "--d-low", "4",
+             "--rounds", "nan"],
+            ["simulate", "--nodes", "60", "--view-size", "12", "--d-low", "4",
+             "--rounds", "inf"],
+            ["simulate", "--loss", "nan"],
             ["simulate", "--nodes", "5", "--view-size", "40"],
             ["cluster", "--drop", "1.5"],
             ["cluster", "--n", "2"],
@@ -228,6 +233,12 @@ class TestCommands:
             ["cluster", "--kill-wave", "-1"],
             ["cluster", "--kill-restart", "-2"],
             ["cluster", "--duration", "-1"],
+            ["cluster", "--duration", "inf"],
+            ["cluster", "--duration", "nan"],
+            ["cluster", "--rate", "inf"],
+            ["cluster", "--rate", "nan"],
+            ["cluster", "--failure-detection", "--suspect-after", "nan"],
+            ["cluster", "--failure-detection", "--fail-after", "inf"],
             ["run", "fig-6.2", "--cell-timeout", "0"],
             ["report", "--fast", "--output", "", "fig-6.2"],
         ],
@@ -246,6 +257,15 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro {argv[0]}: error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_executor_flag_is_gone(self, command, capsys):
+        """Cells run inline at ``--jobs 1`` and in a process pool above;
+        there is no flag to pick another executor."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "fig-6.2", "--fast", "--executor", "inline"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --executor" in capsys.readouterr().err
 
     def test_partition_groups_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

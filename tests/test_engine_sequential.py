@@ -6,6 +6,7 @@ from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
 from repro.experiments.common import build_sf_system
+from repro.net.loss import GilbertElliottLoss, UniformLoss
 
 from conftest import build_system
 
@@ -30,10 +31,13 @@ class TestStepping:
 
     def test_negative_counts_rejected(self, small_params):
         _, engine = build_system(5, small_params)
-        with pytest.raises(ValueError):
-            engine.run_actions(-1)
-        with pytest.raises(ValueError):
-            engine.run_rounds(-0.5)
+        for bad in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                engine.run_actions(bad)
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                engine.run_rounds(bad)
+        assert engine.stats.actions == 0
 
     def test_deterministic_given_seed(self, small_params):
         protocol_a, engine_a = build_system(15, small_params, seed=9)
@@ -171,7 +175,7 @@ class TestRoundBoundaries:
 
 
 class TestDefaults:
-    def test_default_loss_model_is_lossless(self):
+    def test_default_loss_is_lossless(self):
         protocol = SendForget(SFParams(view_size=8))
         protocol.add_node(0, [1, 2])
         protocol.add_node(1, [0, 2])
@@ -179,3 +183,22 @@ class TestDefaults:
         engine = SequentialEngine(protocol, seed=0)
         engine.run_rounds(5)
         assert engine.stats.messages_lost == 0
+
+    def test_loss_is_the_channels_model(self, small_params):
+        """A stateful model given at construction decides every send on
+        the object path; the transport holds the one copy."""
+        protocol, _ = build_system(30, small_params)
+        loss = GilbertElliottLoss(1.0, 0.0, good_loss=0.0, bad_loss=1.0)
+        engine = SequentialEngine(protocol, loss, seed=1)
+        assert engine.loss is engine.transport.loss is loss
+        engine.run_rounds(2)
+        assert engine.stats.messages_lost == engine.stats.messages_sent > 0
+
+    @pytest.mark.parametrize("backend", ["reference", "array"])
+    def test_loss_cannot_be_swapped_after_construction(self, small_params, backend):
+        """Reassigning ``loss`` is an error, not a model the object path
+        would silently ignore."""
+        _, engine = build_sf_system(30, small_params, backend=backend)
+        with pytest.raises(AttributeError):
+            engine.loss = UniformLoss(1.0)
+        assert engine.loss.rate == 0.0

@@ -6,9 +6,10 @@ The transport must lose nothing silently — every send is accounted for::
     replies_sent  == replies_delivered  + replies_lost  + replies_to_departed
 
 (:meth:`repro.engine.sequential.EngineStats.check_conservation`).  The
-property is exercised across all three simulation backends, several loss
-models (uniform, bursty Gilbert-Elliott, partition), and mid-run node
-departures — the case that routes sends into ``messages_to_departed``.
+property is exercised under uniform loss on all three simulation
+backends, under bursty Gilbert-Elliott and partition loss on the object
+path (kernels run uniform loss only), and with mid-run node departures —
+the case that routes sends into ``messages_to_departed``.
 Reply accounting is driven by the push-pull protocol, the only stack
 member that sends replies.
 """
@@ -25,6 +26,10 @@ from repro.protocols.pushpull import PushPullProtocol
 from repro.engine.sequential import SequentialEngine
 
 BACKENDS = ("reference", "reference-kernel", "array")
+SETUPS = [(backend, "uniform") for backend in BACKENDS] + [
+    ("reference", "gilbert"),
+    ("reference", "partition"),
+]
 
 
 def _loss_model(kind: str, rate: float):
@@ -40,23 +45,18 @@ def _loss_model(kind: str, rate: float):
 
 
 @given(
-    backend=st.sampled_from(BACKENDS),
-    loss_kind=st.sampled_from(["uniform", "gilbert", "partition"]),
+    setup=st.sampled_from(SETUPS),
     rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     departures=st.integers(min_value=0, max_value=6),
 )
 @settings(max_examples=60, deadline=None)
-def test_sf_message_conservation(backend, loss_kind, rate, seed, departures):
-    n = 24
-    protocol, engine = build_sf_system(
-        n,
-        SFParams(view_size=12, d_low=2),
-        loss_model=_loss_model(loss_kind, rate),
-        seed=seed,
-        init_outdegree=6,
-        backend=backend,
+def test_sf_message_conservation(setup, rate, seed, departures):
+    backend, loss_kind = setup
+    protocol, _ = build_sf_system(
+        24, SFParams(view_size=12, d_low=2), init_outdegree=6, backend=backend
     )
+    engine = SequentialEngine(protocol, _loss_model(loss_kind, rate), seed=seed)
     engine.run_rounds(2)
     # Mid-run departures: in-view ids of departed nodes now route sends
     # into messages_to_departed instead of delivered.

@@ -35,36 +35,16 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_sf_system(6, SFParams(view_size=12, d_low=2), init_outdegree=8)
 
-    def test_custom_loss_model_used(self):
-        from repro.net.loss import GilbertElliottLoss
+    def test_loss_is_a_uniform_rate_only(self):
+        """``loss_rate`` is the one loss parameter: uniform i.i.d. loss is
+        the only model a kernel runs."""
+        import inspect
 
-        model = GilbertElliottLoss()
-        _, engine = build_sf_system(
-            20, SFParams(view_size=12, d_low=2), loss_model=model
-        )
-        assert engine.loss is model
-
-    def test_stateful_loss_model_reset_per_system(self):
-        """A reused GilbertElliott instance must not leak channel state
-        between replications: build_sf_system resets it."""
-        from repro.net.loss import GilbertElliottLoss
-
-        model = GilbertElliottLoss(p_good_to_bad=0.5, p_bad_to_good=0.1)
-        params = SFParams(view_size=12, d_low=2)
-
-        def run_once():
-            protocol, engine = build_sf_system(
-                20, params, loss_model=model, seed=13
-            )
-            engine.run_rounds(10)
-            return engine.stats.messages_lost, protocol.export_graph()
-
-        lost_a, graph_a = run_once()
-        assert model._bad_state  # channels evolved during the run
-        lost_b, graph_b = run_once()
-        # Same seed + clean channel state => a bit-identical replication.
-        assert lost_a == lost_b
-        assert graph_a == graph_b
+        assert list(inspect.signature(build_sf_system).parameters) == [
+            "n", "params", "loss_rate", "seed", "init_outdegree", "backend"
+        ]
+        _, engine = build_sf_system(20, SFParams(view_size=12, d_low=2), 0.25)
+        assert engine.loss.rate == 0.25
 
     def test_warm_up_resets_stats(self):
         protocol, engine = build_sf_system(20, SFParams(view_size=12, d_low=2), seed=1)

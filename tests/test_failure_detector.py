@@ -413,6 +413,10 @@ def test_config_validation():
     for bad in (
         dict(suspect_after=0.0),
         dict(fail_after=-1.0),
+        dict(suspect_after=float("nan")),
+        dict(suspect_after=float("inf")),
+        dict(fail_after=float("nan")),
+        dict(fail_after=float("inf")),
         dict(piggyback_limit=0),
         dict(retransmit=0),
     ):

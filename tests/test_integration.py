@@ -7,6 +7,7 @@ from repro.churn.process import ChurnProcess
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.des import DiscreteEventEngine
+from repro.engine.sequential import SequentialEngine
 from repro.markov.degree_mc import DegreeMarkovChain
 from repro.metrics.convergence import view_snapshot, view_overlap_fraction
 from repro.metrics.degrees import degree_summary
@@ -94,21 +95,20 @@ class TestChurnAndLossScenario:
     """Sustained churn + bursty loss + overlap: invariants and liveness."""
 
     def test_long_run_invariants(self, small_params):
-        protocol, engine = build_system(60, small_params, seed=202)
+        protocol, _ = build_system(60, small_params, seed=202)
         churn = ChurnProcess(protocol, join_rate=0.5, leave_rate=0.5, seed=203)
-        engine.loss = GilbertElliottLoss(
-            p_good_to_bad=0.02, p_bad_to_good=0.2, bad_loss=0.5
-        )
+        loss = GilbertElliottLoss(p_good_to_bad=0.02, p_bad_to_good=0.2, bad_loss=0.5)
+        engine = SequentialEngine(protocol, loss, seed=202)
         for _ in range(100):
             churn.apply_round()
             engine.run_rounds(1)
         protocol.check_invariant()
         assert len(protocol.node_ids()) > 8
+        assert engine.stats.messages_lost > 0  # the bursty channel applies
 
     def test_overlay_stays_connected_under_mild_churn(self, small_params):
-        protocol, engine = build_system(80, small_params, seed=204)
+        protocol, engine = build_system(80, small_params, loss_rate=0.02, seed=204)
         churn = ChurnProcess(protocol, join_rate=0.3, leave_rate=0.3, seed=205)
-        engine.loss = UniformLoss(0.02)
         connected_checks = []
         for epoch in range(10):
             for _ in range(10):

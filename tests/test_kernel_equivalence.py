@@ -6,10 +6,10 @@ same batch schedule consume identical random numbers.  These tests hold
 every implementation to that bar: after every batch of a mixed schedule
 (including batch sizes past the engine's ``MAX_BATCH_ACTIONS``), every
 view must match slot-for-slot — ids, dependence flags, and ⊥ positions —
-and every protocol/engine counter must agree exactly, across loss models
-exercising both of the array kernel's execution paths (the unordered
-fused-window path for precomputable loss, the in-order prefix path for
-stateful loss) and under churn.
+and every protocol/engine counter must agree exactly, across uniform loss
+rates (lossless, partial, total) and under churn.  Kernels run uniform
+i.i.d. loss only; any other model is a ``TypeError`` at engine
+construction and at ``run_batch``, before any state changes.
 
 Covered backends: the fused :class:`ArrayKernel` and
 :class:`ShardedKernel` with two apply workers.
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.params import SFParams
 from repro.engine.sequential import EngineStats, SequentialEngine
@@ -33,6 +31,7 @@ from repro.net.loss import (
     PartitionLoss,
     UniformLoss,
 )
+from repro.protocols.base import ProtocolStats
 from repro.util.rng import make_rng
 
 PARAMS = SFParams(view_size=10, d_low=4)
@@ -88,56 +87,10 @@ def assert_same_state(ref, arr, context=""):
         assert getattr(ref.stats, name) == getattr(arr.stats, name), (context, name)
 
 
-def make_partition_loss():
-    return PartitionLoss({u: u % 2 for u in range(200)}, cross_loss=0.9)
-
-
-class ScriptedLoss(LossModel):
-    """An adversary replaying ``verdicts`` in send order, cycling.
-
-    ``rate_for`` stays ``None``, so kernels consult :meth:`is_lost` once
-    per message in action order (the array kernel's in-order path); the
-    verdicts ignore ``rng``, so any schedule of drops can be scripted.
-    """
-
-    def __init__(self, verdicts):
-        self.verdicts = list(verdicts)
-        self.consulted = 0
-
-    def is_lost(self, sender, target, rng):
-        verdict = self.verdicts[self.consulted % len(self.verdicts)]
-        self.consulted += 1
-        return verdict
-
-
-class PairRateLoss(LossModel):
-    """A stateless model whose rate varies per (sender, target) pair,
-    mixing the never-lose and always-lose bounds with two interior rates
-    inside one fused window."""
-
-    RATES = (0.0, 0.25, 0.75, 1.0)
-
-    def rate_for(self, sender, target):
-        return self.RATES[(3 * sender + target) % len(self.RATES)]
-
-
-def scripted(verdicts):
-    return lambda: ScriptedLoss(verdicts)
-
-
 LOSS_MODELS = [
     pytest.param(NoLoss, id="lossless"),
     pytest.param(lambda: UniformLoss(0.3), id="uniform-0.3"),
     pytest.param(lambda: UniformLoss(1.0), id="uniform-1.0-full-loss"),
-    pytest.param(
-        lambda: GilbertElliottLoss(0.1, 0.4, 0.02, 0.6), id="gilbert-elliott"
-    ),
-    pytest.param(make_partition_loss, id="partition"),
-    pytest.param(PairRateLoss, id="pair-rates"),
-    pytest.param(scripted([True] * 7 + [False] * 25), id="scripted-bursts"),
-    pytest.param(scripted([True, False]), id="scripted-alternating"),
-    pytest.param(scripted([False] * 9 + [True]), id="scripted-rare"),
-    pytest.param(scripted([True]), id="scripted-silence"),
 ]
 
 
@@ -215,103 +168,57 @@ class TestKernelEquivalence:
         finally:
             close_kernel(arr)
 
-    def test_stateful_loss_uses_identical_aux_stream(self):
-        """Gilbert–Elliott consumes an auxiliary generator; both kernels
-        must spawn it at the same point of the main stream."""
-        ref = build(ReferenceKernel, 80)
-        arr = build(ArrayKernel, 80)
-        stats_ref, stats_arr = EngineStats(), EngineStats()
-        rng_ref, rng_arr = make_rng(11), make_rng(11)
-        loss_ref = GilbertElliottLoss(0.2, 0.3, 0.01, 0.8)
-        loss_arr = GilbertElliottLoss(0.2, 0.3, 0.01, 0.8)
-        for batch in (1, 3, 1500, 4096):
-            ref.run_batch(batch, rng_ref, loss_ref, stats_ref)
-            arr.run_batch(batch, rng_arr, loss_arr, stats_arr)
-            assert_same_state(ref, arr, context=f"aux batch {batch}")
-        assert stats_ref == stats_arr
-        assert 0 < stats_arr.messages_lost < stats_arr.messages_sent
+
+class _EveryOtherLoss(LossModel):
+    """A test-local stateful model: every second message is lost."""
+
+    def __init__(self):
+        self.sent = 0
+
+    def is_lost(self, sender, target, rng):
+        self.sent += 1
+        return self.sent % 2 == 0
 
 
-class TestStatefulLossEquivalence:
-    """The ``rate_for() -> None`` / ``is_lost`` fallback path of
-    ``decide_loss``, driven through both kernels with evolving loss-model
-    state: per-sender Gilbert–Elliott channels (including a mid-schedule
-    ``reset()``), a partition that splits and heals mid-schedule, and
-    scripted adversarial verdict sequences."""
+NON_UNIFORM_LOSS = [
+    pytest.param(
+        lambda: GilbertElliottLoss(0.1, 0.4, 0.02, 0.6), id="gilbert-elliott"
+    ),
+    pytest.param(
+        lambda: PartitionLoss({u: u % 2 for u in range(40)}, cross_loss=0.9),
+        id="partition",
+    ),
+    pytest.param(_EveryOtherLoss, id="test-local"),
+]
 
-    def test_gilbert_elliott_requests_the_fallback_path(self):
-        loss = GilbertElliottLoss(0.1, 0.4, 0.02, 0.6)
-        assert loss.rate_for(0, 1) is None  # stateful: no precomputable rate
-        assert UniformLoss(0.3).rate_for(0, 1) == 0.3
 
-    def test_gilbert_elliott_reset_mid_schedule(self):
-        """Both kernels stay slot-exact when the channel state is wiped
-        between batches — resets happen at identical stream positions."""
-        ref = build(ReferenceKernel, 100)
-        arr = build(ArrayKernel, 100)
-        rng_ref, rng_arr = make_rng(23), make_rng(23)
-        stats_ref, stats_arr = EngineStats(), EngineStats()
-        loss_ref = GilbertElliottLoss(0.15, 0.3, 0.01, 0.7)
-        loss_arr = GilbertElliottLoss(0.15, 0.3, 0.01, 0.7)
-        for step, batch in enumerate((500, 1500, 800, 2000)):
-            ref.run_batch(batch, rng_ref, loss_ref, stats_ref)
-            arr.run_batch(batch, rng_arr, loss_arr, stats_arr)
-            assert_same_state(ref, arr, context=f"GE reset step {step}")
-            assert loss_ref._bad_state == loss_arr._bad_state, step
-            if step % 2 == 0:
-                assert loss_ref._bad_state  # channels actually evolved
-                loss_ref.reset()
-                loss_arr.reset()
-        assert stats_ref == stats_arr
-        assert 0 < stats_arr.messages_lost < stats_arr.messages_sent
-
-    def test_partition_split_and_heal_mid_schedule(self):
-        """An *activated* partition (0.9 cross loss), healed and re-split
-        between batches, must stay slot-exact across kernels."""
-        ref = build(ReferenceKernel, 120)
-        arr = build(ArrayKernel, 120)
-        rng_ref, rng_arr = make_rng(31), make_rng(31)
-        stats_ref, stats_arr = EngineStats(), EngineStats()
-        loss_ref, loss_arr = make_partition_loss(), make_partition_loss()
-        assert loss_ref.active and loss_ref.rate_for(0, 1) == 0.9
-        phases = [("split", 1200), ("heal", 1200), ("split", 2400)]
-        for phase, batch in phases:
-            for model in (loss_ref, loss_arr):
-                getattr(model, phase)()
-            ref.run_batch(batch, rng_ref, loss_ref, stats_ref)
-            arr.run_batch(batch, rng_arr, loss_arr, stats_arr)
-            assert_same_state(ref, arr, context=f"partition {phase}")
-            ref.check_invariant()
-            arr.check_invariant()
-        assert stats_ref == stats_arr
-        assert 0 < stats_arr.messages_lost < stats_arr.messages_sent
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        verdicts=st.lists(st.booleans(), min_size=1, max_size=40),
-        batches=st.lists(st.integers(1, 700), min_size=1, max_size=4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_scripted_verdicts_stay_slot_exact(self, verdicts, batches, seed):
-        """Any drop sequence, replayed to both kernels in send order,
-        leaves them slot-exact with S&F's invariant intact."""
-        ref = build(ReferenceKernel, 40)
-        arr = build(ArrayKernel, 40)
-        rng_ref, rng_arr = make_rng(seed), make_rng(seed)
-        stats_ref, stats_arr = EngineStats(), EngineStats()
-        loss_ref, loss_arr = ScriptedLoss(verdicts), ScriptedLoss(verdicts)
-        for batch in batches:
-            ref.run_batch(batch, rng_ref, loss_ref, stats_ref)
-            arr.run_batch(batch, rng_arr, loss_arr, stats_arr)
-            assert_same_state(ref, arr, context=f"scripted batch {batch}")
-            ref.check_invariant()
-            arr.check_invariant()
-        assert stats_ref == stats_arr
-        assert loss_ref.consulted == loss_arr.consulted == stats_arr.messages_sent
-        scripted = sum(
-            verdicts[i % len(verdicts)] for i in range(loss_arr.consulted)
-        )
-        assert stats_arr.messages_lost == scripted
+@pytest.mark.parametrize(
+    "kernel_cls",
+    [pytest.param(ReferenceKernel, id="reference-kernel"), *ARRAY_BACKENDS],
+)
+@pytest.mark.parametrize("make_loss", NON_UNIFORM_LOSS)
+@pytest.mark.parametrize("entry", ["engine", "run_batch"])
+def test_kernels_reject_non_uniform_loss_untouched(entry, make_loss, kernel_cls):
+    """A kernel runs uniform loss only: any other model is a TypeError
+    pointing to the object path, raised before the kernel draws a number
+    or changes a counter or a view."""
+    kernel = build(kernel_cls, 40)
+    try:
+        views = [kernel.view_slots(u) for u in kernel.node_ids()]
+        rng = make_rng(5)
+        rng_state = rng.bit_generator.state
+        stats = EngineStats()
+        with pytest.raises(TypeError, match='SendForget.*backend="reference"'):
+            if entry == "engine":
+                SequentialEngine(kernel, make_loss(), seed=rng)
+            else:
+                kernel.run_batch(500, rng, make_loss(), stats)
+        assert rng.bit_generator.state == rng_state
+        assert stats == EngineStats()
+        assert kernel.stats == ProtocolStats()
+        assert [kernel.view_slots(u) for u in kernel.node_ids()] == views
+    finally:
+        close_kernel(kernel)
 
 
 class TestEngineLevelEquivalence:

@@ -109,7 +109,7 @@ class TestGilbertElliott:
         with pytest.raises(ValueError, match=name):
             GilbertElliottLoss(**{name: bad})
 
-    def test_stateful_model_requests_in_order_path(self):
+    def test_stateful_model_has_no_rate(self):
         assert GilbertElliottLoss().rate_for(0, 1) is None
 
     @pytest.mark.parametrize("loss", [0.0, 1.0])
@@ -117,16 +117,6 @@ class TestGilbertElliott:
         model = GilbertElliottLoss(0.5, 0.5, good_loss=loss, bad_loss=loss)
         rng = make_rng(9)
         assert {model.is_lost(s % 5, 1, rng) for s in range(500)} == {bool(loss)}
-
-    def test_reset_returns_every_channel_to_good(self):
-        # A bad channel never recovers (p_bad_to_good = 0): only a reset
-        # lets these senders deliver once entering the bad state stops.
-        model = GilbertElliottLoss(1.0, 0.0, good_loss=0.0, bad_loss=1.0)
-        rng = make_rng(10)
-        assert all(model.is_lost(s, 1, rng) for s in range(10))
-        model.reset()
-        model.p_good_to_bad = 0.0
-        assert not any(model.is_lost(s, 1, rng) for s in range(10))
 
     def test_empirical_rate_near_stationary(self):
         model = GilbertElliottLoss(
@@ -157,36 +147,6 @@ class TestGilbertElliott:
         model.is_lost(0, 1, rng)
         model.is_lost(5, 1, rng)
         assert set(model._bad_state) == {0, 5}
-
-    def test_reset_clears_channel_state(self):
-        model = GilbertElliottLoss(p_good_to_bad=0.9, p_bad_to_good=0.1)
-        rng = make_rng(5)
-        for sender in range(20):
-            model.is_lost(sender, 0, rng)
-        assert model._bad_state  # state accumulated across senders
-        model.reset()
-        assert model._bad_state == {}
-
-    def test_reset_isolates_replications(self):
-        """After reset(), a reused instance replays exactly the run a
-        fresh instance would produce (equal-seeded RNGs)."""
-        reused = GilbertElliottLoss(0.2, 0.3, 0.0, 0.9)
-        rng = make_rng(6)
-        first = [reused.is_lost(s % 7, 1, rng) for s in range(500)]
-        reused.reset()
-        rng_replay = make_rng(6)
-        replay = [reused.is_lost(s % 7, 1, rng_replay) for s in range(500)]
-        assert replay == first
-        # Without the reset, the leaked channel state changes the run.
-        rng_leaky = make_rng(6)
-        leaky = [reused.is_lost(s % 7, 1, rng_leaky) for s in range(500)]
-        assert leaky != first
-
-    def test_base_model_reset_is_a_noop(self):
-        model = UniformLoss(0.3)
-        model.reset()
-        assert model.rate_for(0, 1) == 0.3
-
 
 class TestPartitionLoss:
     def test_cross_group_traffic_cut_while_split(self):
@@ -246,8 +206,6 @@ class TestPartitionLoss:
         assert "3 groups, split" in repr(model)
         model.heal()
         assert "healed" in repr(model)
-        model.reset()  # stateless: the cut is scenario state, not channel state
-        assert not model.active
 
 
 class TestPartitionTolerance:
