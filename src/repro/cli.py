@@ -76,6 +76,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _resolve_jobs(jobs: int) -> int:
     """``--jobs 0`` means "use the machine": one worker per CPU, capped."""
+    if jobs < 0:
+        raise ValueError(f"--jobs must be 0 or more, got {jobs}")
     if jobs > 0:
         return jobs
     from repro.runner import default_jobs
@@ -380,26 +382,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_checkpoint_gc(args: argparse.Namespace) -> int:
-    """Prune unresumable checkpoint entries; report reclaimed bytes."""
-    from repro.runner import gc_store
-
-    report = gc_store(
-        args.directory,
-        workers=args.worker or None,
-        dry_run=args.dry_run,
-    )
-    verb = "would reclaim" if args.dry_run else "reclaimed"
-    print(
-        f"checkpoint-gc {args.directory}: scanned={report.scanned} "
-        f"pruned={report.pruned} kept={report.kept} "
-        f"{verb} {report.reclaimed_bytes} bytes"
-    )
-    for reason in sorted(report.reasons):
-        print(f"  {reason}: {report.reasons[reason]}")
-    return 0
-
-
 def _cmd_size(args: argparse.Namespace) -> int:
     from repro.analysis.connectivity import min_d_low_for_connectivity
     from repro.core.thresholds import select_thresholds
@@ -595,29 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--trace", **trace_kwargs)
     cluster_parser.add_argument("--metrics-out", **metrics_out_kwargs)
     cluster_parser.set_defaults(func=_cmd_cluster)
-
-    gc_parser = sub.add_parser(
-        "checkpoint-gc",
-        help="prune checkpoint entries the current code cannot resume from",
-    )
-    gc_parser.add_argument(
-        "directory", help="checkpoint directory (--checkpoint-dir of past runs)"
-    )
-    gc_parser.add_argument(
-        "--worker",
-        action="append",
-        default=None,
-        metavar="TOKEN",
-        help="worker token to KEEP (repeatable); entries recorded under any "
-        "other token — or none — are pruned.  Tokens are module-qualified "
-        "names, e.g. repro.experiments.registry._spec_worker",
-    )
-    gc_parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report what would be pruned without deleting anything",
-    )
-    gc_parser.set_defaults(func=_cmd_checkpoint_gc)
 
     size_parser = sub.add_parser("size", help="apply the paper's sizing rules")
     size_parser.add_argument("--target-degree", type=int, default=30)

@@ -25,7 +25,9 @@ process); corrupt entries quarantined on first read and treated as misses
 
 ``REPRO_SOLVE_CACHE_DIR=<path>`` relocates the disk layer (default
 ``~/.cache/repro-gossip/degree-mc``); ``solve(cache=False)`` is the way to
-skip the cache for one solve.
+skip the cache for one solve.  Nothing maintains the directory: a stale
+entry is never read, since its key embeds the schema version, so
+deleting the directory is the only clean-up there is.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.obs import get_telemetry
-from repro.util.pickle_store import PickleFiles, clear_entries
+from repro.util.pickle_store import PickleFiles
 
 LOGGER = logging.getLogger("repro.markov.solve_cache")
 
@@ -89,11 +91,9 @@ class SolveCache:
             ``REPRO_SOLVE_CACHE_DIR`` falling back to the user cache dir,
             so tests and deployments can redirect it via the environment
             without touching code.
-        use_disk: set ``False`` for a memory-only cache.
     """
 
     directory: Optional[Path] = None
-    use_disk: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _memory: Dict[str, Any] = field(default_factory=dict)
     _files: PickleFiles = field(
@@ -131,15 +131,14 @@ class SolveCache:
                 tel.inc("solve_cache.memory_hits")
                 tel.event("solve_cache.hit", layer="memory")
             return self._memory[key]
-        if self.use_disk:
-            hit, result = self._files.read(self._path(key))
-            if hit:
-                self.stats.disk_hits += 1
-                self._memory[key] = result
-                if tel.active:
-                    tel.inc("solve_cache.disk_hits")
-                    tel.event("solve_cache.hit", layer="disk")
-                return result
+        hit, result = self._files.read(self._path(key))
+        if hit:
+            self.stats.disk_hits += 1
+            self._memory[key] = result
+            if tel.active:
+                tel.inc("solve_cache.disk_hits")
+                tel.event("solve_cache.hit", layer="disk")
+            return result
         self.stats.misses += 1
         if tel.active:
             tel.inc("solve_cache.misses")
@@ -154,15 +153,10 @@ class SolveCache:
         if tel.active:
             tel.inc("solve_cache.writes")
             tel.event("solve_cache.store")
-        if self.use_disk:
-            self._files.write(self._path(key), result)
+        self._files.write(self._path(key), result)
 
     def clear_memory(self) -> None:
         self._memory.clear()
-
-    def clear_disk(self) -> None:
-        """Delete every cache file in the resolved directory."""
-        clear_entries(self.resolve_directory())
 
 
 #: Process-wide default used by :meth:`DegreeMarkovChain.solve` when the

@@ -15,9 +15,9 @@ closes the gap:
   into its registry **in cell-index order**, so the aggregated metrics
   are deterministic at any ``jobs``.
 
-The wrapper advertises the wrapped worker's checkpoint token, so a sweep
-journaled without telemetry resumes under telemetry (and vice versa)
-with full cache hits.
+The runner keys checkpoints on the bare worker before it wraps one, so
+a sweep journaled without telemetry resumes under telemetry (and vice
+versa) with full cache hits.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ class MeteredWorker:
     """Picklable wrapper running a sweep worker under fresh telemetry."""
 
     def __init__(self, worker: Any):
-        from repro.runner.checkpoint import worker_token
-
         self.worker = worker
-        # Same journal identity as the bare worker: metering changes how a
-        # cell runs, never what it computes.
-        self.checkpoint_token = worker_token(worker)
 
     def __call__(self, cell: Any, context: Any) -> MeteredResult:
         registry = Registry()

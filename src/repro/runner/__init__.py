@@ -10,8 +10,8 @@
   cells re-run once, alone, and only one that crashes again fails.
 * :mod:`repro.runner.checkpoint` — :class:`CheckpointStore`: an opt-in
   atomic on-disk journal of completed cells, so interrupted sweeps
-  resume bit-identically (:func:`gc_store` prunes entries the current
-  code can no longer resume from).
+  resume bit-identically.  Entries are content-addressed, so nothing
+  maintains the directory: a stale entry is never read.
 
 Every registered experiment (see :mod:`repro.experiments.registry`)
 executes its point grid through this layer — ``registry.execute`` is
@@ -22,10 +22,7 @@ grid → :meth:`SweepRunner.run` → aggregate — so all of them accept a
 
 from repro.runner.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
-    CheckpointStats,
     CheckpointStore,
-    GCReport,
-    gc_store,
     worker_token,
 )
 from repro.runner.sweep import (
@@ -43,10 +40,8 @@ from repro.runner.sweep import (
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CellTimeout",
-    "CheckpointStats",
     "CheckpointStore",
     "FailureReport",
-    "GCReport",
     "GridCell",
     "PoolCrashError",
     "SweepError",
@@ -54,6 +49,5 @@ __all__ = [
     "SweepStats",
     "default_jobs",
     "derive_seeds",
-    "gc_store",
     "worker_token",
 ]

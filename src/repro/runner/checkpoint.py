@@ -22,12 +22,16 @@ sweep wants.
 
 A wrapper that merely perturbs or observes *execution* (not the computed
 value) can set a ``checkpoint_token`` attribute naming the worker it
-wraps; :func:`worker_token` honors it, which is what lets a sweep run
-under :class:`repro.obs.worker.MeteredWorker` — or interrupted under
-the tests' fault injector — resume with the plain worker.
+wraps; :func:`worker_token` honors it, which is what lets a sweep
+interrupted under the tests' fault injector resume with the plain
+worker.  (The sweep runner keys cells on the bare worker before it wraps
+one in :class:`repro.obs.worker.MeteredWorker`, so metering needs no
+token.)
 
-:func:`gc_store` (the ``repro checkpoint-gc`` command) prunes entries the
-current code can no longer resume from.
+Nothing maintains the directory: an entry is written once and read
+until the directory is deleted.  A stale entry is never read, because
+its key embeds the schema version and every input of the result, so
+there is nothing to prune and deleting the directory reclaims all of it.
 """
 
 from __future__ import annotations
@@ -36,20 +40,20 @@ import hashlib
 import json
 import logging
 import pickle
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Tuple, Union
 
 from repro.obs import get_telemetry
-from repro.util.pickle_store import QUARANTINE_DIR, PickleFiles, clear_entries
+from repro.util.pickle_store import PickleFiles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
     from repro.runner.sweep import GridCell
 
 LOGGER = logging.getLogger("repro.runner.checkpoint")
 
-#: Bump whenever the journal layout or keying semantics change: every key
-#: embeds this, so entries from older code can never be resumed from.
+#: Bump whenever the keying semantics change, or the entry layout in a way
+#: :meth:`CheckpointStore.load` cannot read: every key embeds this, so
+#: entries from older code can never be resumed from.
 CHECKPOINT_SCHEMA_VERSION = 1
 
 
@@ -83,15 +87,6 @@ def _describe(value: Any) -> str:
     return f"{value!r}#{digest}"
 
 
-@dataclass
-class CheckpointStats:
-    """Journal counters for one store instance."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-
-
 class CheckpointStore:
     """Disk journal of completed sweep cells, one pickle per cell.
 
@@ -101,7 +96,6 @@ class CheckpointStore:
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        self.stats = CheckpointStats()
         self._files = PickleFiles(
             LOGGER,
             "checkpoint",
@@ -135,144 +129,20 @@ class CheckpointStore:
         hit, result = self._files.read(
             self._path(key), lambda payload: payload["result"]
         )
-        if hit:
-            self.stats.hits += 1
-            get_telemetry().inc("checkpoint.hits")
-        else:
-            self.stats.misses += 1
-            get_telemetry().inc("checkpoint.misses")
+        get_telemetry().inc("checkpoint.hits" if hit else "checkpoint.misses")
         return hit, result
 
-    def store(
-        self,
-        key: str,
-        cell: "GridCell",
-        result: Any,
-        token: Optional[str] = None,
-    ) -> None:
+    def store(self, key: str, result: Any) -> None:
         """Atomically journal one completed cell's result.
 
-        ``token`` is the producing worker's :func:`worker_token`; it is
-        embedded in the payload (additively — absent in entries written
-        by older code) so :func:`gc_store` can prune entries belonging to
-        workers that no longer exist.
+        The entry is ``{"result": result}``, the one field :meth:`load`
+        reads; entries that carry more (older layouts) still load.
         """
-        payload = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "cell": {
-                "index": cell.index,
-                "point": cell.point,
-                "replication": cell.replication,
-                "seed": cell.seed,
-            },
-            "result": result,
-        }
-        if token is not None:
-            payload["worker"] = token
-        if self._files.write(self._path(key), payload):
-            self.stats.writes += 1
+        if self._files.write(self._path(key), {"result": result}):
             get_telemetry().inc("checkpoint.writes")
-
-    def clear(self) -> None:
-        """Delete every journal entry."""
-        clear_entries(self.directory)
 
     def __len__(self) -> int:
         if not self.directory.is_dir():
             return 0
         return sum(1 for _ in self.directory.glob("*.pkl"))
 
-
-# ---------------------------------------------------------------------
-# Garbage collection
-
-
-@dataclass
-class GCReport:
-    """What :func:`gc_store` found and (unless ``dry_run``) removed."""
-
-    scanned: int = 0
-    pruned: int = 0
-    kept: int = 0
-    reclaimed_bytes: int = 0
-    dry_run: bool = False
-    #: prune counts keyed by reason (``stale-schema``, ``unreadable``,
-    #: ``worker-mismatch``, ``orphan-tmp``, ``quarantined``).
-    reasons: Dict[str, int] = field(default_factory=dict)
-
-    def note(self, reason: str, size: int) -> None:
-        self.pruned += 1
-        self.reclaimed_bytes += size
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
-
-
-def gc_store(
-    directory: Union[str, Path],
-    *,
-    workers: Optional[Iterable[str]] = None,
-    dry_run: bool = False,
-) -> GCReport:
-    """Prune checkpoint entries the current code can no longer resume from.
-
-    Removes, reporting reclaimed bytes per category:
-
-    * journal entries (``*.pkl``) that are unreadable or whose embedded
-      schema version differs from :data:`CHECKPOINT_SCHEMA_VERSION`;
-    * journal entries whose ``worker`` token is not in ``workers`` (when
-      a filter is given; entries written before tokens were recorded
-      carry none and are pruned under a filter — conservative, since
-      their producing worker cannot be verified);
-    * orphaned ``*.tmp`` files from writers that died mid-write;
-    * everything under ``quarantine/`` (already judged corrupt).
-
-    Resumable entries are kept.  ``dry_run`` reports without deleting.
-    """
-    root = Path(directory)
-    report = GCReport(dry_run=dry_run)
-    if not root.is_dir():
-        return report
-    keep_workers = set(workers) if workers is not None else None
-
-    def _remove(path: Path, reason: str) -> None:
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        if not dry_run:
-            try:
-                path.unlink()
-            except OSError:
-                return
-        report.note(reason, size)
-        LOGGER.debug("checkpoint-gc: %s %s (%s)",
-                     "would prune" if dry_run else "pruned", path.name, reason)
-
-    for path in sorted(root.glob("*.pkl")):
-        report.scanned += 1
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            schema = payload["schema"]
-        except Exception:
-            _remove(path, "unreadable")
-            continue
-        if schema != CHECKPOINT_SCHEMA_VERSION:
-            _remove(path, "stale-schema")
-            continue
-        if keep_workers is not None and payload.get("worker") not in keep_workers:
-            _remove(path, "worker-mismatch")
-            continue
-        report.kept += 1
-
-    for path in sorted(root.glob("*.tmp")):
-        report.scanned += 1
-        _remove(path, "orphan-tmp")
-
-    aside = root / QUARANTINE_DIR
-    if aside.is_dir():
-        for path in sorted(aside.iterdir()):
-            if path.is_file():
-                report.scanned += 1
-                _remove(path, "quarantined")
-
-    return report

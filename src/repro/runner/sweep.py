@@ -46,6 +46,7 @@ callables), as must their arguments.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from collections import deque
@@ -67,7 +68,7 @@ import numpy as np
 from repro.obs import get_telemetry
 from repro.obs.profile import phase
 from repro.obs.worker import MeteredResult, MeteredWorker
-from repro.runner.checkpoint import CheckpointStore, worker_token
+from repro.runner.checkpoint import CheckpointStore
 
 __all__ = [
     "GridCell",
@@ -239,10 +240,11 @@ class SweepRunner:
             :class:`FailureReport` and leaves ``None`` in that cell's
             slot.  A cell runs once, bar one solo re-run after a worker
             process died while it was in flight.
-        cell_timeout: wall-clock budget per cell execution, in seconds.
-            Enforced only on the process executor (killing the pool kills
-            a hung worker; the cell fails per ``on_error``); the others
-            ignore it with a warning, as nothing can preempt the call.
+        cell_timeout: wall-clock budget per cell execution, a finite
+            positive number of seconds.  Enforced only on the process
+            executor (killing the pool kills a hung worker; the cell fails
+            per ``on_error``); the others ignore it with a warning, as
+            nothing can preempt the call.
         checkpoint: optional :class:`repro.runner.CheckpointStore`; every
             completed cell is journaled and journaled cells are loaded
             instead of executed on re-runs.
@@ -273,8 +275,13 @@ class SweepRunner:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
             )
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+        if cell_timeout is not None and not (
+            math.isfinite(cell_timeout) and cell_timeout > 0
+        ):
+            raise ValueError(
+                f"cell_timeout must be a finite positive number of seconds, "
+                f"got {cell_timeout}"
+            )
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
@@ -294,7 +301,6 @@ class SweepRunner:
         # the parent registry in index order at the end of run() so the
         # aggregate is deterministic at any jobs count.
         self._worker_metrics: Dict[int, Dict[str, Any]] = {}
-        self._worker_token: Optional[str] = None
 
     def close(self) -> None:
         """Shut the executor down and wait for its workers to exit.
@@ -487,7 +493,6 @@ class SweepRunner:
         """Load journaled cells; return the cells that still need running."""
         if self.checkpoint is None:
             return list(cells)
-        self._worker_token = worker_token(worker)
         tel = get_telemetry()
         to_run: List[GridCell] = []
         for cell in cells:
@@ -626,9 +631,7 @@ class SweepRunner:
         results[cell.index] = result
         self.last_stats.completed += 1
         if self.checkpoint is not None:
-            self.checkpoint.store(
-                keys[cell.index], cell, result, token=self._worker_token
-            )
+            self.checkpoint.store(keys[cell.index], result)
         self._emit_cell_end(cell, "ok", time.monotonic() - started)
 
     @staticmethod

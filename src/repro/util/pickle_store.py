@@ -7,13 +7,20 @@ directories; :class:`PickleFiles` is the one place their discipline lives:
 * a write goes through a temporary file in the same directory and
   :func:`os.replace` (atomic on POSIX and Windows): a crash mid-write
   leaves no half-written entry and concurrent writers race harmlessly.  A
-  failed write is logged and reported, never raised — losing the journal
-  must not lose the computation;
+  failed write — an unwritable directory or a payload that does not
+  pickle — is logged and reported, never raised: losing the journal must
+  not lose the computation;
 * an absent or unreadable file is a miss and is left in place; bytes that
   do not unpickle into one of our entries are moved into ``quarantine/``
   for post-mortem, so they cost one recomputation, not one per read;
 * the first trouble of each kind is logged at WARNING, the rest at DEBUG —
   a whole grid hitting the same unwritable directory says so once.
+
+That is the whole policy: keys embed a schema version and every input
+of the value, so a stale entry is never read and there is nothing to
+prune.  Deleting the directory reclaims it; orphan ``*.tmp`` files (a
+writer killed mid-write) and ``quarantine/`` are safe to delete at any
+time.
 
 These are pickles this library itself produced — private scratch space,
 not an interchange format; do not point either store at untrusted data.
@@ -32,16 +39,6 @@ from repro.obs import get_telemetry
 
 #: Name of the subdirectory corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
-
-
-def clear_entries(directory: Path) -> None:
-    """Delete every ``*.pkl`` entry in ``directory`` (quarantine stays)."""
-    if directory.is_dir():
-        for entry in directory.glob("*.pkl"):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
 
 
 class PickleFiles:
@@ -75,6 +72,12 @@ class PickleFiles:
             self._log_once(
                 "write", "%s write to %s failed (errno %s: %s); %s",
                 self._store, path.parent, exc.errno, exc.strerror, self._unwritten,
+            )
+            return False
+        except Exception as exc:  # whatever pickling the payload can raise
+            self._log_once(
+                "pickle", "%s entry %s does not pickle (%r); %s",
+                self._store, path.name, exc, self._unwritten,
             )
             return False
         return True

@@ -240,6 +240,9 @@ class TestCommands:
             ["cluster", "--failure-detection", "--suspect-after", "nan"],
             ["cluster", "--failure-detection", "--fail-after", "inf"],
             ["run", "fig-6.2", "--cell-timeout", "0"],
+            ["run", "table-6.3", "--fast", "--cell-timeout", "inf", "--jobs", "2"],
+            ["run", "table-6.3", "--fast", "--cell-timeout", "nan", "--jobs", "2"],
+            ["report", "--fast", "--jobs", "-5", "table-6.3"],
             ["report", "--fast", "--output", "", "fig-6.2"],
         ],
         ids=lambda argv: " ".join(argv),
@@ -266,6 +269,14 @@ class TestCommands:
             main([command, "fig-6.2", "--fast", "--executor", "inline"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --executor" in capsys.readouterr().err
+
+    def test_no_subcommand_maintains_a_store(self, capsys):
+        """Journal and solve-cache entries are content-addressed, so there
+        is nothing to prune: the subcommands are the six below."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{list,run,simulate,report,cluster,size}" in capsys.readouterr().out
 
     def test_partition_groups_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -22,8 +22,7 @@ from repro.obs import (
 )
 from repro.obs.profile import phase
 from repro.obs.worker import MeteredResult, MeteredWorker
-from repro.runner import GridCell, SweepRunner
-from repro.runner.checkpoint import worker_token
+from repro.runner import CheckpointStore, GridCell, SweepRunner
 
 
 # Workers must be module-level so jobs > 1 can pickle them.
@@ -159,8 +158,16 @@ class TestMeteredWorker:
         assert result.metrics["counters"]["test.squares"] == 1
         assert result.metrics["timers"]["phase.cell_run"]["count"] == 1
 
-    def test_checkpoint_token_matches_bare_worker(self):
-        assert MeteredWorker(_square).checkpoint_token == worker_token(_square)
+    def test_metered_journal_resumes_bare_and_back(self, tmp_path):
+        """The runner keys a cell on the bare worker before it wraps it in
+        a :class:`MeteredWorker`, so metering never moves a checkpoint."""
+        journal = tmp_path / "journal"
+        with activated(Telemetry(Registry())):
+            with SweepRunner(jobs=2, checkpoint=CheckpointStore(journal)) as runner:
+                metered = runner.run(_square, [1, 2, 3], seed=1)
+        with SweepRunner(jobs=2, checkpoint=CheckpointStore(journal)) as runner:
+            assert runner.run(_square, [1, 2, 3], seed=1) == metered
+            assert runner.last_stats.resumed == 3
 
     def test_does_not_leak_telemetry(self):
         MeteredWorker(_square)(GridCell(0, 2, 0, None), None)

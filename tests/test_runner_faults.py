@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 import repro.runner.sweep as sweep_module
 
+from repro.obs import Registry, Telemetry, activated
 from repro.runner import (
     CellTimeout,
     CheckpointStore,
@@ -60,6 +61,11 @@ EXECUTORS = ["inline", "thread", "process"]
 def _pure(cell: GridCell, context):
     """The reference pure worker: result depends only on the cell."""
     return (cell.index, cell.point, cell.replication, cell.seed)
+
+
+def _returns_closure(cell: GridCell, context):
+    """A result no pickler takes: a local function."""
+    return lambda: cell.point
 
 
 def _slow_when_negative(cell: GridCell, context):
@@ -353,6 +359,15 @@ class TestPoolRecovery:
             runner.run(_slow_when_negative, [1, -2, 3])
         assert isinstance(info.value.cause, CellTimeout)
 
+    @pytest.mark.parametrize(
+        "seconds", [0, -1.0, float("inf"), -float("inf"), float("nan")]
+    )
+    def test_timeout_must_be_finite_and_positive(self, seconds):
+        """``inf`` would overflow ``wait`` mid-sweep and ``nan`` would mean
+        no deadline at all, so both fail at construction."""
+        with pytest.raises(ValueError, match="finite positive"):
+            SweepRunner(jobs=JOBS, cell_timeout=seconds)
+
     def test_inline_timeout_ignored_with_warning(self, caplog):
         runner = SweepRunner(jobs=1, cell_timeout=0.5)
         with caplog.at_level(logging.WARNING, logger="repro.runner"):
@@ -374,11 +389,14 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         cell = self._cell()
         key = store.cell_key(_pure, cell, None)
-        assert store.load(key) == (False, None)
-        store.store(key, cell, {"value": 42})
-        assert store.load(key) == (True, {"value": 42})
+        registry = Registry()
+        with activated(Telemetry(registry)):
+            assert store.load(key) == (False, None)
+            store.store(key, {"value": 42})
+            assert store.load(key) == (True, {"value": 42})
         assert len(store) == 1
-        assert store.stats.writes == 1 and store.stats.hits == 1
+        assert [registry.counter(f"checkpoint.{name}")
+                for name in ("misses", "writes", "hits")] == [1, 1, 1]
 
     def test_key_sensitivity(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -396,14 +414,14 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         cell = self._cell()
         key = store.cell_key(_pure, cell, None)
-        store.store(key, cell, None)
+        store.store(key, None)
         assert store.load(key) == (True, None)
 
     def test_corrupt_entry_quarantined(self, tmp_path, caplog):
         store = CheckpointStore(tmp_path)
         cell = self._cell()
         key = store.cell_key(_pure, cell, None)
-        store.store(key, cell, 1)
+        store.store(key, 1)
         (tmp_path / f"{key}.pkl").write_bytes(b"garbage")
         fresh = CheckpointStore(tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.runner.checkpoint"):
@@ -411,13 +429,30 @@ class TestCheckpointStore:
         assert not (tmp_path / f"{key}.pkl").exists()
         assert any("quarantined" in r.message for r in caplog.records)
 
-    def test_clear(self, tmp_path):
+    def test_len_counts_entries_only(self, tmp_path):
+        """Orphan temp files and quarantined entries are never read, so
+        they are not entries."""
         store = CheckpointStore(tmp_path)
-        cell = self._cell()
-        store.store(store.cell_key(_pure, cell, None), cell, 1)
-        assert len(store) == 1
-        store.clear()
         assert len(store) == 0
+        store.store("a", 1)
+        store.store("b", 2)
+        (tmp_path / "c.pkl").write_bytes(b"garbage")
+        (tmp_path / "orphan.tmp").write_bytes(b"half-written")
+        assert len(store) == 3
+        assert store.load("c") == (False, None)  # quarantined
+        assert len(store) == 2
+
+    def test_result_that_does_not_pickle_is_not_journaled(self, tmp_path, caplog):
+        """A journal that cannot take a result costs the resume, not the
+        sweep: the inline run returns its results and logs once."""
+        store = CheckpointStore(tmp_path)
+        with caplog.at_level(logging.DEBUG, logger="repro.runner.checkpoint"):
+            out = SweepRunner(jobs=1, checkpoint=store).run(_returns_closure, [1, 2])
+        assert [make() for make in out] == [1, 2]
+        assert len(store) == 0
+        assert list(tmp_path.iterdir()) == []
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "does not pickle" in warnings[0].getMessage()
 
     def test_resume_skips_journaled_cells(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -451,10 +486,12 @@ class TestCheckpointStore:
         blocker = tmp_path / "a-regular-file"
         blocker.write_text("not a directory")
         store = CheckpointStore(blocker / "ckpt")
-        with caplog.at_level(logging.DEBUG, logger="repro.runner.checkpoint"):
+        registry = Registry()
+        with caplog.at_level(logging.DEBUG, logger="repro.runner.checkpoint"), \
+                activated(Telemetry(registry)):
             out = SweepRunner(checkpoint=store).run(_pure, [1, 2, 3], seed=8)
         assert out == SweepRunner().run(_pure, [1, 2, 3], seed=8)
-        assert store.stats.writes == 0
+        assert registry.counter("checkpoint.writes") == 0
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert str(blocker / "ckpt") in warnings[0].getMessage()

@@ -75,11 +75,19 @@ class TestSolveCacheLayers:
         assert cache.stats.misses == 1
         assert cache.stats.hits() == 0
 
-    def test_memory_only_mode_writes_no_files(self, tmp_path):
-        cache = SolveCache(directory=tmp_path, use_disk=False)
-        cache.put("k", 42)
+    def test_value_that_does_not_pickle_stays_in_memory(self, tmp_path, caplog):
+        """A put the disk cannot take is logged once, never raised, and
+        leaves no file behind; the memory layer still serves it."""
+        cache = SolveCache(directory=tmp_path)
+        value = lambda: 42  # noqa: E731 - a local function does not pickle
+        with caplog.at_level(logging.DEBUG, logger="repro.markov.solve_cache"):
+            cache.put("k", value)
+            cache.put("j", value)
+        assert cache.get("k") is value
         assert list(tmp_path.iterdir()) == []
-        assert cache.get("k") == 42
+        assert SolveCache(directory=tmp_path).get("k") is None
+        assert [r.levelname for r in caplog.records] == ["WARNING", "DEBUG"]
+        assert "does not pickle" in caplog.records[0].getMessage()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = SolveCache(directory=tmp_path)
@@ -148,14 +156,12 @@ class TestSolveCacheLayers:
         assert list(tmp_path.glob("*.tmp")) == []
         assert len(list(tmp_path.glob("*.pkl"))) == 5
 
-    def test_clear_disk_and_memory(self, tmp_path):
+    def test_clear_memory_falls_back_to_disk(self, tmp_path):
         cache = SolveCache(directory=tmp_path)
         cache.put("k", 1)
-        cache.clear_disk()
-        assert list(tmp_path.glob("*.pkl")) == []
-        assert cache.get("k") == 1  # memory layer survives clear_disk
         cache.clear_memory()
-        assert cache.get("k") is None
+        assert cache.get("k") == 1
+        assert (cache.stats.memory_hits, cache.stats.disk_hits) == (0, 1)
 
 
 class TestConfiguration:
