@@ -346,8 +346,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     """Boot a localhost UDP cluster and print (and check) its report.
 
     Exit status 1 means the run was not clean — a view broke the
-    Observation 5.1 degree bounds or a node task raised — which is what
-    the CI ``cluster-smoke`` job keys on.
+    Observation 5.1 degree bounds, a node task raised, or (with
+    ``--failure-detection``) a killed node was missed or a live one
+    falsely declared FAILED — which is what the CI ``cluster-smoke`` job
+    keys on.  Each cause prints one stderr line per offender.
     """
     from repro.runtime import ClusterConfig, run_cluster
 
@@ -378,6 +380,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             print(f"DEGREE VIOLATION: {violation}", file=sys.stderr)
         for error in report.errors:
             print(f"NODE ERROR: {error}", file=sys.stderr)
+        for victim in report.fd_missed:
+            print(f"DETECTION: missed node {victim} (killed, not FAILED by a "
+                  f"survivor quorum)", file=sys.stderr)
+        for node in report.fd_false_positives:
+            print(f"DETECTION: false positive node {node} (live, FAILED by a "
+                  f"quorum of its peers)", file=sys.stderr)
         return 1
     return 0
 
@@ -553,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_parser.add_argument(
         "--kill-wave", type=int, default=0, metavar="K",
-        help="kill K random nodes for good at the 1/3 mark (the "
-        "failure-detection scenario: survivors must declare them FAILED)",
+        help="kill K random nodes (at most n - 3) for good at the 1/3 mark "
+        "(the failure-detection scenario: survivors must declare them FAILED)",
     )
     cluster_parser.add_argument(
         "--failure-detection", action="store_true",

@@ -1,11 +1,10 @@
-"""SWIM-style failure detection layered on S&F gossip traffic.
+"""SWIM-style failure detection on S&F traffic, for the live UDP cluster.
 
 :mod:`repro.failure.detector` is the per-node state machine
 (``ALIVE → SUSPECTED → FAILED``, incarnation refutation, heartbeat
-freshness, piggyback queue); :mod:`repro.failure.layer` plugs one
-detector per node into any :class:`~repro.protocols.base.GossipProtocol`
-on the step/effect seam, and :mod:`repro.runtime.cluster` wires the
-same detector into the live UDP nodes.  See ``docs/failure_detection.md``.
+freshness, piggyback queue); :mod:`repro.runtime.cluster` runs one
+detector in each live UDP node when ``ClusterConfig.failure_detection``
+is set.  See ``docs/failure_detection.md``.
 """
 
 from repro.failure.detector import (
@@ -17,7 +16,6 @@ from repro.failure.detector import (
     PeerRecord,
     PeerState,
 )
-from repro.failure.layer import FailureDetectorLayer
 
 __all__ = [
     "FD_EXT_KEY",
@@ -27,5 +25,4 @@ __all__ = [
     "LivenessUpdate",
     "PeerRecord",
     "PeerState",
-    "FailureDetectorLayer",
 ]

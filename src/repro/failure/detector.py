@@ -30,11 +30,8 @@ per-node :class:`FailureDetector` that
 The detector is **deterministic and RNG-free**: it never draws
 randomness (piggyback selection is a fixed priority order) and it keeps
 no wall-clock state of its own — every mutating entry point takes the
-caller's notion of ``now`` (local periods in the simulation, seconds in
-the UDP runtime).  Two detectors fed the same event sequence are
-bit-identical, which is what lets the simulation layer
-(:mod:`repro.failure.layer`) run under seeded engines without perturbing
-a single RNG draw.
+caller's notion of ``now`` (seconds in the UDP runtime).  Two detectors
+fed the same event sequence are bit-identical.
 
 State-machine guarantees (property-tested in
 ``tests/test_failure_detector.py``):

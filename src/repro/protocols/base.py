@@ -180,9 +180,7 @@ class GossipProtocol(Population):
     the scheduler's ``r``-th node is the ``r``-th live id in it.  The
     engine drives protocols via :meth:`initiate_effects` and
     :meth:`deliver_effects` and observes state via ``view_of`` and
-    ``export_graph``.  The failure-detection wrapper keeps no table or
-    counters of its own and delegates the population accessors, ``stats``
-    and ``params`` to the protocol it wraps.
+    ``export_graph``.
     """
 
     def __init__(self) -> None:

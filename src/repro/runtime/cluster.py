@@ -45,11 +45,10 @@ import numpy as np
 from repro.core.params import SFParams
 from repro.core.sandf import KIND_SANDF, SendForget
 from repro.failure import FD_EXT_KEY, DetectorConfig, FailureDetector, PeerState
-from repro.failure.layer import outbound as fd_outbound
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, WireRecord
 from repro.obs import get_telemetry
-from repro.protocols.base import Message, SendEffect
+from repro.protocols.base import Message, ProtocolStats, SendEffect
 from repro.util.rng import BlockDraws, SeedLike, make_rng
 from repro.util.tables import format_table
 
@@ -59,6 +58,28 @@ NodeId = int
 #: detectors call it FAILED (and a live node as a false positive, same
 #: threshold).
 FD_QUORUM = 0.5
+
+
+def outbound(
+    detector: FailureDetector, effect: SendEffect, stats: ProtocolStats
+) -> bool:
+    """A node's send step under failure detection: may ``effect`` go out?
+
+    A send to a peer ``detector`` has declared ``FAILED`` is suppressed
+    (counted in ``stats.extra["fd_suppressed"]``, returns False); any
+    other send gets the pending liveness rumors piggybacked under
+    :data:`FD_EXT_KEY`, beside whatever else ``message.ext`` holds.
+    """
+    message = effect.message
+    if detector.state_of(message.target) is PeerState.FAILED:
+        stats.extra["fd_suppressed"] = stats.extra.get("fd_suppressed", 0) + 1
+        return False
+    blob = detector.wire_extension()
+    if blob is not None:
+        ext = dict(message.ext) if message.ext else {}
+        ext[FD_EXT_KEY] = blob
+        message.ext = ext
+    return True
 
 
 @dataclass
@@ -115,8 +136,11 @@ class ClusterConfig:
             raise ValueError(
                 f"kill_restart must be nonnegative, got {self.kill_restart}"
             )
-        if self.kill_wave < 0:
-            raise ValueError(f"kill_wave must be nonnegative, got {self.kill_wave}")
+        if not 0 <= self.kill_wave <= self.n - 3:
+            raise ValueError(
+                f"kill_wave must be in [0, n - 3] = [0, {self.n - 3}] so that 3 "
+                f"nodes survive, got {self.kill_wave}"
+            )
         if self.failure_detection:
             self.detector_config()
 
@@ -236,7 +260,7 @@ class ClusterNode:
         view invariants hold while traffic to the dead stops.
         """
         for effect in effects:
-            if self.detector is None or fd_outbound(
+            if self.detector is None or outbound(
                 self.detector, effect, self.protocol.stats
             ):
                 self.transport.send(effect, self.rng)
@@ -683,12 +707,6 @@ class LocalCluster:
                 false_positives.append(node.node_id)
         return detected, missed, sorted(false_positives)
 
-    def _suppressed_sends(self) -> int:
-        total = self._grave_suppressed
-        for node in self.nodes.values():
-            total += node.protocol.stats.extra.get("fd_suppressed", 0)
-        return total
-
     def publish_metrics(self, report: ClusterReport, latency_s: np.ndarray) -> None:
         """Stream run totals into the process telemetry (``cluster.*``)."""
         tel = get_telemetry()
@@ -732,9 +750,10 @@ class LocalCluster:
 
     def report(self, publish: bool = True) -> ClusterReport:
         totals = Counter(self._grave_transport)
-        actions = self._grave_actions
+        actions, suppressed = self._grave_actions, self._grave_suppressed
         for node in self.nodes.values():
             actions += node.protocol.stats.actions
+            suppressed += node.protocol.stats.extra.get("fd_suppressed", 0)
             if node.transport is not None:
                 _tally(totals, node.transport)
         # One concatenation, sorted in place: every percentile and the
@@ -772,7 +791,7 @@ class LocalCluster:
             fd_detected=detected,
             fd_missed=missed,
             fd_false_positives=false_positives,
-            fd_suppressed=self._suppressed_sends(),
+            fd_suppressed=suppressed,
         )
         if publish:
             self.publish_metrics(report, latency)
@@ -795,8 +814,7 @@ class LocalCluster:
         await asyncio.sleep(third)
         if cfg.kill_wave > 0:
             live = [n.node_id for n in self.live_nodes()]
-            count = min(cfg.kill_wave, max(0, len(live) - 3))
-            picks = self.rng.choice(len(live), size=count, replace=False)
+            picks = self.rng.choice(len(live), size=cfg.kill_wave, replace=False)
             for index in picks:
                 await self.kill(live[int(index)])
         for _ in range(cfg.kill_restart):

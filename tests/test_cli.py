@@ -231,6 +231,9 @@ class TestCommands:
             ["cluster", "--failure-detection", "--suspect-after", "0"],
             ["cluster", "--rate", "0"],
             ["cluster", "--kill-wave", "-1"],
+            ["cluster", "--kill-wave", "48"],
+            ["cluster", "--n", "5", "--kill-wave", "3"],
+            ["cluster", "--n", "3", "--kill-wave", "1"],
             ["cluster", "--kill-restart", "-2"],
             ["cluster", "--duration", "-1"],
             ["cluster", "--duration", "inf"],
@@ -260,6 +263,40 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro {argv[0]}: error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "missed, false_positives",
+        [([], []), ([4], []), ([], [9]), ([4, 17], [9])],
+        ids=["clean", "missed", "false-positive", "both"],
+    )
+    def test_cluster_names_every_detection_error_on_stderr(
+        self, missed, false_positives, capsys, monkeypatch
+    ):
+        """A wrong verdict fails the run (status 1) with one stderr line
+        per offender, never with an empty stderr."""
+        from repro.runtime import ClusterReport
+
+        def verdict(config):
+            return ClusterReport(
+                n=config.n, live_nodes=config.n - 2, duration_s=0.0,
+                drop_rate=0.0, actions=0, datagrams_sent=0,
+                datagrams_received=0, datagrams_dropped=0,
+                datagrams_filtered=0, decode_errors=0, unroutable=0,
+                restarts=0, degree_counts={}, degree_violations=[],
+                errors=[], fd_enabled=True, killed_nodes=[4, 17],
+                fd_detected=[v for v in (4, 17) if v not in missed],
+                fd_missed=missed, fd_false_positives=false_positives,
+            )
+
+        monkeypatch.setattr(repro.runtime, "run_cluster", verdict)
+        code = main(["cluster", "--n", "20", "--kill-wave", "2",
+                     "--failure-detection"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == (1 if missed or false_positives else 0)
+        assert [line.split(" (")[0] for line in err] == [
+            *(f"DETECTION: missed node {v}" for v in missed),
+            *(f"DETECTION: false positive node {v}" for v in false_positives),
+        ]
 
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_executor_flag_is_gone(self, command, capsys):

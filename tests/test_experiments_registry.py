@@ -151,7 +151,7 @@ class TestRegistryShape:
     def test_every_experiment_module_registers(self):
         registered = {spec.module for spec in ALL_SPECS}
         assert registered == set(DISCOVERED_MODULES)
-        assert len(DISCOVERED_MODULES) == 21
+        assert len(DISCOVERED_MODULES) == 20
 
     def test_dropped_in_module_is_discovered(self, tmp_path, monkeypatch):
         """New experiment: one file — nothing in ``registry.py`` lists it."""
@@ -372,7 +372,7 @@ def _failing_on(spec, doomed):
 
 
 class TestSkippedCells:
-    """One rule for all 21 specs, applied in ``registry.execute``: a cell
+    """One rule for all 20 specs, applied in ``registry.execute``: a cell
     without a record is dropped with its point, and a sweep in which no
     cell survives raises instead of reporting an empty table."""
 

@@ -374,7 +374,7 @@ def test_hostile_extension_never_raises_nor_touches_what_it_cannot_parse(blob, k
     for update in known:
         detector.absorb(update, now=0.0)
     # Through the wire wherever the envelope check admits the blob; the
-    # in-process layer hands the detector the sender's object unchecked.
+    # rest goes in raw: absorb_extension must fail closed on any object.
     datagram = ext_message(json.dumps({FD_EXT_KEY: blob}).encode("utf-8"))
     try:
         received = decode(datagram).ext[FD_EXT_KEY]

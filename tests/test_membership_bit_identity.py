@@ -3,8 +3,8 @@
 The scheduler picks ``members[rng.integers(n)]``; any change to the
 order of that sequence, to when the population is read, or to the RNG
 draw order moves every later pick.  The legacy-run tests cover no
-churned run and no wrapper, so each protocol class and each wrapper is
-pinned here under ``ChurnProcess(join=2, leave=2)`` per-round hooks:
+churned run, so each protocol class is pinned here under
+``ChurnProcess(join=2, leave=2)`` per-round hooks:
 SHA-256 over the views in canonical node order, over the per-node
 transport load, and the full ``EngineStats``.
 
@@ -28,7 +28,6 @@ from repro.churn.process import ChurnProcess
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.sequential import SequentialEngine
-from repro.failure.layer import FailureDetectorLayer
 from repro.net.loss import UniformLoss
 from repro.protocols.base import GossipProtocol
 from repro.protocols.push import PushProtocol
@@ -47,7 +46,6 @@ CASES: Dict[str, Callable[[], GossipProtocol]] = {
     "push": lambda: PushProtocol(view_size=8),
     "pushpull": lambda: PushPullProtocol(view_size=8),
     "shuffle": lambda: ShuffleProtocol(view_size=8),
-    "failure-detector-layer": lambda: FailureDetectorLayer(SendForget(PARAMS)),
 }
 
 

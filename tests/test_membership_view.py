@@ -6,15 +6,10 @@ Two properties, neither measured with a clock:
   calls ``node_ids()``; the number of calls across a run is bounded by
   the number of joins and leaves, not by the number of actions;
 * **staleness** — under arbitrary interleavings of joins, leaves and
-  engine steps, through a wrapper or directly on the protocol behind
-  it, ``members`` equals ``tuple(node_ids())`` (dict insertion order),
+  engine steps, made on the protocol or through the DES engine,
+  ``members`` equals ``tuple(node_ids())`` (dict insertion order),
   ``population`` its length, and ``has_node`` agrees — for every
-  protocol class, bare and under each wrapper.
-
-The same state machines hold the wrappers to the rest of what "drop-in"
-means: a wrapper's ``stats`` *is* the wrapped protocol's (so ``warm_up``
-resets the counters that count), and its ``params`` are the wrapped
-protocol's (so a default-sized ``ChurnProcess`` join brings ``dL`` ids).
+  protocol class.
 """
 
 from __future__ import annotations
@@ -29,8 +24,7 @@ from repro.core.params import SFParams
 from repro.core.sandf import SendForget
 from repro.engine.des import DiscreteEventEngine
 from repro.engine.sequential import SequentialEngine
-from repro.experiments.common import build_sf_system, warm_up
-from repro.failure.layer import FailureDetectorLayer
+from repro.experiments.common import build_sf_system
 from repro.net.loss import UniformLoss
 from repro.protocols.push import PushProtocol
 from repro.protocols.pushpull import PushPullProtocol
@@ -85,8 +79,8 @@ def test_churn_still_drives_a_kernel_backend():
 # Staleness
 # ----------------------------------------------------------------------
 
-# dL above ChurnProcess's fallback bootstrap size of 2, so a wrapper that
-# hides ``params`` from it cannot join anyone.
+# dL above ChurnProcess's fallback bootstrap size of 2, so a join sized
+# from ``params`` is told apart from the fallback.
 JOIN_PARAMS = SFParams(view_size=12, d_low=6)
 PROTOCOLS = {
     "sandf": lambda: SendForget(JOIN_PARAMS),
@@ -94,23 +88,17 @@ PROTOCOLS = {
     "pushpull": lambda: PushPullProtocol(view_size=6),
     "shuffle": lambda: ShuffleProtocol(view_size=6),
 }
-WRAPPERS = {
-    "bare": lambda inner: inner,
-    "failure_detector": FailureDetectorLayer,
-}
 SEED_NODES = 4
 
 
 class MembershipMachine(RuleBasedStateMachine):
     """Joins, leaves and engine steps against a model of the node order."""
 
-    make_inner = None
-    wrap = None
+    make_protocol = None
 
     def __init__(self):
         super().__init__()
-        self.inner = self.make_inner()
-        self.protocol = self.wrap(self.inner)
+        self.protocol = self.make_protocol()
         self.model = []  # expected canonical order: insertion, minus leavers
         self.departed = []
         self.next_id = 0
@@ -128,24 +116,24 @@ class MembershipMachine(RuleBasedStateMachine):
         self.next_id = max(self.next_id, node_id + 1)
 
     def _target(self, via):
-        return {"wrapper": self.protocol, "inner": self.inner, "des": self.des}[via]
+        return {"protocol": self.protocol, "des": self.des}[via]
 
-    @rule(via=st.sampled_from(["wrapper", "inner", "des"]))
+    @rule(via=st.sampled_from(["protocol", "des"]))
     def join_fresh(self, via):
         self._join(self._target(via), self.next_id)
 
     @precondition(lambda self: self.departed)
-    @rule(via=st.sampled_from(["wrapper", "inner", "des"]), pick=st.integers(0))
+    @rule(via=st.sampled_from(["protocol", "des"]), pick=st.integers(0))
     def rejoin_departed(self, via, pick):
         """A returning id re-enters at the *end* of the canonical order."""
         node_id = self.departed.pop(pick % len(self.departed))
         self._join(self._target(via), node_id)
 
     @precondition(lambda self: self.model)
-    @rule(via=st.sampled_from(["wrapper", "inner"]), pick=st.integers(0))
-    def leave(self, via, pick):
+    @rule(pick=st.integers(0))
+    def leave(self, pick):
         node_id = self.model.pop(pick % len(self.model))
-        self._target(via).remove_node(node_id)
+        self.protocol.remove_node(node_id)
         self.departed.append(node_id)
 
     @precondition(lambda self: self.model)
@@ -163,13 +151,6 @@ class MembershipMachine(RuleBasedStateMachine):
     def step(self):
         self.engine.step()
 
-    @precondition(lambda self: self.model)
-    @rule()
-    def warm_up_resets_the_counters(self):
-        self.engine.step()
-        warm_up(self.engine, 0.5)
-        assert self.inner.stats.actions == 0
-
     @rule(count=st.integers(1, 5))
     def run_des_events(self, count):
         self.des.run_events(count)
@@ -178,28 +159,22 @@ class MembershipMachine(RuleBasedStateMachine):
     def view_is_never_stale(self):
         ids = self.protocol.node_ids()
         assert ids == self.model
-        for protocol in (self.protocol, self.inner):
-            assert protocol.members == tuple(ids)
-            assert protocol.population == len(ids)
-            for node_id in range(self.next_id):
-                assert protocol.has_node(node_id) == (node_id in ids)
-
-    @invariant()
-    def wrapper_shares_the_counters(self):
-        assert self.protocol.stats is self.inner.stats
+        assert self.protocol.members == tuple(ids)
+        assert self.protocol.population == len(ids)
+        for node_id in range(self.next_id):
+            assert self.protocol.has_node(node_id) == (node_id in ids)
 
     def teardown(self):
         self.engine.stats.check_conservation()
 
 
-for _protocol_name, _make_inner in PROTOCOLS.items():
-    for _wrapper_name, _wrap in WRAPPERS.items():
-        _machine = type(
-            f"{_protocol_name}_{_wrapper_name}",
-            (MembershipMachine,),
-            {"make_inner": staticmethod(_make_inner), "wrap": staticmethod(_wrap)},
-        )
-        _machine.TestCase.settings = settings(
-            max_examples=20, stateful_step_count=25, deadline=None
-        )
-        globals()[f"TestMembership_{_protocol_name}_{_wrapper_name}"] = _machine.TestCase
+for _protocol_name, _make_protocol in PROTOCOLS.items():
+    _machine = type(
+        _protocol_name,
+        (MembershipMachine,),
+        {"make_protocol": staticmethod(_make_protocol)},
+    )
+    _machine.TestCase.settings = settings(
+        max_examples=20, stateful_step_count=25, deadline=None
+    )
+    globals()[f"TestMembership_{_protocol_name}"] = _machine.TestCase

@@ -7,15 +7,25 @@ steady-state statistics — the §6.2 comparison lives in the paper tier.
 
 import asyncio
 import socket
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.core.sandf import SendForget
+from repro.failure import (
+    FD_EXT_KEY,
+    FD_WIRE_VERSION,
+    FailureDetector,
+    LivenessUpdate,
+    PeerState,
+)
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, encode
-from repro.protocols.base import Message, SendEffect
-from repro.runtime.cluster import ClusterConfig, LocalCluster, run_cluster
+from repro.protocols.base import Message, ProtocolStats, SendEffect
+from repro.runtime.cluster import (
+    ClusterConfig, ClusterNode, LocalCluster, outbound, run_cluster,
+)
 
 from test_net_wire import HOSTILE, V1_DATAGRAMS, ext_message
 
@@ -46,6 +56,22 @@ class TestConfig:
     def test_partition_knob_is_gone(self):
         with pytest.raises(TypeError, match="partition_groups"):
             tiny_config(partition_groups=2)
+
+    @pytest.mark.parametrize(
+        "n, kill_wave, accepted",
+        [(3, 0, True), (3, 1, False), (5, 2, True), (5, 3, False),
+         (50, 47, True), (50, 48, False)],
+    )
+    def test_kill_wave_leaves_three_survivors_or_is_rejected(
+        self, n, kill_wave, accepted
+    ):
+        """A ``kill_wave`` above ``n - 3`` is refused up front, never
+        clamped at run time into a smaller wave than asked for."""
+        if accepted:
+            assert tiny_config(n=n, kill_wave=kill_wave).kill_wave == kill_wave
+        else:
+            with pytest.raises(ValueError, match="kill_wave"):
+                tiny_config(n=n, kill_wave=kill_wave)
 
     def test_bootstrap_degree_even_and_in_bounds(self):
         for s, d_low in [(8, 2), (12, 4), (16, 2)]:
@@ -136,8 +162,9 @@ class TestObservability:
 class TestFailureDetection:
     def test_kill_wave_detected_with_zero_false_positives(self):
         """The acceptance scenario, sized down for tier-1: every killed
-        node FAILED by survivor quorum, nobody slandered."""
-        report = run_cluster(
+        node FAILED by survivor quorum, nobody slandered, and every message
+        a view produced accounted for exactly once."""
+        cluster = LocalCluster(
             tiny_config(
                 n=20,
                 view_size=12,
@@ -152,16 +179,28 @@ class TestFailureDetection:
                 fail_after_s=0.5,
             )
         )
+        everyone = []
+        boot = cluster.start
+
+        async def start_and_enlist():
+            await boot()
+            everyone.extend(cluster.nodes.values())
+
+        cluster.start = start_and_enlist
+        report = asyncio.run(cluster.run())
         assert report.fd_enabled
         assert len(report.killed_nodes) == 4
         assert sorted(report.fd_detected) == sorted(report.killed_nodes)
         assert report.fd_missed == []
         assert report.fd_false_positives == []
-        # Suppression counts depend on whether a survivor still holds a
-        # dead id once verdicts land — timing-dependent in a live run, so
-        # only its sign is checked here (the deterministic guarantee is
-        # pinned in tests/test_failure_layer.py).
-        assert report.fd_suppressed >= 0
+        # How many sends are suppressed depends on when verdicts land, but
+        # each produced message is suppressed, written, or unroutable (a
+        # send to a victim before its verdict): no restart, so no join
+        # request shares the ledger.
+        produced = sum(node.protocol.stats.messages_sent for node in everyone)
+        assert produced == (
+            report.datagrams_sent + report.unroutable + report.fd_suppressed
+        )
         assert report.ok(), (report.degree_violations, report.errors)
         text = report.format()
         assert "detected FAILED (quorum)" in text
@@ -211,6 +250,251 @@ class TestFailureDetection:
         assert snap["gauges"]["cluster.fd_detected"] == len(report.fd_detected)
         assert snap["gauges"]["cluster.fd_missed"] == len(report.fd_missed)
         assert "cluster.join_retry_timeouts" in snap["counters"]
+
+
+# Failure detection without sockets: the send step, the node hooks and
+# the quorum verdict, each on hand-built detector states.
+
+#: A detector's verdict on the send target, by test id (None = never heard of).
+VERDICTS = {"unknown": None, "alive": PeerState.ALIVE,
+            "suspected": PeerState.SUSPECTED, "failed": PeerState.FAILED}
+TARGET = 5
+#: The ``ext["fd"]`` blob of a sender that believes node 7 FAILED.
+SEVEN_FAILED = {
+    "v": FD_WIRE_VERSION, "g": [LivenessUpdate(7, PeerState.FAILED, 0, 0).encode()]
+}
+
+
+def detector_with(verdict):
+    """Node 0's detector holding ``verdict`` on ``TARGET`` and one queued
+    heartbeat rumor.  Detectors are deterministic: two calls build twins."""
+    detector = FailureDetector(0)
+    detector.beat(0.5)
+    if verdict is not None:
+        detector.absorb(LivenessUpdate(TARGET, verdict, 0, 0), 0.5)
+    assert detector.state_of(TARGET) is verdict
+    return detector
+
+
+class TestSendStep:
+    """``outbound``: suppress iff FAILED, count it, piggyback otherwise."""
+
+    @pytest.mark.parametrize("foreign", [None, {"other": {"v": 3}}],
+                             ids=["no-ext", "foreign-ext"])
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    def test_suppressed_iff_failed_else_rumors_ride_along(self, verdict, foreign):
+        detector, twin = (detector_with(VERDICTS[verdict]) for _ in range(2))
+        message = Message(
+            sender=0, target=TARGET, payload=[(0, False), (7, True)],
+            kind="sandf", ext=None if foreign is None else dict(foreign),
+        )
+        before = replace(message, payload=list(message.payload))
+        stats = ProtocolStats(extra={"fd_suppressed": 7, "other": 1})
+
+        sent = outbound(detector, SendEffect(message), stats)
+
+        failed = verdict == "failed"
+        assert sent is not failed
+        assert stats.extra == {"fd_suppressed": 7 + failed, "other": 1}
+        if failed:
+            assert message == before
+            return
+        expected = twin.wire_extension()
+        assert expected is not None
+        assert message.ext == {**(foreign or {}), FD_EXT_KEY: expected}
+        assert replace(message, ext=None) == replace(before, ext=None)
+        if foreign is not None:
+            assert before.ext == foreign  # the caller's dict was copied
+
+
+class FixedClock:
+    """Stands in for the event loop: the node hooks only read ``time()``."""
+
+    now = 0.0
+
+    def time(self):
+        return self.now
+
+
+class RecordingTransport(list):
+    def send(self, effect, rng):
+        self.append(effect)
+
+
+def offline_cluster(**overrides):
+    config = dict(failure_detection=True, suspect_after_s=1.0, fail_after_s=0.5)
+    cluster = LocalCluster(tiny_config(**{**config, **overrides}))
+    cluster._loop = FixedClock()
+    return cluster
+
+
+def offline_node(cluster, node_id, peers):
+    """A live node as ``start`` leaves it — view, seeded detector, on the
+    clock — with a transport that records instead of binding a socket."""
+    node = ClusterNode(cluster, node_id)
+    node.protocol.add_node(node_id, peers)
+    node.detector.seed_peers(peers, cluster._loop.time())
+    node.transport = RecordingTransport()
+    node.running = True
+    cluster.nodes[node_id] = node
+    return node
+
+
+def vote_failed(node, peer):
+    node.detector.absorb(LivenessUpdate(peer, PeerState.FAILED, 0, 0), 0.0)
+
+
+class TestNodeHooks:
+    def test_route_sends_everything_but_what_goes_to_the_failed(self):
+        cluster = offline_cluster()
+        node = offline_node(cluster, 0, [1, 2, 3, 4])
+        vote_failed(node, 2)
+        effects = tuple(
+            SendEffect(Message(0, target, [(0, False), (1, False)], "sandf"))
+            for target in (1, 2, 3, 2)
+        )
+        node._route(effects)
+        assert [e.message.target for e in node.transport] == [1, 3]
+        assert all(FD_EXT_KEY in e.message.ext for e in node.transport)
+        assert node.protocol.stats.extra["fd_suppressed"] == 2
+
+    def test_tick_beats_on_the_loop_clock_then_sends(self):
+        cluster = offline_cluster()
+        node = offline_node(cluster, 0, list(range(1, 9)))  # full view: a send
+        cluster._loop.now = 2.0  # past suspect_after for every seeded peer
+        node._tick()
+        assert node.detector.heartbeat == 1
+        assert node.detector.suspected() == list(range(1, 9))
+        assert node.detector.record_of(1).suspected_at == 2.0
+        (effect,) = node.transport
+        rumors = effect.message.ext[FD_EXT_KEY]["g"]
+        assert [0, int(PeerState.ALIVE), 0, 1] in rumors
+
+    @pytest.mark.parametrize("ext", ["none", "foreign", "fd", "fd+foreign"])
+    def test_delivery_is_direct_evidence_and_merges_only_the_fd_key(self, ext):
+        cluster = offline_cluster()
+        node = offline_node(cluster, 0, [1, 2])
+        cluster._loop.now = 0.25
+        blob = {"none": None, "foreign": {"other": [1, 2, 3]},
+                "fd": {FD_EXT_KEY: SEVEN_FAILED},
+                "fd+foreign": {"other": [1, 2, 3], FD_EXT_KEY: SEVEN_FAILED}}[ext]
+        message = Message(4, 0, [(4, False), (6, False)], "sandf", ext=blob)
+        node._on_record(message, None, ("127.0.0.1", 9))
+        assert cluster.errors == []
+        assert node.detector.state_of(4) is PeerState.ALIVE
+        assert node.detector.record_of(4).last_refresh == 0.25
+        expected = PeerState.FAILED if "fd" in ext else None
+        assert node.detector.state_of(7) is expected
+        assert node.detector.counters["ignored_extensions"] == 0
+
+
+#: ``(detectors, FAILED votes, detected)``: more than half, strictly.
+VICTIM_VOTES = [
+    (1, 0, False), (1, 1, True), (2, 1, False), (2, 2, True),
+    (3, 1, False), (3, 2, True), (4, 2, False), (4, 3, True),
+]
+#: ``(peers, FAILED votes, false positive)``: the accused's own detector
+#: is not among its peers.
+SLANDER_VOTES = [
+    (2, 1, False), (2, 2, True), (3, 1, False), (3, 2, True),
+    (4, 2, False), (4, 3, True),
+]
+VICTIM = 7
+
+
+def voting_cluster(detectors):
+    cluster = offline_cluster(n=8)
+    for node_id in range(detectors):
+        offline_node(cluster, node_id, [VICTIM, VICTIM])
+    return cluster
+
+
+class TestDetectionVerdict:
+    @pytest.mark.parametrize("detectors, votes, detected", VICTIM_VOTES)
+    def test_a_victim_is_detected_above_the_quorum(self, detectors, votes, detected):
+        cluster = voting_cluster(detectors)
+        cluster.killed = [VICTIM]
+        for node_id in range(votes):
+            vote_failed(cluster.nodes[node_id], VICTIM)
+        assert cluster.detection_verdict() == (
+            ([VICTIM], [], []) if detected else ([], [VICTIM], [])
+        )
+
+    @pytest.mark.parametrize("peers, votes, slandered", SLANDER_VOTES)
+    def test_a_live_node_is_a_false_positive_above_the_quorum(
+        self, peers, votes, slandered
+    ):
+        cluster = voting_cluster(peers + 1)
+        accused = peers  # the last node; nodes 0..peers-1 are its peers
+        for node_id in range(votes):
+            vote_failed(cluster.nodes[node_id], accused)
+        assert cluster.detection_verdict() == (
+            [], [], [accused] if slandered else []
+        )
+
+    def test_only_running_nodes_vote(self):
+        cluster = voting_cluster(5)
+        cluster.killed = [VICTIM]
+        for node_id in (0, 3, 4):
+            vote_failed(cluster.nodes[node_id], VICTIM)
+        cluster.nodes[3].running = cluster.nodes[4].running = False
+        assert cluster.detection_verdict() == ([], [VICTIM], [])  # 1 of 3
+        cluster.nodes[1].running = cluster.nodes[2].running = False
+        assert cluster.detection_verdict() == ([VICTIM], [], [])  # 1 of 1
+        cluster.nodes[0].running = False  # nobody left to ask
+        assert cluster.detection_verdict() == ([], [VICTIM], [])
+
+
+class TestRestartIncarnation:
+    @pytest.mark.parametrize("grave", [0, 3])
+    def test_restart_comes_back_above_its_grave_and_resurrects(self, grave):
+        """A restarted id gossips ALIVE one incarnation above the one it
+        died with, which beats the FAILED records survivors hold for it."""
+
+        async def scenario():
+            cluster = LocalCluster(
+                tiny_config(n=6, rate=1e-6, failure_detection=True)
+            )
+            await cluster.start()
+            if grave:  # refuted suspicions raised the incarnation in life
+                victim = cluster.nodes[3].detector
+                rumor = LivenessUpdate(3, PeerState.SUSPECTED, grave - 1, 0)
+                victim.absorb(rumor, 0.0)
+                assert victim.incarnation == grave
+            await cluster.kill(3)
+            survivor = cluster.nodes[0]
+            survivor.detector.absorb(
+                LivenessUpdate(3, PeerState.FAILED, grave, 0), cluster._loop.time()
+            )
+            assert await cluster.restart(3)
+            reborn = cluster.nodes[3].detector
+            reborn.beat(cluster._loop.time())
+            message = Message(
+                3, 0, [(3, False), (1, False)], "sandf",
+                ext={FD_EXT_KEY: reborn.wire_extension()},
+            )
+            survivor._on_record(message, None, cluster.address_book[3])
+            state = survivor.detector.state_of(3)
+            await cluster.shutdown()
+            return reborn.incarnation, state, survivor.detector.counters
+
+        incarnation, state, counters = asyncio.run(scenario())
+        assert incarnation == grave + 1
+        assert state is PeerState.ALIVE
+        assert counters["resurrected"] == 1
+
+    def test_without_detection_a_restart_carries_no_detector(self):
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=6, rate=1e-6))
+            await cluster.start()
+            await cluster.kill(3)
+            assert await cluster.restart(3)
+            node = cluster.nodes[3]
+            await cluster.shutdown()
+            return node.detector, cluster._fd_incarnations
+
+        detector, incarnations = asyncio.run(scenario())
+        assert detector is None and incarnations == {}
 
 
 class TestJoinBackoff:
