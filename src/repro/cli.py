@@ -346,7 +346,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     """Boot a localhost UDP cluster and print (and check) its report.
 
     Exit status 1 means the run was not clean — a view broke the
-    Observation 5.1 degree bounds, a node task raised, or (with
+    Observation 5.1 degree bounds, a node task raised, the kill wave found
+    fewer live nodes than it asks for, or (with
     ``--failure-detection``) a killed node was missed or a live one
     falsely declared FAILED — which is what the CI ``cluster-smoke`` job
     keys on.  Each cause prints one stderr line per offender.
@@ -380,6 +381,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             print(f"DEGREE VIOLATION: {violation}", file=sys.stderr)
         for error in report.errors:
             print(f"NODE ERROR: {error}", file=sys.stderr)
+        if report.wave_shortfall:
+            print(f"KILL WAVE: {report.wave_shortfall} victims short of "
+                  f"{config.kill_wave} (nodes had stopped before the one-third "
+                  f"mark); nobody was killed", file=sys.stderr)
         for victim in report.fd_missed:
             print(f"DETECTION: missed node {victim} (killed, not FAILED by a "
                   f"survivor quorum)", file=sys.stderr)

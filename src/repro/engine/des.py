@@ -25,7 +25,7 @@ from repro.net.delay import ConstantDelay, DelayModel
 from repro.obs import get_telemetry
 from repro.net.loss import LossModel, NoLoss
 from repro.protocols.base import GossipProtocol, Message, SendEffect
-from repro.util.rng import SeedLike, make_rng
+from repro.util.rng import BlockDraws, SeedLike, make_rng
 
 NodeId = int
 
@@ -42,6 +42,10 @@ class DiscreteEventEngine:
             inter-action gap at a node is ``1/rate``.  Must be positive
             and finite.
         seed: RNG seed.
+
+    Every draw — clock gaps, loss coins, delays, both protocol steps —
+    comes off ``draws``, one :class:`~repro.util.rng.BlockDraws` over the
+    seeded ``rng``, in call order.
     """
 
     def __init__(
@@ -59,6 +63,7 @@ class DiscreteEventEngine:
         self.delay = delay if delay is not None else ConstantDelay(1.0)
         self.rate = rate
         self.rng = make_rng(seed)
+        self.draws = BlockDraws(self.rng)
         self.now = 0.0
         self.stats = EngineStats()
         self.messages_in_flight = 0
@@ -81,14 +86,14 @@ class DiscreteEventEngine:
 
     def _schedule_initiate(self, node: NodeId) -> None:
         """Arm ``node``'s clock; any event armed for it earlier goes stale."""
-        gap = float(self.rng.exponential(1.0 / self.rate))
+        gap = self.draws.exponential(1.0 / self.rate)
         sequence = next(self._sequence)
         self._armed[node] = sequence
         heapq.heappush(self._queue, (self.now + gap, sequence, node, None))
 
     def _schedule_delivery(self, effect: SendEffect) -> None:
         message = effect.message
-        latency = self.delay.sample(message.sender, message.target, self.rng)
+        latency = self.delay.sample(message.sender, message.target, self.draws)
         heapq.heappush(
             self._queue,
             (self.now + latency, next(self._sequence), message.target, effect),
@@ -154,7 +159,7 @@ class DiscreteEventEngine:
             self._armed.pop(node, None)  # departed node: its clock dies with it
             return
         self.stats.actions += 1
-        for effect in self.protocol.initiate_effects(node, self.rng):
+        for effect in self.protocol.initiate_effects(node, self.draws):
             self._route(effect)
         self._schedule_initiate(node)
 
@@ -164,7 +169,7 @@ class DiscreteEventEngine:
             self.stats.replies_sent += 1
         else:
             self.stats.messages_sent += 1
-        if self.loss.is_lost(message.sender, message.target, self.rng):
+        if self.loss.is_lost(message.sender, message.target, self.draws):
             if effect.reply:
                 self.stats.replies_lost += 1
             else:
@@ -189,7 +194,7 @@ class DiscreteEventEngine:
             self.stats.replies_delivered += 1
         else:
             self.stats.messages_delivered += 1
-        for effect in self.protocol.deliver_effects(message, self.rng):
+        for effect in self.protocol.deliver_effects(message, self.draws):
             self._route(effect)
 
     # ------------------------------------------------------------------

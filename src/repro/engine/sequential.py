@@ -30,7 +30,7 @@ from repro.obs import get_telemetry
 from repro.net.loss import LossModel
 from repro.net.transport import LoopbackTransport
 from repro.protocols.base import GossipProtocol, SendEffect
-from repro.util.rng import SeedLike, make_rng
+from repro.util.rng import BlockDraws, SeedLike, make_rng
 
 NodeId = int
 SnapshotHook = Callable[["SequentialEngine", int], None]
@@ -103,6 +103,13 @@ class SequentialEngine:
         loss: message-loss model; defaults to a lossless network.  A
             kernel takes :class:`~repro.net.loss.UniformLoss` only.
         seed: RNG seed (or an existing generator) for full reproducibility.
+
+    ``rng`` is the seeded generator; a kernel draws its batches from it
+    (:func:`~repro.kernel.base.draw_action_block`).  A protocol's every
+    draw — the scheduler pick, both steps, the loss coin — comes off
+    ``draws``, a :class:`~repro.util.rng.BlockDraws` over ``rng``, in
+    call order; it draws nothing until its first call, so a kernel run
+    never touches it.
     """
 
     def __init__(
@@ -122,6 +129,7 @@ class SequentialEngine:
         if self.kernel is not None:
             uniform_rate(self.loss)
         self.rng = make_rng(seed)
+        self.draws = BlockDraws(self.rng)
         self.stats = EngineStats()
         self.rounds_completed = 0.0
         self._hooks: List[_Hook] = []
@@ -157,7 +165,7 @@ class SequentialEngine:
                 "kernel backends schedule initiators internally; use step()"
             )
         self.stats.actions += 1
-        for effect in self.protocol.initiate_effects(initiator, self.rng):
+        for effect in self.protocol.initiate_effects(initiator, self.draws):
             self._dispatch(effect)
         self._pump()
 
@@ -170,7 +178,7 @@ class SequentialEngine:
             self.stats.messages_sent += 1
         sent = self._load["sent"]
         sent[message.sender] = sent.get(message.sender, 0) + 1
-        if not self.transport.send(effect, self.rng):
+        if not self.transport.send(effect, self.draws):
             if effect.reply:
                 self.stats.replies_lost += 1
             else:
@@ -203,7 +211,7 @@ class SequentialEngine:
             else:
                 self.stats.messages_delivered += 1
             received[message.target] = received.get(message.target, 0) + 1
-            for produced in self.protocol.deliver_effects(message, self.rng):
+            for produced in self.protocol.deliver_effects(message, self.draws):
                 self._dispatch(produced)
 
     def load_counts(self, kind: str) -> Dict[NodeId, int]:
@@ -247,12 +255,12 @@ class SequentialEngine:
             self.rounds_completed += batch / max(self.kernel.population, 1)
         else:
             protocol = self.protocol
-            rng = self.rng
+            pick = self.draws.integers
             for _ in range(batch):
                 members = protocol.members
                 if not members:
                     raise RuntimeError("no live nodes to schedule")
-                self.step_node(members[int(rng.integers(len(members)))])
+                self.step_node(members[pick(len(members))])
                 # Accumulated per action, not per batch: the float sum
                 # decides on which action a run_rounds segment ends.
                 self.rounds_completed += 1.0 / len(members)

@@ -46,7 +46,8 @@ def build_sf_system(
     ``backend`` selects the state-mutation layer:
 
     - ``"reference"`` (default) — the per-action ``SendForget`` object
-      path, the one the membership goldens pin at any given seed;
+      path, every draw off the engine's ``draws`` block (the scheduler
+      pick, both steps, the loss coin); the membership goldens pin it;
     - ``"array"`` — the vectorized :class:`repro.kernel.ArrayKernel`
       (one numpy id-matrix for all views, fused batched execution);
     - ``"sharded"`` — :class:`repro.kernel.ShardedKernel`, the array
@@ -55,10 +56,11 @@ def build_sf_system(
     - ``"reference-kernel"`` — ``SendForget`` objects driven through the
       batched kernel discipline (mainly for equivalence testing).
 
-    The kernel backends share a canonical randomness discipline and are
-    bit-identical to *each other* at any seed, but consume the RNG
-    stream differently from ``"reference"``, so per-seed trajectories
-    differ across that boundary (distributions do not).
+    The kernel backends share a canonical randomness discipline
+    (``draw_action_block`` on ``engine.rng``) and are bit-identical to
+    *each other* at any seed.  ``"reference"`` consumes the same seeded
+    stream through ``engine.draws`` one draw at a time, so per-seed
+    trajectories differ across that boundary (distributions do not).
     """
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")

@@ -113,13 +113,12 @@ def _cell(point: dict, seed, *, backend: str = "reference") -> JoinIntegrationRe
     warm_up(engine, point["warmup_rounds"])
     expected_indegree = float(np.mean(list(protocol.indegrees().values())))
 
-    rng = engine.rng
+    # The engine's own draw stream, so the run is one stream in call order.
+    pick = engine.draws.integers
     live = protocol.node_ids()
     joiner_ids = list(range(n, n + joiners))
     for joiner in joiner_ids:
-        bootstrap = [
-            live[int(rng.integers(len(live)))] for _ in range(params.d_low)
-        ]
+        bootstrap = [live[pick(len(live))] for _ in range(params.d_low)]
         protocol.add_node(joiner, bootstrap)
     engine.run_rounds(horizon_rounds)
 

@@ -13,7 +13,8 @@ exist:
 
 Both kernels consume randomness through the **canonical draw discipline**
 defined here (:func:`draw_action_block`): for a batch of ``B`` actions the
-kernel draws six fixed-size blocks from the engine's generator, in a fixed
+kernel draws six fixed-size blocks from the engine's generator
+(``engine.rng``, never the engine's per-pick ``draws``), in a fixed
 order, *regardless* of how individual actions branch.  Because the layout
 is state-independent, two kernels driven by equal-seeded generators with
 the same batch schedule consume identical random numbers — and therefore
@@ -28,8 +29,11 @@ Canonical conventions shared by every kernel:
 * **Empty-slot ranking** — a received id is stored into the ``k``-th
   *lowest-indexed* empty slot, with ``k`` derived from a pre-drawn uniform
   via :func:`rank_from_uniform`.  (The per-action object path instead
-  draws directly from the ``View`` free list; the two disciplines are
-  distributionally identical.)
+  draws a position in the ``View`` free list, one draw at a time off the
+  engine's :class:`~repro.util.rng.BlockDraws`, which maps a uniform
+  ``u`` to ``int(u * k)`` like :func:`rank_from_uniform`; the two
+  disciplines are distributionally identical but consume the stream in
+  a different order.)
 * **Loss decisions** — kernels run the paper's model only, uniform
   i.i.d. loss (§4.1): a message is lost iff its pre-drawn uniform is
   below the rate (:func:`uniform_rate`).  Other models run on

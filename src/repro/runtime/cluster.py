@@ -375,6 +375,10 @@ class ClusterReport:
     fd_missed: List[int] = field(default_factory=list)
     fd_false_positives: List[int] = field(default_factory=list)
     fd_suppressed: int = 0
+    #: Victims the kill wave asked for beyond the nodes still live at the
+    #: one-third mark (nodes that had stopped on an exception): a short
+    #: wave kills nobody and fails the run.
+    wave_shortfall: int = 0
 
     def detection_ok(self) -> bool:
         """Every killed node detected, no live node falsely failed."""
@@ -394,9 +398,13 @@ class ClusterReport:
         return self.datagrams_dropped / self.datagrams_received
 
     def ok(self) -> bool:
-        """Clean run: views in bounds, no node raised, detection correct."""
+        """Clean run: views in bounds, no node raised, the kill wave
+        complete, detection correct."""
         return (
-            not self.degree_violations and not self.errors and self.detection_ok()
+            not self.degree_violations
+            and not self.errors
+            and not self.wave_shortfall
+            and self.detection_ok()
         )
 
     def format(self) -> str:
@@ -424,6 +432,8 @@ class ClusterReport:
             ["join retry timeouts", self.join_retry_timeouts],
             ["join failures", self.join_failures],
         ]
+        if self.wave_shortfall:
+            rows.append(["kill wave shortfall", self.wave_shortfall])
         if self.fd_enabled:
             rows += [
                 ["killed nodes", len(self.killed_nodes)],
@@ -477,6 +487,7 @@ class LocalCluster:
         self.restarts = 0
         self.join_retry_timeouts = 0
         self.join_failures = 0
+        self.wave_shortfall = 0
         #: Ids currently dead by :meth:`kill` (a successful restart
         #: removes the id again) — the ground truth the failure-detection
         #: verdict is judged against.
@@ -792,6 +803,7 @@ class LocalCluster:
             fd_missed=missed,
             fd_false_positives=false_positives,
             fd_suppressed=suppressed,
+            wave_shortfall=self.wave_shortfall,
         )
         if publish:
             self.publish_metrics(report, latency)
@@ -806,27 +818,35 @@ class LocalCluster:
         The disruptions are the kill/restarts and an optional permanent
         *kill wave* (``kill_wave`` random victims stopped for good) — the
         failure-detection scenario: survivors must declare every victim
-        FAILED, and no survivor, before the run ends.
+        FAILED, and no survivor, before the run ends.  If fewer nodes are
+        live than the wave asks for, it kills nobody and the report names
+        the shortfall.  The cluster is shut down however the run ends.
         """
         cfg = self.config
-        await self.start()
-        third = cfg.duration_s / 3.0
-        await asyncio.sleep(third)
-        if cfg.kill_wave > 0:
-            live = [n.node_id for n in self.live_nodes()]
-            picks = self.rng.choice(len(live), size=cfg.kill_wave, replace=False)
-            for index in picks:
-                await self.kill(live[int(index)])
-        for _ in range(cfg.kill_restart):
-            live = [n.node_id for n in self.live_nodes()]
-            victim = live[int(self.rng.integers(len(live)))]
-            await self.kill(victim)
-            await asyncio.sleep(min(0.05, third / 4))
-            await self.restart(victim)
-        await asyncio.sleep(2 * third)
-        report = self.report()
-        await self.shutdown()
-        return report
+        try:
+            await self.start()
+            third = cfg.duration_s / 3.0
+            await asyncio.sleep(third)
+            if cfg.kill_wave > 0:
+                live = [n.node_id for n in self.live_nodes()]
+                if len(live) < cfg.kill_wave:
+                    self.wave_shortfall = cfg.kill_wave - len(live)
+                else:
+                    picks = self.rng.choice(len(live), size=cfg.kill_wave, replace=False)
+                    for index in picks:
+                        await self.kill(live[int(index)])
+            for _ in range(cfg.kill_restart):
+                live = [n.node_id for n in self.live_nodes()]
+                if not live:
+                    break
+                victim = live[int(self.rng.integers(len(live)))]
+                await self.kill(victim)
+                await asyncio.sleep(min(0.05, third / 4))
+                await self.restart(victim)
+            await asyncio.sleep(2 * third)
+            return self.report()
+        finally:
+            await self.shutdown()
 
 
 def run_cluster(config: ClusterConfig) -> ClusterReport:

@@ -28,15 +28,18 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
 
 
 class BlockDraws:
-    """The scalar draws of one S&F action, served from a block of uniforms.
+    """Scalar draws served from a block of uniforms off one ``Generator``.
 
-    A scalar call into a :class:`numpy.random.Generator` costs 0.5-1.5 µs,
-    most of it the crossing; the live cluster makes four per action.  This
-    wraps one seeded ``Generator``, draws ``BLOCK`` uniforms at a time and
-    hands them out one per call under the three names ``View``, the node
-    and the UDP transport use, so it passes wherever they take an ``rng``.
-    Every draw comes off the one stream, in call order: equal seeds and
-    equal call sequences give equal values.
+    A scalar call into a :class:`numpy.random.Generator` costs 0.5-2.6 µs,
+    most of it the crossing, and a per-pick S&F action makes four or five.
+    This wraps one seeded ``Generator``, draws ``BLOCK`` uniforms at a time
+    and hands them out one per call under the three names protocols,
+    ``View``, loss and delay models, engines and transports use, so it
+    passes wherever they take an ``rng``.  Each runtime has one: the
+    sequential engine's and the DES's ``draws`` and the live cluster's
+    ``cluster.draws``.  Every draw comes off the one stream, in call
+    order: equal seeds and equal call sequences give equal values.  It
+    draws nothing until its first call.
     """
 
     BLOCK = 1024
@@ -61,11 +64,17 @@ class BlockDraws:
 
         The discipline of :func:`repro.kernel.base.rank_from_uniform`.  A
         double below 1 times an integer below 2**53 rounds to a double
-        below that integer, so the result never reaches ``high``.
+        below that integer, so the result never reaches ``high``.  Like
+        ``Generator.integers``, an empty range (``high < 1``) is a
+        ``ValueError``: ``int(u * -5)`` would index from a list's end.
         """
-        return int(self.random() * high)
+        if high < 1:
+            raise ValueError(f"high must be at least 1, got {high}")
+        try:
+            return int(self._pop() * high)
+        except IndexError:
+            return int(self.random() * high)
 
     def exponential(self, scale: float) -> float:
         """An exponential variate with mean ``scale`` (inverse transform)."""
         return -scale * log1p(-self.random())
-

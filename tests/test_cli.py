@@ -298,6 +298,23 @@ class TestCommands:
             *(f"DETECTION: false positive node {v}" for v in false_positives),
         ]
 
+    def test_cluster_names_a_short_kill_wave_on_stderr(self, capsys, monkeypatch):
+        from repro.runtime import ClusterReport
+
+        def short_wave(config):
+            return ClusterReport(
+                n=config.n, live_nodes=2, duration_s=0.0, drop_rate=0.0,
+                actions=0, datagrams_sent=0, datagrams_received=0,
+                datagrams_dropped=0, datagrams_filtered=0, decode_errors=0,
+                unroutable=0, restarts=0, degree_counts={}, degree_violations=[],
+                errors=[], wave_shortfall=2,
+            )
+
+        monkeypatch.setattr(repro.runtime, "run_cluster", short_wave)
+        assert main(["cluster", "--n", "20", "--kill-wave", "4"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("KILL WAVE: 2 victims short of 4 ")
+
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_executor_flag_is_gone(self, command, capsys):
         """Cells run inline at ``--jobs 1`` and in a process pool above;

@@ -6,8 +6,12 @@ uniform loss and exponential delay, S&F and push-pull at zero delay
 Gilbert-Elliott loss, and remove/rejoin through ``engine.add_node`` —
 by a slot-exact SHA-256 of the views (dependence flags included), every
 ``EngineStats`` field, the clock and the in-flight counters.  It was
-written by the engine whose queue held ``@dataclass(order=True)`` events
-(``PYTHONPATH=src python tests/test_engine_des.py`` prints it) and is
+first written by the engine whose queue held ``@dataclass(order=True)``
+events, and re-recorded once, on purpose, when the engine began serving
+its clock gaps, loss coins, delays and protocol steps from one
+:class:`~repro.util.rng.BlockDraws` instead of scalar ``Generator``
+calls (other values at equal seeds, the same laws).
+``PYTHONPATH=src python tests/test_engine_des.py`` prints it; it is
 never regenerated to make a change pass.
 """
 
@@ -430,7 +434,7 @@ def test_event_order_and_per_kind_conservation(kind, delays, loss, steps, seed):
             assert not engine._queue or engine._queue[0][0] > end
         elif op == "burst":
             for node in protocol.node_ids()[:arg]:
-                for effect in protocol.initiate_effects(node, engine.rng):
+                for effect in protocol.initiate_effects(node, engine.draws):
                     engine._route(effect)
         elif op == "leave":
             live = protocol.node_ids()

@@ -1,17 +1,22 @@
 """Seeded churned runs on the per-action engine are pinned, digest by digest.
 
-The scheduler picks ``members[rng.integers(n)]``; any change to the
-order of that sequence, to when the population is read, or to the RNG
+The scheduler picks ``members[engine.draws.integers(n)]``; any change to
+the order of that sequence, to when the population is read, or to the
 draw order moves every later pick.  The legacy-run tests cover no
 churned run, so each protocol class is pinned here under
 ``ChurnProcess(join=2, leave=2)`` per-round hooks:
 SHA-256 over the views in canonical node order, over the per-node
 transport load, and the full ``EngineStats``.
 
-``tests/data/membership_goldens.json`` was recorded at the commit
-*before* the engine stopped copying ``node_ids()`` per action
-(``PYTHONPATH=src python tests/test_membership_bit_identity.py`` prints
-it); it is never regenerated to make a change pass.
+``tests/data/membership_goldens.json`` was first recorded at the commit
+*before* the engine stopped copying ``node_ids()`` per action, and
+re-recorded once, on purpose, when the engine began serving every draw
+of the per-pick path from one :class:`~repro.util.rng.BlockDraws`
+(``int(u * k)`` off a block of uniforms where ``Generator.integers``
+runs Lemire's method on 32-bit words, so equal seeds pick differently;
+the laws of the runs are unchanged).
+``PYTHONPATH=src python tests/test_membership_bit_identity.py`` prints
+it; it is never regenerated to make a change pass.
 """
 
 from __future__ import annotations

@@ -597,6 +597,81 @@ def action_counts(nodes):
     return [node.protocol.stats.actions for node in nodes]
 
 
+class ClosableTransport(RecordingTransport):
+    """A recording transport with what ``stop`` and ``report`` read."""
+
+    address = ("127.0.0.1", 9)
+    datagrams_sent = datagrams_received = dropped = filtered = 0
+    decode_errors = unroutable = socket_errors = 0
+    latency_samples = ()
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def socket_free_start(cluster, stopped):
+    """A ``start`` that boots every node without a socket or a clock (the
+    ``stopped`` ids down already, as if their first tick had raised), and
+    the list of the nodes it boots."""
+    booted = []
+
+    async def start():
+        cluster._loop = asyncio.get_running_loop()
+        for u in range(cluster.config.n):
+            node = ClusterNode(cluster, u)
+            node.protocol.add_node(u, [(u + 1) % cluster.config.n] * 2)
+            node.transport = ClosableTransport()
+            node.running = u not in stopped
+            cluster.nodes[u] = node
+            booted.append(node)
+        cluster.errors.extend(f"node {u} initiate: boom" for u in stopped)
+
+    return start, booted
+
+
+def shut_down(nodes):
+    return bool(nodes) and all(not n.running and n.transport.closed for n in nodes)
+
+
+class TestRunScenario:
+    """``LocalCluster.run`` without sockets: the scenario's decisions and
+    its teardown, whatever happened to the nodes before the one-third mark."""
+
+    @pytest.mark.parametrize(
+        "stopped, shortfall", [((), 0), ((0, 1, 2), 0), ((0, 1, 2, 3, 4), 2)]
+    )
+    def test_a_short_kill_wave_is_a_named_failure(self, stopped, shortfall):
+        cluster = LocalCluster(tiny_config(kill_wave=5, duration_s=0.03))
+        cluster.start, booted = socket_free_start(cluster, set(stopped))
+        report = asyncio.run(cluster.run())
+        assert report.wave_shortfall == shortfall
+        assert len(report.killed_nodes) == (0 if shortfall else 5)
+        assert report.ok() is (not stopped)
+        assert ("kill wave shortfall" in report.format()) is bool(shortfall)
+        assert shut_down(booted)
+
+    def test_kill_restart_with_no_live_node_restarts_nobody(self):
+        cluster = LocalCluster(tiny_config(kill_restart=2, duration_s=0.03))
+        cluster.start, booted = socket_free_start(cluster, set(range(8)))
+        report = asyncio.run(cluster.run())
+        assert report.restarts == 0 and report.live_nodes == 0
+        assert len(report.errors) == 8 and not report.ok()
+        assert shut_down(booted)
+
+    def test_a_raising_scenario_still_shuts_down(self):
+        cluster = LocalCluster(tiny_config(kill_restart=1, duration_s=0.03))
+        cluster.start, booted = socket_free_start(cluster, set())
+
+        async def failing_kill(node_id):
+            raise RuntimeError("kill failed")
+
+        cluster.kill = failing_kill
+        with pytest.raises(RuntimeError, match="kill failed"):
+            asyncio.run(cluster.run())
+        assert shut_down(booted)
+
+
 class TestInitiateClock:
     """The cluster keeps one clock for all its nodes: one loop timer while
     it runs, none after ``shutdown``; a node that stops, is killed or

@@ -100,6 +100,15 @@ class TestBlockDraws:
     def test_integers_stay_below_high(self, high, u):
         assert 0 <= BlockDraws(_FixedUniforms(u)).integers(high) < high
 
+    @pytest.mark.parametrize("high", [0, -1, -5, -(2**31)])
+    def test_an_empty_range_fails_closed_like_the_generator(self, high):
+        # int(0.7 * -5) == -3 would read a list from its end.
+        with pytest.raises(ValueError):
+            make_rng(0).integers(high)
+        draws = BlockDraws(_FixedUniforms(0.7))
+        with pytest.raises(ValueError):
+            draws.integers(high)
+
     def test_extreme_uniforms_keep_the_other_draws_in_range(self):
         top = BlockDraws(_FixedUniforms(ALMOST_ONE))
         bottom = BlockDraws(_FixedUniforms(0.0))
