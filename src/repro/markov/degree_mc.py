@@ -44,9 +44,9 @@ this reproduces the "S&F Markov" curves of Figure 6.1.
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,9 +70,10 @@ DAMPING = 0.5
 # where ``base`` depends only on the source state (q for initiates, k for
 # holder events) and ``factor`` is one fixed polynomial in the environment
 # triple (r, p_dup, p_full).  The vectorized matrix build precomputes
-# (row, col, base, kind) once and re-evaluates only the eight factors per
+# (row, col, base, kind) once and re-evaluates only the kinds' factors per
 # fixed-point iteration — applying each factor with exactly the operation
-# order of the scalar code so both builds are bit-identical.
+# order of the scalar code so both builds are bit-identical.  A kind is
+# also the slot of its move among a state's eight in ``_transitions``.
 _INIT_DELIVER = 0       # q · deliver_space
 _INIT_FAIL = 1          # q · (1 − deliver_space)
 _TARGET_DELIVER = 2     # k·r · (1 − p_dup) · arrive
@@ -81,7 +82,41 @@ _TARGET_DUP = 4         # k·r · p_dup · arrive
 _TARGET_FULL_CLEAR = 5  # k·r · (1 − p_dup)
 _FORWARD_CLEAR = 6      # k·r · (1 − p_dup) · (1 − deliver_space)
 _FORWARD_DUP = 7        # k·r · p_dup · deliver_space
-_NUM_KINDS = 8
+
+_BandSolve = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, int]]
+
+
+def _band_solver(lower: int, upper: int) -> _BandSolve:
+    """LAPACK's solver for a band of ``lower`` / ``upper`` diagonals.
+
+    The returned ``solve(ab, b)`` overwrites both arguments and returns
+    ``(x, info)``, LAPACK's ``info`` being > 0 for an exact zero pivot and
+    < 0 for an illegal argument.  ``ab`` holds ``A`` in ``gbsv``'s layout:
+    a Fortran-ordered ``(2·lower + upper + 1, n)`` array with
+    ``A[i, j]`` at ``ab[lower + upper + i − j, j]`` and its first
+    ``lower`` rows zero (the factorisation's fill-in).  The routine is the
+    one ``scipy.linalg.solve_banded`` picks for that band — ``gtsv`` for a
+    tridiagonal one (a Lemma 6.2 line), ``gbsv`` otherwise — so ``x`` is
+    that function's result bit for bit, without its per-call checks and
+    its copy of the band.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    if lower == upper == 1:
+        (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+        def solve(ab: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, int]:
+            *_, x, info = gtsv(ab[3, :-1], ab[2], ab[1, 1:], b, 1, 1, 1, 1)
+            return x, info
+
+        return solve
+    (gbsv,) = get_lapack_funcs(("gbsv",), dtype=np.float64)
+
+    def solve(ab: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, int]:
+        _, _, x, info = gbsv(lower, upper, ab, b, overwrite_ab=1, overwrite_b=1)
+        return x, info
+
+    return solve
 
 
 @dataclass
@@ -95,33 +130,36 @@ class _TransitionTemplate:
     ``(row, col)`` pairs via a stable sort, preserving first-generated
     order inside each group.
 
-    The rest lays the balance system ``Pᵀ − I`` out for
-    ``scipy.linalg.solve_banded``.  A transition moves ``k`` by at most
-    one, so with the states sorted by ``(k, d)`` every entry sits within
-    about one row of d values of the diagonal (12 at s=40, dL=18, against
-    52 in the d-major order of ``states``).  ``position`` maps a state
-    index to its k-major position, ``band`` is the ``(lower, upper)``
-    bandwidth, and ``band_off`` / ``band_diag`` are the flat indices into
-    the ``(lower + upper + 1, n)`` band array of each merged off-diagonal
-    entry and of each state's diagonal.  ``degrees`` is the states as a
-    ``(2, n)`` array (row 0 the outdegrees, row 1 the indegrees) and
-    ``moments`` holds, one row each, ``d``, ``d(d−1)``, ``d(d−1)·1{d=dL}``,
-    ``k`` and ``k·1{d=s}``, so the environment of a distribution π is
-    ``moments @ π``.
+    The rest lays the balance system ``Pᵀ − I`` out for LAPACK's banded
+    solve.  A transition moves ``k`` by at most one, so with the states
+    sorted by ``(k, d)`` every entry sits within about one row of d values
+    of the diagonal (12 at s=40, dL=18, against 52 in the d-major order of
+    ``states``).  ``position`` maps a state index to its k-major position,
+    ``band`` is the ``(lower, upper)`` bandwidth, ``band_rows`` the rows
+    of ``gbsv``'s band array (see :func:`_band_solver`), and ``band_off``
+    / ``band_diag`` are the flat Fortran-order indices into that array of
+    each merged off-diagonal entry and of each state's diagonal;
+    ``solve_band`` is the LAPACK routine, looked up once.  ``degrees`` is
+    the states as a ``(2, n)`` array (row 0 the outdegrees, row 1 the
+    indegrees) and ``moments`` holds, one row each, ``d``, ``d(d−1)``,
+    ``d(d−1)·1{d=dL}``, ``k`` and ``k·1{d=s}``, so the environment of a
+    distribution π is ``moments @ π``.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     base: np.ndarray
-    kind_indices: Tuple[np.ndarray, ...]
+    kind: np.ndarray
     order: np.ndarray
     group_starts: np.ndarray
     merged_rows: np.ndarray
     merged_cols: np.ndarray
     position: np.ndarray
     band: Tuple[int, int]
+    band_rows: int
     band_off: np.ndarray
     band_diag: np.ndarray
+    solve_band: _BandSolve
     degrees: np.ndarray
     moments: np.ndarray
 
@@ -172,6 +210,12 @@ class DegreeMCResult:
         from repro.util.stats import distribution_mean_std
 
         return distribution_mean_std(self.indegree_pmf)
+
+
+def _copied(result: DegreeMCResult) -> DegreeMCResult:
+    """An independent copy of ``result``: a pickle round trip, about five
+    times cheaper than ``copy.deepcopy`` of the same object graph."""
+    return pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 @dataclass
@@ -329,45 +373,39 @@ class DegreeMarkovChain:
         return self._template
 
     def _build_template(self) -> _TransitionTemplate:
-        """Enumerate potential transitions once, in scalar-builder order."""
+        """Enumerate potential transitions once, in scalar-builder order.
+
+        Each state gets the eight move slots of ``_transitions``, one per
+        kind; a slot is kept where its move is enabled and leads to
+        another existing state, and the kept slots, read state by state,
+        are the scalar builder's moves in its generation order.
+        """
         s, d_low = self.params.view_size, self.params.d_low
-        pair_choice = s * (s - 1)
-        rows: List[int] = []
-        cols: List[int] = []
-        base: List[float] = []
-        kind: List[int] = []
-
-        def add(source: int, target: State, weight: float, what: int) -> None:
-            j = self._index.get(target)
-            if j is None or j == source:
-                return
-            rows.append(source)
-            cols.append(j)
-            base.append(weight)
-            kind.append(what)
-
-        for i, (d, k) in enumerate(self.states):
-            q = d * (d - 1) / pair_choice
-            if q > 0.0:
-                d_after = d if d <= d_low else d - 2
-                add(i, (d_after, k + 1), q, _INIT_DELIVER)
-                if d_after != d:
-                    add(i, (d_after, k), q, _INIT_FAIL)
-            if k > 0:
-                kf = float(k)
-                if d < s:
-                    add(i, (d + 2, k - 1), kf, _TARGET_DELIVER)
-                    add(i, (d, k - 1), kf, _TARGET_LOST)
-                    add(i, (d + 2, k), kf, _TARGET_DUP)
-                else:
-                    add(i, (d, k - 1), kf, _TARGET_FULL_CLEAR)
-                add(i, (d, k - 1), kf, _FORWARD_CLEAR)
-                add(i, (d, k + 1), kf, _FORWARD_DUP)
-
         n = len(self.states)
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        cols_arr = np.asarray(cols, dtype=np.int64)
-        kind_arr = np.asarray(kind, dtype=np.int64)
+        degrees = np.asarray(self.states, dtype=np.int64).T
+        d, k = degrees
+        # Each (d, k) cell's state index, −1 where there is none; the
+        # targets reach d + 2 ≤ s + 2 and k + 1, and k − 1 = −1 reads the
+        # last, empty column.
+        index = np.full((s + 3, int(k.max()) + 2), -1, dtype=np.int64)
+        index[d, k] = np.arange(n)
+        q = d * (d - 1) / (s * (s - 1))
+        d_after = np.where(d <= d_low, d, d - 2)
+        holder = k > 0
+        room = holder & (d < s)
+        target = index[
+            np.stack([d_after, d_after, d + 2, d, d + 2, d, d, d], axis=1),
+            np.stack([k + 1, k, k - 1, k - 1, k, k - 1, k - 1, k + 1], axis=1),
+        ]
+        enabled = np.stack(
+            [q > 0.0, (q > 0.0) & (d_after != d), room, room, room,
+             holder & ~room, holder, holder],
+            axis=1,
+        )
+        enabled &= (target >= 0) & (target != np.arange(n)[:, None])
+        rows_arr, kind = np.nonzero(enabled)
+        cols_arr = target[rows_arr, kind]
+        base = np.where(kind <= _INIT_FAIL, q[rows_arr], k[rows_arr])
         # Stable sort groups duplicate (row, col) pairs while keeping each
         # group's entries in generation order, so ``reduceat`` sums them
         # exactly as the scalar builder's ``+=`` does.
@@ -381,32 +419,31 @@ class DegreeMarkovChain:
         merged_rows = sorted_rows[group_starts]
         merged_cols = sorted_cols[group_starts]
 
-        degrees = np.asarray(self.states, dtype=np.int64).T
-        d, k = degrees
         position = np.empty(n, dtype=np.int64)
         position[np.lexsort((d, k))] = np.arange(n)
         # Balance equation i = the target's position, unknown j = the
         # source's: ``P[row, col]`` lands at ``(Pᵀ − I)[col, row]``, which
-        # ``solve_banded`` keeps at ``ab[upper + i − j, j]``.
+        # ``gbsv`` keeps at ``ab[lower + upper + i − j, j]``.
         i, j = position[merged_cols], position[merged_rows]
         lower = int((i - j).max(initial=0))
         upper = int((j - i).max(initial=0))
+        band_rows = 2 * lower + upper + 1
         dd1 = d * (d - 1)
         return _TransitionTemplate(
             rows=rows_arr,
             cols=cols_arr,
-            base=np.asarray(base, dtype=np.float64),
-            kind_indices=tuple(
-                np.flatnonzero(kind_arr == what) for what in range(_NUM_KINDS)
-            ),
+            base=base,
+            kind=kind,
             order=order,
             group_starts=group_starts,
             merged_rows=merged_rows,
             merged_cols=merged_cols,
             position=position,
             band=(lower, upper),
-            band_off=(upper + i - j) * n + j,
-            band_diag=upper * n + position,
+            band_rows=band_rows,
+            band_off=(lower + upper + i - j) + j * band_rows,
+            band_diag=(lower + upper) + position * band_rows,
+            solve_band=_band_solver(lower, upper),
             degrees=degrees,
             moments=np.array(
                 [d, dd1, dd1 * (d == d_low), k, k * (d == s)], dtype=np.float64
@@ -432,29 +469,20 @@ class DegreeMarkovChain:
         deliver_space = (1.0 - loss) * (1.0 - env.p_full)
         r = env.rate_per_instance
         p_dup = env.p_dup_holder
+        p_keep = 1.0 - p_dup
 
-        data = np.zeros(template.base.shape, dtype=np.float64)
-        for what, idx in enumerate(template.kind_indices):
-            if idx.size == 0:
-                continue
-            b = template.base[idx]
-            if what == _INIT_DELIVER:
-                value = b * deliver_space
-            elif what == _INIT_FAIL:
-                value = b * (1.0 - deliver_space)
-            elif what == _TARGET_DELIVER:
-                value = ((b * r) * (1.0 - p_dup)) * arrive
-            elif what == _TARGET_LOST:
-                value = ((b * r) * (1.0 - p_dup)) * (1.0 - arrive)
-            elif what == _TARGET_DUP:
-                value = ((b * r) * p_dup) * arrive
-            elif what == _TARGET_FULL_CLEAR:
-                value = (b * r) * (1.0 - p_dup)
-            elif what == _FORWARD_CLEAR:
-                value = ((b * r) * (1.0 - p_dup)) * (1.0 - deliver_space)
-            else:  # _FORWARD_DUP
-                value = ((b * r) * p_dup) * deliver_space
-            data[idx] = value
+        # A kind's rate is ((base · f1) · f2) · f3, one row per factor and
+        # one column per kind; a factor of exactly 1.0 changes no bit, so
+        # each kind keeps the scalar operation order of ``_transitions``.
+        f1, f2, f3 = np.array([
+            [deliver_space, 1.0 - deliver_space, r, r, r, r, r, r],
+            [1.0, 1.0, p_keep, p_keep, p_dup, p_keep, p_keep, p_dup],
+            [1.0, 1.0, arrive, 1.0 - arrive, arrive, 1.0,
+             1.0 - deliver_space, deliver_space],
+        ]).take(template.kind, axis=1)
+        data = template.base * f1
+        data *= f2
+        data *= f3
 
         outflow = np.bincount(template.rows, weights=data, minlength=n)
         lam = float(outflow.max())
@@ -501,63 +529,69 @@ class DegreeMarkovChain:
         The balance equations ``(Pᵀ − I)π = 0`` sum to zero, so any one is
         redundant: the equation of state ``pin`` is replaced by
         ``π[pin] = 1`` — which, unlike a spliced ``Σπ = 1`` row, keeps the
-        k-major band — and the solution is renormalised.  The n−1 kept
-        equations fix π's direction and the pin only its scale, so any
-        state that holds mass will do; one that holds less than a rounding
-        error of the mode's (a transient state under ``p_dup = 0``, a far
-        corner of the grid) is pinned by round-off alone.  A solve that is
-        not finite, has a negative entry below −1e-12, leaves a balance
-        residual ``‖πP − π‖∞`` above 1e-10 or whose pin holds no such mass
-        is repeated once, pinned at the mode it found; if that fails too
-        the chain has no trustworthy stationary law and this raises
-        rather than clip a wrong vector into a distribution.
+        k-major band — and the solution is renormalised.  The band is
+        filled in place in ``gbsv``'s layout and handed to the template's
+        LAPACK routine (:func:`_band_solver`).  The n−1 kept equations fix
+        π's direction and the pin only its scale, so any state that holds
+        mass will do; one that holds less than a rounding error of the
+        mode's (a transient state under ``p_dup = 0``, a far corner of the
+        grid) is pinned by round-off alone.  A solve that is not finite,
+        has a negative entry below −1e-12, leaves a balance residual
+        ``‖πP − π‖∞`` above 1e-10 or whose pin holds no such mass is
+        repeated once, pinned at the mode it found.  A pin that leaves the
+        kept equations exactly singular (a zero pivot) yields no π to
+        take a mode from: that solve is repeated once pinned at the state
+        with the largest inflow ``Σ_j P[j, i]``, which needs none.  If
+        the repeat fails too the chain has no trustworthy stationary law
+        and this raises rather than clip a wrong vector into a
+        distribution.
         """
-        from scipy.linalg import LinAlgError, solve_banded
-
         template = self._cached_template()
         n = len(self.states)
         lower, upper = template.band
+        rows = template.band_rows
+        centre = lower + upper
         off_diag, diagonal = self._transition_parts(env)
         balance_diagonal = diagonal - 1.0
         for _ in range(2):
-            band = np.zeros((lower + upper + 1) * n)
-            band[template.band_off] = off_diag
-            band[template.band_diag] = balance_diagonal
-            band = band.reshape(lower + upper + 1, n)
             p = int(template.position[pin])
+            flat = np.zeros(rows * n)
+            flat[template.band_off] = off_diag
+            flat[template.band_diag] = balance_diagonal
             across = np.arange(max(p - lower, 0), min(p + upper, n - 1) + 1)
-            band[upper + p - across, across] = 0.0
-            band[upper, p] = 1.0
+            flat[centre + p + across * (rows - 1)] = 0.0  # row p of Pᵀ − I
+            flat[centre + p * rows] = 1.0
             rhs = np.zeros(n)
             rhs[p] = 1.0
-            try:
-                solved = solve_banded(
-                    (lower, upper), band, rhs,
-                    overwrite_ab=True, overwrite_b=True, check_finite=False,
+            solved, info = template.solve_band(flat.reshape(n, rows).T, rhs)
+            if info < 0:
+                raise ValueError(f"LAPACK band solve: illegal argument {-info}")
+            if info > 0:
+                next_pin = int(np.argmax(np.bincount(
+                    template.merged_cols, weights=off_diag, minlength=n
+                )))
+            else:
+                total = solved.sum()
+                if not np.isfinite(total) or total == 0.0:
+                    break
+                pi = solved[template.position] / total
+                inflow = np.bincount(
+                    template.merged_cols,
+                    weights=pi[template.merged_rows] * off_diag,
+                    minlength=n,
                 )
-            except LinAlgError:
-                break  # an exactly singular pin leaves no mode to move to
-            total = solved.sum()
-            if not np.isfinite(total) or total == 0.0:
+                residual = np.abs(inflow + pi * balance_diagonal).max()
+                next_pin = self._mode(pi)
+                if (
+                    pi.min() >= -1e-12
+                    and residual <= 1e-10
+                    and pi[pin] > np.finfo(float).eps * pi[next_pin]
+                ):
+                    pi = np.clip(pi, 0.0, None)
+                    return pi / pi.sum()
+            if next_pin == pin:
                 break
-            pi = solved[template.position] / total
-            inflow = np.bincount(
-                template.merged_cols,
-                weights=pi[template.merged_rows] * off_diag,
-                minlength=n,
-            )
-            residual = np.abs(inflow + pi * balance_diagonal).max()
-            mode = self._mode(pi)
-            if (
-                pi.min() >= -1e-12
-                and residual <= 1e-10
-                and pi[pin] > np.finfo(float).eps * pi[mode]
-            ):
-                pi = np.clip(pi, 0.0, None)
-                return pi / pi.sum()
-            if mode == pin:
-                break
-            pin = mode
+            pin = next_pin
         raise RuntimeError(
             "failed to solve for a stationary distribution "
             f"(s={self.params.view_size}, dL={self.params.d_low}, "
@@ -583,8 +617,10 @@ class DegreeMarkovChain:
         ``True``) uses the process-wide default, ``False`` skips caching,
         and a :class:`SolveCache` instance substitutes a custom cache.
         Keys cover every input the result depends on — chain construction
-        and solver settings alike — so a hit is always exact; cached
-        results are deep-copied on return.
+        and solver settings alike — so a hit is always exact.  The cache
+        holds its own copy of a result and a hit returns a fresh one
+        (a pickle round trip, the disk layer's own format), so no caller
+        can mutate what the next one reads.
         """
         if (
             self.conserved_sum_degree is None
@@ -614,10 +650,10 @@ class DegreeMarkovChain:
             hit = cache.get(key)
             # An unconverged entry can only be one older code journaled.
             if hit is not None and hit.converged:
-                return copy.deepcopy(hit)
+                return _copied(hit)
         result = self._fixed_point()
         if cache is not None:
-            cache.put(key, copy.deepcopy(result))
+            cache.put(key, _copied(result))
         return result
 
     def _fixed_point(self) -> DegreeMCResult:

@@ -12,7 +12,10 @@ pins one state; its oracle is the sparse LU with a spliced ``Σπ = 1`` row
 that ``DegreeMarkovChain._stationary`` was until PR 24 (``_stationary_lu``
 below).  ``LoopChain`` is both oracles at once — the whole former
 iteration — and ``tests/data/degree_mc_golden.json``, written by that
-iteration at the parent commit, pins the fixed points themselves.
+iteration at the parent commit, pins the fixed points themselves.  The
+band goes straight to LAPACK; ``scipy.linalg.solve_banded`` on the same
+band is its bit-for-bit oracle on this machine
+(``_stationary_solve_banded``), so no LAPACK bits are pinned across hosts.
 """
 
 import json
@@ -128,6 +131,30 @@ def _solve_both(s, d_low, loss, dm):
     return vec.solve(cache=False), loop.solve(cache=False)
 
 
+@st.composite
+def _chain_env_pin(draw):
+    """A chain, an environment in the open box and any state to pin.
+
+    The box is what a distribution over the states can produce: ``r``
+    between its values at D ≡ 2 and D ≡ s, probabilities off 0 and 1 (at
+    ℓ = 0 the chain is reducible in the limit p_dup, p_full → 0, and 1e-3
+    keeps the two solvers' own errors under the bound)."""
+    if draw(st.booleans()):
+        d_low = draw(st.sampled_from([0, 2, 4, 6, 18]))
+        s = d_low + draw(st.sampled_from(range(6, 23, 2)))
+        chain = _chain(s, d_low, draw(st.floats(0.0, 0.99)))
+    else:
+        dm = draw(st.sampled_from(range(6, 41, 2)))
+        chain = _chain(dm, 0, 0.0, dm)
+        s = dm
+    env = _Environment(
+        rate_per_instance=draw(st.floats(1.0 / (s * (s - 1)), 1.0 / s)),
+        p_dup_holder=draw(st.floats(1e-3, 1.0 - 1e-3)),
+        p_full=draw(st.floats(1e-3, 1.0 - 1e-3)),
+    )
+    return chain, env, draw(st.integers(0, len(chain.states) - 1))
+
+
 class TestMatrixEquivalence:
     @pytest.mark.parametrize("s,d_low,loss,dm", CONFIGS)
     def test_matrices_identical(self, s, d_low, loss, dm):
@@ -146,6 +173,21 @@ class TestMatrixEquivalence:
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)  # bit-identical
+
+    @settings(max_examples=60, deadline=None)
+    @given(_chain_env_pin())
+    def test_matrix_equals_loop_oracle(self, drawn):
+        vec, env, _ = drawn
+        loop = LoopChain(
+            vec.params, loss_rate=vec.loss_rate,
+            conserved_sum_degree=vec.conserved_sum_degree,
+        )
+        a, b = vec._build_matrix(env), loop._build_matrix(env)
+        a.sort_indices()
+        b.sort_indices()
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
 
     def test_template_reused_across_iterations(self):
         chain = DegreeMarkovChain(SFParams(view_size=12, d_low=2), 0.05)
@@ -195,44 +237,76 @@ class TestSolveEquivalence:
         assert std == pytest.approx(3.6, abs=0.8)
 
 
-@st.composite
-def _chain_env_pin(draw):
-    """A chain, an environment in the open box and any state to pin.
+def _band_solver_spy(monkeypatch, pins, spoil=None, info=None):
+    """Wrap the LAPACK routine of every template built from now on.
 
-    The box is what a distribution over the states can produce: ``r``
-    between its values at D ≡ 2 and D ≡ s, probabilities off 0 and 1 (at
-    ℓ = 0 the chain is reducible in the limit p_dup, p_full → 0, and 1e-3
-    keeps the two solvers' own errors under the bound)."""
-    if draw(st.booleans()):
-        d_low = draw(st.sampled_from([0, 2, 4, 6, 18]))
-        s = d_low + draw(st.sampled_from(range(6, 23, 2)))
-        chain = _chain(s, d_low, draw(st.floats(0.0, 0.99)))
-    else:
-        dm = draw(st.sampled_from(range(6, 41, 2)))
-        chain = _chain(dm, 0, 0.0, dm)
-        s = dm
-    env = _Environment(
-        rate_per_instance=draw(st.floats(1.0 / (s * (s - 1)), 1.0 / s)),
-        p_dup_holder=draw(st.floats(1e-3, 1.0 - 1e-3)),
-        p_full=draw(st.floats(1e-3, 1.0 - 1e-3)),
-    )
-    return chain, env, draw(st.integers(0, len(chain.states) - 1))
+    Each call records the band position it pins; ``spoil`` replaces the
+    solution, ``info`` stands in for LAPACK's return code (the solve is
+    then skipped)."""
+    real = degree_mc._band_solver
+
+    def factory(lower, upper):
+        solve = real(lower, upper)
+
+        def spy(ab, b):
+            pins.append(int(np.flatnonzero(b)[0]))
+            if info is not None:
+                return b, info
+            x, code = solve(ab, b)
+            return (x if spoil is None else spoil(x)), code
+
+        return spy
+
+    monkeypatch.setattr(degree_mc, "_band_solver", factory)
 
 
-def _solve_banded_spy(monkeypatch, pins):
-    """Record the band position each ``solve_banded`` call pins."""
-    import scipy.linalg
+def _stationary_solve_banded(chain, env, pin):
+    """The banded stationary solve as ``scipy.linalg.solve_banded`` runs
+    it: the band in that function's ``(lower + upper + 1, n)`` layout,
+    built from the template's merged entries rather than its offsets,
+    with the same pin, re-pin and checks as ``_stationary`` (an exact zero
+    pivot raises ``LinAlgError``)."""
+    from scipy.linalg import solve_banded
 
-    real = scipy.linalg.solve_banded
-
-    def spy(l_and_u, ab, b, **kwargs):
-        spy.calls += 1
-        pins.append(int(np.flatnonzero(b)[0]))
-        return real(l_and_u, ab, b, **kwargs)
-
-    spy.calls = 0
-    monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
-    return spy
+    template = chain._cached_template()
+    n = len(chain.states)
+    lower, upper = template.band
+    position = template.position
+    off_diag, diagonal = chain._transition_parts(env)
+    for _ in range(2):
+        band = np.zeros((lower + upper + 1, n))
+        i, j = position[template.merged_cols], position[template.merged_rows]
+        band[upper + i - j, j] = off_diag
+        band[upper, position] = diagonal - 1.0
+        p = int(position[pin])
+        across = np.arange(max(p - lower, 0), min(p + upper, n - 1) + 1)
+        band[upper + p - across, across] = 0.0
+        band[upper, p] = 1.0
+        rhs = np.zeros(n)
+        rhs[p] = 1.0
+        solved = solve_banded((lower, upper), band, rhs)
+        total = solved.sum()
+        if not np.isfinite(total) or total == 0.0:
+            break
+        pi = solved[position] / total
+        inflow = np.bincount(
+            template.merged_cols,
+            weights=pi[template.merged_rows] * off_diag,
+            minlength=n,
+        )
+        residual = np.abs(inflow + pi * (diagonal - 1.0)).max()
+        mode = int(np.argmax(pi))
+        if (
+            pi.min() >= -1e-12
+            and residual <= 1e-10
+            and pi[pin] > np.finfo(float).eps * pi[mode]
+        ):
+            pi = np.clip(pi, 0.0, None)
+            return pi / pi.sum()
+        if mode == pin:
+            break
+        pin = mode
+    raise RuntimeError("failed to solve for a stationary distribution")
 
 
 class TestBandedStationary:
@@ -250,8 +324,9 @@ class TestBandedStationary:
             banded = chain._stationary(env, pin)
         except RuntimeError:
             # Pinning a massless state can leave an exactly singular band
-            # (seen on the one-dimensional lines), and no mode to move to:
-            # loud is allowed there, wrong is not.
+            # (seen on the one-dimensional lines), and the re-pin at the
+            # largest inflow can fail too: loud is allowed there, wrong
+            # is not.
             assert oracle[pin] < np.finfo(float).eps * oracle.max()
             return
         # Each solve is backward stable, so each lies within about
@@ -280,17 +355,17 @@ class TestBandedStationary:
     BAD_ENV = _Environment(rate_per_instance=0.5 / 40, p_dup_holder=0.01, p_full=0.01)
 
     def test_massless_pin_is_moved_to_the_mode(self, monkeypatch):
+        pins = []
+        _band_solver_spy(monkeypatch, pins)
         chain = _chain(**self.BAD)
         oracle = _stationary_lu(chain._build_matrix(self.BAD_ENV))
         pin = chain._index[(28, 29)]
         assert oracle[pin] < np.finfo(float).eps * oracle.max()
-        pins = []
-        solve_banded = _solve_banded_spy(monkeypatch, pins)
         banded = chain._stationary(self.BAD_ENV, pin)
         assert np.abs(banded - oracle).max() <= 1e-12
         mode = chain._template.position[int(np.argmax(oracle))]
         assert pins == [chain._template.position[pin], mode]
-        assert solve_banded.calls == 2
+        assert len(pins) == 2  # two LAPACK calls
 
     def test_massless_pin_raises_when_it_cannot_move(self, monkeypatch):
         chain = _chain(**self.BAD)
@@ -311,12 +386,7 @@ class TestBandedStationary:
     )
     def test_bad_vector_raises_instead_of_being_clipped(self, monkeypatch, spoil):
         """Before PR 24 ``clip`` + renormalise made each of these a result."""
-        import scipy.linalg
-
-        real = scipy.linalg.solve_banded
-        monkeypatch.setattr(
-            scipy.linalg, "solve_banded", lambda *a, **kw: spoil(real(*a, **kw))
-        )
+        _band_solver_spy(monkeypatch, [], spoil=spoil)
         chain = _chain(12, 2, 0.3)
         env = _Environment(rate_per_instance=0.04, p_dup_holder=0.3, p_full=0.01)
         with pytest.raises(RuntimeError, match="stationary distribution"):
@@ -324,15 +394,63 @@ class TestBandedStationary:
 
     def test_singular_band_raises(self, monkeypatch):
         """An exact zero pivot (a massless pin on a one-dimensional line
-        can produce one) is ``LinAlgError`` in scipy, ``RuntimeError`` here."""
-        import scipy.linalg
-
-        def singular(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("singular matrix")
-
-        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        can produce one) at every pin is ``info > 0`` from LAPACK and
+        ``RuntimeError`` here."""
+        pins = []
+        _band_solver_spy(monkeypatch, pins, info=1)
         with pytest.raises(RuntimeError, match="stationary distribution"):
             _chain(20, 0, 0.0, 12).solve(cache=False)
+        assert len(pins) == 2  # the pin, then one re-pin
+
+    def test_illegal_lapack_argument_raises(self, monkeypatch):
+        _band_solver_spy(monkeypatch, [], info=-4)
+        with pytest.raises(ValueError, match="illegal argument 4"):
+            _chain(12, 2, 0.3).solve(cache=False)
+
+    def test_singular_first_pin_still_solves(self):
+        """s=40, dL=24, ℓ=1e-9: the first iteration pins the middle of the
+        grid, (32, 12), which leaves the neutral environment's band exactly
+        singular.  That used to raise; ℓ = 0 and ℓ = 1e-4 solved."""
+        solved = _chain(40, 24, 1e-9).solve(cache=False)
+        assert solved.iterations == 29
+        lossless = _chain(40, 24, 0.0).solve(cache=False)
+        assert np.abs(solved.stationary - lossless.stationary).max() <= 1e-9
+
+    def test_singular_pin_is_moved_to_the_largest_inflow(self, monkeypatch):
+        pins = []
+        _band_solver_spy(monkeypatch, pins)
+        chain = _chain(40, 24, 1e-9)
+        env = _Environment(rate_per_instance=0.5 / 40, p_dup_holder=0.01, p_full=0.01)
+        pin = len(chain.states) // 2
+        assert chain.states[pin] == (32, 12)
+        pi = chain._stationary(env, pin)
+        off_diag, _ = chain._transition_parts(env)
+        inflow = np.bincount(chain._template.merged_cols, weights=off_diag)
+        assert chain.states[int(np.argmax(inflow))] == (38, 40)
+        position = chain._template.position
+        assert pins == [position[pin], position[chain._index[(38, 40)]]]
+        assert np.abs(pi - _stationary_lu(chain._build_matrix(env))).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(_chain_env_pin())
+    def test_lapack_seam_equals_solve_banded(self, drawn):
+        """Same band, pin and environment: the same bits as
+        ``scipy.linalg.solve_banded`` on this machine's LAPACK."""
+        from scipy.linalg import LinAlgError
+
+        chain, env, pin = drawn
+        try:
+            expected = _stationary_solve_banded(chain, env, pin)
+        except (LinAlgError, RuntimeError):
+            # solve_banded's path raises; the seam may re-pin past an
+            # exact zero pivot, but it returns no unbalanced vector.
+            try:
+                pi = chain._stationary(env, pin)
+            except RuntimeError:
+                return
+            assert np.abs(pi @ chain._build_matrix(env) - pi).max() <= 1e-10
+            return
+        assert np.array_equal(chain._stationary(env, pin), expected)
 
 
 def _golden_id(row):

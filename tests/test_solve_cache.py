@@ -233,6 +233,29 @@ class TestSolveIntegration:
         assert (second.stationary >= 0.0).all()
         assert second.outdegree_pmf  # untouched by the caller's mutation
 
+    @staticmethod
+    def _spoil(result):
+        result.stationary[:] = -1.0
+        result.outdegree_pmf.clear()
+        result.indegree_pmf[0] = 7.0
+
+    @pytest.mark.parametrize("layer", ["memory", "disk"])
+    def test_hit_result_is_mutation_isolated(self, tmp_path, layer):
+        """A result a hit returned is the caller's own, as a miss's is."""
+        reference = _solve(SolveCache(directory=tmp_path))
+        cache = SolveCache(directory=tmp_path)  # a disk hit fills its memory
+        hit = _solve(cache)
+        assert cache.stats.disk_hits == 1
+        if layer == "memory":
+            hit = _solve(cache)
+            assert cache.stats.memory_hits == 1
+        self._spoil(hit)
+        again = _solve(cache)
+        assert cache.stats.hits() == (3 if layer == "memory" else 2)
+        np.testing.assert_array_equal(again.stationary, reference.stationary)
+        assert again.outdegree_pmf == reference.outdegree_pmf
+        assert again.indegree_pmf == reference.indegree_pmf
+
     def test_cache_false_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path))
         _solve(False)
