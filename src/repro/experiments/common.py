@@ -87,11 +87,18 @@ def build_sf_system(
         # Bulk join, one block of rows at a time: state-identical to the
         # add_node loop below (no randomness involved), but O(n / block)
         # numpy calls — at n=10⁶ the loop itself would dwarf the
-        # simulation — and no (n × k) bootstrap matrix.
-        offsets = np.arange(1, init_outdegree + 1)
+        # simulation — and no (n × k) bootstrap matrix.  A block is the
+        # first block shifted by its first id, written into one reused
+        # buffer; only rows u ≥ n − init_outdegree wrap, so only they
+        # pay for the modulus.
+        first = np.arange(ROW_BLOCK)[:, None] + np.arange(1, init_outdegree + 1)
+        ring = np.empty_like(first)
         for lo in range(0, n, ROW_BLOCK):
-            ids = np.arange(lo, min(lo + ROW_BLOCK, n))
-            protocol.add_nodes(ids, (ids[:, None] + offsets) % n)
+            m = min(ROW_BLOCK, n - lo)
+            np.add(first[:m], lo, out=ring[:m])
+            tail = ring[max(n - init_outdegree - lo, 0):m]
+            tail[tail >= n] -= n
+            protocol.add_nodes(np.arange(lo, lo + m), ring[:m])
     else:
         for u in range(n):
             bootstrap = [(u + k) % n for k in range(1, init_outdegree + 1)]

@@ -130,6 +130,16 @@ def _check_id_width(peak: int) -> None:
         )
 
 
+def _distinct(ids: np.ndarray) -> bool:
+    """Whether no id occurs twice in ``ids``: one comparison proves
+    strictly increasing ids (a ring block) distinct, anything else is
+    sorted once."""
+    if (ids[1:] > ids[:-1]).all():
+        return True
+    ordered = np.sort(ids)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
 def _select_empty_pair(ebits_vals, ranks2):
     """Vectorized double rank-select: the ``r``-th lowest set bit per word.
 
@@ -305,8 +315,11 @@ class ArrayKernel(SimulationKernel):
         bootstrap view ``bootstrap_matrix[r]`` (all views the same size).
 
         State-identical to calling :meth:`add_node` in a loop — no
-        randomness is involved — but O(1) NumPy calls, which is what makes
-        10⁶-node populations constructible in well under a second.
+        randomness is involved — and atomic like it: a rejected call grows
+        nothing and writes no state array.  The new rows are one
+        contiguous block, so each slot is written once, through a slice;
+        the checks are O(m) on strictly increasing ids (one comparison
+        proves them distinct), one sort otherwise.
         """
         node_ids = np.ascontiguousarray(node_ids, dtype=np.int64)
         boot = np.ascontiguousarray(bootstrap_matrix, dtype=np.int64)
@@ -317,32 +330,36 @@ class ArrayKernel(SimulationKernel):
         self.params.validate_bootstrap(k)
         if m == 0:
             return
-        if node_ids.min() < 0 or boot.min() < 0:
+        top = int(node_ids.max())
+        # Read as unsigned, a negative bootstrap id is above MAX_NODE_ID,
+        # so one reduction bounds the matrix and only then is its sign read.
+        peak = max(top, int(boot.view(np.uint64).max())) if k else top
+        if node_ids.min() < 0 or (peak > MAX_NODE_ID and boot.min() < 0):
             raise ValueError("array kernel requires nonnegative node ids")
-        peak = int(max(node_ids.max(), boot.max()))
         _check_id_width(peak)
-        if np.unique(node_ids).size != m:
+        if not _distinct(node_ids):
             raise ValueError("duplicate node ids in bulk join")
-        in_index = node_ids[node_ids < self._id_index.shape[0]]
-        if in_index.size and (self._id_index[in_index] >= 0).any():
-            live = in_index[self._id_index[in_index] >= 0]
-            raise ValueError(f"node {int(live[0])} already exists")
+        size = self._id_index.shape[0]
+        in_index = node_ids[node_ids < size]
+        known = self._id_index[in_index] >= 0
+        if known.any():
+            raise ValueError(f"node {int(in_index[known][0])} already exists")
         while self._n + m > self._ids.shape[0]:
             self._grow()
-        if peak >= self._id_index.shape[0]:
+        if peak >= size:
             self._grow_id_index(peak)
-        rows = np.arange(self._n, self._n + m)
-        self._ids[rows] = EMPTY
-        self._ids[rows, :k] = boot
-        self._dep[rows] = False
-        self._outdeg[rows] = k
-        self._sent[rows] = 0
-        self._received[rows] = 0
-        self._node_at[rows] = node_ids
-        self._id_index[node_ids] = rows
+        lo, hi = self._n, self._n + m
+        self._ids[lo:hi, :k] = boot
+        self._ids[lo:hi, k:] = EMPTY
+        self._dep[lo:hi] = False
+        self._outdeg[lo:hi] = k
+        self._sent[lo:hi] = 0
+        self._received[lo:hi] = 0
+        self._node_at[lo:hi] = node_ids
+        self._id_index[node_ids] = np.arange(lo, hi)
         if self._ebits is not None:
-            self._ebits[rows] = self._full_mask() & ~np.uint64((1 << k) - 1)
-        self._n += m
+            self._ebits[lo:hi] = self._full_mask() & ~np.uint64((1 << k) - 1)
+        self._n = hi
 
     def remove_node(self, node_id: NodeId) -> None:
         if not self.has_node(node_id):

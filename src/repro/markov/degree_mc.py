@@ -123,8 +123,8 @@ def _band_solver(lower: int, upper: int) -> _BandSolve:
 class _TransitionTemplate:
     """Environment-independent structure of the rate matrix.
 
-    ``rows/cols/base/kind`` hold one entry per potential transition, in
-    the exact order the scalar builder generates them (so ordered
+    ``rows/base/kind`` hold one entry per potential transition, in the
+    exact order the scalar builder generates them (so ordered
     accumulations reproduce its floating-point sums bit for bit).
     ``order/group_starts/merged_rows/merged_cols`` pre-merge duplicate
     ``(row, col)`` pairs via a stable sort, preserving first-generated
@@ -147,7 +147,6 @@ class _TransitionTemplate:
     """
 
     rows: np.ndarray
-    cols: np.ndarray
     base: np.ndarray
     kind: np.ndarray
     order: np.ndarray
@@ -431,7 +430,6 @@ class DegreeMarkovChain:
         dd1 = d * (d - 1)
         return _TransitionTemplate(
             rows=rows_arr,
-            cols=cols_arr,
             base=base,
             kind=kind,
             order=order,
@@ -618,9 +616,10 @@ class DegreeMarkovChain:
         and a :class:`SolveCache` instance substitutes a custom cache.
         Keys cover every input the result depends on — chain construction
         and solver settings alike — so a hit is always exact.  The cache
-        holds its own copy of a result and a hit returns a fresh one
-        (a pickle round trip, the disk layer's own format), so no caller
-        can mutate what the next one reads.
+        holds its own copy of a result (a miss is pickled once: those
+        bytes go to disk and their unpickling to memory) and a hit
+        returns a fresh one (a pickle round trip), so no caller can
+        mutate what the next one reads.
         """
         if (
             self.conserved_sum_degree is None
@@ -653,7 +652,7 @@ class DegreeMarkovChain:
                 return _copied(hit)
         result = self._fixed_point()
         if cache is not None:
-            cache.put(key, _copied(result))
+            cache.put(key, result)
         return result
 
     def _fixed_point(self) -> DegreeMCResult:

@@ -36,6 +36,7 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -146,14 +147,20 @@ class SolveCache:
         return None
 
     def put(self, key: str, result: Any) -> None:
-        """Store ``result`` under ``key`` in memory and (atomically) on disk."""
-        self._memory[key] = result
+        """Store a copy of ``result`` under ``key``: pickled once, the bytes
+        go (atomically) to disk and their unpickling into memory, so the
+        caller keeps ``result`` to itself.  A value that does not pickle
+        stays in memory as it is."""
+        path = self._path(key)
+        data = self._files.pickled(path, result)
+        self._memory[key] = result if data is None else pickle.loads(data)
         self.stats.writes += 1
         tel = get_telemetry()
         if tel.active:
             tel.inc("solve_cache.writes")
             tel.event("solve_cache.store")
-        self._files.write(self._path(key), result)
+        if data is not None:
+            self._files.write_bytes(path, data)
 
     def clear_memory(self) -> None:
         self._memory.clear()

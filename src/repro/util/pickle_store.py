@@ -33,7 +33,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Set, Tuple
+from typing import Any, Callable, Optional, Set, Tuple
 
 from repro.obs import get_telemetry
 
@@ -58,12 +58,29 @@ class PickleFiles:
 
     def write(self, path: Path, payload: Any) -> bool:
         """Pickle ``payload`` to ``path`` atomically; False if that failed."""
+        data = self.pickled(path, payload)
+        return data is not None and self.write_bytes(path, data)
+
+    def pickled(self, path: Path, payload: Any) -> Optional[bytes]:
+        """The bytes :meth:`write` stores for ``payload`` at ``path``, or
+        None (logged) if it does not pickle."""
+        try:
+            return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # whatever pickling the payload can raise
+            self._log_once(
+                "pickle", "%s entry %s does not pickle (%r); %s",
+                self._store, path.name, exc, self._unwritten,
+            )
+            return None
+
+    def write_bytes(self, path: Path, data: bytes) -> bool:
+        """Write pickled ``data`` to ``path`` atomically; False if that failed."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    handle.write(data)
                 os.replace(temp_name, path)
             except BaseException:
                 os.unlink(temp_name)
@@ -72,12 +89,6 @@ class PickleFiles:
             self._log_once(
                 "write", "%s write to %s failed (errno %s: %s); %s",
                 self._store, path.parent, exc.errno, exc.strerror, self._unwritten,
-            )
-            return False
-        except Exception as exc:  # whatever pickling the payload can raise
-            self._log_once(
-                "pickle", "%s entry %s does not pickle (%r); %s",
-                self._store, path.name, exc, self._unwritten,
             )
             return False
         return True

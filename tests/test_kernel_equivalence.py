@@ -12,18 +12,27 @@ i.i.d. loss only; any other model is a ``TypeError`` at engine
 construction and at ``run_batch``, before any state changes.
 
 Covered backends: the fused :class:`ArrayKernel` and
-:class:`ShardedKernel` with two apply workers.
+:class:`ShardedKernel` with two apply workers.  The array kernel's bulk
+join (``add_nodes``, and the ring bootstrap ``build_sf_system`` feeds it
+one ``ROW_BLOCK`` at a time) is held to its ``add_node`` loop in every
+state array, and a rejected join to no change at all.
 """
 
 from __future__ import annotations
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import SFParams
 from repro.engine.sequential import EngineStats, SequentialEngine
 from repro.experiments.common import build_sf_system
 from repro.kernel import ArrayKernel, ReferenceKernel, ShardedKernel
+from repro.kernel.array import MAX_NODE_ID, ROW_BLOCK
 from repro.net.loss import (
     GilbertElliottLoss,
     LossModel,
@@ -263,3 +272,156 @@ class TestEngineLevelEquivalence:
         engine_arr.run_actions(1234)
         assert engine_ref.stats == engine_arr.stats
         assert_same_state(ref, arr, context="engine step/run_actions")
+
+
+def live_state(kernel):
+    """Every per-row state array's live rows, and the id index's live
+    ``(id, row)`` entries (its length is a growth policy's, not state)."""
+    n = kernel.population
+    state = {
+        name: getattr(kernel, "_" + name)[:n].copy() for name in kernel._grown_names()
+    }
+    known = np.flatnonzero(kernel._id_index >= 0)
+    state["id_index"] = np.stack([known, kernel._id_index[known]])
+    return state
+
+
+def assert_same_arrays(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+
+
+@st.composite
+def ring_cases(draw):
+    """Parameters and a population size at the ring bootstrap's edges: one
+    short of, at and one past a ``ROW_BLOCK``, a last block whose
+    wrapping rows start in the block before it, and n just above the
+    bootstrap degree.  Views past 64 slots run without the empty-slot
+    bitmask."""
+    s = 2 * draw(st.integers(3, 36))
+    d_low = 2 * draw(st.integers(0, s // 2 - 3))
+    k = 2 * draw(st.integers(max(d_low // 2, 1), s // 2))
+    n = draw(
+        st.sampled_from(
+            [k + 1, k + 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + k - 1]
+        )
+    )
+    return SFParams(view_size=s, d_low=d_low), n, k
+
+
+class TestBulkJoin:
+    """``add_nodes`` ≡ an ``add_node`` loop; a rejected call changes nothing."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=ring_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_ring_bootstrap_matches_add_node_loop(self, case, seed):
+        params, n, k = case
+        bulk, engine = build_sf_system(
+            n, params, loss_rate=0.05, seed=seed, init_outdegree=k, backend="array"
+        )
+        looped = build(ArrayKernel, n, params=params, init_outdegree=k)
+        assert_same_arrays(live_state(bulk), live_state(looped))
+        engine.run_rounds(2)
+        SequentialEngine(looped, UniformLoss(0.05), seed=seed).run_rounds(2)
+        assert_same_arrays(live_state(bulk), live_state(looped))
+        bulk.check_invariant()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_order_of_distinct_ids_matches_add_node_loop(self, data):
+        """Ids in no particular order take the exact duplicate check."""
+        n = data.draw(st.integers(1, 40))
+        capacity = data.draw(st.integers(1, 2 * n))
+        ids = data.draw(st.permutations(range(n)))
+        boot = (np.asarray(ids)[:, None] + np.arange(1, 5)) % n
+        bulk = ArrayKernel(PARAMS, capacity=capacity)
+        looped = ArrayKernel(PARAMS, capacity=capacity)
+        bulk.add_nodes(ids, boot)
+        for u, row in zip(ids, boot.tolist()):
+            looped.add_node(u, row)
+        assert_same_arrays(live_state(bulk), live_state(looped))
+
+    def test_empty_bootstrap_matches_add_node_loop(self):
+        """With d_low = 0 a joiner may start with an empty view."""
+        params = SFParams(view_size=10, d_low=0)
+        bulk = ArrayKernel(params, capacity=2)
+        looped = ArrayKernel(params, capacity=2)
+        bulk.add_nodes(np.arange(5), np.zeros((5, 0), dtype=np.int64))
+        for u in range(5):
+            looped.add_node(u, [])
+        assert_same_arrays(live_state(bulk), live_state(looped))
+        assert bulk.view_slots(3) == (None,) * 10
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_rejected_join_changes_nothing(self, data):
+        """A duplicate at any position, a live, negative or over-width id,
+        or a bad bootstrap size raises its message before the kernel grows
+        or writes anything.  The kernel is full, so an accepted call would
+        grow it."""
+        kernel = build(ArrayKernel, 8, init_outdegree=6)
+        m = data.draw(st.integers(2, 9))
+        node_ids = np.arange(8, 8 + m)
+        boot = np.tile(np.arange(6), (m, 1))
+        pos = data.draw(st.integers(0, m - 1))
+        fault = data.draw(
+            st.sampled_from(
+                ["duplicate", "live", "negative", "negative-boot", "wide",
+                 "wide-boot", "odd", "below-d-low", "above-view"]
+            )
+        )
+        if fault == "duplicate":
+            other = data.draw(st.integers(0, m - 1).filter(lambda j: j != pos))
+            node_ids[pos] = node_ids[other]
+            message = "duplicate node ids in bulk join"
+        elif fault == "live":
+            node_ids[pos] = data.draw(st.integers(0, 7))
+            message = f"node {node_ids[pos]} already exists"
+        elif fault == "negative":
+            node_ids[pos] = -data.draw(st.integers(1, 2**40))
+            message = "array kernel requires nonnegative node ids"
+        elif fault == "negative-boot":
+            boot[pos, data.draw(st.integers(0, 5))] = -1
+            message = "array kernel requires nonnegative node ids"
+        elif fault == "wide":
+            node_ids[pos] = MAX_NODE_ID + data.draw(st.integers(1, 2**40))
+            message = f"array kernel holds node ids up to {MAX_NODE_ID}"
+        elif fault == "wide-boot":
+            boot[pos, data.draw(st.integers(0, 5))] = MAX_NODE_ID + 1
+            message = f"array kernel holds node ids up to {MAX_NODE_ID}"
+        elif fault == "odd":
+            boot = boot[:, :5]
+            message = "bootstrap view must have even size"
+        elif fault == "below-d-low":
+            boot = boot[:, :2]
+            message = f"joiner needs at least d_low={PARAMS.d_low} ids"
+        else:
+            boot = np.tile(np.arange(12), (m, 1))
+            message = f"bootstrap view exceeds view size {PARAMS.view_size}"
+        if data.draw(st.booleans()):
+            order = np.asarray(data.draw(st.permutations(range(m))))
+            node_ids, boot = node_ids[order], boot[order]
+        before = {
+            name: value.copy()
+            for name, value in vars(kernel).items()
+            if isinstance(value, np.ndarray)
+        }
+        with mock.patch.object(
+            ArrayKernel, "_grow", side_effect=AssertionError("grew")
+        ), mock.patch.object(
+            ArrayKernel, "_grow_id_index", side_effect=AssertionError("grew")
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                kernel.add_nodes(node_ids, boot)
+        assert kernel.population == 8
+        after = {
+            name: value
+            for name, value in vars(kernel).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert after.keys() == before.keys()
+        for name, value in before.items():
+            assert after[name].shape == value.shape, name
+            assert after[name].tobytes() == value.tobytes(), name
