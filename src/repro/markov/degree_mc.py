@@ -44,14 +44,13 @@ this reproduces the "S&F Markov" curves of Figure 6.1.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import SFParams
-from repro.markov.solve_cache import DEFAULT_CACHE, SolveCache, solve_key
+from repro.markov.solve_cache import DEFAULT_CACHE
 
 if TYPE_CHECKING:
     # scipy.sparse is imported where it is called: `repro list` imports
@@ -61,7 +60,7 @@ if TYPE_CHECKING:
 State = Tuple[int, int]  # (outdegree, indegree)
 
 #: Fixed-point solver settings.  Read at call time (tests monkeypatch them)
-#: and hashed into every solve key, so a changed value never false-hits.
+#: and part of every solve key, so a changed value never false-hits.
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
 DAMPING = 0.5
@@ -209,12 +208,6 @@ class DegreeMCResult:
         from repro.util.stats import distribution_mean_std
 
         return distribution_mean_std(self.indegree_pmf)
-
-
-def _copied(result: DegreeMCResult) -> DegreeMCResult:
-    """An independent copy of ``result``: a pickle round trip, about five
-    times cheaper than ``copy.deepcopy`` of the same object graph."""
-    return pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 @dataclass
@@ -600,7 +593,7 @@ class DegreeMarkovChain:
     # Fixed point
     # ------------------------------------------------------------------
 
-    def solve(self, cache: Union[None, bool, SolveCache] = None) -> DegreeMCResult:
+    def solve(self, cache: bool = True) -> DegreeMCResult:
         """Run the paper's iterative scheme to the self-consistent π.
 
         Each iteration computes the stationary distribution for the current
@@ -611,15 +604,13 @@ class DegreeMarkovChain:
         and ``ValueError`` for the reducible ``ℓ = 0, dL = 0`` full grid
         (Lemma 6.2), which has no unique stationary law to converge to.
 
-        ``cache`` selects the content-addressed solve cache: ``None`` (or
-        ``True``) uses the process-wide default, ``False`` skips caching,
-        and a :class:`SolveCache` instance substitutes a custom cache.
-        Keys cover every input the result depends on — chain construction
-        and solver settings alike — so a hit is always exact.  The cache
-        holds its own copy of a result (a miss is pickled once: those
-        bytes go to disk and their unpickling to memory) and a hit
-        returns a fresh one (a pickle round trip), so no caller can
-        mutate what the next one reads.
+        With ``cache`` (the default) the result is memoized in the
+        process-wide :data:`~repro.markov.solve_cache.DEFAULT_CACHE`,
+        keyed on every input it depends on — chain construction and
+        solver settings alike — so a hit is always exact.  The memo
+        holds a pickled copy and a hit returns a fresh unpickling, so no
+        caller can mutate what the next one reads.  ``cache=False``
+        skips the memo for this solve.
         """
         if (
             self.conserved_sum_degree is None
@@ -631,28 +622,23 @@ class DegreeMarkovChain:
                 "(Lemma 6.2) and is reducible on the full grid; pass "
                 "conserved_sum_degree to solve it on one line"
             )
-        if cache is None or cache is True:
-            cache = DEFAULT_CACHE
-        elif cache is False:
-            cache = None
-        if cache is not None:
-            key = solve_key(
-                view_size=self.params.view_size,
-                d_low=self.params.d_low,
-                loss_rate=self.loss_rate,
-                conserved_sum_degree=self.conserved_sum_degree,
-                sum_degree_cap=self.sum_degree_cap,
-                max_iterations=MAX_ITERATIONS,
-                tolerance=TOLERANCE,
-                damping=DAMPING,
-            )
-            hit = cache.get(key)
-            # An unconverged entry can only be one older code journaled.
-            if hit is not None and hit.converged:
-                return _copied(hit)
+        if not cache:
+            return self._fixed_point()
+        key = (
+            self.params.view_size,
+            self.params.d_low,
+            self.loss_rate,
+            self.conserved_sum_degree,
+            self.sum_degree_cap,
+            MAX_ITERATIONS,
+            TOLERANCE,
+            DAMPING,
+        )
+        hit = DEFAULT_CACHE.get(key)
+        if hit is not None:
+            return hit
         result = self._fixed_point()
-        if cache is not None:
-            cache.put(key, result)
+        DEFAULT_CACHE.put(key, result)
         return result
 
     def _fixed_point(self) -> DegreeMCResult:

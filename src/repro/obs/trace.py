@@ -34,7 +34,7 @@ from typing import Any, Dict, Union
 
 #: Bump whenever the record envelope or an existing record type's fields
 #: change shape; every record embeds it.
-TRACE_SCHEMA_VERSION = 4
+TRACE_SCHEMA_VERSION = 5
 
 
 class Tracer:

@@ -462,8 +462,8 @@ def _golden_id(row):
 
 
 class TestGoldenFixedPoints:
-    """The parent commit's fixed points (sparse LU, ``SOLVE_SCHEMA_VERSION``
-    1).  The damped sequence from the neutral start *defines* the
+    """Fixed points written by the earlier sparse-LU stationary solve.
+    The damped sequence from the neutral start *defines* the
     solution — at ℓ ≥ 0.9 the environment map has a second fixed point
     with ``p_dup_holder`` off by ``1 − ℓ`` — so the iteration counts are
     pinned with the values: an accelerator that lands elsewhere, or gets

@@ -1,18 +1,15 @@
-"""Both on-disk stores driven through their failure modes.
+"""The checkpoint journal driven through its failure modes.
 
-The sweep checkpoint journal (:class:`repro.runner.CheckpointStore`) and
-the degree-MC solve cache (:class:`repro.markov.solve_cache.SolveCache`)
-share one policy, :mod:`repro.util.pickle_store`.  One state machine,
-run once per store, stores and loads under a few keys while it truncates
-entries, plants foreign bytes, pickled non-entries and orphan ``*.tmp``
-files, and swaps the directory for a regular file (the unwritable
-directory any uid can make).  A model of the disk says what every load
-must return:
+One state machine stores and loads :class:`repro.runner.CheckpointStore`
+entries under a few keys while it truncates entries, plants foreign
+bytes, pickled non-entries and orphan ``*.tmp`` files, and swaps the
+directory for a regular file (the unwritable directory any uid can
+make).  A model of the disk says what every load must return:
 
-* ``load`` / ``get`` never raise;
+* ``load`` never raises;
 * a hit returns exactly the last value stored under that key;
-* a corrupt entry is quarantined once, counted in ``<store>.quarantined``,
-  and is a miss from then on;
+* a corrupt entry is quarantined once, counted in
+  ``checkpoint.quarantined``, and is a miss from then on;
 * a ``*.tmp`` file is never a hit, and no store operation leaves one.
 """
 
@@ -27,7 +24,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.markov.solve_cache import SolveCache
 from repro.obs import Registry, Telemetry, activated
 from repro.runner import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -37,7 +33,6 @@ from repro.runner import (
 )
 
 KEYS = st.sampled_from(["a", "b", "c"])
-# No ``None``: ``SolveCache.get`` reports a miss as ``None``.
 VALUES = st.one_of(
     st.integers(),
     st.text(max_size=4),
@@ -67,41 +62,18 @@ class _Checkpoint:
         return None
 
 
-class _SolveCache:
-    """:class:`SolveCache`'s disk layer behind the machine's verbs."""
-
-    name = "solve_cache"
-
-    def __init__(self, directory: Path):
-        self.cache = SolveCache(directory=directory)
-
-    def put(self, key, value):
-        self.cache.put(key, value)
-
-    def get(self, key):
-        self.cache.clear_memory()  # read the disk, as another process would
-        value = self.cache.get(key)
-        return value is not None, value
-
-    @staticmethod
-    def decode(payload):
-        return (payload,)
-
-
 def _not_picklable():
     return lambda: None
 
 
 class StoreMachine(RuleBasedStateMachine):
-    make_store = None
-
     def __init__(self):
         super().__init__()
         self.root = Path(tempfile.mkdtemp(prefix="pickle-store-"))
         self.directory = self.root / "store"
         self.directory.mkdir()
         self.aside = self.root / "aside"
-        self.subject = self.make_store(self.directory)
+        self.subject = _Checkpoint(self.directory)
         self.registry = Registry()
         self.telemetry = activated(Telemetry(self.registry))
         self.telemetry.__enter__()
@@ -211,16 +183,10 @@ class StoreMachine(RuleBasedStateMachine):
         assert {p.name for p in self.directory.glob("*.tmp")} == self.orphans
 
 
-for _store in (_Checkpoint, _SolveCache):
-    _machine = type(
-        f"{_store.name}_machine",
-        (StoreMachine,),
-        {"make_store": staticmethod(_store)},
-    )
-    _machine.TestCase.settings = settings(
-        max_examples=60, stateful_step_count=30, deadline=None
-    )
-    globals()[f"TestFailureModes_{_store.name}"] = _machine.TestCase
+StoreMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestFailureModes_checkpoint = StoreMachine.TestCase
 
 
 class _Interrupts:
@@ -233,10 +199,8 @@ class _Interrupts:
 def test_interrupt_while_pickling_propagates_and_leaves_no_temp_file(tmp_path):
     """A payload is pickled before the store touches the disk, so not even
     the store's directory is made."""
-    stores = (_Checkpoint(tmp_path / "checkpoint"), _SolveCache(tmp_path / "solve"))
-    for store in stores:
-        with pytest.raises(KeyboardInterrupt):
-            store.put("k", [1, _Interrupts()])
+    with pytest.raises(KeyboardInterrupt):
+        _Checkpoint(tmp_path / "checkpoint").put("k", [1, _Interrupts()])
     assert sorted(p.name for p in tmp_path.rglob("*")) == []
 
 

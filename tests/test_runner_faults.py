@@ -429,6 +429,30 @@ class TestCheckpointStore:
         assert not (tmp_path / f"{key}.pkl").exists()
         assert any("quarantined" in r.message for r in caplog.records)
 
+    def test_quarantine_warns_once_then_debug(self, tmp_path, caplog):
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.pkl").write_bytes(b"garbage")
+        store = CheckpointStore(tmp_path)
+        with caplog.at_level(logging.DEBUG, logger="repro.runner.checkpoint"):
+            assert store.load("a") == store.load("b") == (False, None)
+        assert [r.levelname for r in caplog.records] == ["WARNING", "DEBUG"]
+        assert sorted(p.name for p in (tmp_path / "quarantine").iterdir()) == [
+            "a.pkl", "b.pkl"
+        ]
+
+    def test_missing_entry_is_a_quiet_miss(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.runner.checkpoint"):
+            assert CheckpointStore(tmp_path).load("never-written") == (False, None)
+        assert not caplog.records and list(tmp_path.iterdir()) == []
+
+    def test_store_leaves_no_temp_file(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        for i in range(5):
+            store.store(f"k{i}", i)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"k{i}.pkl" for i in range(5)
+        ]
+
     def test_len_counts_entries_only(self, tmp_path):
         """Orphan temp files and quarantined entries are never read, so
         they are not entries."""

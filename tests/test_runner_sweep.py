@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.params import SFParams
+from repro.markov import degree_mc
 from repro.markov.degree_mc import DegreeMarkovChain
 from repro.markov.solve_cache import SolveCache
 from repro.runner import (
@@ -32,9 +33,8 @@ def _boom(cell: GridCell, context):
 
 
 def _solve_tiny(cell: GridCell, context):
-    cache = SolveCache(directory=context)
     chain = DegreeMarkovChain(SFParams(view_size=12, d_low=2), loss_rate=cell.point)
-    return chain.solve(cache=cache).expected_outdegree()
+    return chain.solve().expected_outdegree()
 
 
 class TestDeriveSeeds:
@@ -107,14 +107,15 @@ class TestExecution:
 
 
 class TestSolveCacheThroughSweep:
-    def test_rerun_hits_disk_cache_with_identical_results(self, tmp_path):
-        points = [0.0, 0.05]
-        first = SweepRunner(jobs=2).run(_solve_tiny, points, context=tmp_path)
-        cached_files = sorted(tmp_path.glob("*.pkl"))
-        assert len(cached_files) == len(points)
-        second = SweepRunner(jobs=2).run(_solve_tiny, points, context=tmp_path)
-        assert first == second
-        # Re-run added no new entries — every solve was a cache hit.
-        assert sorted(tmp_path.glob("*.pkl")) == cached_files
-        # And the warm path matches serial execution exactly.
-        assert SweepRunner(jobs=1).run(_solve_tiny, points, context=tmp_path) == first
+    POINTS = [0.0, 0.05]
+
+    def test_inline_rerun_hits_the_memo(self, monkeypatch):
+        cache = SolveCache()
+        monkeypatch.setattr(degree_mc, "DEFAULT_CACHE", cache)
+        first = SweepRunner(jobs=1).run(_solve_tiny, self.POINTS)
+        assert SweepRunner(jobs=1).run(_solve_tiny, self.POINTS) == first
+        assert (cache.stats.misses, cache.stats.hits()) == (2, 2)
+
+    def test_process_pool_matches_inline(self):
+        pooled = SweepRunner(jobs=2, executor="process").run(_solve_tiny, self.POINTS)
+        assert pooled == SweepRunner(jobs=1).run(_solve_tiny, self.POINTS)

@@ -73,10 +73,9 @@ def _collect(path: Path) -> dict:
     return mapping
 
 
-def _emit_all(tmp_path: Path, monkeypatch) -> dict:
+def _emit_all(tmp_path: Path) -> dict:
     """Run the fixed-seed commands + synthetic exercises; return the
     union ``{type: fields}`` mapping."""
-    monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "solve-cache"))
     DEFAULT_CACHE.clear_memory()  # deterministic miss+store on first solve
 
     observed: dict = {}
@@ -110,11 +109,10 @@ def _emit_all(tmp_path: Path, monkeypatch) -> dict:
         store = CheckpointStore(tmp_path / "ckpt")
         SweepRunner(jobs=1, checkpoint=store).run(_echo, [1, 2])
         SweepRunner(jobs=1, checkpoint=store).run(_echo, [1, 2])
-        # solve_cache.hit (memory, then disk through a fresh instance)
-        cache = SolveCache(directory=tmp_path / "cache2")
+        # solve_cache.hit
+        cache = SolveCache()
         cache.put("k", 42)
         assert cache.get("k") == 42
-        assert SolveCache(directory=tmp_path / "cache2").get("k") == 42
         # des.run (the asynchronous engine)
         protocol = SendForget(SFParams(view_size=8, d_low=2))
         for u in range(12):
@@ -130,14 +128,8 @@ def write_snapshot() -> None:  # pragma: no cover - regeneration helper
     """Regenerate tests/data/trace_schema.json from a live run."""
     import tempfile
 
-    from _pytest.monkeypatch import MonkeyPatch
-
-    patch = MonkeyPatch()
-    try:
-        with tempfile.TemporaryDirectory() as scratch:
-            observed = _emit_all(Path(scratch), patch)
-    finally:
-        patch.undo()
+    with tempfile.TemporaryDirectory() as scratch:
+        observed = _emit_all(Path(scratch))
     observed.update(STATIC_TYPES)
     SCHEMA_PATH.parent.mkdir(parents=True, exist_ok=True)
     SCHEMA_PATH.write_text(
@@ -154,14 +146,14 @@ def write_snapshot() -> None:  # pragma: no cover - regeneration helper
 
 
 class TestTraceSchema:
-    def test_types_and_fields_match_snapshot(self, tmp_path, monkeypatch):
+    def test_types_and_fields_match_snapshot(self, tmp_path):
         assert SCHEMA_PATH.is_file(), (
             "missing tests/data/trace_schema.json; regenerate it (see module "
             "docstring)"
         )
         snapshot = json.loads(SCHEMA_PATH.read_text())
         assert snapshot["trace_schema_version"] == obs.TRACE_SCHEMA_VERSION
-        observed = _emit_all(tmp_path, monkeypatch)
+        observed = _emit_all(tmp_path)
         expected = dict(snapshot["types"])
         for type_, fields in STATIC_TYPES.items():
             assert expected.get(type_) == fields, (
@@ -173,8 +165,7 @@ class TestTraceSchema:
             "and regenerate the snapshot (see module docstring)"
         )
 
-    def test_every_record_carries_the_envelope(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "cache"))
+    def test_every_record_carries_the_envelope(self, tmp_path):
         trace = tmp_path / "run.jsonl"
         assert cli.main(["run", "fig-6.1", "--fast", "--trace", str(trace)]) == 0
         records = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -184,11 +175,9 @@ class TestTraceSchema:
             assert isinstance(record["ts"], float)
             assert isinstance(record["type"], str)
 
-    def test_fixed_seed_run_emits_deterministic_type_multiset(
-        self, tmp_path, monkeypatch
-    ):
-        """Two identical fixed-seed runs emit the same sequence of types."""
-        monkeypatch.setenv("REPRO_SOLVE_CACHE_DIR", str(tmp_path / "cache"))
+    def test_fixed_seed_run_emits_deterministic_type_multiset(self, tmp_path):
+        """Two identical fixed-seed runs, each from an empty solve memo,
+        emit the same sequence of types."""
 
         def type_sequence(path: Path):
             DEFAULT_CACHE.clear_memory()
@@ -201,12 +190,4 @@ class TestTraceSchema:
             ]
 
         first = type_sequence(tmp_path / "a.jsonl")
-        DEFAULT_CACHE.clear_memory()
-        # Second run sees a warm *disk* cache: hits replace misses+stores,
-        # everything else is identical.
-        second = [
-            t for t in type_sequence(tmp_path / "b.jsonl")
-            if not t.startswith("solve_cache.")
-        ]
-        stripped_first = [t for t in first if not t.startswith("solve_cache.")]
-        assert second == stripped_first
+        assert first == type_sequence(tmp_path / "b.jsonl")
