@@ -48,7 +48,7 @@ class GlobalChainChecks:
             f"doubly_stochastic={self.doubly_stochastic} "
             f"reversible={self.reversible} uniform={self.stationary_uniform} "
             f"π∈[{self.stationary_min:.4f}, {self.stationary_max:.4f}] "
-            f"membership-spread={self.membership_uniform_spread:.2e}"
+            f"membership-spread<1e-10={self.membership_uniform_spread < 1e-10}"
         )
 
 

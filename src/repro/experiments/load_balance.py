@@ -17,7 +17,7 @@ the same extreme indegree skew without that bottleneck.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
@@ -36,7 +36,7 @@ class LoadBalanceResult:
     loss_rate: float
     rounds: List[float]
     variance_curves: Dict[str, List[float]] = field(default_factory=dict)
-    mc_variance: float = 0.0
+    mc_variance: Optional[float] = None
 
     def final_variance(self, topology: str) -> float:
         return self.variance_curves[topology][-1]
@@ -53,6 +53,8 @@ class LoadBalanceResult:
             ),
             precision=1,
         )
+        if self.mc_variance is None:  # the prediction cell was not run
+            return body
         return f"{body}\ndegree-MC stationary indegree variance: {self.mc_variance:.1f}"
 
 
@@ -94,15 +96,17 @@ def points(
     sample_every: int = 50,
     seed: int = 22,
 ) -> List[dict]:
-    """One point per starting topology (hubs, ring).
+    """One point per starting topology (hubs, ring), then the degree-MC
+    prediction.
 
     The ring bootstraps every node at outdegree 2, so ``d_low`` must be
     ≤ 2.  Both topologies share one engine seed, so the curves differ by
-    the starting graph alone.
+    the starting graph alone.  The prediction is a cell of its own, so a
+    resumed sweep reads it from the checkpoint journal like the curves.
     """
     if params.d_low > 2:
         raise ValueError("the ring start has outdegree 2; need d_low <= 2")
-    return [
+    curves = [
         {
             "topology": topology,
             "n": n,
@@ -115,20 +119,33 @@ def points(
         }
         for topology in _TOPOLOGIES
     ]
+    prediction = {
+        "prediction": "degree-mc",
+        "view_size": params.view_size,
+        "d_low": params.d_low,
+        "loss": loss_rate,
+    }
+    return curves + [prediction]
 
 
 def _aggregate(points: List[dict], records: List[object]) -> LoadBalanceResult:
-    first = points[0]
-    params = SFParams(view_size=first["view_size"], d_low=first["d_low"])
+    curves = [point for point in points if "topology" in point]
+    if not curves:
+        raise RuntimeError("no variance curve to report")
+    first = curves[0]
     result = LoadBalanceResult(
-        n=first["n"], params=params, loss_rate=first["loss"], rounds=[]
+        n=first["n"],
+        params=SFParams(view_size=first["view_size"], d_low=first["d_low"]),
+        loss_rate=first["loss"],
+        rounds=[],
     )
-    for point, (xs, ys) in zip(points, records):
+    for point, record in zip(points, records):
+        if "prediction" in point:
+            result.mc_variance = record
+            continue
+        xs, ys = record
         result.rounds = xs
         result.variance_curves[point["topology"]] = ys
-    solved = DegreeMarkovChain(params, loss_rate=first["loss"]).solve()
-    _, in_std = solved.indegree_mean_std()
-    result.mc_variance = in_std**2
     return result
 
 
@@ -141,8 +158,13 @@ def _aggregate(points: List[dict], records: List[object]) -> LoadBalanceResult:
     aggregate=_aggregate,
 )
 def _cell(point: dict, seed, *, backend: str = "reference"):
-    """Experiment cell: one topology's indegree-variance curve."""
+    """Experiment cell: one topology's indegree-variance curve, or the
+    degree MC's stationary indegree variance."""
     params = SFParams(view_size=point["view_size"], d_low=point["d_low"])
+    if "prediction" in point:
+        solved = DegreeMarkovChain(params, loss_rate=point["loss"]).solve()
+        _, in_std = solved.indegree_mean_std()
+        return in_std**2
     if params.d_low > 2:
         raise ValueError("the ring start has outdegree 2; need d_low <= 2")
     builder = {"hubs": _hubs_protocol, "ring": _ring_protocol}[point["topology"]]

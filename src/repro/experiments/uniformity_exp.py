@@ -39,7 +39,10 @@ class ExactUniformityResult:
         return format_table(
             ["pair", "Pr(v in u.lv)"],
             rows,
-            title=f"Lemma 7.6 exact ({self.num_states} global states); spread={self.spread():.2e}",
+            title=(
+                f"Lemma 7.6 exact ({self.num_states} global states); "
+                f"spread<1e-10={self.spread() < 1e-10}"
+            ),
         )
 
 

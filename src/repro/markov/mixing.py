@@ -14,23 +14,16 @@ spectral-gap route (relaxation time) for cross-checking.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.markov.chain import MarkovChain
-from repro.util.stats import total_variation_distance
 
 
 def mixing_time(chain: MarkovChain, epsilon: float, max_steps: int = 10_000) -> int:
     """Worst-case mixing time: smallest t with ``max_x TV(δ_x Pᵗ, π) < ε``."""
-    _check_epsilon(epsilon)
-    pi = chain.stationary_distribution()
-    scratch = np.empty((chain.n, chain.n))
-    for t, distributions in zip(range(max_steps + 1), _row_powers(chain)):
-        if _tv_rows(distributions, pi, scratch).max() < epsilon:
-            return t
-    raise RuntimeError(f"worst-case mixing did not reach {epsilon} in {max_steps} steps")
+    return int(_hit_times(chain, epsilon, max_steps).max())
 
 
 def epsilon_independence_time(
@@ -43,73 +36,67 @@ def epsilon_independence_time(
     than the worst one, matching Definition of τε(G) in section 7.5 taken
     in expectation.
     """
+    hit = _hit_times(chain, epsilon, max_steps)
+    return float(np.dot(chain.stationary_distribution(), hit))
+
+
+def _hit_times(chain: MarkovChain, epsilon: float, max_steps: int) -> np.ndarray:
+    """``τ_ε(x)``, the first t with ``TV(δ_x Pᵗ, π) < ε``, for every start x.
+
+    ``TV(δ_x Pᵗ, π)`` never increases with t, so the last t at or above ε
+    is found by doubling: square P until every row of ``P^(2^B)`` is
+    within ε (or ``2^B`` reaches ``max_steps``), then set that t bit by bit
+    from the high bit down, one stacked product ``rows @ P^(2^b)`` per
+    bit.  Raises ``RuntimeError`` if a start needs more than ``max_steps``.
+    """
     _check_epsilon(epsilon)
     pi = chain.stationary_distribution()
-    remaining = np.ones(chain.n, dtype=bool)
-    hit_time = np.zeros(chain.n)
-    scratch = np.empty((chain.n, chain.n))
-    for t, distributions in zip(range(max_steps + 1), _row_powers(chain)):
-        settled = remaining & (_tv_rows(distributions, pi, scratch) < epsilon)
-        hit_time[settled] = t
-        remaining &= ~settled
-        if not remaining.any():
-            return float(np.dot(pi, hit_time))
-    raise RuntimeError(
-        f"{int(remaining.sum())} states did not reach {epsilon} in {max_steps} steps"
-    )
-
-
-def _row_powers(chain: MarkovChain) -> Iterator[np.ndarray]:
-    """``Pᵗ`` for t = 0, 1, …: row ``x`` is ``δ_x Pᵗ``.
-
-    Two ``(n, n)`` buffers take turns as the product's output, so a step
-    allocates nothing; a yielded array is overwritten two steps later.
-    """
-    current = np.eye(chain.n)
-    following = np.empty_like(current)
+    powers = [chain.P]  # powers[b] = P^(2^b)
     while True:
-        yield current
-        np.matmul(current, chain.P, out=following)
-        current, following = following, current
+        far_at_end = _tv_rows(powers[-1], pi) >= epsilon
+        if not far_at_end.any() or 2 ** (len(powers) - 1) >= max_steps:
+            break
+        powers.append(powers[-1] @ powers[-1])
+    rows = np.eye(chain.n)
+    last_far = np.zeros(chain.n, dtype=np.int64)
+    for b in reversed(range(len(powers) - 1)):
+        candidate = rows @ powers[b]
+        far = _tv_rows(candidate, pi) >= epsilon
+        rows[far] = candidate[far]
+        last_far[far] += 2**b
+    # A start already within ε at t = 0 hits at 0; one still far at 2^B
+    # (only when 2^B ≥ max_steps) hits past it.
+    hit = last_far + (_tv_rows(np.eye(chain.n), pi) >= epsilon) + far_at_end
+    late = int((hit > max_steps).sum())
+    if late:
+        raise RuntimeError(f"{late} states did not reach {epsilon} in {max_steps} steps")
+    return hit
 
 
-def _tv_rows(
-    distributions: np.ndarray, pi: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """``TV(δ_x Pᵗ, π)`` for every start ``x`` (one row each) at once,
-    with ``scratch`` (the shape of ``distributions``) as workspace."""
-    np.subtract(distributions, pi, out=scratch)
-    np.abs(scratch, out=scratch)
-    return 0.5 * scratch.sum(axis=1)
+def _tv_rows(distributions: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """``TV(row, π)`` for every row of ``distributions`` at once."""
+    return 0.5 * np.abs(distributions - pi).sum(axis=1)
 
 
 def tv_decay_curve(
     chain: MarkovChain, start: Optional[int], steps: int
 ) -> List[float]:
     """TV distance to π over time, from state ``start`` or (None) averaged
-    over a π-random start."""
+    over a π-random start, one product ``δ Pᵗ → δ Pᵗ⁺¹`` per step."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     pi = chain.stationary_distribution()
     if start is None:
-        curve: List[float] = []
-        for _, distributions in zip(range(steps + 1), _row_powers(chain)):
-            average = float(
-                sum(
-                    pi[x] * total_variation_distance(distributions[x], pi)
-                    for x in range(chain.n)
-                )
-            )
-            curve.append(average)
-        return curve
-    if not 0 <= start < chain.n:
+        rows, weights = np.eye(chain.n), pi
+    elif 0 <= start < chain.n:
+        rows, weights = np.eye(chain.n)[[start]], np.ones(1)
+    else:
         raise ValueError(f"start state {start} out of range")
-    p = np.zeros(chain.n)
-    p[start] = 1.0
-    curve = [total_variation_distance(p, pi)]
-    for _ in range(steps):
-        p = p @ chain.P
-        curve.append(total_variation_distance(p, pi))
+    curve: List[float] = []
+    for t in range(steps + 1):
+        if t:
+            rows = rows @ chain.P
+        curve.append(float(weights @ _tv_rows(rows, pi)))
     return curve
 
 

@@ -19,6 +19,8 @@ from repro.experiments import (
     temporal_exp,
     uniformity_exp,
 )
+from repro.markov.solve_cache import DEFAULT_CACHE
+from repro.runner import CheckpointStore, SweepRunner
 
 
 class TestDupDelBalance:
@@ -125,6 +127,20 @@ class TestLoadBalance:
     def test_requires_small_d_low(self):
         with pytest.raises(ValueError):
             load_balance.points(params=SFParams(view_size=16, d_low=4))
+
+    def test_resume_solves_nothing(self, tmp_path):
+        """The degree-MC prediction is a journaled cell like the curves,
+        so a fully resumed run solves no chain and prints the same text."""
+
+        def run():
+            with SweepRunner(jobs=1, checkpoint=CheckpointStore(tmp_path)) as runner:
+                return registry.execute("load-balance", fast=True, runner=runner)
+
+        cold = run().format()
+        DEFAULT_CACHE.clear_memory()
+        misses = DEFAULT_CACHE.stats.misses
+        assert run().format() == cold
+        assert DEFAULT_CACHE.stats.misses == misses
 
 
 class TestBaselines:

@@ -8,7 +8,7 @@ from repro.markov.chain import MarkovChain
 from repro.markov.conductance import conductance
 from repro.markov.global_mc import GlobalMarkovChain
 from repro.markov.mixing import (
-    _row_powers,
+    _hit_times,
     epsilon_independence_time,
     mixing_time,
     relaxation_time,
@@ -29,6 +29,49 @@ def lazy_ring(n=8, move=0.5):
         matrix[x, (x + 1) % n] = move / 2
         matrix[x, (x - 1) % n] = move / 2
     return MarkovChain(matrix)
+
+
+def asymmetric_chain():
+    """One hard-to-leave state: τε (average start) is strictly easier
+    than worst-case mixing."""
+    matrix = np.array(
+        [
+            [0.98, 0.02, 0.0],
+            [0.30, 0.40, 0.30],
+            [0.00, 0.30, 0.70],
+        ]
+    )
+    return MarkovChain(matrix)
+
+
+def random_chain(seed, n=30):
+    matrix = np.random.default_rng(seed).random((n, n))
+    return MarkovChain(matrix / matrix.sum(axis=1, keepdims=True))
+
+
+EPSILONS = (0.3, 0.1, 0.05, 0.02, 0.01)
+
+
+def assert_hits_follow_curves(chain, starts):
+    """``_hit_times``'s doubling search lands, for every start in
+    ``starts`` and every ε, on the first t where the one-product-per-step
+    ``tv_decay_curve`` falls below ε."""
+    hits = {epsilon: _hit_times(chain, epsilon, 100_000) for epsilon in EPSILONS}
+    for x in starts:
+        curve = tv_decay_curve(chain, x, max(hit[x] for hit in hits.values()))
+        for epsilon, hit in hits.items():
+            first = next(t for t, tv in enumerate(curve) if tv < epsilon)
+            assert hit[x] == first, (x, epsilon)
+
+
+def assert_max_steps_boundary(chain, epsilon):
+    """``max_steps`` = T (the worst hit time) returns; T − 1 raises."""
+    worst = int(_hit_times(chain, epsilon, 100_000).max())
+    assert mixing_time(chain, epsilon, max_steps=worst) == worst
+    assert epsilon_independence_time(chain, epsilon, max_steps=worst) <= worst + 1e-9
+    for quantity in (mixing_time, epsilon_independence_time):
+        with pytest.raises(RuntimeError):
+            quantity(chain, epsilon, max_steps=worst - 1)
 
 
 class TestSpectralGap:
@@ -78,16 +121,7 @@ class TestMixingTimes:
         assert tau <= mixing_time(chain, 0.05) + 1e-9
 
     def test_asymmetric_chain_tau_below_mixing(self):
-        """A chain with one hard-to-leave state: τε (average start) is
-        strictly easier than worst-case mixing."""
-        matrix = np.array(
-            [
-                [0.98, 0.02, 0.0],
-                [0.30, 0.40, 0.30],
-                [0.00, 0.30, 0.70],
-            ]
-        )
-        chain = MarkovChain(matrix)
+        chain = asymmetric_chain()
         assert epsilon_independence_time(chain, 0.02) < mixing_time(chain, 0.02)
 
     def test_invalid_epsilon(self):
@@ -107,13 +141,26 @@ class TestMixingTimes:
         with pytest.raises(np.linalg.LinAlgError, match="not unique"):
             mixing_time(MarkovChain(np.eye(2)), 0.01, max_steps=10)
 
-    def test_buffered_products_match_fresh_ones(self):
-        """The swapped ``out=`` buffers compute what ``D @ P`` did."""
-        chain = lazy_ring(8, move=0.3)
-        fresh = np.eye(chain.n)
-        for t, power in zip(range(12), _row_powers(chain)):
-            assert np.array_equal(power, fresh), t
-            fresh = fresh @ chain.P
+    @pytest.mark.parametrize(
+        "chain",
+        [two_state(), lazy_ring(8), asymmetric_chain()],
+        ids=["two-state", "lazy-ring", "asymmetric"],
+    )
+    def test_hit_times_follow_curves(self, chain):
+        assert_hits_follow_curves(chain, range(chain.n))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_chain_hit_times_follow_curves(self, seed):
+        chain = random_chain(seed)
+        assert_hits_follow_curves(chain, range(chain.n))
+
+    @pytest.mark.parametrize(
+        "chain, epsilon",
+        [(two_state(), 0.01), (lazy_ring(8), 0.05), (asymmetric_chain(), 0.02)],
+        ids=["two-state", "lazy-ring", "asymmetric"],
+    )
+    def test_max_steps_boundary(self, chain, epsilon):
+        assert_max_steps_boundary(chain, epsilon)
 
 
 class TestDecayCurves:
@@ -164,6 +211,17 @@ class TestOnGlobalChain:
         tau = epsilon_independence_time(chain, 0.1, max_steps=50_000)
         worst = mixing_time(chain, 0.1, max_steps=50_000)
         assert tau <= worst
+
+    def test_hit_times_follow_curves(self, chain):
+        """Every start, one product per step, would be ≈ 500 k single-row
+        steps (seconds); the worst start, the most and the least likely
+        start cover the max and both ends of π · hit."""
+        pi = chain.stationary_distribution()
+        worst = _hit_times(chain, EPSILONS[-1], 100_000).argmax()
+        assert_hits_follow_curves(chain, {worst, pi.argmax(), pi.argmin()})
+
+    def test_max_steps_boundary(self, chain):
+        assert_max_steps_boundary(chain, 0.1)
 
     def test_positive_spectral_gap(self, chain):
         assert spectral_gap(chain) > 0.0
