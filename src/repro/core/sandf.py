@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.params import SFParams
-from repro.core.view import NodeId, View, ViewEntry, dependent_fraction
+from repro.core.view import NodeId, View, dependent_fraction
 from repro.protocols.base import GossipProtocol, Message, SendEffect
 
 #: Wire kind of an S&F ``[u, w]`` message.  S&F is fire-and-forget — there
@@ -70,10 +70,7 @@ class SendForget(GossipProtocol):
         """
         ids = list(bootstrap_ids)
         self.params.validate_bootstrap(len(ids))
-        view = View(self.params.view_size)
-        for index, bootstrap_id in enumerate(ids):
-            view.store_into(index, ViewEntry(bootstrap_id))
-        self._admit(node_id, view)
+        self._admit(node_id, View(self.params.view_size, ids))
 
     # ------------------------------------------------------------------
     # Protocol steps
@@ -94,9 +91,9 @@ class SendForget(GossipProtocol):
         """
         view = self._views[node_id]
         self.stats.actions += 1
-        target_entry = view.get(i)
-        payload_entry = view.get(j)
-        if target_entry is None or payload_entry is None:
+        target = view.id_at(i)
+        payload = view.id_at(j)
+        if target is None or payload is None:
             self.stats.self_loops += 1
             return None
         self.stats.non_self_loop_actions += 1
@@ -120,8 +117,8 @@ class SendForget(GossipProtocol):
             sender_flag = False
         return Message(
             sender=node_id,
-            target=target_entry.node_id,
-            payload=[(node_id, sender_flag), (payload_entry.node_id, payload_flag)],
+            target=target,
+            payload=[(node_id, sender_flag), (payload, payload_flag)],
             kind=KIND_SANDF,
         )
 
@@ -131,7 +128,7 @@ class SendForget(GossipProtocol):
         # A departed target is indistinguishable from loss for the sender.
         if view is not None and self._accept(view, len(message.payload)):
             for node_id, dependent in message.payload:
-                view.store_random_empty(ViewEntry(node_id, dependent), rng)
+                view.store_random_empty(node_id, dependent, rng)
         return ()
 
     def deliver_ranked(self, message: Message, ranks: Sequence[float]) -> None:
@@ -150,7 +147,7 @@ class SendForget(GossipProtocol):
         for (node_id, dependent), u in zip(message.payload, ranks):
             empties = view.empty_count
             rank = min(int(u * empties), empties - 1)
-            view.store_into(view.nth_empty_slot(rank), ViewEntry(node_id, dependent))
+            view.store_into(view.nth_empty_slot(rank), node_id, dependent)
 
     def _accept(self, view: View, payload_size: int) -> bool:
         """The Fig 5.1 right, line 2 capacity gate, with stats.

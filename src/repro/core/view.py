@@ -24,35 +24,64 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 NodeId = int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ViewEntry:
-    """A nonempty view slot: the stored id plus its dependence label."""
+    """A snapshot of one nonempty view slot: the stored id plus its
+    dependence label.  The view itself keeps no entry objects; writes go
+    through :meth:`View.store_into` / :meth:`View.store_random_empty`."""
 
     node_id: NodeId
     dependent: bool = False
 
 
-class View:
-    """A fixed array of ``size`` slots, each ``None`` (⊥) or a ``ViewEntry``.
+@lru_cache(maxsize=None)
+def _filled_free_list(size: int, filled: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(_empty, _empty_pos)`` as storing slots ``0 .. filled − 1`` one at
+    a time into an empty view leaves them.  ``store_random_empty`` picks by
+    position in ``_empty``, so a bulk fill must reproduce this order.
+    Tuples, so no view can change the cached copy."""
+    if not filled:
+        return tuple(range(size)), tuple(range(size))
+    view = View(size)
+    for index in range(filled):
+        view.store_into(index, 0, False)
+    return tuple(view._empty), tuple(view._empty_pos)
 
-    Maintains a free-slot index list so that the protocol's operations —
-    sample two random slots, clear a slot, store into a random empty slot —
-    are all O(1).
+
+class View:
+    """A fixed array of ``size`` slots, each ⊥ or an id with its label.
+
+    Two flat per-slot lists hold the state: ``_ids`` (an id, or ``None``
+    for ⊥) and ``_dep`` (the dependence label, meaningful only where
+    ``_ids`` is not ``None``).  A free-slot index list makes the protocol's
+    operations — sample two random slots, clear a slot, store into a random
+    empty slot — all O(1).
     """
 
-    def __init__(self, size: int):
+    __slots__ = ("_ids", "_dep", "_empty", "_empty_pos")
+
+    def __init__(self, size: int, bootstrap: Sequence[NodeId] = ()):
+        """An empty view, or one whose slots ``0 .. len(bootstrap) − 1``
+        hold ``bootstrap`` (independent), exactly as storing them one by
+        one with :meth:`store_into` would leave it."""
         if size <= 0:
             raise ValueError(f"view size must be positive, got {size}")
-        self._slots: List[Optional[ViewEntry]] = [None] * size
-        self._empty: List[int] = list(range(size))
+        filled = len(bootstrap)
+        if filled > size:
+            raise ValueError(f"{filled} bootstrap ids exceed view size {size}")
+        self._ids: List[Optional[NodeId]] = [*bootstrap, *[None] * (size - filled)]
+        self._dep: List[bool] = [False] * size
+        empty, empty_pos = _filled_free_list(size, filled)
+        self._empty: List[int] = list(empty)
         # Position of each empty slot index inside self._empty, for O(1)
         # removal when a specific slot is filled.
-        self._empty_pos: List[int] = list(range(size))
+        self._empty_pos: List[int] = list(empty_pos)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -61,12 +90,12 @@ class View:
     @property
     def size(self) -> int:
         """The view size ``s`` (Property M1 requires ``s ≪ n``)."""
-        return len(self._slots)
+        return len(self._ids)
 
     @property
     def outdegree(self) -> int:
         """``d(u)``: the number of nonempty slots."""
-        return len(self._slots) - len(self._empty)
+        return len(self._ids) - len(self._empty)
 
     @property
     def empty_count(self) -> int:
@@ -76,42 +105,37 @@ class View:
     def is_full(self) -> bool:
         return not self._empty
 
+    def id_at(self, index: int) -> Optional[NodeId]:
+        """The id in slot ``index``, or ``None`` for ⊥."""
+        return self._ids[index]
+
     def get(self, index: int) -> Optional[ViewEntry]:
-        return self._slots[index]
+        node_id = self._ids[index]
+        return None if node_id is None else ViewEntry(node_id, self._dep[index])
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Optional[ViewEntry]]:
-        return iter(self._slots)
+        for node_id, dependent in zip(self._ids, self._dep):
+            yield None if node_id is None else ViewEntry(node_id, dependent)
 
     def entries(self) -> Iterator[Tuple[int, ViewEntry]]:
         """Iterate (slot index, entry) over nonempty slots."""
-        for index, entry in enumerate(self._slots):
-            if entry is not None:
-                yield index, entry
+        for index, node_id in enumerate(self._ids):
+            if node_id is not None:
+                yield index, ViewEntry(node_id, self._dep[index])
+
+    def slots(self) -> Tuple[Optional[Tuple[NodeId, bool]], ...]:
+        """Every slot as ``None`` (⊥) or ``(node_id, dependent)``."""
+        return tuple(
+            None if node_id is None else (node_id, dependent)
+            for node_id, dependent in zip(self._ids, self._dep)
+        )
 
     def ids(self) -> Counter:
         """The multiset of ids currently held (the view as the paper sees it)."""
-        counts: Counter = Counter()
-        for _, entry in self.entries():
-            counts[entry.node_id] += 1
-        return counts
-
-    def contains(self, node_id: NodeId) -> bool:
-        return any(entry.node_id == node_id for _, entry in self.entries())
-
-    def dependent_count(self) -> int:
-        """Number of entries whose dependence flag is set."""
-        return sum(1 for _, entry in self.entries() if entry.dependent)
-
-    def self_edge_count(self, owner: NodeId) -> int:
-        """Number of entries equal to the owner's own id (always dependent)."""
-        return sum(1 for _, entry in self.entries() if entry.node_id == owner)
-
-    def duplicate_count(self) -> int:
-        """Redundant copies: for an id held ``m > 1`` times, ``m − 1`` count."""
-        return sum(m - 1 for m in self.ids().values() if m > 1)
+        return Counter([node_id for node_id in self._ids if node_id is not None])
 
     # ------------------------------------------------------------------
     # Protocol operations
@@ -123,25 +147,26 @@ class View:
         Returns ``(i, j)`` with ``i ≠ j``; either slot may be empty — in that
         case the caller's action is a self-loop transformation.
         """
-        size = len(self._slots)
+        size = len(self._ids)
         i = int(rng.integers(size))
         j = int(rng.integers(size - 1))
         if j >= i:
             j += 1
         return i, j
 
-    def clear_slot(self, index: int) -> ViewEntry:
-        """Empty slot ``index`` and return the entry it held."""
-        entry = self._slots[index]
-        if entry is None:
+    def clear_slot(self, index: int) -> NodeId:
+        """Empty slot ``index`` and return the id it held."""
+        node_id = self._ids[index]
+        if node_id is None:
             raise ValueError(f"slot {index} is already empty")
-        self._slots[index] = None
+        self._ids[index] = None
         self._empty_pos[index] = len(self._empty)
         self._empty.append(index)
-        return entry
+        return node_id
 
-    def store_random_empty(self, entry: ViewEntry, rng) -> int:
-        """Store ``entry`` into a uniformly random empty slot (Fig 5.1 r.3-6).
+    def store_random_empty(self, node_id: NodeId, dependent: bool, rng) -> int:
+        """Store ``node_id`` with label ``dependent`` into a uniformly random
+        empty slot (Fig 5.1 r.3-6).
 
         Returns the slot index used.  Raises if the view is full — callers
         must check :attr:`is_full` first (the protocol *deletes* in that case).
@@ -155,16 +180,15 @@ class View:
         self._empty[pick] = last
         self._empty_pos[last] = pick
         self._empty.pop()
-        self._slots[index] = entry
+        self._ids[index] = node_id
+        self._dep[index] = dependent
         return index
 
-    def store_into(self, index: int, entry: ViewEntry) -> None:
-        """Store ``entry`` into the specific empty slot ``index``.
-
-        Used when re-filling a slot deterministically (e.g., replaying a
-        recorded trace or constructing an initial state).
-        """
-        if self._slots[index] is not None:
+    def store_into(self, index: int, node_id: NodeId, dependent: bool) -> None:
+        """Store ``node_id`` with label ``dependent`` into the specific empty
+        slot ``index`` (the kernel layer's ranked discipline, or a
+        deterministic re-fill)."""
+        if self._ids[index] is not None:
             raise ValueError(f"slot {index} is occupied")
         pos = self._empty_pos[index]
         if pos >= len(self._empty) or self._empty[pos] != index:
@@ -173,7 +197,8 @@ class View:
         self._empty[pos] = last
         self._empty_pos[last] = pos
         self._empty.pop()
-        self._slots[index] = entry
+        self._ids[index] = node_id
+        self._dep[index] = dependent
 
     def nth_empty_slot(self, rank: int) -> int:
         """The ``rank``-th lowest-indexed empty slot.
@@ -187,18 +212,12 @@ class View:
         if not 0 <= rank < len(self._empty):
             raise ValueError(f"rank {rank} outside [0, {len(self._empty)})")
         seen = 0
-        for index, slot in enumerate(self._slots):
-            if slot is None:
+        for index, node_id in enumerate(self._ids):
+            if node_id is None:
                 if seen == rank:
                     return index
                 seen += 1
         raise AssertionError("free-list count out of sync")  # pragma: no cover
-
-    def clear_all(self) -> None:
-        """Empty every slot."""
-        self._slots = [None] * len(self._slots)
-        self._empty = list(range(len(self._slots)))
-        self._empty_pos = list(range(len(self._slots)))
 
     # ------------------------------------------------------------------
     # Debugging
@@ -206,7 +225,7 @@ class View:
 
     def validate(self) -> None:
         """Check internal free-list consistency."""
-        empties = {i for i, slot in enumerate(self._slots) if slot is None}
+        empties = {i for i, node_id in enumerate(self._ids) if node_id is None}
         if empties != set(self._empty):
             raise AssertionError("free list does not match empty slots")
         for pos, index in enumerate(self._empty):
@@ -214,9 +233,7 @@ class View:
                 raise AssertionError("free-list position index out of sync")
 
     def __repr__(self) -> str:
-        shown = [
-            "⊥" if entry is None else str(entry.node_id) for entry in self._slots
-        ]
+        shown = ["⊥" if node_id is None else str(node_id) for node_id in self._ids]
         return f"View([{', '.join(shown)}])"
 
 
@@ -230,17 +247,17 @@ def dependent_fraction(views: Iterable[Tuple[NodeId, View]]) -> float:
     """
     dependent = 0
     total = 0
-    for node_id, view in views:
-        seen: Counter = Counter()
-        for _, entry in view.entries():
+    for owner, view in views:
+        seen = set()
+        for node_id, labeled in zip(view._ids, view._dep):
+            if node_id is None:
+                continue
             total += 1
-            if entry.dependent:
+            # Self-edges are always dependent, and so are all but one copy
+            # of a duplicate id.
+            if labeled or node_id == owner or node_id in seen:
                 dependent += 1
-            elif entry.node_id == node_id:
-                dependent += 1  # self-edges are always dependent
-            elif seen[entry.node_id] >= 1:
-                dependent += 1  # all but one copy of a duplicate id
-            seen[entry.node_id] += 1
+            seen.add(node_id)
     if total == 0:
         return 0.0
     return dependent / total

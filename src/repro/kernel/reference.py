@@ -110,11 +110,7 @@ class ReferenceKernel(SimulationKernel):
         return self.protocol.view_of(node_id)
 
     def view_slots(self, node_id: NodeId) -> ViewSlots:
-        view = self.protocol.raw_view(node_id)
-        return tuple(
-            None if entry is None else (entry.node_id, entry.dependent)
-            for entry in view
-        )
+        return self.protocol.raw_view(node_id).slots()
 
     def outdegree(self, node_id: NodeId) -> int:
         return self.protocol.outdegree(node_id)

@@ -151,10 +151,8 @@ class TestDeliver:
         """
         protocol = make_protocol(view_size=6, d_low=0)
         protocol.add_node(0, [1, 2, 3, 4])
-        from repro.core.view import ViewEntry
-
         view = protocol.raw_view(0)
-        view.store_into(view.nth_empty_slot(0), ViewEntry(8))
+        view.store_into(view.nth_empty_slot(0), 8, False)
         assert view.empty_count == 1
         message = Message(
             sender=5, target=0, payload=[(98, False), (99, False)], kind="sandf"

@@ -1,5 +1,7 @@
 """Tests for repro.experiments.common and the report CLI path."""
 
+import gc
+
 import pytest
 
 from repro.core.params import SFParams
@@ -51,6 +53,18 @@ class TestBuildSystem:
         warm_up(engine, 10)
         assert protocol.stats.actions == 0
         assert engine.rounds_completed == pytest.approx(10.0, abs=0.01)
+
+    def test_ring_bootstrap_leaves_few_gc_objects(self):
+        """A view is a handful of flat lists, not one object per slot: the
+        cyclic collector has little to walk after a ring bootstrap."""
+        n = 2000
+        gc.collect()
+        before = len(gc.get_objects())
+        system = build_sf_system(n, SFParams(40, 18))
+        gc.collect()
+        per_node = (len(gc.get_objects()) - before) / n
+        assert per_node <= 8, per_node
+        del system
 
 
 class TestBackends:

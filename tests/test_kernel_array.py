@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.params import SFParams
-from repro.core.view import View, ViewEntry, dependent_fraction
+from repro.core.view import View, dependent_fraction
 from repro.engine.sequential import EngineStats
 from repro.experiments.common import build_sf_system
 from repro.kernel import ArrayKernel, ReferenceKernel
@@ -250,9 +250,7 @@ def layout_views(ids, dep):
     for owner in range(ids.shape[0]):
         view = View(ids.shape[1])
         for slot in np.flatnonzero(ids[owner] != EMPTY).tolist():
-            view.store_into(
-                slot, ViewEntry(int(ids[owner, slot]), bool(dep[owner, slot]))
-            )
+            view.store_into(slot, int(ids[owner, slot]), bool(dep[owner, slot]))
         views.append((owner, view))
     return views
 

@@ -14,7 +14,7 @@ from repro.analysis.independence import (
 )
 from repro.core.params import SFParams
 from repro.core.sandf import SendForget
-from repro.core.view import View, ViewEntry
+from repro.core.view import View
 from repro.model.membership_graph import MembershipGraph
 from repro.model.transformations import enumerate_action_outcomes
 from repro.util.rng import make_rng
@@ -36,7 +36,7 @@ def test_view_freelist_invariant_under_random_ops(size, ops, seed):
     rng = make_rng(seed)
     for op in ops:
         if op % 2 == 0 and not view.is_full:
-            view.store_random_empty(ViewEntry(op), rng)
+            view.store_random_empty(op, False, rng)
         elif view.outdegree > 0:
             occupied = [i for i, e in enumerate(view) if e is not None]
             view.clear_slot(occupied[op % len(occupied)])
@@ -51,9 +51,8 @@ def test_view_freelist_invariant_under_random_ops(size, ops, seed):
 def test_view_ids_multiset_matches_insertions(ids):
     view = View(12)
     for index, node_id in enumerate(ids):
-        view.store_into(index, ViewEntry(node_id))
+        view.store_into(index, node_id, False)
     assert view.ids() == Counter(ids)
-    assert view.duplicate_count() == len(ids) - len(set(ids))
 
 
 # ----------------------------------------------------------------------

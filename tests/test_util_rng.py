@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.view import View, ViewEntry
+from repro.core.view import View
 from repro.util.rng import BlockDraws, make_rng
 from repro.util.stats import chi_square_uniformity
 
@@ -152,5 +152,5 @@ class TestBlockDraws:
             assert i != j and 0 <= i < 8 and 0 <= j < 8
             seen.add((i, j))
         assert len(seen) == 8 * 7
-        slots = {view.store_random_empty(ViewEntry(k, False), draws) for k in range(8)}
+        slots = {view.store_random_empty(k, False, draws) for k in range(8)}
         assert slots == set(range(8))
