@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.membership_graph import MembershipGraph
@@ -47,14 +47,14 @@ class Message:
     (e.g. ``"pull-request"`` vs ``"pull-reply"``).
 
     ``ext`` is an optional extension envelope for metadata piggybacked on
-    protocol traffic by layers *outside* the protocol itself — currently
-    the failure detector's liveness gossip (:mod:`repro.failure`).  Each
-    extension owns one key mapping to a self-versioned blob, so carriers
-    that do not understand an extension forward or ignore it without
-    misreading the membership payload.  On the wire it is a flagged JSON
+    protocol traffic by layers *outside* the protocol itself: one key per
+    extension, each mapping to a self-versioned blob.  No protocol or
+    runtime here writes or reads it — the live cluster delivers a
+    message's ids and ignores its ``ext`` — and it survives only for the
+    wire codec's ext tail, which the benchmark suite still probes with the
+    :mod:`repro.failure` library's blob.  On the wire it is a flagged JSON
     tail after the fixed-width message (:mod:`repro.net.wire`); ``None``
-    (the default) sets no flag and adds no byte, keeping extension-free
-    runs bit-identical on the wire as well as in memory.
+    (the default) sets no flag and adds no byte.
 
     The record is slotted and picklable, and round-trips through the
     versioned wire codec (:func:`repro.net.wire.encode` /
@@ -100,7 +100,6 @@ class ProtocolStats:
     duplications: int = 0
     deletions: int = 0
     deliveries: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
     def duplication_probability(self) -> float:
         """Empirical Pr(duplication | non-self-loop action) — Lemma 6.7."""
@@ -122,7 +121,6 @@ class ProtocolStats:
         self.duplications = 0
         self.deletions = 0
         self.deliveries = 0
-        self.extra.clear()
 
 
 class Population(abc.ABC):

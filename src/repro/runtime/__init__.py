@@ -10,7 +10,9 @@ step/effect seam, with datagrams instead of queue entries in between.
 :mod:`repro.runtime.cluster` is the harness: it boots hundreds of nodes
 on ephemeral ports, runs an introducer endpoint for joins, injects
 receiver-side drop, and executes kill/restart and kill-wave scenarios
-while streaming counters into :mod:`repro.obs`.
+while streaming counters into :mod:`repro.obs`.  A killed node leaves
+unannounced, as in the paper's model: no failure detector runs, and the
+report counts the killed ids' instances still held in live views.
 """
 
 from repro.runtime.cluster import (

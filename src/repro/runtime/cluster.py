@@ -21,8 +21,10 @@ Scenario controls:
 * **kill/restart** — a node leaves the initiate clock and its socket is
   closed (its id lingers in other views and drains at the section 6.5.2 rate);
   a restarted node rejoins through the introducer like any newcomer.
-* **kill wave** — nodes stopped for good at the 1/3 mark, the
-  failure-detection scenario.
+* **kill wave** — nodes stopped for good at the 1/3 mark: a crash is a
+  leave nobody announces (section 4.1), and the report counts the killed
+  ids' instances left in live views right after the wave and at the end
+  — the decay of Fig 6.4, measured on the wire.
 
 Counters stream into :mod:`repro.obs` under ``cluster.*`` names, and the
 final :class:`ClusterReport` carries the live outdegree distribution the
@@ -44,42 +46,14 @@ import numpy as np
 
 from repro.core.params import SFParams
 from repro.core.sandf import KIND_SANDF, SendForget
-from repro.failure import FD_EXT_KEY, DetectorConfig, FailureDetector, PeerState
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, WireRecord
 from repro.obs import get_telemetry
-from repro.protocols.base import Message, ProtocolStats, SendEffect
+from repro.protocols.base import Message, SendEffect
 from repro.util.rng import BlockDraws, SeedLike, make_rng
 from repro.util.tables import format_table
 
 NodeId = int
-
-#: A killed node counts as detected when more than this fraction of live
-#: detectors call it FAILED (and a live node as a false positive, same
-#: threshold).
-FD_QUORUM = 0.5
-
-
-def outbound(
-    detector: FailureDetector, effect: SendEffect, stats: ProtocolStats
-) -> bool:
-    """A node's send step under failure detection: may ``effect`` go out?
-
-    A send to a peer ``detector`` has declared ``FAILED`` is suppressed
-    (counted in ``stats.extra["fd_suppressed"]``, returns False); any
-    other send gets the pending liveness rumors piggybacked under
-    :data:`FD_EXT_KEY`, beside whatever else ``message.ext`` holds.
-    """
-    message = effect.message
-    if detector.state_of(message.target) is PeerState.FAILED:
-        stats.extra["fd_suppressed"] = stats.extra.get("fd_suppressed", 0) + 1
-        return False
-    blob = detector.wire_extension()
-    if blob is not None:
-        ext = dict(message.ext) if message.ext else {}
-        ext[FD_EXT_KEY] = blob
-        message.ext = ext
-    return True
 
 
 @dataclass
@@ -100,8 +74,7 @@ class ClusterConfig:
     seed: SeedLike = None
     host: str = "127.0.0.1"
     #: Scenario knobs: nodes to kill-and-restart, and nodes to kill *for
-    #: good* in one wave at the 1/3 mark (the failure-detection
-    #: scenario).
+    #: good* in one wave at the 1/3 mark (the silent-leave scenario).
     kill_restart: int = 0
     kill_wave: int = 0
     #: Introducer join handshake: ``join_timeout_s`` is the *first*
@@ -111,15 +84,6 @@ class ClusterConfig:
     join_timeout_s: float = 0.25
     join_retries: int = 20
     join_backoff_cap_s: float = 2.0
-    #: SWIM-style failure detection (``repro.failure``), liveness gossip
-    #: piggybacked on the S&F datagrams.  Timeouts are wall-clock
-    #: seconds; size ``suspect_after_s`` well above the worst-pair rumor
-    #: refresh age at the configured ``rate`` (see
-    #: ``docs/failure_detection.md``) and ``fail_after_s`` above one
-    #: rumor round trip, or live nodes get falsely suspected/evicted.
-    failure_detection: bool = False
-    suspect_after_s: float = 1.5
-    fail_after_s: float = 0.75
 
     def __post_init__(self) -> None:
         """Reject what no run can use, before any socket is bound."""
@@ -141,16 +105,9 @@ class ClusterConfig:
                 f"kill_wave must be in [0, n - 3] = [0, {self.n - 3}] so that 3 "
                 f"nodes survive, got {self.kill_wave}"
             )
-        if self.failure_detection:
-            self.detector_config()
 
     def params(self) -> SFParams:
         return SFParams(view_size=self.view_size, d_low=self.d_low)
-
-    def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            suspect_after=self.suspect_after_s, fail_after=self.fail_after_s
-        )
 
     def bootstrap_degree(self) -> int:
         """Initial outdegree: the simulation experiments' ring bootstrap rule."""
@@ -166,26 +123,13 @@ class ClusterNode:
     nodes in-process runs one node here, unchanged.
     """
 
-    def __init__(self, cluster: "LocalCluster", node_id: NodeId, incarnation: int = 0):
+    def __init__(self, cluster: "LocalCluster", node_id: NodeId):
         self.cluster = cluster
         self.node_id = node_id
         #: The cluster's one draw source: every node, and every transport's
         #: drop coin, takes the next uniform off the same seeded stream.
         self.rng = cluster.draws
         self.protocol = SendForget(cluster.config.params())
-        cfg = cluster.config
-        #: SWIM detector (when enabled): heartbeats advance on the
-        #: initiate clock, liveness rides the S&F datagrams, and sends to
-        #: FAILED peers are suppressed at this node's send seam.  A
-        #: restarted node is seeded one incarnation above its previous
-        #: life so its ALIVE gossip resurrects stale FAILED records.
-        self.detector: Optional[FailureDetector] = (
-            FailureDetector(
-                node_id, config=cfg.detector_config(), incarnation=incarnation
-            )
-            if cfg.failure_detection
-            else None
-        )
         self.transport: Optional[AsyncioUdpTransport] = None
         #: On the initiate clock: set by ``_arm``, cleared by ``stop`` and
         #: by a tick that raises.  The clock drops an entry whose node is
@@ -215,8 +159,6 @@ class ClusterNode:
             # whether a failed join is an error or a counted event.
             self.stop()
             raise
-        if self.detector is not None:
-            self.detector.seed_peers(bootstrap_ids, self.cluster._loop.time())
         self._arm()
 
     def stop(self) -> None:
@@ -244,37 +186,23 @@ class ClusterNode:
     def _tick(self) -> None:
         """One initiate action; an exception stops this node only."""
         try:
-            if self.detector is not None:
-                self.detector.beat(self.cluster._loop.time())
             self._route(self.protocol.initiate_effects(self.node_id, self.rng))
         except Exception as exc:  # a node crash must not vanish silently
             self.cluster.errors.append(f"node {self.node_id} initiate: {exc!r}")
             self.running = False
 
     def _route(self, effects: Tuple[SendEffect, ...]) -> None:
-        """Send one step's effects, minus those to peers declared FAILED.
-
-        The detector suppresses those and piggybacks rumors on the rest.
-        Suppression is this node's eviction action: to the protocol it is
-        indistinguishable from loss (S&F's one tolerated failure), so
-        view invariants hold while traffic to the dead stops.
-        """
+        """Send one step's effects, each as one datagram."""
         for effect in effects:
-            if self.detector is None or outbound(
-                self.detector, effect, self.protocol.stats
-            ):
-                self.transport.send(effect, self.rng)
+            self.transport.send(effect, self.rng)
 
     def _on_record(
         self, record: WireRecord, timestamp: Optional[float], addr: Tuple[str, int]
     ) -> None:
+        """Deliver an admitted ``[u, w]`` (any ``ext`` it carries is not
+        read), or file a Welcome's addresses."""
         if isinstance(record, Message):
             try:
-                if self.detector is not None:
-                    now = self.cluster._loop.time()
-                    self.detector.observe_direct(record.sender, now)
-                    if record.ext:
-                        self.detector.absorb_extension(record.ext.get(FD_EXT_KEY), now)
                 self._route(self.protocol.deliver_effects(record, self.rng))
             except Exception as exc:
                 self.cluster.errors.append(f"node {self.node_id} deliver: {exc!r}")
@@ -365,26 +293,16 @@ class ClusterReport:
     #: cannot rejoin is a fact of the run, not a harness bug).
     join_retry_timeouts: int = 0
     join_failures: int = 0
-    #: Failure detection (when enabled): the kill set, which of them a
-    #: quorum of live detectors declared FAILED, and live nodes a quorum
-    #: falsely declared FAILED.  ``fd_suppressed`` counts sends evicted
-    #: at the send seam because the target was considered FAILED.
-    fd_enabled: bool = False
+    #: Ids dead at report time, and the instances of them that live views
+    #: hold (the quantity that decays in section 6.5.2): right after the
+    #: kill wave (0 without one), and at report time.
     killed_nodes: List[int] = field(default_factory=list)
-    fd_detected: List[int] = field(default_factory=list)
-    fd_missed: List[int] = field(default_factory=list)
-    fd_false_positives: List[int] = field(default_factory=list)
-    fd_suppressed: int = 0
+    departed_instances_at_kill: int = 0
+    departed_instances: int = 0
     #: Victims the kill wave asked for beyond the nodes still live at the
     #: one-third mark (nodes that had stopped on an exception): a short
     #: wave kills nobody and fails the run.
     wave_shortfall: int = 0
-
-    def detection_ok(self) -> bool:
-        """Every killed node detected, no live node falsely failed."""
-        if not self.fd_enabled:
-            return True
-        return not self.fd_missed and not self.fd_false_positives
 
     def degree_pmf(self) -> Dict[int, float]:
         total = sum(self.degree_counts.values())
@@ -399,13 +317,8 @@ class ClusterReport:
 
     def ok(self) -> bool:
         """Clean run: views in bounds, no node raised, the kill wave
-        complete, detection correct."""
-        return (
-            not self.degree_violations
-            and not self.errors
-            and not self.wave_shortfall
-            and self.detection_ok()
-        )
+        complete."""
+        return not self.degree_violations and not self.errors and not self.wave_shortfall
 
     def format(self) -> str:
         degrees = ", ".join(
@@ -434,13 +347,11 @@ class ClusterReport:
         ]
         if self.wave_shortfall:
             rows.append(["kill wave shortfall", self.wave_shortfall])
-        if self.fd_enabled:
+        if self.killed_nodes:
             rows += [
                 ["killed nodes", len(self.killed_nodes)],
-                ["detected FAILED (quorum)", len(self.fd_detected)],
-                ["missed detections", len(self.fd_missed)],
-                ["false positives", len(self.fd_false_positives)],
-                ["suppressed sends", self.fd_suppressed],
+                ["departed id instances at kill", self.departed_instances_at_kill],
+                ["departed id instances", self.departed_instances],
             ]
         return format_table(
             ["quantity", "value"],
@@ -489,12 +400,9 @@ class LocalCluster:
         self.join_failures = 0
         self.wave_shortfall = 0
         #: Ids currently dead by :meth:`kill` (a successful restart
-        #: removes the id again) — the ground truth the failure-detection
-        #: verdict is judged against.
+        #: removes the id again): the ids ``departed_instances`` counts.
         self.killed: List[NodeId] = []
-        #: Incarnation each id held when last buried; restarts come back
-        #: one above it so their ALIVE gossip beats stale FAILED records.
-        self._fd_incarnations: Dict[NodeId, int] = {}
+        self.departed_instances_at_kill = 0
         self._introducer: Optional[AsyncioUdpTransport] = None
         #: The initiate clock: a heap of ``(when, seq, node)``, one entry
         #: per running node, and the one loop timer armed for its head.
@@ -505,7 +413,6 @@ class LocalCluster:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         # Counters of killed incarnations, so totals survive restarts.
         self._grave_actions = 0
-        self._grave_suppressed = 0
         self._grave_transport = Counter()
         self._grave_latency = array("d")
 
@@ -636,11 +543,10 @@ class LocalCluster:
         Returns whether the rejoin succeeded.  A join that exhausts its
         backed-off retries is *counted* (``join_failures``), not raised:
         the node simply stays dead, which is a legitimate outcome of a
-        lossy join path — and one the failure detector should then report.
+        lossy join path: its id then drains from live views like any
+        departed id.
         """
-        replacement = ClusterNode(
-            self, node_id, incarnation=self._fd_incarnations.get(node_id, -1) + 1
-        )
+        replacement = ClusterNode(self, node_id)
         try:
             await replacement.start(bootstrap_ids=None)
         except RuntimeError:
@@ -654,10 +560,7 @@ class LocalCluster:
 
     def _bury(self, node: ClusterNode) -> None:
         """Fold a dying incarnation's counters into the run totals."""
-        if node.detector is not None:
-            self._fd_incarnations[node.node_id] = node.detector.incarnation
         self._grave_actions += node.protocol.stats.actions
-        self._grave_suppressed += node.protocol.stats.extra.get("fd_suppressed", 0)
         transport = node.transport
         if transport is not None:
             _tally(self._grave_transport, transport)
@@ -683,40 +586,17 @@ class LocalCluster:
                 violations.append(str(exc))
         return violations
 
-    def detection_verdict(self) -> Tuple[List[NodeId], List[NodeId], List[NodeId]]:
-        """``(detected, missed, false_positives)`` under the quorum rule.
-
-        A killed id is *detected* when more than ``FD_QUORUM`` of live
-        detectors call it FAILED; a live id with the same level of FAILED
-        votes among its peers is a *false positive*.
-        """
-        detectors = [
-            node for node in self.live_nodes() if node.detector is not None
-        ]
-        if not detectors:
-            return [], list(sorted(self.killed)), []
-        detected: List[NodeId] = []
-        missed: List[NodeId] = []
-        for victim in sorted(self.killed):
-            votes = sum(
-                1
-                for node in detectors
-                if node.detector.state_of(victim) is PeerState.FAILED
-            )
-            (detected if votes > FD_QUORUM * len(detectors) else missed).append(victim)
-        false_positives: List[NodeId] = []
-        for node in detectors:
-            peers = [d for d in detectors if d.node_id != node.node_id]
-            if not peers:
-                continue
-            votes = sum(
-                1
-                for peer in peers
-                if peer.detector.state_of(node.node_id) is PeerState.FAILED
-            )
-            if votes > FD_QUORUM * len(peers):
-                false_positives.append(node.node_id)
-        return detected, missed, sorted(false_positives)
+    def departed_instances(self) -> int:
+        """Instances of killed ids across live views (Fig 6.4's count)."""
+        killed = set(self.killed)
+        if not killed:
+            return 0
+        return sum(
+            count
+            for node in self.live_nodes()
+            for node_id, count in node.protocol.view_of(node.node_id).items()
+            if node_id in killed
+        )
 
     def publish_metrics(self, report: ClusterReport, latency_s: np.ndarray) -> None:
         """Stream run totals into the process telemetry (``cluster.*``)."""
@@ -734,14 +614,6 @@ class LocalCluster:
         tel.inc("cluster.join_retry_timeouts", report.join_retry_timeouts)
         tel.inc("cluster.join_failures", report.join_failures)
         tel.set_gauge("cluster.live_nodes", report.live_nodes)
-        if report.fd_enabled:
-            tel.inc("cluster.fd_suppressed", report.fd_suppressed)
-            tel.set_gauge("cluster.fd_killed", len(report.killed_nodes))
-            tel.set_gauge("cluster.fd_detected", len(report.fd_detected))
-            tel.set_gauge("cluster.fd_missed", len(report.fd_missed))
-            tel.set_gauge(
-                "cluster.fd_false_positives", len(report.fd_false_positives)
-            )
         if report.degree_counts:
             degrees = list(report.degree_counts.items())
             total = sum(c for _, c in degrees)
@@ -761,21 +633,15 @@ class LocalCluster:
 
     def report(self, publish: bool = True) -> ClusterReport:
         totals = Counter(self._grave_transport)
-        actions, suppressed = self._grave_actions, self._grave_suppressed
+        actions = self._grave_actions
         for node in self.nodes.values():
             actions += node.protocol.stats.actions
-            suppressed += node.protocol.stats.extra.get("fd_suppressed", 0)
             if node.transport is not None:
                 _tally(totals, node.transport)
         # One concatenation, sorted in place: every percentile and the
         # published histogram read the same unboxed buffer.
         latency = np.frombuffer(self._all_latency_samples(), dtype=np.float64)
         latency.sort()
-        fd_enabled = self.config.failure_detection
-        if fd_enabled:
-            detected, missed, false_positives = self.detection_verdict()
-        else:
-            detected, missed, false_positives = [], [], []
         report = ClusterReport(
             n=self.config.n,
             live_nodes=len(self.live_nodes()),
@@ -797,12 +663,9 @@ class LocalCluster:
             socket_errors=totals["socket_errors"],
             join_retry_timeouts=self.join_retry_timeouts,
             join_failures=self.join_failures,
-            fd_enabled=fd_enabled,
             killed_nodes=sorted(self.killed),
-            fd_detected=detected,
-            fd_missed=missed,
-            fd_false_positives=false_positives,
-            fd_suppressed=suppressed,
+            departed_instances_at_kill=self.departed_instances_at_kill,
+            departed_instances=self.departed_instances(),
             wave_shortfall=self.wave_shortfall,
         )
         if publish:
@@ -816,11 +679,11 @@ class LocalCluster:
         two thirds to settle.
 
         The disruptions are the kill/restarts and an optional permanent
-        *kill wave* (``kill_wave`` random victims stopped for good) — the
-        failure-detection scenario: survivors must declare every victim
-        FAILED, and no survivor, before the run ends.  If fewer nodes are
-        live than the wave asks for, it kills nobody and the report names
-        the shortfall.  The cluster is shut down however the run ends.
+        *kill wave* (``kill_wave`` random victims stopped for good): nobody
+        announces the crashes, and the report counts the victims' ids left
+        in live views right after the wave and at the end.  If fewer nodes
+        are live than the wave asks for, it kills nobody and the report
+        names the shortfall.  The cluster is shut down however the run ends.
         """
         cfg = self.config
         try:
@@ -835,6 +698,7 @@ class LocalCluster:
                     picks = self.rng.choice(len(live), size=cfg.kill_wave, replace=False)
                     for index in picks:
                         await self.kill(live[int(index)])
+                    self.departed_instances_at_kill = self.departed_instances()
             for _ in range(cfg.kill_restart):
                 live = [n.node_id for n in self.live_nodes()]
                 if not live:

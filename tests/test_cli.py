@@ -71,20 +71,6 @@ class TestParser:
         assert args.artifacts_dir == "out"
         assert parser.parse_args(["run", "fig-6.1"]).artifacts_dir is None
 
-    def test_cluster_failure_detection_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["cluster", "--n", "20", "--kill-wave", "4", "--failure-detection",
-             "--suspect-after", "1.0", "--fail-after", "0.5"]
-        )
-        assert args.kill_wave == 4
-        assert args.failure_detection
-        assert args.suspect_after == 1.0
-        assert args.fail_after == 0.5
-        defaults = parser.parse_args(["cluster"])
-        assert defaults.kill_wave == 0
-        assert not defaults.failure_detection
-
 
 class TestCommands:
     def test_list(self, capsys):
@@ -228,7 +214,6 @@ class TestCommands:
             ["cluster", "--drop", "1.5"],
             ["cluster", "--n", "2"],
             ["cluster", "--view-size", "7"],
-            ["cluster", "--failure-detection", "--suspect-after", "0"],
             ["cluster", "--rate", "0"],
             ["cluster", "--kill-wave", "-1"],
             ["cluster", "--kill-wave", "48"],
@@ -240,8 +225,6 @@ class TestCommands:
             ["cluster", "--duration", "nan"],
             ["cluster", "--rate", "inf"],
             ["cluster", "--rate", "nan"],
-            ["cluster", "--failure-detection", "--suspect-after", "nan"],
-            ["cluster", "--failure-detection", "--fail-after", "inf"],
             ["run", "fig-6.2", "--cell-timeout", "0"],
             ["run", "table-6.3", "--fast", "--cell-timeout", "inf", "--jobs", "2"],
             ["run", "table-6.3", "--fast", "--cell-timeout", "nan", "--jobs", "2"],
@@ -263,40 +246,6 @@ class TestCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro {argv[0]}: error: ")
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "missed, false_positives",
-        [([], []), ([4], []), ([], [9]), ([4, 17], [9])],
-        ids=["clean", "missed", "false-positive", "both"],
-    )
-    def test_cluster_names_every_detection_error_on_stderr(
-        self, missed, false_positives, capsys, monkeypatch
-    ):
-        """A wrong verdict fails the run (status 1) with one stderr line
-        per offender, never with an empty stderr."""
-        from repro.runtime import ClusterReport
-
-        def verdict(config):
-            return ClusterReport(
-                n=config.n, live_nodes=config.n - 2, duration_s=0.0,
-                drop_rate=0.0, actions=0, datagrams_sent=0,
-                datagrams_received=0, datagrams_dropped=0,
-                datagrams_filtered=0, decode_errors=0, unroutable=0,
-                restarts=0, degree_counts={}, degree_violations=[],
-                errors=[], fd_enabled=True, killed_nodes=[4, 17],
-                fd_detected=[v for v in (4, 17) if v not in missed],
-                fd_missed=missed, fd_false_positives=false_positives,
-            )
-
-        monkeypatch.setattr(repro.runtime, "run_cluster", verdict)
-        code = main(["cluster", "--n", "20", "--kill-wave", "2",
-                     "--failure-detection"])
-        err = capsys.readouterr().err.splitlines()
-        assert code == (1 if missed or false_positives else 0)
-        assert [line.split(" (")[0] for line in err] == [
-            *(f"DETECTION: missed node {v}" for v in missed),
-            *(f"DETECTION: false positive node {v}" for v in false_positives),
-        ]
 
     def test_cluster_names_a_short_kill_wave_on_stderr(self, capsys, monkeypatch):
         from repro.runtime import ClusterReport
@@ -337,6 +286,18 @@ class TestCommands:
             main(["cluster", "--partition-groups", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --partition-groups" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--failure-detection"], ["--suspect-after", "1.5"], ["--fail-after", "0.75"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_failure_detection_flags_are_gone(self, argv, capsys):
+        """A crash is a silent leave: the cluster arms no detector."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", *argv])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     def test_value_error_inside_a_cell_is_not_a_rejected_value(self, monkeypatch):
         """Only construction from command-line values is checked: a

@@ -108,5 +108,26 @@ def test_repro_list_command_holds_no_scipy_module(child_env):
     assert [name for name in imported if name.startswith(DEFERRED)] == []
 
 
+def test_no_runtime_or_command_imports_the_failure_detector(child_env):
+    """A crash is a silent leave (section 4.1): the live cluster arms no
+    detector, so ``repro.failure`` stays a library only the benchmark
+    suite's probes load."""
+    code = (
+        "import sys, repro.cli, repro.runtime\n"
+        "from repro.experiments import registry\n"
+        "registry.list_specs()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.failure')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 if __name__ == "__main__":
     _child()

@@ -35,11 +35,15 @@ class TestProtocolStats:
         assert stats.deletion_probability() == pytest.approx(0.02)
 
     def test_reset(self):
-        stats = ProtocolStats(actions=5, duplications=2, extra={"x": 1})
+        stats = ProtocolStats(actions=5, duplications=2)
         stats.reset()
         assert stats.actions == 0
         assert stats.duplications == 0
-        assert stats.extra == {}
+
+    def test_extra_counters_are_gone(self):
+        """Every counter is a named field; no layer keeps its own beside them."""
+        with pytest.raises(TypeError, match="extra"):
+            ProtocolStats(extra={"x": 1})
 
 
 class TestMessage:

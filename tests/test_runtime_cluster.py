@@ -7,25 +7,16 @@ steady-state statistics — the §6.2 comparison lives in the paper tier.
 
 import asyncio
 import socket
-from dataclasses import replace
+from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.core.sandf import SendForget
-from repro.failure import (
-    FD_EXT_KEY,
-    FD_WIRE_VERSION,
-    FailureDetector,
-    LivenessUpdate,
-    PeerState,
-)
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, encode
-from repro.protocols.base import Message, ProtocolStats, SendEffect
-from repro.runtime.cluster import (
-    ClusterConfig, ClusterNode, LocalCluster, outbound, run_cluster,
-)
+from repro.protocols.base import Message, SendEffect
+from repro.runtime.cluster import ClusterConfig, ClusterNode, LocalCluster, run_cluster
 
 from test_net_wire import HOSTILE, V1_DATAGRAMS, ext_message
 
@@ -56,6 +47,15 @@ class TestConfig:
     def test_partition_knob_is_gone(self):
         with pytest.raises(TypeError, match="partition_groups"):
             tiny_config(partition_groups=2)
+
+    @pytest.mark.parametrize(
+        "knob", ["failure_detection", "suspect_after_s", "fail_after_s"]
+    )
+    def test_failure_detection_knobs_are_gone(self, knob):
+        """A crash is a leave nobody announces (section 4.1): the cluster
+        arms no failure detector and has nothing to configure for one."""
+        with pytest.raises(TypeError, match=knob):
+            tiny_config(**{knob: True})
 
     @pytest.mark.parametrize(
         "n, kill_wave, accepted",
@@ -141,6 +141,34 @@ class TestScenarios:
         assert report.restarts == 1
         assert report.live_nodes == 6
 
+    def test_departed_instances_count_killed_ids_in_live_views(self):
+        """``kill`` then ``report``: the count is the killed ids' instances
+        summed slot by slot over the live views.  A crash is announced to
+        nobody, so only the protocol drains them (section 6.5.2)."""
+
+        async def scenario():
+            # Clocks this slow never tick: the views stay the ring bootstrap.
+            cluster = LocalCluster(tiny_config(n=8, rate=1e-6))
+            await cluster.start()
+            await cluster.kill(2)
+            await cluster.kill(5)
+            slots = [
+                slot
+                for node in cluster.live_nodes()
+                for slot in node.protocol.raw_view(node.node_id).slots()
+            ]
+            report = cluster.report()
+            await cluster.shutdown()
+            return report, slots
+
+        report, slots = asyncio.run(scenario())
+        held = sum(slot is not None and slot[0] in (2, 5) for slot in slots)
+        assert report.killed_nodes == [2, 5]
+        assert report.departed_instances == held > 0
+        assert report.departed_instances_at_kill == 0  # no wave ran
+        assert report.ok(), (report.degree_violations, report.errors)
+        assert "departed id instances" in report.format()
+
 
 class TestObservability:
     def test_metrics_stream_into_obs(self):
@@ -157,344 +185,6 @@ class TestObservability:
         report = run_cluster(tiny_config(rate=120.0))
         assert report.latency_p50_ms > 0.0
         assert report.latency_p99_ms >= report.latency_p50_ms
-
-
-class TestFailureDetection:
-    def test_kill_wave_detected_with_zero_false_positives(self):
-        """The acceptance scenario, sized down for tier-1: every killed
-        node FAILED by survivor quorum, nobody slandered, and every message
-        a view produced accounted for exactly once."""
-        cluster = LocalCluster(
-            tiny_config(
-                n=20,
-                view_size=12,
-                d_low=6,
-                drop_rate=0.02,
-                rate=80.0,
-                duration_s=4.0,
-                seed=1,
-                kill_wave=4,
-                failure_detection=True,
-                suspect_after_s=1.0,
-                fail_after_s=0.5,
-            )
-        )
-        everyone = []
-        boot = cluster.start
-
-        async def start_and_enlist():
-            await boot()
-            everyone.extend(cluster.nodes.values())
-
-        cluster.start = start_and_enlist
-        report = asyncio.run(cluster.run())
-        assert report.fd_enabled
-        assert len(report.killed_nodes) == 4
-        assert sorted(report.fd_detected) == sorted(report.killed_nodes)
-        assert report.fd_missed == []
-        assert report.fd_false_positives == []
-        # How many sends are suppressed depends on when verdicts land, but
-        # each produced message is suppressed, written, or unroutable (a
-        # send to a victim before its verdict): no restart, so no join
-        # request shares the ledger.
-        produced = sum(node.protocol.stats.messages_sent for node in everyone)
-        assert produced == (
-            report.datagrams_sent + report.unroutable + report.fd_suppressed
-        )
-        assert report.ok(), (report.degree_violations, report.errors)
-        text = report.format()
-        assert "detected FAILED (quorum)" in text
-
-    def test_healthy_run_raises_no_suspicion(self):
-        report = run_cluster(
-            tiny_config(
-                n=10,
-                view_size=12,
-                d_low=6,
-                rate=80.0,
-                duration_s=1.5,
-                failure_detection=True,
-                suspect_after_s=1.0,
-                fail_after_s=0.5,
-            )
-        )
-        assert report.fd_enabled and report.detection_ok()
-        assert report.killed_nodes == []
-        assert report.fd_false_positives == []
-        assert report.fd_suppressed == 0
-
-    def test_detection_disabled_report_is_vacuously_ok(self):
-        report = run_cluster(tiny_config())
-        assert not report.fd_enabled
-        assert report.detection_ok()  # vacuous without the detector
-        assert "detected FAILED" not in report.format()
-
-    def test_fd_metrics_stream_into_obs(self):
-        registry = obs.Registry()
-        with obs.activated(obs.Telemetry(registry=registry)):
-            report = run_cluster(
-                tiny_config(
-                    n=12,
-                    view_size=12,
-                    d_low=6,
-                    rate=80.0,
-                    duration_s=2.5,
-                    kill_wave=2,
-                    failure_detection=True,
-                    suspect_after_s=0.8,
-                    fail_after_s=0.4,
-                )
-            )
-        snap = registry.snapshot()
-        assert snap["gauges"]["cluster.fd_killed"] == len(report.killed_nodes)
-        assert snap["gauges"]["cluster.fd_detected"] == len(report.fd_detected)
-        assert snap["gauges"]["cluster.fd_missed"] == len(report.fd_missed)
-        assert "cluster.join_retry_timeouts" in snap["counters"]
-
-
-# Failure detection without sockets: the send step, the node hooks and
-# the quorum verdict, each on hand-built detector states.
-
-#: A detector's verdict on the send target, by test id (None = never heard of).
-VERDICTS = {"unknown": None, "alive": PeerState.ALIVE,
-            "suspected": PeerState.SUSPECTED, "failed": PeerState.FAILED}
-TARGET = 5
-#: The ``ext["fd"]`` blob of a sender that believes node 7 FAILED.
-SEVEN_FAILED = {
-    "v": FD_WIRE_VERSION, "g": [LivenessUpdate(7, PeerState.FAILED, 0, 0).encode()]
-}
-
-
-def detector_with(verdict):
-    """Node 0's detector holding ``verdict`` on ``TARGET`` and one queued
-    heartbeat rumor.  Detectors are deterministic: two calls build twins."""
-    detector = FailureDetector(0)
-    detector.beat(0.5)
-    if verdict is not None:
-        detector.absorb(LivenessUpdate(TARGET, verdict, 0, 0), 0.5)
-    assert detector.state_of(TARGET) is verdict
-    return detector
-
-
-class TestSendStep:
-    """``outbound``: suppress iff FAILED, count it, piggyback otherwise."""
-
-    @pytest.mark.parametrize("foreign", [None, {"other": {"v": 3}}],
-                             ids=["no-ext", "foreign-ext"])
-    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
-    def test_suppressed_iff_failed_else_rumors_ride_along(self, verdict, foreign):
-        detector, twin = (detector_with(VERDICTS[verdict]) for _ in range(2))
-        message = Message(
-            sender=0, target=TARGET, payload=[(0, False), (7, True)],
-            kind="sandf", ext=None if foreign is None else dict(foreign),
-        )
-        before = replace(message, payload=list(message.payload))
-        stats = ProtocolStats(extra={"fd_suppressed": 7, "other": 1})
-
-        sent = outbound(detector, SendEffect(message), stats)
-
-        failed = verdict == "failed"
-        assert sent is not failed
-        assert stats.extra == {"fd_suppressed": 7 + failed, "other": 1}
-        if failed:
-            assert message == before
-            return
-        expected = twin.wire_extension()
-        assert expected is not None
-        assert message.ext == {**(foreign or {}), FD_EXT_KEY: expected}
-        assert replace(message, ext=None) == replace(before, ext=None)
-        if foreign is not None:
-            assert before.ext == foreign  # the caller's dict was copied
-
-
-class FixedClock:
-    """Stands in for the event loop: the node hooks only read ``time()``."""
-
-    now = 0.0
-
-    def time(self):
-        return self.now
-
-
-class RecordingTransport(list):
-    def send(self, effect, rng):
-        self.append(effect)
-
-
-def offline_cluster(**overrides):
-    config = dict(failure_detection=True, suspect_after_s=1.0, fail_after_s=0.5)
-    cluster = LocalCluster(tiny_config(**{**config, **overrides}))
-    cluster._loop = FixedClock()
-    return cluster
-
-
-def offline_node(cluster, node_id, peers):
-    """A live node as ``start`` leaves it — view, seeded detector, on the
-    clock — with a transport that records instead of binding a socket."""
-    node = ClusterNode(cluster, node_id)
-    node.protocol.add_node(node_id, peers)
-    node.detector.seed_peers(peers, cluster._loop.time())
-    node.transport = RecordingTransport()
-    node.running = True
-    cluster.nodes[node_id] = node
-    return node
-
-
-def vote_failed(node, peer):
-    node.detector.absorb(LivenessUpdate(peer, PeerState.FAILED, 0, 0), 0.0)
-
-
-class TestNodeHooks:
-    def test_route_sends_everything_but_what_goes_to_the_failed(self):
-        cluster = offline_cluster()
-        node = offline_node(cluster, 0, [1, 2, 3, 4])
-        vote_failed(node, 2)
-        effects = tuple(
-            SendEffect(Message(0, target, [(0, False), (1, False)], "sandf"))
-            for target in (1, 2, 3, 2)
-        )
-        node._route(effects)
-        assert [e.message.target for e in node.transport] == [1, 3]
-        assert all(FD_EXT_KEY in e.message.ext for e in node.transport)
-        assert node.protocol.stats.extra["fd_suppressed"] == 2
-
-    def test_tick_beats_on_the_loop_clock_then_sends(self):
-        cluster = offline_cluster()
-        node = offline_node(cluster, 0, list(range(1, 9)))  # full view: a send
-        cluster._loop.now = 2.0  # past suspect_after for every seeded peer
-        node._tick()
-        assert node.detector.heartbeat == 1
-        assert node.detector.suspected() == list(range(1, 9))
-        assert node.detector.record_of(1).suspected_at == 2.0
-        (effect,) = node.transport
-        rumors = effect.message.ext[FD_EXT_KEY]["g"]
-        assert [0, int(PeerState.ALIVE), 0, 1] in rumors
-
-    @pytest.mark.parametrize("ext", ["none", "foreign", "fd", "fd+foreign"])
-    def test_delivery_is_direct_evidence_and_merges_only_the_fd_key(self, ext):
-        cluster = offline_cluster()
-        node = offline_node(cluster, 0, [1, 2])
-        cluster._loop.now = 0.25
-        blob = {"none": None, "foreign": {"other": [1, 2, 3]},
-                "fd": {FD_EXT_KEY: SEVEN_FAILED},
-                "fd+foreign": {"other": [1, 2, 3], FD_EXT_KEY: SEVEN_FAILED}}[ext]
-        message = Message(4, 0, [(4, False), (6, False)], "sandf", ext=blob)
-        node._on_record(message, None, ("127.0.0.1", 9))
-        assert cluster.errors == []
-        assert node.detector.state_of(4) is PeerState.ALIVE
-        assert node.detector.record_of(4).last_refresh == 0.25
-        expected = PeerState.FAILED if "fd" in ext else None
-        assert node.detector.state_of(7) is expected
-        assert node.detector.counters["ignored_extensions"] == 0
-
-
-#: ``(detectors, FAILED votes, detected)``: more than half, strictly.
-VICTIM_VOTES = [
-    (1, 0, False), (1, 1, True), (2, 1, False), (2, 2, True),
-    (3, 1, False), (3, 2, True), (4, 2, False), (4, 3, True),
-]
-#: ``(peers, FAILED votes, false positive)``: the accused's own detector
-#: is not among its peers.
-SLANDER_VOTES = [
-    (2, 1, False), (2, 2, True), (3, 1, False), (3, 2, True),
-    (4, 2, False), (4, 3, True),
-]
-VICTIM = 7
-
-
-def voting_cluster(detectors):
-    cluster = offline_cluster(n=8)
-    for node_id in range(detectors):
-        offline_node(cluster, node_id, [VICTIM, VICTIM])
-    return cluster
-
-
-class TestDetectionVerdict:
-    @pytest.mark.parametrize("detectors, votes, detected", VICTIM_VOTES)
-    def test_a_victim_is_detected_above_the_quorum(self, detectors, votes, detected):
-        cluster = voting_cluster(detectors)
-        cluster.killed = [VICTIM]
-        for node_id in range(votes):
-            vote_failed(cluster.nodes[node_id], VICTIM)
-        assert cluster.detection_verdict() == (
-            ([VICTIM], [], []) if detected else ([], [VICTIM], [])
-        )
-
-    @pytest.mark.parametrize("peers, votes, slandered", SLANDER_VOTES)
-    def test_a_live_node_is_a_false_positive_above_the_quorum(
-        self, peers, votes, slandered
-    ):
-        cluster = voting_cluster(peers + 1)
-        accused = peers  # the last node; nodes 0..peers-1 are its peers
-        for node_id in range(votes):
-            vote_failed(cluster.nodes[node_id], accused)
-        assert cluster.detection_verdict() == (
-            [], [], [accused] if slandered else []
-        )
-
-    def test_only_running_nodes_vote(self):
-        cluster = voting_cluster(5)
-        cluster.killed = [VICTIM]
-        for node_id in (0, 3, 4):
-            vote_failed(cluster.nodes[node_id], VICTIM)
-        cluster.nodes[3].running = cluster.nodes[4].running = False
-        assert cluster.detection_verdict() == ([], [VICTIM], [])  # 1 of 3
-        cluster.nodes[1].running = cluster.nodes[2].running = False
-        assert cluster.detection_verdict() == ([VICTIM], [], [])  # 1 of 1
-        cluster.nodes[0].running = False  # nobody left to ask
-        assert cluster.detection_verdict() == ([], [VICTIM], [])
-
-
-class TestRestartIncarnation:
-    @pytest.mark.parametrize("grave", [0, 3])
-    def test_restart_comes_back_above_its_grave_and_resurrects(self, grave):
-        """A restarted id gossips ALIVE one incarnation above the one it
-        died with, which beats the FAILED records survivors hold for it."""
-
-        async def scenario():
-            cluster = LocalCluster(
-                tiny_config(n=6, rate=1e-6, failure_detection=True)
-            )
-            await cluster.start()
-            if grave:  # refuted suspicions raised the incarnation in life
-                victim = cluster.nodes[3].detector
-                rumor = LivenessUpdate(3, PeerState.SUSPECTED, grave - 1, 0)
-                victim.absorb(rumor, 0.0)
-                assert victim.incarnation == grave
-            await cluster.kill(3)
-            survivor = cluster.nodes[0]
-            survivor.detector.absorb(
-                LivenessUpdate(3, PeerState.FAILED, grave, 0), cluster._loop.time()
-            )
-            assert await cluster.restart(3)
-            reborn = cluster.nodes[3].detector
-            reborn.beat(cluster._loop.time())
-            message = Message(
-                3, 0, [(3, False), (1, False)], "sandf",
-                ext={FD_EXT_KEY: reborn.wire_extension()},
-            )
-            survivor._on_record(message, None, cluster.address_book[3])
-            state = survivor.detector.state_of(3)
-            await cluster.shutdown()
-            return reborn.incarnation, state, survivor.detector.counters
-
-        incarnation, state, counters = asyncio.run(scenario())
-        assert incarnation == grave + 1
-        assert state is PeerState.ALIVE
-        assert counters["resurrected"] == 1
-
-    def test_without_detection_a_restart_carries_no_detector(self):
-        async def scenario():
-            cluster = LocalCluster(tiny_config(n=6, rate=1e-6))
-            await cluster.start()
-            await cluster.kill(3)
-            assert await cluster.restart(3)
-            node = cluster.nodes[3]
-            await cluster.shutdown()
-            return node.detector, cluster._fd_incarnations
-
-        detector, incarnations = asyncio.run(scenario())
-        assert detector is None and incarnations == {}
 
 
 class TestJoinBackoff:
@@ -597,8 +287,8 @@ def action_counts(nodes):
     return [node.protocol.stats.actions for node in nodes]
 
 
-class ClosableTransport(RecordingTransport):
-    """A recording transport with what ``stop`` and ``report`` read."""
+class ClosableTransport:
+    """A socket-free transport: only what ``stop`` and ``report`` read."""
 
     address = ("127.0.0.1", 9)
     datagrams_sent = datagrams_received = dropped = filtered = 0
@@ -647,6 +337,15 @@ class TestRunScenario:
         report = asyncio.run(cluster.run())
         assert report.wave_shortfall == shortfall
         assert len(report.killed_nodes) == (0 if shortfall else 5)
+        # No clock runs here, so the views are still the bootstrap ones.
+        killed = set(report.killed_nodes)
+        held = sum(
+            slot is not None and slot[0] in killed
+            for node in booted
+            if node.node_id not in killed and node.node_id not in stopped
+            for slot in node.protocol.raw_view(node.node_id).slots()
+        )
+        assert report.departed_instances_at_kill == report.departed_instances == held
         assert report.ok() is (not stopped)
         assert ("kill wave shortfall" in report.format()) is bool(shortfall)
         assert shut_down(booted)
@@ -895,16 +594,22 @@ class TestHostileDatagrams:
 
         return asyncio.run(scenario())
 
-    def test_malformed_fd_extension_costs_a_counter_not_the_run(self):
-        """``ext["fd"]`` blobs that pass the wire envelope check but not the
-        detector's: each is one ``ignored_extensions``, never a node error."""
+    def test_an_ext_is_ignored_and_the_pair_delivered(self):
+        """The wire still carries a message's ``ext`` tail, but no node
+        reads it: a detector blob, a malformed one or a foreign key, each
+        ``[1, 2]`` is one plain receive and never a node error."""
         hostile = [
+            ext_message(b'{"fd":{"v":1,"g":[[7,2,0,0]]}}'),
             ext_message(b'{"fd":{"v":1,"g":5}}'),
             ext_message(b'{"fd":{"v":1,"g":[[1,1,0,Infinity]]}}'),
+            ext_message(b'{"other":{"v":3}}'),
         ]
-        node, report, _, _ = self.attack(hostile, failure_detection=True)
-        assert node.detector.counters["ignored_extensions"] == len(hostile)
-        assert node.transport.filtered == 0
+        # s=32 bootstraps 24 ids: room for all four pairs.
+        node, report, before, after = self.attack(hostile, view_size=32, rate=1e-6)
+        transport = node.transport
+        assert (transport.delivered, transport.filtered) == (len(hostile), 0)
+        assert transport.decode_errors == 0
+        assert after - before == Counter({1: len(hostile), 2: len(hostile)})
         assert report.errors == []
         assert report.ok(), (report.degree_violations, report.errors)
 
