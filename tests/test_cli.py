@@ -264,6 +264,34 @@ class TestCommands:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("KILL WAVE: 2 victims short of 4 ")
 
+    def test_cluster_json_carries_the_departed_counts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Killed ids still in live views are a reading (status 0), and the
+        JSON holds both counts and no detector field."""
+        from repro.runtime import ClusterReport
+
+        def kill_wave(config):
+            return ClusterReport(
+                n=config.n, live_nodes=config.n - 2, duration_s=0.0,
+                drop_rate=0.0, actions=0, datagrams_sent=0,
+                datagrams_received=0, datagrams_dropped=0,
+                datagrams_filtered=0, decode_errors=0, unroutable=0,
+                restarts=0, degree_counts={}, degree_violations=[], errors=[],
+                killed_nodes=[4, 17], departed_instances_at_kill=31,
+                departed_instances=31,
+            )
+
+        monkeypatch.setattr(repro.runtime, "run_cluster", kill_wave)
+        out = tmp_path / "cluster.json"
+        assert main(["cluster", "--n", "20", "--kill-wave", "2",
+                     "--json", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        data = json.loads(out.read_text())
+        assert data["killed_nodes"] == [4, 17]
+        assert (data["departed_instances_at_kill"], data["departed_instances"]) == (31, 31)
+        assert not [key for key in data if key.startswith("fd_")]
+
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_executor_flag_is_gone(self, command, capsys):
         """Cells run inline at ``--jobs 1`` and in a process pool above;

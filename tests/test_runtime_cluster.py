@@ -6,9 +6,12 @@ steady-state statistics — the §6.2 comparison lives in the paper tier.
 """
 
 import asyncio
+import math
+import re
 import socket
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -16,7 +19,14 @@ from repro.core.sandf import SendForget
 from repro.net.transport import AsyncioUdpTransport
 from repro.net.wire import JoinRequest, Welcome, encode
 from repro.protocols.base import Message, SendEffect
-from repro.runtime.cluster import ClusterConfig, ClusterNode, LocalCluster, run_cluster
+from repro.runtime.cluster import (
+    ClusterConfig,
+    ClusterNode,
+    ClusterReport,
+    LocalCluster,
+    _percentile,
+    run_cluster,
+)
 
 from test_net_wire import HOSTILE, V1_DATAGRAMS, ext_message
 
@@ -79,6 +89,170 @@ class TestConfig:
             degree = cfg.bootstrap_degree()
             assert degree % 2 == 0
             assert d_low <= degree <= s
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("drop_rate", -0.1), ("drop_rate", 1.5), ("drop_rate", math.nan),
+            ("rate", 0.0), ("rate", -1.0), ("rate", math.inf), ("rate", math.nan),
+            ("duration_s", -0.1), ("duration_s", math.inf), ("duration_s", math.nan),
+            ("kill_restart", -1),
+        ],
+    )
+    def test_out_of_range_value_is_rejected_before_any_socket(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            tiny_config(**{knob: value})
+
+
+def make_report(**overrides):
+    """A hand-built report: every count distinct, so a field read in place
+    of another shows."""
+    base = dict(
+        n=12, live_nodes=9, duration_s=1.5, drop_rate=0.05, actions=101,
+        datagrams_sent=103, datagrams_received=97, datagrams_dropped=5,
+        datagrams_filtered=7, decode_errors=11, unroutable=13, restarts=2,
+        degree_counts={4: 6, 6: 2, 8: 1}, degree_violations=[], errors=[],
+        socket_errors=17, join_retry_timeouts=19, join_failures=23,
+    )
+    base.update(overrides)
+    return ClusterReport(**base)
+
+
+class TestReport:
+    @pytest.mark.parametrize(
+        "at_kill, now", [(0, 0), (160, 4), (160, 160)],
+        ids=["drained-to-zero", "drained", "not-drained"],
+    )
+    def test_departed_counts_are_a_reading_not_a_verdict(self, at_kill, now):
+        """However far the killed ids have drained, the run is clean."""
+        report = make_report(
+            killed_nodes=[3, 7], departed_instances_at_kill=at_kill,
+            departed_instances=now,
+        )
+        assert report.ok()
+
+    @pytest.mark.parametrize("killed", [[], [3, 7]], ids=["no-kill", "kill"])
+    def test_departed_rows_follow_the_killed_nodes(self, killed):
+        report = make_report(
+            killed_nodes=killed, departed_instances_at_kill=147,
+            departed_instances=4,
+        )
+        rows = dict(
+            re.split(r"\s{2,}", line.strip(), maxsplit=1)
+            for line in report.format().splitlines()[3:]
+        )
+        expected = (
+            {"killed nodes": "2", "departed id instances at kill": "147",
+             "departed id instances": "4"}
+            if killed else {}
+        )
+        assert {k: v for k, v in rows.items() if "killed" in k or "departed" in k} == expected
+
+    @pytest.mark.parametrize(
+        "field",
+        ["fd_enabled", "fd_detected", "fd_missed", "fd_false_positives", "fd_suppressed"],
+    )
+    def test_detector_fields_are_gone(self, field):
+        with pytest.raises(TypeError, match=field):
+            make_report(**{field: []})
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (ClusterReport, "detection_ok"),
+            (LocalCluster, "detection_verdict"),
+            (LocalCluster, "_grave_suppressed"),
+        ],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    def test_detector_hooks_are_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_a_node_holds_a_view_and_no_detector(self):
+        cluster = LocalCluster(tiny_config())
+        node = ClusterNode(cluster, 0)
+        assert not hasattr(node, "detector")
+        with pytest.raises(TypeError, match="incarnation"):
+            ClusterNode(cluster, 0, incarnation=1)
+
+    def test_degree_pmf_is_normalised_and_sorted(self):
+        report = make_report(degree_counts={6: 1, 4: 3})
+        pmf = report.degree_pmf()
+        assert list(pmf) == [4, 6]
+        assert pmf == {4: 0.75, 6: 0.25}
+        assert make_report(degree_counts={}).degree_pmf() == {}
+
+    def test_drop_fraction_is_over_what_was_received(self):
+        assert make_report().observed_drop_fraction() == 5 / 97
+        assert make_report(datagrams_received=0).observed_drop_fraction() == 0.0
+
+    @pytest.mark.parametrize(
+        "sample, q, expected",
+        [([], 0.5, 0.0), ([5.0], 0.99, 5.0), (range(1, 101), 0.5, 51.0),
+         (range(1, 101), 0.99, 100.0)],
+        ids=["empty", "one", "median-of-100", "p99-of-100"],
+    )
+    def test_percentile_is_nearest_rank(self, sample, q, expected):
+        ordered = np.array(list(sample), dtype=np.float64)
+        assert _percentile(ordered, q) == expected
+
+
+class TestPublishMetrics:
+    """``publish_metrics`` without a run: a hand-built report in, the
+    ``cluster.*`` names out."""
+
+    @staticmethod
+    def publish(report, latency=()):
+        registry = obs.Registry()
+        with obs.activated(obs.Telemetry(registry=registry)):
+            LocalCluster(tiny_config()).publish_metrics(
+                report, np.array(latency, dtype=np.float64)
+            )
+        return registry.snapshot()
+
+    @pytest.mark.parametrize(
+        "field",
+        ["actions", "datagrams_sent", "datagrams_received", "datagrams_dropped",
+         "datagrams_filtered", "decode_errors", "socket_errors", "restarts",
+         "join_retry_timeouts", "join_failures"],
+    )
+    def test_each_counter_is_its_report_field(self, field):
+        report = make_report()
+        counters = self.publish(report)["counters"]
+        assert counters[f"cluster.{field}"] == getattr(report, field)
+
+    def test_gauges_read_the_live_degrees(self):
+        gauges = self.publish(make_report())["gauges"]
+        assert gauges == {
+            "cluster.live_nodes": 9,
+            "cluster.outdegree_max": 8,
+            "cluster.outdegree_mean": (4 * 6 + 6 * 2 + 8 * 1) / 9,
+            "cluster.outdegree_min": 4,
+        }
+
+    def test_no_live_degree_no_degree_gauges(self):
+        gauges = self.publish(make_report(live_nodes=0, degree_counts={}))["gauges"]
+        assert gauges == {"cluster.live_nodes": 0}
+
+    def test_every_latency_sample_is_observed(self):
+        histograms = self.publish(make_report(), [0.002, 0.001, 0.004])["histograms"]
+        assert histograms == {
+            "cluster.delivery_latency_s": {
+                "count": 3, "total": pytest.approx(0.007), "min": 0.001, "max": 0.004,
+            }
+        }
+
+    def test_the_names_are_the_cluster_counters_and_nothing_else(self):
+        """No detector metric, and the departed counts stay in the report."""
+        snap = self.publish(
+            make_report(killed_nodes=[3], departed_instances_at_kill=9,
+                        departed_instances=2),
+            [0.001],
+        )
+        names = {name for kind in ("counters", "gauges", "histograms") for name in snap[kind]}
+        assert all(name.startswith("cluster.") for name in names)
+        assert not any(name.startswith("cluster.fd_") or "departed" in name for name in names)
+        assert len(snap["counters"]) == 10
 
 
 class TestBasicRun:
@@ -168,6 +342,55 @@ class TestScenarios:
         assert report.departed_instances_at_kill == 0  # no wave ran
         assert report.ok(), (report.degree_violations, report.errors)
         assert "departed id instances" in report.format()
+
+    @staticmethod
+    def held(cluster, ids):
+        """Instances of ``ids`` in live views, counted slot by slot."""
+        return sum(
+            slot is not None and slot[0] in ids
+            for node in cluster.live_nodes()
+            for slot in node.protocol.raw_view(node.node_id).slots()
+        )
+
+    def test_a_restart_takes_its_id_off_the_departed_count(self):
+        """The rejoined id is live again; only the one still dead counts."""
+
+        async def scenario():
+            cluster = LocalCluster(tiny_config(n=8, rate=1e-6))
+            await cluster.start()
+            await cluster.kill(2)
+            await cluster.kill(5)
+            assert await cluster.restart(2)
+            held = self.held(cluster, {5}), self.held(cluster, {2})
+            report = cluster.report()
+            await cluster.shutdown()
+            return report, held
+
+        report, (held_5, held_2) = asyncio.run(scenario())
+        assert report.killed_nodes == [5]
+        assert report.departed_instances == held_5 > 0
+        assert held_2 > 0  # still in views, but no longer departed
+        assert report.restarts == 1 and report.live_nodes == 7
+
+    def test_a_failed_rejoin_leaves_the_id_departed(self):
+        async def scenario():
+            cluster = LocalCluster(
+                tiny_config(n=8, rate=1e-6, join_timeout_s=0.02, join_retries=2,
+                            join_backoff_cap_s=0.04)
+            )
+            await cluster.start()
+            await cluster.kill(2)
+            cluster._introducer.close()  # black-hole the join path
+            assert not await cluster.restart(2)
+            held = self.held(cluster, {2})
+            report = cluster.report()
+            await cluster.shutdown()
+            return report, held
+
+        report, held = asyncio.run(scenario())
+        assert report.killed_nodes == [2]
+        assert report.departed_instances == held > 0
+        assert (report.restarts, report.join_failures) == (0, 1)
 
 
 class TestObservability:
